@@ -15,10 +15,11 @@ from dyadlab import (GridSpec, average_operator, commutator_bound_study,
 
 base = GridSpec(1, 6)
 
-# --- shifted grids move every level except the finest cells -------------------
+# --- a shifted grid is the standard grid translated by shift cells -------------
 omega = sample_omega(base, 12345)
 grid = shifted_grid(base, omega)
 print("offsets per level:", [o[0] for o in omega.offsets])
+print("translation in finest cells:", grid.shift[0])
 print("level-2 cube start cells:", grid.start_cells(2))
 
 # --- one grid vs the average ---------------------------------------------------

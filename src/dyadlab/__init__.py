@@ -13,9 +13,9 @@ from .haar import (DyadicFunction, HaarCoefficients, haar_forward,
                    haar_function, haar_inverse, inner_product,
                    pointwise_multiply, random_function)
 from .shifts import (LinearOperatorHandle, PowerIterationResult, ShiftOperator,
-                     apply_shift, expected_coefficient_count,
-                     multiplication_commutator, noncancellative_shift,
-                     operator_norm, power_iteration, random_shift)
+                     expected_coefficient_count, multiplication_commutator,
+                     noncancellative_shift, operator_norm, power_iteration,
+                     random_shift)
 from .paraproducts import (BkOperator, apply_Bk, apply_P, apply_P_adjoint)
 from .biparam import (BiparamOperatorSpec, ProductFunction, ProductGrid,
                       apply_biparam, apply_in_variable, inner_product2,

@@ -49,6 +49,8 @@ class ProductFunction:
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float).reshape(self.pgrid.shape)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite (no NaN or inf)")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)

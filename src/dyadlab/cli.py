@@ -18,12 +18,13 @@ import time
 
 import numpy as np
 
-from .grids import DyadicCube, GridSpec, HaarIndex
+from .grids import (DepthError, DyadicCube, GridSpec, HaarIndex,
+                    InvalidIndexError, WrongKindError)
 from .haar import (haar_forward, haar_function, haar_inverse, inner_product,
                    random_function)
 from .shifts import random_shift
 from .decomposition import verify_identity
-from .norms import (geometric_cap_for, geometric_constant,
+from .norms import (_trial_rng, geometric_cap_for, geometric_constant,
                     geometric_constant_closed_form,
                     geometric_constant_tail_bound, jn_check, reports_to_csv,
                     reports_to_jsonl, uniformity_study)
@@ -186,8 +187,7 @@ def cmd_jn_check(args) -> int:
     grid = GridSpec(args.d, args.N)
     worst = {}
     for t in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed,
-                                                           spawn_key=(t,)))
+        rng = _trial_rng(args.seed, t)
         a = random_function(grid, rng)
         lvl = int(rng.integers(0, grid.N))
         cube = DyadicCube(lvl, grid.pos_from_flat(
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm-study", help="uniformity and ratio sweeps")
     p.add_argument("--kind", default="Bk",
                    choices=("Bk", "Sk", "P", "Bkl", "BPk", "PBl", "PP", "PP1"))
-    p.add_argument("--N", type=int, default=8)
+    p.add_argument("--N", type=int, default=9)
     p.add_argument("--N2", type=int, default=None)
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--lmax", type=int, default=2)
@@ -333,18 +333,50 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list) -> argparse.Namespace:
-    """Config-file values fill in flags the user did not pass explicitly."""
+def _config_value(action: argparse.Action, val):
+    """Convert a config-file value as its flag converts command-line text."""
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise ValueError(f"expected true or false, got {val!r}")
+        return val
+    if action.nargs in ("+", "*"):
+        if not isinstance(val, list):
+            raise ValueError(f"expected a list, got {val!r}")
+        return [_config_item(action, v) for v in val]
+    return _config_item(action, val)
+
+
+def _config_item(action: argparse.Action, val):
+    if val is None or isinstance(val, (list, dict)):
+        raise ValueError(f"expected a single value, got {val!r}")
+    out = action.type(str(val)) if action.type else str(val)
+    if action.choices is not None and out not in action.choices:
+        raise ValueError(f"{out!r} is not one of {', '.join(map(str, action.choices))}")
+    return out
+
+
+def _apply_config_file(ap: argparse.ArgumentParser, args: argparse.Namespace,
+                       argv: list) -> argparse.Namespace:
+    """Config-file values fill in flags the user did not pass explicitly.
+
+    Raises ValueError naming the key when a value fails its flag's type or
+    choices.
+    """
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if a.startswith("--")}
+    subparsers = next(a for a in ap._actions if a.dest == "command")
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if attr not in explicit and hasattr(args, attr):
-            setattr(args, attr, val)
+        if attr not in explicit and attr in actions and hasattr(args, attr):
+            try:
+                setattr(args, attr, _config_value(actions[attr], val))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return args
 
 
@@ -356,11 +388,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
-        args = _apply_config_file(args, argv)
-    except (OSError, json.JSONDecodeError) as exc:
+        args = _apply_config_file(ap, args, argv)
+    except (OSError, ValueError) as exc:
         print(f"bad config file: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DepthError, InvalidIndexError, WrongKindError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

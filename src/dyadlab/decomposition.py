@@ -35,7 +35,7 @@ from .biparam import (BAtom, PAtom, ProductFunction, _Accum, _BiView,
                       forward2, inverse2, iterated_commutator, pair_apply,
                       random_product_function)
 from .shifts import ANALYSIS, ShiftOperator, multiplication_commutator
-from .norms import dyadic_bmo_norm, rect_bmo_norm
+from .norms import _trial_rng, dyadic_bmo_norm, rect_bmo_norm
 
 
 @dataclass(frozen=True)
@@ -381,11 +381,6 @@ def evaluate_terms(tl: TermList, f):
     if tl.arity == 1:
         return _evaluate_one_param(tl, f)
     return _evaluate_biparam(tl, f)
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(trial,)))
 
 
 def verify_identity(b, shifts, trials: int, rng_seed: int,

@@ -5,16 +5,20 @@ A grid of depth ``N`` in dimension ``d`` partitions the torus [0,1)^d into
 cubes at levels 0..N-1 (a cube needs children to oscillate on); the single
 noncancellative root Haar is the constant function.
 
-Shifted grids carry per-level offsets omega_j in {0,1}^d for j = 1..N: a
-level-k cube is translated by sum_{j>k} 2**-j * omega_j, wrapped on the
-torus. All offsets are whole numbers of finest cells, so every shifted cube
-is an exact union of sample cells.
+A shifted grid is the standard grid translated on the torus. It is given by
+per-level offsets omega_j in {0,1}^d for j = 1..N (the input and serialized
+form), which fix the translation ``shift = sum_j 2**(N-j) * omega_j`` in
+finest cells per axis; omega -> shift is a bijection onto [0, 2**N)^d.
+Labelling convention: on every grid, the level-k cube at position ``p``
+covers the cells ``shift + p * 2**(N-k) + [0, 2**(N-k))`` per axis, mod
+2**N. Ancestors, children and every index map below are therefore those of
+the standard grid; only the map from cubes to sample cells reads ``shift``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,11 +58,16 @@ def _normalize_omega(omega, d, N):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Dyadic grid of depth N on [0,1)^d; finest cells have side 2**-N."""
+    """Dyadic grid of depth N on [0,1)^d; finest cells have side 2**-N.
+
+    ``omega`` selects a shifted grid; ``shift`` is the translation it fixes,
+    in finest cells per axis (all zero on the standard grid).
+    """
 
     d: int
     N: int
     omega: tuple = None
+    shift: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -67,7 +76,13 @@ class GridSpec:
             raise ValueError("depth must be >= 1")
         if (1 << (self.N * self.d)) > MAX_SAMPLES:
             raise ValueError("grid exceeds the configured memory budget")
-        object.__setattr__(self, "omega", _normalize_omega(self.omega, self.d, self.N))
+        omega = _normalize_omega(self.omega, self.d, self.N)
+        shift = [0] * self.d
+        for j, level in enumerate(omega or (), start=1):
+            for a, bit in enumerate(level):
+                shift[a] += bit << (self.N - j)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "shift", tuple(shift))
 
     @property
     def n_side(self) -> int:
@@ -108,40 +123,22 @@ class GridSpec:
         self.validate_cube(cube)
         if k < 0 or k > cube.level:
             raise DepthError(f"ancestor depth {k} exceeds cube level {cube.level}")
-        pos = np.array(cube.pos, dtype=np.int64)
-        level = cube.level
-        for _ in range(k):
-            off = self._omega_level(level)
-            pos = ((pos - off) % (1 << level)) >> 1
-            level -= 1
-        return DyadicCube(level, tuple(int(p) for p in pos))
+        return DyadicCube(cube.level - k, tuple(p >> k for p in cube.pos))
 
     def children(self, cube: "DyadicCube") -> list["DyadicCube"]:
         self.validate_cube(cube)
         if cube.level >= self.N:
             raise DepthError("finest cubes have no children")
-        off = self._omega_level(cube.level + 1)
-        n = 1 << (cube.level + 1)
         out = []
         for bits in range(1 << self.d):
             side = [(bits >> (self.d - 1 - a)) & 1 for a in range(self.d)]
-            pos = tuple(int((2 * p + s + o) % n) for p, s, o in zip(cube.pos, side, off))
+            pos = tuple(2 * p + s for p, s in zip(cube.pos, side))
             out.append(DyadicCube(cube.level + 1, pos))
         return out
 
-    def _omega_level(self, level: int) -> np.ndarray:
-        """Offset bits used when pairing level ``level`` cubes into parents."""
-        if self.omega is None or level < 1:
-            return np.zeros(self.d, dtype=np.int64)
-        return np.asarray(self.omega[level - 1], dtype=np.int64)
-
     def start_cells(self, level: int) -> np.ndarray:
-        """Per-axis cell offset of cube position 0 at ``level``."""
-        start = np.zeros(self.d, dtype=np.int64)
-        if self.omega is not None:
-            for j in range(level + 1, self.N + 1):
-                start += (1 << (self.N - j)) * np.asarray(self.omega[j - 1], dtype=np.int64)
-        return start % self.n_side
+        """Per-axis first cell of the lowest-starting cube at ``level``."""
+        return np.asarray(self.shift, dtype=np.int64) % (1 << (self.N - level))
 
     # -- signatures -------------------------------------------------------
 
@@ -196,7 +193,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DyadicCube:
-    """A cube 2**-level * ([0,1)^d + pos) of a (possibly shifted) dyadic grid."""
+    """A cube 2**-level * ([0,1)^d + pos) of the standard grid, translated by
+    the grid's ``shift`` (see the module docstring for the labelling)."""
 
     level: int
     pos: tuple
@@ -263,13 +261,8 @@ class _GridIndex:
         if key not in self._anc:
             if k < 0 or k > level:
                 raise DepthError(f"ancestor depth {k} exceeds level {level}")
-            c = self.coords(level)
-            lvl = level
-            for _ in range(k):
-                off = self.grid._omega_level(lvl)[:, None]
-                c = ((c - off) % (1 << lvl)) >> 1
-                lvl -= 1
-            self._anc[key] = np.ravel_multi_index(tuple(c), ((1 << lvl),) * self.grid.d)
+            c = self.coords(level) >> k
+            self._anc[key] = np.ravel_multi_index(tuple(c), ((1 << (level - k)),) * self.grid.d)
         return self._anc[key]
 
     def desc_groups(self, kappa: int, depth: int) -> np.ndarray:
@@ -291,11 +284,10 @@ class _GridIndex:
             g = self.grid
             step = 1 << (g.N - level)
             side = g.n_side
-            start = g.start_cells(level)
             c = self.coords(level)
             acc = None
             for a in range(g.d):
-                axis_cells = (start[a] + c[a][:, None] * step + np.arange(step)) % side
+                axis_cells = (g.shift[a] + c[a][:, None] * step + np.arange(step)) % side
                 weighted = axis_cells * (side ** (g.d - 1 - a))
                 if acc is None:
                     acc = weighted
@@ -312,21 +304,12 @@ class _GridIndex:
         """
         key = (level, k, tuple(sig))
         if key not in self._signs:
-            g = self.grid
-            anc = self.ancestor_flat(level, k)
             c = self.coords(level)
-            anc_c = np.array(np.unravel_index(anc, (1 << (level - k),) * g.d))
-            start = g.start_cells(level)
-            astart = g.start_cells(level - k)
-            step = 1 << (g.N - level)
-            astep = 1 << (g.N - (level - k))
-            signs = np.ones(g.n_cubes(level))
-            for a in range(g.d):
-                cube_cell = (start[a] + c[a] * step) % g.n_side
-                anc_cell = (astart[a] + anc_c[a] * astep) % g.n_side
-                rel = (cube_cell - anc_cell) % g.n_side
+            signs = np.ones(self.grid.n_cubes(level))
+            for a in range(self.grid.d):
                 if sig[a] == 0:
-                    signs = signs * np.where(rel < astep // 2, 1.0, -1.0)
+                    # + on the ancestor's lower half: bit k-1 of the position is 0
+                    signs = signs * np.where((c[a] >> (k - 1)) & 1, -1.0, 1.0)
             signs.setflags(write=False)
             self._signs[key] = signs
         return self._signs[key]

@@ -66,18 +66,19 @@ def _butterfly_merge(t: np.ndarray, d: int, n: int, passive: tuple) -> np.ndarra
 
 
 def forward_stacked(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Samples (n_samples, *passive) -> stacked Haar coefficients."""
+    """Samples (n_samples, *passive) -> stacked Haar coefficients.
+
+    A shifted grid's transform is the standard one of the samples rolled by
+    ``-grid.shift``; :func:`inverse_stacked` rolls back by ``+grid.shift``.
+    """
     d, N = grid.d, grid.N
     passive = samples.shape[1:]
     s = samples.reshape((grid.n_side,) * d + passive).astype(float)
     s = s * 2.0 ** (-N * d / 2.0)
+    if any(grid.shift):
+        s = np.roll(s, [-x for x in grid.shift], axis=tuple(range(d)))
     out = np.zeros(samples.shape, dtype=float)
     for lvl in range(N - 1, -1, -1):
-        if grid.omega is not None:
-            off = grid._omega_level(lvl + 1)
-            for a in range(d):
-                if off[a]:
-                    s = np.roll(s, -int(off[a]), axis=a)
         n = 1 << lvl
         t = _butterfly_split(s, d, n, passive)
         off0 = grid.level_offset(lvl)
@@ -98,11 +99,8 @@ def inverse_stacked(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
         blk = grid.level_block(stacked, lvl)
         t = np.concatenate([blk, s.reshape((n ** d, 1) + passive)], axis=1)
         s = _butterfly_merge(t, d, n, passive)
-        if grid.omega is not None:
-            off = grid._omega_level(lvl + 1)
-            for a in range(d):
-                if off[a]:
-                    s = np.roll(s, int(off[a]), axis=a)
+    if any(grid.shift):
+        s = np.roll(s, grid.shift, axis=tuple(range(d)))
     return s.reshape((grid.n_samples,) + passive) * 2.0 ** (N * d / 2.0)
 
 
@@ -121,11 +119,6 @@ def scaling_levels(grid: GridSpec, stacked: np.ndarray) -> list:
         blk = grid.level_block(stacked, lvl)
         t = np.concatenate([blk, s.reshape((n ** d, 1) + passive)], axis=1)
         s = _butterfly_merge(t, d, n, passive)
-        if grid.omega is not None:
-            off = grid._omega_level(lvl + 1)
-            for a in range(d):
-                if off[a]:
-                    s = np.roll(s, int(off[a]), axis=a)
         out.append(s.reshape((grid.n_cubes(lvl + 1),) + passive))
     return out
 
@@ -172,6 +165,8 @@ class DyadicFunction:
         arr = np.asarray(self.samples, dtype=float).reshape(-1)
         if arr.shape != (self.grid.n_samples,):
             raise ValueError(f"expected {self.grid.n_samples} samples, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite (no NaN or inf)")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -292,13 +287,12 @@ def haar_function(grid: GridSpec, idx: HaarIndex) -> DyadicFunction:
     if idx.cancellative and lvl >= grid.N:
         raise InvalidIndexError("cancellative indices require level < N")
     step = 1 << (grid.N - lvl)
-    start = grid.start_cells(lvl)
     side = grid.n_side
     amp = 2.0 ** (lvl * grid.d / 2.0)
     cells = None
     signs = None
     for a in range(grid.d):
-        axis_cells = (start[a] + idx.cube.pos[a] * step + np.arange(step)) % side
+        axis_cells = (grid.shift[a] + idx.cube.pos[a] * step + np.arange(step)) % side
         axis_signs = np.ones(step) if idx.sig[a] == 1 else np.where(
             np.arange(step) < step // 2, 1.0, -1.0)
         w = axis_cells * (side ** (grid.d - 1 - a))

@@ -10,11 +10,11 @@ growth and the geometrically weighted total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GridSpec, grid_index
+from .grids import GridSpec
 from .haar import random_function
 from .norms import NormReport, dyadic_bmo_norm, geometric_constant
 from .shifts import (LinearOperatorHandle, ShiftOperator, max_k_level,
@@ -23,7 +23,12 @@ from .shifts import (LinearOperatorHandle, ShiftOperator, max_k_level,
 
 @dataclass(frozen=True)
 class OmegaSample:
-    """Per-level grid offsets omega_j in {0,1}^d for levels 1..N."""
+    """Per-level grid offsets omega_j in {0,1}^d for levels 1..N.
+
+    They name the shifted grid whose translation is
+    sum_j 2**(N-j) omega_j finest cells per axis (see :mod:`dyadlab.grids`);
+    uniform offsets give a uniform translation.
+    """
 
     offsets: tuple
     seed: int
@@ -42,7 +47,8 @@ def sample_omega(base: GridSpec, rng_seed: int) -> OmegaSample:
 
 
 def shifted_grid(base: GridSpec, omega: OmegaSample) -> GridSpec:
-    """Grid whose level-k cubes are translated by sum_{j>k} 2**-j omega_j."""
+    """The base grid translated by ``GridSpec.shift`` cells; the level-k cube
+    at position p covers cells shift + p * 2**(N-k) + [0, 2**(N-k))."""
     return GridSpec(base.d, base.N, omega.offsets)
 
 
@@ -55,22 +61,16 @@ def hilbert_pattern_shift(grid: GridSpec) -> ShiftOperator:
     amp = 2.0 ** -0.5
     for kappa in range(max_k_level(grid, 0, 1) + 1):
         block = np.zeros((grid.n_cubes(kappa), 1, 1, 2, 1))
-        idx = grid_index(grid)
-        groups = idx.desc_groups(kappa, 1)
-        # slot order within desc_groups is by flat child index; orient signs
-        # geometrically: + on the left child, - on the right child.
-        for kk in range(grid.n_cubes(kappa)):
-            left = (2 * kk + (grid._omega_level(kappa + 1)[0] if grid.omega else 0)) \
-                % grid.n_cubes(kappa + 1)
-            for slot in range(2):
-                sign = 1.0 if groups[kk, slot] == left else -1.0
-                block[kk, 0, 0, slot, 0] = sign * amp
+        # slot 0 is the left child 2K, slot 1 the right child 2K+1
+        block[:, 0, 0, 0, 0] = amp
+        block[:, 0, 0, 1, 0] = -amp
         blocks.append(block)
     return ShiftOperator(grid, 0, 1, "cancellative", blocks=tuple(blocks))
 
 
-def _standard_haar_rows(base: GridSpec) -> list:
-    """Per level, the matrix of standard-grid Haar samples (rows = cubes)."""
+def _pattern_matrix(base: GridSpec) -> np.ndarray:
+    """Closed-form dense matrix of the fixed pattern on the standard grid,
+    built from the sampled Haar functions of each level (rows = cubes)."""
     n = base.n_samples
     rows = []
     for lvl in range(base.N):
@@ -80,39 +80,32 @@ def _standard_haar_rows(base: GridSpec) -> list:
         pattern[step // 2:step] = -2.0 ** (lvl / 2.0)
         rows.append(np.stack([np.roll(pattern, m * step)
                               for m in range(base.n_cubes(lvl))]))
-    return rows
+    M = np.zeros((n, n))
+    for kappa in range(base.N - 1):
+        children = rows[kappa + 1]
+        out_rows = 2.0 ** -0.5 * (children[0::2] - children[1::2])
+        M += out_rows.T @ rows[kappa] * base.cell_volume
+    return M
 
 
 def hilbert_pattern_builder(base: GridSpec):
-    """omega -> handle of the fixed pattern on the shifted grid, with a fast
-    closed-form dense matrix (rolled precomputed Haar rows)."""
-    if base.d != 1:
-        raise ValueError("the fixed demo pattern is one-dimensional")
-    std_rows = _standard_haar_rows(base)
-    amp = 2.0 ** -0.5
-    cell = base.cell_volume
+    """omega -> handle of the fixed pattern on the shifted grid.
+
+    The pattern's blocks and dense matrix are built once on ``base``; a
+    shifted grid is a translation, so each sample reuses the blocks and rolls
+    the matrix by the grid's shift along both axes.
+    """
+    pattern = hilbert_pattern_shift(base)
+    adjoint = pattern.adjoint()
+    M_base = _pattern_matrix(base)
 
     def build(omega: OmegaSample) -> LinearOperatorHandle:
         g = shifted_grid(base, omega)
-        S = hilbert_pattern_shift(g)
-
-        def matrix():
-            n = g.n_samples
-            M = np.zeros((n, n))
-            for kappa in range(g.N - 1):
-                h_in = np.roll(std_rows[kappa], int(g.start_cells(kappa)[0]), axis=1)
-                h_ch = np.roll(std_rows[kappa + 1],
-                               int(g.start_cells(kappa + 1)[0]), axis=1)
-                off = int(g._omega_level(kappa + 1)[0])
-                nc2 = g.n_cubes(kappa + 1)
-                left = (2 * np.arange(g.n_cubes(kappa)) + off) % nc2
-                right = (left + 1) % nc2
-                out_rows = amp * (h_ch[left] - h_ch[right])
-                M += out_rows.T @ h_in * cell
-            return M
-
-        return LinearOperatorHandle(g, S.apply, adjoint=S.adjoint().apply,
-                                    matrix_fn=matrix, kind="fixed-pattern",
+        s = g.shift[0]
+        return LinearOperatorHandle(g, replace(pattern, grid=g).apply,
+                                    adjoint=replace(adjoint, grid=g).apply,
+                                    matrix_fn=lambda: np.roll(M_base, (s, s), axis=(0, 1)),
+                                    kind="fixed-pattern",
                                     params={"omega_seed": omega.seed})
 
     build.grid = base

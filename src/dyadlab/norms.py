@@ -341,16 +341,15 @@ def geometric_constant_closed_form(delta: float) -> float:
 def geometric_constant_tail_bound(delta: float, cap: int) -> float:
     """Upper bound on the truncation error of :func:`geometric_constant`.
 
-    The tail is dominated by the first omitted term times the geometric
-    factor sum_n ((cap+2+n)/(cap+2))**2 x**n <= sum 4**n x**n ... a crude but
-    safe bound is used: (2m+1)(m+1) grows slower than 2**m, so for x < 1 the
-    tail is at most first_term / (1 - sqrt(x)) once m is past the hump.
+    With x = 2**(-delta/2) and m = cap + 1, the tail is the sum over n >= m
+    of (2n+1)(n+1) x**n. Its first term is first = (2m+1)(m+1) x**m, and the
+    ratio of consecutive terms, (2n+3)(n+2) / ((2n+1)(n+1)) * x, is at most
+    (1 + 2/m)**2 x for every n >= m. The bound returned is therefore
+    first / (1 - (1 + 2/m)**2 x) while that ratio is below 1, else ``inf``.
     """
     x = 2.0 ** (-delta / 2.0)
     m = cap + 1
     first = (2 * m + 1) * (m + 1) * x ** m
-    # (2m+3)(m+2)/((2m+1)(m+1)) <= (1 + 2/m)**2 <= sqrt(1/x) for m large enough;
-    # fall back to direct summation when the ratio bound is not yet valid.
     ratio = (1 + 2.0 / m) ** 2 * x
     if ratio < 1.0:
         return first / (1.0 - ratio)
@@ -411,6 +410,7 @@ def reports_to_csv(reports: list) -> str:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Generator of trial ``trial`` under master ``seed``; one stream per trial."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                         spawn_key=(trial,)))
 

@@ -132,20 +132,6 @@ def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunc
     return DyadicFunction(g, inverse_stacked(g, bk_stacked(op, bc, xc)))
 
 
-def bk_handle(op: BkOperator, b: DyadicFunction):
-    from .shifts import LinearOperatorHandle
-    bc = forward_stacked(op.grid, b.samples)
-    adj = op.adjoint()
-
-    def _apply(f, _op=op):
-        xc = forward_stacked(op.grid, f.samples)
-        return DyadicFunction(op.grid, inverse_stacked(op.grid, bk_stacked(_op, bc, xc)))
-
-    return LinearOperatorHandle(op.grid, _apply,
-                                adjoint=lambda f: _apply(f, adj),
-                                kind="Bk", params={"k": op.k})
-
-
 # ---------------------------------------------------------------------------
 # Strict-subcube accumulation matrix: the shared backbone of P-type operators.
 

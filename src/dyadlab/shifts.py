@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import (DepthError, GridMismatchError, GridSpec, WrongKindError,
-                    grid_index)
+from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec,
+                    InvalidIndexError, WrongKindError, grid_index)
 from .haar import (DyadicFunction, forward_stacked, fold_noncancellative,
                    inverse_stacked, pointwise_multiply, scaling_levels)
 
@@ -199,23 +199,28 @@ class ShiftOperator:
                        orientation=obj["orientation"])
         blocks = _empty_blocks(grid, i, j)
         idx = grid_index(grid)
-        rev = {}
-        for kappa in range(len(blocks)):
-            gi = idx.desc_groups(kappa, i)
-            gj = idx.desc_groups(kappa, j)
-            rev[kappa] = ({int(v): (k, s) for (k, s), v in np.ndenumerate(gi)},
-                          {int(v): (k, s) for (k, s), v in np.ndenumerate(gj)})
-        for e in obj["entries"]:
+        for n, e in enumerate(obj["entries"]):
             kappa = int(e["K"]["level"])
-            kk = grid.flat_pos(e["K"]["pos"], kappa)
-            fi = grid.flat_pos(e["I"]["pos"], kappa + i)
-            fj = grid.flat_pos(e["J"]["pos"], kappa + j)
-            ri, rj = rev[kappa]
-            k1, a_slot = ri[fi]
-            k2, b_slot = rj[fj]
-            assert k1 == kk and k2 == kk
-            blocks[kappa][kk, a_slot, grid.sig_int(e["I"]["sig"]),
-                          b_slot, grid.sig_int(e["J"]["sig"])] = float(e["a"])
+            if not 0 <= kappa < len(blocks):
+                raise ValueError(f"entry {n}: K level {kappa} outside 0..{len(blocks) - 1}")
+            cubes = []
+            for key, depth in (("K", 0), ("I", i), ("J", j)):
+                level = int(e[key].get("level", kappa + depth))
+                if level != kappa + depth:
+                    raise ValueError(f"entry {n}: {key} level {level} is not {kappa + depth}")
+                cube = DyadicCube(level, e[key]["pos"])
+                try:
+                    grid.validate_cube(cube)
+                except InvalidIndexError as exc:
+                    raise ValueError(f"entry {n}: {key}: {exc}") from None
+                cubes.append(grid.flat_pos(cube.pos, level))
+            kk, fi, fj = cubes
+            a_slot = np.flatnonzero(idx.desc_groups(kappa, i)[kk] == fi)
+            b_slot = np.flatnonzero(idx.desc_groups(kappa, j)[kk] == fj)
+            if a_slot.size == 0 or b_slot.size == 0:
+                raise ValueError(f"entry {n}: I and J must lie inside K")
+            blocks[kappa][kk, a_slot[0], grid.sig_int(e["I"]["sig"]),
+                          b_slot[0], grid.sig_int(e["J"]["sig"])] = float(e["a"])
         return cls(grid, i, j, CANCELLATIVE,
                    blocks=tuple(b for b in blocks))
 
@@ -270,11 +275,6 @@ def expected_coefficient_count(grid: GridSpec, i: int, j: int) -> int:
     return sum(grid.n_cubes(kappa) * per_k for kappa in range(kmax + 1))
 
 
-def apply_shift(S: ShiftOperator, f: DyadicFunction) -> DyadicFunction:
-    """Haar-coefficient-space evaluation of S f."""
-    return S.apply(f)
-
-
 def noncancellative_shift(grid: GridSpec, symbol: DyadicFunction,
                           orientation: str = ANALYSIS) -> ShiftOperator:
     """Paraproduct shift with an explicit symbol (dyadic BMO norm <= 1)."""
@@ -324,11 +324,6 @@ def multiplication_commutator(b: DyadicFunction, T, f: DyadicFunction) -> Dyadic
     Tf = T(f) if callable(T) else T.apply(f)
     Tbf = T(pointwise_multiply(b, f)) if callable(T) else T.apply(pointwise_multiply(b, f))
     return pointwise_multiply(b, Tf) - Tbf
-
-
-def commutator_handle(b: DyadicFunction, T) -> LinearOperatorHandle:
-    return LinearOperatorHandle(b.grid, lambda f: multiplication_commutator(b, T, f),
-                                kind="commutator")
 
 
 @dataclass(frozen=True)

@@ -120,3 +120,32 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     code = main(["selftest", "--d", "1", "--N", "4", "--seed", "1"])
     assert code == 0
     assert (tmp_path / "envout" / "selftest.json").exists()
+
+
+def test_config_values_use_flag_types_and_choices(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": "5", "seed": 3}))
+    code, report = run(["selftest", "--config", str(cfg)], tmp_path, "selftest")
+    assert code == 0
+    assert report["config"]["N"] == 5
+    for bad in ({"N": "six"}, {"N": 6.5}, {"d": True}, {"N": None},
+                {"format": "xml"}, {"p": 2.0}, {"p": [1.5, "x"]}):
+        cfg.write_text(json.dumps(bad))
+        command = "jn-check" if "p" in bad else "selftest"
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("bad config file: ") and "\n" not in err
+
+
+def test_inadmissible_parameters_exit_2(tmp_path, capsys):
+    code = main(["norm-study", "--kind", "Bk", "--N", "4", "--kmax", "8",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("norm-study: ") and "\n" not in err
+
+
+def test_norm_study_defaults_admissible(tmp_path):
+    code, report = run(["norm-study", "--trials", "1"], tmp_path, "norm-study-Bk")
+    assert code == 0
+    assert report["config"]["N"] == 9 and report["config"]["kmax"] == 8

@@ -190,11 +190,12 @@ def test_empty_terms_zero_commutator():
 
 
 def test_omega_grid_identity(rng):
-    g = GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))
-    b = random_function(g, rng)
-    S = random_shift(g, 1, 1, rng)
-    rep = verify_identity(b, S, trials=5, rng_seed=17, tol=1e-10)
-    assert rep["pass"], rep
+    for g in (GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))),
+              GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1)))):
+        b = random_function(g, rng)
+        S = random_shift(g, 1, 1, rng)
+        rep = verify_identity(b, S, trials=5, rng_seed=17, tol=1e-10)
+        assert rep["pass"], rep
 
 
 def test_biparam_identity_all_mixes(rng):

@@ -93,6 +93,19 @@ def test_omega_cells_partition_each_level():
         assert sorted(cells.reshape(-1).tolist()) == list(range(g.n_samples))
 
 
+def test_shift_from_omega():
+    assert GridSpec(1, 2, omega=((0,), (1,))).shift == (1,)
+    assert GridSpec(1, 3, omega=((1,), (0,), (1,))).shift == (5,)
+    assert GridSpec(2, 2, omega=((1, 0), (1, 1))).shift == (3, 1)
+    assert GridSpec(2, 3).shift == (0, 0)
+    # omega -> shift is a bijection onto [0, 2**N)
+    omegas = [tuple((b >> j & 1,) for j in range(3)) for b in range(8)]
+    assert sorted(GridSpec(1, 3, omega=om).shift[0] for om in omegas) == list(range(8))
+    # level-1 cube 0 covers cells shift + [0, 4), mod 8
+    assert grid_index(GridSpec(1, 3, omega=((1,), (0,), (1,)))).cells(1)[0].tolist() \
+        == [5, 6, 7, 0]
+
+
 def test_shifted_level_offsets():
     # omega_2 = 1 shifts the level-1 partition by 2**-2 (one cell at N=2)
     g = GridSpec(1, 2, omega=((0,), (1,)))

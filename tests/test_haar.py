@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      haar_forward, haar_function, haar_inverse, inner_product,
                      pointwise_multiply, random_function)
+from dyadlab.biparam import ProductFunction, ProductGrid
 from dyadlab.grids import InvalidIndexError
 from dyadlab.haar import HaarCoefficients, scaling_levels, forward_stacked
 from conftest import all_cancellative_indices
@@ -60,28 +61,50 @@ def test_forward_constant_kills_cancellative():
 
 
 def test_forward_reproduces_basis():
-    g = GridSpec(2, 2)
-    for idx in all_cancellative_indices(g):
-        c = haar_forward(haar_function(g, idx))
-        assert abs(c.coefficient(idx) - 1.0) < 1e-12
-        total = c.l2_norm_sq()
-        assert abs(total - 1.0) < 1e-12
+    for g in (GridSpec(2, 2), GridSpec(2, 2, omega=((1, 0), (1, 1)))):
+        for idx in all_cancellative_indices(g):
+            c = haar_forward(haar_function(g, idx))
+            assert abs(c.coefficient(idx) - 1.0) < 1e-12
+            total = c.l2_norm_sq()
+            assert abs(total - 1.0) < 1e-12
 
 
 def test_orthonormality_full_grid():
-    g = GridSpec(2, 2)
-    idxs = list(all_cancellative_indices(g))
-    funcs = [haar_function(g, i) for i in idxs]
-    G = np.array([[inner_product(a, b) for b in funcs] for a in funcs])
-    assert np.max(np.abs(G - np.eye(len(idxs)))) < 1e-12
+    for g in (GridSpec(2, 2), GridSpec(2, 2, omega=((1, 0), (1, 1)))):
+        idxs = list(all_cancellative_indices(g))
+        funcs = [haar_function(g, i) for i in idxs]
+        G = np.array([[inner_product(a, b) for b in funcs] for a in funcs])
+        assert np.max(np.abs(G - np.eye(len(idxs)))) < 1e-12
 
 
 def test_roundtrip_and_parseval(rng):
-    for grid in (GridSpec(1, 6), GridSpec(2, 3), GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))):
+    for grid in (GridSpec(1, 6), GridSpec(2, 3), GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))),
+                 GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1)))):
         f = random_function(grid, rng)
         c = haar_forward(f)
         assert (haar_inverse(c) - f).norm() / f.norm() < 1e-12
         assert abs(c.l2_norm_sq() - f.norm() ** 2) / f.norm() ** 2 < 1e-12
+
+
+def test_shifted_transform_is_translated_standard_transform(rng):
+    for g in (GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))),
+              GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1)))):
+        f = rng.standard_normal(g.n_samples)
+        rolled = np.roll(f.reshape((g.n_side,) * g.d), [-s for s in g.shift],
+                         axis=tuple(range(g.d))).reshape(-1)
+        assert np.array_equal(forward_stacked(g, f),
+                              forward_stacked(GridSpec(g.d, g.N), rolled))
+
+
+def test_non_finite_samples_rejected():
+    pg = ProductGrid(GridSpec(1, 2), GridSpec(1, 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.zeros(8)
+        samples[3] = bad
+        with pytest.raises(ValueError):
+            DyadicFunction(GridSpec(1, 3), samples)
+        with pytest.raises(ValueError):
+            ProductFunction(pg, samples)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,4 @@
+import copy
 import json
 import struct
 
@@ -70,6 +71,21 @@ def test_shift_json_roundtrip_2d(rng):
     back = ShiftOperator.from_json(S.to_json())
     f = random_function(g, rng)
     assert (S.apply(f) - back.apply(f)).norm() < 1e-12
+
+
+def test_shift_json_rejects_bad_entries(rng):
+    obj = json.loads(random_shift(GridSpec(1, 3), 1, 0, rng).to_json())
+    entry = next(e for e in obj["entries"] if e["K"]["level"] == 1)
+    bad = [("K", "pos", [1 - entry["K"]["pos"][0]]),  # I no longer lies under K
+           ("I", "pos", [4]),                          # outside level 2
+           ("J", "pos", [-1]),                         # outside level 1
+           ("I", "level", 1),                          # not K level + i
+           ("K", "level", 2)]                          # too deep for (i, j) = (1, 0)
+    for key, name, value in bad:
+        e = copy.deepcopy(entry)
+        e[key][name] = value
+        with pytest.raises(ValueError, match="entry 0"):
+            ShiftOperator.from_json(json.dumps({**obj, "entries": [e]}))
 
 
 def test_noncancellative_shift_json(rng):
