@@ -8,7 +8,7 @@ The operator family combines one "atom" per variable: a B_k-type diagonal
 paraproduct atom or a P-type cube/subcube atom (possibly adjoint). This
 realizes B_{k,l}, BP_k, PB_l, PP, the partial adjoints PP_1 / PP_2, and the
 full adjoint, all evaluated in coefficient space with per-level contractions
-and strict-subcube accumulation matrices.
+and the strict-subcube tree scans of :mod:`dyadlab.paraproducts`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec, grid_index
 from .haar import (DyadicFunction, fold_noncancellative, forward_stacked,
                    inverse_stacked, scaling_levels)
-from .paraproducts import strict_matrix, symbol_stacked
+from .paraproducts import (strict_ancestor_sum, strict_subtree_sum,
+                           symbol_stacked)
 
 _MAGIC_2P = b"DYF2"
 
@@ -375,7 +376,6 @@ def _bp_pair(pg, bC, X, a1: BAtom, p2: PAtom, sym2, view: _BiView,
         raise ValueError("P atom in variable 2 needs its symbol")
     g1, g2 = pg.grid1, pg.grid2
     i1 = grid_index(g1)
-    A2 = strict_matrix(g2)
     for l1 in range(a1.k, g1.N):
         key = ("bp", a1.k, a1.sig_b, l1)
         if b_cache is not None and key in b_cache:
@@ -389,31 +389,54 @@ def _bp_pair(pg, bC, X, a1: BAtom, p2: PAtom, sym2, view: _BiView,
             * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
         Xin = view.rows1(l1, a1.sig_in)
         if not p2.adjoint:
-            W = Bg * Xin
-            W[:, 0] = 0.0
-            C = (W @ A2.T) * sym2[None, :]
+            C = strict_ancestor_sum(g2, (Bg * Xin).T).T * sym2[None, :]
         else:
-            D = (Xin * sym2[None, :]) @ A2
-            C = Bg * D
+            C = Bg * strict_subtree_sum(g2, (Xin * sym2[None, :]).T).T
         acc.add_rows1(l1, a1.sig_out, (C.T * c1).T)
 
 
 def _pp_pair(pg, bC, X, p1: PAtom, p2: PAtom, sym12) -> np.ndarray:
     if sym12 is None:
         raise ValueError("P x P atoms need the product symbol")
-    A1 = strict_matrix(pg.grid1)
-    A2 = strict_matrix(pg.grid2)
+    g1, g2 = pg.grid1, pg.grid2
     if not p1.adjoint and not p2.adjoint:
-        W = bC * X
-        return sym12 * (A1 @ W @ A2.T)
+        W = strict_ancestor_sum(g1, bC * X)
+        return sym12 * strict_ancestor_sum(g2, W.T).T
     if p1.adjoint and p2.adjoint:
-        W = sym12 * X
-        return bC * (A1.T @ W @ A2)
-    if p1.adjoint and not p2.adjoint:
-        # out[(I1),(J2)] = sum A1[J1,I1] A2[J2,I2] a[J1,J2] b[I1,I2] X[J1,I2]
-        return np.einsum("ji,lk,jl,ik,jk->il", A1, A2, sym12, bC, X, optimize=True)
-    # out[(J1),(I2)] = sum A1[J1,I1] A2[J2,I2] a[J1,J2] b[I1,I2] X[I1,J2]
-    return np.einsum("ji,lk,jl,ik,il->jk", A1, A2, sym12, bC, X, optimize=True)
+        W = strict_subtree_sum(g1, sym12 * X)
+        return bC * strict_subtree_sum(g2, W.T).T
+    if p1.adjoint:
+        return _pp1_kernel(pg, bC, X, sym12)
+    # PP2 is PP1 with the variables swapped
+    return _pp1_kernel(pg.swap(), bC.T, X.T, sym12.T).T
+
+
+def _pp1_kernel(pg, bC, X, sym12) -> np.ndarray:
+    """P adjoint in variable 1 only:
+
+        out[I1, J2] = sum_{J1 strictly inside I1} sum_{I2 strictly containing J2}
+                      |I1|**(-1) |I2|**(-1) a[J1, J2] b[I1, I2] X[J1, I2]
+
+    (all signatures of J1 and I2). For each level pair li < lj the b rows of
+    each cube's ancestor at li meet the X rows of the cube, an ancestor scan
+    runs along variable 2, and the a-weighted result is summed into the
+    ancestor.
+    """
+    g1, g2 = pg.grid1, pg.grid2
+    i1 = grid_index(g1)
+    out = np.zeros(pg.shape)
+    for lj in range(1, g1.N):
+        # variable 2 leads: (n2, n_cubes1(lj), n_sig1)
+        Xj = g1.level_block(X, lj).transpose(2, 0, 1)
+        aj = g1.level_block(sym12, lj).transpose(2, 0, 1)
+        for li in range(lj):
+            Bi = g1.level_block(bC, li)[i1.ancestor_flat(lj, lj - li)].transpose(2, 0, 1)
+            # axes (n2, cube J1, signature of I1, signature of J1)
+            Z = strict_ancestor_sum(g2, Bi[:, :, :, None] * Xj[:, :, None, :])
+            R = (Z * aj[:, :, None, :]).sum(axis=3).transpose(1, 2, 0)
+            up = R[i1.desc_groups(li, lj - li)].sum(axis=1)
+            g1.level_block(out, li)[...] += 2.0 ** (li * g1.d) * up
+    return out
 
 
 # -- public bi-parameter operator surface -------------------------------------

@@ -265,8 +265,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", type=str, default=None,
                    help="output directory (default: $DYADLAB_OUTDIR or .)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="recorded in reports; evaluation is single-threaded")
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file; command-line flags override it")
 
@@ -359,20 +357,25 @@ def _apply_config_file(ap: argparse.ArgumentParser, args: argparse.Namespace,
                        argv: list) -> argparse.Namespace:
     """Config-file values fill in flags the user did not pass explicitly.
 
-    Raises ValueError naming the key when a value fails its flag's type or
-    choices.
+    Raises ValueError when the file holds no JSON object, when a key names
+    no flag of the command, or (naming the key) when a value fails its
+    flag's type or choices.
     """
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"expected a JSON object, got {type(cfg).__name__}")
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if a.startswith("--")}
     subparsers = next(a for a in ap._actions if a.dest == "command")
     actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if attr not in explicit and attr in actions and hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr):
+            raise ValueError(f"{key}: {args.command} has no such flag")
+        if attr not in explicit:
             try:
                 setattr(args, attr, _config_value(actions[attr], val))
             except ValueError as exc:

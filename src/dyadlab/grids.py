@@ -278,6 +278,31 @@ class _GridIndex:
             self._desc[key] = order.reshape(self.grid.n_cubes(kappa), -1)
         return self._desc[key]
 
+    def ancestor_scan(self, values: list) -> list:
+        """Sums over strict ancestors, computed top-down.
+
+        ``values[l]`` holds one entry per cube at level l, shape
+        (n_cubes(l), *passive). Entry q of the result at level l is the sum
+        of ``values[li]`` over the strict ancestors of cube q (li < l).
+        """
+        out = [np.zeros_like(values[0])]
+        for lvl in range(1, len(values)):
+            out.append((out[-1] + values[lvl - 1])[self.ancestor_flat(lvl, 1)])
+        return out
+
+    def subtree_scan(self, values: list) -> list:
+        """Sums over strict subtrees, computed bottom-up.
+
+        ``values`` is laid out as for :meth:`ancestor_scan`. Entry q of the
+        result at level l is the sum of ``values[lj]`` over the strict
+        descendants of cube q (l < lj < len(values)).
+        """
+        out = [np.zeros_like(values[-1])]
+        for lvl in range(len(values) - 2, -1, -1):
+            below = out[-1] + values[lvl + 1]
+            out.append(below[self.desc_groups(lvl, 1)].sum(axis=1))
+        return out[::-1]
+
     def cells(self, level: int) -> np.ndarray:
         """(n_cubes, cells_per_cube) flat sample-cell indices of each cube."""
         if level not in self._cells:

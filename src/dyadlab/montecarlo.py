@@ -152,7 +152,7 @@ def average_operator(builder, samples: int, rng_seed: int, base: GridSpec = None
     else:
         stderr = np.zeros_like(mean)
     return mean, stderr, {"samples": samples, "used": used, "skipped": skipped,
-                          "seed": rng_seed, "workers": 1}
+                          "seed": rng_seed}
 
 
 # ---------------------------------------------------------------------------

@@ -29,18 +29,9 @@ from .biparam import ProductFunction, ProductGrid, forward2, random_product_func
 
 def _subtree_masses(grid: GridSpec, stacked: np.ndarray) -> list:
     """sum of squared cancellative coefficients over each cube's subtree."""
-    idx = grid_index(grid)
-    masses = [None] * grid.N
-    acc = None
-    for lvl in range(grid.N - 1, -1, -1):
-        own = (grid.level_block(stacked, lvl) ** 2).sum(axis=1)
-        if acc is None:
-            masses[lvl] = own
-        else:
-            groups = idx.desc_groups(lvl, 1)
-            masses[lvl] = own + acc[groups].sum(axis=1)
-        acc = masses[lvl]
-    return masses
+    own = [(grid.level_block(stacked, lvl) ** 2).sum(axis=1) for lvl in range(grid.N)]
+    below = grid_index(grid).subtree_scan(own)
+    return [o + s for o, s in zip(own, below)]
 
 
 def dyadic_bmo_norm(b: DyadicFunction) -> float:

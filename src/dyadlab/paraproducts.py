@@ -13,12 +13,17 @@ P pairs b and f on a cube and a second symbol on its strict subcubes:
 
     P(b, a, f) = sum_I <b,h_I> <f,h_I> |I|**(-1) sum_{J strictly inside I} <a,h_J> h_J
 
-P* is its adjoint in f with b, a fixed.
+P* is its adjoint in f with b, a fixed. In coefficient space both are tree
+scans of O(n) work: P sums the cube weights |I|**(-1) sum_sig <b,h_I><f,h_I>
+over the strict ancestors of each J, top-down, and P* sums
+sum_sig <a,h_J><f,h_J> over the strict subtree of each I, bottom-up
+(``strict_ancestor_sum`` and ``strict_subtree_sum``). The bi-parameter
+P-type atoms of :mod:`dyadlab.biparam` run the same two sums along each
+variable.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +31,6 @@ import numpy as np
 from .grids import DepthError, GridSpec, InvalidIndexError, grid_index
 from .haar import (DyadicFunction, fold_noncancellative, forward_stacked,
                    inverse_stacked, scaling_levels)
-
-_STRICT_MATRIX_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -133,34 +136,32 @@ def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunc
 
 
 # ---------------------------------------------------------------------------
-# Strict-subcube accumulation matrix: the shared backbone of P-type operators.
+# Strict-subcube sums: the shared backbone of P-type operators.
 
 
-@functools.lru_cache(maxsize=None)
-def strict_matrix(grid: GridSpec) -> np.ndarray:
-    """Matrix A with A[rJ, rI] = |I|**(-1) when cube(J) is strictly inside cube(I).
+def _spread(grid: GridSpec, per_cube: list) -> np.ndarray:
+    """Stacked array holding each cube's value on all its signatures (mean row 0)."""
+    rows = np.repeat(np.concatenate(per_cube), grid.n_sig, axis=0)
+    return np.concatenate([np.zeros((1,) + rows.shape[1:]), rows])
 
-    Rows/columns are stacked coefficient indices; the mean mode carries no
-    entries. Sums of the form sum_{J strictly inside I} and their adjoints
-    become single matrix products against A.
+
+def strict_ancestor_sum(grid: GridSpec, w: np.ndarray) -> np.ndarray:
+    """Row (J, s) of the result is sum_{I strictly containing J} |I|**(-1) sum_t w[(I, t)].
+
+    ``w`` is stacked along axis 0 and may carry trailing passive axes; its
+    mean row is ignored and the result's mean row is zero.
     """
-    if grid.n_samples > _STRICT_MATRIX_MAX:
-        raise ValueError("grid too large for dense subcube accumulation")
-    idx = grid_index(grid)
-    n = grid.n_samples
-    A = np.zeros((n, n))
-    for lj in range(grid.N):
-        rows = grid.level_offset(lj) + np.arange(grid.n_cubes(lj) * grid.n_sig)
-        rows = rows.reshape(grid.n_cubes(lj), grid.n_sig)
-        for li in range(lj):
-            anc = idx.ancestor_flat(lj, lj - li)
-            weight = 2.0 ** (li * grid.d)
-            cols = grid.level_offset(li) + anc * grid.n_sig
-            for sj in range(grid.n_sig):
-                for si in range(grid.n_sig):
-                    A[rows[:, sj], cols + si] = weight
-    A.setflags(write=False)
-    return A
+    sums = [2.0 ** (lvl * grid.d) * grid.level_block(w, lvl).sum(axis=1)
+            for lvl in range(grid.N)]
+    return _spread(grid, grid_index(grid).ancestor_scan(sums))
+
+
+def strict_subtree_sum(grid: GridSpec, w: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`strict_ancestor_sum`: row (I, s) of the result is
+    |I|**(-1) sum_{J strictly inside I} sum_t w[(J, t)]."""
+    sums = [grid.level_block(w, lvl).sum(axis=1) for lvl in range(grid.N)]
+    below = grid_index(grid).subtree_scan(sums)
+    return _spread(grid, [2.0 ** (lvl * grid.d) * s for lvl, s in enumerate(below)])
 
 
 def symbol_stacked(a: DyadicFunction) -> np.ndarray:
@@ -172,19 +173,13 @@ def symbol_stacked(a: DyadicFunction) -> np.ndarray:
 def p_stacked(grid: GridSpec, bc: np.ndarray, avec: np.ndarray,
               x: np.ndarray) -> np.ndarray:
     """P(b, a, .) in coefficient space (1-parameter)."""
-    A = strict_matrix(grid)
-    w = bc * x
-    w[0] = 0.0
-    return avec * (A @ w)
+    return avec * strict_ancestor_sum(grid, bc * x)
 
 
 def pstar_stacked(grid: GridSpec, bc: np.ndarray, avec: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
     """Adjoint of P in the f slot with b, a fixed."""
-    A = strict_matrix(grid)
-    w = avec * x
-    w[0] = 0.0
-    return bc * (A.T @ w)
+    return bc * strict_subtree_sum(grid, avec * x)
 
 
 def apply_P(b: DyadicFunction, a: DyadicFunction, f: DyadicFunction) -> DyadicFunction:

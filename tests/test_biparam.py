@@ -8,11 +8,13 @@ from dyadlab import (BiparamOperatorSpec, DyadicCube, DyadicFunction, GridSpec,
                      random_product_function, random_shift, tensor_function)
 from dyadlab.biparam import forward2, forward_var, inverse2
 from dyadlab.norms import rect_bmo_norm
-from conftest import all_cubes, dense_matrix, strictly_inside
+from conftest import (all_cancellative_indices, all_cubes, dense_matrix,
+                      strictly_inside)
 
 
 PG = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
 G1, G2 = PG.grid1, PG.grid2
+PG_D2 = ProductGrid(GridSpec(2, 3), GridSpec(1, 3))
 
 
 def ip(f, g):
@@ -117,32 +119,117 @@ def test_bkl_constant_b_zero(rng):
         assert apply_biparam(spec, const, f).norm() < 1e-12
 
 
+def _haars(g):
+    """(cube, sampled Haar function) for every cancellative index of ``g``."""
+    return [(i.cube, haar_function(g, i).samples) for i in all_cancellative_indices(g)]
+
+
+def _ipf(F, h):
+    return float(np.sum(F.samples * h) * F.cell_volume)
+
+
 def _pp_oracle(a, b, f):
-    out = np.zeros(PG.shape)
-    for I1 in all_cubes(G1):
-        for I2 in all_cubes(G2):
-            hb = np.outer(hx(G1, I1), hx(G2, I2))
-            w = ip(b.samples, hb) * ip(f.samples, hb) \
-                * 2.0 ** I1.level * 2.0 ** I2.level
+    pg = f.pgrid
+    g1, g2 = pg.grid1, pg.grid2
+    H1, H2 = _haars(g1), _haars(g2)
+    out = np.zeros(pg.shape)
+    for I1, h1 in H1:
+        for I2, h2 in H2:
+            hb = np.outer(h1, h2)
+            w = _ipf(b, hb) * _ipf(f, hb) \
+                * 2.0 ** (I1.level * g1.d) * 2.0 ** (I2.level * g2.d)
             if w == 0.0:
                 continue
-            for J1 in all_cubes(G1):
-                if not strictly_inside(G1, J1, I1):
+            for J1, k1 in H1:
+                if not strictly_inside(g1, J1, I1):
                     continue
-                for J2 in all_cubes(G2):
-                    if not strictly_inside(G2, J2, I2):
+                for J2, k2 in H2:
+                    if not strictly_inside(g2, J2, I2):
                         continue
-                    hj = np.outer(hx(G1, J1), hx(G2, J2))
-                    out += w * ip(a.samples, hj) * hj
+                    hj = np.outer(k1, k2)
+                    out += w * _ipf(a, hj) * hj
+    return out
+
+
+def _pp1_oracle(a, b, f):
+    pg = f.pgrid
+    g1, g2 = pg.grid1, pg.grid2
+    H1, H2 = _haars(g1), _haars(g2)
+    out = np.zeros(pg.shape)
+    for I1, h1 in H1:
+        for I2, h2 in H2:
+            bc = _ipf(b, np.outer(h1, h2))
+            if bc == 0.0:
+                continue
+            w = bc * 2.0 ** (I1.level * g1.d) * 2.0 ** (I2.level * g2.d)
+            for J1, k1 in H1:
+                if not strictly_inside(g1, J1, I1):
+                    continue
+                for J2, k2 in H2:
+                    if not strictly_inside(g2, J2, I2):
+                        continue
+                    ac = _ipf(a, np.outer(k1, k2))
+                    fc = _ipf(f, np.outer(k1, h2))
+                    out += w * ac * fc * np.outer(h1, k2)
+    return out
+
+
+def _pp2_oracle(a, b, f):
+    pg = f.pgrid
+    g1, g2 = pg.grid1, pg.grid2
+    H1, H2 = _haars(g1), _haars(g2)
+    out = np.zeros(pg.shape)
+    for I1, h1 in H1:
+        for I2, h2 in H2:
+            bc = _ipf(b, np.outer(h1, h2))
+            if bc == 0.0:
+                continue
+            w = bc * 2.0 ** (I1.level * g1.d) * 2.0 ** (I2.level * g2.d)
+            for J1, k1 in H1:
+                if not strictly_inside(g1, J1, I1):
+                    continue
+                for J2, k2 in H2:
+                    if not strictly_inside(g2, J2, I2):
+                        continue
+                    ac = _ipf(a, np.outer(k1, k2))
+                    fc = _ipf(f, np.outer(h1, k2))
+                    out += w * ac * fc * np.outer(k1, h2)
+    return out
+
+
+def _ppstar_oracle(a, b, f):
+    pg = f.pgrid
+    g1, g2 = pg.grid1, pg.grid2
+    H1, H2 = _haars(g1), _haars(g2)
+    out = np.zeros(pg.shape)
+    for I1, h1 in H1:
+        for I2, h2 in H2:
+            bc = _ipf(b, np.outer(h1, h2))
+            if bc == 0.0:
+                continue
+            w = bc * 2.0 ** (I1.level * g1.d) * 2.0 ** (I2.level * g2.d)
+            for J1, k1 in H1:
+                if not strictly_inside(g1, J1, I1):
+                    continue
+                for J2, k2 in H2:
+                    if not strictly_inside(g2, J2, I2):
+                        continue
+                    ac = _ipf(a, np.outer(k1, k2))
+                    fc = _ipf(f, np.outer(k1, k2))
+                    out += w * ac * fc * np.outer(h1, h2)
     return out
 
 
 def test_pp_matches_quadruple_sum_oracle(rng):
-    a = random_product_function(PG, rng)
-    b = random_product_function(PG, rng)
-    f = random_product_function(PG, rng)
-    got = apply_biparam(BiparamOperatorSpec("PP", a=a), b, f).samples
-    assert np.max(np.abs(got - _pp_oracle(a, b, f))) < 1e-10
+    # PG_D2 has d = 2 in variable 1: three signatures per cube
+    for pg in (PG, PG_D2):
+        a = random_product_function(pg, rng)
+        b = random_product_function(pg, rng)
+        f = random_product_function(pg, rng)
+        for kind, oracle in (("PP", _pp_oracle), ("PP2", _pp2_oracle),
+                             ("PPstar", _ppstar_oracle)):
+            got = apply_biparam(BiparamOperatorSpec(kind, a=a), b, f).samples
+            assert np.max(np.abs(got - oracle(a, b, f))) < 1e-10, (pg, kind)
 
 
 def test_pp_empty_inner_sum(rng):
@@ -159,42 +246,24 @@ def test_pp_empty_inner_sum(rng):
     assert out.norm() < 1e-13
 
 
-def _pp1_oracle(a, b, f):
-    out = np.zeros(PG.shape)
-    for I1 in all_cubes(G1):
-        for I2 in all_cubes(G2):
-            bc = ip(b.samples, np.outer(hx(G1, I1), hx(G2, I2)))
-            if bc == 0.0:
-                continue
-            w = bc * 2.0 ** I1.level * 2.0 ** I2.level
-            for J1 in all_cubes(G1):
-                if not strictly_inside(G1, J1, I1):
-                    continue
-                for J2 in all_cubes(G2):
-                    if not strictly_inside(G2, J2, I2):
-                        continue
-                    ac = ip(a.samples, np.outer(hx(G1, J1), hx(G2, J2)))
-                    fc = ip(f.samples, np.outer(hx(G1, J1), hx(G2, I2)))
-                    out += w * ac * fc * np.outer(hx(G1, I1), hx(G2, J2))
-    return out
-
-
 def test_pp1_matches_oracle_and_partial_adjoint_relation(rng):
-    a = random_product_function(PG, rng)
-    b = random_product_function(PG, rng)
-    f = random_product_function(PG, rng)
-    got = apply_biparam(BiparamOperatorSpec("PP1", a=a), b, f).samples
-    assert np.max(np.abs(got - _pp1_oracle(a, b, f))) < 1e-10
-    # <PP(f1 x f2), g1 x g2> = <PP1(g1 x f2), f1 x g2>
-    f1, g1 = random_function(G1, rng), random_function(G1, rng)
-    f2, g2 = random_function(G2, rng), random_function(G2, rng)
-    lhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP", a=a), b,
-                                       tensor_function(f1, f2)),
-                         tensor_function(g1, g2))
-    rhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP1", a=a), b,
-                                       tensor_function(g1, f2)),
-                         tensor_function(f1, g2))
-    assert abs(lhs - rhs) < 1e-10
+    for pg in (PG, PG_D2):
+        g1, g2 = pg.grid1, pg.grid2
+        a = random_product_function(pg, rng)
+        b = random_product_function(pg, rng)
+        f = random_product_function(pg, rng)
+        got = apply_biparam(BiparamOperatorSpec("PP1", a=a), b, f).samples
+        assert np.max(np.abs(got - _pp1_oracle(a, b, f))) < 1e-10
+        # <PP(f1 x f2), g1 x g2> = <PP1(g1 x f2), f1 x g2>
+        f1, h1 = random_function(g1, rng), random_function(g1, rng)
+        f2, h2 = random_function(g2, rng), random_function(g2, rng)
+        lhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP", a=a), b,
+                                           tensor_function(f1, f2)),
+                             tensor_function(h1, h2))
+        rhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP1", a=a), b,
+                                           tensor_function(h1, f2)),
+                             tensor_function(f1, h2))
+        assert abs(lhs - rhs) < 1e-10
 
 
 def _bpk_oracle(spec, b, f):

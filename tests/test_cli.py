@@ -137,6 +137,23 @@ def test_config_values_use_flag_types_and_choices(tmp_path, capsys):
         assert err.startswith("bad config file: ") and "\n" not in err
 
 
+def test_config_key_naming_no_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trails": 3}))
+    assert main(["verify-decomp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("bad config file: trails") and "\n" not in err
+    assert not (tmp_path / "verify-decomp.json").exists()
+
+
+def test_config_top_level_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([1, 2]))
+    assert main(["selftest", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("bad config file: ") and "object" in err and "\n" not in err
+
+
 def test_inadmissible_parameters_exit_2(tmp_path, capsys):
     code = main(["norm-study", "--kind", "Bk", "--N", "4", "--kmax", "8",
                  "--out", str(tmp_path)])

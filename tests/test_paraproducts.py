@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dyadlab import (BkOperator, DyadicCube, DyadicFunction, GridSpec,
                      HaarIndex, apply_Bk, apply_P, apply_P_adjoint,
                      haar_function, inner_product, random_function)
 from dyadlab.grids import InvalidIndexError
-from dyadlab.norms import dyadic_bmo_norm
+from dyadlab.norms import dyadic_bmo_norm, uniformity_study
 from conftest import all_cubes, strictly_inside
 
 
@@ -142,7 +144,7 @@ def test_p_trivial_cases(rng):
 
 
 def test_p_matches_double_sum_oracle(rng):
-    for grid in (GridSpec(1, 4), GridSpec(2, 2)):
+    for grid in (GridSpec(1, 4), GridSpec(2, 2), GridSpec(2, 3)):
         b = random_function(grid, rng)
         a = random_function(grid, rng)
         f = random_function(grid, rng)
@@ -151,15 +153,33 @@ def test_p_matches_double_sum_oracle(rng):
 
 
 def test_p_adjoint_duality(rng):
-    g = GridSpec(1, 5)
-    b = random_function(g, rng)
-    a = random_function(g, rng)
-    for _ in range(5):
-        f = random_function(g, rng)
-        h = random_function(g, rng)
-        lhs = inner_product(apply_P(b, a, f), h)
-        rhs = inner_product(f, apply_P_adjoint(b, a, h))
-        assert abs(lhs - rhs) < 1e-11
+    for g in (GridSpec(1, 5), GridSpec(2, 3)):
+        b = random_function(g, rng)
+        a = random_function(g, rng)
+        for _ in range(5):
+            f = random_function(g, rng)
+            h = random_function(g, rng)
+            lhs = inner_product(apply_P(b, a, f), h)
+            rhs = inner_product(f, apply_P_adjoint(b, a, h))
+            assert abs(lhs - rhs) < 1e-11
+
+
+def test_p_beyond_dense_matrix_size(rng):
+    # n = 16384: a dense n x n strict-subcube matrix would take 2 GiB
+    g = GridSpec(1, 14)
+    b, a, f, h = (random_function(g, rng) for _ in range(4))
+    tracemalloc.start()
+    try:
+        pf = apply_P(b, a, f)
+        ph = apply_P_adjoint(b, a, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert pf.norm() > 0.0 and ph.norm() > 0.0
+    assert abs(inner_product(pf, h) - inner_product(f, ph)) < 1e-10
+    (report,) = uniformity_study("P", {"N": 13}, trials=2, rng_seed=5)
+    assert report.kind == "P" and np.isfinite(report.max_ratio) and report.max_ratio > 0
 
 
 def test_p_linear_in_each_slot(rng):
