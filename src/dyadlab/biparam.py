@@ -4,11 +4,13 @@ Functions of two variables are sample matrices (variable 1 slow). Per-variable
 Haar transforms act along one axis with the other axis passive, so the full
 transform is the composition in either order.
 
-The operator family combines one "atom" per variable: a B_k-type diagonal
-paraproduct atom or a P-type cube/subcube atom (possibly adjoint). This
-realizes B_{k,l}, BP_k, PB_l, PP, the partial adjoints PP_1 / PP_2, and the
-full adjoint, all evaluated in coefficient space with per-level contractions
-and the strict-subcube tree scans of :mod:`dyadlab.paraproducts`.
+The operator family combines one "atom" per variable: a
+:class:`~dyadlab.paraproducts.BkOperator` on that variable's grid (the B_k
+diagonal paraproduct) or a ``PAtom`` (the cube/subcube operator P, possibly
+adjoint). This realizes B_{k,l}, BP_k, PB_l, PP, the partial adjoints
+PP_1 / PP_2, and the full adjoint, all evaluated in coefficient space with
+per-level contractions and the strict-subcube tree scans of
+:mod:`dyadlab.paraproducts`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec, grid_index
 from .haar import (DyadicFunction, fold_noncancellative, forward_stacked,
                    inverse_stacked, scaling_levels)
-from .paraproducts import (strict_ancestor_sum, strict_subtree_sum,
-                           symbol_stacked)
+from .paraproducts import (BkOperator, strict_ancestor_sum,
+                           strict_subtree_sum, symbol_stacked)
 
 _MAGIC_2P = b"DYF2"
 
@@ -190,21 +192,6 @@ def iterated_commutator(b: ProductFunction, S1, S2, f: ProductFunction) -> Produ
 
 
 @dataclass(frozen=True)
-class BAtom:
-    """One-variable B_k atom: diagonal in the cube, b paired at the ancestor."""
-    k: int
-    sig_b: int
-    sig_in: int
-    sig_out: int
-    beta: tuple = None  # per-level arrays (index = level) or None for all +1
-
-    def beta_level(self, grid: GridSpec, level: int):
-        if self.beta is None:
-            return 1.0
-        return self.beta[level]
-
-
-@dataclass(frozen=True)
 class PAtom:
     """One-variable P atom; ``adjoint`` swaps input and output roles."""
     adjoint: bool = False
@@ -317,6 +304,7 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, X: np.ndarray, atom1, atom2,
                b_cache: dict = None) -> np.ndarray:
     """Evaluate the tensor of two one-variable atoms on stacked matrices.
 
+    Each atom is a BkOperator on its variable's grid or a PAtom.
     ``sym1``/``sym2`` are stacked symbol coefficients for P atoms acting in
     that variable; ``sym12`` is the stacked matrix of a product symbol when
     both atoms are P-type. With ``out_acc`` the weighted contribution is
@@ -343,56 +331,54 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, X: np.ndarray, atom1, atom2,
 
 
 def _b_gather(pg, bC, a1, a2, l1, l2, b_cache):
-    key = ("bb", a1.k, a1.sig_b, a2.k, a2.sig_b, l1, l2)
+    key = ("bb", a1.k, a1.sb, a2.k, a2.sb, l1, l2)
     if b_cache is not None and key in b_cache:
         return b_cache[key]
     g1, g2 = pg.grid1, pg.grid2
     i1, i2 = grid_index(g1), grid_index(g2)
-    rows = i1.sig_rows(l1 - a1.k, a1.sig_b)[i1.ancestor_flat(l1, a1.k)]
-    cols = i2.sig_rows(l2 - a2.k, a2.sig_b)[i2.ancestor_flat(l2, a2.k)]
+    rows = i1.sig_rows(l1 - a1.k, a1.sb)[i1.ancestor_flat(l1, a1.k)]
+    cols = i2.sig_rows(l2 - a2.k, a2.sb)[i2.ancestor_flat(l2, a2.k)]
     out = bC[np.ix_(rows, cols)]
     if b_cache is not None:
         b_cache[key] = out
     return out
 
 
-def _bb_pair(pg, bC, X, a1: BAtom, a2: BAtom, view: _BiView,
+def _bb_pair(pg, bC, X, a1: BkOperator, a2: BkOperator, view: _BiView,
              acc: "_Accum", weight: float, b_cache: dict) -> None:
     g1, g2 = pg.grid1, pg.grid2
     for l1 in range(a1.k, g1.N):
-        c1 = np.asarray(a1.beta_level(g1, l1)) \
-            * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
+        c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
         for l2 in range(a2.k, g2.N):
-            c2 = np.asarray(a2.beta_level(g2, l2)) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
+            c2 = a2.beta_level(l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
             Bg = _b_gather(pg, bC, a1, a2, l1, l2, b_cache)
-            Xin = view.block(l1, a1.sig_in, l2, a2.sig_in)
+            Xin = view.block(l1, a1.si, l2, a2.si)
             C = (c1 * (Bg * Xin).T).T * c2
-            acc.add(l1, a1.sig_out, l2, a2.sig_out, C)
+            acc.add(l1, a1.so, l2, a2.so, C)
 
 
-def _bp_pair(pg, bC, X, a1: BAtom, p2: PAtom, sym2, view: _BiView,
+def _bp_pair(pg, bC, X, a1: BkOperator, p2: PAtom, sym2, view: _BiView,
              acc: "_Accum", weight: float, b_cache: dict) -> None:
     if sym2 is None:
         raise ValueError("P atom in variable 2 needs its symbol")
     g1, g2 = pg.grid1, pg.grid2
     i1 = grid_index(g1)
     for l1 in range(a1.k, g1.N):
-        key = ("bp", a1.k, a1.sig_b, l1)
+        key = ("bp", a1.k, a1.sb, l1)
         if b_cache is not None and key in b_cache:
             Bg = b_cache[key]
         else:
-            rows_b1 = i1.sig_rows(l1 - a1.k, a1.sig_b)[i1.ancestor_flat(l1, a1.k)]
+            rows_b1 = i1.sig_rows(l1 - a1.k, a1.sb)[i1.ancestor_flat(l1, a1.k)]
             Bg = bC[rows_b1, :]
             if b_cache is not None:
                 b_cache[key] = Bg
-        c1 = np.asarray(a1.beta_level(g1, l1)) \
-            * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
-        Xin = view.rows1(l1, a1.sig_in)
+        c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
+        Xin = view.rows1(l1, a1.si)
         if not p2.adjoint:
             C = strict_ancestor_sum(g2, (Bg * Xin).T).T * sym2[None, :]
         else:
             C = Bg * strict_subtree_sum(g2, (Xin * sym2[None, :]).T).T
-        acc.add_rows1(l1, a1.sig_out, (C.T * c1).T)
+        acc.add_rows1(l1, a1.so, (C.T * c1).T)
 
 
 def _pp_pair(pg, bC, X, p1: PAtom, p2: PAtom, sym12) -> np.ndarray:
@@ -479,36 +465,6 @@ class BiparamOperatorSpec:
             raise ValueError("PBl needs the variable-1 symbol a1")
 
 
-def _sig_or_zero(g: GridSpec, sig) -> int:
-    if sig is None:
-        return 0
-    return g.sig_int(tuple(sig))
-
-
-def _beta_levels(g: GridSpec, beta, kmin: int):
-    if beta is None:
-        return None
-    if isinstance(beta, dict):
-        out = []
-        for lvl in range(g.N):
-            arr = np.ones(g.n_cubes(lvl))
-            for cube, val in beta.items():
-                if cube.level == lvl:
-                    arr[g.flat_pos(cube.pos, lvl)] = val
-            out.append(arr)
-        return tuple(out)
-    return tuple(np.asarray(b, dtype=float) for b in beta)
-
-
-def _check_atom_sigs(g: GridSpec, k: int, sb: int, si: int, so: int, what: str):
-    non = g.noncanc_int
-    if sb == non:
-        raise ValueError(f"{what}: b-side signature must be cancellative")
-    n_non = (si == non) + (so == non)
-    if n_non > 1 or (n_non and k != 0):
-        raise ValueError(f"{what}: at most one noncancellative signature, only at depth 0")
-
-
 def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
                   f: ProductFunction) -> ProductFunction:
     """Literal evaluation of the defining Haar sums of the requested kind."""
@@ -520,30 +476,17 @@ def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
     bC = forward2(b)
     X = forward2(f)
     sym1 = sym2 = sym12 = None
-    if spec.kind == "Bkl":
-        sb1, si1, so1 = (_sig_or_zero(g1, spec.sig_b1), _sig_or_zero(g1, spec.sig_in1),
-                         _sig_or_zero(g1, spec.sig_out1))
-        sb2, si2, so2 = (_sig_or_zero(g2, spec.sig_b2), _sig_or_zero(g2, spec.sig_in2),
-                         _sig_or_zero(g2, spec.sig_out2))
-        _check_atom_sigs(g1, spec.k, sb1, si1, so1, "variable 1")
-        _check_atom_sigs(g2, spec.l, sb2, si2, so2, "variable 2")
-        a1 = BAtom(spec.k, sb1, si1, so1, _beta_levels(g1, spec.beta1, spec.k))
-        a2 = BAtom(spec.l, sb2, si2, so2, _beta_levels(g2, spec.beta2, spec.l))
-    elif spec.kind == "BPk":
-        sb1, si1, so1 = (_sig_or_zero(g1, spec.sig_b1), _sig_or_zero(g1, spec.sig_in1),
-                         _sig_or_zero(g1, spec.sig_out1))
-        _check_atom_sigs(g1, spec.k, sb1, si1, so1, "variable 1")
-        a1 = BAtom(spec.k, sb1, si1, so1, _beta_levels(g1, spec.beta1, spec.k))
+    if spec.kind in ("Bkl", "BPk"):
+        a1 = BkOperator(g1, spec.k, spec.sig_b1, spec.sig_in1, spec.sig_out1, spec.beta1)
+    if spec.kind in ("Bkl", "PBl"):
+        a2 = BkOperator(g2, spec.l, spec.sig_b2, spec.sig_in2, spec.sig_out2, spec.beta2)
+    if spec.kind == "BPk":
         a2 = PAtom(adjoint=spec.p_adjoint)
         sym2 = symbol_stacked(spec.a2)
     elif spec.kind == "PBl":
-        sb2, si2, so2 = (_sig_or_zero(g2, spec.sig_b2), _sig_or_zero(g2, spec.sig_in2),
-                         _sig_or_zero(g2, spec.sig_out2))
-        _check_atom_sigs(g2, spec.l, sb2, si2, so2, "variable 2")
         a1 = PAtom(adjoint=spec.p_adjoint)
-        a2 = BAtom(spec.l, sb2, si2, so2, _beta_levels(g2, spec.beta2, spec.l))
         sym1 = symbol_stacked(spec.a1)
-    else:
+    elif spec.kind != "Bkl":
         flags = {"PP": (False, False), "PP1": (True, False),
                  "PP2": (False, True), "PPstar": (True, True)}[spec.kind]
         a1, a2 = PAtom(flags[0]), PAtom(flags[1])

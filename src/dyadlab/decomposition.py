@@ -12,7 +12,8 @@ constants. For a noncancellative shift the list uses B_0 terms together with
 the cube/subcube operator P (analysis orientation) or its adjoint (synthesis
 orientation). The bi-parameter decomposition is the product of the
 per-variable constructions; its terms combine a one-variable atom per
-variable with optional inner/outer shift compositions.
+variable (a ``BkOperator`` on that variable's grid or a ``PAtom``) with
+optional inner/outer shift compositions.
 
 Everything here is exact linear algebra on the finite torus: the identity
 ``sum of terms == commutator`` holds to floating-point roundoff, which the
@@ -31,7 +32,7 @@ from .haar import (DyadicFunction, forward_stacked, inverse_stacked,
                    random_function, scaling_levels)
 from .paraproducts import (BkOperator, bk_stacked, p_stacked, pstar_stacked,
                            symbol_stacked)
-from .biparam import (BAtom, PAtom, ProductFunction, _Accum, _BiView,
+from .biparam import (PAtom, ProductFunction, _Accum, _BiView,
                       forward2, inverse2, iterated_commutator, pair_apply,
                       random_product_function)
 from .shifts import ANALYSIS, ShiftOperator, multiplication_commutator
@@ -42,7 +43,7 @@ from .norms import _trial_rng, dyadic_bmo_norm, rect_bmo_norm
 class Term:
     """One summand of a decomposition.
 
-    ``atom1``/``atom2`` are per-variable kernels (BAtom or PAtom); ``inner*``
+    ``atom1``/``atom2`` are per-variable kernels (BkOperator or PAtom); ``inner*``
     applies that variable's shift to the input first, ``outer*`` wraps it
     around the output. One-parameter terms use variable 1 only.
     """
@@ -63,9 +64,9 @@ class Term:
         for slot, atom in (("1", self.atom1), ("2", self.atom2)):
             if atom is None:
                 continue
-            if isinstance(atom, BAtom):
-                out[f"atom{slot}"] = {"type": "B", "k": atom.k, "sig_b": atom.sig_b,
-                                      "sig_in": atom.sig_in, "sig_out": atom.sig_out}
+            if isinstance(atom, BkOperator):
+                out[f"atom{slot}"] = {"type": "B", "k": atom.k, "sig_b": atom.sb,
+                                      "sig_in": atom.si, "sig_out": atom.so}
             else:
                 out[f"atom{slot}"] = {"type": "P", "adjoint": atom.adjoint}
         out["inner"] = [self.inner1, self.inner2]
@@ -130,34 +131,39 @@ def _beta_from_sig(grid: GridSpec, k: int, sig_b: int):
     return tuple(arrs)
 
 
+def _bk(grid: GridSpec, k: int, sb: int, si: int, so: int, beta=None) -> BkOperator:
+    """B_k atom from integer signatures."""
+    return BkOperator(grid, k, grid.int_sig(sb), grid.int_sig(si), grid.int_sig(so), beta)
+
+
 def _cancellative_var_atoms(grid: GridSpec, i: int, j: int) -> list:
     """(weight, atom, inner, outer, provenance) for one cancellative variable."""
     non = grid.noncanc_int
     cancs = range(grid.n_sig)
     out = []
     for eps in cancs:
-        out.append((1.0, BAtom(0, eps, non, eps), True, False, "b_mul:tail"))
+        out.append((1.0, _bk(grid, 0, eps, non, eps), True, False, "b_mul:tail"))
     for eps in cancs:
         for eps2 in cancs:
-            out.append((1.0, BAtom(0, eps, eps2, non ^ (eps ^ eps2)), True, False,
+            out.append((1.0, _bk(grid, 0, eps, eps2, non ^ (eps ^ eps2)), True, False,
                         "b_mul:same_cube"))
     for k in range(1, j + 1):
         for eps in cancs:
             beta = _beta_from_sig(grid, k, eps)
             for eps2 in cancs:
-                out.append((1.0, BAtom(k, eps, eps2, eps2, beta), True, False,
+                out.append((1.0, _bk(grid, k, eps, eps2, eps2, beta), True, False,
                             f"b_mul:depth_{k}"))
     for eps in cancs:
-        out.append((-1.0, BAtom(0, eps, non, eps), False, True, "mul_S:tail"))
+        out.append((-1.0, _bk(grid, 0, eps, non, eps), False, True, "mul_S:tail"))
     for eps in cancs:
         for eps2 in cancs:
-            out.append((-1.0, BAtom(0, eps, eps2, non ^ (eps ^ eps2)), False, True,
+            out.append((-1.0, _bk(grid, 0, eps, eps2, non ^ (eps ^ eps2)), False, True,
                         "mul_S:same_cube"))
     for k in range(1, i + 1):
         for eps in cancs:
             beta = _beta_from_sig(grid, k, eps)
             for eps2 in cancs:
-                out.append((-1.0, BAtom(k, eps, eps2, eps2, beta), False, True,
+                out.append((-1.0, _bk(grid, k, eps, eps2, eps2, beta), False, True,
                             f"mul_S:depth_{k}"))
     return out
 
@@ -169,22 +175,22 @@ def _noncancellative_var_atoms(grid: GridSpec, orientation: str) -> list:
     if orientation == ANALYSIS:
         for eps in cancs:
             for eps2 in cancs:
-                out.append((1.0, BAtom(0, eps, eps2, non ^ (eps ^ eps2)), True, False,
+                out.append((1.0, _bk(grid, 0, eps, eps2, non ^ (eps ^ eps2)), True, False,
                             "b_mul:same_cube"))
         for eps in cancs:
-            out.append((1.0, BAtom(0, eps, non, eps), True, False, "b_mul:tail"))
+            out.append((1.0, _bk(grid, 0, eps, non, eps), True, False, "b_mul:tail"))
         for eps in cancs:
-            out.append((-1.0, BAtom(0, eps, eps, non), False, True, "mul_S:same_cube"))
+            out.append((-1.0, _bk(grid, 0, eps, eps, non), False, True, "mul_S:same_cube"))
         out.append((1.0, PAtom(adjoint=False), False, False, "b_mul:diagonal"))
     else:
         for eps in cancs:
-            out.append((1.0, BAtom(0, eps, non, eps), True, False, "b_mul:tail"))
+            out.append((1.0, _bk(grid, 0, eps, non, eps), True, False, "b_mul:tail"))
         for eps in cancs:
             for eps2 in cancs:
-                out.append((-1.0, BAtom(0, eps, non ^ (eps ^ eps2), eps2), False, True,
+                out.append((-1.0, _bk(grid, 0, eps, non ^ (eps ^ eps2), eps2), False, True,
                             "mul_S:same_cube"))
         for eps in cancs:
-            out.append((-1.0, BAtom(0, eps, eps, non), False, True, "mul_S:tail"))
+            out.append((-1.0, _bk(grid, 0, eps, eps, non), False, True, "mul_S:tail"))
         out.append((-1.0, PAtom(adjoint=True), False, False, "b_mul:diagonal"))
     return out
 
@@ -252,11 +258,11 @@ def decompose(b: DyadicFunction, S: ShiftOperator) -> TermList:
 
 
 def _pair_kind(atom1, atom2, outer1, outer2) -> str:
-    if isinstance(atom1, BAtom) and isinstance(atom2, BAtom):
+    if isinstance(atom1, BkOperator) and isinstance(atom2, BkOperator):
         return "S_of_Bkl" if (outer1 or outer2) else "Bkl_of_Sf"
-    if isinstance(atom1, BAtom):
+    if isinstance(atom1, BkOperator):
         return "BPk"
-    if isinstance(atom2, BAtom):
+    if isinstance(atom2, BkOperator):
         return "PBl"
     key = (atom1.adjoint, atom2.adjoint)
     return {(False, False): "PP_term", (True, False): "PP1_term",
@@ -292,12 +298,6 @@ def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
 # Evaluation and verification.
 
 
-def _atom_bkop(grid: GridSpec, atom: BAtom) -> BkOperator:
-    return BkOperator(grid, atom.k, grid.int_sig(atom.sig_b),
-                      grid.int_sig(atom.sig_in), grid.int_sig(atom.sig_out),
-                      beta=atom.beta)
-
-
 def _evaluate_one_param(tl: TermList, f: DyadicFunction) -> DyadicFunction:
     g = tl.b.grid
     S = tl.shifts[0]
@@ -317,9 +317,9 @@ def _evaluate_one_param(tl: TermList, f: DyadicFunction) -> DyadicFunction:
                 y = p_stacked(g, tl._bc, sym, x)
         else:
             key = term.inner1
-            if term.atom1.sig_in == g.noncanc_int and key not in scal:
+            if term.atom1.si == g.noncanc_int and key not in scal:
                 scal[key] = scaling_levels(g, x)
-            y = bk_stacked(_atom_bkop(g, term.atom1), tl._bc, x, scal.get(key))
+            y = bk_stacked(term.atom1, tl._bc, x, scal.get(key))
         if term.outer1:
             y = S.apply_stacked(y)
         acc += term.weight * y

@@ -121,12 +121,20 @@ def average_operator(builder, samples: int, rng_seed: int, base: GridSpec = None
     sequential in sample order, so results are bit-stable. Builder failures
     skip the sample and are counted in the returned stats.
     """
+    [(mean, stderr)], stats = _average_stats(builder, (lambda M: M,), samples,
+                                             rng_seed, base)
+    return mean, stderr, stats
+
+
+def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = None):
+    """One pass of :func:`average_operator` over the seeded grids that averages
+    fn(M) for every fn in ``fns``; returns [(mean, stderr) per fn] and stats."""
     base = base or getattr(builder, "grid", None)
     if not isinstance(base, GridSpec):
         raise ValueError("builder must expose its base grid (builder.grid or base=)")
     children = np.random.SeedSequence(rng_seed).spawn(samples)
-    mean = None
-    msq = None
+    mean = [None] * len(fns)
+    msq = [None] * len(fns)
     used = 0
     skipped = 0
     for child in children:
@@ -135,24 +143,24 @@ def average_operator(builder, samples: int, rng_seed: int, base: GridSpec = None
             handle = builder(sample_omega(base, seed))
             M = handle.matrix() if isinstance(handle, LinearOperatorHandle) \
                 else np.asarray(handle, dtype=float)
+            values = [fn(M) for fn in fns]
         except Exception:
             skipped += 1
             continue
         used += 1
-        if mean is None:
-            mean = np.zeros_like(M)
-            msq = np.zeros_like(M)
-        delta = M - mean
-        mean += delta / used
-        msq += delta * (M - mean)
+        for n, X in enumerate(values):
+            if mean[n] is None:
+                mean[n] = np.zeros_like(X)
+                msq[n] = np.zeros_like(X)
+            delta = X - mean[n]
+            mean[n] += delta / used
+            msq[n] += delta * (X - mean[n])
     if used == 0:
         raise RuntimeError("all Monte Carlo samples failed")
-    if used > 1:
-        stderr = np.sqrt(msq / (used - 1) / used)
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr, {"samples": samples, "used": used, "skipped": skipped,
-                          "seed": rng_seed}
+    out = [(m, np.sqrt(q / (used - 1) / used) if used > 1 else np.zeros_like(m))
+           for m, q in zip(mean, msq)]
+    return out, {"samples": samples, "used": used, "skipped": skipped,
+                 "seed": rng_seed}
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +238,10 @@ def mc_representation_demo(base: GridSpec, samples: int, rng_seed: int) -> dict:
     contrast: its Toeplitz deviation is orders of magnitude above the average.
     """
     builder = hilbert_pattern_builder(base)
-    mean, stderr, stats = average_operator(builder, samples, rng_seed)
-    dev_mean, dev_se, _ = average_operator(
-        wrap_builder(builder, toeplitz_deviation), samples, rng_seed)
-    sym_mean, sym_se, _ = average_operator(
-        wrap_builder(builder, lambda M: M + M.T), samples, rng_seed)
+    averages, stats = _average_stats(
+        builder, (lambda M: M, toeplitz_deviation, lambda M: M + M.T),
+        samples, rng_seed)
+    (mean, stderr), (dev_mean, dev_se), (sym_mean, sym_se) = averages
     n = base.n_samples
     x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     offdiag = ((x - y) % n) != 0

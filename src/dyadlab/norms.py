@@ -406,6 +406,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(trial,)))
 
 
+def _random_signs(grid: GridSpec, rng) -> tuple:
+    """Per-level betas, each +1 or -1 (+1 with probability about 0.69)."""
+    return tuple(np.sign(rng.standard_normal(grid.n_cubes(lvl)) + 0.5)
+                 for lvl in range(grid.N))
+
+
 def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                      grid: GridSpec = None, pgrid: ProductGrid = None) -> list:
     """Max measured ratio ||op|| / (BMO factors * ||f||) per parameter value.
@@ -425,9 +431,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                 rng = _trial_rng(rng_seed, t)
                 b = random_function(grid, rng)
                 f = random_function(grid, rng)
-                beta = tuple(np.sign(rng.standard_normal(grid.n_cubes(l)) + 0.5)
-                             for l in range(grid.N))
-                op = BkOperator(grid, k, beta=beta)
+                op = BkOperator(grid, k, beta=_random_signs(grid, rng))
                 denom = dyadic_bmo_norm(b) * f.norm()
                 if denom > 0:
                     best = max(best, apply_Bk(op, b, f).norm() / denom)
@@ -459,8 +463,9 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     elif kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
         pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
                                      GridSpec(1, params.get("N2", 4)))
-        kmax = params.get("kmax", 2)
-        lmax = params.get("lmax", 2)
+        # B_k needs k <= N - 1 in its variable
+        kmax = min(params.get("kmax", 2), pgrid.grid1.N - 1)
+        lmax = min(params.get("lmax", 2), pgrid.grid2.N - 1)
         if kind == "Bkl":
             combos = [(k, l) for k in range(kmax + 1) for l in range(lmax + 1)]
         elif kind == "BPk":
@@ -469,37 +474,35 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
             combos = [(None, l) for l in range(lmax + 1)]
         else:
             combos = [(None, None)]
-        for (k, l) in combos:
-            best = 0.0
-            for t in range(trials):
-                rng = _trial_rng(rng_seed, t)
-                b = random_product_function(pgrid, rng)
-                f = random_product_function(pgrid, rng)
-                denom = rect_bmo_norm(b) * f.norm()
-                if kind == "Bkl":
-                    beta1 = tuple(np.sign(rng.standard_normal(pgrid.grid1.n_cubes(m)) + 0.5)
-                                  for m in range(pgrid.grid1.N))
-                    beta2 = tuple(np.sign(rng.standard_normal(pgrid.grid2.n_cubes(m)) + 0.5)
-                                  for m in range(pgrid.grid2.N))
-                    spec = BiparamOperatorSpec("Bkl", k=k, l=l, beta1=beta1, beta2=beta2)
-                elif kind == "BPk":
-                    a2 = random_function(pgrid.grid2, rng)
-                    a2 = a2 * (1.0 / dyadic_bmo_norm(a2))
-                    spec = BiparamOperatorSpec("BPk", k=k, a2=a2)
-                elif kind == "PBl":
-                    a1 = random_function(pgrid.grid1, rng)
-                    a1 = a1 * (1.0 / dyadic_bmo_norm(a1))
-                    spec = BiparamOperatorSpec("PBl", l=l, a1=a1)
-                else:
-                    a1 = random_function(pgrid.grid1, rng)
-                    a2 = random_function(pgrid.grid2, rng)
-                    a = tensor_function(a1 * (1.0 / dyadic_bmo_norm(a1)),
-                                        a2 * (1.0 / dyadic_bmo_norm(a2)))
-                    spec = BiparamOperatorSpec(kind, a=a)
-                if denom > 0:
-                    best = max(best, apply_biparam(spec, b, f).norm() / denom)
-            reports.append(NormReport(kind=kind, k=k, l=l, trials=trials,
-                                      max_ratio=best, seed=rng_seed))
+        # every draw of a trial is independent of (k, l), so each trial is
+        # drawn once and measured against all combos
+        best = dict.fromkeys(combos, 0.0)
+        for t in range(trials):
+            rng = _trial_rng(rng_seed, t)
+            b = random_product_function(pgrid, rng)
+            f = random_product_function(pgrid, rng)
+            denom = rect_bmo_norm(b) * f.norm()
+            if kind == "Bkl":
+                fields = {"beta1": _random_signs(pgrid.grid1, rng),
+                          "beta2": _random_signs(pgrid.grid2, rng)}
+            elif kind == "BPk":
+                a2 = random_function(pgrid.grid2, rng)
+                fields = {"a2": a2 * (1.0 / dyadic_bmo_norm(a2))}
+            elif kind == "PBl":
+                a1 = random_function(pgrid.grid1, rng)
+                fields = {"a1": a1 * (1.0 / dyadic_bmo_norm(a1))}
+            else:
+                a1 = random_function(pgrid.grid1, rng)
+                a2 = random_function(pgrid.grid2, rng)
+                fields = {"a": tensor_function(a1 * (1.0 / dyadic_bmo_norm(a1)),
+                                               a2 * (1.0 / dyadic_bmo_norm(a2)))}
+            if denom > 0:
+                for (k, l) in combos:
+                    spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
+                    best[(k, l)] = max(best[(k, l)],
+                                       apply_biparam(spec, b, f).norm() / denom)
+        reports += [NormReport(kind=kind, k=k, l=l, trials=trials,
+                               max_ratio=best[(k, l)], seed=rng_seed) for (k, l) in combos]
     else:
         raise ValueError(f"unknown study kind {kind}")
     return reports

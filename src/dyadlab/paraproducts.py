@@ -8,6 +8,9 @@ against the cube's own Haar:
 with |beta_I| <= 1. With all-cancellative signatures the output coefficient
 at I is a bounded multiple of the input coefficient, so
 ||B_k(b, f)|| <= bmo(b) ||f|| holds exactly and uniformly in k.
+``BkOperator`` is the one B_k atom of the package: it checks the depth, the
+signatures and the betas once, at construction, and the bi-parameter
+operators and decomposition terms use one per variable.
 
 P pairs b and f on a cube and a second symbol on its strict subcubes:
 
@@ -24,7 +27,7 @@ variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +38,15 @@ from .haar import (DyadicFunction, fold_noncancellative, forward_stacked,
 
 @dataclass(frozen=True)
 class BkOperator:
-    """Parameters of one B_k: ancestry depth, betas, and the three signatures.
+    """One B_k atom on ``grid``: ancestry depth, betas, and the three signatures.
 
-    ``beta`` may be None (all +1), a dict DyadicCube -> float, or a tuple of
-    per-level arrays indexed by flat cube position. Signatures are given as
-    {0,1}^d tuples; at most one of (sig_in, sig_out) may be noncancellative,
-    and only when k = 0. The b-side signature is always cancellative.
+    Signatures are given as {0,1}^d tuples (None: all zero) and kept as the
+    integers ``sb``/``si``/``so`` of the stacked layout; at most one of
+    (sig_in, sig_out) may be noncancellative, and only when k = 0. The b-side
+    signature is always cancellative. ``beta`` may be None (all +1), a dict
+    DyadicCube -> float, or a sequence of per-level arrays indexed by flat
+    cube position; it is stored as None or a tuple of N float arrays whose
+    entries have magnitude <= 1.
     """
 
     grid: GridSpec
@@ -49,43 +55,49 @@ class BkOperator:
     sig_in: tuple = None
     sig_out: tuple = None
     beta: object = None
+    sb: int = field(init=False, repr=False, compare=False)
+    si: int = field(init=False, repr=False, compare=False)
+    so: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
-        if self.k > g.N - 1:
-            raise DepthError(f"k={self.k} exceeds available levels below the root")
-        ones = tuple(1 for _ in range(g.d))
-        zeros = tuple(0 for _ in range(g.d))
-        object.__setattr__(self, "sig_b", tuple(self.sig_b) if self.sig_b else zeros)
-        object.__setattr__(self, "sig_in", tuple(self.sig_in) if self.sig_in else zeros)
-        object.__setattr__(self, "sig_out", tuple(self.sig_out) if self.sig_out else zeros)
-        if self.sig_b == ones:
+        if not 0 <= self.k <= g.N - 1:
+            raise DepthError(f"k={self.k} outside the levels 0..{g.N - 1} below the root")
+        for name, slot in (("sig_b", "sb"), ("sig_in", "si"), ("sig_out", "so")):
+            sig = getattr(self, name)
+            sig = (0,) * g.d if sig is None else tuple(sig)
+            object.__setattr__(self, name, sig)
+            object.__setattr__(self, slot, g.sig_int(sig))
+        non = g.noncanc_int
+        if self.sb == non:
             raise InvalidIndexError("the b-side signature must be cancellative")
-        n_noncanc = (self.sig_in == ones) + (self.sig_out == ones)
+        n_noncanc = (self.si == non) + (self.so == non)
         if n_noncanc > 1:
             raise InvalidIndexError("at most one of input/output may be noncancellative")
         if n_noncanc and self.k != 0:
             raise InvalidIndexError("noncancellative signatures require k = 0")
+        beta = self.beta
+        if isinstance(beta, dict):
+            levels = [np.ones(g.n_cubes(lvl)) for lvl in range(g.N)]
+            for cube, val in beta.items():
+                g.validate_cube(cube)
+                if cube.level == g.N:
+                    raise InvalidIndexError("finest cells carry no B_k coefficient")
+                levels[cube.level][g.flat_pos(cube.pos, cube.level)] = val
+            beta = levels
+        if beta is not None:
+            beta = tuple(np.array(arr, dtype=float) for arr in beta)
+            if len(beta) != g.N or any(arr.shape != (g.n_cubes(lvl),)
+                                       for lvl, arr in enumerate(beta)):
+                raise ValueError(f"beta needs one array of n_cubes(level) entries "
+                                 f"per level 0..{g.N - 1}")
+            if not all(np.all(np.abs(arr) <= 1.0 + 1e-12) for arr in beta):
+                raise ValueError("beta entries must have magnitude <= 1")
+        object.__setattr__(self, "beta", beta)
 
-    def beta_level(self, level: int) -> np.ndarray:
+    def beta_level(self, level: int):
         """Beta values for all cubes at ``level`` (array or scalar 1.0)."""
-        g = self.grid
-        if self.beta is None:
-            return 1.0
-        if isinstance(self.beta, dict):
-            out = np.ones(g.n_cubes(level))
-            for cube, val in self.beta.items():
-                if cube.level == level:
-                    if abs(val) > 1.0 + 1e-12:
-                        raise ValueError("beta entries must have magnitude <= 1")
-                    out[g.flat_pos(cube.pos, level)] = val
-            return out
-        arr = np.asarray(self.beta[level], dtype=float)
-        if np.max(np.abs(arr)) > 1.0 + 1e-12:
-            raise ValueError("beta entries must have magnitude <= 1")
-        return arr
+        return 1.0 if self.beta is None else self.beta[level]
 
     def adjoint(self) -> "BkOperator":
         return BkOperator(self.grid, self.k, self.sig_b, self.sig_out, self.sig_in,
@@ -100,18 +112,17 @@ def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray,
     passive = x.shape[1:]
     pshape = (1,) * len(passive)
     out = np.zeros_like(x)
-    sb = g.sig_int(op.sig_b)
-    noncanc_in = g.sig_int(op.sig_in) == g.noncanc_int
-    noncanc_out = g.sig_int(op.sig_out) == g.noncanc_int
+    noncanc_in = op.si == g.noncanc_int
+    noncanc_out = op.so == g.noncanc_int
     if noncanc_in and x_scaling is None:
         x_scaling = scaling_levels(g, x)
     contribs = {}
     for lvl in range(op.k, g.N):
-        banc = g.level_block(bc, lvl - op.k)[:, sb][idx.ancestor_flat(lvl, op.k)]
+        banc = g.level_block(bc, lvl - op.k)[:, op.sb][idx.ancestor_flat(lvl, op.k)]
         if noncanc_in:
             fin = x_scaling[lvl]
         else:
-            fin = g.level_block(x, lvl)[:, g.sig_int(op.sig_in)]
+            fin = g.level_block(x, lvl)[:, op.si]
         beta = op.beta_level(lvl)
         scale = 2.0 ** ((lvl - op.k) * g.d / 2.0)
         coef = (beta * banc * scale).reshape(banc.shape + pshape)
@@ -119,7 +130,7 @@ def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray,
         if noncanc_out:
             contribs[lvl] = contrib
         else:
-            g.level_block(out, lvl)[:, g.sig_int(op.sig_out)] += contrib
+            g.level_block(out, lvl)[:, op.so] += contrib
     if contribs:
         out += fold_noncancellative(g, contribs)
     return out

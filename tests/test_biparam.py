@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dyadlab import (BiparamOperatorSpec, DyadicCube, DyadicFunction, GridSpec,
-                     HaarIndex, ProductFunction, ProductGrid, apply_biparam,
+from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube, DyadicFunction,
+                     GridSpec, HaarIndex, ProductFunction, ProductGrid, apply_biparam,
                      apply_in_variable, haar_function, inner_product2,
                      iterated_commutator, random_function,
                      random_product_function, random_shift, tensor_function)
 from dyadlab.biparam import forward2, forward_var, inverse2
+from dyadlab.grids import DepthError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
 from conftest import (all_cancellative_indices, all_cubes, dense_matrix,
                       strictly_inside)
@@ -354,3 +355,39 @@ def test_product_serialization(rng):
     assert len(raw) == 20 + 8 * G1.n_samples * G2.n_samples
     back = ProductFunction.from_bytes(raw)
     assert np.array_equal(back.samples, f.samples)
+
+
+# (B_k atom fields, expected class) on a depth-4 grid: each must be refused at
+# construction with the same class whether the atom stands alone or is one
+# variable of a bi-parameter operator
+_G4 = GridSpec(1, 4)
+_BAD_ATOMS = {
+    "noncancellative-sig_b": (dict(k=0, sig_b=(1,)), InvalidIndexError),
+    "two-noncancellative": (dict(k=0, sig_in=(1,), sig_out=(1,)), InvalidIndexError),
+    "noncancellative-at-k1": (dict(k=1, sig_out=(1,)), InvalidIndexError),
+    "k-below-finest": (dict(k=4), DepthError),
+    "k-negative": (dict(k=-1), DepthError),
+    "beta-tuple-above-1": (dict(k=0, beta=tuple(np.full(_G4.n_cubes(m), 5.0)
+                                                for m in range(4))), ValueError),
+    "beta-dict-above-1": (dict(k=1, beta={DyadicCube(2, (1,)): 3.0}), ValueError),
+    "beta-nan": (dict(k=0, beta={DyadicCube(0, (0,)): np.nan}), ValueError),
+    "beta-length-1-arrays": (dict(k=0, beta=tuple(np.ones(1) for _ in range(4))),
+                             ValueError),
+    "beta-too-few-levels": (dict(k=2, beta=(np.ones(1), np.ones(2))), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_ATOMS))
+def test_bk_atom_error_contract(name, rng):
+    fields, error = _BAD_ATOMS[name]
+    with pytest.raises(error) as alone:
+        BkOperator(_G4, **fields)
+    for var, pg in ((1, ProductGrid(_G4, GridSpec(1, 2))),
+                    (2, ProductGrid(GridSpec(1, 2), _G4))):
+        depth = "k" if var == 1 else "l"
+        spec = BiparamOperatorSpec("Bkl", **{depth if key == "k" else f"{key}{var}": val
+                                             for key, val in fields.items()})
+        b, f = random_product_function(pg, rng), random_product_function(pg, rng)
+        with pytest.raises(error) as paired:
+            apply_biparam(spec, b, f)
+        assert type(paired.value) is type(alone.value) is error

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -291,6 +292,33 @@ def test_termlist_serialization_replay(rng):
     assert obj["terms"][0]["kind"] in ("Bk_of_Sf", "S_of_Bk")
     # shift and symbol fully embedded for replay
     assert obj["shifts"][0]["i"] == 1 and obj["shifts"][0]["j"] == 2
+
+
+def _terms_digest(tl):
+    terms = json.loads(tl.to_json())["terms"]
+    return hashlib.sha256(json.dumps(terms).encode()).hexdigest()
+
+
+def test_termlist_json_terms_are_pinned():
+    # digests of the "terms" lists as first released; the atoms' integer
+    # signatures, kinds, weights and order must not drift
+    g2 = GridSpec(2, 3)
+    tl = decompose_cancellative(random_function(g2, np.random.default_rng(0)),
+                                random_shift(g2, 1, 1, 1))
+    assert tl.term_count == 42 and _terms_digest(tl) == \
+        "5c579a7691f27006f2cf063c2f186517ad485e8c27b347d1aa5e918b9af80680"
+    g1 = GridSpec(1, 4)
+    tl = decompose_noncancellative(random_function(g1, np.random.default_rng(0)),
+                                   random_shift(g1, 0, 0, 1, kind="noncancellative"))
+    assert tl.term_count == 4 and _terms_digest(tl) == \
+        "f2462025b8deb8b1cf439f412c5fa047f88f8cfb9c9fda92b6568568e87f59d1"
+    g = GridSpec(1, 3)
+    b = random_product_function(ProductGrid(g, g), np.random.default_rng(0))
+    tl = decompose_biparam(b, random_shift(g, 1, 1, 1),
+                           random_shift(g, 0, 0, 2, kind="noncancellative",
+                                        orientation="synthesis"))
+    assert tl.term_count == 24 and _terms_digest(tl) == \
+        "22bc5d84a3843a4369c58c7d88c9280d3b406abf325b7e0841ea922c2bad8b5d"
 
 
 def test_verify_identity_report_shape(rng):

@@ -4,7 +4,8 @@ from dyadlab import (GridSpec, OmegaSample, average_operator,
                      commutator_bound_study, hilbert_pattern_builder,
                      hilbert_pattern_shift, mc_representation_demo,
                      random_function, sample_omega, shifted_grid,
-                     toeplitz_deviation)
+                     toeplitz_deviation, zscore_verdict)
+from dyadlab import montecarlo
 from dyadlab.montecarlo import _bonferroni_z, wrap_builder
 from conftest import dense_matrix
 
@@ -124,6 +125,39 @@ def test_representation_demo_small():
     assert rep["antisymmetry"]["pass"]
     assert rep["single_omega_not_toeplitz"]
     assert rep["single_omega_max_dev"] > 10 * rep["averaged_max_dev"]
+
+
+def test_representation_demo_is_one_pass(monkeypatch):
+    base = GridSpec(1, 4)
+    builder = hilbert_pattern_builder(base)
+    want = [average_operator(builder, 50, 7)[:2],
+            average_operator(wrap_builder(builder, toeplitz_deviation), 50, 7)[:2],
+            average_operator(wrap_builder(builder, lambda M: M + M.T), 50, 7)[:2]]
+    calls = []
+
+    def counting_builder(grid):
+        inner = hilbert_pattern_builder(grid)
+
+        def build(omega):
+            calls.append(omega.seed)
+            return inner(omega)
+        build.grid = grid
+        return build
+
+    verdict_inputs = []
+
+    def recording_verdict(mean, stderr, **kwargs):
+        verdict_inputs.append((mean, stderr))
+        return zscore_verdict(mean, stderr, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "hilbert_pattern_builder", counting_builder)
+    monkeypatch.setattr(montecarlo, "zscore_verdict", recording_verdict)
+    rep = mc_representation_demo(base, samples=50, rng_seed=7)
+    assert len(calls) == 50 + 1
+    got = [(rep["mean_matrix"], rep["stderr_matrix"])] + verdict_inputs
+    assert len(got) == 3
+    for (mean, se), (want_mean, want_se) in zip(got, want):
+        assert np.array_equal(mean, want_mean) and np.array_equal(se, want_se)
 
 
 def test_single_omega_matrix_not_toeplitz():

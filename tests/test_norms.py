@@ -216,6 +216,17 @@ def test_uniformity_study_biparam_kinds():
             assert all(r.max_ratio <= 1 + 1e-12 for r in reports)
 
 
+def test_uniformity_study_biparam_ranges_stop_at_finest_level():
+    # k = 3..5 and l = 3..5 do not exist on N = 3 grids; the study skips them
+    reports = uniformity_study("Bkl", {"N1": 3, "N2": 3, "kmax": 5, "lmax": 5},
+                               trials=1, rng_seed=4)
+    assert [(r.k, r.l) for r in reports] == [(k, l) for k in range(3) for l in range(3)]
+    for kind, field in (("BPk", "k"), ("PBl", "l")):
+        reports = uniformity_study(kind, {"N1": 3, "N2": 3, "kmax": 5, "lmax": 5},
+                                   trials=1, rng_seed=4)
+        assert [getattr(r, field) for r in reports] == [0, 1, 2]
+
+
 def test_norm_report_serialization():
     reports = [NormReport(kind="Bk", k=2, trials=5, max_ratio=0.5, seed=1),
                NormReport(kind="PP", trials=3, max_ratio=1.25, seed=2)]

@@ -107,6 +107,19 @@ def test_bk_signature_rules():
                  random_function(g, np.random.default_rng(1)))
 
 
+def test_bk_beta_dict_is_stored_as_per_level_arrays(rng):
+    g = GridSpec(2, 2)
+    cube = DyadicCube(1, (1, 0))
+    op = BkOperator(g, 1, beta={cube: -0.5})
+    levels = [np.ones(g.n_cubes(l)) for l in range(g.N)]
+    levels[1][g.flat_pos(cube.pos, 1)] = -0.5
+    assert len(op.beta) == g.N
+    assert all(np.array_equal(got, want) for got, want in zip(op.beta, levels))
+    b, f = random_function(g, rng), random_function(g, rng)
+    same = BkOperator(g, 1, beta=tuple(levels))
+    assert np.array_equal(apply_Bk(op, b, f).samples, apply_Bk(same, b, f).samples)
+
+
 def test_bk_martingale_bound_exact(rng):
     # all-cancellative: ||B_k(b,f)|| <= bmo(b) ||f||, uniformly in k
     g = GridSpec(1, 9)
