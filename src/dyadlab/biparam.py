@@ -11,6 +11,12 @@ adjoint). This realizes B_{k,l}, BP_k, PB_l, PP, the partial adjoints
 PP_1 / PP_2, and the full adjoint, all evaluated in coefficient space with
 per-level contractions and the strict-subcube tree scans of
 :mod:`dyadlab.paraproducts`.
+
+Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
+axis 1, and optional trailing passive axes (one column per trial in
+:func:`dyadlab.decomposition.verify_identity`). Variables swap by swapping
+axes 0 and 1; the fixed arrays (symbol coefficients, betas) broadcast
+against the trailing axes.
 """
 
 from __future__ import annotations
@@ -132,22 +138,37 @@ def random_product_function(pg: ProductGrid, rng) -> ProductFunction:
 # -- transforms --------------------------------------------------------------
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Exchange the two variables of a stacked array (axes 0 and 1)."""
+    return a.swapaxes(0, 1)
+
+
+def forward2_stacked(pg: ProductGrid, samples: np.ndarray) -> np.ndarray:
+    """Samples (n1, n2, *passive) -> stacked coefficients, same shape."""
+    a = forward_stacked(pg.grid1, samples)
+    return _swap(forward_stacked(pg.grid2, _swap(a)))
+
+
+def inverse2_stacked(pg: ProductGrid, stacked: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`forward2_stacked`."""
+    a = _swap(inverse_stacked(pg.grid2, _swap(stacked)))
+    return inverse_stacked(pg.grid1, a)
+
+
 def forward2(pf: ProductFunction) -> np.ndarray:
     """Full stacked coefficient matrix (variable 1 rows, variable 2 columns)."""
-    a = forward_stacked(pf.pgrid.grid1, pf.samples)
-    return forward_stacked(pf.pgrid.grid2, a.T).T
+    return forward2_stacked(pf.pgrid, pf.samples)
 
 
 def inverse2(pg: ProductGrid, stacked: np.ndarray) -> ProductFunction:
-    a = inverse_stacked(pg.grid2, stacked.T).T
-    return ProductFunction(pg, inverse_stacked(pg.grid1, a))
+    return ProductFunction(pg, inverse2_stacked(pg, stacked))
 
 
 def forward_var(pf_samples: np.ndarray, grid: GridSpec, var: int) -> np.ndarray:
     """Partial Haar transform in one variable only."""
     if var == 1:
         return forward_stacked(grid, pf_samples)
-    return forward_stacked(grid, pf_samples.T).T
+    return _swap(forward_stacked(grid, _swap(pf_samples)))
 
 
 def inner_product2(f: ProductFunction, g: ProductFunction) -> float:
@@ -163,29 +184,45 @@ def pointwise_multiply2(f: ProductFunction, g: ProductFunction) -> ProductFuncti
 # -- variable-wise shift application and iterated commutators ----------------
 
 
+def _check_var(pg: ProductGrid, S, var: int) -> None:
+    if S.grid != (pg.grid1 if var == 1 else pg.grid2):
+        raise GridMismatchError(f"operator grid does not match variable {var}")
+
+
+def _apply_var(S, var: int, samples: np.ndarray) -> np.ndarray:
+    """``S`` along variable ``var`` of samples (n1, n2, *passive)."""
+    if var == 1:
+        return S.apply_samples(samples)
+    return _swap(S.apply_samples(_swap(samples)))
+
+
 def apply_in_variable(S, var: int, f: ProductFunction) -> ProductFunction:
     """Apply a one-parameter operator along every slice of the passive variable."""
-    pg = f.pgrid
-    grid = pg.grid1 if var == 1 else pg.grid2
-    if S.grid != grid:
-        raise GridMismatchError(f"operator grid does not match variable {var}")
-    if var == 1:
-        y = S.apply_stacked(forward_stacked(grid, f.samples))
-        return ProductFunction(pg, inverse_stacked(grid, y))
-    y = S.apply_stacked(forward_stacked(grid, f.samples.T))
-    return ProductFunction(pg, inverse_stacked(grid, y).T)
+    _check_var(f.pgrid, S, var)
+    return ProductFunction(f.pgrid, _apply_var(S, var, f.samples))
+
+
+def iterated_commutator_stacked(b: ProductFunction, S1, S2,
+                                samples: np.ndarray) -> np.ndarray:
+    """[[M_b, S1], S2] on samples (n1, n2, *passive), one function per column.
+
+    Expands into the four signed compositions of b, S1 and S2 in sample space.
+    """
+    pg = b.pgrid
+    _check_var(pg, S1, 1)
+    _check_var(pg, S2, 2)
+    bs = b.samples.reshape(pg.shape + (1,) * (samples.ndim - 2))
+
+    def bracket1(x):
+        return bs * _apply_var(S1, 1, x) - _apply_var(S1, 1, bs * x)
+
+    return bracket1(_apply_var(S2, 2, samples)) - _apply_var(S2, 2, bracket1(samples))
 
 
 def iterated_commutator(b: ProductFunction, S1, S2, f: ProductFunction) -> ProductFunction:
     """[[M_b, S1], S2] f expanded into the four signed compositions."""
     b._check(f)
-
-    def bracket1(g):
-        return pointwise_multiply2(b, apply_in_variable(S1, 1, g)) - \
-            apply_in_variable(S1, 1, pointwise_multiply2(b, g))
-
-    return bracket1(apply_in_variable(S2, 2, f)) - \
-        apply_in_variable(S2, 2, bracket1(f))
+    return ProductFunction(f.pgrid, iterated_commutator_stacked(b, S1, S2, f.samples))
 
 
 # -- atom machinery -----------------------------------------------------------
@@ -202,7 +239,10 @@ def _sig_rows(g: GridSpec, lvl: int, sig_int: int) -> np.ndarray:
 
 
 class _BiView:
-    """Cached input blocks of a stacked matrix, noncancellative pairings included."""
+    """Cached input blocks of a stacked array, noncancellative pairings included.
+
+    ``X`` is (n1, n2, *passive); every block keeps the trailing axes.
+    """
 
     def __init__(self, pg: ProductGrid, X: np.ndarray):
         self.pg = pg
@@ -218,16 +258,16 @@ class _BiView:
 
     def sc2(self):
         if self._sc2 is None:
-            self._sc2 = scaling_levels(self.pg.grid2, self.X.T)
+            self._sc2 = scaling_levels(self.pg.grid2, _swap(self.X))
         return self._sc2
 
     def sc12(self, l1: int):
         if l1 not in self._sc12:
-            self._sc12[l1] = scaling_levels(self.pg.grid2, self.sc1()[l1].T)
+            self._sc12[l1] = scaling_levels(self.pg.grid2, _swap(self.sc1()[l1]))
         return self._sc12[l1]
 
     def rows1(self, l1: int, s1: int) -> np.ndarray:
-        """(n_cubes1(l1), n2tot) input block in variable 1, all var-2 columns."""
+        """(n_cubes1(l1), n2tot, *passive) input block in variable 1, all var-2 columns."""
         g1 = self.pg.grid1
         if s1 == g1.noncanc_int:
             return self.sc1()[l1]
@@ -242,19 +282,29 @@ class _BiView:
         if nc1 and not nc2:
             return self.sc1()[l1][:, _sig_rows(g2, l2, s2)]
         if not nc1 and nc2:
-            return self.sc2()[l2][:, _sig_rows(g1, l1, s1)].T
-        return self.sc12(l1)[l2].T
+            return _swap(self.sc2()[l2][:, _sig_rows(g1, l1, s1)])
+        return _swap(self.sc12(l1)[l2])
 
 
 class _Accum:
-    """Stacked output accumulator that folds noncancellative-signature pieces."""
+    """Stacked output accumulator that folds noncancellative-signature pieces.
 
-    def __init__(self, pg: ProductGrid):
+    Every buffer carries the trailing ``passive`` axes of the input.
+    """
+
+    def __init__(self, pg: ProductGrid, passive: tuple = ()):
         self.pg = pg
-        self.out = np.zeros(pg.shape)
+        self.passive = tuple(passive)
+        self.out = np.zeros(pg.shape + self.passive)
         self.nc1 = {}
         self.nc2 = {}
         self.nc12 = {}
+
+    def _buf(self, store: dict, key, shape: tuple) -> np.ndarray:
+        buf = store.get(key)
+        if buf is None:
+            buf = store[key] = np.zeros(shape + self.passive)
+        return buf
 
     def add(self, l1, s1, l2, s2, C):
         g1, g2 = self.pg.grid1, self.pg.grid2
@@ -263,22 +313,20 @@ class _Accum:
         if not nc1 and not nc2:
             self.out[np.ix_(_sig_rows(g1, l1, s1), _sig_rows(g2, l2, s2))] += C
         elif nc1 and not nc2:
-            buf = self.nc1.setdefault(l1, np.zeros((g1.n_cubes(l1), g2.n_samples)))
+            buf = self._buf(self.nc1, l1, (g1.n_cubes(l1), g2.n_samples))
             buf[:, _sig_rows(g2, l2, s2)] += C
         elif not nc1 and nc2:
-            buf = self.nc2.setdefault(l2, np.zeros((g2.n_cubes(l2), g1.n_samples)))
-            buf[:, _sig_rows(g1, l1, s1)] += C.T
+            buf = self._buf(self.nc2, l2, (g2.n_cubes(l2), g1.n_samples))
+            buf[:, _sig_rows(g1, l1, s1)] += _swap(C)
         else:
-            buf = self.nc12.setdefault((l1, l2),
-                                       np.zeros((g1.n_cubes(l1), g2.n_cubes(l2))))
+            buf = self._buf(self.nc12, (l1, l2), (g1.n_cubes(l1), g2.n_cubes(l2)))
             buf += C
 
     def add_rows1(self, l1, s1, C):
         """Add a full-width var-2 contribution (already in stacked columns)."""
         g1 = self.pg.grid1
         if s1 == g1.noncanc_int:
-            buf = self.nc1.setdefault(l1, np.zeros((g1.n_cubes(l1),
-                                                    self.pg.grid2.n_samples)))
+            buf = self._buf(self.nc1, l1, (g1.n_cubes(l1), self.pg.grid2.n_samples))
             buf += C
         else:
             self.out[_sig_rows(g1, l1, s1), :] += C
@@ -286,15 +334,23 @@ class _Accum:
     def total(self) -> np.ndarray:
         g1, g2 = self.pg.grid1, self.pg.grid2
         for (l1, l2), C in self.nc12.items():
-            folded = fold_noncancellative(g2, {l2: C.T}).T
-            buf = self.nc1.setdefault(l1, np.zeros((g1.n_cubes(l1), g2.n_samples)))
+            folded = _swap(fold_noncancellative(g2, {l2: _swap(C)}))
+            buf = self._buf(self.nc1, l1, (g1.n_cubes(l1), g2.n_samples))
             buf += folded
         out = self.out
         for l2, buf in self.nc2.items():
-            out += fold_noncancellative(g2, {l2: buf}).T
+            out += _swap(fold_noncancellative(g2, {l2: buf}))
         for l1, buf in self.nc1.items():
             out += fold_noncancellative(g1, {l1: buf})
         return out
+
+
+def _lift(a: np.ndarray, lead: int, X: np.ndarray) -> np.ndarray:
+    """``a`` with unit axes after its ``lead`` leading ones, broadcasting
+    against the trailing axes of ``X`` (n1, n2, *passive); idempotent."""
+    if a is None:
+        return None
+    return a.reshape(a.shape[:lead] + (1,) * (X.ndim - 2))
 
 
 def pair_apply(pg: ProductGrid, bC: np.ndarray, X: np.ndarray, atom1, atom2,
@@ -302,25 +358,30 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, X: np.ndarray, atom1, atom2,
                sym12: np.ndarray = None, view: "_BiView" = None,
                out_acc: "_Accum" = None, weight: float = 1.0,
                b_cache: dict = None) -> np.ndarray:
-    """Evaluate the tensor of two one-variable atoms on stacked matrices.
+    """Evaluate the tensor of two one-variable atoms on stacked arrays.
 
-    Each atom is a BkOperator on its variable's grid or a PAtom.
-    ``sym1``/``sym2`` are stacked symbol coefficients for P atoms acting in
-    that variable; ``sym12`` is the stacked matrix of a product symbol when
-    both atoms are P-type. With ``out_acc`` the weighted contribution is
+    Each atom is a BkOperator on its variable's grid or a PAtom. ``X`` is
+    (n1, n2, *passive); the fixed arrays ``bC`` (n1, n2), ``sym1`` (n1,),
+    ``sym2`` (n2,) and ``sym12`` (n1, n2) broadcast against its trailing
+    axes. ``sym1``/``sym2`` are stacked symbol coefficients for P atoms acting
+    in that variable; ``sym12`` is the stacked matrix of a product symbol
+    when both atoms are P-type. With ``out_acc`` the weighted contribution is
     accumulated in place (shared across terms) and None is returned;
-    ``b_cache`` memoizes ancestor gathers of the fixed symbol coefficients.
+    ``b_cache`` memoizes ancestor gathers of the symbol coefficients, which
+    carry the trailing unit axes, so one cache serves one ``X.ndim``.
     """
+    bC = _lift(bC, 2, X)
+    sym1, sym2, sym12 = _lift(sym1, 1, X), _lift(sym2, 1, X), _lift(sym12, 2, X)
     if view is None:
         view = _BiView(pg, X)
-    acc = out_acc if out_acc is not None else _Accum(pg)
+    acc = out_acc if out_acc is not None else _Accum(pg, X.shape[2:])
     if isinstance(atom1, PAtom) and isinstance(atom2, PAtom):
         acc.out += weight * _pp_pair(pg, bC, X, atom1, atom2, sym12)
     elif isinstance(atom1, PAtom):
-        # mirror: swap variables, reuse the (B, P) kernel, transpose back
-        full = pair_apply(pg.swap(), bC.T, X.T, atom2, atom1,
+        # mirror: swap variables, reuse the (B, P) kernel, swap back
+        full = pair_apply(pg.swap(), _swap(bC), _swap(X), atom2, atom1,
                           sym1=sym2, sym2=sym1, sym12=None, view=None)
-        acc.out += weight * full.T
+        acc.out += weight * _swap(full)
     elif isinstance(atom2, PAtom):
         _bp_pair(pg, bC, X, atom1, atom2, sym2, view, acc, weight, b_cache)
     else:
@@ -347,10 +408,14 @@ def _b_gather(pg, bC, a1, a2, l1, l2, b_cache):
 def _bb_pair(pg, bC, X, a1: BkOperator, a2: BkOperator, view: _BiView,
              acc: "_Accum", weight: float, b_cache: dict) -> None:
     g1, g2 = pg.grid1, pg.grid2
+    pad = (1,) * (X.ndim - 2)
+    c2s = []
+    for l2 in range(a2.k, g2.N):
+        c2 = a2.beta_level(l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
+        c2s.append(np.reshape(c2, np.shape(c2) + pad))
     for l1 in range(a1.k, g1.N):
         c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
-        for l2 in range(a2.k, g2.N):
-            c2 = a2.beta_level(l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
+        for l2, c2 in zip(range(a2.k, g2.N), c2s):
             Bg = _b_gather(pg, bC, a1, a2, l1, l2, b_cache)
             Xin = view.block(l1, a1.si, l2, a2.si)
             C = (c1 * (Bg * Xin).T).T * c2
@@ -375,9 +440,9 @@ def _bp_pair(pg, bC, X, a1: BkOperator, p2: PAtom, sym2, view: _BiView,
         c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
         Xin = view.rows1(l1, a1.si)
         if not p2.adjoint:
-            C = strict_ancestor_sum(g2, (Bg * Xin).T).T * sym2[None, :]
+            C = _swap(strict_ancestor_sum(g2, _swap(Bg * Xin))) * sym2[None, :]
         else:
-            C = Bg * strict_subtree_sum(g2, (Xin * sym2[None, :]).T).T
+            C = Bg * _swap(strict_subtree_sum(g2, _swap(Xin * sym2[None, :])))
         acc.add_rows1(l1, a1.so, (C.T * c1).T)
 
 
@@ -387,14 +452,14 @@ def _pp_pair(pg, bC, X, p1: PAtom, p2: PAtom, sym12) -> np.ndarray:
     g1, g2 = pg.grid1, pg.grid2
     if not p1.adjoint and not p2.adjoint:
         W = strict_ancestor_sum(g1, bC * X)
-        return sym12 * strict_ancestor_sum(g2, W.T).T
+        return sym12 * _swap(strict_ancestor_sum(g2, _swap(W)))
     if p1.adjoint and p2.adjoint:
         W = strict_subtree_sum(g1, sym12 * X)
-        return bC * strict_subtree_sum(g2, W.T).T
+        return bC * _swap(strict_subtree_sum(g2, _swap(W)))
     if p1.adjoint:
         return _pp1_kernel(pg, bC, X, sym12)
     # PP2 is PP1 with the variables swapped
-    return _pp1_kernel(pg.swap(), bC.T, X.T, sym12.T).T
+    return _swap(_pp1_kernel(pg.swap(), _swap(bC), _swap(X), _swap(sym12)))
 
 
 def _pp1_kernel(pg, bC, X, sym12) -> np.ndarray:
@@ -406,20 +471,21 @@ def _pp1_kernel(pg, bC, X, sym12) -> np.ndarray:
     (all signatures of J1 and I2). For each level pair li < lj the b rows of
     each cube's ancestor at li meet the X rows of the cube, an ancestor scan
     runs along variable 2, and the a-weighted result is summed into the
-    ancestor.
+    ancestor. Trailing passive axes of ``X`` ride along (``bC``, ``sym12``
+    carry unit ones).
     """
     g1, g2 = pg.grid1, pg.grid2
     i1 = grid_index(g1)
-    out = np.zeros(pg.shape)
+    out = np.zeros(X.shape)
     for lj in range(1, g1.N):
-        # variable 2 leads: (n2, n_cubes1(lj), n_sig1)
-        Xj = g1.level_block(X, lj).transpose(2, 0, 1)
-        aj = g1.level_block(sym12, lj).transpose(2, 0, 1)
+        # variable 2 leads: (n2, n_cubes1(lj), n_sig1, *passive)
+        Xj = np.moveaxis(g1.level_block(X, lj), 2, 0)
+        aj = np.moveaxis(g1.level_block(sym12, lj), 2, 0)
         for li in range(lj):
-            Bi = g1.level_block(bC, li)[i1.ancestor_flat(lj, lj - li)].transpose(2, 0, 1)
-            # axes (n2, cube J1, signature of I1, signature of J1)
+            Bi = np.moveaxis(g1.level_block(bC, li)[i1.ancestor_flat(lj, lj - li)], 2, 0)
+            # axes (n2, cube J1, signature of I1, signature of J1, *passive)
             Z = strict_ancestor_sum(g2, Bi[:, :, :, None] * Xj[:, :, None, :])
-            R = (Z * aj[:, :, None, :]).sum(axis=3).transpose(1, 2, 0)
+            R = np.moveaxis((Z * aj[:, :, None, :]).sum(axis=3), 0, 2)
             up = R[i1.desc_groups(li, lj - li)].sum(axis=1)
             g1.level_block(out, li)[...] += 2.0 ** (li * g1.d) * up
     return out
@@ -465,16 +531,15 @@ class BiparamOperatorSpec:
             raise ValueError("PBl needs the variable-1 symbol a1")
 
 
-def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
-                  f: ProductFunction) -> ProductFunction:
-    """Literal evaluation of the defining Haar sums of the requested kind."""
-    pg = f.pgrid
-    if b.pgrid != pg:
-        raise GridMismatchError("b and f live on different product grids")
+def biparam_operands(spec: BiparamOperatorSpec, pg: ProductGrid) -> tuple:
+    """Atoms and symbols of ``spec`` on ``pg``: (atom1, atom2, sym1, sym2, sym12).
+
+    ``pair_apply(pg, bC, X, *biparam_operands(spec, pg))`` evaluates the
+    operator on stacked coefficients, so callers holding transformed inputs
+    reuse them across specs.
+    """
     spec.validate(pg)
     g1, g2 = pg.grid1, pg.grid2
-    bC = forward2(b)
-    X = forward2(f)
     sym1 = sym2 = sym12 = None
     if spec.kind in ("Bkl", "BPk"):
         a1 = BkOperator(g1, spec.k, spec.sig_b1, spec.sig_in1, spec.sig_out1, spec.beta1)
@@ -491,8 +556,16 @@ def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
                  "PP2": (False, True), "PPstar": (True, True)}[spec.kind]
         a1, a2 = PAtom(flags[0]), PAtom(flags[1])
         sym12 = forward2(spec.a)
-        sym12 = sym12.copy()
         sym12[0, :] = 0.0
         sym12[:, 0] = 0.0
-    out = pair_apply(pg, bC, X, a1, a2, sym1=sym1, sym2=sym2, sym12=sym12)
+    return a1, a2, sym1, sym2, sym12
+
+
+def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
+                  f: ProductFunction) -> ProductFunction:
+    """Literal evaluation of the defining Haar sums of the requested kind."""
+    pg = f.pgrid
+    if b.pgrid != pg:
+        raise GridMismatchError("b and f live on different product grids")
+    out = pair_apply(pg, forward2(b), forward2(f), *biparam_operands(spec, pg))
     return inverse2(pg, out)

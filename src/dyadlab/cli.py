@@ -26,8 +26,8 @@ from .shifts import random_shift
 from .decomposition import verify_identity
 from .norms import (_trial_rng, geometric_cap_for, geometric_constant,
                     geometric_constant_closed_form,
-                    geometric_constant_tail_bound, jn_check, reports_to_csv,
-                    reports_to_jsonl, uniformity_study)
+                    geometric_constant_tail_bound, jn_profile, jn_ratio,
+                    reports_to_csv, reports_to_jsonl, uniformity_study)
 from .montecarlo import commutator_bound_study, mc_representation_demo
 from .biparam import ProductGrid
 from . import __version__
@@ -192,9 +192,9 @@ def cmd_jn_check(args) -> int:
         lvl = int(rng.integers(0, grid.N))
         cube = DyadicCube(lvl, grid.pos_from_flat(
             int(rng.integers(0, grid.n_cubes(lvl))), lvl))
+        profile = jn_profile(a, cube)
         for p in args.p:
-            r = jn_check(a, cube, p)
-            worst[p] = max(worst.get(p, 0.0), r)
+            worst[p] = max(worst.get(p, 0.0), jn_ratio(profile, p))
     results = {"ratios": {str(p): v for p, v in worst.items()}}
     ok = worst.get(2.0, 0.0) <= 1.0 + 1e-12
     results["p2_at_most_one"] = ok

@@ -162,10 +162,9 @@ class GridSpec:
     # Only cancellative signatures are stored; total size equals n_samples.
 
     def level_offset(self, level: int) -> int:
-        off = 1
-        for l in range(level):
-            off += self.n_cubes(l) * self.n_sig
-        return off
+        """Start of ``level`` in the layout: 1 + sum_{l < level} n_cubes(l) * n_sig,
+        a telescoping sum equal to n_cubes(level)."""
+        return 1 << (level * self.d)
 
     def level_block(self, stacked: np.ndarray, level: int) -> np.ndarray:
         """View of the level's coefficients, shape (n_cubes, n_sig, *passive)."""

@@ -47,9 +47,12 @@ def dyadic_bmo_norm(b: DyadicFunction) -> float:
 
 def rect_bmo_norm(b: ProductFunction) -> float:
     """Sup over dyadic rectangles of the normalized coefficient mass."""
-    pg = b.pgrid
+    return _rect_bmo_stacked(b.pgrid, forward2(b))
+
+
+def _rect_bmo_stacked(pg: ProductGrid, C: np.ndarray) -> float:
+    """:func:`rect_bmo_norm` from the stacked coefficients ``C`` of b."""
     g1, g2 = pg.grid1, pg.grid2
-    C = forward2(b)
     i1, i2 = grid_index(g1), grid_index(g2)
     # per-(level pair) squared coefficients summed over both signature axes
     sq = {}
@@ -255,15 +258,13 @@ def fs_check(family: list, p: float) -> float:
     return _lp_norm(num.samples, grid.cell_volume, p) / dn
 
 
-def jn_check(a, region, p: float) -> float:
-    """Localized square-function L^p mass against the BMO bound.
+def jn_profile(a, region) -> tuple:
+    """The p-independent part of :func:`jn_check`: (localized square
+    function samples, cell volume, bmo(a), |region|).
 
-    ``region`` is a DyadicCube (one-parameter) or a pair of cubes (rectangle).
-    Returns ||(sum_{J in region} <a,h_J>^2 chi_J/|J|)^(1/2)||_p divided by
-    bmo(a) |region|^(1/p); at p = 2 the ratio is at most 1 exactly.
+    ``jn_ratio(jn_profile(a, region), p)`` is ``jn_check(a, region, p)``;
+    for several p the transform, region masks and BMO norm run once.
     """
-    if not (1.0 < p < np.inf):
-        raise ValueError("p must lie in (1, inf)")
     if isinstance(a, DyadicFunction):
         g = a.grid
         cube = region
@@ -275,11 +276,7 @@ def jn_check(a, region, p: float) -> float:
             inside = idx.ancestor_flat(lvl, lvl - cube.level) == flat0
             mass = (g.level_block(stacked, lvl) ** 2).sum(axis=1) * inside
             acc += broadcast_level(g, lvl, mass * 2.0 ** (lvl * g.d))
-        bmo = dyadic_bmo_norm(a)
-        if bmo == 0.0:
-            return 0.0
-        vol = g.volume(cube.level)
-        return _lp_norm(np.sqrt(acc), g.cell_volume, p) / (bmo * vol ** (1.0 / p))
+        return np.sqrt(acc), g.cell_volume, dyadic_bmo_norm(a), g.volume(cube.level)
     # rectangle case
     pg = a.pgrid
     g1, g2 = pg.grid1, pg.grid2
@@ -300,12 +297,29 @@ def jn_check(a, region, p: float) -> float:
             mass = mass * 2.0 ** (l1 * g1.d + l2 * g2.d)
             rows = broadcast_level(g1, l1, mass)
             acc += broadcast_level(g2, l2, rows.T).T
-    bmo = rect_bmo_norm(a)
+    return (np.sqrt(acc), g1.cell_volume * g2.cell_volume, rect_bmo_norm(a),
+            g1.volume(cube1.level) * g2.volume(cube2.level))
+
+
+def jn_ratio(profile: tuple, p: float) -> float:
+    """The :func:`jn_check` ratio at exponent ``p`` from a :func:`jn_profile`."""
+    if not (1.0 < p < np.inf):
+        raise ValueError("p must lie in (1, inf)")
+    square, cell_volume, bmo, volume = profile
     if bmo == 0.0:
         return 0.0
-    vol = g1.volume(cube1.level) * g2.volume(cube2.level)
-    cv = g1.cell_volume * g2.cell_volume
-    return _lp_norm(np.sqrt(acc), cv, p) / (bmo * vol ** (1.0 / p))
+    return _lp_norm(square, cell_volume, p) / (bmo * volume ** (1.0 / p))
+
+
+def jn_check(a, region, p: float) -> float:
+    """Localized square-function L^p mass against the BMO bound.
+
+    ``region`` is a DyadicCube (one-parameter) or a pair of cubes (rectangle).
+    Returns ||(sum_{J in region} <a,h_J>^2 chi_J/|J|)^(1/2)||_p divided by
+    bmo(a) |region|^(1/p); at p = 2 the ratio is at most 1 exactly. For
+    several p, take :func:`jn_profile` once and pass it to :func:`jn_ratio`.
+    """
+    return jn_ratio(jn_profile(a, region), p)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +434,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     ((k,l) range), ``BPk``, ``PBl``, ``PP``, ``PP1``, ``P``.
     """
     from .paraproducts import BkOperator, apply_Bk, apply_P
-    from .biparam import BiparamOperatorSpec, apply_biparam, tensor_function
+    from .biparam import (BiparamOperatorSpec, biparam_operands, inverse2,
+                          pair_apply, tensor_function)
     from .haar import random_function
     reports = []
     if kind == "Bk":
@@ -475,13 +490,14 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
         else:
             combos = [(None, None)]
         # every draw of a trial is independent of (k, l), so each trial is
-        # drawn once and measured against all combos
+        # drawn and transformed once and measured against all combos
         best = dict.fromkeys(combos, 0.0)
         for t in range(trials):
             rng = _trial_rng(rng_seed, t)
             b = random_product_function(pgrid, rng)
             f = random_product_function(pgrid, rng)
-            denom = rect_bmo_norm(b) * f.norm()
+            bC = forward2(b)
+            denom = _rect_bmo_stacked(pgrid, bC) * f.norm()
             if kind == "Bkl":
                 fields = {"beta1": _random_signs(pgrid.grid1, rng),
                           "beta2": _random_signs(pgrid.grid2, rng)}
@@ -497,10 +513,11 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                 fields = {"a": tensor_function(a1 * (1.0 / dyadic_bmo_norm(a1)),
                                                a2 * (1.0 / dyadic_bmo_norm(a2)))}
             if denom > 0:
+                X = forward2(f)
                 for (k, l) in combos:
                     spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
-                    best[(k, l)] = max(best[(k, l)],
-                                       apply_biparam(spec, b, f).norm() / denom)
+                    out = pair_apply(pgrid, bC, X, *biparam_operands(spec, pgrid))
+                    best[(k, l)] = max(best[(k, l)], inverse2(pgrid, out).norm() / denom)
         reports += [NormReport(kind=kind, k=k, l=l, trials=trials,
                                max_ratio=best[(k, l)], seed=rng_seed) for (k, l) in combos]
     else:

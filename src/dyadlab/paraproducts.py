@@ -36,7 +36,7 @@ from .haar import (DyadicFunction, fold_noncancellative, forward_stacked,
                    inverse_stacked, scaling_levels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BkOperator:
     """One B_k atom on ``grid``: ancestry depth, betas, and the three signatures.
 
@@ -46,7 +46,8 @@ class BkOperator:
     signature is always cancellative. ``beta`` may be None (all +1), a dict
     DyadicCube -> float, or a sequence of per-level arrays indexed by flat
     cube position; it is stored as None or a tuple of N float arrays whose
-    entries have magnitude <= 1.
+    entries have magnitude <= 1. Two atoms are equal when grid, k,
+    signatures and betas agree (betas compared value by value).
     """
 
     grid: GridSpec
@@ -94,6 +95,20 @@ class BkOperator:
             if not all(np.all(np.abs(arr) <= 1.0 + 1e-12) for arr in beta):
                 raise ValueError("beta entries must have magnitude <= 1")
         object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other):
+        if not isinstance(other, BkOperator):
+            return NotImplemented
+        if (self.grid, self.k, self.sb, self.si, self.so) != \
+                (other.grid, other.k, other.sb, other.si, other.so):
+            return False
+        if self.beta is None or other.beta is None:
+            return self.beta is other.beta
+        return all(np.array_equal(x, y) for x, y in zip(self.beta, other.beta))
+
+    def __hash__(self):
+        # betas are left out: equal atoms still hash equal
+        return hash((self.grid, self.k, self.sb, self.si, self.so))
 
     def beta_level(self, level: int):
         """Beta values for all cubes at ``level`` (array or scalar 1.0)."""
@@ -181,16 +196,22 @@ def symbol_stacked(a: DyadicFunction) -> np.ndarray:
     return coeffs
 
 
+def _trailing(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``v`` (n,) as (n, 1, ...), broadcasting against ``x`` (n, *passive)."""
+    return v.reshape(v.shape + (1,) * (x.ndim - v.ndim))
+
+
 def p_stacked(grid: GridSpec, bc: np.ndarray, avec: np.ndarray,
               x: np.ndarray) -> np.ndarray:
-    """P(b, a, .) in coefficient space (1-parameter)."""
-    return avec * strict_ancestor_sum(grid, bc * x)
+    """P(b, a, .) in coefficient space (1-parameter); ``x`` may carry
+    trailing passive axes, ``bc`` and ``avec`` are (n,)."""
+    return _trailing(avec, x) * strict_ancestor_sum(grid, _trailing(bc, x) * x)
 
 
 def pstar_stacked(grid: GridSpec, bc: np.ndarray, avec: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
-    """Adjoint of P in the f slot with b, a fixed."""
-    return bc * strict_subtree_sum(grid, avec * x)
+    """Adjoint of P in the f slot with b, a fixed; shapes as in :func:`p_stacked`."""
+    return _trailing(bc, x) * strict_subtree_sum(grid, _trailing(avec, x) * x)
 
 
 def apply_P(b: DyadicFunction, a: DyadicFunction, f: DyadicFunction) -> DyadicFunction:

@@ -121,11 +121,15 @@ class ShiftOperator:
     def adjoint_stacked(self, x: np.ndarray) -> np.ndarray:
         return self.adjoint().apply_stacked(x)
 
+    def apply_samples(self, samples: np.ndarray) -> np.ndarray:
+        """Apply to sample columns (n_samples, *passive): transform, apply, invert."""
+        g = self.grid
+        return inverse_stacked(g, self.apply_stacked(forward_stacked(g, samples)))
+
     def apply(self, f: DyadicFunction) -> DyadicFunction:
         if f.grid != self.grid:
             raise GridMismatchError("function grid does not match operator grid")
-        y = self.apply_stacked(forward_stacked(self.grid, f.samples))
-        return DyadicFunction(self.grid, inverse_stacked(self.grid, y))
+        return DyadicFunction(self.grid, self.apply_samples(f.samples))
 
     def __call__(self, f: DyadicFunction) -> DyadicFunction:
         return self.apply(f)
@@ -324,6 +328,19 @@ def multiplication_commutator(b: DyadicFunction, T, f: DyadicFunction) -> Dyadic
     Tf = T(f) if callable(T) else T.apply(f)
     Tbf = T(pointwise_multiply(b, f)) if callable(T) else T.apply(pointwise_multiply(b, f))
     return pointwise_multiply(b, Tf) - Tbf
+
+
+def multiplication_commutator_stacked(b: DyadicFunction, S: ShiftOperator,
+                                      samples: np.ndarray) -> np.ndarray:
+    """[M_b, S] applied to every column of ``samples`` (n_samples, *passive).
+
+    Column t of the result is ``multiplication_commutator(b, S, f_t)`` for the
+    function f_t sampled by column t.
+    """
+    if b.grid != S.grid:
+        raise GridMismatchError("b and the shift live on different grids")
+    bcol = b.samples.reshape(b.samples.shape + (1,) * (samples.ndim - 1))
+    return bcol * S.apply_samples(samples) - S.apply_samples(bcol * samples)
 
 
 @dataclass(frozen=True)

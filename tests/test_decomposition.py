@@ -11,8 +11,14 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      multiplication_commutator, random_function,
                      random_product_function, random_shift, tensor_function,
                      verify_identity)
+from dyadlab import ProductFunction, ShiftOperator, dyadic_bmo_norm, rect_bmo_norm
+from dyadlab.biparam import (forward2_stacked, inverse2_stacked,
+                             iterated_commutator_stacked)
+from dyadlab.decomposition import decompose, _trial_samples, evaluate_stacked
 from dyadlab.grids import WrongKindError
-from dyadlab.shifts import noncancellative_shift
+from dyadlab.haar import forward_stacked, inverse_stacked
+from dyadlab.norms import _trial_rng
+from dyadlab.shifts import multiplication_commutator_stacked, noncancellative_shift
 
 
 def test_wrong_kind_errors(rng):
@@ -330,3 +336,166 @@ def test_verify_identity_report_shape(rng):
                 "pass", "seed"):
         assert key in rep
     assert json.dumps(rep)  # JSON-ready
+
+
+# -- trial axis ----------------------------------------------------------------
+
+
+def _one_param_cases(rng):
+    """(b, S): cancellative and both noncancellative orientations, d = 1 and
+    d = 2, and a shifted grid."""
+    g1, g2 = GridSpec(1, 5), GridSpec(2, 3)
+    go = GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))
+    cases = [(g1, random_shift(g1, 2, 1, rng)), (g2, random_shift(g2, 1, 2, rng)),
+             (go, random_shift(go, 1, 2, rng))]
+    for g in (g1, g2):
+        for ori in ("analysis", "synthesis"):
+            cases.append((g, random_shift(g, 0, 0, rng, kind="noncancellative",
+                                          orientation=ori)))
+    return [(random_function(g, rng), S) for g, S in cases]
+
+
+def _biparam_cases(rng):
+    """(b, (S1, S2)) over the same mixes, both orientations of each P factor
+    (PP, PP1, PP2, PP*), a d = 2 variable and shifted grids."""
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    pg2 = ProductGrid(GridSpec(2, 2), GridSpec(1, 3))
+    pgo = ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                      GridSpec(1, 3, omega=((0,), (1,), (1,))))
+
+    def non(g, ori):
+        return random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
+
+    cases = [(pg, random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 0, 2, rng)),
+             (pg, non(pg.grid1, "analysis"), random_shift(pg.grid2, 1, 0, rng)),
+             (pg, random_shift(pg.grid1, 2, 1, rng), non(pg.grid2, "synthesis"))]
+    for o1 in ("analysis", "synthesis"):
+        for o2 in ("analysis", "synthesis"):
+            cases.append((pg, non(pg.grid1, o1), non(pg.grid2, o2)))
+    cases += [(pg2, random_shift(pg2.grid1, 1, 1, rng), non(pg2.grid2, "synthesis")),
+              (pg2, non(pg2.grid1, "analysis"), random_shift(pg2.grid2, 2, 1, rng)),
+              (pgo, random_shift(pgo.grid1, 1, 1, rng), random_shift(pgo.grid2, 0, 2, rng))]
+    return [(random_product_function(p, rng), (S1, S2)) for p, S1, S2 in cases]
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+
+
+def test_stacked_evaluation_matches_per_column_calls(rng):
+    T = 3
+    for b, S in _one_param_cases(rng):
+        g = b.grid
+        tl = decompose(b, S)
+        F = rng.standard_normal((g.n_samples, T))
+        got = inverse_stacked(g, evaluate_stacked(tl, forward_stacked(g, F)))
+        assert got.shape == F.shape
+        for t in range(T):
+            want = evaluate_terms(tl, DyadicFunction(g, F[:, t])).samples
+            assert _close(got[:, t], want), (tl.case, g, t)
+    for b, (S1, S2) in _biparam_cases(rng):
+        pg = b.pgrid
+        tl = decompose_biparam(b, S1, S2)
+        F = rng.standard_normal(pg.shape + (T,))
+        got = inverse2_stacked(pg, evaluate_stacked(tl, forward2_stacked(pg, F)))
+        assert got.shape == F.shape
+        for t in range(T):
+            want = evaluate_terms(tl, ProductFunction(pg, F[..., t])).samples
+            assert _close(got[..., t], want), (tl.case, pg, t)
+
+
+def test_stacked_commutators_match_per_column_calls(rng):
+    T = 3
+    for b, S in _one_param_cases(rng):
+        F = rng.standard_normal((b.grid.n_samples, T))
+        got = multiplication_commutator_stacked(b, S, F)
+        for t in range(T):
+            want = multiplication_commutator(b, S, DyadicFunction(b.grid, F[:, t]))
+            assert _close(got[:, t], want.samples)
+    for b, (S1, S2) in _biparam_cases(rng):
+        pg = b.pgrid
+        F = rng.standard_normal(pg.shape + (T,))
+        got = iterated_commutator_stacked(b, S1, S2, F)
+        for t in range(T):
+            want = iterated_commutator(b, S1, S2, ProductFunction(pg, F[..., t]))
+            assert _close(got[..., t], want.samples)
+
+
+def _loop_residuals(tl, scale, trials, seed):
+    """Per-trial residuals of ``tl`` against the direct commutator, one call each."""
+    out = []
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        if tl.arity == 1:
+            f = random_function(tl.b.grid, rng)
+            direct = multiplication_commutator(tl.b, tl.shifts[0], f)
+        else:
+            f = random_product_function(tl.b.pgrid, rng)
+            direct = iterated_commutator(tl.b, *tl.shifts, f)
+        out.append((direct - evaluate_terms(tl, f)).norm() / (scale * f.norm()))
+    return out
+
+
+def test_verify_identity_residual_matches_per_trial_loop(rng):
+    for b, S in _one_param_cases(rng)[:4]:
+        rep = verify_identity(b, S, trials=6, rng_seed=11)
+        want = max(_loop_residuals(decompose(b, S), dyadic_bmo_norm(b), 6, 11))
+        assert abs(rep["max_residual"] - want) <= 1e-15
+    for b, shifts in _biparam_cases(rng)[:4]:
+        rep = verify_identity(b, shifts, trials=4, rng_seed=11)
+        want = max(_loop_residuals(decompose_biparam(b, *shifts), rect_bmo_norm(b), 4, 11))
+        assert abs(rep["max_residual"] - want) <= 1e-15
+
+
+def test_verify_identity_measures_every_trial(rng, monkeypatch):
+    # with one term dropped the residuals are O(1) and differ per trial, so
+    # the report's maximum must be the largest of the per-trial ones
+    from dyadlab import decomposition
+    g = GridSpec(1, 5)
+    b, S = random_function(g, rng), random_shift(g, 1, 2, rng)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    b2 = random_product_function(pg, rng)
+    S1, S2 = random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 0, 1, rng)
+    broken = decompose(b, S).drop(0)
+    broken2 = decompose_biparam(b2, S1, S2).drop(0)
+    monkeypatch.setattr(decomposition, "decompose", lambda *a: broken)
+    monkeypatch.setattr(decomposition, "decompose_biparam", lambda *a: broken2)
+    for tl, shifts, scale in ((broken, S, dyadic_bmo_norm(b)),
+                              (broken2, (S1, S2), rect_bmo_norm(b2))):
+        res = _loop_residuals(tl, scale, 5, 3)
+        assert min(res) > 1e-3 and int(np.argmax(res)) != 0
+        rep = verify_identity(tl.b, shifts, trials=5, rng_seed=3)
+        assert abs(rep["max_residual"] - max(res)) <= 1e-12 * max(res)
+        assert not rep["pass"]
+
+
+def test_trial_stack_columns_are_the_per_trial_draws():
+    g = GridSpec(1, 4)
+    F = _trial_samples((g.n_samples,), 9, 4)
+    for t in range(4):
+        assert np.array_equal(F[:, t], random_function(g, _trial_rng(9, t)).samples)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(2, 2))
+    F2 = _trial_samples(pg.shape, 9, 3)
+    for t in range(3):
+        assert np.array_equal(F2[..., t],
+                              random_product_function(pg, _trial_rng(9, t)).samples)
+    rep = verify_identity(random_function(g, np.random.default_rng(0)),
+                          random_shift(g, 1, 1, 0), trials=0, rng_seed=9)
+    assert rep["max_residual"] == 0.0 and rep["pass"]
+
+
+def test_one_param_evaluation_applies_the_shift_at_most_twice(rng, monkeypatch):
+    # one call for the inner terms, one for the summed outer terms
+    g = GridSpec(1, 6)
+    tl = decompose_cancellative(random_function(g, rng), random_shift(g, 4, 4, rng))
+    assert sum(t.outer1 for t in tl.terms) == 6
+    calls = []
+    apply_stacked = ShiftOperator.apply_stacked
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return apply_stacked(self, x)
+
+    monkeypatch.setattr(ShiftOperator, "apply_stacked", counting)
+    evaluate_terms(tl, random_function(g, rng))
+    assert len(calls) <= 2

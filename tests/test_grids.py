@@ -119,3 +119,12 @@ def test_desc_groups_cover_levels():
     groups = idx.desc_groups(1, 2)
     assert groups.shape == (g.n_cubes(1), 16)
     assert sorted(groups.reshape(-1).tolist()) == list(range(g.n_cubes(3)))
+
+
+def test_level_offset_is_the_running_sum():
+    for d, N in ((1, 8), (2, 5), (3, 4)):
+        g = GridSpec(d, N)
+        off = 1
+        for level in range(N + 1):
+            assert g.level_offset(level) == off
+            off += g.n_cubes(level) * g.n_sig

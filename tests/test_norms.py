@@ -236,3 +236,41 @@ def test_norm_report_serialization():
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("kind,k,l,i,j,trials,max_ratio,seed")
     assert lines[1].split(",")[0] == "Bk"
+
+
+def test_jn_profile_gives_jn_check_for_every_p(rng):
+    from dyadlab.norms import jn_profile, jn_ratio
+    g = GridSpec(2, 3)
+    a = random_function(g, rng)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    a2 = random_product_function(pg, rng)
+    for fn, region in ((a, DyadicCube(1, (1, 0))),
+                       (a2, (DyadicCube(1, (0,)), DyadicCube(0, (0,))))):
+        profile = jn_profile(fn, region)
+        for p in (1.25, 1.5, 2.0, 3.0):
+            assert jn_ratio(profile, p) == jn_check(fn, region, p)
+        with pytest.raises(ValueError):
+            jn_ratio(profile, 1.0)
+
+
+def test_uniformity_study_biparam_rows_match_apply_biparam():
+    # transforming each trial once must not change any row
+    from dyadlab import BiparamOperatorSpec, apply_biparam
+    from dyadlab.norms import _random_signs, _trial_rng
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    reports = uniformity_study("Bkl", {"N1": 3, "N2": 3, "kmax": 2, "lmax": 1},
+                               trials=3, rng_seed=6)
+    best = {}
+    for t in range(3):
+        rng = _trial_rng(6, t)
+        b = random_product_function(pg, rng)
+        f = random_product_function(pg, rng)
+        beta1, beta2 = _random_signs(pg.grid1, rng), _random_signs(pg.grid2, rng)
+        denom = rect_bmo_norm(b) * f.norm()
+        for k in range(3):
+            for l in range(2):
+                spec = BiparamOperatorSpec("Bkl", k=k, l=l, beta1=beta1, beta2=beta2)
+                best[(k, l)] = max(best.get((k, l), 0.0),
+                                   apply_biparam(spec, b, f).norm() / denom)
+    assert [(r.k, r.l, r.max_ratio) for r in reports] == \
+        [(k, l, v) for (k, l), v in best.items()]

@@ -204,3 +204,25 @@ def test_p_linear_in_each_slot(rng):
     lhs = apply_P(DyadicFunction(g, b.samples + u.samples), a, f)
     rhs = apply_P(b, a, f) + apply_P(u, a, f)
     assert (lhs - rhs).norm() < 1e-11 * max(1.0, lhs.norm())
+
+
+def test_bk_operator_equality_and_hash(rng):
+    from dyadlab import decompose_cancellative, random_shift
+    g = GridSpec(1, 4)
+    beta = tuple(np.where(np.arange(g.n_cubes(lvl)) % 2, -1.0, 1.0) for lvl in range(g.N))
+    a, b = BkOperator(g, 1, beta=beta), BkOperator(g, 1, beta=beta)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    flipped = (beta[0], -beta[1]) + beta[2:]
+    assert a != BkOperator(g, 1, beta=flipped)
+    assert a != BkOperator(g, 1) and BkOperator(g, 1) == BkOperator(g, 1)
+    assert a != BkOperator(g, 2, beta=beta)
+    assert a != BkOperator(GridSpec(1, 4, omega=((1,), (0,), (0,), (0,))), 1, beta=beta)
+    g2 = GridSpec(2, 3)
+    assert BkOperator(g2, 0, (0, 1), (1, 0), (1, 0)) != BkOperator(g2, 0, (0, 1), (0, 1), (0, 1))
+    # decomposition terms hold k >= 1 atoms with per-level sign betas
+    f = random_function(g, rng)
+    S = random_shift(g, 2, 2, rng)
+    t1, t2 = decompose_cancellative(f, S).terms, decompose_cancellative(f, S).terms
+    assert any(t.atom1.k >= 1 for t in t1)
+    assert t1 == t2 and len(set(t1) | set(t2)) == len(t1)
+    assert t1[0] != t1[-1]
