@@ -1,4 +1,4 @@
-"""Dyadic shifts: construction, contraction, adjoints, operator norms.
+"""Dyadic shifts: construction, contraction, adjoints, exact operator norms.
 
 A shift of parameters (i, j) routes Haar coefficients from depth i below each
 block cube K to depth j below it. The coefficient normalization makes every
@@ -8,8 +8,8 @@ paraproduct driven by a BMO-normalized symbol.
 
 import numpy as np
 
-from dyadlab import (GridSpec, inner_product, operator_norm, random_function,
-                     random_shift)
+from dyadlab import (DyadicFunction, GridSpec, inner_product, operator_norm,
+                     random_function, random_shift)
 
 rng = np.random.default_rng(2)
 grid = GridSpec(d=1, N=6)
@@ -30,22 +30,18 @@ f, g = random_function(grid, rng), random_function(grid, rng)
 print("\n<Sf,g> - <f,S^T g> =",
       inner_product(S.apply(f), g) - inner_product(f, S.adjoint().apply(g)))
 
-# --- power iteration against the dense spectrum ------------------------------
-from dyadlab import DyadicFunction
+# --- exact norm: one pass over the identity stack ----------------------------
+from dyadlab import dense_matrix
 
-est = operator_norm(S.as_handle(), tol=1e-9, rng_seed=5)
-cols = []
-for k in range(grid.n_samples):
-    e = np.zeros(grid.n_samples)
-    e[k] = 1.0
-    cols.append(S.apply(DyadicFunction(grid, e)).samples)
-dense = np.column_stack(cols)
-exact = np.linalg.svd(dense, compute_uv=False)[0]
-print(f"power iteration {est:.10f} vs dense SVD {exact:.10f}")
+column_loop = np.column_stack([S.apply(DyadicFunction(grid, e)).samples
+                               for e in np.eye(grid.n_samples)])
+svd = np.linalg.svd(column_loop, compute_uv=False)[0]
+print(f"operator_norm {operator_norm(S):.10f} vs column-by-column SVD {svd:.10f}")
+print("identity-stack matrix vs column loop, max |difference|:",
+      np.max(np.abs(dense_matrix(S) - column_loop)))
 
 # --- noncancellative shifts carry a unit-BMO symbol --------------------------
 from dyadlab import dyadic_bmo_norm
 Sn = random_shift(grid, 0, 0, rng, kind="noncancellative")
 print("\nsymbol BMO norm:", dyadic_bmo_norm(Sn.symbol))
-print("noncancellative shift norm estimate:",
-      round(operator_norm(Sn.as_handle(), rng_seed=3), 4))
+print("noncancellative shift norm:", round(operator_norm(Sn), 4))

@@ -20,7 +20,6 @@ omega = sample_omega(base, 12345)
 grid = shifted_grid(base, omega)
 print("offsets per level:", [o[0] for o in omega.offsets])
 print("translation in finest cells:", grid.shift[0])
-print("level-2 cube start cells:", grid.start_cells(2))
 
 # --- one grid vs the average ---------------------------------------------------
 builder = hilbert_pattern_builder(base)

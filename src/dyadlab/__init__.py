@@ -12,10 +12,9 @@ from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec,
 from .haar import (DyadicFunction, HaarCoefficients, haar_forward,
                    haar_function, haar_inverse, inner_product,
                    pointwise_multiply, random_function)
-from .shifts import (LinearOperatorHandle, PowerIterationResult, ShiftOperator,
+from .shifts import (LinearOperatorHandle, ShiftOperator, dense_matrix,
                      expected_coefficient_count, multiplication_commutator,
-                     noncancellative_shift, operator_norm, power_iteration,
-                     random_shift)
+                     noncancellative_shift, operator_norm, random_shift)
 from .paraproducts import (BkOperator, apply_Bk, apply_P, apply_P_adjoint)
 from .biparam import (BiparamOperatorSpec, ProductFunction, ProductGrid,
                       apply_biparam, apply_in_variable, inner_product2,

@@ -207,6 +207,9 @@ def cmd_jn_check(args) -> int:
 
 
 def cmd_mc_demo(args) -> int:
+    if args.samples < 1:
+        print(f"mc-demo: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return USAGE_ERROR
     base = GridSpec(1, args.N)
     rep = mc_representation_demo(base, args.samples, args.seed)
     results = {k: v for k, v in rep.items()

@@ -110,9 +110,6 @@ class TermList:
         return TermList(self.arity, self.b, self.shifts, terms,
                         self.case, dict(self.meta))
 
-    def evaluate(self, f):
-        return evaluate_terms(self, f)
-
     def to_json(self) -> str:
         obj = {"arity": self.arity, "case": self.case, "meta": self.meta,
                "terms": [t.describe() for t in self.terms],

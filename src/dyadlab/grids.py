@@ -136,10 +136,6 @@ class GridSpec:
             out.append(DyadicCube(cube.level + 1, pos))
         return out
 
-    def start_cells(self, level: int) -> np.ndarray:
-        """Per-axis first cell of the lowest-starting cube at ``level``."""
-        return np.asarray(self.shift, dtype=np.int64) % (1 << (self.N - level))
-
     # -- signatures -------------------------------------------------------
 
     def sig_int(self, sig) -> int:

@@ -17,8 +17,8 @@ import numpy as np
 from .grids import GridSpec
 from .haar import random_function
 from .norms import NormReport, dyadic_bmo_norm, geometric_constant
-from .shifts import (LinearOperatorHandle, ShiftOperator, max_k_level,
-                     multiplication_commutator, random_shift)
+from .shifts import (LinearOperatorHandle, ShiftOperator, dense_matrix,
+                     max_k_level, multiplication_commutator, random_shift)
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,6 @@ def hilbert_pattern_shift(grid: GridSpec) -> ShiftOperator:
     return ShiftOperator(grid, 0, 1, "cancellative", blocks=tuple(blocks))
 
 
-def _pattern_matrix(base: GridSpec) -> np.ndarray:
-    """Closed-form dense matrix of the fixed pattern on the standard grid,
-    built from the sampled Haar functions of each level (rows = cubes)."""
-    n = base.n_samples
-    rows = []
-    for lvl in range(base.N):
-        step = n >> lvl
-        pattern = np.zeros(n)
-        pattern[:step // 2] = 2.0 ** (lvl / 2.0)
-        pattern[step // 2:step] = -2.0 ** (lvl / 2.0)
-        rows.append(np.stack([np.roll(pattern, m * step)
-                              for m in range(base.n_cubes(lvl))]))
-    M = np.zeros((n, n))
-    for kappa in range(base.N - 1):
-        children = rows[kappa + 1]
-        out_rows = 2.0 ** -0.5 * (children[0::2] - children[1::2])
-        M += out_rows.T @ rows[kappa] * base.cell_volume
-    return M
-
-
 def hilbert_pattern_builder(base: GridSpec):
     """omega -> handle of the fixed pattern on the shifted grid.
 
@@ -96,17 +76,13 @@ def hilbert_pattern_builder(base: GridSpec):
     the matrix by the grid's shift along both axes.
     """
     pattern = hilbert_pattern_shift(base)
-    adjoint = pattern.adjoint()
-    M_base = _pattern_matrix(base)
+    M_base = dense_matrix(pattern)
 
     def build(omega: OmegaSample) -> LinearOperatorHandle:
         g = shifted_grid(base, omega)
         s = g.shift[0]
-        return LinearOperatorHandle(g, replace(pattern, grid=g).apply,
-                                    adjoint=replace(adjoint, grid=g).apply,
-                                    matrix_fn=lambda: np.roll(M_base, (s, s), axis=(0, 1)),
-                                    kind="fixed-pattern",
-                                    params={"omega_seed": omega.seed})
+        return LinearOperatorHandle(g, replace(pattern, grid=g).apply_samples,
+                                    matrix_fn=lambda: np.roll(M_base, (s, s), axis=(0, 1)))
 
     build.grid = base
     return build
@@ -118,8 +94,9 @@ def average_operator(builder, samples: int, rng_seed: int, base: GridSpec = None
     ``builder`` maps an OmegaSample to a LinearOperatorHandle (or directly to
     a dense matrix); the base grid is read from ``builder.grid`` unless given.
     Per-sample seeds derive from the master seed and accumulation is
-    sequential in sample order, so results are bit-stable. Builder failures
-    skip the sample and are counted in the returned stats.
+    sequential in sample order, so results are bit-stable. A builder that
+    raises stops the average; the exception carries a note naming the
+    sample's replay seed (``sample_omega(base, seed)`` rebuilds its grid).
     """
     [(mean, stderr)], stats = _average_stats(builder, (lambda M: M,), samples,
                                              rng_seed, base)
@@ -132,22 +109,21 @@ def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = N
     base = base or getattr(builder, "grid", None)
     if not isinstance(base, GridSpec):
         raise ValueError("builder must expose its base grid (builder.grid or base=)")
+    if samples < 1:
+        raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
     children = np.random.SeedSequence(rng_seed).spawn(samples)
     mean = [None] * len(fns)
     msq = [None] * len(fns)
-    used = 0
-    skipped = 0
-    for child in children:
+    for used, child in enumerate(children, start=1):
         seed = int(child.generate_state(1)[0])
         try:
             handle = builder(sample_omega(base, seed))
             M = handle.matrix() if isinstance(handle, LinearOperatorHandle) \
                 else np.asarray(handle, dtype=float)
             values = [fn(M) for fn in fns]
-        except Exception:
-            skipped += 1
-            continue
-        used += 1
+        except BaseException as exc:  # annotated and re-raised, never dropped
+            exc.add_note(f"Monte Carlo sample {used} of {samples}, replay seed {seed}")
+            raise
         for n, X in enumerate(values):
             if mean[n] is None:
                 mean[n] = np.zeros_like(X)
@@ -155,30 +131,13 @@ def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = N
             delta = X - mean[n]
             mean[n] += delta / used
             msq[n] += delta * (X - mean[n])
-    if used == 0:
-        raise RuntimeError("all Monte Carlo samples failed")
     out = [(m, np.sqrt(q / (used - 1) / used) if used > 1 else np.zeros_like(m))
            for m, q in zip(mean, msq)]
-    return out, {"samples": samples, "used": used, "skipped": skipped,
-                 "seed": rng_seed}
+    return out, {"samples": samples, "used": used, "seed": rng_seed}
 
 
 # ---------------------------------------------------------------------------
 # Statistics on averaged matrices.
-
-
-def wrap_builder(builder, fn, base: GridSpec = None):
-    """Builder that emits fn(matrix) instead of the matrix; fn must be linear
-    for the averaged output to estimate fn(E[M])."""
-    base = base or getattr(builder, "grid", None)
-
-    def build(omega):
-        h = builder(omega)
-        M = h.matrix() if isinstance(h, LinearOperatorHandle) else np.asarray(h)
-        return fn(M)
-
-    build.grid = base
-    return build
 
 
 def toeplitz_deviation(M: np.ndarray) -> np.ndarray:

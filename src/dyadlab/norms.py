@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec, grid_index
-from .haar import (DyadicFunction, broadcast_level, forward_stacked, pool_level)
+from .haar import (DyadicFunction, broadcast_level, forward_stacked,
+                   inverse_stacked, pool_level)
 from .biparam import ProductFunction, ProductGrid, forward2, random_product_function
 
 
@@ -36,12 +37,15 @@ def _subtree_masses(grid: GridSpec, stacked: np.ndarray) -> list:
 
 def dyadic_bmo_norm(b: DyadicFunction) -> float:
     """Dyadic BMO norm; invariant under adding constants, homogeneous of degree 1."""
-    g = b.grid
-    stacked = forward_stacked(g, b.samples)
-    masses = _subtree_masses(g, stacked)
+    return _bmo_stacked(b.grid, forward_stacked(b.grid, b.samples))
+
+
+def _bmo_stacked(grid: GridSpec, stacked: np.ndarray) -> float:
+    """:func:`dyadic_bmo_norm` from the stacked coefficients of b."""
+    masses = _subtree_masses(grid, stacked)
     best = 0.0
-    for lvl in range(g.N):
-        best = max(best, float(np.max(masses[lvl])) * 2.0 ** (lvl * g.d))
+    for lvl in range(grid.N):
+        best = max(best, float(np.max(masses[lvl])) * 2.0 ** (lvl * grid.d))
     return float(np.sqrt(best))
 
 
@@ -433,25 +437,31 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     Kinds: ``Bk`` (k range), ``Sk`` (square-function variant), ``Bkl``
     ((k,l) range), ``BPk``, ``PBl``, ``PP``, ``PP1``, ``P``.
     """
-    from .paraproducts import BkOperator, apply_Bk, apply_P
+    from .paraproducts import BkOperator, apply_P, bk_stacked
     from .biparam import (BiparamOperatorSpec, biparam_operands, inverse2,
                           pair_apply, tensor_function)
     from .haar import random_function
     reports = []
     if kind == "Bk":
         grid = grid or GridSpec(1, params.get("N", 8))
-        for k in range(params.get("kmax", 8) + 1):
-            best = 0.0
-            for t in range(trials):
-                rng = _trial_rng(rng_seed, t)
-                b = random_function(grid, rng)
-                f = random_function(grid, rng)
-                op = BkOperator(grid, k, beta=_random_signs(grid, rng))
-                denom = dyadic_bmo_norm(b) * f.norm()
+        ks = range(params.get("kmax", 8) + 1)
+        # every draw of a trial is independent of k, so each trial is drawn
+        # and transformed once and measured against every k
+        best = dict.fromkeys(ks, 0.0)
+        for t in range(trials):
+            rng = _trial_rng(rng_seed, t)
+            b = random_function(grid, rng)
+            f = random_function(grid, rng)
+            beta = _random_signs(grid, rng)
+            bc, xc = forward_stacked(grid, b.samples), forward_stacked(grid, f.samples)
+            denom = _bmo_stacked(grid, bc) * f.norm()
+            for k in ks:
+                op = BkOperator(grid, k, beta=beta)
                 if denom > 0:
-                    best = max(best, apply_Bk(op, b, f).norm() / denom)
-            reports.append(NormReport(kind="Bk", k=k, trials=trials,
-                                      max_ratio=best, seed=rng_seed))
+                    out = inverse_stacked(grid, bk_stacked(op, bc, xc))
+                    best[k] = max(best[k], DyadicFunction(grid, out).norm() / denom)
+        reports += [NormReport(kind="Bk", k=k, trials=trials, max_ratio=best[k],
+                               seed=rng_seed) for k in ks]
     elif kind == "Sk":
         grid = grid or GridSpec(1, params.get("N", 8))
         for k in range(params.get("kmax", 6) + 1):

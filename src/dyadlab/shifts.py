@@ -1,4 +1,4 @@
-"""Dyadic shift operators, multiplication commutators, operator-norm estimation.
+"""Dyadic shift operators, multiplication commutators, exact operator norms.
 
 A shift of parameters (i, j) moves Haar coefficients from cubes I at depth i
 below K to cubes J at depth j below K, one block per K, with entries bounded
@@ -13,7 +13,6 @@ normalization every cancellative shift is an exact L2 contraction.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec,
                     InvalidIndexError, WrongKindError, grid_index)
 from .haar import (DyadicFunction, forward_stacked, fold_noncancellative,
-                   inverse_stacked, pointwise_multiply, scaling_levels)
+                   inverse_stacked, scaling_levels)
 
 CANCELLATIVE = "cancellative"
 NONCANCELLATIVE = "noncancellative"
@@ -55,6 +54,7 @@ class ShiftOperator:
     symbol: DyadicFunction = None
     orientation: str = None
     meta: dict = field(default_factory=dict)
+    _acoef: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind == CANCELLATIVE:
@@ -67,6 +67,13 @@ class ShiftOperator:
                 raise WrongKindError(f"bad orientation {self.orientation}")
             if self.symbol is None or self.symbol.grid != self.grid:
                 raise GridMismatchError("symbol must live on the operator grid")
+            g = self.grid
+            sc = forward_stacked(g, self.symbol.samples)
+            acoef = tuple(g.level_block(sc, lvl) * 2.0 ** (lvl * g.d / 2.0)
+                          for lvl in range(g.N))
+            for a in acoef:
+                a.setflags(write=False)
+            object.__setattr__(self, "_acoef", acoef)
         else:
             raise WrongKindError(f"unknown shift kind {self.kind}")
 
@@ -76,14 +83,10 @@ class ShiftOperator:
     def cancellative(self) -> bool:
         return self.kind == CANCELLATIVE
 
-    def symbol_coefficients(self) -> list:
-        """Per-level arrays a_I = <a,h_I^sig> |I|**(-1/2), shape (n_cubes, n_sig)."""
-        g = self.grid
-        sc = forward_stacked(g, self.symbol.samples)
-        out = []
-        for lvl in range(g.N):
-            out.append(g.level_block(sc, lvl) * 2.0 ** (lvl * g.d / 2.0))
-        return out
+    def symbol_coefficients(self) -> tuple:
+        """Per-level arrays a_I = <a,h_I^sig> |I|**(-1/2), shape (n_cubes, n_sig);
+        computed once, when the shift is built."""
+        return self._acoef
 
     # -- application -------------------------------------------------------
 
@@ -102,7 +105,7 @@ class ShiftOperator:
                 res = np.einsum("kabcd,kab...->kcd...", block, fin)
                 g.level_block(out, kappa + self.j)[gj] += res
         else:
-            acoef = self.symbol_coefficients()
+            acoef = self._acoef
             if self.orientation == ANALYSIS:
                 scal = scaling_levels(g, x)
                 for lvl in range(g.N):
@@ -118,9 +121,6 @@ class ShiftOperator:
                 out += fold_noncancellative(g, contribs)
         return out
 
-    def adjoint_stacked(self, x: np.ndarray) -> np.ndarray:
-        return self.adjoint().apply_stacked(x)
-
     def apply_samples(self, samples: np.ndarray) -> np.ndarray:
         """Apply to sample columns (n_samples, *passive): transform, apply, invert."""
         g = self.grid
@@ -130,9 +130,6 @@ class ShiftOperator:
         if f.grid != self.grid:
             raise GridMismatchError("function grid does not match operator grid")
         return DyadicFunction(self.grid, self.apply_samples(f.samples))
-
-    def __call__(self, f: DyadicFunction) -> DyadicFunction:
-        return self.apply(f)
 
     def adjoint(self) -> "ShiftOperator":
         if self.cancellative:
@@ -145,16 +142,9 @@ class ShiftOperator:
         return ShiftOperator(self.grid, 0, 0, NONCANCELLATIVE, symbol=self.symbol,
                              orientation=flip, meta=dict(self.meta))
 
-    def as_handle(self) -> "LinearOperatorHandle":
-        params = {"i": self.i, "j": self.j, "kind": self.kind}
-        if not self.cancellative:
-            params["orientation"] = self.orientation
-        return LinearOperatorHandle(self.grid, self.apply, adjoint=self.adjoint().apply,
-                                    kind="shift", params=params)
-
     def coefficient_count(self) -> int:
         if not self.cancellative:
-            return sum(int(np.count_nonzero(np.ones_like(a))) for a in self.symbol_coefficients())
+            return sum(a.size for a in self._acoef)
         return sum(0 if b is None else b.size for b in self.blocks)
 
     # -- serialization -----------------------------------------------------
@@ -291,43 +281,44 @@ def noncancellative_shift(grid: GridSpec, symbol: DyadicFunction,
 
 
 # ---------------------------------------------------------------------------
-# Generic operator handles, commutators, power iteration.
+# The sample-stack protocol: dense matrices, exact norms, commutators.
+
+
+def dense_matrix(op) -> np.ndarray:
+    """Sample-space matrix of any operator with ``grid`` and ``apply_samples``:
+    its image of the identity stack, column k being the operator applied to
+    the k-th point mass."""
+    return op.apply_samples(np.eye(op.grid.n_samples))
+
+
+def operator_norm(op) -> float:
+    """Exact L2 -> L2 operator norm: the largest singular value of
+    :func:`dense_matrix` (the cell volume cancels in the ratio)."""
+    return float(np.linalg.norm(dense_matrix(op), 2))
 
 
 @dataclass
 class LinearOperatorHandle:
-    """Opaque evaluator f -> Tf on a fixed grid, with optional adjoint/matrix."""
+    """An operator on a fixed grid given by its action on sample stacks
+    (n_samples, *passive), with an optional shortcut for its dense matrix."""
 
     grid: GridSpec
-    apply: callable
-    adjoint: callable = None
+    apply_samples: callable
     matrix_fn: callable = None
-    kind: str = "generic"
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, f: DyadicFunction) -> DyadicFunction:
-        return self.apply(f)
 
     def matrix(self) -> np.ndarray:
-        """Dense sample-space matrix, assembled column by column if needed."""
+        """Dense sample-space matrix: ``matrix_fn()`` or :func:`dense_matrix`."""
         if self.matrix_fn is not None:
             return self.matrix_fn()
-        n = self.grid.n_samples
-        cols = []
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            cols.append(self.apply(DyadicFunction(self.grid, e)).samples)
-        return np.column_stack(cols)
+        return dense_matrix(self)
 
 
-def multiplication_commutator(b: DyadicFunction, T, f: DyadicFunction) -> DyadicFunction:
-    """[M_b, T] f = b * (T f) - T(b * f); products exact on samples."""
+def multiplication_commutator(b: DyadicFunction, S: ShiftOperator,
+                              f: DyadicFunction) -> DyadicFunction:
+    """[M_b, S] f = b * (S f) - S(b * f); products exact on samples."""
     if b.grid != f.grid:
         raise GridMismatchError("b and f live on different grids")
-    Tf = T(f) if callable(T) else T.apply(f)
-    Tbf = T(pointwise_multiply(b, f)) if callable(T) else T.apply(pointwise_multiply(b, f))
-    return pointwise_multiply(b, Tf) - Tbf
+    return DyadicFunction(b.grid, multiplication_commutator_stacked(b, S, f.samples))
 
 
 def multiplication_commutator_stacked(b: DyadicFunction, S: ShiftOperator,
@@ -341,52 +332,3 @@ def multiplication_commutator_stacked(b: DyadicFunction, S: ShiftOperator,
         raise GridMismatchError("b and the shift live on different grids")
     bcol = b.samples.reshape(b.samples.shape + (1,) * (samples.ndim - 1))
     return bcol * S.apply_samples(samples) - S.apply_samples(bcol * samples)
-
-
-@dataclass(frozen=True)
-class PowerIterationResult:
-    value: float
-    iterations: int
-    converged: bool
-    rel_change: float
-
-
-def power_iteration(T, iters: int = 500, tol: float = 1e-6,
-                    rng_seed: int = 0) -> PowerIterationResult:
-    """Top singular value of T via power iteration on T^T T."""
-    grid = T.grid
-    apply_ = T.apply if hasattr(T, "apply") else T
-    if isinstance(T, ShiftOperator):
-        adj_ = T.adjoint().apply
-    else:
-        adj = getattr(T, "adjoint", None)
-        if adj is None:
-            raise ValueError("power iteration needs an adjoint evaluator")
-        adj_ = adj if callable(adj) else adj.apply
-    rng = np.random.default_rng(rng_seed)
-    x = rng.standard_normal(grid.n_samples)
-    x /= np.linalg.norm(x)
-    prev = 0.0
-    rel = np.inf
-    for it in range(1, iters + 1):
-        v = apply_(DyadicFunction(grid, x))
-        sigma = v.norm() / np.sqrt(np.sum(x ** 2) * grid.cell_volume)
-        w = adj_(v)
-        nw = np.linalg.norm(w.samples)
-        if nw == 0.0 or sigma == 0.0:
-            return PowerIterationResult(0.0, it, True, 0.0)
-        x = w.samples / nw
-        rel = abs(sigma - prev) / max(sigma, 1e-300)
-        if rel < tol:
-            return PowerIterationResult(float(sigma), it, True, float(rel))
-        prev = sigma
-    return PowerIterationResult(float(prev), iters, False, float(rel))
-
-
-def operator_norm(T, iters: int = 500, tol: float = 1e-6, rng_seed: int = 0) -> float:
-    """L2 -> L2 operator norm estimate; warns if power iteration stalls."""
-    res = power_iteration(T, iters=iters, tol=tol, rng_seed=rng_seed)
-    if not res.converged:
-        warnings.warn(f"power iteration did not converge (rel change {res.rel_change:.2e}); "
-                      "returning last iterate", RuntimeWarning)
-    return res.value

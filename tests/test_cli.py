@@ -69,6 +69,13 @@ def test_mc_demo_small(tmp_path):
     assert csv_head == "row,col,mean,stderr"
 
 
+def test_mc_demo_zero_samples_exits_2(tmp_path, capsys):
+    code, report = run(["mc-demo", "--N", "4", "--samples", "0"], tmp_path, "mc-demo")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("mc-demo: --samples") and "\n" not in err
+
+
 def test_bound_study(tmp_path):
     code, report = run(["bound-study", "--delta", "1.0", "--imax", "1",
                         "--jmax", "1", "--trials", "2", "--N", "4",

@@ -1,3 +1,4 @@
+import glob
 import os
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("name", ["01_haar_transforms.py", "06_random_grids.py"])
+DEMOS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

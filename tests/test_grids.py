@@ -108,9 +108,9 @@ def test_shift_from_omega():
 
 def test_shifted_level_offsets():
     # omega_2 = 1 shifts the level-1 partition by 2**-2 (one cell at N=2)
-    g = GridSpec(1, 2, omega=((0,), (1,)))
-    assert g.start_cells(1).tolist() == [1]
-    assert g.start_cells(2).tolist() == [0]  # finest cells never move
+    idx = grid_index(GridSpec(1, 2, omega=((0,), (1,))))
+    assert idx.cells(1).tolist() == [[1, 2], [3, 0]]
+    assert sorted(idx.cells(2).ravel().tolist()) == [0, 1, 2, 3]  # finest cells never move
 
 
 def test_desc_groups_cover_levels():

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from dyadlab import (GridSpec, OmegaSample, average_operator,
-                     commutator_bound_study, hilbert_pattern_builder,
+                     commutator_bound_study, dense_matrix, hilbert_pattern_builder,
                      hilbert_pattern_shift, mc_representation_demo,
                      random_function, sample_omega, shifted_grid,
                      toeplitz_deviation, zscore_verdict)
 from dyadlab import montecarlo
-from dyadlab.montecarlo import _bonferroni_z, wrap_builder
-from conftest import dense_matrix
+from dyadlab.montecarlo import _bonferroni_z
+from conftest import dense_shift_matrix_oracle
 
 
 BASE = GridSpec(1, 5)
@@ -24,9 +27,6 @@ def test_sample_omega_deterministic():
 def test_shifted_grid_identity_and_offsets():
     zero = OmegaSample(tuple((0,) for _ in range(BASE.N)), 0)
     assert shifted_grid(BASE, zero) == BASE
-    # omega_2 = 1 shifts the level-1 partition by 2**-2
-    g = GridSpec(1, 2, omega=((0,), (1,)))
-    assert g.start_cells(1).tolist() == [1]
 
 
 def test_pattern_coefficients_at_admissible_bound():
@@ -38,12 +38,22 @@ def test_pattern_coefficients_at_admissible_bound():
     assert np.allclose(block[..., 0, 0] + block[..., 1, 0], 0.0)
 
 
-def test_pattern_matrix_matches_generic_apply(rng):
+def test_base_matrix_matches_oracle():
+    # the unshifted sample's matrix is the base matrix itself
+    zero = OmegaSample(tuple((0,) for _ in range(BASE.N)), 0)
+    M_base = hilbert_pattern_builder(BASE)(zero).matrix()
+    assert np.max(np.abs(M_base - dense_shift_matrix_oracle(hilbert_pattern_shift(BASE)))) < 1e-13
+
+
+def test_sample_matrices_match_generic_apply():
     builder = hilbert_pattern_builder(BASE)
-    handle = builder(sample_omega(BASE, 9))
-    M = handle.matrix()
-    M2 = dense_matrix(handle, handle.grid)
-    assert np.max(np.abs(M - M2)) < 1e-12
+    pattern = hilbert_pattern_shift(BASE)
+    for seed in range(8):
+        handle = builder(sample_omega(BASE, seed))
+        M = handle.matrix()
+        assert np.max(np.abs(M - dense_matrix(handle))) < 1e-12
+        oracle = dense_shift_matrix_oracle(replace(pattern, grid=handle.grid))
+        assert np.max(np.abs(M - oracle)) < 1e-12
 
 
 def test_average_operator_trivial_cases():
@@ -63,7 +73,9 @@ def test_average_operator_trivial_cases():
     m, se, stats = average_operator(fixed_builder, 10, 3)
     assert np.max(np.abs(m - fixed)) == 0.0
     assert np.max(se) == 0.0
-    assert stats["used"] == 10 and stats["skipped"] == 0
+    assert stats == {"samples": 10, "used": 10, "seed": 3}
+    with pytest.raises(ValueError):
+        average_operator(fixed_builder, 0, 3)
 
 
 def test_average_operator_linearity():
@@ -86,19 +98,28 @@ def test_average_operator_linearity():
     assert np.max(np.abs(ms - (2.0 * ma + mb))) < 1e-12
 
 
-def test_average_operator_skips_failures():
+def test_average_operator_propagates_failures():
     g = GridSpec(1, 2)
-    calls = {"n": 0}
+    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(1).spawn(9)]
+    calls = []
 
     def flaky(om):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
+        calls.append(om.seed)
+        if len(calls) == 3:
             raise RuntimeError("boom")
         return np.eye(4)
     flaky.grid = g
-    m, se, stats = average_operator(flaky, 9, 1)
-    assert stats["skipped"] == 3 and stats["used"] == 6
-    assert np.max(np.abs(m - np.eye(4))) == 0.0
+    with pytest.raises(RuntimeError, match="boom") as info:
+        average_operator(flaky, 9, 1)
+    assert calls == seeds[:3]
+    assert any(f"replay seed {seeds[2]}" in note for note in info.value.__notes__)
+
+    # a failing statistic is reported the same way
+    def bad_statistic(M):
+        raise FloatingPointError("bad")
+    with pytest.raises(FloatingPointError) as info:
+        montecarlo._average_stats(hilbert_pattern_builder(g), (bad_statistic,), 5, 1)
+    assert any(f"replay seed {seeds[0]}" in note for note in info.value.__notes__)
 
 
 def test_toeplitz_deviation_is_linear_and_zero_on_circulant():
@@ -130,9 +151,15 @@ def test_representation_demo_small():
 def test_representation_demo_is_one_pass(monkeypatch):
     base = GridSpec(1, 4)
     builder = hilbert_pattern_builder(base)
+
+    def mapped(fn):
+        def build(omega):
+            return fn(builder(omega).matrix())
+        build.grid = base
+        return build
     want = [average_operator(builder, 50, 7)[:2],
-            average_operator(wrap_builder(builder, toeplitz_deviation), 50, 7)[:2],
-            average_operator(wrap_builder(builder, lambda M: M + M.T), 50, 7)[:2]]
+            average_operator(mapped(toeplitz_deviation), 50, 7)[:2],
+            average_operator(mapped(lambda M: M + M.T), 50, 7)[:2]]
     calls = []
 
     def counting_builder(grid):
@@ -164,14 +191,6 @@ def test_single_omega_matrix_not_toeplitz():
     builder = hilbert_pattern_builder(GridSpec(1, 5))
     M = builder(sample_omega(GridSpec(1, 5), 2)).matrix()
     assert np.max(np.abs(toeplitz_deviation(M))) > 1e-2
-
-
-def test_wrap_builder_transform():
-    builder = hilbert_pattern_builder(GridSpec(1, 4))
-    sym = wrap_builder(builder, lambda M: M + M.T)
-    om = sample_omega(GridSpec(1, 4), 6)
-    direct = builder(om).matrix()
-    assert np.max(np.abs(sym(om) - (direct + direct.T))) < 1e-14
 
 
 def test_bound_study_report(rng):

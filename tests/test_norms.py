@@ -274,3 +274,37 @@ def test_uniformity_study_biparam_rows_match_apply_biparam():
                                    apply_biparam(spec, b, f).norm() / denom)
     assert [(r.k, r.l, r.max_ratio) for r in reports] == \
         [(k, l, v) for (k, l), v in best.items()]
+
+
+def test_uniformity_study_bk_rows_match_apply_bk():
+    # drawing and transforming each trial once must not change any row
+    from dyadlab import BkOperator, apply_Bk
+    from dyadlab.norms import _random_signs, _trial_rng
+    g = GridSpec(1, 6)
+    reports = uniformity_study("Bk", {"N": 6, "kmax": 5}, trials=4, rng_seed=3)
+    best = [0.0] * 6
+    for t in range(4):
+        rng = _trial_rng(3, t)
+        b = random_function(g, rng)
+        f = random_function(g, rng)
+        beta = _random_signs(g, rng)
+        for k in range(6):
+            op = BkOperator(g, k, beta=beta)
+            best[k] = max(best[k], apply_Bk(op, b, f).norm() / (dyadic_bmo_norm(b) * f.norm()))
+    assert [(r.k, r.max_ratio) for r in reports] == list(enumerate(best))
+
+
+def test_uniformity_study_bk_transforms_each_trial_once(monkeypatch):
+    from dyadlab import norms, paraproducts
+    calls = []
+    for mod in (norms, paraproducts):
+        inner = mod.forward_stacked
+
+        def counting(grid, x, _inner=inner):
+            calls.append(1)
+            return _inner(grid, x)
+        monkeypatch.setattr(mod, "forward_stacked", counting)
+    reports = uniformity_study("Bk", {"N": 9, "kmax": 8}, trials=5, rng_seed=7)
+    assert len(reports) == 9
+    # b and f of each of the 5 trials, whatever the number of k values
+    assert len(calls) == 10
