@@ -45,7 +45,7 @@ def test_base_matrix_matches_oracle():
     assert np.max(np.abs(M_base - dense_shift_matrix_oracle(hilbert_pattern_shift(BASE)))) < 1e-13
 
 
-def test_sample_matrices_match_generic_apply():
+def test_pattern_matrix_matches_generic_apply():
     builder = hilbert_pattern_builder(BASE)
     pattern = hilbert_pattern_shift(BASE)
     for seed in range(8):

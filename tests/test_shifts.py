@@ -164,7 +164,9 @@ def test_operator_norm_trivial_cases():
     assert abs(operator_norm(ident) - 1.0) < 1e-12
 
 
-def test_operator_norm_matches_repeated_squaring(rng):
+def test_power_iteration_matches_repeated_squaring(rng):
+    # operator_norm, once a power iteration, is now an exact SVD; the
+    # repeated-squaring oracle and its bound are unchanged
     g = GridSpec(1, 4)
     S = random_shift(g, 1, 1, rng)
     M = dense_matrix(S, g)
