@@ -17,6 +17,11 @@ axis 1, and optional trailing passive axes (one column per trial in
 :func:`dyadlab.decomposition.verify_identity`). Variables swap by swapping
 axes 0 and 1; the fixed arrays (symbol coefficients, betas) broadcast
 against the trailing axes.
+
+The atoms read and write the extended layout of both variables
+(:func:`extend2`, :func:`contract2`), where a noncancellative signature
+selects rows like any other; callers extend an input once and contract a
+sum of terms once.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridMismatchError, GridSpec, grid_index
-from .haar import (DyadicFunction, fold_noncancellative, forward_stacked,
-                   inverse_stacked, scaling_levels)
+from .haar import (DyadicFunction, contract, extend, forward_stacked,
+                   inverse_stacked)
 from .paraproducts import (BkOperator, strict_ancestor_sum,
                            strict_subtree_sum, symbol_stacked)
 
@@ -98,16 +103,25 @@ class ProductFunction:
             raise GridMismatchError("operands live on different product grids")
 
     def to_json(self) -> str:
+        """Keys d1, N1, d2, N2, samples; omega1/omega2 for shifted grids."""
         g1, g2 = self.pgrid.grid1, self.pgrid.grid2
-        return json.dumps({"d1": g1.d, "N1": g1.N, "d2": g2.d, "N2": g2.N,
-                           "samples": self.samples.reshape(-1).tolist()})
+        obj = {"d1": g1.d, "N1": g1.N, "d2": g2.d, "N2": g2.N,
+               "samples": self.samples.reshape(-1).tolist()}
+        for key, g in (("omega1", g1), ("omega2", g2)):
+            if g.omega is not None:
+                obj[key] = [list(level) for level in g.omega]
+        return json.dumps(obj)
 
     @classmethod
     def from_json(cls, text: str) -> "ProductFunction":
         obj = json.loads(text)
-        pg = ProductGrid(GridSpec(int(obj["d1"]), int(obj["N1"])),
-                         GridSpec(int(obj["d2"]), int(obj["N2"])))
-        return cls(pg, np.asarray(obj["samples"], dtype=float))
+        grids = []
+        for v in "12":
+            omega = obj.get("omega" + v)
+            if omega is not None:
+                omega = tuple(tuple(level) for level in omega)
+            grids.append(GridSpec(int(obj["d" + v]), int(obj["N" + v]), omega))
+        return cls(ProductGrid(*grids), np.asarray(obj["samples"], dtype=float))
 
     def to_bytes(self) -> bytes:
         """20-byte header (magic DYF2, u32 d1,N1,d2,N2) + LE float64, var 1 slow."""
@@ -162,6 +176,16 @@ def forward2(pf: ProductFunction) -> np.ndarray:
 
 def inverse2(pg: ProductGrid, stacked: np.ndarray) -> ProductFunction:
     return ProductFunction(pg, inverse2_stacked(pg, stacked))
+
+
+def extend2(pg: ProductGrid, stacked: np.ndarray) -> np.ndarray:
+    """:func:`~dyadlab.haar.extend` along variable 1, then along variable 2."""
+    return _swap(extend(pg.grid2, _swap(extend(pg.grid1, stacked))))
+
+
+def contract2(pg: ProductGrid, ext: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`extend2`: contract variable 2, then variable 1."""
+    return contract(pg.grid1, _swap(contract(pg.grid2, _swap(ext))))
 
 
 def forward_var(pf_samples: np.ndarray, grid: GridSpec, var: int) -> np.ndarray:
@@ -234,117 +258,6 @@ class PAtom:
     adjoint: bool = False
 
 
-def _sig_rows(g: GridSpec, lvl: int, sig_int: int) -> np.ndarray:
-    return grid_index(g).sig_rows(lvl, sig_int)
-
-
-class _BiView:
-    """Cached input blocks of a stacked array, noncancellative pairings included.
-
-    ``X`` is (n1, n2, *passive); every block keeps the trailing axes.
-    """
-
-    def __init__(self, pg: ProductGrid, X: np.ndarray):
-        self.pg = pg
-        self.X = X
-        self._sc1 = None
-        self._sc2 = None
-        self._sc12 = {}
-
-    def sc1(self):
-        if self._sc1 is None:
-            self._sc1 = scaling_levels(self.pg.grid1, self.X)
-        return self._sc1
-
-    def sc2(self):
-        if self._sc2 is None:
-            self._sc2 = scaling_levels(self.pg.grid2, _swap(self.X))
-        return self._sc2
-
-    def sc12(self, l1: int):
-        if l1 not in self._sc12:
-            self._sc12[l1] = scaling_levels(self.pg.grid2, _swap(self.sc1()[l1]))
-        return self._sc12[l1]
-
-    def rows1(self, l1: int, s1: int) -> np.ndarray:
-        """(n_cubes1(l1), n2tot, *passive) input block in variable 1, all var-2 columns."""
-        g1 = self.pg.grid1
-        if s1 == g1.noncanc_int:
-            return self.sc1()[l1]
-        return self.X[_sig_rows(g1, l1, s1), :]
-
-    def block(self, l1: int, s1: int, l2: int, s2: int) -> np.ndarray:
-        g1, g2 = self.pg.grid1, self.pg.grid2
-        nc1 = s1 == g1.noncanc_int
-        nc2 = s2 == g2.noncanc_int
-        if not nc1 and not nc2:
-            return self.X[np.ix_(_sig_rows(g1, l1, s1), _sig_rows(g2, l2, s2))]
-        if nc1 and not nc2:
-            return self.sc1()[l1][:, _sig_rows(g2, l2, s2)]
-        if not nc1 and nc2:
-            return _swap(self.sc2()[l2][:, _sig_rows(g1, l1, s1)])
-        return _swap(self.sc12(l1)[l2])
-
-
-class _Accum:
-    """Stacked output accumulator that folds noncancellative-signature pieces.
-
-    Every buffer carries the trailing ``passive`` axes of the input.
-    """
-
-    def __init__(self, pg: ProductGrid, passive: tuple = ()):
-        self.pg = pg
-        self.passive = tuple(passive)
-        self.out = np.zeros(pg.shape + self.passive)
-        self.nc1 = {}
-        self.nc2 = {}
-        self.nc12 = {}
-
-    def _buf(self, store: dict, key, shape: tuple) -> np.ndarray:
-        buf = store.get(key)
-        if buf is None:
-            buf = store[key] = np.zeros(shape + self.passive)
-        return buf
-
-    def add(self, l1, s1, l2, s2, C):
-        g1, g2 = self.pg.grid1, self.pg.grid2
-        nc1 = s1 == g1.noncanc_int
-        nc2 = s2 == g2.noncanc_int
-        if not nc1 and not nc2:
-            self.out[np.ix_(_sig_rows(g1, l1, s1), _sig_rows(g2, l2, s2))] += C
-        elif nc1 and not nc2:
-            buf = self._buf(self.nc1, l1, (g1.n_cubes(l1), g2.n_samples))
-            buf[:, _sig_rows(g2, l2, s2)] += C
-        elif not nc1 and nc2:
-            buf = self._buf(self.nc2, l2, (g2.n_cubes(l2), g1.n_samples))
-            buf[:, _sig_rows(g1, l1, s1)] += _swap(C)
-        else:
-            buf = self._buf(self.nc12, (l1, l2), (g1.n_cubes(l1), g2.n_cubes(l2)))
-            buf += C
-
-    def add_rows1(self, l1, s1, C):
-        """Add a full-width var-2 contribution (already in stacked columns)."""
-        g1 = self.pg.grid1
-        if s1 == g1.noncanc_int:
-            buf = self._buf(self.nc1, l1, (g1.n_cubes(l1), self.pg.grid2.n_samples))
-            buf += C
-        else:
-            self.out[_sig_rows(g1, l1, s1), :] += C
-
-    def total(self) -> np.ndarray:
-        g1, g2 = self.pg.grid1, self.pg.grid2
-        for (l1, l2), C in self.nc12.items():
-            folded = _swap(fold_noncancellative(g2, {l2: _swap(C)}))
-            buf = self._buf(self.nc1, l1, (g1.n_cubes(l1), g2.n_samples))
-            buf += folded
-        out = self.out
-        for l2, buf in self.nc2.items():
-            out += _swap(fold_noncancellative(g2, {l2: buf}))
-        for l1, buf in self.nc1.items():
-            out += fold_noncancellative(g1, {l1: buf})
-        return out
-
-
 def _lift(a: np.ndarray, lead: int, X: np.ndarray) -> np.ndarray:
     """``a`` with unit axes after its ``lead`` leading ones, broadcasting
     against the trailing axes of ``X`` (n1, n2, *passive); idempotent."""
@@ -353,62 +266,64 @@ def _lift(a: np.ndarray, lead: int, X: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:lead] + (1,) * (X.ndim - 2))
 
 
-def pair_apply(pg: ProductGrid, bC: np.ndarray, X: np.ndarray, atom1, atom2,
+def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
                sym1: np.ndarray = None, sym2: np.ndarray = None,
-               sym12: np.ndarray = None, view: "_BiView" = None,
-               out_acc: "_Accum" = None, weight: float = 1.0,
-               b_cache: dict = None) -> np.ndarray:
-    """Evaluate the tensor of two one-variable atoms on stacked arrays.
+               sym12: np.ndarray = None, out: np.ndarray = None,
+               weight: float = 1.0, b_cache: dict = None) -> np.ndarray:
+    """Evaluate the tensor of two one-variable atoms on extended stacks.
 
-    Each atom is a BkOperator on its variable's grid or a PAtom. ``X`` is
-    (n1, n2, *passive); the fixed arrays ``bC`` (n1, n2), ``sym1`` (n1,),
+    Each atom is a BkOperator on its variable's grid or a PAtom. ``Xe`` is
+    the input in the extended layout of both variables (:func:`extend2`),
+    (m1, m2, *passive); the fixed arrays ``bC`` (n1, n2), ``sym1`` (n1,),
     ``sym2`` (n2,) and ``sym12`` (n1, n2) broadcast against its trailing
     axes. ``sym1``/``sym2`` are stacked symbol coefficients for P atoms acting
     in that variable; ``sym12`` is the stacked matrix of a product symbol
-    when both atoms are P-type. With ``out_acc`` the weighted contribution is
-    accumulated in place (shared across terms) and None is returned;
+    when both atoms are P-type. With ``out`` (extended, shaped like ``Xe``)
+    the weighted contribution is added into it and None is returned;
+    without, the contracted result (n1, n2, *passive) is returned.
     ``b_cache`` memoizes ancestor gathers of the symbol coefficients, which
-    carry the trailing unit axes, so one cache serves one ``X.ndim``.
+    carry the trailing unit axes, so one cache serves one ``Xe.ndim``.
     """
-    bC = _lift(bC, 2, X)
-    sym1, sym2, sym12 = _lift(sym1, 1, X), _lift(sym2, 1, X), _lift(sym12, 2, X)
-    if view is None:
-        view = _BiView(pg, X)
-    acc = out_acc if out_acc is not None else _Accum(pg, X.shape[2:])
+    bC = _lift(bC, 2, Xe)
+    sym1, sym2, sym12 = _lift(sym1, 1, Xe), _lift(sym2, 1, Xe), _lift(sym12, 2, Xe)
+    result = out is None
+    if result:
+        out = np.zeros(Xe.shape)
     if isinstance(atom1, PAtom) and isinstance(atom2, PAtom):
-        acc.out += weight * _pp_pair(pg, bC, X, atom1, atom2, sym12)
+        n1, n2 = pg.shape
+        out[:n1, :n2] += weight * _pp_pair(pg, bC, Xe[:n1, :n2], atom1, atom2, sym12)
     elif isinstance(atom1, PAtom):
-        # mirror: swap variables, reuse the (B, P) kernel, swap back
-        full = pair_apply(pg.swap(), _swap(bC), _swap(X), atom2, atom1,
-                          sym1=sym2, sym2=sym1, sym12=None, view=None)
-        acc.out += weight * _swap(full)
+        # mirror: the (B, P) kernel on views with the variables swapped; its
+        # b gathers belong to variable 2, so they stay out of the cache
+        _bp_pair(pg.swap(), _swap(bC), _swap(Xe), atom2, atom1, sym1, _swap(out),
+                 weight, None)
     elif isinstance(atom2, PAtom):
-        _bp_pair(pg, bC, X, atom1, atom2, sym2, view, acc, weight, b_cache)
+        _bp_pair(pg, bC, Xe, atom1, atom2, sym2, out, weight, b_cache)
     else:
-        _bb_pair(pg, bC, X, atom1, atom2, view, acc, weight, b_cache)
-    if out_acc is None:
-        return acc.total()
-    return None
+        _bb_pair(pg, bC, Xe, atom1, atom2, out, weight, b_cache)
+    return contract2(pg, out) if result else None
 
 
-def _b_gather(pg, bC, a1, a2, l1, l2, b_cache):
-    key = ("bb", a1.k, a1.sb, a2.k, a2.sb, l1, l2)
-    if b_cache is not None and key in b_cache:
-        return b_cache[key]
+def _b_rows(g: GridSpec, a: BkOperator, lvl: int) -> np.ndarray:
+    """Rows of the symbol coefficients <b, h_(I^(k))> for the cubes I at ``lvl``."""
+    idx = grid_index(g)
+    return idx.sig_rows(lvl - a.k, a.sb)[idx.ancestor_flat(lvl, a.k)]
+
+
+def _cached(b_cache: dict, key: tuple, gather):
+    """``gather()``, memoized under ``key`` when a cache is given."""
+    if b_cache is None:
+        return gather()
+    if key not in b_cache:
+        b_cache[key] = gather()
+    return b_cache[key]
+
+
+def _bb_pair(pg, bC, Xe, a1: BkOperator, a2: BkOperator, out: np.ndarray,
+             weight: float, b_cache: dict) -> None:
     g1, g2 = pg.grid1, pg.grid2
-    i1, i2 = grid_index(g1), grid_index(g2)
-    rows = i1.sig_rows(l1 - a1.k, a1.sb)[i1.ancestor_flat(l1, a1.k)]
-    cols = i2.sig_rows(l2 - a2.k, a2.sb)[i2.ancestor_flat(l2, a2.k)]
-    out = bC[np.ix_(rows, cols)]
-    if b_cache is not None:
-        b_cache[key] = out
-    return out
-
-
-def _bb_pair(pg, bC, X, a1: BkOperator, a2: BkOperator, view: _BiView,
-             acc: "_Accum", weight: float, b_cache: dict) -> None:
-    g1, g2 = pg.grid1, pg.grid2
-    pad = (1,) * (X.ndim - 2)
+    rows1, rows2 = grid_index(g1).sig_rows, grid_index(g2).sig_rows
+    pad = (1,) * (Xe.ndim - 2)
     c2s = []
     for l2 in range(a2.k, g2.N):
         c2 = a2.beta_level(l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
@@ -416,34 +331,28 @@ def _bb_pair(pg, bC, X, a1: BkOperator, a2: BkOperator, view: _BiView,
     for l1 in range(a1.k, g1.N):
         c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
         for l2, c2 in zip(range(a2.k, g2.N), c2s):
-            Bg = _b_gather(pg, bC, a1, a2, l1, l2, b_cache)
-            Xin = view.block(l1, a1.si, l2, a2.si)
-            C = (c1 * (Bg * Xin).T).T * c2
-            acc.add(l1, a1.so, l2, a2.so, C)
+            Bg = _cached(b_cache, ("bb", a1.k, a1.sb, a2.k, a2.sb, l1, l2),
+                         lambda: bC[np.ix_(_b_rows(g1, a1, l1), _b_rows(g2, a2, l2))])
+            Xin = Xe[np.ix_(rows1(l1, a1.si), rows2(l2, a2.si))]
+            out[np.ix_(rows1(l1, a1.so), rows2(l2, a2.so))] += (c1 * (Bg * Xin).T).T * c2
 
 
-def _bp_pair(pg, bC, X, a1: BkOperator, p2: PAtom, sym2, view: _BiView,
-             acc: "_Accum", weight: float, b_cache: dict) -> None:
+def _bp_pair(pg, bC, Xe, a1: BkOperator, p2: PAtom, sym2, out: np.ndarray,
+             weight: float, b_cache: dict) -> None:
     if sym2 is None:
         raise ValueError("P atom in variable 2 needs its symbol")
     g1, g2 = pg.grid1, pg.grid2
     i1 = grid_index(g1)
+    n2 = g2.n_samples
     for l1 in range(a1.k, g1.N):
-        key = ("bp", a1.k, a1.sb, l1)
-        if b_cache is not None and key in b_cache:
-            Bg = b_cache[key]
-        else:
-            rows_b1 = i1.sig_rows(l1 - a1.k, a1.sb)[i1.ancestor_flat(l1, a1.k)]
-            Bg = bC[rows_b1, :]
-            if b_cache is not None:
-                b_cache[key] = Bg
+        Bg = _cached(b_cache, ("bp", a1.k, a1.sb, l1), lambda: bC[_b_rows(g1, a1, l1), :])
         c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
-        Xin = view.rows1(l1, a1.si)
+        Xin = Xe[i1.sig_rows(l1, a1.si), :n2]
         if not p2.adjoint:
             C = _swap(strict_ancestor_sum(g2, _swap(Bg * Xin))) * sym2[None, :]
         else:
             C = Bg * _swap(strict_subtree_sum(g2, _swap(Xin * sym2[None, :])))
-        acc.add_rows1(l1, a1.so, (C.T * c1).T)
+        out[i1.sig_rows(l1, a1.so), :n2] += (C.T * c1).T
 
 
 def _pp_pair(pg, bC, X, p1: PAtom, p2: PAtom, sym12) -> np.ndarray:
@@ -534,9 +443,9 @@ class BiparamOperatorSpec:
 def biparam_operands(spec: BiparamOperatorSpec, pg: ProductGrid) -> tuple:
     """Atoms and symbols of ``spec`` on ``pg``: (atom1, atom2, sym1, sym2, sym12).
 
-    ``pair_apply(pg, bC, X, *biparam_operands(spec, pg))`` evaluates the
-    operator on stacked coefficients, so callers holding transformed inputs
-    reuse them across specs.
+    ``pair_apply(pg, bC, extend2(pg, X), *biparam_operands(spec, pg))``
+    evaluates the operator on stacked coefficients ``X``, so callers holding
+    extended inputs reuse them across specs.
     """
     spec.validate(pg)
     g1, g2 = pg.grid1, pg.grid2
@@ -567,5 +476,6 @@ def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
     pg = f.pgrid
     if b.pgrid != pg:
         raise GridMismatchError("b and f live on different product grids")
-    out = pair_apply(pg, forward2(b), forward2(f), *biparam_operands(spec, pg))
+    Xe = extend2(pg, forward2(f))
+    out = pair_apply(pg, forward2(b), Xe, *biparam_operands(spec, pg))
     return inverse2(pg, out)

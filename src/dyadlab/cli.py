@@ -35,6 +35,24 @@ from . import __version__
 USAGE_ERROR = 2
 
 
+def _checked(convert, ok, name: str):
+    """An argparse ``type``: ``convert``, then require ``ok``. Both failures
+    raise ValueError, so config-file values take the same route as flags."""
+    def parse(text):
+        val = convert(text)
+        if not ok(val):
+            raise ValueError(f"{text!r} is not a {name} value")
+        return val
+    parse.__name__ = name  # argparse names the type in its usage error
+    return parse
+
+
+_POSITIVE = _checked(int, lambda v: v >= 1, "positive int")
+_COUNT = _checked(int, lambda v: v >= 0, "nonnegative int")
+_EXPONENT = _checked(float, lambda v: 1.0 < v < float("inf"), "exponent p in (1, inf)")
+_DELTA = _checked(float, lambda v: 0.0 < v <= 2.0, "delta in (0, 2]")
+
+
 def _outdir(args) -> str:
     out = args.out or os.environ.get("DYADLAB_OUTDIR") or "."
     os.makedirs(out, exist_ok=True)
@@ -278,19 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("selftest", help="orthonormality/Parseval/adjoint suite")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--N", type=int, default=6)
+    p.add_argument("--d", type=_POSITIVE, default=1)
+    p.add_argument("--N", type=_POSITIVE, default=6)
     p.add_argument("--tol", type=float, default=1e-11)
     _add_common(p)
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("verify-decomp", help="commutator decomposition identity suite")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--N", type=int, default=6)
-    p.add_argument("--N2", type=int, default=None, help="variable-2 depth (biparam)")
-    p.add_argument("--imax", type=int, default=4)
-    p.add_argument("--jmax", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--d", type=_POSITIVE, default=1)
+    p.add_argument("--N", type=_POSITIVE, default=6)
+    p.add_argument("--N2", type=_POSITIVE, default=None, help="variable-2 depth (biparam)")
+    p.add_argument("--imax", type=_COUNT, default=4)
+    p.add_argument("--jmax", type=_COUNT, default=4)
+    p.add_argument("--trials", type=_POSITIVE, default=100)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--biparam", action="store_true")
     _add_common(p)
@@ -299,36 +317,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm-study", help="uniformity and ratio sweeps")
     p.add_argument("--kind", default="Bk",
                    choices=("Bk", "Sk", "P", "Bkl", "BPk", "PBl", "PP", "PP1"))
-    p.add_argument("--N", type=int, default=9)
-    p.add_argument("--N2", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--lmax", type=int, default=2)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--N", type=_POSITIVE, default=9)
+    p.add_argument("--N2", type=_POSITIVE, default=None)
+    p.add_argument("--kmax", type=_COUNT, default=8)
+    p.add_argument("--lmax", type=_COUNT, default=2)
+    p.add_argument("--trials", type=_POSITIVE, default=50)
     p.add_argument("--tol", type=float, default=1e-12)
     _add_common(p)
     p.set_defaults(func=cmd_norm_study)
 
     p = sub.add_parser("jn-check", help="localized square-function ratios")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--N", type=int, default=6)
-    p.add_argument("--p", type=float, nargs="+", default=[1.25, 1.5, 2.0, 3.0])
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--d", type=_POSITIVE, default=1)
+    p.add_argument("--N", type=_POSITIVE, default=6)
+    p.add_argument("--p", type=_EXPONENT, nargs="+", default=[1.25, 1.5, 2.0, 3.0])
+    p.add_argument("--trials", type=_POSITIVE, default=50)
     _add_common(p)
     p.set_defaults(func=cmd_jn_check)
 
     p = sub.add_parser("mc-demo", help="random-grid averaging demonstration")
-    p.add_argument("--N", type=int, default=6)
+    p.add_argument("--N", type=_POSITIVE, default=6)
     p.add_argument("--samples", type=int, default=10000)
     _add_common(p)
     p.set_defaults(func=cmd_mc_demo)
 
     p = sub.add_parser("bound-study", help="commutator norms vs geometric schedule")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--N", type=int, default=6)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--imax", type=int, default=4)
-    p.add_argument("--jmax", type=int, default=4)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--d", type=_POSITIVE, default=1)
+    p.add_argument("--N", type=_POSITIVE, default=6)
+    p.add_argument("--delta", type=_DELTA, default=1.0)
+    p.add_argument("--imax", type=_COUNT, default=4)
+    p.add_argument("--jmax", type=_COUNT, default=4)
+    p.add_argument("--trials", type=_POSITIVE, default=20)
     _add_common(p)
     p.set_defaults(func=cmd_bound_study)
     return ap

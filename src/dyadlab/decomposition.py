@@ -24,9 +24,10 @@ trailing trial axis: ``evaluate_stacked`` takes (n, T) arrays for one
 parameter and (n1, n2, T) for two, and ``verify_identity`` puts all trials
 in one stack, passing it once through the transforms, the direct
 commutator (``multiplication_commutator_stacked`` /
-``iterated_commutator_stacked``) and the term list. Terms wrapped in the
-outer shift(s) are summed first, so each shift composition is applied once
-per evaluation.
+``iterated_commutator_stacked``) and the term list. Each inner-shift input
+is extended once (see :mod:`dyadlab.haar`), and the terms wrapped in the
+same outer shift(s) sum into one extended buffer, which is contracted once
+and passed through its shift composition once per evaluation.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec, WrongKindError, grid_index
-from .haar import (DyadicFunction, forward_stacked, inverse_stacked,
-                   scaling_levels)
+from .haar import (DyadicFunction, contract, extend, forward_stacked,
+                   inverse_stacked)
 from .paraproducts import (BkOperator, bk_stacked, p_stacked, pstar_stacked,
                            symbol_stacked)
-from .biparam import (PAtom, ProductFunction, _Accum, _BiView, _swap,
+from .biparam import (PAtom, ProductFunction, _swap, contract2, extend2,
                       forward2, forward2_stacked, inverse2, inverse2_stacked,
                       iterated_commutator_stacked, pair_apply)
 from .shifts import ANALYSIS, ShiftOperator, multiplication_commutator_stacked
@@ -306,81 +307,50 @@ def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
 
 def _evaluate_one_param(tl: TermList, x: np.ndarray) -> np.ndarray:
     g = tl.b.grid
+    n = g.n_samples
     S = tl.shifts[0]
-    inputs = {False: x}
-    scal = {}
+    # every term list reads both inputs and writes both outer-shift groups;
+    # a group is one extended sum, contracted once, and S runs once on it
+    inputs = {False: extend(g, x), True: extend(g, S.apply_stacked(x))}
+    groups = {key: np.zeros(xe.shape) for key, xe in inputs.items()}
     sym = None if S.cancellative else symbol_stacked(S.symbol)
-    acc = np.zeros_like(x)
-    # the terms wrapped in S sum into one buffer and S runs on it once
-    outer = None
     for term in tl.terms:
-        if term.inner1 and True not in inputs:
-            inputs[True] = S.apply_stacked(x)
-        xin = inputs[term.inner1]
+        xin, acc = inputs[term.inner1], groups[term.outer1]
         if isinstance(term.atom1, PAtom):
-            if term.atom1.adjoint:
-                y = pstar_stacked(g, tl._bc, sym, xin)
-            else:
-                y = p_stacked(g, tl._bc, sym, xin)
+            p = pstar_stacked if term.atom1.adjoint else p_stacked
+            acc[:n] += term.weight * p(g, tl._bc, sym, xin[:n])
         else:
-            key = term.inner1
-            if term.atom1.si == g.noncanc_int and key not in scal:
-                scal[key] = scaling_levels(g, xin)
-            y = bk_stacked(term.atom1, tl._bc, xin, scal.get(key))
-        if term.outer1:
-            if outer is None:
-                outer = np.zeros_like(x)
-            outer += term.weight * y
-        else:
-            acc += term.weight * y
-    if outer is not None:
-        acc += S.apply_stacked(outer)
-    return acc
+            acc += term.weight * bk_stacked(term.atom1, tl._bc, xin)
+    return contract(g, groups[False]) + S.apply_stacked(contract(g, groups[True]))
 
 
 def _evaluate_biparam(tl: TermList, x: np.ndarray) -> np.ndarray:
     pg = tl.b.pgrid
     S1, S2 = tl.shifts
-    inputs = {(False, False): x}
-    views = {}
     sym1 = None if S1.cancellative else symbol_stacked(S1.symbol)
     sym2 = None if S2.cancellative else symbol_stacked(S2.symbol)
     sym12 = None
     if sym1 is not None and sym2 is not None:
         sym12 = np.outer(sym1, sym2)
-
-    def get_input(key):
-        if key not in inputs:
-            in1, in2 = key
-            if (False, in2) not in inputs:
-                inputs[(False, in2)] = _swap(S2.apply_stacked(_swap(x)))
-            if key not in inputs:
-                inputs[key] = S1.apply_stacked(inputs[(False, in2)])
-        return inputs[key]
-
+    # every term list reads all four inner-shift compositions of x (S2 runs
+    # once, S1 twice) and writes all four outer-shift groups; a group is one
+    # extended sum, contracted once before its shifts run
+    s2x = _swap(S2.apply_stacked(_swap(x)))
+    shifted = {(False, False): x, (False, True): s2x,
+               (True, False): S1.apply_stacked(x), (True, True): S1.apply_stacked(s2x)}
+    inputs = {key: extend2(pg, y) for key, y in shifted.items()}
+    groups = {key: np.zeros(xe.shape) for key, xe in inputs.items()}
     if not hasattr(tl, "_b_cache"):
         tl._b_cache = {}
     # cached gathers carry the trailing unit axes of one input rank
     b_cache = tl._b_cache.setdefault(x.ndim, {})
-    # terms sharing the same outer-shift composition accumulate together, so
-    # noncancellative-signature folding and shift application happen once per
-    # group rather than once per term
-    groups = {}
     for term in tl.terms:
-        key_in = (term.inner1, term.inner2)
-        xin = get_input(key_in)
-        if key_in not in views:
-            views[key_in] = _BiView(pg, xin)
-        key_out = (term.outer1, term.outer2)
-        acc = groups.get(key_out)
-        if acc is None:
-            acc = groups[key_out] = _Accum(pg, x.shape[2:])
-        pair_apply(pg, tl._bc, xin, term.atom1, term.atom2,
-                   sym1=sym1, sym2=sym2, sym12=sym12, view=views[key_in],
-                   out_acc=acc, weight=term.weight, b_cache=b_cache)
+        pair_apply(pg, tl._bc, inputs[(term.inner1, term.inner2)], term.atom1, term.atom2,
+                   sym1=sym1, sym2=sym2, sym12=sym12, out=groups[(term.outer1, term.outer2)],
+                   weight=term.weight, b_cache=b_cache)
     total = np.zeros(x.shape)
     for (o1, o2), acc in groups.items():
-        y = acc.total()
+        y = contract2(pg, acc)
         if o1:
             y = S1.apply_stacked(y)
         if o2:

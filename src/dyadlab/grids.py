@@ -156,6 +156,8 @@ class GridSpec:
     # -- stacked coefficient layout ----------------------------------------
     # Layout: [mean, level 0 (cube-major, signature-minor), level 1, ...].
     # Only cancellative signatures are stored; total size equals n_samples.
+    # The extended layout (dyadlab.haar.extend) appends the scaling pairings
+    # of levels 0..N-1; level l's start at n_samples + (n_cubes(l) - 1) / n_sig.
 
     def level_offset(self, level: int) -> int:
         """Start of ``level`` in the layout: 1 + sum_{l < level} n_cubes(l) * n_sig,
@@ -234,12 +236,16 @@ class _GridIndex:
         self._rows = {}
 
     def sig_rows(self, level: int, sig_int: int) -> np.ndarray:
-        """Stacked indices of one signature's coefficients at ``level``."""
+        """Extended-layout indices of one signature's coefficients at ``level``
+        (the noncancellative signature's lie in the tail)."""
         key = (level, sig_int)
         if key not in self._rows:
             g = self.grid
-            rows = g.level_offset(level) + np.arange(g.n_cubes(level)) * g.n_sig \
-                + sig_int
+            cubes = np.arange(g.n_cubes(level))
+            if sig_int == g.noncanc_int:
+                rows = g.n_samples + (g.n_cubes(level) - 1) // g.n_sig + cubes
+            else:
+                rows = g.level_offset(level) + cubes * g.n_sig + sig_int
             rows.setflags(write=False)
             self._rows[key] = rows
         return self._rows[key]

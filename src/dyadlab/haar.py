@@ -9,6 +9,11 @@ scaling value and 2**d - 1 cancellative Haar coefficients.
 All stacked-coefficient helpers accept trailing passive axes so the same
 code drives one-parameter functions and per-variable transforms of tensor
 products.
+
+Kernels that pair against the noncancellative Haar function h_I^1 (the
+cube's normalized indicator) work on the *extended* layout: the stacked
+coefficients followed by the scaling pairings <f, h_I^1> of levels 0..N-1
+(:func:`extend`), whose adjoint :func:`contract` folds those rows back.
 """
 
 from __future__ import annotations
@@ -145,6 +150,23 @@ def fold_noncancellative(grid: GridSpec, contribs: dict) -> np.ndarray:
         amp = 2.0 ** (lvl * grid.d / 2.0)
         samples += broadcast_level(grid, lvl, vals * amp)
     return forward_stacked(grid, samples)
+
+
+def extend(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
+    """Stacked coefficients (n_samples, *passive) -> extended layout: the
+    same rows followed by the :func:`scaling_levels` of levels 0..N-1."""
+    return np.concatenate([stacked] + scaling_levels(grid, stacked))
+
+
+def contract(grid: GridSpec, ext: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`extend`: the stacked rows plus one fold of the tail
+    rows; an all-zero tail returns the stacked rows themselves, a view."""
+    n = grid.n_samples
+    if not ext[n:].any():
+        return ext[:n]
+    rows = grid_index(grid).sig_rows
+    tail = {lvl: ext[rows(lvl, grid.noncanc_int)] for lvl in range(grid.N)}
+    return ext[:n] + fold_noncancellative(grid, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, grid_index
-from .haar import (DyadicFunction, broadcast_level, forward_stacked,
-                   inverse_stacked, pool_level)
+from .grids import DepthError, GridSpec, grid_index
+from .haar import (DyadicFunction, broadcast_level, contract, extend,
+                   forward_stacked, inverse_stacked, pool_level)
 from .biparam import ProductFunction, ProductGrid, forward2, random_product_function
 
 
@@ -152,7 +152,7 @@ def _square_S(f: DyadicFunction) -> DyadicFunction:
 def _square_Sk(f: DyadicFunction, k: int) -> DyadicFunction:
     g = f.grid
     if k >= g.N:
-        raise ValueError(f"k={k} exceeds grid depth")
+        raise DepthError(f"k={k} outside the levels 0..{g.N - 1} below the root")
     idx = grid_index(g)
     stacked = forward_stacked(g, f.samples)
     acc = np.zeros(g.n_samples)
@@ -438,8 +438,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     ((k,l) range), ``BPk``, ``PBl``, ``PP``, ``PP1``, ``P``.
     """
     from .paraproducts import BkOperator, apply_P, bk_stacked
-    from .biparam import (BiparamOperatorSpec, biparam_operands, inverse2,
-                          pair_apply, tensor_function)
+    from .biparam import (BiparamOperatorSpec, biparam_operands, extend2,
+                          inverse2, pair_apply, tensor_function)
     from .haar import random_function
     reports = []
     if kind == "Bk":
@@ -453,12 +453,13 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
             b = random_function(grid, rng)
             f = random_function(grid, rng)
             beta = _random_signs(grid, rng)
-            bc, xc = forward_stacked(grid, b.samples), forward_stacked(grid, f.samples)
+            bc = forward_stacked(grid, b.samples)
+            xe = extend(grid, forward_stacked(grid, f.samples))
             denom = _bmo_stacked(grid, bc) * f.norm()
             for k in ks:
                 op = BkOperator(grid, k, beta=beta)
                 if denom > 0:
-                    out = inverse_stacked(grid, bk_stacked(op, bc, xc))
+                    out = inverse_stacked(grid, contract(grid, bk_stacked(op, bc, xe)))
                     best[k] = max(best[k], DyadicFunction(grid, out).norm() / denom)
         reports += [NormReport(kind="Bk", k=k, trials=trials, max_ratio=best[k],
                                seed=rng_seed) for k in ks]
@@ -523,10 +524,10 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                 fields = {"a": tensor_function(a1 * (1.0 / dyadic_bmo_norm(a1)),
                                                a2 * (1.0 / dyadic_bmo_norm(a2)))}
             if denom > 0:
-                X = forward2(f)
+                Xe = extend2(pgrid, forward2(f))
                 for (k, l) in combos:
                     spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
-                    out = pair_apply(pgrid, bC, X, *biparam_operands(spec, pgrid))
+                    out = pair_apply(pgrid, bC, Xe, *biparam_operands(spec, pgrid))
                     best[(k, l)] = max(best[(k, l)], inverse2(pgrid, out).norm() / denom)
         reports += [NormReport(kind=kind, k=k, l=l, trials=trials,
                                max_ratio=best[(k, l)], seed=rng_seed) for (k, l) in combos]

@@ -8,6 +8,8 @@ against the cube's own Haar:
 with |beta_I| <= 1. With all-cancellative signatures the output coefficient
 at I is a bounded multiple of the input coefficient, so
 ||B_k(b, f)|| <= bmo(b) ||f|| holds exactly and uniformly in k.
+``bk_stacked`` works on the extended layout of :mod:`dyadlab.haar`, where
+the noncancellative signature of a k = 0 term is one more set of rows.
 ``BkOperator`` is the one B_k atom of the package: it checks the depth, the
 signatures and the betas once, at construction, and the bi-parameter
 operators and decomposition terms use one per variable.
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import DepthError, GridSpec, InvalidIndexError, grid_index
-from .haar import (DyadicFunction, fold_noncancellative, forward_stacked,
-                   inverse_stacked, scaling_levels)
+from .haar import (DyadicFunction, contract, extend, forward_stacked,
+                   inverse_stacked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,35 +121,18 @@ class BkOperator:
                           self.beta)
 
 
-def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray,
-               x_scaling: list = None) -> np.ndarray:
-    """Coefficient-space B_k kernel; ``x`` may carry trailing passive axes."""
+def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coefficient-space B_k kernel: extended stack (trailing passive axes
+    allowed) -> extended stack; ``bc`` holds the symbol's stacked coefficients."""
     g = op.grid
     idx = grid_index(g)
-    passive = x.shape[1:]
-    pshape = (1,) * len(passive)
+    pshape = (1,) * (x.ndim - 1)
     out = np.zeros_like(x)
-    noncanc_in = op.si == g.noncanc_int
-    noncanc_out = op.so == g.noncanc_int
-    if noncanc_in and x_scaling is None:
-        x_scaling = scaling_levels(g, x)
-    contribs = {}
     for lvl in range(op.k, g.N):
         banc = g.level_block(bc, lvl - op.k)[:, op.sb][idx.ancestor_flat(lvl, op.k)]
-        if noncanc_in:
-            fin = x_scaling[lvl]
-        else:
-            fin = g.level_block(x, lvl)[:, op.si]
-        beta = op.beta_level(lvl)
         scale = 2.0 ** ((lvl - op.k) * g.d / 2.0)
-        coef = (beta * banc * scale).reshape(banc.shape + pshape)
-        contrib = coef * fin
-        if noncanc_out:
-            contribs[lvl] = contrib
-        else:
-            g.level_block(out, lvl)[:, op.so] += contrib
-    if contribs:
-        out += fold_noncancellative(g, contribs)
+        coef = (op.beta_level(lvl) * banc * scale).reshape(banc.shape + pshape)
+        out[idx.sig_rows(lvl, op.so)] += coef * x[idx.sig_rows(lvl, op.si)]
     return out
 
 
@@ -157,8 +142,8 @@ def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunc
     if b.grid != g or f.grid != g:
         raise ValueError("operands must live on the operator grid")
     bc = forward_stacked(g, b.samples)
-    xc = forward_stacked(g, f.samples)
-    return DyadicFunction(g, inverse_stacked(g, bk_stacked(op, bc, xc)))
+    xe = extend(g, forward_stacked(g, f.samples))
+    return DyadicFunction(g, inverse_stacked(g, contract(g, bk_stacked(op, bc, xe))))
 
 
 # ---------------------------------------------------------------------------

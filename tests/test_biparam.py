@@ -6,7 +6,7 @@ from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube, DyadicFunction
                      apply_in_variable, haar_function, inner_product2,
                      iterated_commutator, random_function,
                      random_product_function, random_shift, tensor_function)
-from dyadlab.biparam import forward2, forward_var, inverse2
+from dyadlab.biparam import contract2, extend2, forward2, forward_var, inverse2
 from dyadlab.grids import DepthError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
 from conftest import (all_cancellative_indices, all_cubes, dense_matrix,
@@ -391,3 +391,24 @@ def test_bk_atom_error_contract(name, rng):
         with pytest.raises(error) as paired:
             apply_biparam(spec, b, f)
         assert type(paired.value) is type(alone.value) is error
+
+
+@pytest.mark.parametrize("pg", [PG, PG_D2, ProductGrid(
+    GridSpec(1, 3, omega=((1,), (0,), (1,))), GridSpec(3, 2, omega=((0, 1, 1), (1, 0, 1))))],
+    ids=repr)
+@pytest.mark.parametrize("passive", [(), (3,)])
+def test_contract2_is_the_adjoint_of_extend2(pg, passive, rng):
+    from dyadlab.grids import grid_index
+    from dyadlab.haar import extend
+    x = rng.standard_normal(pg.shape + passive)
+    ext = extend2(pg, x)
+    y = rng.standard_normal(ext.shape)
+    lhs = np.einsum("ij...,ij...->...", contract2(pg, y), x)
+    rhs = np.einsum("ij...,ij...->...", y, ext)
+    assert np.max(np.abs(lhs - rhs)) < 1e-13
+    # variable 1 first: the noncancellative rows of both variables hold the
+    # scaling pairings of variable 1's scaling pairings
+    g1, g2 = pg.grid1, pg.grid2
+    rows1 = grid_index(g1).sig_rows(g1.N - 1, g1.noncanc_int)
+    expect = extend(g2, np.swapaxes(extend(g1, x)[rows1], 0, 1))
+    assert np.array_equal(ext[rows1], np.swapaxes(expect, 0, 1))

@@ -92,6 +92,24 @@ def test_bound_study(tmp_path):
 def test_usage_error_exit_code(tmp_path):
     assert main(["no-such-command"]) == 2
     assert main(["selftest", "--d", "zero"]) == 2
+    out = ["--out", str(tmp_path)]
+    for argv in (["verify-decomp", "--d", "0"],
+                 ["norm-study", "--kind", "PP", "--N", "0"],
+                 ["verify-decomp", "--trials", "-1"],
+                 ["verify-decomp", "--imax", "-1"],
+                 ["jn-check", "--p", "1.0"],
+                 ["jn-check", "--p", "nan"],
+                 ["bound-study", "--delta", "0"],
+                 ["bound-study", "--delta", "inf"]):
+        assert main(argv + out) == 2, argv
+    # config values take the flag's type, range check included
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"N": 0}, {"trials": -1}, {"delta": 0}, {"p": [1.0]}):
+        cfg.write_text(json.dumps(bad))
+        command = {"delta": "bound-study", "p": "jn-check"}.get(next(iter(bad)),
+                                                                 "verify-decomp")
+        assert main([command, "--config", str(cfg)] + out) == 2, bad
+    assert list(tmp_path.glob("*.json")) == [cfg]
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -163,6 +181,12 @@ def test_config_top_level_not_an_object_exits_2(tmp_path, capsys):
 
 def test_inadmissible_parameters_exit_2(tmp_path, capsys):
     code = main(["norm-study", "--kind", "Bk", "--N", "4", "--kmax", "8",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("norm-study: ") and "\n" not in err
+    # S_k needs k < N as B_k does
+    code = main(["norm-study", "--kind", "Sk", "--N", "4", "--kmax", "6",
                  "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err.strip()

@@ -499,3 +499,40 @@ def test_one_param_evaluation_applies_the_shift_at_most_twice(rng, monkeypatch):
     monkeypatch.setattr(ShiftOperator, "apply_stacked", counting)
     evaluate_terms(tl, random_function(g, rng))
     assert len(calls) <= 2
+
+
+def _count_folds(monkeypatch) -> list:
+    """Record every call of haar.fold_noncancellative, through any binding."""
+    import sys
+    from dyadlab import haar
+    fold = haar.fold_noncancellative
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return fold(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dyadlab" and \
+                getattr(mod, "fold_noncancellative", None) is fold:
+            monkeypatch.setattr(mod, "fold_noncancellative", counting)
+    return calls
+
+
+def test_noncancellative_rows_fold_once_per_outer_group(rng, monkeypatch):
+    # every term writes its noncancellative rows into its group's extended
+    # sum, which is contracted once (a fold per variable), not once per term
+    calls = _count_folds(monkeypatch)
+    g = GridSpec(2, 3)
+    tl = decompose_cancellative(random_function(g, rng), random_shift(g, 1, 1, rng))
+    evaluate_stacked(tl, rng.standard_normal((g.n_samples, 2)))
+    assert len(calls) <= 2
+    calls.clear()
+    pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 4))
+    tl = decompose_biparam(random_product_function(pg, rng),
+                           random_shift(pg.grid1, 1, 1, rng),
+                           random_shift(pg.grid2, 1, 1, rng))
+    groups = {(t.outer1, t.outer2) for t in tl.terms}
+    assert len(groups) == 4
+    evaluate_stacked(tl, rng.standard_normal(pg.shape + (2,)))
+    assert len(calls) <= 2 * len(groups)

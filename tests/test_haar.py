@@ -7,8 +7,9 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      haar_forward, haar_function, haar_inverse, inner_product,
                      pointwise_multiply, random_function)
 from dyadlab.biparam import ProductFunction, ProductGrid
-from dyadlab.grids import InvalidIndexError
-from dyadlab.haar import HaarCoefficients, scaling_levels, forward_stacked
+from dyadlab.grids import InvalidIndexError, grid_index
+from dyadlab.haar import (HaarCoefficients, contract, extend, forward_stacked,
+                          scaling_levels)
 from conftest import all_cancellative_indices
 
 
@@ -188,3 +189,37 @@ def test_coefficient_items_view(rng):
         assert val == c.coefficient(idx)
     assert abs(sum(v ** 2 for _, v in items) + c.mean ** 2
                - f.norm() ** 2) < 1e-12
+
+
+LAYOUT_GRIDS = [GridSpec(1, 4), GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                GridSpec(2, 3), GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1))),
+                GridSpec(3, 2), GridSpec(3, 2, omega=((0, 1, 1), (1, 0, 1)))]
+
+
+@pytest.mark.parametrize("g", LAYOUT_GRIDS, ids=repr)
+@pytest.mark.parametrize("passive", [(), (3,), (2, 2)])
+def test_contract_is_the_adjoint_of_extend(g, passive, rng):
+    x = rng.standard_normal((g.n_samples,) + passive)
+    ext = extend(g, x)
+    assert ext.shape == (g.n_samples + (g.n_samples - 1) // g.n_sig,) + passive
+    y = rng.standard_normal(ext.shape)
+    lhs = np.einsum("i...,i...->...", contract(g, y), x)
+    rhs = np.einsum("i...,i...->...", y, ext)
+    assert np.max(np.abs(lhs - rhs)) < 1e-13
+    # an untouched tail contracts to the stacked rows themselves
+    y[g.n_samples:] = 0.0
+    assert np.array_equal(contract(g, y), y[:g.n_samples])
+
+
+@pytest.mark.parametrize("g", LAYOUT_GRIDS, ids=repr)
+@pytest.mark.parametrize("passive", [(), (3,)])
+def test_noncancellative_rows_hold_the_scaling_levels(g, passive, rng):
+    x = rng.standard_normal((g.n_samples,) + passive)
+    ext = extend(g, x)
+    idx = grid_index(g)
+    sc = scaling_levels(g, x)
+    for lvl in range(g.N):
+        assert np.array_equal(ext[idx.sig_rows(lvl, g.noncanc_int)], sc[lvl])
+        for e in range(g.n_sig):
+            assert np.array_equal(ext[idx.sig_rows(lvl, e)], g.level_block(x, lvl)[:, e])
+    assert np.array_equal(ext[:g.n_samples], x)

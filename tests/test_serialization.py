@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from dyadlab import (DyadicFunction, GridSpec, ShiftOperator, random_function,
+from dyadlab import (DyadicFunction, GridSpec, ProductFunction, ProductGrid,
+                     ShiftOperator, random_function, random_product_function,
                      random_shift)
 
 
@@ -50,6 +51,16 @@ def test_omega_grid_json_roundtrip(rng):
     assert back.grid == g
     with pytest.raises(ValueError):
         f.to_bytes()  # binary format covers standard grids only
+    # product functions keep each variable's omega
+    for pg, var in ((ProductGrid(g, GridSpec(1, 2)), "1"),
+                    (ProductGrid(GridSpec(1, 2), g), "2")):
+        pf = random_product_function(pg, rng)
+        back = ProductFunction.from_json(pf.to_json())
+        assert back.pgrid == pg
+        assert np.array_equal(back.samples, pf.samples)
+        obj = json.loads(pf.to_json())
+        assert set(obj) == {"d1", "N1", "d2", "N2", "samples", "omega" + var}
+        assert obj["omega" + var] == [[1], [0], [1]]
 
 
 def test_shift_json_roundtrip(rng):
