@@ -7,8 +7,9 @@ functions, and Monte Carlo averaging over random shifted grids.
 
 __version__ = "0.1.0"
 
-from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec,
-                    HaarIndex, InvalidIndexError, WrongKindError, ancestor)
+from .grids import (DepthError, DyadicCube, GridMismatchError, GridSizeError,
+                    GridSpec, HaarIndex, InvalidIndexError, WrongKindError,
+                    ancestor)
 from .haar import (DyadicFunction, HaarCoefficients, haar_forward,
                    haar_function, haar_inverse, inner_product,
                    pointwise_multiply, random_function)

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .grids import (DepthError, DyadicCube, GridSpec, HaarIndex,
+from .grids import (DepthError, DyadicCube, GridSizeError, GridSpec, HaarIndex,
                     InvalidIndexError, WrongKindError)
 from .haar import (haar_forward, haar_function, haar_inverse, inner_product,
                    random_function)
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (DepthError, InvalidIndexError, WrongKindError) as exc:
+    except (DepthError, GridSizeError, InvalidIndexError, WrongKindError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -34,6 +34,10 @@ class DepthError(ValueError):
     """Operation requires levels deeper than the grid provides."""
 
 
+class GridSizeError(ValueError):
+    """Grid holds more than MAX_SAMPLES samples."""
+
+
 class GridMismatchError(ValueError):
     """Operands live on different grids."""
 
@@ -75,7 +79,8 @@ class GridSpec:
         if self.N < 1:
             raise ValueError("depth must be >= 1")
         if (1 << (self.N * self.d)) > MAX_SAMPLES:
-            raise ValueError("grid exceeds the configured memory budget")
+            raise GridSizeError(f"a grid of d={self.d}, N={self.N} holds 2**{self.N * self.d} "
+                                f"samples, over the budget of {MAX_SAMPLES}")
         omega = _normalize_omega(self.omega, self.d, self.N)
         shift = [0] * self.d
         for j, level in enumerate(omega or (), start=1):
@@ -234,6 +239,7 @@ class _GridIndex:
         self._cells = {}
         self._signs = {}
         self._rows = {}
+        self._bk = {}
 
     def sig_rows(self, level: int, sig_int: int) -> np.ndarray:
         """Extended-layout indices of one signature's coefficients at ``level``
@@ -249,6 +255,25 @@ class _GridIndex:
             rows.setflags(write=False)
             self._rows[key] = rows
         return self._rows[key]
+
+    def bk_table(self, k: int) -> tuple:
+        """B_k gather tables over the cubes of levels k..N-1, level-major:
+        each cube's stacked row at signature 0, its k-th ancestor's stacked
+        row at signature 0, and the scale 2**((level - k) * d / 2). One entry
+        per k; a signature adds to the rows."""
+        if k not in self._bk:
+            g = self.grid
+            levels = range(k, g.N)
+            rows = np.concatenate([g.level_offset(lvl) + np.arange(g.n_cubes(lvl)) * g.n_sig
+                                   for lvl in levels])
+            anc = np.concatenate([g.level_offset(lvl - k) + self.ancestor_flat(lvl, k) * g.n_sig
+                                  for lvl in levels])
+            scale = np.concatenate([np.full(g.n_cubes(lvl), 2.0 ** ((lvl - k) * g.d / 2.0))
+                                    for lvl in levels])
+            for arr in (rows, anc, scale):
+                arr.setflags(write=False)
+            self._bk[k] = (rows, anc, scale)
+        return self._bk[k]
 
     def coords(self, level: int) -> np.ndarray:
         """(d, n_cubes) coordinate array of all cubes at ``level``."""

@@ -4,7 +4,10 @@ Functions are stored as samples on the finest cells (one value per cell,
 quadrature weight 2**(-N*d) per cell); Haar coefficients are a derived,
 lossless view. The transform is the orthonormal 2**d-band pyramid: at each
 level the 2**d sibling scaling values of a cube combine into one parent
-scaling value and 2**d - 1 cancellative Haar coefficients.
+scaling value and 2**d - 1 cancellative Haar coefficients. Each level takes
+one contiguous reshape per axis, axis 0 first, into a preallocated block
+(:func:`_split`); :func:`inverse_stacked` and :func:`scaling_levels` share
+the merge kernel that undoes it (:func:`_merge`).
 
 All stacked-coefficient helpers accept trailing passive axes so the same
 code drives one-parameter functions and per-variable transforms of tensor
@@ -19,6 +22,7 @@ coefficients followed by the scaling pairings <f, h_I^1> of levels 0..N-1
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -37,37 +41,40 @@ _MAGIC_2P = b"DYF2"
 # Stacked transforms (operate on arrays of shape (n_samples, *passive)).
 
 
-def _butterfly_split(s: np.ndarray, d: int, n: int, passive: tuple) -> np.ndarray:
-    """One pyramid step: (2n,)*d scaling block -> (n**d, 2**d) mixed block.
+def _split(s: np.ndarray, d: int, n: int, p: int) -> np.ndarray:
+    """One pyramid step: (2n)**d scaling values with ``p`` passive columns ->
+    mixed block (n**d, 2**d, p).
 
-    Output column e encodes the per-axis choice diff(0)/avg(1) as binary with
-    axis 0 most significant; the last column is the parent scaling value.
+    Axis ``a`` reads its cells as one reshape (n**(a+1), 2, rest) and appends
+    its diff(0)/avg(1) choice behind those of the earlier axes, so column e
+    of the block encodes the choices with axis 0 most significant; the last
+    column is the parent scaling value.
     """
-    t = s.reshape(sum(((n, 2) for _ in range(d)), ()) + passive)
     for a in range(d):
-        ax = 2 * a + 1
-        lo = np.take(t, 0, axis=ax)
-        hi = np.take(t, 1, axis=ax)
-        t = np.stack(((lo - hi) * _INV_SQRT2, (lo + hi) * _INV_SQRT2), axis=ax)
-    perm = ([2 * a for a in range(d)] + [2 * a + 1 for a in range(d)]
-            + list(range(2 * d, t.ndim)))
-    return t.transpose(perm).reshape((n ** d, 1 << d) + passive)
+        t = s.reshape(n ** (a + 1), 2, (2 * n) ** (d - 1 - a) << a, p)
+        s = np.empty((t.shape[0], t.shape[2], 2, p))
+        np.subtract(t[:, 0], t[:, 1], out=s[:, :, 0])
+        np.add(t[:, 0], t[:, 1], out=s[:, :, 1])
+        s *= _INV_SQRT2
+    return s.reshape(n ** d, 1 << d, p)
 
 
-def _butterfly_merge(t: np.ndarray, d: int, n: int, passive: tuple) -> np.ndarray:
-    """Inverse of :func:`_butterfly_split`."""
-    t = t.reshape((n,) * d + (2,) * d + passive)
-    perm = []
+def _merge(x: np.ndarray, s: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Inverse pyramid step: the coefficients of the level with n**d cubes in
+    ``x`` (n_samples, p) and its scaling values ``s`` (n**d, p) -> the scaling
+    values one level finer, ((2n)**d, p). Axis 0 first, as in :func:`_split`."""
+    p = x.shape[1]
+    off = n ** d  # the level's rows are off..(off << d) - 1, see GridSpec.level_offset
+    t = np.empty((off, 1 << d, p))
+    t[:, :-1] = x[off:off << d].reshape(off, (1 << d) - 1, p)
+    t[:, -1] = s
     for a in range(d):
-        perm += [a, d + a]
-    perm += list(range(2 * d, t.ndim))
-    t = t.transpose(perm)
-    for a in range(d):
-        ax = 2 * a + 1
-        diff = np.take(t, 0, axis=ax)
-        avg = np.take(t, 1, axis=ax)
-        t = np.stack(((diff + avg) * _INV_SQRT2, (avg - diff) * _INV_SQRT2), axis=ax)
-    return t.reshape((2 * n,) * d + passive)
+        u = t.reshape((2 * n) ** a * n, n ** (d - 1 - a), 2, (1 << (d - 1 - a)) * p)
+        t = np.empty((u.shape[0], 2, u.shape[1], u.shape[3]))
+        np.add(u[:, :, 0], u[:, :, 1], out=t[:, 0])
+        np.subtract(u[:, :, 1], u[:, :, 0], out=t[:, 1])
+        t *= _INV_SQRT2
+    return t.reshape((2 * n) ** d, p)
 
 
 def forward_stacked(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
@@ -82,15 +89,14 @@ def forward_stacked(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
     s = s * 2.0 ** (-N * d / 2.0)
     if any(grid.shift):
         s = np.roll(s, [-x for x in grid.shift], axis=tuple(range(d)))
-    out = np.zeros(samples.shape, dtype=float)
+    out = np.empty(samples.shape)
+    flat = out.reshape(grid.n_samples, math.prod(passive))
     for lvl in range(N - 1, -1, -1):
-        n = 1 << lvl
-        t = _butterfly_split(s, d, n, passive)
-        off0 = grid.level_offset(lvl)
-        cnt = grid.n_cubes(lvl) * grid.n_sig
-        out[off0:off0 + cnt] = t[:, :grid.n_sig].reshape((cnt,) + passive)
-        s = t[:, -1].reshape((n,) * d + passive)
-    out[0] = s.reshape(passive)
+        t = _split(s, d, 1 << lvl, flat.shape[1])
+        off = len(t)  # the level's rows are off..(off << d) - 1
+        flat[off:off << d].reshape(t[:, :-1].shape)[...] = t[:, :-1]
+        s = t[:, -1]
+    flat[0] = s[0]
     return out
 
 
@@ -98,12 +104,11 @@ def inverse_stacked(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
     """Stacked Haar coefficients -> samples (n_samples, *passive)."""
     d, N = grid.d, grid.N
     passive = stacked.shape[1:]
-    s = stacked[0].reshape((1,) * d + passive)
+    x = stacked.reshape(len(stacked), math.prod(passive))
+    s = x[:1]
     for lvl in range(N):
-        n = 1 << lvl
-        blk = grid.level_block(stacked, lvl)
-        t = np.concatenate([blk, s.reshape((n ** d, 1) + passive)], axis=1)
-        s = _butterfly_merge(t, d, n, passive)
+        s = _merge(x, s, d, 1 << lvl)
+    s = s.reshape((grid.n_side,) * d + passive)
     if any(grid.shift):
         s = np.roll(s, grid.shift, axis=tuple(range(d)))
     return s.reshape((grid.n_samples,) + passive) * 2.0 ** (N * d / 2.0)
@@ -115,17 +120,12 @@ def scaling_levels(grid: GridSpec, stacked: np.ndarray) -> list:
     Entry ``l`` has shape (n_cubes(l), *passive). These are the full cell
     averages scaled by |I|**(1/2), mean mode included.
     """
-    d = grid.d
     passive = stacked.shape[1:]
-    out = [stacked[0].reshape((1,) + passive) * np.ones((grid.n_cubes(0),) + passive)]
-    s = stacked[0].reshape((1,) * d + passive)
+    x = stacked.reshape(len(stacked), math.prod(passive))
+    out = [x[:1].astype(float)]
     for lvl in range(grid.N - 1):
-        n = 1 << lvl
-        blk = grid.level_block(stacked, lvl)
-        t = np.concatenate([blk, s.reshape((n ** d, 1) + passive)], axis=1)
-        s = _butterfly_merge(t, d, n, passive)
-        out.append(s.reshape((grid.n_cubes(lvl + 1),) + passive))
-    return out
+        out.append(_merge(x, out[-1], grid.d, 1 << lvl))
+    return [s.reshape((grid.n_cubes(lvl),) + passive) for lvl, s in enumerate(out)]
 
 
 def broadcast_level(grid: GridSpec, level: int, values: np.ndarray) -> np.ndarray:

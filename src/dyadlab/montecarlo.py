@@ -10,6 +10,7 @@ growth and the geometrically weighted total.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,10 +41,8 @@ class OmegaSample:
 
 def sample_omega(base: GridSpec, rng_seed: int) -> OmegaSample:
     """Offsets drawn i.i.d. uniform on {0,1}^d; reproducible from the seed."""
-    rng = np.random.default_rng(rng_seed)
-    offsets = tuple(tuple(int(x) for x in rng.integers(0, 2, size=base.d))
-                    for _ in range(base.N))
-    return OmegaSample(offsets, int(rng_seed))
+    offsets = np.random.default_rng(rng_seed).integers(0, 2, size=(base.N, base.d))
+    return OmegaSample(offsets.tolist(), int(rng_seed))
 
 
 def shifted_grid(base: GridSpec, omega: OmegaSample) -> GridSpec:
@@ -140,11 +139,19 @@ def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = N
 # Statistics on averaged matrices.
 
 
+@functools.lru_cache(maxsize=4)
+def _cyclic_class(n: int) -> np.ndarray:
+    """(n, n) index of each entry's cyclic diagonal, (row - column) mod n."""
+    x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    cls = (x - y) % n
+    cls.setflags(write=False)
+    return cls
+
+
 def toeplitz_deviation(M: np.ndarray) -> np.ndarray:
     """M minus its cyclic-diagonal class means (zero iff cyclically Toeplitz)."""
     n = M.shape[0]
-    x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    cls = (x - y) % n
+    cls = _cyclic_class(n)
     class_mean = np.bincount(cls.ravel(), weights=M.ravel(), minlength=n) / n
     return M - class_mean[cls]
 
@@ -202,8 +209,7 @@ def mc_representation_demo(base: GridSpec, samples: int, rng_seed: int) -> dict:
         samples, rng_seed)
     (mean, stderr), (dev_mean, dev_se), (sym_mean, sym_se) = averages
     n = base.n_samples
-    x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    offdiag = ((x - y) % n) != 0
+    offdiag = _cyclic_class(n) != 0
     toeplitz = zscore_verdict(dev_mean, dev_se, mask=offdiag)
     upper = np.zeros((n, n), dtype=bool)
     upper[np.triu_indices(n, k=1)] = True

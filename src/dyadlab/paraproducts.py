@@ -9,7 +9,8 @@ with |beta_I| <= 1. With all-cancellative signatures the output coefficient
 at I is a bounded multiple of the input coefficient, so
 ||B_k(b, f)|| <= bmo(b) ||f|| holds exactly and uniformly in k.
 ``bk_stacked`` works on the extended layout of :mod:`dyadlab.haar`, where
-the noncancellative signature of a k = 0 term is one more set of rows.
+the noncancellative signature of a k = 0 term is one more set of rows, and
+reads all levels k..N-1 in one gather.
 ``BkOperator`` is the one B_k atom of the package: it checks the depth, the
 signatures and the betas once, at construction, and the bi-parameter
 operators and decomposition terms use one per variable.
@@ -123,16 +124,19 @@ class BkOperator:
 
 def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficient-space B_k kernel: extended stack (trailing passive axes
-    allowed) -> extended stack; ``bc`` holds the symbol's stacked coefficients."""
+    allowed) -> extended stack; ``bc`` holds the symbol's stacked coefficients.
+    One gather over the cubes of levels k..N-1 (``grid_index(grid).bk_table``)."""
     g = op.grid
-    idx = grid_index(g)
-    pshape = (1,) * (x.ndim - 1)
+    rows, anc, scale = grid_index(g).bk_table(op.k)
+    coef = bc[anc + op.sb]
+    if op.beta is not None:
+        coef = np.concatenate(op.beta[op.k:]) * coef
+    coef *= scale
+    tail = slice(g.n_samples, None)  # noncancellative rows of levels 0..N-1
+    rin = tail if op.si == g.noncanc_int else rows + op.si
+    rout = tail if op.so == g.noncanc_int else rows + op.so
     out = np.zeros_like(x)
-    for lvl in range(op.k, g.N):
-        banc = g.level_block(bc, lvl - op.k)[:, op.sb][idx.ancestor_flat(lvl, op.k)]
-        scale = 2.0 ** ((lvl - op.k) * g.d / 2.0)
-        coef = (op.beta_level(lvl) * banc * scale).reshape(banc.shape + pshape)
-        out[idx.sig_rows(lvl, op.so)] += coef * x[idx.sig_rows(lvl, op.si)]
+    out[rout] = coef.reshape(coef.shape + (1,) * (x.ndim - 1)) * x[rin]
     return out
 
 

@@ -77,6 +77,91 @@ def dense_shift_matrix_oracle(S):
     return M
 
 
+# ---------------------------------------------------------------------------
+# Reference Haar pyramid: np.take/np.stack butterflies on a (n, 2)-per-axis
+# view, the same floating-point steps as the library's fused pyramid.
+
+_C = 1.0 / np.sqrt(2.0)
+
+
+def _butterfly_split(s, d, n, passive):
+    """(2n,)*d scaling block -> (n**d, 2**d) mixed block; column e encodes
+    diff(0)/avg(1) per axis, axis 0 most significant."""
+    t = s.reshape(sum(((n, 2) for _ in range(d)), ()) + passive)
+    for a in range(d):
+        ax = 2 * a + 1
+        lo = np.take(t, 0, axis=ax)
+        hi = np.take(t, 1, axis=ax)
+        t = np.stack(((lo - hi) * _C, (lo + hi) * _C), axis=ax)
+    perm = ([2 * a for a in range(d)] + [2 * a + 1 for a in range(d)]
+            + list(range(2 * d, t.ndim)))
+    return t.transpose(perm).reshape((n ** d, 1 << d) + passive)
+
+
+def _butterfly_merge(t, d, n, passive):
+    """Inverse of :func:`_butterfly_split`."""
+    t = t.reshape((n,) * d + (2,) * d + passive)
+    perm = []
+    for a in range(d):
+        perm += [a, d + a]
+    perm += list(range(2 * d, t.ndim))
+    t = t.transpose(perm)
+    for a in range(d):
+        ax = 2 * a + 1
+        diff = np.take(t, 0, axis=ax)
+        avg = np.take(t, 1, axis=ax)
+        t = np.stack(((diff + avg) * _C, (avg - diff) * _C), axis=ax)
+    return t.reshape((2 * n,) * d + passive)
+
+
+def forward_oracle(grid, samples):
+    d, N = grid.d, grid.N
+    passive = samples.shape[1:]
+    s = samples.reshape((grid.n_side,) * d + passive).astype(float)
+    s = s * 2.0 ** (-N * d / 2.0)
+    if any(grid.shift):
+        s = np.roll(s, [-x for x in grid.shift], axis=tuple(range(d)))
+    out = np.zeros(samples.shape, dtype=float)
+    for lvl in range(N - 1, -1, -1):
+        n = 1 << lvl
+        t = _butterfly_split(s, d, n, passive)
+        off0 = grid.level_offset(lvl)
+        cnt = grid.n_cubes(lvl) * grid.n_sig
+        out[off0:off0 + cnt] = t[:, :grid.n_sig].reshape((cnt,) + passive)
+        s = t[:, -1].reshape((n,) * d + passive)
+    out[0] = s.reshape(passive)
+    return out
+
+
+def _merged_levels(grid, stacked, top):
+    """Scaling values of levels 0..top, each (n, ..., n, *passive)."""
+    d = grid.d
+    passive = stacked.shape[1:]
+    s = stacked[0].reshape((1,) * d + passive)
+    levels = [s]
+    for lvl in range(top):
+        n = 1 << lvl
+        blk = grid.level_block(stacked, lvl)
+        t = np.concatenate([blk, s.reshape((n ** d, 1) + passive)], axis=1)
+        s = _butterfly_merge(t, d, n, passive)
+        levels.append(s)
+    return levels
+
+
+def inverse_oracle(grid, stacked):
+    passive = stacked.shape[1:]
+    s = _merged_levels(grid, stacked, grid.N)[-1]
+    if any(grid.shift):
+        s = np.roll(s, grid.shift, axis=tuple(range(grid.d)))
+    return s.reshape((grid.n_samples,) + passive) * 2.0 ** (grid.N * grid.d / 2.0)
+
+
+def scaling_levels_oracle(grid, stacked):
+    passive = stacked.shape[1:]
+    return [s.reshape((grid.n_cubes(lvl),) + passive)
+            for lvl, s in enumerate(_merged_levels(grid, stacked, grid.N - 1))]
+
+
 def strictly_inside(grid, inner, outer):
     if inner.level <= outer.level:
         return False

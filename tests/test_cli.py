@@ -100,7 +100,9 @@ def test_usage_error_exit_code(tmp_path):
                  ["jn-check", "--p", "1.0"],
                  ["jn-check", "--p", "nan"],
                  ["bound-study", "--delta", "0"],
-                 ["bound-study", "--delta", "inf"]):
+                 ["bound-study", "--delta", "inf"],
+                 ["selftest", "--N", "25"],
+                 ["selftest", "--d", "3", "--N", "9"]):
         assert main(argv + out) == 2, argv
     # config values take the flag's type, range check included
     cfg = tmp_path / "cfg.json"

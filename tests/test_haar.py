@@ -9,8 +9,9 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
 from dyadlab.biparam import ProductFunction, ProductGrid
 from dyadlab.grids import InvalidIndexError, grid_index
 from dyadlab.haar import (HaarCoefficients, contract, extend, forward_stacked,
-                          scaling_levels)
-from conftest import all_cancellative_indices
+                          inverse_stacked, scaling_levels)
+from conftest import (all_cancellative_indices, forward_oracle, inverse_oracle,
+                      scaling_levels_oracle)
 
 
 def test_haar_function_1d_examples():
@@ -223,3 +224,22 @@ def test_noncancellative_rows_hold_the_scaling_levels(g, passive, rng):
         for e in range(g.n_sig):
             assert np.array_equal(ext[idx.sig_rows(lvl, e)], g.level_block(x, lvl)[:, e])
     assert np.array_equal(ext[:g.n_samples], x)
+
+
+@pytest.mark.parametrize("g", LAYOUT_GRIDS + [GridSpec(1, 1), GridSpec(1, 6), GridSpec(2, 1),
+                                               GridSpec(2, 4), GridSpec(3, 1), GridSpec(3, 3)],
+                         ids=repr)
+@pytest.mark.parametrize("passive", [(), (3,), (2, 2)])
+def test_pyramid_is_bit_identical_to_the_butterfly_oracle(g, passive, rng):
+    x = rng.standard_normal((g.n_samples,) + passive)
+    c = forward_stacked(g, x)
+    assert c.shape == x.shape
+    assert np.array_equal(c, forward_oracle(g, x))
+    y = inverse_stacked(g, c)
+    assert y.shape == x.shape
+    assert np.array_equal(y, inverse_oracle(g, c))
+    got, want = scaling_levels(g, c), scaling_levels_oracle(g, c)
+    assert len(got) == len(want) == g.N
+    for lvl, (u, v) in enumerate(zip(got, want)):
+        assert u.shape == (g.n_cubes(lvl),) + passive
+        assert np.array_equal(u, v)

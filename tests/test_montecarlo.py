@@ -24,6 +24,15 @@ def test_sample_omega_deterministic():
     assert all(x in (0, 1) for lvl in a.offsets for x in lvl)
 
 
+@pytest.mark.parametrize("d,N", [(1, 2), (1, 6), (2, 4), (3, 3), (1, 12)])
+def test_sample_omega_is_the_per_level_draw(d, N):
+    base = GridSpec(d, N)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        want = tuple(tuple(int(x) for x in rng.integers(0, 2, size=d)) for _ in range(N))
+        assert sample_omega(base, seed) == OmegaSample(want, seed)
+
+
 def test_shifted_grid_identity_and_offsets():
     zero = OmegaSample(tuple((0,) for _ in range(BASE.N)), 0)
     assert shifted_grid(BASE, zero) == BASE

@@ -6,8 +6,10 @@ import pytest
 from dyadlab import (BkOperator, DyadicCube, DyadicFunction, GridSpec,
                      HaarIndex, apply_Bk, apply_P, apply_P_adjoint,
                      haar_function, inner_product, random_function)
-from dyadlab.grids import InvalidIndexError
+from dyadlab.grids import InvalidIndexError, grid_index
+from dyadlab.haar import extend, forward_stacked
 from dyadlab.norms import dyadic_bmo_norm, uniformity_study
+from dyadlab.paraproducts import bk_stacked
 from conftest import all_cubes, strictly_inside
 
 
@@ -90,6 +92,60 @@ def test_bk_matches_oracle_2d_and_noncanc_signatures(rng):
     for op in cases:
         got = apply_Bk(op, b, f).samples
         assert np.max(np.abs(got - bk_oracle(op, b, f))) < 1e-11
+
+
+def bk_stacked_loop(op, bc, x):
+    """Per-level B_k kernel: one gather and one scatter-add per level."""
+    g = op.grid
+    idx = grid_index(g)
+    pshape = (1,) * (x.ndim - 1)
+    out = np.zeros_like(x)
+    for lvl in range(op.k, g.N):
+        banc = g.level_block(bc, lvl - op.k)[:, op.sb][idx.ancestor_flat(lvl, op.k)]
+        scale = 2.0 ** ((lvl - op.k) * g.d / 2.0)
+        coef = (op.beta_level(lvl) * banc * scale).reshape(banc.shape + pshape)
+        out[idx.sig_rows(lvl, op.so)] += coef * x[idx.sig_rows(lvl, op.si)]
+    return out
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 1), GridSpec(1, 5), GridSpec(2, 3),
+                               GridSpec(3, 2), GridSpec(2, 2, omega=((1, 0), (1, 1)))],
+                         ids=repr)
+def test_bk_gather_is_bit_identical_to_the_level_loop(g, rng):
+    bc = forward_stacked(g, rng.standard_normal(g.n_samples))
+    sigs = [g.int_sig(e) for e in range(1 << g.d)]
+    for passive in ((), (3,)):
+        x = extend(g, rng.standard_normal((g.n_samples,) + passive))
+        for k in range(g.N):
+            signed = tuple(np.where(rng.standard_normal(g.n_cubes(l)) < 0, -1.0, 0.5)
+                           for l in range(g.N))
+            for beta in (None, signed):
+                for sb in sigs[:-1]:
+                    for si in sigs:
+                        for so in sigs:
+                            try:
+                                op = BkOperator(g, k, sb, si, so, beta)
+                            except InvalidIndexError:
+                                continue
+                            got = bk_stacked(op, bc, x)
+                            assert got.shape == x.shape
+                            assert np.array_equal(got, bk_stacked_loop(op, bc, x)), op
+
+
+def test_bk_tables_are_keyed_by_depth_alone(rng):
+    from dyadlab import decompose_cancellative, evaluate_terms, random_shift
+    g = GridSpec(2, 4)
+    b = random_function(g, rng)
+    tl = decompose_cancellative(b, random_shift(g, 2, 1, rng))
+    assert len({(t.atom1.k, t.atom1.sb, t.atom1.si, t.atom1.so) for t in tl.terms}) \
+        > len({t.atom1.k for t in tl.terms}) > 1
+    evaluate_terms(tl, random_function(g, rng))
+    tables = grid_index(g)._bk
+    assert set(tables) <= set(range(g.N))
+    assert set(tables) >= {t.atom1.k for t in tl.terms}
+    for k, (rows, anc, scale) in tables.items():
+        n_rows = sum(g.n_cubes(lvl) for lvl in range(k, g.N))
+        assert rows.shape == anc.shape == scale.shape == (n_rows,)
 
 
 def test_bk_signature_rules():
