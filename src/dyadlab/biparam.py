@@ -8,8 +8,10 @@ The operator family combines one "atom" per variable: a
 :class:`~dyadlab.paraproducts.BkOperator` on that variable's grid (the B_k
 diagonal paraproduct) or a ``PAtom`` (the cube/subcube operator P, possibly
 adjoint). This realizes B_{k,l}, BP_k, PB_l, PP, the partial adjoints
-PP_1 / PP_2, and the full adjoint, all evaluated in coefficient space with
-per-level contractions and the strict-subcube tree scans of
+PP_1 / PP_2, and the full adjoint, all evaluated in coefficient space: a
+B atom is one gather over the rows of
+:func:`~dyadlab.paraproducts.bk_gather`, the same layout ``bk_stacked``
+reads, and a P atom is a strict-subcube tree scan of
 :mod:`dyadlab.paraproducts`.
 
 Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
@@ -35,7 +37,7 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec, grid_index
 from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
-from .paraproducts import (BkOperator, strict_ancestor_sum,
+from .paraproducts import (BkOperator, bk_gather, strict_ancestor_sum,
                            strict_subtree_sum, symbol_stacked)
 
 _MAGIC_2P = b"DYF2"
@@ -269,7 +271,7 @@ def _lift(a: np.ndarray, lead: int, X: np.ndarray) -> np.ndarray:
 def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
                sym1: np.ndarray = None, sym2: np.ndarray = None,
                sym12: np.ndarray = None, out: np.ndarray = None,
-               weight: float = 1.0, b_cache: dict = None) -> np.ndarray:
+               weight: float = 1.0) -> np.ndarray:
     """Evaluate the tensor of two one-variable atoms on extended stacks.
 
     Each atom is a BkOperator on its variable's grid or a PAtom. ``Xe`` is
@@ -278,11 +280,12 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     ``sym2`` (n2,) and ``sym12`` (n1, n2) broadcast against its trailing
     axes. ``sym1``/``sym2`` are stacked symbol coefficients for P atoms acting
     in that variable; ``sym12`` is the stacked matrix of a product symbol
-    when both atoms are P-type. With ``out`` (extended, shaped like ``Xe``)
-    the weighted contribution is added into it and None is returned;
-    without, the contracted result (n1, n2, *passive) is returned.
-    ``b_cache`` memoizes ancestor gathers of the symbol coefficients, which
-    carry the trailing unit axes, so one cache serves one ``Xe.ndim``.
+    when both atoms are P-type. A B atom reads and writes the rows that
+    :func:`~dyadlab.paraproducts.bk_gather` gives it, all levels at once:
+    B x B is one gather over the row blocks of both variables, B x P one
+    strict-subcube scan along the P variable. With ``out`` (extended, shaped
+    like ``Xe``) the weighted contribution is added into it and None is
+    returned; without, the contracted result (n1, n2, *passive) is returned.
     """
     bC = _lift(bC, 2, Xe)
     sym1, sym2, sym12 = _lift(sym1, 1, Xe), _lift(sym2, 1, Xe), _lift(sym12, 2, Xe)
@@ -293,66 +296,43 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
         n1, n2 = pg.shape
         out[:n1, :n2] += weight * _pp_pair(pg, bC, Xe[:n1, :n2], atom1, atom2, sym12)
     elif isinstance(atom1, PAtom):
-        # mirror: the (B, P) kernel on views with the variables swapped; its
-        # b gathers belong to variable 2, so they stay out of the cache
-        _bp_pair(pg.swap(), _swap(bC), _swap(Xe), atom2, atom1, sym1, _swap(out),
-                 weight, None)
+        # mirror: the (B, P) kernel on views with the variables swapped
+        _bp_pair(pg.swap(), _swap(bC), _swap(Xe), atom2, atom1, sym1, _swap(out), weight)
     elif isinstance(atom2, PAtom):
-        _bp_pair(pg, bC, Xe, atom1, atom2, sym2, out, weight, b_cache)
+        _bp_pair(pg, bC, Xe, atom1, atom2, sym2, out, weight)
     else:
-        _bb_pair(pg, bC, Xe, atom1, atom2, out, weight, b_cache)
+        _bb_pair(bC, Xe, atom1, atom2, out, weight)
     return contract2(pg, out) if result else None
 
 
-def _b_rows(g: GridSpec, a: BkOperator, lvl: int) -> np.ndarray:
-    """Rows of the symbol coefficients <b, h_(I^(k))> for the cubes I at ``lvl``."""
-    idx = grid_index(g)
-    return idx.sig_rows(lvl - a.k, a.sb)[idx.ancestor_flat(lvl, a.k)]
+def _coef(beta, scale):
+    """Per-cube factor of a B atom: ``beta * scale``, or ``scale`` when all +1."""
+    return scale if beta is None else beta * scale
 
 
-def _cached(b_cache: dict, key: tuple, gather):
-    """``gather()``, memoized under ``key`` when a cache is given."""
-    if b_cache is None:
-        return gather()
-    if key not in b_cache:
-        b_cache[key] = gather()
-    return b_cache[key]
-
-
-def _bb_pair(pg, bC, Xe, a1: BkOperator, a2: BkOperator, out: np.ndarray,
-             weight: float, b_cache: dict) -> None:
-    g1, g2 = pg.grid1, pg.grid2
-    rows1, rows2 = grid_index(g1).sig_rows, grid_index(g2).sig_rows
-    pad = (1,) * (Xe.ndim - 2)
-    c2s = []
-    for l2 in range(a2.k, g2.N):
-        c2 = a2.beta_level(l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
-        c2s.append(np.reshape(c2, np.shape(c2) + pad))
-    for l1 in range(a1.k, g1.N):
-        c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
-        for l2, c2 in zip(range(a2.k, g2.N), c2s):
-            Bg = _cached(b_cache, ("bb", a1.k, a1.sb, a2.k, a2.sb, l1, l2),
-                         lambda: bC[np.ix_(_b_rows(g1, a1, l1), _b_rows(g2, a2, l2))])
-            Xin = Xe[np.ix_(rows1(l1, a1.si), rows2(l2, a2.si))]
-            out[np.ix_(rows1(l1, a1.so), rows2(l2, a2.so))] += (c1 * (Bg * Xin).T).T * c2
+def _bb_pair(bC, Xe, a1: BkOperator, a2: BkOperator, out: np.ndarray,
+             weight: float) -> None:
+    rin1, rout1, b1, beta1, scale1 = bk_gather(a1)
+    rin2, rout2, b2, beta2, scale2 = bk_gather(a2)
+    c1 = _coef(beta1, weight * scale1)
+    c2 = _lift(_coef(beta2, scale2), 1, Xe)
+    ix = np.ix_
+    out[ix(rout1, rout2)] += (c1 * (bC[ix(b1, b2)] * Xe[ix(rin1, rin2)]).T).T * c2
 
 
 def _bp_pair(pg, bC, Xe, a1: BkOperator, p2: PAtom, sym2, out: np.ndarray,
-             weight: float, b_cache: dict) -> None:
+             weight: float) -> None:
     if sym2 is None:
         raise ValueError("P atom in variable 2 needs its symbol")
-    g1, g2 = pg.grid1, pg.grid2
-    i1 = grid_index(g1)
+    g2 = pg.grid2
     n2 = g2.n_samples
-    for l1 in range(a1.k, g1.N):
-        Bg = _cached(b_cache, ("bp", a1.k, a1.sb, l1), lambda: bC[_b_rows(g1, a1, l1), :])
-        c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
-        Xin = Xe[i1.sig_rows(l1, a1.si), :n2]
-        if not p2.adjoint:
-            C = _swap(strict_ancestor_sum(g2, _swap(Bg * Xin))) * sym2[None, :]
-        else:
-            C = Bg * _swap(strict_subtree_sum(g2, _swap(Xin * sym2[None, :])))
-        out[i1.sig_rows(l1, a1.so), :n2] += (C.T * c1).T
+    rin, rout, brows, beta, scale = bk_gather(a1)
+    Bg, Xin = bC[brows], Xe[rin, :n2]
+    if not p2.adjoint:
+        C = _swap(strict_ancestor_sum(g2, _swap(Bg * Xin))) * sym2[None, :]
+    else:
+        C = Bg * _swap(strict_subtree_sum(g2, _swap(Xin * sym2[None, :])))
+    out[rout, :n2] += (C.T * _coef(beta, weight * scale)).T
 
 
 def _pp_pair(pg, bC, X, p1: PAtom, p2: PAtom, sym12) -> np.ndarray:

@@ -144,34 +144,21 @@ def _bk(grid: GridSpec, k: int, sb: int, si: int, so: int, beta=None) -> BkOpera
 
 
 def _cancellative_var_atoms(grid: GridSpec, i: int, j: int) -> list:
-    """(weight, atom, inner, outer, provenance) for one cancellative variable."""
+    """(weight, atom, inner, outer, provenance) for one cancellative variable;
+    the b_mul (k <= j) and mul_S (k <= i) halves share their atoms."""
     non = grid.noncanc_int
     cancs = range(grid.n_sig)
+    groups = [("tail", [_bk(grid, 0, eps, non, eps) for eps in cancs]),
+              ("same_cube", [_bk(grid, 0, eps, eps2, non ^ (eps ^ eps2))
+                             for eps in cancs for eps2 in cancs])]
+    for k in range(1, max(i, j) + 1):
+        betas = [_beta_from_sig(grid, k, eps) for eps in cancs]
+        groups.append((f"depth_{k}", [_bk(grid, k, eps, eps2, eps2, betas[eps])
+                                      for eps in cancs for eps2 in cancs]))
     out = []
-    for eps in cancs:
-        out.append((1.0, _bk(grid, 0, eps, non, eps), True, False, "b_mul:tail"))
-    for eps in cancs:
-        for eps2 in cancs:
-            out.append((1.0, _bk(grid, 0, eps, eps2, non ^ (eps ^ eps2)), True, False,
-                        "b_mul:same_cube"))
-    for k in range(1, j + 1):
-        for eps in cancs:
-            beta = _beta_from_sig(grid, k, eps)
-            for eps2 in cancs:
-                out.append((1.0, _bk(grid, k, eps, eps2, eps2, beta), True, False,
-                            f"b_mul:depth_{k}"))
-    for eps in cancs:
-        out.append((-1.0, _bk(grid, 0, eps, non, eps), False, True, "mul_S:tail"))
-    for eps in cancs:
-        for eps2 in cancs:
-            out.append((-1.0, _bk(grid, 0, eps, eps2, non ^ (eps ^ eps2)), False, True,
-                        "mul_S:same_cube"))
-    for k in range(1, i + 1):
-        for eps in cancs:
-            beta = _beta_from_sig(grid, k, eps)
-            for eps2 in cancs:
-                out.append((-1.0, _bk(grid, k, eps, eps2, eps2, beta), False, True,
-                            f"mul_S:depth_{k}"))
+    for weight, inner, half, depth in ((1.0, True, "b_mul", j), (-1.0, False, "mul_S", i)):
+        for name, atoms in groups[:2 + depth]:
+            out += [(weight, atom, inner, not inner, f"{half}:{name}") for atom in atoms]
     return out
 
 
@@ -340,14 +327,10 @@ def _evaluate_biparam(tl: TermList, x: np.ndarray) -> np.ndarray:
                (True, False): S1.apply_stacked(x), (True, True): S1.apply_stacked(s2x)}
     inputs = {key: extend2(pg, y) for key, y in shifted.items()}
     groups = {key: np.zeros(xe.shape) for key, xe in inputs.items()}
-    if not hasattr(tl, "_b_cache"):
-        tl._b_cache = {}
-    # cached gathers carry the trailing unit axes of one input rank
-    b_cache = tl._b_cache.setdefault(x.ndim, {})
     for term in tl.terms:
         pair_apply(pg, tl._bc, inputs[(term.inner1, term.inner2)], term.atom1, term.atom2,
                    sym1=sym1, sym2=sym2, sym12=sym12, out=groups[(term.outer1, term.outer2)],
-                   weight=term.weight, b_cache=b_cache)
+                   weight=term.weight)
     total = np.zeros(x.shape)
     for (o1, o2), acc in groups.items():
         y = contract2(pg, acc)

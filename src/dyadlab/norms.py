@@ -106,15 +106,13 @@ def open_set_bmo_norm(b: ProductFunction) -> float:
                     mask[np.ix_(cells1[m1], cells2[m2])] = True
                     t = g2.level_block(blk1[m1].T, l2)[m2]
                     rects.append((mask.reshape(-1), float((t ** 2).sum())))
-    cell_vol = g1.cell_volume * g2.cell_volume
-    best = 0.0
-    for bits in range(1, 1 << n_cells):
-        omega = np.array([(bits >> c) & 1 for c in range(n_cells)], dtype=bool)
-        vol = omega.sum() * cell_vol
-        mass = sum(m for mask, m in rects if mask[~omega].sum() == 0)
-        if mass > 0:
-            best = max(best, mass / vol)
-    return float(np.sqrt(best))
+    # row s - 1 is the open set whose cells are the set bits of s
+    omega = ((np.arange(1, 1 << n_cells)[:, None] >> np.arange(n_cells)) & 1).astype(bool)
+    mass = np.zeros(len(omega))
+    for mask, m in rects:  # in rectangle order, as a running sum per set
+        mass += np.where(omega[:, mask].all(axis=1), m, 0.0)
+    vol = omega.sum(axis=1) * (g1.cell_volume * g2.cell_volume)
+    return float(np.sqrt(np.max(mass / vol, where=mass > 0, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ the noncancellative signature of a k = 0 term is one more set of rows, and
 reads all levels k..N-1 in one gather.
 ``BkOperator`` is the one B_k atom of the package: it checks the depth, the
 signatures and the betas once, at construction, and the bi-parameter
-operators and decomposition terms use one per variable.
+operators and decomposition terms use one per variable. ``bk_gather`` lays
+an atom out on the rows that ``bk_stacked`` and :mod:`dyadlab.biparam` read.
 
 P pairs b and f on a cube and a second symbol on its strict subcubes:
 
@@ -48,8 +49,8 @@ class BkOperator:
     (sig_in, sig_out) may be noncancellative, and only when k = 0. The b-side
     signature is always cancellative. ``beta`` may be None (all +1), a dict
     DyadicCube -> float, or a sequence of per-level arrays indexed by flat
-    cube position; it is stored as None or a tuple of N float arrays whose
-    entries have magnitude <= 1. Two atoms are equal when grid, k,
+    cube position; it is stored as None or a tuple of N read-only float
+    arrays whose entries have magnitude <= 1. Two atoms are equal when grid, k,
     signatures and betas agree (betas compared value by value).
     """
 
@@ -91,6 +92,8 @@ class BkOperator:
             beta = levels
         if beta is not None:
             beta = tuple(np.array(arr, dtype=float) for arr in beta)
+            for arr in beta:
+                arr.setflags(write=False)  # decomposition terms share atoms
             if len(beta) != g.N or any(arr.shape != (g.n_cubes(lvl),)
                                        for lvl, arr in enumerate(beta)):
                 raise ValueError(f"beta needs one array of n_cubes(level) entries "
@@ -122,19 +125,29 @@ class BkOperator:
                           self.beta)
 
 
+def bk_gather(op: BkOperator) -> tuple:
+    """(rows_in, rows_out, b_rows, beta, scale) of a B_k atom over the cubes of
+    levels k..N-1 (``grid_index(grid).bk_table``): its extended-layout rows,
+    the stacked rows of <b, h_(I^(k))>, the betas (None: all +1) and the
+    scales 2**((level - k) * d / 2)."""
+    g = op.grid
+    rows, anc, scale = grid_index(g).bk_table(op.k)
+
+    def at(sig):
+        # noncancellative only at k = 0: every cube, all of the tail
+        return g.n_samples + np.arange(len(rows)) if sig == g.noncanc_int else rows + sig
+
+    beta = None if op.beta is None else np.concatenate(op.beta[op.k:])
+    return at(op.si), at(op.so), anc + op.sb, beta, scale
+
+
 def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficient-space B_k kernel: extended stack (trailing passive axes
     allowed) -> extended stack; ``bc`` holds the symbol's stacked coefficients.
-    One gather over the cubes of levels k..N-1 (``grid_index(grid).bk_table``)."""
-    g = op.grid
-    rows, anc, scale = grid_index(g).bk_table(op.k)
-    coef = bc[anc + op.sb]
-    if op.beta is not None:
-        coef = np.concatenate(op.beta[op.k:]) * coef
+    One gather over the rows of :func:`bk_gather`."""
+    rin, rout, brows, beta, scale = bk_gather(op)
+    coef = bc[brows] if beta is None else beta * bc[brows]
     coef *= scale
-    tail = slice(g.n_samples, None)  # noncancellative rows of levels 0..N-1
-    rin = tail if op.si == g.noncanc_int else rows + op.si
-    rout = tail if op.so == g.noncanc_int else rows + op.so
     out = np.zeros_like(x)
     out[rout] = coef.reshape(coef.shape + (1,) * (x.ndim - 1)) * x[rin]
     return out

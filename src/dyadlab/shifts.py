@@ -5,6 +5,8 @@ below K to cubes J at depth j below K, one block per K, with entries bounded
 by |I|**(1/2) |J|**(1/2) / |K|. Blocks are stored per K-level as dense arrays
 over (K, I-slot, I-signature, J-slot, J-signature); application runs in
 coefficient space (transform in, per-level contractions, transform out).
+A noncancellative shift pairs each Haar row of a cube with the cube's row in
+the tail of the extended layout (:func:`~dyadlab.haar.extend`/``contract``).
 
 Each K determines its own block, so after an additional per-block Frobenius
 normalization every cancellative shift is an exact L2 contraction.
@@ -19,8 +21,8 @@ import numpy as np
 
 from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec,
                     InvalidIndexError, WrongKindError, grid_index)
-from .haar import (DyadicFunction, forward_stacked, fold_noncancellative,
-                   inverse_stacked, scaling_levels)
+from .haar import (DyadicFunction, contract, extend, forward_stacked,
+                   inverse_stacked)
 
 CANCELLATIVE = "cancellative"
 NONCANCELLATIVE = "noncancellative"
@@ -54,7 +56,7 @@ class ShiftOperator:
     symbol: DyadicFunction = None
     orientation: str = None
     meta: dict = field(default_factory=dict)
-    _acoef: tuple = field(init=False, compare=False, repr=False, default=None)
+    _acoef: np.ndarray = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind == CANCELLATIVE:
@@ -68,11 +70,12 @@ class ShiftOperator:
             if self.symbol is None or self.symbol.grid != self.grid:
                 raise GridMismatchError("symbol must live on the operator grid")
             g = self.grid
-            sc = forward_stacked(g, self.symbol.samples)
-            acoef = tuple(g.level_block(sc, lvl) * 2.0 ** (lvl * g.d / 2.0)
-                          for lvl in range(g.N))
-            for a in acoef:
-                a.setflags(write=False)
+            # stacked a_I, mean row zero
+            acoef = forward_stacked(g, self.symbol.samples)
+            acoef[0] = 0.0
+            for lvl in range(g.N):
+                g.level_block(acoef, lvl)[...] *= 2.0 ** (lvl * g.d / 2.0)
+            acoef.setflags(write=False)
             object.__setattr__(self, "_acoef", acoef)
         else:
             raise WrongKindError(f"unknown shift kind {self.kind}")
@@ -85,8 +88,8 @@ class ShiftOperator:
 
     def symbol_coefficients(self) -> tuple:
         """Per-level arrays a_I = <a,h_I^sig> |I|**(-1/2), shape (n_cubes, n_sig);
-        computed once, when the shift is built."""
-        return self._acoef
+        computed once, when the shift is built, and read-only."""
+        return tuple(self.grid.level_block(self._acoef, lvl) for lvl in range(self.grid.N))
 
     # -- application -------------------------------------------------------
 
@@ -105,20 +108,16 @@ class ShiftOperator:
                 res = np.einsum("kabcd,kab...->kcd...", block, fin)
                 g.level_block(out, kappa + self.j)[gj] += res
         else:
-            acoef = self._acoef
+            # rows 1.. as (cube, signature, *passive): a cube's rows pair with
+            # its row in the tail of the extended layout
+            cubes = (-1, g.n_sig) + x.shape[1:]
+            a = self._acoef[1:].reshape(cubes[:2] + (1,) * (x.ndim - 1))
             if self.orientation == ANALYSIS:
-                scal = scaling_levels(g, x)
-                for lvl in range(g.N):
-                    blk = g.level_block(out, lvl)
-                    a = acoef[lvl].reshape(acoef[lvl].shape + (1,) * (x.ndim - 1))
-                    blk += a * scal[lvl][:, None]
+                blk = out[1:].reshape(cubes)
+                blk += a * extend(g, x)[g.n_samples:, None]
             else:
-                contribs = {}
-                for lvl in range(g.N):
-                    fin = g.level_block(x, lvl)
-                    a = acoef[lvl].reshape(acoef[lvl].shape + (1,) * (x.ndim - 1))
-                    contribs[lvl] = (a * fin).sum(axis=1)
-                out += fold_noncancellative(g, contribs)
+                tail = (a * x[1:].reshape(cubes)).sum(axis=1)
+                out = contract(g, np.concatenate([out, tail]))
         return out
 
     def apply_samples(self, samples: np.ndarray) -> np.ndarray:
@@ -144,7 +143,7 @@ class ShiftOperator:
 
     def coefficient_count(self) -> int:
         if not self.cancellative:
-            return sum(a.size for a in self._acoef)
+            return self._acoef.size - 1
         return sum(0 if b is None else b.size for b in self.blocks)
 
     # -- serialization -----------------------------------------------------

@@ -166,3 +166,50 @@ def strictly_inside(grid, inner, outer):
     if inner.level <= outer.level:
         return False
     return grid.ancestor(inner, inner.level - outer.level) == outer
+
+
+# ---------------------------------------------------------------------------
+# Reference bi-parameter B kernels: the level-by-level loops, one gather per
+# level (pair) of each B atom, rows rebuilt from sig_rows/ancestor_flat.
+
+
+def _b_rows_oracle(g, a, lvl):
+    """Rows of <b, h_(I^(k))> for the cubes I at ``lvl``."""
+    idx = grid_index(g)
+    return idx.sig_rows(lvl - a.k, a.sb)[idx.ancestor_flat(lvl, a.k)]
+
+
+def bb_pair_oracle(pg, bC, Xe, a1, a2, out, weight):
+    """B x B into ``out``: one pass per level pair (l1, l2); ``bC`` carries
+    the trailing unit axes of ``Xe``."""
+    g1, g2 = pg.grid1, pg.grid2
+    rows1, rows2 = grid_index(g1).sig_rows, grid_index(g2).sig_rows
+    pad = (1,) * (Xe.ndim - 2)
+    for l1 in range(a1.k, g1.N):
+        c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
+        for l2 in range(a2.k, g2.N):
+            c2 = a2.beta_level(l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
+            c2 = np.reshape(c2, np.shape(c2) + pad)
+            Bg = bC[np.ix_(_b_rows_oracle(g1, a1, l1), _b_rows_oracle(g2, a2, l2))]
+            Xin = Xe[np.ix_(rows1(l1, a1.si), rows2(l2, a2.si))]
+            out[np.ix_(rows1(l1, a1.so), rows2(l2, a2.so))] += (c1 * (Bg * Xin).T).T * c2
+
+
+def bp_pair_oracle(pg, bC, Xe, a1, p2, sym2, out, weight):
+    """B x P into ``out``: one strict-subcube scan per level of the B atom;
+    ``bC`` and ``sym2`` carry the trailing unit axes of ``Xe``."""
+    from dyadlab.paraproducts import strict_ancestor_sum, strict_subtree_sum
+    g1, g2 = pg.grid1, pg.grid2
+    rows1 = grid_index(g1).sig_rows
+    n2 = g2.n_samples
+    for l1 in range(a1.k, g1.N):
+        Bg = bC[_b_rows_oracle(g1, a1, l1), :]
+        c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
+        Xin = Xe[rows1(l1, a1.si), :n2]
+        if not p2.adjoint:
+            C = np.swapaxes(strict_ancestor_sum(g2, np.swapaxes(Bg * Xin, 0, 1)), 0, 1) \
+                * sym2[None, :]
+        else:
+            C = Bg * np.swapaxes(
+                strict_subtree_sum(g2, np.swapaxes(Xin * sym2[None, :], 0, 1)), 0, 1)
+        out[rows1(l1, a1.so), :n2] += (C.T * c1).T

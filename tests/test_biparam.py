@@ -6,11 +6,12 @@ from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube, DyadicFunction
                      apply_in_variable, haar_function, inner_product2,
                      iterated_commutator, random_function,
                      random_product_function, random_shift, tensor_function)
-from dyadlab.biparam import contract2, extend2, forward2, forward_var, inverse2
+from dyadlab.biparam import (PAtom, contract2, extend2, forward2, forward_var,
+                             inverse2, pair_apply)
 from dyadlab.grids import DepthError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
-from conftest import (all_cancellative_indices, all_cubes, dense_matrix,
-                      strictly_inside)
+from conftest import (all_cancellative_indices, all_cubes, bb_pair_oracle,
+                      bp_pair_oracle, dense_matrix, strictly_inside)
 
 
 PG = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
@@ -412,3 +413,65 @@ def test_contract2_is_the_adjoint_of_extend2(pg, passive, rng):
     rows1 = grid_index(g1).sig_rows(g1.N - 1, g1.noncanc_int)
     expect = extend(g2, np.swapaxes(extend(g1, x)[rows1], 0, 1))
     assert np.array_equal(ext[rows1], np.swapaxes(expect, 0, 1))
+
+
+def _all_b_atoms(g, k, rng):
+    """Every admissible signature triple at depth k, with betas None and
+    per-level arrays."""
+    sigs = [g.int_sig(e) for e in range(1 << g.d)]
+    beta = tuple(rng.uniform(-1.0, 1.0, g.n_cubes(lvl)) for lvl in range(g.N))
+    atoms = []
+    for sb in sigs[:-1]:
+        for si in sigs:
+            for so in sigs:
+                for b in (None, beta):
+                    try:
+                        atoms.append(BkOperator(g, k, sb, si, so, b))
+                    except InvalidIndexError:
+                        pass
+    return atoms
+
+
+def _pairs(atoms1, atoms2, rng):
+    """Pairs covering every atom of both lists, partners drawn at random."""
+    n = max(len(atoms1), len(atoms2))
+    return [(atoms1[i % len(atoms1)], atoms2[j])
+            for i, j in enumerate(rng.permutation(np.resize(np.arange(len(atoms2)), n)))]
+
+
+@pytest.mark.parametrize("pg", [PG_D2, ProductGrid(
+    GridSpec(1, 3, omega=((1,), (0,), (1,))), GridSpec(2, 2, omega=((0, 1), (1, 1))))],
+    ids=repr)
+@pytest.mark.parametrize("passive", [(), (3,)])
+def test_b_atoms_match_the_level_loops(pg, passive, rng):
+    # pair_apply's one-gather B kernels are bit-identical to the per-level
+    # (pair) loops of conftest, for Bkl, BPk and PBl (the mirror path)
+    g1, g2 = pg.grid1, pg.grid2
+    pad = (1,) * len(passive)
+    bC = forward2(random_product_function(pg, rng))
+    Xe = extend2(pg, rng.standard_normal(pg.shape + passive))
+    start = rng.standard_normal(Xe.shape)
+    sym1 = forward_var(rng.standard_normal(g1.n_samples), g1, 1)
+    sym2 = forward_var(rng.standard_normal(g2.n_samples), g2, 1)
+    bCl, sym1l, sym2l = (a.reshape(a.shape + pad) for a in (bC, sym1, sym2))
+    sw = np.swapaxes
+    weight = -0.75
+
+    def check(atom1, atom2, oracle):
+        got, want = start.copy(), start.copy()
+        pair_apply(pg, bC, Xe, atom1, atom2, sym1=sym1, sym2=sym2, out=got, weight=weight)
+        oracle(want)
+        assert np.array_equal(got, want), (atom1, atom2)
+
+    atoms1 = {k: _all_b_atoms(g1, k, rng) for k in range(g1.N)}
+    atoms2 = {l: _all_b_atoms(g2, l, rng) for l in range(g2.N)}
+    for k in atoms1:
+        for l in atoms2:
+            for a1, a2 in _pairs(atoms1[k], atoms2[l], rng):
+                check(a1, a2, lambda out: bb_pair_oracle(pg, bCl, Xe, a1, a2, out, weight))
+    for p in (PAtom(False), PAtom(True)):
+        for a1 in (a for atoms in atoms1.values() for a in atoms):
+            check(a1, p, lambda out: bp_pair_oracle(pg, bCl, Xe, a1, p, sym2l, out, weight))
+        for a2 in (a for atoms in atoms2.values() for a in atoms):
+            check(p, a2, lambda out: bp_pair_oracle(pg.swap(), sw(bCl, 0, 1), sw(Xe, 0, 1),
+                                                    a2, p, sym1l, sw(out, 0, 1), weight))

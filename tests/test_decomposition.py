@@ -327,6 +327,31 @@ def test_termlist_json_terms_are_pinned():
         "22bc5d84a3843a4369c58c7d88c9280d3b406abf325b7e0841ea922c2bad8b5d"
 
 
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 4)], ids=repr)
+@pytest.mark.parametrize("ij", [(0, 0), (2, 1), (1, 3)])
+def test_both_halves_share_their_atoms(g, ij, rng, monkeypatch):
+    # b_mul and mul_S use the same B_k atoms: each is built once
+    from dyadlab import decomposition
+    calls = []
+    bk = decomposition._bk
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return bk(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "_bk", counting)
+    i, j = ij
+    tl = decompose_cancellative(random_function(g, rng), random_shift(g, i, j, rng))
+    n = g.n_sig
+    assert len(calls) == n + n * n + max(i, j) * n * n
+    assert tl.term_count == 2 * (n + n * n) + (i + j) * n * n
+    halves = {half: [t.atom1 for t in tl.terms if t.provenance.startswith(half)]
+              for half in ("b_mul", "mul_S")}
+    shared = min(halves.values(), key=len)
+    assert all(a is b for a, b in zip(halves["b_mul"], halves["mul_S"]))
+    assert len({id(a) for a in shared}) == len(shared)
+
+
 def test_verify_identity_report_shape(rng):
     g = GridSpec(1, 4)
     b = random_function(g, rng)

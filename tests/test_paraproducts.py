@@ -176,6 +176,17 @@ def test_bk_beta_dict_is_stored_as_per_level_arrays(rng):
     assert np.array_equal(apply_Bk(op, b, f).samples, apply_Bk(same, b, f).samples)
 
 
+def test_bk_betas_are_read_only():
+    # decomposition terms share atoms, so no caller may rewrite their betas
+    g = GridSpec(1, 3)
+    given = [np.ones(g.n_cubes(l)) for l in range(g.N)]
+    op = BkOperator(g, 1, beta=given)
+    with pytest.raises(ValueError):
+        op.beta[0][0] = 0.5
+    given[1][0] = -1.0  # the atom holds its own copy
+    assert op.beta[1][0] == 1.0
+
+
 def test_bk_martingale_bound_exact(rng):
     # all-cancellative: ||B_k(b,f)|| <= bmo(b) ||f||, uniformly in k
     g = GridSpec(1, 9)

@@ -8,7 +8,7 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      random_function, random_shift)
 from dyadlab import shifts
 from dyadlab.grids import DepthError, WrongKindError
-from dyadlab.haar import forward_stacked
+from dyadlab.haar import fold_noncancellative, forward_stacked, scaling_levels
 from dyadlab.norms import dyadic_bmo_norm
 from dyadlab.shifts import expected_coefficient_count, max_k_level
 from conftest import dense_matrix, dense_shift_matrix_oracle
@@ -212,6 +212,32 @@ def test_symbol_transformed_once(rng, monkeypatch):
     # the cached coefficients cannot be changed behind the operator's back
     with pytest.raises(ValueError):
         S.symbol_coefficients()[0][0, 0] = 5.0
+
+
+def noncancellative_apply_loop(S, x):
+    """Per-level noncancellative shift: analysis reads each level's scaling
+    pairings, synthesis folds each level's signature sums."""
+    g = S.grid
+    out = np.zeros_like(x)
+    acoef = [a.reshape(a.shape + (1,) * (x.ndim - 1)) for a in S.symbol_coefficients()]
+    if S.orientation == "analysis":
+        scal = scaling_levels(g, x)
+        for lvl in range(g.N):
+            g.level_block(out, lvl)[...] += acoef[lvl] * scal[lvl][:, None]
+    else:
+        out += fold_noncancellative(g, {lvl: (acoef[lvl] * g.level_block(x, lvl)).sum(axis=1)
+                                        for lvl in range(g.N)})
+    return out
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 2),
+                               GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1)))], ids=repr)
+@pytest.mark.parametrize("orientation", ["analysis", "synthesis"])
+def test_noncancellative_extended_layout_matches_the_level_loop(g, orientation, rng):
+    S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=orientation)
+    for passive in ((), (3,), (2, 2)):
+        x = rng.standard_normal((g.n_samples,) + passive)
+        assert np.array_equal(S.apply_stacked(x), noncancellative_apply_loop(S, x))
 
 
 def test_handle_linearity_probe(rng):
