@@ -19,8 +19,8 @@ from .shifts import (LinearOperatorHandle, ShiftOperator, dense_matrix,
 from .paraproducts import (BkOperator, apply_Bk, apply_P, apply_P_adjoint)
 from .biparam import (BiparamOperatorSpec, ProductFunction, ProductGrid,
                       apply_biparam, apply_in_variable, inner_product2,
-                      iterated_commutator, pointwise_multiply2,
-                      random_product_function, tensor_function)
+                      iterated_commutator, random_product_function,
+                      tensor_function)
 from .decomposition import (Term, TermList, decompose, decompose_biparam,
                             decompose_cancellative, decompose_noncancellative,
                             evaluate_terms, verify_identity)

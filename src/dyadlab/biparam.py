@@ -37,8 +37,8 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec, grid_index
 from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
-from .paraproducts import (BkOperator, bk_gather, strict_ancestor_sum,
-                           strict_subtree_sum, symbol_stacked)
+from .paraproducts import (BkOperator, bk_gather, p_stacked, pstar_stacked,
+                           strict_ancestor_sum, strict_subtree_sum, symbol_stacked)
 
 _MAGIC_2P = b"DYF2"
 
@@ -202,11 +202,6 @@ def inner_product2(f: ProductFunction, g: ProductFunction) -> float:
     return float(np.sum(f.samples * g.samples) * f.cell_volume)
 
 
-def pointwise_multiply2(f: ProductFunction, g: ProductFunction) -> ProductFunction:
-    f._check(g)
-    return ProductFunction(f.pgrid, f.samples * g.samples)
-
-
 # -- variable-wise shift application and iterated commutators ----------------
 
 
@@ -327,11 +322,9 @@ def _bp_pair(pg, bC, Xe, a1: BkOperator, p2: PAtom, sym2, out: np.ndarray,
     g2 = pg.grid2
     n2 = g2.n_samples
     rin, rout, brows, beta, scale = bk_gather(a1)
-    Bg, Xin = bC[brows], Xe[rin, :n2]
-    if not p2.adjoint:
-        C = _swap(strict_ancestor_sum(g2, _swap(Bg * Xin))) * sym2[None, :]
-    else:
-        C = Bg * _swap(strict_subtree_sum(g2, _swap(Xin * sym2[None, :])))
+    # the 1-D P kernel along variable 2, one column per variable-1 row
+    p = pstar_stacked if p2.adjoint else p_stacked
+    C = _swap(p(g2, _swap(bC[brows]), sym2, _swap(Xe[rin, :n2])))
     out[rout, :n2] += (C.T * _coef(beta, weight * scale)).T
 
 

@@ -127,49 +127,36 @@ def cmd_selftest(args) -> int:
 
 def cmd_verify_decomp(args) -> int:
     rng = np.random.default_rng(args.seed)
-    reports = []
-    worst = 0.0
-    failed = None
-    if not args.biparam:
-        grid = GridSpec(args.d, args.N)
-        for i in range(args.imax + 1):
-            for j in range(args.jmax + 1):
-                if max(i, j) > grid.N - 1:
-                    continue
+
+    def cases():
+        """(b, shift or shift pair) of every case, drawn from ``rng`` in turn."""
+        if not args.biparam:
+            grid = GridSpec(args.d, args.N)
+            for i in range(args.imax + 1):
+                for j in range(args.jmax + 1):
+                    if max(i, j) > grid.N - 1:
+                        continue
+                    b = random_function(grid, rng)
+                    yield b, random_shift(grid, i, j, rng)
+            for ori in ("analysis", "synthesis"):
                 b = random_function(grid, rng)
-                S = random_shift(grid, i, j, rng)
-                rep = verify_identity(b, S, trials=args.trials,
-                                      rng_seed=args.seed, tol=args.tol)
-                reports.append(rep)
-                worst = max(worst, rep["max_residual"])
-                if not rep["pass"] and failed is None:
-                    failed = rep
-        for ori in ("analysis", "synthesis"):
-            b = random_function(grid, rng)
-            S = random_shift(grid, 0, 0, rng, kind="noncancellative",
-                             orientation=ori)
-            rep = verify_identity(b, S, trials=args.trials, rng_seed=args.seed,
-                                  tol=args.tol)
-            reports.append(rep)
-            worst = max(worst, rep["max_residual"])
-            if not rep["pass"] and failed is None:
-                failed = rep
-    else:
-        from .biparam import random_product_function
-        pg = ProductGrid(GridSpec(args.d, args.N), GridSpec(args.d, args.N2 or args.N))
-        for i in range(args.imax + 1):
-            for j in range(args.jmax + 1):
-                if max(i, j) > min(pg.grid1.N, pg.grid2.N) - 1:
-                    continue
-                b = random_product_function(pg, rng)
-                S1 = random_shift(pg.grid1, i, j, rng)
-                S2 = random_shift(pg.grid2, j, i, rng)
-                rep = verify_identity(b, (S1, S2), trials=args.trials,
-                                      rng_seed=args.seed, tol=args.tol)
-                reports.append(rep)
-                worst = max(worst, rep["max_residual"])
-                if not rep["pass"] and failed is None:
-                    failed = rep
+                yield b, random_shift(grid, 0, 0, rng, kind="noncancellative",
+                                      orientation=ori)
+        else:
+            from .biparam import random_product_function
+            pg = ProductGrid(GridSpec(args.d, args.N), GridSpec(args.d, args.N2 or args.N))
+            for i in range(args.imax + 1):
+                for j in range(args.jmax + 1):
+                    if max(i, j) > min(pg.grid1.N, pg.grid2.N) - 1:
+                        continue
+                    b = random_product_function(pg, rng)
+                    S1 = random_shift(pg.grid1, i, j, rng)
+                    yield b, (S1, random_shift(pg.grid2, j, i, rng))
+
+    reports = [verify_identity(b, S, trials=args.trials, rng_seed=args.seed,
+                               tol=args.tol) for b, S in cases()]
+    worst = max([0.0] + [rep["max_residual"] for rep in reports])
+    failed = next((rep for rep in reports if not rep["pass"]), None)
     results = {"cases": reports, "max_residual": worst,
                "pass": failed is None}
     path = _write_report(args, "verify-decomp", _resolved_config(args), results)

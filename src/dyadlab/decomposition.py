@@ -163,26 +163,32 @@ def _cancellative_var_atoms(grid: GridSpec, i: int, j: int) -> list:
 
 
 def _noncancellative_var_atoms(grid: GridSpec, orientation: str) -> list:
+    """(weight, atom, inner, outer, provenance) for one noncancellative
+    variable; an atom that two terms share is built once."""
     non = grid.noncanc_int
     cancs = range(grid.n_sig)
+    tail = [_bk(grid, 0, eps, non, eps) for eps in cancs]
     out = []
     if orientation == ANALYSIS:
+        same = [[_bk(grid, 0, eps, eps2, non ^ (eps ^ eps2)) for eps2 in cancs]
+                for eps in cancs]
         for eps in cancs:
             for eps2 in cancs:
-                out.append((1.0, _bk(grid, 0, eps, eps2, non ^ (eps ^ eps2)), True, False,
-                            "b_mul:same_cube"))
+                out.append((1.0, same[eps][eps2], True, False, "b_mul:same_cube"))
         for eps in cancs:
-            out.append((1.0, _bk(grid, 0, eps, non, eps), True, False, "b_mul:tail"))
+            out.append((1.0, tail[eps], True, False, "b_mul:tail"))
         for eps in cancs:
-            out.append((-1.0, _bk(grid, 0, eps, eps, non), False, True, "mul_S:same_cube"))
+            # (eps, eps, non) is the b_mul:same_cube atom at eps2 = eps
+            out.append((-1.0, same[eps][eps], False, True, "mul_S:same_cube"))
         out.append((1.0, PAtom(adjoint=False), False, False, "b_mul:diagonal"))
     else:
         for eps in cancs:
-            out.append((1.0, _bk(grid, 0, eps, non, eps), True, False, "b_mul:tail"))
+            out.append((1.0, tail[eps], True, False, "b_mul:tail"))
         for eps in cancs:
             for eps2 in cancs:
-                out.append((-1.0, _bk(grid, 0, eps, non ^ (eps ^ eps2), eps2), False, True,
-                            "mul_S:same_cube"))
+                # at eps2 = eps the same-cube atom (eps, non, eps) is the tail atom
+                atom = tail[eps] if eps2 == eps else _bk(grid, 0, eps, non ^ (eps ^ eps2), eps2)
+                out.append((-1.0, atom, False, True, "mul_S:same_cube"))
         for eps in cancs:
             out.append((-1.0, _bk(grid, 0, eps, eps, non), False, True, "mul_S:tail"))
         out.append((-1.0, PAtom(adjoint=True), False, False, "b_mul:diagonal"))

@@ -352,6 +352,20 @@ def test_both_halves_share_their_atoms(g, ij, rng, monkeypatch):
     assert len({id(a) for a in shared}) == len(shared)
 
 
+@pytest.mark.parametrize("ori", ["analysis", "synthesis"])
+def test_noncancellative_atoms_are_built_once(ori, rng):
+    # mul_S:same_cube at eps2 = eps is the b_mul:same_cube atom (analysis) or
+    # the b_mul:tail atom (synthesis): equal atoms are one object
+    from dyadlab import BkOperator
+    for d, n_terms, n_distinct in ((1, 3, 2), (2, 15, 12)):
+        g = GridSpec(d, 3)
+        S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
+        tl = decompose_noncancellative(random_function(g, rng), S)
+        atoms = [t.atom1 for t in tl.terms if isinstance(t.atom1, BkOperator)]
+        assert len(atoms) == n_terms
+        assert len({id(a) for a in atoms}) == n_distinct == len(set(atoms))
+
+
 def test_verify_identity_report_shape(rng):
     g = GridSpec(1, 4)
     b = random_function(g, rng)

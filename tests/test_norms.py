@@ -185,6 +185,37 @@ def test_strong_maximal_and_hybrid(rng):
     assert H2.norm() <= 2.0 * f.norm() + 1e-12
 
 
+def test_square_functions_are_the_localized_squares_at_the_root(rng):
+    from dyadlab.norms import jn_profile
+    g = GridSpec(2, 3)
+    f = random_function(g, rng)
+    S = square_function(f, "S").samples
+    assert np.array_equal(S, square_function(f, "S_k", k=0).samples)
+    assert np.array_equal(S, jn_profile(f, DyadicCube(0, (0, 0)))[0])
+    pg = ProductGrid(GridSpec(2, 2), GridSpec(1, 3))
+    F = random_product_function(pg, rng)
+    root = (DyadicCube(0, (0, 0)), DyadicCube(0, (0,)))
+    assert np.array_equal(square_function(F, "SS").samples, jn_profile(F, root)[0])
+
+
+def test_rect_masses_match_per_index_sums(rng):
+    from dyadlab.biparam import forward2
+    from dyadlab.norms import _rect_masses
+    pg = ProductGrid(GridSpec(2, 1), GridSpec(1, 2))
+    g1, g2 = pg.grid1, pg.grid2
+    C = forward2(random_product_function(pg, rng))
+    masses = _rect_masses(pg, C)
+    assert sorted(masses) == [(l1, l2) for l1 in range(g1.N) for l2 in range(g2.N)]
+    for c1 in all_cubes(g1):
+        for c2 in all_cubes(g2):
+            brute = sum(C[g1.stacked_index(HaarIndex(c1, g1.int_sig(e1))),
+                          g2.stacked_index(HaarIndex(c2, g2.int_sig(e2)))] ** 2
+                        for e1 in range(g1.n_sig) for e2 in range(g2.n_sig))
+            got = masses[(c1.level, c2.level)][g1.flat_pos(c1.pos, c1.level),
+                                               g2.flat_pos(c2.pos, c2.level)]
+            assert abs(got - brute) < 1e-12
+
+
 def test_double_square_function_parseval(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     f = random_product_function(pg, rng)
@@ -298,22 +329,38 @@ def test_uniformity_study_biparam_rows_match_apply_biparam():
     from dyadlab import BiparamOperatorSpec, apply_biparam
     from dyadlab.norms import _random_signs, _trial_rng
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
-    reports = uniformity_study("Bkl", {"N1": 3, "N2": 3, "kmax": 2, "lmax": 1},
-                               trials=3, rng_seed=6)
-    best = {}
-    for t in range(3):
-        rng = _trial_rng(6, t)
-        b = random_product_function(pg, rng)
-        f = random_product_function(pg, rng)
-        beta1, beta2 = _random_signs(pg.grid1, rng), _random_signs(pg.grid2, rng)
-        denom = rect_bmo_norm(b) * f.norm()
-        for k in range(3):
-            for l in range(2):
-                spec = BiparamOperatorSpec("Bkl", k=k, l=l, beta1=beta1, beta2=beta2)
-                best[(k, l)] = max(best.get((k, l), 0.0),
-                                   apply_biparam(spec, b, f).norm() / denom)
-    assert [(r.k, r.l, r.max_ratio) for r in reports] == \
-        [(k, l, v) for (k, l), v in best.items()]
+
+    def unit(a):
+        return a * (1.0 / dyadic_bmo_norm(a))
+
+    for kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
+        reports = uniformity_study(kind, {"N1": 3, "N2": 3, "kmax": 2, "lmax": 1},
+                                   trials=3, rng_seed=6)
+        ks = range(3) if kind in ("Bkl", "BPk") else [None]
+        ls = range(2) if kind in ("Bkl", "PBl") else [None]
+        best = {}
+        for t in range(3):
+            rng = _trial_rng(6, t)
+            b = random_product_function(pg, rng)
+            f = random_product_function(pg, rng)
+            if kind == "Bkl":
+                fields = {"beta1": _random_signs(pg.grid1, rng),
+                          "beta2": _random_signs(pg.grid2, rng)}
+            elif kind == "BPk":
+                fields = {"a2": unit(random_function(pg.grid2, rng))}
+            elif kind == "PBl":
+                fields = {"a1": unit(random_function(pg.grid1, rng))}
+            else:
+                a1 = unit(random_function(pg.grid1, rng))
+                fields = {"a": tensor_function(a1, unit(random_function(pg.grid2, rng)))}
+            denom = rect_bmo_norm(b) * f.norm()
+            for k in ks:
+                for l in ls:
+                    spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
+                    best[(k, l)] = max(best.get((k, l), 0.0),
+                                       apply_biparam(spec, b, f).norm() / denom)
+        assert [(r.k, r.l, r.max_ratio) for r in reports] == \
+            [(k, l, v) for (k, l), v in best.items()], kind
 
 
 def test_uniformity_study_bk_rows_match_apply_bk():
@@ -332,6 +379,32 @@ def test_uniformity_study_bk_rows_match_apply_bk():
             op = BkOperator(g, k, beta=beta)
             best[k] = max(best[k], apply_Bk(op, b, f).norm() / (dyadic_bmo_norm(b) * f.norm()))
     assert [(r.k, r.max_ratio) for r in reports] == list(enumerate(best))
+
+
+def test_uniformity_study_sk_and_p_rows_match_public_operators():
+    # drawing each trial once, whatever the number of k values, must not
+    # change any row
+    from dyadlab import apply_P
+    from dyadlab.norms import _trial_rng
+    g = GridSpec(1, 5)
+    reports = uniformity_study("Sk", {"N": 5, "kmax": 4}, trials=3, rng_seed=8)
+    best = [0.0] * 5
+    for t in range(3):
+        for k in range(5):
+            f = random_function(g, _trial_rng(8, t))
+            best[k] = max(best[k], square_function(f, "S_k", k=k).norm() / f.norm())
+    assert [(r.k, r.l, r.max_ratio) for r in reports] == \
+        [(k, None, v) for k, v in enumerate(best)]
+    reports = uniformity_study("P", {"N": 5}, trials=3, rng_seed=8)
+    best = 0.0
+    for t in range(3):
+        rng = _trial_rng(8, t)
+        b = random_function(g, rng)
+        a = random_function(g, rng)
+        f = random_function(g, rng)
+        denom = dyadic_bmo_norm(b) * dyadic_bmo_norm(a) * f.norm()
+        best = max(best, apply_P(b, a, f).norm() / denom)
+    assert [(r.k, r.l, r.max_ratio) for r in reports] == [(None, None, best)]
 
 
 def test_uniformity_study_bk_transforms_each_trial_once(monkeypatch):
