@@ -13,6 +13,11 @@ Labelling convention: on every grid, the level-k cube at position ``p``
 covers the cells ``shift + p * 2**(N-k) + [0, 2**(N-k))`` per axis, mod
 2**N. Ancestors, children and every index map below are therefore those of
 the standard grid; only the map from cubes to sample cells reads ``shift``.
+
+Per-cube values have one layout, the *cube axis*: the cubes of levels
+0..N-1, level-major, level l at ``cube_range(l)``. Stacked coefficients hold
+cube c's signature s at row 1 + c * n_sig + s (``cube_block``), and the tail
+of the extended layout holds cube c at row n_samples + c.
 """
 
 from __future__ import annotations
@@ -109,6 +114,11 @@ class GridSpec:
     def n_cubes(self, level: int) -> int:
         return 1 << (level * self.d)
 
+    @property
+    def n_cubes_total(self) -> int:
+        """Cubes of levels 0..N-1: the length of the cube axis."""
+        return (self.n_samples - 1) // self.n_sig
+
     def volume(self, level: int) -> float:
         return 2.0 ** (-level * self.d)
 
@@ -159,21 +169,29 @@ class GridSpec:
         return (1 << self.d) - 1
 
     # -- stacked coefficient layout ----------------------------------------
-    # Layout: [mean, level 0 (cube-major, signature-minor), level 1, ...].
+    # Layout: [mean, then the cube axis, each cube's n_sig signatures in turn].
     # Only cancellative signatures are stored; total size equals n_samples.
-    # The extended layout (dyadlab.haar.extend) appends the scaling pairings
-    # of levels 0..N-1; level l's start at n_samples + (n_cubes(l) - 1) / n_sig.
+
+    def cube_range(self, level: int) -> slice:
+        """Level ``level``'s slice of the cube axis; it starts at
+        sum_{l < level} n_cubes(l) = (n_cubes(level) - 1) / n_sig."""
+        start = (self.n_cubes(level) - 1) // self.n_sig
+        return slice(start, start + self.n_cubes(level))
 
     def level_offset(self, level: int) -> int:
-        """Start of ``level`` in the layout: 1 + sum_{l < level} n_cubes(l) * n_sig,
-        a telescoping sum equal to n_cubes(level)."""
+        """Start of ``level`` in the layout: 1 + cube_range(level).start * n_sig,
+        which telescopes to n_cubes(level)."""
         return 1 << (level * self.d)
+
+    def cube_block(self, stacked: np.ndarray) -> np.ndarray:
+        """View of stacked rows 1..n_samples - 1 along the cube axis, shape
+        (n_cubes_total, n_sig, *passive); rows past n_samples are left out."""
+        shape = (self.n_cubes_total, self.n_sig) + stacked.shape[1:]
+        return stacked[1:self.n_samples].reshape(shape)
 
     def level_block(self, stacked: np.ndarray, level: int) -> np.ndarray:
         """View of the level's coefficients, shape (n_cubes, n_sig, *passive)."""
-        off = self.level_offset(level)
-        cnt = self.n_cubes(level) * self.n_sig
-        return stacked[off:off + cnt].reshape((self.n_cubes(level), self.n_sig) + stacked.shape[1:])
+        return self.cube_block(stacked)[self.cube_range(level)]
 
     def flat_pos(self, pos, level: int) -> int:
         return int(np.ravel_multi_index(tuple(int(p) for p in pos), (1 << level,) * self.d))
@@ -241,17 +259,32 @@ class _GridIndex:
         self._rows = {}
         self._bk = {}
 
+    @functools.cached_property
+    def cube_weight(self) -> np.ndarray:
+        """|I|**(-1) = 2**(level * d) of every cube I on the cube axis; read-only."""
+        g = self.grid
+        w = np.repeat(2.0 ** (np.arange(g.N) * g.d), [g.n_cubes(lvl) for lvl in range(g.N)])
+        w.setflags(write=False)
+        return w
+
+    def cube_ancestors(self, k: int) -> np.ndarray:
+        """Cube-axis entry of the k-th ancestor of every cube of levels k..N-1,
+        i.e. of the axis from ``cube_range(k).start`` on."""
+        g = self.grid
+        return np.concatenate([g.cube_range(lvl - k).start + self.ancestor_flat(lvl, k)
+                               for lvl in range(k, g.N)])
+
     def sig_rows(self, level: int, sig_int: int) -> np.ndarray:
         """Extended-layout indices of one signature's coefficients at ``level``
         (the noncancellative signature's lie in the tail)."""
         key = (level, sig_int)
         if key not in self._rows:
             g = self.grid
-            cubes = np.arange(g.n_cubes(level))
+            cubes = np.arange(g.n_cubes_total)[g.cube_range(level)]
             if sig_int == g.noncanc_int:
-                rows = g.n_samples + (g.n_cubes(level) - 1) // g.n_sig + cubes
+                rows = g.n_samples + cubes
             else:
-                rows = g.level_offset(level) + cubes * g.n_sig + sig_int
+                rows = 1 + cubes * g.n_sig + sig_int
             rows.setflags(write=False)
             self._rows[key] = rows
         return self._rows[key]
@@ -262,14 +295,10 @@ class _GridIndex:
         row at signature 0, and the scale 2**((level - k) * d / 2). One entry
         per k; a signature adds to the rows."""
         if k not in self._bk:
-            g = self.grid
-            levels = range(k, g.N)
-            rows = np.concatenate([g.level_offset(lvl) + np.arange(g.n_cubes(lvl)) * g.n_sig
-                                   for lvl in levels])
-            anc = np.concatenate([g.level_offset(lvl - k) + self.ancestor_flat(lvl, k) * g.n_sig
-                                  for lvl in levels])
-            scale = np.concatenate([np.full(g.n_cubes(lvl), 2.0 ** ((lvl - k) * g.d / 2.0))
-                                    for lvl in levels])
+            g, start = self.grid, self.grid.cube_range(k).start
+            rows = 1 + np.arange(start, g.n_cubes_total) * g.n_sig
+            anc = 1 + self.cube_ancestors(k) * g.n_sig
+            scale = np.sqrt(self.cube_weight[start:] / 2.0 ** (k * g.d))
             for arr in (rows, anc, scale):
                 arr.setflags(write=False)
             self._bk[k] = (rows, anc, scale)
@@ -304,30 +333,33 @@ class _GridIndex:
             self._desc[key] = order.reshape(self.grid.n_cubes(kappa), -1)
         return self._desc[key]
 
-    def ancestor_scan(self, values: list) -> list:
+    def ancestor_scan(self, values: np.ndarray) -> np.ndarray:
         """Sums over strict ancestors, computed top-down.
 
-        ``values[l]`` holds one entry per cube at level l, shape
-        (n_cubes(l), *passive). Entry q of the result at level l is the sum
-        of ``values[li]`` over the strict ancestors of cube q (li < l).
+        ``values`` holds one entry per cube on the cube axis, shape
+        (n_cubes_total, *passive). Entry c of the result is the sum of
+        ``values`` over the strict ancestors of cube c, coarsest first.
         """
-        out = [np.zeros_like(values[0])]
-        for lvl in range(1, len(values)):
-            out.append((out[-1] + values[lvl - 1])[self.ancestor_flat(lvl, 1)])
+        g = self.grid
+        out = np.zeros_like(values)
+        for lvl in range(1, g.N):
+            up = g.cube_range(lvl - 1)
+            out[g.cube_range(lvl)] = (out[up] + values[up])[self.ancestor_flat(lvl, 1)]
         return out
 
-    def subtree_scan(self, values: list) -> list:
+    def subtree_scan(self, values: np.ndarray) -> np.ndarray:
         """Sums over strict subtrees, computed bottom-up.
 
-        ``values`` is laid out as for :meth:`ancestor_scan`. Entry q of the
-        result at level l is the sum of ``values[lj]`` over the strict
-        descendants of cube q (l < lj < len(values)).
+        ``values`` is laid out as for :meth:`ancestor_scan`. Entry c of the
+        result is the sum of ``values`` over the strict descendants of cube c.
         """
-        out = [np.zeros_like(values[-1])]
-        for lvl in range(len(values) - 2, -1, -1):
-            below = out[-1] + values[lvl + 1]
-            out.append(below[self.desc_groups(lvl, 1)].sum(axis=1))
-        return out[::-1]
+        g = self.grid
+        out = np.zeros_like(values)
+        for lvl in range(g.N - 2, -1, -1):
+            down = g.cube_range(lvl + 1)
+            below = out[down] + values[down]
+            out[g.cube_range(lvl)] = below[self.desc_groups(lvl, 1)].sum(axis=1)
+        return out
 
     def cells(self, level: int) -> np.ndarray:
         """(n_cubes, cells_per_cube) flat sample-cell indices of each cube."""

@@ -136,20 +136,26 @@ def broadcast_level(grid: GridSpec, level: int, values: np.ndarray) -> np.ndarra
     out[cells] = values[:, None]
     return out
 
+
+def cell_sums(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Samples of sum_I values[I] chi_I for ``values`` on the cube axis
+    (axis 0, passive axes allowed): each cell's sum over the cubes that
+    contain it, coarsest first, by one ancestor scan and one broadcast."""
+    top = grid.cube_range(grid.N - 1)
+    per_cube = grid_index(grid).ancestor_scan(values)[top] + values[top]
+    return broadcast_level(grid, grid.N - 1, per_cube)
+
+
 def pool_level(grid: GridSpec, level: int, samples: np.ndarray) -> np.ndarray:
     """Cell averages of ``samples`` over every cube at ``level``."""
     cells = grid_index(grid).cells(level)
     return samples[cells].mean(axis=1)
 
 
-def fold_noncancellative(grid: GridSpec, contribs: dict) -> np.ndarray:
-    """Stacked coefficients of sum_l sum_I c_I h_I^1 for per-level arrays c."""
-    passive = next(iter(contribs.values())).shape[1:]
-    samples = np.zeros((grid.n_samples,) + passive, dtype=float)
-    for lvl, vals in contribs.items():
-        amp = 2.0 ** (lvl * grid.d / 2.0)
-        samples += broadcast_level(grid, lvl, vals * amp)
-    return forward_stacked(grid, samples)
+def fold_noncancellative(grid: GridSpec, c: np.ndarray) -> np.ndarray:
+    """Stacked coefficients of sum_I c_I h_I^1 for ``c`` on the cube axis."""
+    amp = np.sqrt(grid_index(grid).cube_weight).reshape((-1,) + (1,) * (c.ndim - 1))
+    return forward_stacked(grid, cell_sums(grid, amp * c))
 
 
 def extend(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
@@ -164,9 +170,7 @@ def contract(grid: GridSpec, ext: np.ndarray) -> np.ndarray:
     n = grid.n_samples
     if not ext[n:].any():
         return ext[:n]
-    rows = grid_index(grid).sig_rows
-    tail = {lvl: ext[rows(lvl, grid.noncanc_int)] for lvl in range(grid.N)}
-    return ext[:n] + fold_noncancellative(grid, tail)
+    return ext[:n] + fold_noncancellative(grid, ext[n:])
 
 
 # ---------------------------------------------------------------------------

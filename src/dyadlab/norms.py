@@ -1,14 +1,17 @@
 """BMO norms, square and maximal functions, and empirical boundedness studies.
 
 Every norm and square function here reads one table of Carleson masses,
-mu_b(I) = sum_sig <b, h_I^sig>**2 per dyadic cube (``_level_masses``) and
-mu_b(R) per dyadic rectangle (``_rect_masses``); these two helpers are the
-only code that squares Haar coefficients. The dyadic BMO norm is
+mu_b(I) = sum_sig <b, h_I^sig>**2 on the cube axis of :mod:`dyadlab.grids`
+(``_cube_masses``) and mu_b(R) as one matrix over the cube axes of both
+variables (``_rect_masses``); only these two square Haar coefficients.
+The dyadic BMO norm is
 
     ||b||_bmo = sup_I ( |I|**(-1) sum_{J inside I} mu_b(J) )**(1/2)
 
 (mean mode excluded). The rectangle BMO norm is the bi-parameter analogue
-over dyadic rectangles; it lower-bounds the open-set product norm
+over dyadic rectangles. I' x J' lies in I x J when I' lies in I and J' in
+J, so its inner sum is the 1-D subtree sum along each axis of the matrix in
+turn. It lower-bounds the open-set product norm
 sup_Omega |Omega|**(-1) sum_{R inside Omega} mu_b(R) (Chang-Fefferman),
 which is computed here by exhaustive enumeration only at toy sizes.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import DepthError, DyadicCube, GridSpec, grid_index
-from .haar import (DyadicFunction, broadcast_level, contract, extend,
+from .haar import (DyadicFunction, broadcast_level, cell_sums, contract, extend,
                    forward_stacked, inverse_stacked, pool_level)
 from .biparam import ProductFunction, ProductGrid, forward2, random_product_function
 
@@ -32,32 +35,19 @@ from .biparam import ProductFunction, ProductGrid, forward2, random_product_func
 # BMO norms.
 
 
-def _level_masses(grid: GridSpec, stacked: np.ndarray) -> list:
-    """Per level, each cube's masses mu(I) summed over its signatures,
-    shape (n_cubes, *passive)."""
-    return [(grid.level_block(stacked, lvl) ** 2).sum(axis=1) for lvl in range(grid.N)]
+def _cube_masses(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
+    """Each cube's mass mu(I), summed over its signatures, along the cube
+    axis: shape (n_cubes_total, *passive)."""
+    return (grid.cube_block(stacked) ** 2).sum(axis=1)
 
 
-def _rect_masses(pg: ProductGrid, C: np.ndarray) -> dict:
-    """(l1, l2) -> the (n_cubes1, n_cubes2) masses mu(R) of the rectangles of
-    that level pair, summed over both signature axes."""
+def _rect_masses(pg: ProductGrid, C: np.ndarray) -> np.ndarray:
+    """The (n_cubes_total1, n_cubes_total2) matrix of masses mu(R) of all
+    rectangles R = I x J, summed over both signature axes."""
     g1, g2 = pg.grid1, pg.grid2
-    sq = {}
-    for l1 in range(g1.N):
-        blk1 = g1.level_block(C, l1)  # (nc1, nsig1, n2tot)
-        for l2 in range(g2.N):
-            blk = g2.level_block(blk1.reshape(-1, C.shape[1]).T, l2)
-            # blk: (nc2, nsig2, nc1*nsig1) -> sum sig axes
-            t = blk.reshape(g2.n_cubes(l2), g2.n_sig, g1.n_cubes(l1), g1.n_sig)
-            sq[(l1, l2)] = (t ** 2).sum(axis=(1, 3)).T  # (nc1, nc2)
-    return sq
-
-
-def _subtree_masses(grid: GridSpec, stacked: np.ndarray) -> list:
-    """Mass of each cube's subtree (the cube included)."""
-    own = _level_masses(grid, stacked)
-    below = grid_index(grid).subtree_scan(own)
-    return [o + s for o, s in zip(own, below)]
+    t = C[1:g1.n_samples, 1:g2.n_samples].reshape(g1.n_cubes_total, g1.n_sig,
+                                                  g2.n_cubes_total, g2.n_sig)
+    return (t ** 2).sum(axis=(1, 3))
 
 
 def dyadic_bmo_norm(b: DyadicFunction) -> float:
@@ -67,11 +57,9 @@ def dyadic_bmo_norm(b: DyadicFunction) -> float:
 
 def _bmo_stacked(grid: GridSpec, stacked: np.ndarray) -> float:
     """:func:`dyadic_bmo_norm` from the stacked coefficients of b."""
-    masses = _subtree_masses(grid, stacked)
-    best = 0.0
-    for lvl in range(grid.N):
-        best = max(best, float(np.max(masses[lvl])) * 2.0 ** (lvl * grid.d))
-    return float(np.sqrt(best))
+    idx = grid_index(grid)
+    mass = _cube_masses(grid, stacked)
+    return float(np.sqrt(np.max((mass + idx.subtree_scan(mass)) * idx.cube_weight)))
 
 
 def rect_bmo_norm(b: ProductFunction) -> float:
@@ -80,27 +68,15 @@ def rect_bmo_norm(b: ProductFunction) -> float:
 
 
 def _rect_bmo_stacked(pg: ProductGrid, C: np.ndarray) -> float:
-    """:func:`rect_bmo_norm` from the stacked coefficients ``C`` of b."""
+    """:func:`rect_bmo_norm` from the stacked coefficients ``C`` of b: the
+    subtree sums (the root included) along axis 0, then along axis 1, give
+    each rectangle's sum over the rectangles inside it."""
     g1, g2 = pg.grid1, pg.grid2
-    i1, i2 = grid_index(g1), grid_index(g2)
-    sq = _rect_masses(pg, C)
-    # double subtree accumulation, finest to coarsest in both variables
-    acc = {}
-    best = 0.0
-    for l1 in range(g1.N - 1, -1, -1):
-        for l2 in range(g2.N - 1, -1, -1):
-            m = sq[(l1, l2)].copy()
-            if l1 + 1 < g1.N:
-                m += acc[(l1 + 1, l2)][i1.desc_groups(l1, 1)].sum(axis=1)
-            if l2 + 1 < g2.N:
-                m += acc[(l1, l2 + 1)].T[i2.desc_groups(l2, 1)].sum(axis=1).T
-            if l1 + 1 < g1.N and l2 + 1 < g2.N:
-                inner = acc[(l1 + 1, l2 + 1)][i1.desc_groups(l1, 1)].sum(axis=1)
-                m -= inner.T[i2.desc_groups(l2, 1)].sum(axis=1).T
-            acc[(l1, l2)] = m
-            weight = 2.0 ** (l1 * g1.d + l2 * g2.d)
-            best = max(best, float(np.max(m)) * weight)
-    return float(np.sqrt(best))
+    mass = _rect_masses(pg, C)
+    mass = mass + grid_index(g1).subtree_scan(mass)
+    mass = (mass.T + grid_index(g2).subtree_scan(mass.T)).T
+    weight = np.outer(grid_index(g1).cube_weight, grid_index(g2).cube_weight)
+    return float(np.sqrt(np.max(mass * weight)))
 
 
 def open_set_bmo_norm(b: ProductFunction) -> float:
@@ -112,13 +88,15 @@ def open_set_bmo_norm(b: ProductFunction) -> float:
         raise ValueError("open-set enumeration is exponential; use tiny grids")
     sq = _rect_masses(pg, forward2(b))
     rects = []  # (cell mask, coefficient mass)
-    for (l1, l2), masses in sq.items():
-        cells1, cells2 = grid_index(g1).cells(l1), grid_index(g2).cells(l2)
-        for m1 in range(g1.n_cubes(l1)):
-            for m2 in range(g2.n_cubes(l2)):
-                mask = np.zeros((g1.n_samples, g2.n_samples), dtype=bool)
-                mask[np.ix_(cells1[m1], cells2[m2])] = True
-                rects.append((mask.reshape(-1), float(masses[m1, m2])))
+    for l1 in range(g1.N):
+        for l2 in range(g2.N):
+            masses = sq[g1.cube_range(l1), g2.cube_range(l2)]
+            cells1, cells2 = grid_index(g1).cells(l1), grid_index(g2).cells(l2)
+            for m1 in range(g1.n_cubes(l1)):
+                for m2 in range(g2.n_cubes(l2)):
+                    mask = np.zeros((g1.n_samples, g2.n_samples), dtype=bool)
+                    mask[np.ix_(cells1[m1], cells2[m2])] = True
+                    rects.append((mask.reshape(-1), float(masses[m1, m2])))
     # row s - 1 is the open set whose cells are the set bits of s
     omega = ((np.arange(1, 1 << n_cells)[:, None] >> np.arange(n_cells)) & 1).astype(bool)
     mass = np.zeros(len(omega))
@@ -140,7 +118,8 @@ def square_function(f, variant: str = "S", k: int = 0, var: int = 1):
     one variable of the partial pairings, square-aggregated in the other).
     """
     if variant in ("S", "S_k"):
-        return _square_Sk(f, k if variant == "S_k" else 0)
+        masses = _cube_masses(f.grid, forward_stacked(f.grid, f.samples))
+        return _square_Sk(f.grid, masses, k if variant == "S_k" else 0)
     if variant == "SS":
         pg = f.pgrid
         root = tuple(DyadicCube(0, (0,) * g.d) for g in (pg.grid1, pg.grid2))
@@ -150,18 +129,25 @@ def square_function(f, variant: str = "S", k: int = 0, var: int = 1):
     raise ValueError(f"unknown square function variant {variant}")
 
 
-def _square_Sk(f: DyadicFunction, k: int) -> DyadicFunction:
-    g = f.grid
-    if k >= g.N:
-        raise DepthError(f"k={k} outside the levels 0..{g.N - 1} below the root")
-    idx = grid_index(g)
-    masses = _level_masses(g, forward_stacked(g, f.samples))
-    acc = np.zeros(g.n_samples)
-    for lvl in range(k, g.N):
-        grouped = np.zeros(g.n_cubes(lvl - k))
-        np.add.at(grouped, idx.ancestor_flat(lvl, k), masses[lvl])
-        acc += broadcast_level(g, lvl - k, grouped * 2.0 ** ((lvl - k) * g.d))
-    return DyadicFunction(g, np.sqrt(acc))
+def _inside(grid: GridSpec, cube: DyadicCube) -> np.ndarray:
+    """Cube-axis indicator of the cubes inside ``cube``, itself included; a
+    finest cell (level N) contains none."""
+    grid.validate_cube(cube)
+    mark = np.zeros(grid.n_cubes_total)
+    if cube.level < grid.N:
+        mark[grid.cube_range(cube.level).start + grid.flat_pos(cube.pos, cube.level)] = 1.0
+    return mark + grid_index(grid).ancestor_scan(mark)
+
+
+def _square_Sk(grid: GridSpec, masses: np.ndarray, k: int) -> DyadicFunction:
+    """S_k(f) from the :func:`_cube_masses` of f: each cube's mass is added to
+    its k-th ancestor, weighted by the ancestor's |I|**(-1)."""
+    if k >= grid.N:
+        raise DepthError(f"k={k} outside the levels 0..{grid.N - 1} below the root")
+    idx = grid_index(grid)
+    grouped = np.zeros(grid.n_cubes_total)
+    np.add.at(grouped, idx.cube_ancestors(k), masses[grid.cube_range(k).start:])
+    return DyadicFunction(grid, np.sqrt(cell_sums(grid, grouped * idx.cube_weight)))
 
 
 def _rect_square(pg: ProductGrid, C: np.ndarray, region: tuple) -> np.ndarray:
@@ -169,21 +155,10 @@ def _rect_square(pg: ProductGrid, C: np.ndarray, region: tuple) -> np.ndarray:
     cubes), (sum_{R inside region} mu(R) chi_R / |R|)**(1/2), from the
     stacked coefficients ``C``."""
     g1, g2 = pg.grid1, pg.grid2
-    cube1, cube2 = region
-    sq = _rect_masses(pg, C)
-    i1, i2 = grid_index(g1), grid_index(g2)
-    f10 = g1.flat_pos(cube1.pos, cube1.level)
-    f20 = g2.flat_pos(cube2.pos, cube2.level)
-    acc = np.zeros(pg.shape)
-    for l1 in range(cube1.level, g1.N):
-        in1 = i1.ancestor_flat(l1, l1 - cube1.level) == f10
-        for l2 in range(cube2.level, g2.N):
-            in2 = i2.ancestor_flat(l2, l2 - cube2.level) == f20
-            mass = sq[(l1, l2)] * np.outer(in1, in2)
-            mass = mass * 2.0 ** (l1 * g1.d + l2 * g2.d)
-            rows = broadcast_level(g1, l1, mass)
-            acc += broadcast_level(g2, l2, rows.T).T
-    return np.sqrt(acc)
+    inside = np.outer(_inside(g1, region[0]), _inside(g2, region[1]))
+    weight = np.outer(grid_index(g1).cube_weight, grid_index(g2).cube_weight)
+    values = _rect_masses(pg, C) * inside * weight
+    return np.sqrt(cell_sums(g1, cell_sums(g2, values.T).T))
 
 
 def _hybrid_max_square(f: ProductFunction, var: int) -> ProductFunction:
@@ -196,13 +171,11 @@ def _hybrid_max_square(f: ProductFunction, var: int) -> ProductFunction:
         g_max, g_sq = pg.grid2, pg.grid1
         samples = f.samples.T
     pairings = forward_stacked(g_sq, samples.T)  # rows: var-sq stacked, cols: var-max cells
-    acc = np.zeros((g_sq.n_samples, g_max.n_samples))
-    for lvl in range(g_sq.N):
-        blk = g_sq.level_block(pairings, lvl)  # (ncubes, nsig, n_max_cells)
-        m = _dyadic_max_samples(g_max, blk.T).T
-        mass = (m ** 2).sum(axis=1) * 2.0 ** (lvl * g_sq.d)
-        acc += broadcast_level(g_sq, lvl, mass)
-    out = np.sqrt(acc)
+    mass = np.empty((g_sq.n_cubes_total, g_max.n_samples))
+    for lvl in range(g_sq.N):  # per level: batched, numpy sums the cell means in another order
+        m = _dyadic_max_samples(g_max, g_sq.level_block(pairings, lvl).T).T
+        mass[g_sq.cube_range(lvl)] = (m ** 2).sum(axis=1)
+    out = np.sqrt(cell_sums(g_sq, mass * grid_index(g_sq).cube_weight[:, None]))
     return ProductFunction(pg, out.T if var == 1 else out)
 
 
@@ -274,16 +247,10 @@ def jn_profile(a, region) -> tuple:
     """
     if isinstance(a, DyadicFunction):
         g = a.grid
-        cube = region
         stacked = forward_stacked(g, a.samples)
-        masses = _level_masses(g, stacked)
-        idx = grid_index(g)
-        flat0 = g.flat_pos(cube.pos, cube.level)
-        acc = np.zeros(g.n_samples)
-        for lvl in range(cube.level, g.N):
-            inside = idx.ancestor_flat(lvl, lvl - cube.level) == flat0
-            acc += broadcast_level(g, lvl, masses[lvl] * inside * 2.0 ** (lvl * g.d))
-        return np.sqrt(acc), g.cell_volume, _bmo_stacked(g, stacked), g.volume(cube.level)
+        values = _cube_masses(g, stacked) * _inside(g, region) * grid_index(g).cube_weight
+        return (np.sqrt(cell_sums(g, values)), g.cell_volume, _bmo_stacked(g, stacked),
+                g.volume(region.level))
     # rectangle case
     pg = a.pgrid
     g1, g2 = pg.grid1, pg.grid2
@@ -448,7 +415,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
         """(denominator, (k, l) -> ||op f||) of the trial drawn from ``rng``."""
         if kind == "Sk":
             f = random_function(grid, rng)
-            return f.norm(), lambda k, l: square_function(f, "S_k", k=k).norm()
+            masses = _cube_masses(grid, forward_stacked(grid, f.samples))
+            return f.norm(), lambda k, l: _square_Sk(grid, masses, k).norm()
         if kind == "P":
             b = random_function(grid, rng)
             a = random_function(grid, rng)

@@ -167,9 +167,9 @@ def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunc
 # Strict-subcube sums: the shared backbone of P-type operators.
 
 
-def _spread(grid: GridSpec, per_cube: list) -> np.ndarray:
+def _spread(grid: GridSpec, per_cube: np.ndarray) -> np.ndarray:
     """Stacked array holding each cube's value on all its signatures (mean row 0)."""
-    rows = np.repeat(np.concatenate(per_cube), grid.n_sig, axis=0)
+    rows = np.repeat(per_cube, grid.n_sig, axis=0)
     return np.concatenate([np.zeros((1,) + rows.shape[1:]), rows])
 
 
@@ -179,17 +179,17 @@ def strict_ancestor_sum(grid: GridSpec, w: np.ndarray) -> np.ndarray:
     ``w`` is stacked along axis 0 and may carry trailing passive axes; its
     mean row is ignored and the result's mean row is zero.
     """
-    sums = [2.0 ** (lvl * grid.d) * grid.level_block(w, lvl).sum(axis=1)
-            for lvl in range(grid.N)]
-    return _spread(grid, grid_index(grid).ancestor_scan(sums))
+    idx = grid_index(grid)
+    sums = grid.cube_block(w).sum(axis=1)
+    return _spread(grid, idx.ancestor_scan(_trailing(idx.cube_weight, sums) * sums))
 
 
 def strict_subtree_sum(grid: GridSpec, w: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`strict_ancestor_sum`: row (I, s) of the result is
     |I|**(-1) sum_{J strictly inside I} sum_t w[(J, t)]."""
-    sums = [grid.level_block(w, lvl).sum(axis=1) for lvl in range(grid.N)]
-    below = grid_index(grid).subtree_scan(sums)
-    return _spread(grid, [2.0 ** (lvl * grid.d) * s for lvl, s in enumerate(below)])
+    idx = grid_index(grid)
+    below = idx.subtree_scan(grid.cube_block(w).sum(axis=1))
+    return _spread(grid, _trailing(idx.cube_weight, below) * below)
 
 
 def symbol_stacked(a: DyadicFunction) -> np.ndarray:

@@ -70,11 +70,9 @@ class ShiftOperator:
             if self.symbol is None or self.symbol.grid != self.grid:
                 raise GridMismatchError("symbol must live on the operator grid")
             g = self.grid
-            # stacked a_I, mean row zero
-            acoef = forward_stacked(g, self.symbol.samples)
-            acoef[0] = 0.0
-            for lvl in range(g.N):
-                g.level_block(acoef, lvl)[...] *= 2.0 ** (lvl * g.d / 2.0)
+            # a_I along the cube axis, (n_cubes_total, n_sig)
+            acoef = g.cube_block(forward_stacked(g, self.symbol.samples))
+            acoef *= np.sqrt(grid_index(g).cube_weight)[:, None]
             acoef.setflags(write=False)
             object.__setattr__(self, "_acoef", acoef)
         else:
@@ -89,7 +87,7 @@ class ShiftOperator:
     def symbol_coefficients(self) -> tuple:
         """Per-level arrays a_I = <a,h_I^sig> |I|**(-1/2), shape (n_cubes, n_sig);
         computed once, when the shift is built, and read-only."""
-        return tuple(self.grid.level_block(self._acoef, lvl) for lvl in range(self.grid.N))
+        return tuple(self._acoef[self.grid.cube_range(lvl)] for lvl in range(self.grid.N))
 
     # -- application -------------------------------------------------------
 
@@ -108,15 +106,12 @@ class ShiftOperator:
                 res = np.einsum("kabcd,kab...->kcd...", block, fin)
                 g.level_block(out, kappa + self.j)[gj] += res
         else:
-            # rows 1.. as (cube, signature, *passive): a cube's rows pair with
-            # its row in the tail of the extended layout
-            cubes = (-1, g.n_sig) + x.shape[1:]
-            a = self._acoef[1:].reshape(cubes[:2] + (1,) * (x.ndim - 1))
+            # a cube's rows pair with its row in the tail of the extended layout
+            a = self._acoef.reshape(self._acoef.shape + (1,) * (x.ndim - 1))
             if self.orientation == ANALYSIS:
-                blk = out[1:].reshape(cubes)
-                blk += a * extend(g, x)[g.n_samples:, None]
+                g.cube_block(out)[...] += a * extend(g, x)[g.n_samples:, None]
             else:
-                tail = (a * x[1:].reshape(cubes)).sum(axis=1)
+                tail = (a * g.cube_block(x)).sum(axis=1)
                 out = contract(g, np.concatenate([out, tail]))
         return out
 

@@ -213,3 +213,27 @@ def bp_pair_oracle(pg, bC, Xe, a1, p2, sym2, out, weight):
             C = Bg * np.swapaxes(
                 strict_subtree_sum(g2, np.swapaxes(Xin * sym2[None, :], 0, 1)), 0, 1)
         out[rows1(l1, a1.so), :n2] += (C.T * c1).T
+
+
+# ---------------------------------------------------------------------------
+# Reference tree scans: the per-level list form, ``values[l]`` of shape
+# (n_cubes(l), *passive), with the library's additions in the same order.
+
+
+def ancestor_scan_oracle(grid, values):
+    """Per level, each cube's sum of ``values`` over its strict ancestors."""
+    idx = grid_index(grid)
+    out = [np.zeros_like(values[0])]
+    for lvl in range(1, len(values)):
+        out.append((out[-1] + values[lvl - 1])[idx.ancestor_flat(lvl, 1)])
+    return out
+
+
+def subtree_scan_oracle(grid, values):
+    """Per level, each cube's sum of ``values`` over its strict descendants."""
+    idx = grid_index(grid)
+    out = [np.zeros_like(values[-1])]
+    for lvl in range(len(values) - 2, -1, -1):
+        below = out[-1] + values[lvl + 1]
+        out.append(below[idx.desc_groups(lvl, 1)].sum(axis=1))
+    return out[::-1]

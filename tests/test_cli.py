@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from dyadlab.cli import main
 
@@ -199,3 +202,33 @@ def test_norm_study_defaults_admissible(tmp_path):
     code, report = run(["norm-study", "--trials", "1"], tmp_path, "norm-study-Bk")
     assert code == 0
     assert report["config"]["N"] == 9 and report["config"]["kmax"] == 8
+
+
+# sha256 of report bodies without ``meta`` and ``config.out``, pinned so
+# that a change which moves any reported number, however little, fails here.
+# Bk and Sk need --kmax below --N.
+PINNED_REPORTS = [
+    (["norm-study", "--kind", "Bk", "--N", "6", "--kmax", "5", "--trials", "5"],
+     "norm-study-Bk", "57fc05ef499c9766a407a4ed76354fc0323667dab1976c565f48f39bf1142590"),
+    (["norm-study", "--kind", "Sk", "--N", "6", "--kmax", "5", "--trials", "5"],
+     "norm-study-Sk", "356cdb40b8db268bf69d33a74b312ad0f7f7d3c1d5d52140337632b1a3fcfd56"),
+    (["norm-study", "--kind", "P", "--N", "6", "--trials", "5"],
+     "norm-study-P", "e7caaf070609d9ddbd78fa8316f93332eb04b482131ec414032ea3bfd33df85b"),
+    (["jn-check", "--N", "6", "--trials", "5"],
+     "jn-check", "4bc88a5d83a00893f4bac94300e65b84b556623e3cf26f0c1d9b649da727d0f4"),
+    (["jn-check", "--d", "2", "--N", "3", "--trials", "5"],
+     "jn-check", "b8125782163e9a825fd1bc1fa1664242c97e3faab3df5b76bd27f2e1be51fe4a"),
+    (["verify-decomp", "--d", "1", "--N", "4", "--imax", "1", "--jmax", "1", "--trials", "3"],
+     "verify-decomp", "c7c81b9270a95d9360241755bb95a80fbdb7fe88c88183db817c9b7c0c7b2819"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", PINNED_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_REPORTS])
+def test_report_bodies_are_pinned(argv, name, digest, tmp_path):
+    code, report = run(argv, tmp_path, name)
+    assert code == 0
+    del report["meta"]
+    del report["config"]["out"]
+    body = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == digest

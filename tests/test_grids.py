@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from dyadlab import DyadicCube, GridSpec, HaarIndex, ancestor
 from dyadlab.grids import DepthError, InvalidIndexError, grid_index
+from conftest import ancestor_scan_oracle, subtree_scan_oracle
 
 
 def test_grid_validation():
@@ -128,3 +130,42 @@ def test_level_offset_is_the_running_sum():
         for level in range(N + 1):
             assert g.level_offset(level) == off
             off += g.n_cubes(level) * g.n_sig
+
+
+_AXIS_GRIDS = [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 2),
+               GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))]
+
+
+@pytest.mark.parametrize("g", _AXIS_GRIDS, ids=repr)
+def test_cube_axis_layout(g):
+    # the levels tile the axis in order, and cube_block reads each stacked row
+    starts = [g.cube_range(lvl).start for lvl in range(g.N)] + [g.n_cubes_total]
+    assert starts[0] == 0
+    assert all(g.cube_range(lvl).stop == starts[lvl + 1] for lvl in range(g.N))
+    stacked = np.arange(float(g.n_samples))
+    blk = g.cube_block(stacked)
+    assert blk.shape == (g.n_cubes_total, g.n_sig)
+    for lvl in range(g.N):
+        for flat in range(g.n_cubes(lvl)):
+            cube = DyadicCube(lvl, g.pos_from_flat(flat, lvl))
+            for e in range(g.n_sig):
+                row = g.stacked_index(HaarIndex(cube, g.int_sig(e)))
+                assert blk[g.cube_range(lvl).start + flat, e] == stacked[row]
+                assert g.level_block(stacked, lvl)[flat, e] == stacked[row]
+    weight = grid_index(g).cube_weight
+    assert np.array_equal(weight, np.concatenate(
+        [np.full(g.n_cubes(lvl), 1.0 / g.volume(lvl)) for lvl in range(g.N)]))
+    with pytest.raises(ValueError):
+        weight[0] = 2.0
+
+
+@pytest.mark.parametrize("g", _AXIS_GRIDS, ids=repr)
+@pytest.mark.parametrize("passive", [(), (3,), (2, 2)], ids=str)
+def test_scans_match_the_per_level_lists(g, passive):
+    idx = grid_index(g)
+    values = np.random.default_rng(g.N).standard_normal((g.n_cubes_total,) + passive)
+    per_level = [values[g.cube_range(lvl)] for lvl in range(g.N)]
+    assert np.array_equal(idx.ancestor_scan(values),
+                          np.concatenate(ancestor_scan_oracle(g, per_level)))
+    assert np.array_equal(idx.subtree_scan(values),
+                          np.concatenate(subtree_scan_oracle(g, per_level)))

@@ -10,7 +10,7 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      uniformity_study)
 from dyadlab.haar import haar_forward
 from dyadlab.norms import NormReport, geometric_cap_for, geometric_constant_tail_bound
-from conftest import all_cubes
+from conftest import all_cubes, strictly_inside
 
 
 def test_bmo_trivial_cases(rng):
@@ -60,6 +60,32 @@ def test_rect_bmo(rng):
     a2 = random_function(pg.grid2, rng)
     assert rect_bmo_norm(tensor_function(a1, a2)) <= \
         dyadic_bmo_norm(a1) * dyadic_bmo_norm(a2) + 1e-10
+
+
+@pytest.mark.parametrize("pg", [ProductGrid(GridSpec(2, 2), GridSpec(1, 3)),
+                                ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                                            GridSpec(1, 2))], ids=repr)
+def test_rect_bmo_matches_brute_force(pg, rng):
+    # sup over rectangles R of |R|**(-1) sum_{R' inside R} mu(R'), from
+    # per-HaarIndex coefficients
+    from dyadlab.biparam import forward2
+    g1, g2 = pg.grid1, pg.grid2
+    rects = [(c1, c2) for c1 in all_cubes(g1) for c2 in all_cubes(g2)]
+
+    def within(g, inner, outer):
+        return inner == outer or strictly_inside(g, inner, outer)
+
+    for _ in range(3):
+        b = random_product_function(pg, rng)
+        C = forward2(b)
+        mass = {(c1, c2): sum(C[g1.stacked_index(HaarIndex(c1, g1.int_sig(e1))),
+                                g2.stacked_index(HaarIndex(c2, g2.int_sig(e2)))] ** 2
+                              for e1 in range(g1.n_sig) for e2 in range(g2.n_sig))
+                for c1, c2 in rects}
+        best = max(sum(m for (s1, s2), m in mass.items()
+                       if within(g1, s1, c1) and within(g2, s2, c2))
+                   / (g1.volume(c1.level) * g2.volume(c2.level)) for c1, c2 in rects)
+        assert abs(rect_bmo_norm(b) - np.sqrt(best)) <= 1e-13 * np.sqrt(best)
 
 
 def test_rect_bmo_lower_bounds_open_set_norm(rng):
@@ -205,14 +231,14 @@ def test_rect_masses_match_per_index_sums(rng):
     g1, g2 = pg.grid1, pg.grid2
     C = forward2(random_product_function(pg, rng))
     masses = _rect_masses(pg, C)
-    assert sorted(masses) == [(l1, l2) for l1 in range(g1.N) for l2 in range(g2.N)]
+    assert masses.shape == (g1.n_cubes_total, g2.n_cubes_total) == (1, 3)
     for c1 in all_cubes(g1):
         for c2 in all_cubes(g2):
             brute = sum(C[g1.stacked_index(HaarIndex(c1, g1.int_sig(e1))),
                           g2.stacked_index(HaarIndex(c2, g2.int_sig(e2)))] ** 2
                         for e1 in range(g1.n_sig) for e2 in range(g2.n_sig))
-            got = masses[(c1.level, c2.level)][g1.flat_pos(c1.pos, c1.level),
-                                               g2.flat_pos(c2.pos, c2.level)]
+            got = masses[g1.cube_range(c1.level).start + g1.flat_pos(c1.pos, c1.level),
+                         g2.cube_range(c2.level).start + g2.flat_pos(c2.pos, c2.level)]
             assert abs(got - brute) < 1e-12
 
 
@@ -245,6 +271,21 @@ def test_jn_check_p2_at_most_one(rng):
     assert jn_check(zero, DyadicCube(0, (0,)), 2.0) == 0.0
     with pytest.raises(ValueError):
         jn_check(a, cube, 1.0)
+
+
+def test_jn_check_validates_its_region(rng):
+    from dyadlab.grids import InvalidIndexError
+    g = GridSpec(1, 4)
+    a = random_function(g, rng)
+    with pytest.raises(InvalidIndexError, match=r"\(4,\) outside level 2"):
+        jn_check(a, DyadicCube(2, (4,)), 2.0)
+    # a finest cell holds no cube of levels 0..N-1: nothing to sum
+    assert jn_check(a, DyadicCube(4, (5,)), 2.0) == 0.0
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(2, 2))
+    A = random_product_function(pg, rng)
+    with pytest.raises(InvalidIndexError, match=r"\(2, 0\) outside level 1"):
+        jn_check(A, (DyadicCube(1, (0,)), DyadicCube(1, (2, 0))), 2.0)
+    assert jn_check(A, (DyadicCube(3, (7,)), DyadicCube(1, (1, 1))), 2.0) == 0.0
 
 
 def test_jn_check_rectangle(rng):
@@ -421,3 +462,18 @@ def test_uniformity_study_bk_transforms_each_trial_once(monkeypatch):
     assert len(reports) == 9
     # b and f of each of the 5 trials, whatever the number of k values
     assert len(calls) == 10
+
+
+def test_uniformity_study_sk_transforms_each_trial_once(monkeypatch):
+    from dyadlab import norms
+    calls = []
+    inner = norms.forward_stacked
+
+    def counting(grid, x):
+        calls.append(1)
+        return inner(grid, x)
+    monkeypatch.setattr(norms, "forward_stacked", counting)
+    reports = uniformity_study("Sk", {"N": 8, "kmax": 6}, trials=5, rng_seed=7)
+    assert len(reports) == 7
+    # f of each of the 5 trials, whatever the number of k values
+    assert len(calls) == 5

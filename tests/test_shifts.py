@@ -225,8 +225,8 @@ def noncancellative_apply_loop(S, x):
         for lvl in range(g.N):
             g.level_block(out, lvl)[...] += acoef[lvl] * scal[lvl][:, None]
     else:
-        out += fold_noncancellative(g, {lvl: (acoef[lvl] * g.level_block(x, lvl)).sum(axis=1)
-                                        for lvl in range(g.N)})
+        out += fold_noncancellative(g, np.concatenate(
+            [(acoef[lvl] * g.level_block(x, lvl)).sum(axis=1) for lvl in range(g.N)]))
     return out
 
 
