@@ -59,10 +59,12 @@ def _outdir(args) -> str:
     return out
 
 
-def _write_report(args, name: str, config: dict, results) -> str:
-    report = {"meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                       "version": __version__},
-              "config": config, "results": results}
+def _write_report(args, name: str, config: dict, results, counters: dict = None) -> str:
+    meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "version": __version__}
+    if counters is not None:
+        meta["counters"] = counters
+    report = {"meta": meta, "config": config, "results": results}
     path = os.path.join(_outdir(args), f"{name}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -218,7 +220,7 @@ def cmd_mc_demo(args) -> int:
     base = GridSpec(1, args.N)
     rep = mc_representation_demo(base, args.samples, args.seed)
     results = {k: v for k, v in rep.items()
-               if k not in ("mean_matrix", "stderr_matrix")}
+               if k not in ("mean_matrix", "stderr_matrix", "counters")}
     if args.format == "csv":
         path = os.path.join(_outdir(args), "mc-demo-matrix.csv")
         with open(path, "w") as fh:
@@ -227,7 +229,8 @@ def cmd_mc_demo(args) -> int:
             for r in range(M.shape[0]):
                 for c in range(M.shape[1]):
                     fh.write(f"{r},{c},{M[r, c]!r},{SE[r, c]!r}\n")
-    path = _write_report(args, "mc-demo", _resolved_config(args), results)
+    path = _write_report(args, "mc-demo", _resolved_config(args), results,
+                         counters=rep["counters"])
     ok = rep["toeplitz"]["pass"] and rep["antisymmetry"]["pass"] \
         and rep["single_omega_not_toeplitz"]
     print(f"mc-demo: toeplitz max_z {rep['toeplitz']['max_z']:.2f} "

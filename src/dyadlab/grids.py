@@ -256,7 +256,6 @@ class _GridIndex:
         self._desc = {}
         self._cells = {}
         self._signs = {}
-        self._rows = {}
         self._bk = {}
 
     @functools.cached_property
@@ -273,21 +272,6 @@ class _GridIndex:
         g = self.grid
         return np.concatenate([g.cube_range(lvl - k).start + self.ancestor_flat(lvl, k)
                                for lvl in range(k, g.N)])
-
-    def sig_rows(self, level: int, sig_int: int) -> np.ndarray:
-        """Extended-layout indices of one signature's coefficients at ``level``
-        (the noncancellative signature's lie in the tail)."""
-        key = (level, sig_int)
-        if key not in self._rows:
-            g = self.grid
-            cubes = np.arange(g.n_cubes_total)[g.cube_range(level)]
-            if sig_int == g.noncanc_int:
-                rows = g.n_samples + cubes
-            else:
-                rows = 1 + cubes * g.n_sig + sig_int
-            rows.setflags(write=False)
-            self._rows[key] = rows
-        return self._rows[key]
 
     def bk_table(self, k: int) -> tuple:
         """B_k gather tables over the cubes of levels k..N-1, level-major:

@@ -71,7 +71,7 @@ def hilbert_pattern_builder(base: GridSpec):
     """omega -> handle of the fixed pattern on the shifted grid.
 
     The pattern's blocks and dense matrix are built once on ``base``; a
-    shifted grid is a translation, so each sample reuses the blocks and rolls
+    shifted grid is a translation, so each grid reuses the blocks and rolls
     the matrix by the grid's shift along both axes.
     """
     pattern = hilbert_pattern_shift(base)
@@ -92,47 +92,64 @@ def average_operator(builder, samples: int, rng_seed: int, base: GridSpec = None
 
     ``builder`` maps an OmegaSample to a LinearOperatorHandle (or directly to
     a dense matrix); the base grid is read from ``builder.grid`` unless given.
-    Per-sample seeds derive from the master seed and accumulation is
-    sequential in sample order, so results are bit-stable. A builder that
-    raises stops the average; the exception carries a note naming the
-    sample's replay seed (``sample_omega(base, seed)`` rebuilds its grid).
+    A builder must depend on ``omega.offsets`` alone, i.e. on the grid: the
+    torus has only 2**(N*d) distinct grids, so each one drawn is built once
+    and weighted by the number of samples that drew it (see
+    :func:`_average_stats`). Per-sample seeds derive from the master seed and
+    distinct grids merge in first-seen order, so results are bit-stable. A
+    builder that raises stops the average; the exception carries a note
+    naming the replay seed of the first sample that drew that grid
+    (``sample_omega(base, seed)`` rebuilds it).
     """
-    [(mean, stderr)], stats = _average_stats(builder, (lambda M: M,), samples,
-                                             rng_seed, base)
+    [(mean, stderr)], stats, _ = _average_stats(builder, (lambda M: M,), samples,
+                                                rng_seed, base)
     return mean, stderr, stats
 
 
 def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = None):
     """One pass of :func:`average_operator` over the seeded grids that averages
-    fn(M) for every fn in ``fns``; returns [(mean, stderr) per fn] and stats."""
+    fn(M) for every fn in ``fns`` (all of one shape); returns
+    [(mean, stderr) per fn], the stats and the number of distinct grids drawn.
+
+    Every sample's omega is drawn from its own child of
+    ``SeedSequence(rng_seed)``, and the samples are grouped by their offsets
+    in first-seen order. Each distinct grid is then built and scored once, and
+    its ``count`` identical values merge into the running mean and sum of
+    squared deviations by the pairwise update of Chan, Golub & LeVeque (1983).
+    Groups are streamed: no matrix outlives its merge.
+    """
     base = base or getattr(builder, "grid", None)
     if not isinstance(base, GridSpec):
         raise ValueError("builder must expose its base grid (builder.grid or base=)")
     if samples < 1:
         raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
+    groups = {}  # offsets -> [first sample number, its omega, count]
     children = np.random.SeedSequence(rng_seed).spawn(samples)
-    mean = [None] * len(fns)
-    msq = [None] * len(fns)
-    for used, child in enumerate(children, start=1):
-        seed = int(child.generate_state(1)[0])
+    for number, child in enumerate(children, start=1):
+        omega = sample_omega(base, int(child.generate_state(1)[0]))
+        group = groups.setdefault(omega.offsets, [number, omega, 0])
+        group[2] += 1
+    used, mean, msq = 0, None, None
+    for number, omega, count in groups.values():
         try:
-            handle = builder(sample_omega(base, seed))
+            handle = builder(omega)
             M = handle.matrix() if isinstance(handle, LinearOperatorHandle) \
                 else np.asarray(handle, dtype=float)
-            values = [fn(M) for fn in fns]
+            X = np.stack([fn(M) for fn in fns])
         except BaseException as exc:  # annotated and re-raised, never dropped
-            exc.add_note(f"Monte Carlo sample {used} of {samples}, replay seed {seed}")
+            exc.add_note(f"Monte Carlo sample {number} of {samples}, "
+                         f"replay seed {omega.seed}")
             raise
-        for n, X in enumerate(values):
-            if mean[n] is None:
-                mean[n] = np.zeros_like(X)
-                msq[n] = np.zeros_like(X)
-            delta = X - mean[n]
-            mean[n] += delta / used
-            msq[n] += delta * (X - mean[n])
+        if mean is None:
+            mean, msq = np.zeros_like(X), np.zeros_like(X)
+        total = used + count
+        delta = X - mean
+        mean += delta * (count / total)
+        msq += delta * delta * (used * count / total)
+        used = total
     out = [(m, np.sqrt(q / (used - 1) / used) if used > 1 else np.zeros_like(m))
            for m, q in zip(mean, msq)]
-    return out, {"samples": samples, "used": used, "seed": rng_seed}
+    return out, {"samples": samples, "used": used, "seed": rng_seed}, len(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +215,15 @@ def mc_representation_demo(base: GridSpec, samples: int, rng_seed: int) -> dict:
     """Average the fixed shift pattern over random grids and test the emergent
     translation invariance and antisymmetry.
 
-    The Toeplitz and antisymmetry statistics are accumulated per sample (not
-    reconstructed from the mean matrix), so their standard errors honestly
-    reflect cross-entry correlations. A single-grid sample is reported for
-    contrast: its Toeplitz deviation is orders of magnitude above the average.
+    The Toeplitz and antisymmetry statistics are averaged over the sampled
+    grids (not reconstructed from the mean matrix), so their standard errors
+    honestly reflect cross-entry correlations. A single-grid sample is
+    reported for contrast: its Toeplitz deviation is orders of magnitude above
+    the average. ``counters`` holds the sample count and the number of
+    distinct grids among the samples.
     """
     builder = hilbert_pattern_builder(base)
-    averages, stats = _average_stats(
+    averages, stats, distinct = _average_stats(
         builder, (lambda M: M, toeplitz_deviation, lambda M: M + M.T),
         samples, rng_seed)
     (mean, stderr), (dev_mean, dev_se), (sym_mean, sym_se) = averages
@@ -221,7 +240,8 @@ def mc_representation_demo(base: GridSpec, samples: int, rng_seed: int) -> dict:
             "single_omega_max_dev": single_dev,
             "averaged_max_dev": avg_dev,
             "single_omega_not_toeplitz": bool(single_dev > 10 * max(avg_dev, 1e-12)),
-            "mean_matrix": mean, "stderr_matrix": stderr}
+            "mean_matrix": mean, "stderr_matrix": stderr,
+            "counters": {"samples": samples, "distinct_grids": distinct}}
 
 
 # ---------------------------------------------------------------------------

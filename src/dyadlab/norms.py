@@ -397,7 +397,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     from .haar import random_function
     if kind in ("Bk", "Sk", "P"):
         grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
-        kmax = params.get("kmax", 8 if kind == "Bk" else 6)
+        # B_k and S_k need k <= N - 1, as in the bi-parameter kinds below
+        kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), grid.N - 1)
         combos = [(None, None)] if kind == "P" else [(k, None) for k in range(kmax + 1)]
     elif kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
         pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),

@@ -162,6 +162,15 @@ def scaling_levels_oracle(grid, stacked):
             for lvl, s in enumerate(_merged_levels(grid, stacked, grid.N - 1))]
 
 
+def sig_rows(grid, level, sig_int):
+    """Extended-layout rows of one signature's coefficients at ``level`` (the
+    noncancellative signature's lie in the tail)."""
+    cubes = np.arange(grid.n_cubes_total)[grid.cube_range(level)]
+    if sig_int == grid.noncanc_int:
+        return grid.n_samples + cubes
+    return 1 + cubes * grid.n_sig + sig_int
+
+
 def strictly_inside(grid, inner, outer):
     if inner.level <= outer.level:
         return False
@@ -175,15 +184,13 @@ def strictly_inside(grid, inner, outer):
 
 def _b_rows_oracle(g, a, lvl):
     """Rows of <b, h_(I^(k))> for the cubes I at ``lvl``."""
-    idx = grid_index(g)
-    return idx.sig_rows(lvl - a.k, a.sb)[idx.ancestor_flat(lvl, a.k)]
+    return sig_rows(g, lvl - a.k, a.sb)[grid_index(g).ancestor_flat(lvl, a.k)]
 
 
 def bb_pair_oracle(pg, bC, Xe, a1, a2, out, weight):
     """B x B into ``out``: one pass per level pair (l1, l2); ``bC`` carries
     the trailing unit axes of ``Xe``."""
     g1, g2 = pg.grid1, pg.grid2
-    rows1, rows2 = grid_index(g1).sig_rows, grid_index(g2).sig_rows
     pad = (1,) * (Xe.ndim - 2)
     for l1 in range(a1.k, g1.N):
         c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
@@ -191,8 +198,9 @@ def bb_pair_oracle(pg, bC, Xe, a1, a2, out, weight):
             c2 = a2.beta_level(l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
             c2 = np.reshape(c2, np.shape(c2) + pad)
             Bg = bC[np.ix_(_b_rows_oracle(g1, a1, l1), _b_rows_oracle(g2, a2, l2))]
-            Xin = Xe[np.ix_(rows1(l1, a1.si), rows2(l2, a2.si))]
-            out[np.ix_(rows1(l1, a1.so), rows2(l2, a2.so))] += (c1 * (Bg * Xin).T).T * c2
+            Xin = Xe[np.ix_(sig_rows(g1, l1, a1.si), sig_rows(g2, l2, a2.si))]
+            rows = np.ix_(sig_rows(g1, l1, a1.so), sig_rows(g2, l2, a2.so))
+            out[rows] += (c1 * (Bg * Xin).T).T * c2
 
 
 def bp_pair_oracle(pg, bC, Xe, a1, p2, sym2, out, weight):
@@ -200,19 +208,18 @@ def bp_pair_oracle(pg, bC, Xe, a1, p2, sym2, out, weight):
     ``bC`` and ``sym2`` carry the trailing unit axes of ``Xe``."""
     from dyadlab.paraproducts import strict_ancestor_sum, strict_subtree_sum
     g1, g2 = pg.grid1, pg.grid2
-    rows1 = grid_index(g1).sig_rows
     n2 = g2.n_samples
     for l1 in range(a1.k, g1.N):
         Bg = bC[_b_rows_oracle(g1, a1, l1), :]
         c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
-        Xin = Xe[rows1(l1, a1.si), :n2]
+        Xin = Xe[sig_rows(g1, l1, a1.si), :n2]
         if not p2.adjoint:
             C = np.swapaxes(strict_ancestor_sum(g2, np.swapaxes(Bg * Xin, 0, 1)), 0, 1) \
                 * sym2[None, :]
         else:
             C = Bg * np.swapaxes(
                 strict_subtree_sum(g2, np.swapaxes(Xin * sym2[None, :], 0, 1)), 0, 1)
-        out[rows1(l1, a1.so), :n2] += (C.T * c1).T
+        out[sig_rows(g1, l1, a1.so), :n2] += (C.T * c1).T
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +244,37 @@ def subtree_scan_oracle(grid, values):
         below = out[-1] + values[lvl + 1]
         out.append(below[idx.desc_groups(lvl, 1)].sum(axis=1))
     return out[::-1]
+
+
+# ---------------------------------------------------------------------------
+# Reference Monte Carlo average: one builder call and one Welford update per
+# sample, in sample order.
+
+
+def welford_average_oracle(builder, fns, samples, rng_seed, base=None):
+    """Per-sample Welford mean and standard error of fn(M) for every fn in
+    ``fns``, M the matrix of builder(omega) on each seeded grid; returns what
+    ``montecarlo._average_stats`` returns."""
+    from dyadlab import LinearOperatorHandle, sample_omega
+    base = base or builder.grid
+    mean = [None] * len(fns)
+    msq = [None] * len(fns)
+    grids = set()
+    children = np.random.SeedSequence(rng_seed).spawn(samples)
+    for used, child in enumerate(children, start=1):
+        omega = sample_omega(base, int(child.generate_state(1)[0]))
+        grids.add(omega.offsets)
+        handle = builder(omega)
+        M = handle.matrix() if isinstance(handle, LinearOperatorHandle) \
+            else np.asarray(handle, dtype=float)
+        for n, fn in enumerate(fns):
+            X = fn(M)
+            if mean[n] is None:
+                mean[n] = np.zeros_like(X)
+                msq[n] = np.zeros_like(X)
+            delta = X - mean[n]
+            mean[n] += delta / used
+            msq[n] += delta * (X - mean[n])
+    out = [(m, np.sqrt(q / (used - 1) / used) if used > 1 else np.zeros_like(m))
+           for m, q in zip(mean, msq)]
+    return out, {"samples": samples, "used": used, "seed": rng_seed}, len(grids)

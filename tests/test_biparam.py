@@ -11,7 +11,7 @@ from dyadlab.biparam import (PAtom, contract2, extend2, forward2, forward_var,
 from dyadlab.grids import DepthError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
 from conftest import (all_cancellative_indices, all_cubes, bb_pair_oracle,
-                      bp_pair_oracle, dense_matrix, strictly_inside)
+                      bp_pair_oracle, dense_matrix, sig_rows, strictly_inside)
 
 
 PG = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
@@ -399,7 +399,6 @@ def test_bk_atom_error_contract(name, rng):
     ids=repr)
 @pytest.mark.parametrize("passive", [(), (3,)])
 def test_contract2_is_the_adjoint_of_extend2(pg, passive, rng):
-    from dyadlab.grids import grid_index
     from dyadlab.haar import extend
     x = rng.standard_normal(pg.shape + passive)
     ext = extend2(pg, x)
@@ -410,7 +409,7 @@ def test_contract2_is_the_adjoint_of_extend2(pg, passive, rng):
     # variable 1 first: the noncancellative rows of both variables hold the
     # scaling pairings of variable 1's scaling pairings
     g1, g2 = pg.grid1, pg.grid2
-    rows1 = grid_index(g1).sig_rows(g1.N - 1, g1.noncanc_int)
+    rows1 = sig_rows(g1, g1.N - 1, g1.noncanc_int)
     expect = extend(g2, np.swapaxes(extend(g1, x)[rows1], 0, 1))
     assert np.array_equal(ext[rows1], np.swapaxes(expect, 0, 1))
 

@@ -68,6 +68,9 @@ def test_mc_demo_small(tmp_path):
     assert code == 0
     res = report["results"]
     assert res["toeplitz"]["pass"] and res["antisymmetry"]["pass"]
+    # work counters live in meta, so the body stays byte-identical
+    assert report["meta"]["counters"] == {"samples": 600, "distinct_grids": 16}
+    assert "counters" not in res
     csv_head = (tmp_path / "mc-demo-matrix.csv").read_text().split("\n")[0]
     assert csv_head == "row,col,mean,stderr"
 
@@ -185,17 +188,23 @@ def test_config_top_level_not_an_object_exits_2(tmp_path, capsys):
 
 
 def test_inadmissible_parameters_exit_2(tmp_path, capsys):
-    code = main(["norm-study", "--kind", "Bk", "--N", "4", "--kmax", "8",
-                 "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("norm-study: ") and "\n" not in err
-    # S_k needs k < N as B_k does
-    code = main(["norm-study", "--kind", "Sk", "--N", "4", "--kmax", "6",
-                 "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("norm-study: ") and "\n" not in err
+    # a grid over the sample budget is refused with one line, for B_k and S_k
+    for kind in ("Bk", "Sk"):
+        code = main(["norm-study", "--kind", kind, "--N", "25", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("norm-study: ") and "\n" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["Bk", "Sk"])
+def test_norm_study_kmax_stops_at_finest_level(kind, tmp_path):
+    # k = 6..8 do not exist on an N = 6 grid; the study skips them as the
+    # bi-parameter kinds do
+    code, report = run(["norm-study", "--kind", kind, "--N", "6", "--trials", "1"],
+                       tmp_path, f"norm-study-{kind}")
+    assert code == 0
+    assert [r["k"] for r in report["results"]["reports"]] == list(range(6))
 
 
 def test_norm_study_defaults_admissible(tmp_path):
@@ -206,7 +215,6 @@ def test_norm_study_defaults_admissible(tmp_path):
 
 # sha256 of report bodies without ``meta`` and ``config.out``, pinned so
 # that a change which moves any reported number, however little, fails here.
-# Bk and Sk need --kmax below --N.
 PINNED_REPORTS = [
     (["norm-study", "--kind", "Bk", "--N", "6", "--kmax", "5", "--trials", "5"],
      "norm-study-Bk", "57fc05ef499c9766a407a4ed76354fc0323667dab1976c565f48f39bf1142590"),
@@ -220,6 +228,8 @@ PINNED_REPORTS = [
      "jn-check", "b8125782163e9a825fd1bc1fa1664242c97e3faab3df5b76bd27f2e1be51fe4a"),
     (["verify-decomp", "--d", "1", "--N", "4", "--imax", "1", "--jmax", "1", "--trials", "3"],
      "verify-decomp", "c7c81b9270a95d9360241755bb95a80fbdb7fe88c88183db817c9b7c0c7b2819"),
+    (["mc-demo", "--N", "4", "--samples", "600", "--seed", "9"],
+     "mc-demo", "05f0e65a408437653efe6c40aff4970ecf5cd36e673bb1fc4e1ff90acc531ec1"),
 ]
 
 

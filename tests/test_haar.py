@@ -7,11 +7,11 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      haar_forward, haar_function, haar_inverse, inner_product,
                      pointwise_multiply, random_function)
 from dyadlab.biparam import ProductFunction, ProductGrid
-from dyadlab.grids import InvalidIndexError, grid_index
+from dyadlab.grids import InvalidIndexError
 from dyadlab.haar import (HaarCoefficients, contract, extend, forward_stacked,
                           inverse_stacked, scaling_levels)
 from conftest import (all_cancellative_indices, forward_oracle, inverse_oracle,
-                      scaling_levels_oracle)
+                      scaling_levels_oracle, sig_rows)
 
 
 def test_haar_function_1d_examples():
@@ -217,12 +217,11 @@ def test_contract_is_the_adjoint_of_extend(g, passive, rng):
 def test_noncancellative_rows_hold_the_scaling_levels(g, passive, rng):
     x = rng.standard_normal((g.n_samples,) + passive)
     ext = extend(g, x)
-    idx = grid_index(g)
     sc = scaling_levels(g, x)
     for lvl in range(g.N):
-        assert np.array_equal(ext[idx.sig_rows(lvl, g.noncanc_int)], sc[lvl])
+        assert np.array_equal(ext[sig_rows(g, lvl, g.noncanc_int)], sc[lvl])
         for e in range(g.n_sig):
-            assert np.array_equal(ext[idx.sig_rows(lvl, e)], g.level_block(x, lvl)[:, e])
+            assert np.array_equal(ext[sig_rows(g, lvl, e)], g.level_block(x, lvl)[:, e])
     assert np.array_equal(ext[:g.n_samples], x)
 
 

@@ -6,14 +6,28 @@ import pytest
 from dyadlab import (GridSpec, OmegaSample, average_operator,
                      commutator_bound_study, dense_matrix, hilbert_pattern_builder,
                      hilbert_pattern_shift, mc_representation_demo,
-                     random_function, sample_omega, shifted_grid,
+                     random_function, random_shift, sample_omega, shifted_grid,
                      toeplitz_deviation, zscore_verdict)
 from dyadlab import montecarlo
 from dyadlab.montecarlo import _bonferroni_z
-from conftest import dense_shift_matrix_oracle
+from conftest import dense_shift_matrix_oracle, welford_average_oracle
 
 
 BASE = GridSpec(1, 5)
+
+
+def replay_seeds(rng_seed, samples):
+    """The per-sample replay seeds of a Monte Carlo average, in sample order."""
+    return [int(c.generate_state(1)[0])
+            for c in np.random.SeedSequence(rng_seed).spawn(samples)]
+
+
+def first_seen(base, seeds):
+    """The seed of the first sample that drew each distinct grid, in order."""
+    firsts = {}
+    for seed in seeds:
+        firsts.setdefault(sample_omega(base, seed).offsets, seed)
+    return list(firsts.values())
 
 
 def test_sample_omega_deterministic():
@@ -86,6 +100,14 @@ def test_average_operator_trivial_cases():
     with pytest.raises(ValueError):
         average_operator(fixed_builder, 0, 3)
 
+    # one sample: its own matrix, with zero standard error
+    builder = hilbert_pattern_builder(BASE)
+    m, se, stats = average_operator(builder, 1, 3)
+    (seed,) = replay_seeds(3, 1)
+    assert np.array_equal(m, builder(sample_omega(BASE, seed)).matrix())
+    assert np.all(se == 0.0)
+    assert stats == {"samples": 1, "used": 1, "seed": 3}
+
 
 def test_average_operator_linearity():
     g = GridSpec(1, 2)
@@ -109,7 +131,9 @@ def test_average_operator_linearity():
 
 def test_average_operator_propagates_failures():
     g = GridSpec(1, 2)
-    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(1).spawn(9)]
+    seeds = replay_seeds(1, 9)
+    firsts = first_seen(g, seeds)
+    assert len(firsts) >= 3
     calls = []
 
     def flaky(om):
@@ -120,8 +144,11 @@ def test_average_operator_propagates_failures():
     flaky.grid = g
     with pytest.raises(RuntimeError, match="boom") as info:
         average_operator(flaky, 9, 1)
-    assert calls == seeds[:3]
-    assert any(f"replay seed {seeds[2]}" in note for note in info.value.__notes__)
+    # one call per distinct grid, made with the first sample that drew it
+    assert calls == firsts[:3]
+    number = seeds.index(firsts[2]) + 1
+    assert any(f"sample {number} of 9, replay seed {firsts[2]}" in note
+               for note in info.value.__notes__)
 
     # a failing statistic is reported the same way
     def bad_statistic(M):
@@ -129,6 +156,60 @@ def test_average_operator_propagates_failures():
     with pytest.raises(FloatingPointError) as info:
         montecarlo._average_stats(hilbert_pattern_builder(g), (bad_statistic,), 5, 1)
     assert any(f"replay seed {seeds[0]}" in note for note in info.value.__notes__)
+
+
+def test_builder_called_once_per_distinct_grid_in_first_seen_order():
+    g = GridSpec(1, 3)
+    calls = []
+
+    def build(om):
+        calls.append(om.seed)
+        return np.eye(g.n_samples) * shifted_grid(g, om).shift[0]
+    build.grid = g
+    mean, _, stats = average_operator(build, 100, 5)
+    seeds = replay_seeds(5, 100)
+    assert calls == first_seen(g, seeds)
+    assert len(calls) == 8 and stats["used"] == 100
+    # each grid weighs as many samples as drew it
+    shifts = [shifted_grid(g, sample_omega(g, seed)).shift[0] for seed in seeds]
+    assert np.isclose(mean[0, 0], np.mean(shifts), rtol=1e-14)
+
+
+def _pattern_case(d, N):
+    """(builder, statistics) of a fixed shift pattern on the shifted grids:
+    the demo's pattern and statistics in one dimension, a random shift's
+    matrix and its symmetric part in two."""
+    base = GridSpec(d, N)
+    if d == 1:
+        return (hilbert_pattern_builder(base),
+                (lambda M: M, toeplitz_deviation, lambda M: M + M.T))
+    S = random_shift(base, 0, 1, 17)
+
+    def build(omega):
+        return dense_matrix(replace(S, grid=shifted_grid(base, omega)))
+    build.grid = base
+    return build, (lambda M: M, lambda M: M + M.T)
+
+
+@pytest.mark.parametrize("d,N,samples", [(1, 4, 300), (1, 6, 300), (2, 2, 200)])
+@pytest.mark.parametrize("rng_seed", [0, 3, 11])
+def test_grouped_average_matches_per_sample_welford(d, N, samples, rng_seed):
+    builder, fns = _pattern_case(d, N)
+    scale = [0.0] * len(fns)
+
+    def recording(n, fn):
+        def run(M):
+            X = fn(M)
+            scale[n] = max(scale[n], float(np.max(np.abs(X))))
+            return X
+        return run
+    want, want_stats, want_grids = welford_average_oracle(
+        builder, [recording(n, fn) for n, fn in enumerate(fns)], samples, rng_seed)
+    got, stats, grids = montecarlo._average_stats(builder, fns, samples, rng_seed)
+    assert stats == want_stats and grids == want_grids
+    for (mean, se), (want_mean, want_se), x_max in zip(got, want, scale):
+        assert np.max(np.abs(mean - want_mean)) <= 1e-13 * x_max
+        assert np.max(np.abs(se - want_se)) <= 1e-12 * np.max(want_se)
 
 
 def test_toeplitz_deviation_is_linear_and_zero_on_circulant():
@@ -189,11 +270,34 @@ def test_representation_demo_is_one_pass(monkeypatch):
     monkeypatch.setattr(montecarlo, "hilbert_pattern_builder", counting_builder)
     monkeypatch.setattr(montecarlo, "zscore_verdict", recording_verdict)
     rep = mc_representation_demo(base, samples=50, rng_seed=7)
-    assert len(calls) == 50 + 1
+    # one call per distinct grid drawn, and one for the single-grid contrast
+    distinct = first_seen(base, replay_seeds(7, 50))
+    assert calls == distinct + [7 + 1]
+    assert rep["counters"] == {"samples": 50, "distinct_grids": len(distinct)}
     got = [(rep["mean_matrix"], rep["stderr_matrix"])] + verdict_inputs
     assert len(got) == 3
     for (mean, se), (want_mean, want_se) in zip(got, want):
         assert np.array_equal(mean, want_mean) and np.array_equal(se, want_se)
+
+
+def test_representation_demo_verdicts_match_per_sample_welford(monkeypatch):
+    base = GridSpec(1, 6)
+    for rng_seed in range(20):
+        rep = mc_representation_demo(base, samples=1000, rng_seed=rng_seed)
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_average_stats", welford_average_oracle)
+            want = mc_representation_demo(base, samples=1000, rng_seed=rng_seed)
+        assert rep["counters"] == want["counters"]
+        assert rep["single_omega_max_dev"] == want["single_omega_max_dev"]
+        assert rep["single_omega_not_toeplitz"] == want["single_omega_not_toeplitz"]
+        assert np.isclose(rep["averaged_max_dev"], want["averaged_max_dev"],
+                          rtol=1e-12, atol=0.0)
+        for key in ("toeplitz", "antisymmetry"):
+            got, ref = rep[key], want[key]
+            for field in ("pass", "frac_beyond_z", "n_tests", "bonferroni_z"):
+                assert got[field] == ref[field], (rng_seed, key, field)
+            for field in ("max_z", "max_abs"):
+                assert np.isclose(got[field], ref[field], rtol=1e-12, atol=0.0)
 
 
 def test_single_omega_matrix_not_toeplitz():

@@ -10,7 +10,7 @@ from dyadlab.grids import InvalidIndexError, grid_index
 from dyadlab.haar import extend, forward_stacked
 from dyadlab.norms import dyadic_bmo_norm, uniformity_study
 from dyadlab.paraproducts import bk_stacked
-from conftest import all_cubes, strictly_inside
+from conftest import all_cubes, sig_rows, strictly_inside
 
 
 def bk_oracle(op, b, f):
@@ -104,7 +104,7 @@ def bk_stacked_loop(op, bc, x):
         banc = g.level_block(bc, lvl - op.k)[:, op.sb][idx.ancestor_flat(lvl, op.k)]
         scale = 2.0 ** ((lvl - op.k) * g.d / 2.0)
         coef = (op.beta_level(lvl) * banc * scale).reshape(banc.shape + pshape)
-        out[idx.sig_rows(lvl, op.so)] += coef * x[idx.sig_rows(lvl, op.si)]
+        out[sig_rows(g, lvl, op.so)] += coef * x[sig_rows(g, lvl, op.si)]
     return out
 
 
