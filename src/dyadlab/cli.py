@@ -228,7 +228,7 @@ def cmd_mc_demo(args) -> int:
             M, SE = rep["mean_matrix"], rep["stderr_matrix"]
             for r in range(M.shape[0]):
                 for c in range(M.shape[1]):
-                    fh.write(f"{r},{c},{M[r, c]!r},{SE[r, c]!r}\n")
+                    fh.write(f"{r},{c},{float(M[r, c])!r},{float(SE[r, c])!r}\n")
     path = _write_report(args, "mc-demo", _resolved_config(args), results,
                          counters=rep["counters"])
     ok = rep["toeplitz"]["pass"] and rep["antisymmetry"]["pass"] \

@@ -124,18 +124,19 @@ class TermList:
 
 
 def _beta_from_sig(grid: GridSpec, k: int, sig_b: int):
-    """Per-level +-1 sequences: the ancestor Haar sampled inside each cube."""
+    """+-1 betas along the cube axis: the sign of h^sig_b of the k-th ancestor
+    inside each cube of levels k..N-1, +1 above level k."""
     if k == 0:
         return None
     idx = grid_index(grid)
-    sig = grid.int_sig(sig_b)
-    arrs = []
-    for lvl in range(grid.N):
-        if lvl < k:
-            arrs.append(np.ones(grid.n_cubes(lvl)))
-        else:
-            arrs.append(idx.ancestor_haar_signs(lvl, k, sig))
-    return tuple(arrs)
+    lower = [a for a, s in enumerate(grid.int_sig(sig_b)) if s == 0]
+    beta = np.ones(grid.n_cubes_total)
+    for lvl in range(k, grid.N):
+        # h^sig_b is - on the ancestor's upper half (bit k-1 of the position)
+        # along an odd number of its cancellative axes
+        upper = (idx.coords(lvl)[lower] >> (k - 1)) & 1
+        beta[grid.cube_range(lvl)] = 1.0 - 2.0 * (upper.sum(axis=0) % 2)
+    return beta
 
 
 def _bk(grid: GridSpec, k: int, sb: int, si: int, so: int, beta=None) -> BkOperator:

@@ -193,6 +193,12 @@ class GridSpec:
         """View of the level's coefficients, shape (n_cubes, n_sig, *passive)."""
         return self.cube_block(stacked)[self.cube_range(level)]
 
+    def cube_at(self, c: int) -> "DyadicCube":
+        """The cube at entry ``c`` of the cube axis: its level is the one whose
+        block of the stacked layout holds row 1 + c * n_sig."""
+        level = ((1 + c * self.n_sig).bit_length() - 1) // self.d
+        return DyadicCube(level, self.pos_from_flat(c - self.cube_range(level).start, level))
+
     def flat_pos(self, pos, level: int) -> int:
         return int(np.ravel_multi_index(tuple(int(p) for p in pos), (1 << level,) * self.d))
 
@@ -254,8 +260,8 @@ class _GridIndex:
         self.grid = grid
         self._anc = {}
         self._desc = {}
+        self._cdesc = {}
         self._cells = {}
-        self._signs = {}
         self._bk = {}
 
     @functools.cached_property
@@ -272,6 +278,17 @@ class _GridIndex:
         g = self.grid
         return np.concatenate([g.cube_range(lvl - k).start + self.ancestor_flat(lvl, k)
                                for lvl in range(k, g.N)])
+
+    def cube_descendants(self, depth: int) -> np.ndarray:
+        """Read-only table whose row c lists the cube-axis entries of the cubes
+        ``depth`` levels below cube c (levels 0..N-1-depth), in desc_groups order."""
+        if depth not in self._cdesc:
+            g = self.grid
+            table = np.concatenate([g.cube_range(lvl + depth).start + self.desc_groups(lvl, depth)
+                                    for lvl in range(g.N - depth)])
+            table.setflags(write=False)
+            self._cdesc[depth] = table
+        return self._cdesc[depth]
 
     def bk_table(self, k: int) -> tuple:
         """B_k gather tables over the cubes of levels k..N-1, level-major:
@@ -362,24 +379,6 @@ class _GridIndex:
                     acc = (acc[:, :, None] + weighted[:, None, :]).reshape(acc.shape[0], -1)
             self._cells[level] = acc
         return self._cells[level]
-
-    def ancestor_haar_signs(self, level: int, k: int, sig) -> np.ndarray:
-        """Sign of the k-th ancestor's Haar function sampled inside each cube.
-
-        For every cube I at ``level`` (k >= 1), samples h^sig of I^(k) at the
-        first cell of I and strips the amplitude, leaving the +-1 factor.
-        """
-        key = (level, k, tuple(sig))
-        if key not in self._signs:
-            c = self.coords(level)
-            signs = np.ones(self.grid.n_cubes(level))
-            for a in range(self.grid.d):
-                if sig[a] == 0:
-                    # + on the ancestor's lower half: bit k-1 of the position is 0
-                    signs = signs * np.where((c[a] >> (k - 1)) & 1, -1.0, 1.0)
-            signs.setflags(write=False)
-            self._signs[key] = signs
-        return self._signs[key]
 
 
 @functools.lru_cache(maxsize=None)

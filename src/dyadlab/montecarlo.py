@@ -18,7 +18,7 @@ import numpy as np
 from .grids import GridSpec
 from .haar import random_function
 from .norms import NormReport, dyadic_bmo_norm, geometric_constant
-from .shifts import (LinearOperatorHandle, ShiftOperator, dense_matrix,
+from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_matrix,
                      max_k_level, multiplication_commutator, random_shift)
 
 
@@ -56,15 +56,11 @@ def hilbert_pattern_shift(grid: GridSpec) -> ShiftOperator:
     alternating child signs, the dyadic model of an antisymmetric kernel."""
     if grid.d != 1:
         raise ValueError("the fixed demo pattern is one-dimensional")
-    blocks = []
-    amp = 2.0 ** -0.5
-    for kappa in range(max_k_level(grid, 0, 1) + 1):
-        block = np.zeros((grid.n_cubes(kappa), 1, 1, 2, 1))
-        # slot 0 is the left child 2K, slot 1 the right child 2K+1
-        block[:, 0, 0, 0, 0] = amp
-        block[:, 0, 0, 1, 0] = -amp
-        blocks.append(block)
-    return ShiftOperator(grid, 0, 1, "cancellative", blocks=tuple(blocks))
+    blocks = np.zeros(blocks_shape(grid, 0, 1))
+    # slot 0 is the left child 2K, slot 1 the right child 2K+1
+    blocks[:, 0, 0, 0, 0] = 2.0 ** -0.5
+    blocks[:, 0, 0, 1, 0] = -2.0 ** -0.5
+    return ShiftOperator(grid, 0, 1, "cancellative", blocks=blocks)
 
 
 def hilbert_pattern_builder(base: GridSpec):

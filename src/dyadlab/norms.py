@@ -378,10 +378,9 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(trial,)))
 
 
-def _random_signs(grid: GridSpec, rng) -> tuple:
-    """Per-level betas, each +1 or -1 (+1 with probability about 0.69)."""
-    return tuple(np.sign(rng.standard_normal(grid.n_cubes(lvl)) + 0.5)
-                 for lvl in range(grid.N))
+def _random_signs(grid: GridSpec, rng) -> np.ndarray:
+    """Betas along the cube axis, each +1 or -1 (+1 with probability about 0.69)."""
+    return np.sign(rng.standard_normal(grid.n_cubes_total) + 0.5)
 
 
 def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,

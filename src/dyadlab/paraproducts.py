@@ -48,9 +48,10 @@ class BkOperator:
     integers ``sb``/``si``/``so`` of the stacked layout; at most one of
     (sig_in, sig_out) may be noncancellative, and only when k = 0. The b-side
     signature is always cancellative. ``beta`` may be None (all +1), a dict
-    DyadicCube -> float, or a sequence of per-level arrays indexed by flat
-    cube position; it is stored as None or a tuple of N read-only float
-    arrays whose entries have magnitude <= 1. Two atoms are equal when grid, k,
+    DyadicCube -> float, an array along the cube axis, or a sequence of N
+    per-level arrays indexed by flat cube position; it is stored as None or
+    a private read-only float array along the cube axis, (n_cubes_total,),
+    whose entries have magnitude <= 1. Two atoms are equal when grid, k,
     signatures and betas agree (betas compared value by value).
     """
 
@@ -83,23 +84,27 @@ class BkOperator:
             raise InvalidIndexError("noncancellative signatures require k = 0")
         beta = self.beta
         if isinstance(beta, dict):
-            levels = [np.ones(g.n_cubes(lvl)) for lvl in range(g.N)]
+            axis = np.ones(g.n_cubes_total)
             for cube, val in beta.items():
                 g.validate_cube(cube)
                 if cube.level == g.N:
                     raise InvalidIndexError("finest cells carry no B_k coefficient")
-                levels[cube.level][g.flat_pos(cube.pos, cube.level)] = val
-            beta = levels
-        if beta is not None:
-            beta = tuple(np.array(arr, dtype=float) for arr in beta)
-            for arr in beta:
-                arr.setflags(write=False)  # decomposition terms share atoms
-            if len(beta) != g.N or any(arr.shape != (g.n_cubes(lvl),)
+                axis[g.cube_range(cube.level).start + g.flat_pos(cube.pos, cube.level)] = val
+            beta = axis
+        elif beta is not None and not isinstance(beta, np.ndarray):
+            if len(beta) != g.N or any(np.shape(arr) != (g.n_cubes(lvl),)
                                        for lvl, arr in enumerate(beta)):
                 raise ValueError(f"beta needs one array of n_cubes(level) entries "
                                  f"per level 0..{g.N - 1}")
-            if not all(np.all(np.abs(arr) <= 1.0 + 1e-12) for arr in beta):
+            beta = np.concatenate(beta)
+        if beta is not None:
+            beta = np.array(beta, dtype=float)
+            if beta.shape != (g.n_cubes_total,):
+                raise ValueError(f"beta along the cube axis needs shape "
+                                 f"({g.n_cubes_total},), got {beta.shape}")
+            if not np.all(np.abs(beta) <= 1.0 + 1e-12):
                 raise ValueError("beta entries must have magnitude <= 1")
+            beta.setflags(write=False)  # decomposition terms share atoms
         object.__setattr__(self, "beta", beta)
 
     def __eq__(self, other):
@@ -110,7 +115,7 @@ class BkOperator:
             return False
         if self.beta is None or other.beta is None:
             return self.beta is other.beta
-        return all(np.array_equal(x, y) for x, y in zip(self.beta, other.beta))
+        return np.array_equal(self.beta, other.beta)
 
     def __hash__(self):
         # betas are left out: equal atoms still hash equal
@@ -118,7 +123,7 @@ class BkOperator:
 
     def beta_level(self, level: int):
         """Beta values for all cubes at ``level`` (array or scalar 1.0)."""
-        return 1.0 if self.beta is None else self.beta[level]
+        return 1.0 if self.beta is None else self.beta[self.grid.cube_range(level)]
 
     def adjoint(self) -> "BkOperator":
         return BkOperator(self.grid, self.k, self.sig_b, self.sig_out, self.sig_in,
@@ -128,8 +133,8 @@ class BkOperator:
 def bk_gather(op: BkOperator) -> tuple:
     """(rows_in, rows_out, b_rows, beta, scale) of a B_k atom over the cubes of
     levels k..N-1 (``grid_index(grid).bk_table``): its extended-layout rows,
-    the stacked rows of <b, h_(I^(k))>, the betas (None: all +1) and the
-    scales 2**((level - k) * d / 2)."""
+    the stacked rows of <b, h_(I^(k))>, the betas (None: all +1; a read-only
+    view of the atom's) and the scales 2**((level - k) * d / 2)."""
     g = op.grid
     rows, anc, scale = grid_index(g).bk_table(op.k)
 
@@ -137,7 +142,7 @@ def bk_gather(op: BkOperator) -> tuple:
         # noncancellative only at k = 0: every cube, all of the tail
         return g.n_samples + np.arange(len(rows)) if sig == g.noncanc_int else rows + sig
 
-    beta = None if op.beta is None else np.concatenate(op.beta[op.k:])
+    beta = None if op.beta is None else op.beta[g.cube_range(op.k).start:]
     return at(op.si), at(op.so), anc + op.sb, beta, scale
 
 

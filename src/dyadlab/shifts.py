@@ -2,9 +2,10 @@
 
 A shift of parameters (i, j) moves Haar coefficients from cubes I at depth i
 below K to cubes J at depth j below K, one block per K, with entries bounded
-by |I|**(1/2) |J|**(1/2) / |K|. Blocks are stored per K-level as dense arrays
-over (K, I-slot, I-signature, J-slot, J-signature); application runs in
-coefficient space (transform in, per-level contractions, transform out).
+by |I|**(1/2) |J|**(1/2) / |K|. The blocks are one dense array over
+(K, I-slot, I-signature, J-slot, J-signature), K running along the cube axis
+(:mod:`dyadlab.grids`) over the cubes of levels 0..kmax; application runs in
+coefficient space (transform in, one contraction, transform out).
 A noncancellative shift pairs each Haar row of a cube with the cube's row in
 the tail of the extended layout (:func:`~dyadlab.haar.extend`/``contract``).
 
@@ -15,6 +16,7 @@ normalization every cancellative shift is an exact L2 contraction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,24 +37,38 @@ def max_k_level(grid: GridSpec, i: int, j: int) -> int:
     return grid.N - 1 - max(i, j)
 
 
-@dataclass(frozen=True)
+def blocks_shape(grid: GridSpec, i: int, j: int) -> tuple:
+    """Blocks shape of a cancellative (i, j) shift: (K on the cube axis over
+    levels 0..kmax, I-slot, I-signature, J-slot, J-signature)."""
+    kmax = max_k_level(grid, i, j)
+    if kmax < 0:
+        raise DepthError(f"shift parameters ({i},{j}) too deep for N={grid.N}")
+    return (grid.cube_range(kmax).stop, 1 << (grid.d * i), grid.n_sig,
+            1 << (grid.d * j), grid.n_sig)
+
+
+@dataclass(frozen=True, eq=False)
 class ShiftOperator:
     """Dyadic shift S^(i,j); cancellative, or a symbol-driven paraproduct.
 
-    Cancellative: ``blocks[kappa]`` has shape
-    (n_cubes(kappa), 2**(d*i), n_sig, 2**(d*j), n_sig).
+    Cancellative: ``blocks`` is one array of shape :func:`blocks_shape`;
+    entry [K, a, s, b, t] couples signature s of the a-th I-cube of K to
+    signature t of its b-th J-cube (``grid_index(grid).cube_descendants``).
 
     Noncancellative (i = j = 0 only): built from a symbol ``a`` of dyadic BMO
     norm <= 1 via a_I = <a, h_I> |I|**(-1/2). Orientation ``analysis`` pairs
     the input against noncancellative Haars (f -> sum a_I <f,h_I^1> h_I);
     ``synthesis`` is its adjoint.
+
+    Equality compares grid, i, j, kind, orientation and, value by value, the
+    blocks or symbol samples; ``meta`` is left out.
     """
 
     grid: GridSpec
     i: int
     j: int
     kind: str
-    blocks: tuple = None
+    blocks: np.ndarray = None
     symbol: DyadicFunction = None
     orientation: str = None
     meta: dict = field(default_factory=dict)
@@ -60,8 +76,10 @@ class ShiftOperator:
 
     def __post_init__(self):
         if self.kind == CANCELLATIVE:
-            if self.blocks is None:
-                raise ValueError("cancellative shift needs coefficient blocks")
+            shape = blocks_shape(self.grid, self.i, self.j)
+            got = getattr(self.blocks, "shape", type(self.blocks).__name__)
+            if got != shape:
+                raise ValueError(f"cancellative blocks need one array of shape {shape}, got {got}")
         elif self.kind == NONCANCELLATIVE:
             if self.i != 0 or self.j != 0:
                 raise WrongKindError("noncancellative shifts require i = j = 0")
@@ -78,16 +96,30 @@ class ShiftOperator:
         else:
             raise WrongKindError(f"unknown shift kind {self.kind}")
 
+    def __eq__(self, other):
+        if not isinstance(other, ShiftOperator):
+            return NotImplemented
+        if (self.grid, self.i, self.j, self.kind, self.orientation) != \
+                (other.grid, other.i, other.j, other.kind, other.orientation):
+            return False
+        if self.cancellative:
+            return np.array_equal(self.blocks, other.blocks)
+        return np.array_equal(self.symbol.samples, other.symbol.samples)
+
+    def __hash__(self):
+        # coefficients are left out: equal shifts still hash equal
+        return hash((self.grid, self.i, self.j, self.kind, self.orientation))
+
     # -- construction helpers ---------------------------------------------
 
     @property
     def cancellative(self) -> bool:
         return self.kind == CANCELLATIVE
 
-    def symbol_coefficients(self) -> tuple:
-        """Per-level arrays a_I = <a,h_I^sig> |I|**(-1/2), shape (n_cubes, n_sig);
-        computed once, when the shift is built, and read-only."""
-        return tuple(self._acoef[self.grid.cube_range(lvl)] for lvl in range(self.grid.N))
+    def symbol_coefficients(self) -> np.ndarray:
+        """a_I = <a,h_I^sig> |I|**(-1/2) along the cube axis, (n_cubes_total,
+        n_sig); computed once, when the shift is built, and read-only."""
+        return self._acoef
 
     # -- application -------------------------------------------------------
 
@@ -96,15 +128,11 @@ class ShiftOperator:
         g = self.grid
         out = np.zeros_like(x)
         if self.cancellative:
-            idx = grid_index(g)
-            for kappa, block in enumerate(self.blocks):
-                if block is None:
-                    continue
-                gi = idx.desc_groups(kappa, self.i)
-                gj = idx.desc_groups(kappa, self.j)
-                fin = g.level_block(x, kappa + self.i)[gi]
-                res = np.einsum("kabcd,kab...->kcd...", block, fin)
-                g.level_block(out, kappa + self.j)[gj] += res
+            # one gather of the I-cubes of every K, one scatter-add into the J-cubes
+            idx, n_k = grid_index(g), len(self.blocks)
+            fin = g.cube_block(x)[idx.cube_descendants(self.i)[:n_k]]
+            res = np.einsum("kabcd,kab...->kcd...", self.blocks, fin)
+            g.cube_block(out)[idx.cube_descendants(self.j)[:n_k]] += res
         else:
             # a cube's rows pair with its row in the tail of the extended layout
             a = self._acoef.reshape(self._acoef.shape + (1,) * (x.ndim - 1))
@@ -127,9 +155,7 @@ class ShiftOperator:
 
     def adjoint(self) -> "ShiftOperator":
         if self.cancellative:
-            blocks = tuple(None if b is None else
-                           np.ascontiguousarray(b.transpose(0, 3, 4, 1, 2))
-                           for b in self.blocks)
+            blocks = np.ascontiguousarray(self.blocks.transpose(0, 3, 4, 1, 2))
             return ShiftOperator(self.grid, self.j, self.i, CANCELLATIVE,
                                  blocks=blocks, meta=dict(self.meta))
         flip = SYNTHESIS if self.orientation == ANALYSIS else ANALYSIS
@@ -137,9 +163,7 @@ class ShiftOperator:
                              orientation=flip, meta=dict(self.meta))
 
     def coefficient_count(self) -> int:
-        if not self.cancellative:
-            return self._acoef.size - 1
-        return sum(0 if b is None else b.size for b in self.blocks)
+        return self.blocks.size if self.cancellative else self._acoef.size - 1
 
     # -- serialization -----------------------------------------------------
 
@@ -150,25 +174,16 @@ class ShiftOperator:
             obj["grid"]["omega"] = [list(level) for level in g.omega]
         if self.cancellative:
             idx = grid_index(g)
-            entries = []
-            for kappa, block in enumerate(self.blocks):
-                if block is None:
-                    continue
-                gi = idx.desc_groups(kappa, self.i)
-                gj = idx.desc_groups(kappa, self.j)
-                nz = np.argwhere(block != 0.0)
-                for (kk, a_slot, asig, b_slot, bsig) in nz:
-                    entries.append({
-                        "K": {"level": kappa, "pos": list(g.pos_from_flat(int(kk), kappa))},
-                        "I": {"level": kappa + self.i,
-                              "pos": list(g.pos_from_flat(int(gi[kk, a_slot]), kappa + self.i)),
-                              "sig": list(g.int_sig(int(asig)))},
-                        "J": {"level": kappa + self.j,
-                              "pos": list(g.pos_from_flat(int(gj[kk, b_slot]), kappa + self.j)),
-                              "sig": list(g.int_sig(int(bsig)))},
-                        "a": float(block[kk, a_slot, asig, b_slot, bsig]),
-                    })
-            obj["entries"] = entries
+            gi, gj = idx.cube_descendants(self.i), idx.cube_descendants(self.j)
+
+            def cube(c, sig=None):
+                K = g.cube_at(int(c))
+                out = {"level": K.level, "pos": list(K.pos)}
+                return out if sig is None else {**out, "sig": list(g.int_sig(int(sig)))}
+            obj["entries"] = [{"K": cube(kk), "I": cube(gi[kk, a_slot], asig),
+                               "J": cube(gj[kk, b_slot], bsig),
+                               "a": float(self.blocks[kk, a_slot, asig, b_slot, bsig])}
+                              for kk, a_slot, asig, b_slot, bsig in np.argwhere(self.blocks)]
         else:
             obj["orientation"] = self.orientation
             obj["symbol"] = json.loads(self.symbol.to_json())
@@ -185,12 +200,13 @@ class ShiftOperator:
             symbol = DyadicFunction.from_json(json.dumps(obj["symbol"]))
             return cls(grid, i, j, NONCANCELLATIVE, symbol=symbol,
                        orientation=obj["orientation"])
-        blocks = _empty_blocks(grid, i, j)
+        blocks = np.zeros(blocks_shape(grid, i, j))
+        kmax = max_k_level(grid, i, j)
         idx = grid_index(grid)
         for n, e in enumerate(obj["entries"]):
             kappa = int(e["K"]["level"])
-            if not 0 <= kappa < len(blocks):
-                raise ValueError(f"entry {n}: K level {kappa} outside 0..{len(blocks) - 1}")
+            if not 0 <= kappa <= kmax:
+                raise ValueError(f"entry {n}: K level {kappa} outside 0..{kmax}")
             cubes = []
             for key, depth in (("K", 0), ("I", i), ("J", j)):
                 level = int(e[key].get("level", kappa + depth))
@@ -201,27 +217,15 @@ class ShiftOperator:
                     grid.validate_cube(cube)
                 except InvalidIndexError as exc:
                     raise ValueError(f"entry {n}: {key}: {exc}") from None
-                cubes.append(grid.flat_pos(cube.pos, level))
-            kk, fi, fj = cubes
-            a_slot = np.flatnonzero(idx.desc_groups(kappa, i)[kk] == fi)
-            b_slot = np.flatnonzero(idx.desc_groups(kappa, j)[kk] == fj)
+                cubes.append(grid.cube_range(level).start + grid.flat_pos(cube.pos, level))
+            kk, ci, cj = cubes
+            a_slot = np.flatnonzero(idx.cube_descendants(i)[kk] == ci)
+            b_slot = np.flatnonzero(idx.cube_descendants(j)[kk] == cj)
             if a_slot.size == 0 or b_slot.size == 0:
                 raise ValueError(f"entry {n}: I and J must lie inside K")
-            blocks[kappa][kk, a_slot[0], grid.sig_int(e["I"]["sig"]),
-                          b_slot[0], grid.sig_int(e["J"]["sig"])] = float(e["a"])
-        return cls(grid, i, j, CANCELLATIVE,
-                   blocks=tuple(b for b in blocks))
-
-
-def _empty_blocks(grid: GridSpec, i: int, j: int) -> list:
-    kmax = max_k_level(grid, i, j)
-    if kmax < 0:
-        raise DepthError(f"shift parameters ({i},{j}) too deep for N={grid.N}")
-    out = []
-    for kappa in range(kmax + 1):
-        out.append(np.zeros((grid.n_cubes(kappa), 1 << (grid.d * i), grid.n_sig,
-                             1 << (grid.d * j), grid.n_sig)))
-    return out
+            blocks[kk, a_slot[0], grid.sig_int(e["I"]["sig"]),
+                   b_slot[0], grid.sig_int(e["J"]["sig"])] = float(e["a"])
+        return cls(grid, i, j, CANCELLATIVE, blocks=blocks)
 
 
 def random_shift(grid: GridSpec, i: int, j: int, rng_seed, kind: str = CANCELLATIVE,
@@ -246,21 +250,15 @@ def random_shift(grid: GridSpec, i: int, j: int, rng_seed, kind: str = CANCELLAT
         return ShiftOperator(grid, 0, 0, NONCANCELLATIVE, symbol=symbol,
                              orientation=orientation,
                              meta={"symbol_scale": 1.0 / b})
-    blocks = _empty_blocks(grid, i, j)
     bound = 2.0 ** (-grid.d * (i + j) / 2.0)
-    for kappa, block in enumerate(blocks):
-        draw = rng.uniform(-bound, bound, size=block.shape)
-        fro = np.sqrt((draw ** 2).sum(axis=(1, 2, 3, 4), keepdims=True))
-        draw /= np.maximum(fro, 1.0)
-        block[...] = draw
-    return ShiftOperator(grid, i, j, CANCELLATIVE, blocks=tuple(blocks))
+    blocks = rng.uniform(-bound, bound, size=blocks_shape(grid, i, j))
+    blocks /= np.maximum(np.sqrt((blocks ** 2).sum(axis=(1, 2, 3, 4), keepdims=True)), 1.0)
+    return ShiftOperator(grid, i, j, CANCELLATIVE, blocks=blocks)
 
 
 def expected_coefficient_count(grid: GridSpec, i: int, j: int) -> int:
     """Entry count of a fully populated cancellative shift."""
-    kmax = max_k_level(grid, i, j)
-    per_k = (1 << (grid.d * i)) * grid.n_sig * (1 << (grid.d * j)) * grid.n_sig
-    return sum(grid.n_cubes(kappa) * per_k for kappa in range(kmax + 1))
+    return math.prod(blocks_shape(grid, i, j))
 
 
 def noncancellative_shift(grid: GridSpec, symbol: DyadicFunction,

@@ -3,6 +3,7 @@ import pytest
 
 from dyadlab import (DyadicCube, DyadicFunction, HaarIndex, haar_function)
 from dyadlab.grids import grid_index
+from dyadlab.shifts import max_k_level
 
 
 @pytest.fixture
@@ -34,6 +35,26 @@ def dense_matrix(op, grid):
     return np.column_stack(cols)
 
 
+def shift_levels(S):
+    """(kappa, block, gi, gj) per K-level of a cancellative shift: the level's
+    slice of the blocks and its flat I- and J-descendants (``desc_groups``)."""
+    g, idx = S.grid, grid_index(S.grid)
+    for kappa in range(max_k_level(g, S.i, S.j) + 1):
+        yield (kappa, S.blocks[g.cube_range(kappa)],
+               idx.desc_groups(kappa, S.i), idx.desc_groups(kappa, S.j))
+
+
+def shift_apply_oracle(S, x):
+    """Reference cancellative apply: one gather, contraction and scatter-add
+    per K-level, in level order."""
+    g = S.grid
+    out = np.zeros_like(x)
+    for kappa, block, gi, gj in shift_levels(S):
+        res = np.einsum("kabcd,kab...->kcd...", block, g.level_block(x, kappa + S.i)[gi])
+        g.level_block(out, kappa + S.j)[gj] += res
+    return out
+
+
 def dense_shift_matrix_oracle(S):
     """Literal triple sum over stored coefficients with sampled Haar functions.
 
@@ -41,13 +62,10 @@ def dense_shift_matrix_oracle(S):
     a_IJK <., h_I> h_J via explicit quadrature outer products.
     """
     g = S.grid
-    idx = grid_index(g)
     n = g.n_samples
     M = np.zeros((n, n))
     if S.cancellative:
-        for kappa, block in enumerate(S.blocks):
-            gi = idx.desc_groups(kappa, S.i)
-            gj = idx.desc_groups(kappa, S.j)
+        for kappa, block, gi, gj in shift_levels(S):
             nz = np.argwhere(block != 0.0)
             for (kk, a_slot, asig, b_slot, bsig) in nz:
                 a = block[kk, a_slot, asig, b_slot, bsig]
@@ -69,7 +87,7 @@ def dense_shift_matrix_oracle(S):
                 h1 = haar_function(g, HaarIndex(cube, non))
                 for e in range(g.n_sig):
                     h = haar_function(g, HaarIndex(cube, g.int_sig(e)))
-                    a = acoef[lvl][m, e]
+                    a = acoef[g.cube_range(lvl).start + m, e]
                     if S.orientation == "analysis":
                         M += a * np.outer(h.samples, h1.samples) * g.cell_volume
                     else:

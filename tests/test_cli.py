@@ -1,8 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from dyadlab import GridSpec, mc_representation_demo
 from dyadlab.cli import main
 
 
@@ -71,8 +73,16 @@ def test_mc_demo_small(tmp_path):
     # work counters live in meta, so the body stays byte-identical
     assert report["meta"]["counters"] == {"samples": 600, "distinct_grids": 16}
     assert "counters" not in res
-    csv_head = (tmp_path / "mc-demo-matrix.csv").read_text().split("\n")[0]
-    assert csv_head == "row,col,mean,stderr"
+    csv = tmp_path / "mc-demo-matrix.csv"
+    assert csv.read_text().split("\n")[0] == "row,col,mean,stderr"
+    # every cell is a plain float literal that reads back exactly
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    rep = mc_representation_demo(GridSpec(1, 4), 600, 9)
+    n = rep["mean_matrix"].shape[0]
+    assert rows.shape == (n * n, 4)
+    assert np.array_equal(rows[:, :2], np.argwhere(np.ones((n, n))))
+    assert np.array_equal(rows[:, 2], rep["mean_matrix"].ravel())
+    assert np.array_equal(rows[:, 3], rep["stderr_matrix"].ravel())
 
 
 def test_mc_demo_zero_samples_exits_2(tmp_path, capsys):
@@ -108,7 +118,8 @@ def test_usage_error_exit_code(tmp_path):
                  ["bound-study", "--delta", "0"],
                  ["bound-study", "--delta", "inf"],
                  ["selftest", "--N", "25"],
-                 ["selftest", "--d", "3", "--N", "9"]):
+                 ["selftest", "--d", "3", "--N", "9"],
+                 ["mc-demo", "--N", "1"]):  # no (0, 1) shift fits one level
         assert main(argv + out) == 2, argv
     # config values take the flag's type, range check included
     cfg = tmp_path / "cfg.json"

@@ -123,6 +123,23 @@ def test_desc_groups_cover_levels():
     assert sorted(groups.reshape(-1).tolist()) == list(range(g.n_cubes(3)))
 
 
+def test_cube_axis_descendants_and_cubes():
+    for d, N in ((1, 5), (2, 3), (3, 2)):
+        g = GridSpec(d, N)
+        idx = grid_index(g)
+        for c in range(g.n_cubes_total):
+            cube = g.cube_at(c)
+            assert g.cube_range(cube.level).start + g.flat_pos(cube.pos, cube.level) == c
+        for depth in range(N):
+            table = idx.cube_descendants(depth)
+            assert table.shape == (g.cube_range(N - 1 - depth).stop, g.n_cubes(depth))
+            for kappa in range(N - depth):
+                rows = table[g.cube_range(kappa)] - g.cube_range(kappa + depth).start
+                assert np.array_equal(rows, idx.desc_groups(kappa, depth))
+        assert idx.cube_descendants(1) is idx.cube_descendants(1)
+        assert not idx.cube_descendants(1).flags.writeable
+
+
 def test_level_offset_is_the_running_sum():
     for d, N in ((1, 8), (2, 5), (3, 4)):
         g = GridSpec(d, N)

@@ -54,11 +54,11 @@ def test_shifted_grid_identity_and_offsets():
 
 def test_pattern_coefficients_at_admissible_bound():
     S = hilbert_pattern_shift(BASE)
-    for block in S.blocks:
-        vals = np.abs(block[block != 0.0])
-        assert np.allclose(vals, 2.0 ** -0.5)
+    blocks = S.blocks
+    assert np.allclose(np.abs(blocks[blocks != 0.0]), 2.0 ** -0.5)
+    assert np.count_nonzero(blocks) == 2 * len(blocks)
     # signs alternate between the two children
-    assert np.allclose(block[..., 0, 0] + block[..., 1, 0], 0.0)
+    assert np.allclose(blocks[..., 0, 0] + blocks[..., 1, 0], 0.0)
 
 
 def test_base_matrix_matches_oracle():

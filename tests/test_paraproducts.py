@@ -9,7 +9,7 @@ from dyadlab import (BkOperator, DyadicCube, DyadicFunction, GridSpec,
 from dyadlab.grids import InvalidIndexError, grid_index
 from dyadlab.haar import extend, forward_stacked
 from dyadlab.norms import dyadic_bmo_norm, uniformity_study
-from dyadlab.paraproducts import bk_stacked
+from dyadlab.paraproducts import bk_gather, bk_stacked
 from conftest import all_cubes, sig_rows, strictly_inside
 
 
@@ -163,28 +163,38 @@ def test_bk_signature_rules():
                  random_function(g, np.random.default_rng(1)))
 
 
-def test_bk_beta_dict_is_stored_as_per_level_arrays(rng):
+def test_bk_beta_dict_is_stored_on_the_cube_axis(rng):
     g = GridSpec(2, 2)
     cube = DyadicCube(1, (1, 0))
     op = BkOperator(g, 1, beta={cube: -0.5})
     levels = [np.ones(g.n_cubes(l)) for l in range(g.N)]
     levels[1][g.flat_pos(cube.pos, 1)] = -0.5
-    assert len(op.beta) == g.N
-    assert all(np.array_equal(got, want) for got, want in zip(op.beta, levels))
+    # cube (1, (1, 0)) is flat 2 of level 1, entry 1 + 2 of the cube axis
+    assert op.beta.shape == (g.n_cubes_total,) and op.beta[3] == -0.5
+    assert np.array_equal(op.beta, np.concatenate(levels))
+    assert all(np.array_equal(op.beta_level(l), levels[l]) for l in range(g.N))
     b, f = random_function(g, rng), random_function(g, rng)
     same = BkOperator(g, 1, beta=tuple(levels))
+    assert same == op == BkOperator(g, 1, beta=np.concatenate(levels))
     assert np.array_equal(apply_Bk(op, b, f).samples, apply_Bk(same, b, f).samples)
+    with pytest.raises(ValueError, match="per level"):
+        BkOperator(g, 1, beta=levels[:1])
+    with pytest.raises(ValueError, match="cube axis"):
+        BkOperator(g, 1, beta=np.ones(g.n_cubes_total + 1))
 
 
 def test_bk_betas_are_read_only():
     # decomposition terms share atoms, so no caller may rewrite their betas
     g = GridSpec(1, 3)
-    given = [np.ones(g.n_cubes(l)) for l in range(g.N)]
-    op = BkOperator(g, 1, beta=given)
-    with pytest.raises(ValueError):
-        op.beta[0][0] = 0.5
-    given[1][0] = -1.0  # the atom holds its own copy
-    assert op.beta[1][0] == 1.0
+    for given in ([np.ones(g.n_cubes(l)) for l in range(g.N)], np.ones(g.n_cubes_total)):
+        op = BkOperator(g, 1, beta=given)
+        with pytest.raises(ValueError):
+            op.beta[1] = 0.5
+        with pytest.raises(ValueError):
+            bk_gather(op)[3][0] = 0.5
+        # the atom holds its own copy
+        (given[1] if isinstance(given, list) else given)[0] = -1.0
+        assert op.beta[1] == 1.0
 
 
 def test_bk_martingale_bound_exact(rng):

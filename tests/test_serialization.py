@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import struct
 
@@ -109,3 +110,19 @@ def test_noncancellative_shift_json(rng):
     back = ShiftOperator.from_json(S.to_json())
     f = random_function(g, rng)
     assert (S.apply(f) - back.apply(f)).norm() < 1e-13
+
+
+@pytest.mark.parametrize("g, i, j, seed, digest", [
+    (GridSpec(1, 4), 1, 2, 7,
+     "57390e96b012aac32b734687fa47ec16870002ae040e3a701659020eead1a630"),
+    (GridSpec(2, 3), 1, 1, 11,
+     "7642d30f7dc48c7dc393832d3584ced269cf242b83c6e61d5e931c3a56aa735a"),
+    (GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1))), 1, 0, 5,
+     "2dd20313f6893eaef151d7bd17de330f16ac10064bb8161a62bcadcbbb837f61"),
+], ids=repr)
+def test_shift_json_text_is_pinned(g, i, j, seed, digest):
+    # the seeded draw, its normalization and the entry order are all fixed
+    S = random_shift(g, i, j, seed)
+    text = S.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert ShiftOperator.from_json(text) == S

@@ -11,7 +11,7 @@ from dyadlab.grids import DepthError, WrongKindError
 from dyadlab.haar import fold_noncancellative, forward_stacked, scaling_levels
 from dyadlab.norms import dyadic_bmo_norm
 from dyadlab.shifts import expected_coefficient_count, max_k_level
-from conftest import dense_matrix, dense_shift_matrix_oracle
+from conftest import dense_matrix, dense_shift_matrix_oracle, shift_apply_oracle
 
 
 def test_coefficient_count_formula():
@@ -38,15 +38,13 @@ def test_coefficient_bound_by_construction():
     g = GridSpec(2, 3)
     S = random_shift(g, 1, 1, 3)
     bound = 2.0 ** (-g.d * 2 / 2.0)
-    for block in S.blocks:
-        assert np.max(np.abs(block)) <= bound + 1e-15
+    assert np.max(np.abs(S.blocks)) <= bound + 1e-15
 
 
 def test_single_coefficient_apply_example():
     # a_KKK = 1 at the root, i=j=0: Sf = <f,h> h, f=[1,3] -> [-1,1]
     g = GridSpec(1, 1)
-    blocks = (np.ones((1, 1, 1, 1, 1)),)
-    S = ShiftOperator(g, 0, 0, "cancellative", blocks=blocks)
+    S = ShiftOperator(g, 0, 0, "cancellative", blocks=np.ones((1, 1, 1, 1, 1)))
     out = S.apply(DyadicFunction(g, [1.0, 3.0]))
     assert np.allclose(out.samples, [-1.0, 1.0])
 
@@ -67,7 +65,7 @@ def test_cancellative_kills_constants(rng):
     const = DyadicFunction(g, np.full(g.n_samples, 2.5))
     assert S.apply(const).norm() < 1e-13
     zero = ShiftOperator(g, 1, 1, "cancellative",
-                         blocks=tuple(np.zeros_like(b) for b in S.blocks))
+                         blocks=np.zeros_like(S.blocks))
     assert zero.apply(random_function(g, rng)).norm() == 0.0
 
 
@@ -104,8 +102,8 @@ def test_noncancellative_shift(rng):
     zero = noncancellative_shift(g, DyadicFunction(g, np.zeros(g.n_samples)))
     assert zero.apply(f).norm() == 0.0
     # coefficient bound |a_I| <= 1 follows from the BMO normalization
-    for lvl, arr in enumerate(S.symbol_coefficients()):
-        assert np.max(np.abs(arr)) <= 1.0 + 1e-10
+    assert S.symbol_coefficients().shape == (g.n_cubes_total, g.n_sig)
+    assert np.max(np.abs(S.symbol_coefficients())) <= 1.0 + 1e-10
     with pytest.raises(WrongKindError):
         random_shift(g, 1, 0, rng, kind="noncancellative")
     with pytest.raises(ValueError):
@@ -211,7 +209,7 @@ def test_symbol_transformed_once(rng, monkeypatch):
     assert np.max(np.abs(outs[-1].samples - dense_shift_matrix_oracle(S) @ f.samples)) < 1e-12
     # the cached coefficients cannot be changed behind the operator's back
     with pytest.raises(ValueError):
-        S.symbol_coefficients()[0][0, 0] = 5.0
+        S.symbol_coefficients()[0, 0] = 5.0
 
 
 def noncancellative_apply_loop(S, x):
@@ -219,7 +217,9 @@ def noncancellative_apply_loop(S, x):
     pairings, synthesis folds each level's signature sums."""
     g = S.grid
     out = np.zeros_like(x)
-    acoef = [a.reshape(a.shape + (1,) * (x.ndim - 1)) for a in S.symbol_coefficients()]
+    a = S.symbol_coefficients()
+    a = a.reshape(a.shape + (1,) * (x.ndim - 1))
+    acoef = [a[g.cube_range(lvl)] for lvl in range(g.N)]
     if S.orientation == "analysis":
         scal = scaling_levels(g, x)
         for lvl in range(g.N):
@@ -248,3 +248,46 @@ def test_handle_linearity_probe(rng):
     lhs = S.apply_samples(2.0 * f + h)
     rhs = S.apply_samples(f) * 2.0 + S.apply_samples(h)
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(lhs), 1.0)
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 2),
+                               GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1)))], ids=repr)
+def test_cancellative_apply_matches_the_level_loop(g, rng):
+    # one gather over the cube axis, bit for bit the per-K-level contraction
+    for i in range(g.N):
+        for j in range(g.N):
+            S = random_shift(g, i, j, rng)
+            for passive in ((), (3,), (2, 2)):
+                x = rng.standard_normal((g.n_samples,) + passive)
+                assert np.array_equal(S.apply_stacked(x), shift_apply_oracle(S, x))
+
+
+def test_shift_equality_and_hash(rng):
+    g = GridSpec(2, 3)
+    S = random_shift(g, 1, 0, 4)
+    same = random_shift(g, 1, 0, 4)
+    assert S == S.adjoint().adjoint() == same and S is not same
+    assert hash(S) == hash(same) and len({S, same, S.adjoint().adjoint()}) == 1
+    assert S != S.adjoint() and S != random_shift(g, 1, 0, 5)
+    assert S != random_shift(GridSpec(2, 3, omega=((1, 0), (0, 0), (0, 0))), 1, 0, 4)
+    # meta is left out; one changed coefficient is not
+    assert S == ShiftOperator(g, 1, 0, "cancellative", blocks=S.blocks.copy(), meta={"x": 1})
+    changed = S.blocks.copy()
+    changed[2, 1, 0, 0, 2] += 1e-3
+    assert S != ShiftOperator(g, 1, 0, "cancellative", blocks=changed)
+    N = random_shift(g, 0, 0, 6, kind="noncancellative")
+    assert N == N.adjoint().adjoint() and hash(N) == hash(N.adjoint().adjoint())
+    assert N != N.adjoint() and N != random_shift(g, 0, 0, 7, kind="noncancellative")
+    assert N != random_shift(g, 0, 0, 6) and S != "S"
+
+
+def test_shift_blocks_shape_is_checked():
+    g = GridSpec(1, 4)
+    S = random_shift(g, 1, 2, 0)
+    assert S.blocks.shape == (3, 2, 1, 4, 1)
+    for bad in (S.blocks[:2], S.blocks.transpose(0, 3, 4, 1, 2),
+                tuple(S.blocks[g.cube_range(k)] for k in range(2)), None):
+        with pytest.raises(ValueError, match=r"shape \(3, 2, 1, 4, 1\), got"):
+            ShiftOperator(g, 1, 2, "cancellative", blocks=bad)
+    with pytest.raises(DepthError):
+        ShiftOperator(g, 0, 4, "cancellative", blocks=np.zeros((1, 1, 1, 16, 1)))
