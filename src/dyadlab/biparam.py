@@ -17,8 +17,11 @@ reads, and a P atom is a strict-subcube tree scan of
 Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
 axis 1, and optional trailing passive axes (one column per trial in
 :func:`dyadlab.decomposition.verify_identity`). Variables swap by swapping
-axes 0 and 1; the fixed arrays (symbol coefficients, betas) broadcast
-against the trailing axes.
+axes 0 and 1. The fixed arrays (symbol coefficients, betas) broadcast
+against the trailing axes; the symbol coefficients may also carry the
+input's last axes as trial axes, one symbol per trial column
+(:func:`dyadlab.norms.uniformity_study`), and a symbol without them is the
+broadcast case of the same kernels.
 
 The atoms read and write the extended layout of both variables
 (:func:`extend2`, :func:`contract2`), where a noncancellative signature
@@ -256,11 +259,13 @@ class PAtom:
 
 
 def _lift(a: np.ndarray, lead: int, X: np.ndarray) -> np.ndarray:
-    """``a`` with unit axes after its ``lead`` leading ones, broadcasting
-    against the trailing axes of ``X`` (n1, n2, *passive); idempotent."""
+    """``a`` (*lead axes, *trials) with unit axes between its ``lead``
+    leading axes and its trial axes, broadcasting against the trailing axes
+    of ``X`` (n1, n2, *passive, *trials); idempotent."""
     if a is None:
         return None
-    return a.reshape(a.shape[:lead] + (1,) * (X.ndim - 2))
+    units = X.ndim - 2 - (a.ndim - lead)
+    return a.reshape(a.shape[:lead] + (1,) * units + a.shape[lead:])
 
 
 def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
@@ -271,9 +276,11 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
 
     Each atom is a BkOperator on its variable's grid or a PAtom. ``Xe`` is
     the input in the extended layout of both variables (:func:`extend2`),
-    (m1, m2, *passive); the fixed arrays ``bC`` (n1, n2), ``sym1`` (n1,),
-    ``sym2`` (n2,) and ``sym12`` (n1, n2) broadcast against its trailing
-    axes. ``sym1``/``sym2`` are stacked symbol coefficients for P atoms acting
+    (m1, m2, *passive, *trials). The fixed arrays ``bC`` (n1, n2), ``sym1``
+    (n1,), ``sym2`` (n2,) and ``sym12`` (n1, n2) broadcast against its
+    trailing axes; each may also end in the trial axes, e.g. ``sym2``
+    (n2, *trials), to pair trial column t with symbol t (:func:`_lift`).
+    ``sym1``/``sym2`` are stacked symbol coefficients for P atoms acting
     in that variable; ``sym12`` is the stacked matrix of a product symbol
     when both atoms are P-type. A B atom reads and writes the rows that
     :func:`~dyadlab.paraproducts.bk_gather` gives it, all levels at once:
@@ -281,6 +288,8 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     strict-subcube scan along the P variable. With ``out`` (extended, shaped
     like ``Xe``) the weighted contribution is added into it and None is
     returned; without, the contracted result (n1, n2, *passive) is returned.
+    Two P atoms read and write only the stacked rows, so for them ``Xe`` may
+    also be the stacked input itself.
     """
     bC = _lift(bC, 2, Xe)
     sym1, sym2, sym12 = _lift(sym1, 1, Xe), _lift(sym2, 1, Xe), _lift(sym12, 2, Xe)
@@ -354,7 +363,7 @@ def _pp1_kernel(pg, bC, X, sym12) -> np.ndarray:
     each cube's ancestor at li meet the X rows of the cube, an ancestor scan
     runs along variable 2, and the a-weighted result is summed into the
     ancestor. Trailing passive axes of ``X`` ride along (``bC``, ``sym12``
-    carry unit ones).
+    carry unit ones or the same trial axes).
     """
     g1, g2 = pg.grid1, pg.grid2
     i1 = grid_index(g1)

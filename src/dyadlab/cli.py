@@ -51,6 +51,7 @@ _POSITIVE = _checked(int, lambda v: v >= 1, "positive int")
 _COUNT = _checked(int, lambda v: v >= 0, "nonnegative int")
 _EXPONENT = _checked(float, lambda v: 1.0 < v < float("inf"), "exponent p in (1, inf)")
 _DELTA = _checked(float, lambda v: 0.0 < v <= 2.0, "delta in (0, 2]")
+_TOL = _checked(float, lambda v: 0.0 <= v < float("inf"), "finite tolerance >= 0")
 
 
 def _outdir(args) -> str:
@@ -172,8 +173,9 @@ def cmd_verify_decomp(args) -> int:
 def cmd_norm_study(args) -> int:
     params = {"N": args.N, "N1": args.N, "N2": args.N2 or args.N,
               "kmax": args.kmax, "lmax": args.lmax}
+    counters = {}
     reports = uniformity_study(args.kind, params, trials=args.trials,
-                               rng_seed=args.seed)
+                               rng_seed=args.seed, counters=counters)
     out = _outdir(args)
     base = os.path.join(out, f"norm-study-{args.kind}")
     with open(base + ".jsonl", "w") as fh:
@@ -183,7 +185,8 @@ def cmd_norm_study(args) -> int:
             fh.write(reports_to_csv(reports))
     results = {"reports": [json.loads(r.to_json()) for r in reports],
                "max_ratio": max(r.max_ratio for r in reports)}
-    _write_report(args, f"norm-study-{args.kind}", _resolved_config(args), results)
+    _write_report(args, f"norm-study-{args.kind}", _resolved_config(args), results,
+                  counters=counters)
     print(f"norm-study {args.kind}: max ratio {results['max_ratio']:.6f} -> {base}.jsonl")
     if args.kind in ("Bk", "Bkl") and results["max_ratio"] > 1.0 + args.tol:
         return _fail(args.seed, "martingale bound exceeded")
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="orthonormality/Parseval/adjoint suite")
     p.add_argument("--d", type=_POSITIVE, default=1)
     p.add_argument("--N", type=_POSITIVE, default=6)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=_TOL, default=1e-11)
     _add_common(p)
     p.set_defaults(func=cmd_selftest)
 
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--imax", type=_COUNT, default=4)
     p.add_argument("--jmax", type=_COUNT, default=4)
     p.add_argument("--trials", type=_POSITIVE, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_TOL, default=1e-9)
     p.add_argument("--biparam", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify_decomp)
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=_COUNT, default=8)
     p.add_argument("--lmax", type=_COUNT, default=2)
     p.add_argument("--trials", type=_POSITIVE, default=50)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_TOL, default=1e-12)
     _add_common(p)
     p.set_defaults(func=cmd_norm_study)
 

@@ -46,7 +46,7 @@ from .biparam import (PAtom, ProductFunction, _swap, contract2, extend2,
                       forward2, forward2_stacked, inverse2, inverse2_stacked,
                       iterated_commutator_stacked, pair_apply)
 from .shifts import ANALYSIS, ShiftOperator, multiplication_commutator_stacked
-from .norms import _trial_rng, dyadic_bmo_norm, rect_bmo_norm
+from .norms import _column_norms, _trial_rng, dyadic_bmo_norm, rect_bmo_norm
 
 
 @dataclass(frozen=True)
@@ -381,17 +381,11 @@ def _trial_samples(shape: tuple, rng_seed: int, trials: int) -> np.ndarray:
 def _max_residual(direct: np.ndarray, approx: np.ndarray, samples: np.ndarray,
                   scale: float, cell_volume: float) -> float:
     """Largest per-column ||direct - approx|| / (scale ||f||) over the trials."""
-
-    def norm(col):
-        # a contiguous column sums in the order the functions' norm() does
-        return float(np.sqrt(np.sum(np.ascontiguousarray(col) ** 2) * cell_volume))
-
-    diff = direct - approx
     max_res = 0.0
-    for t in range(samples.shape[-1]):
-        denom = scale * norm(samples[..., t])
-        res = norm(diff[..., t])
-        max_res = max(max_res, res / denom if denom > 0 else res)
+    for res, f_norm in zip(_column_norms(direct - approx, cell_volume),
+                           _column_norms(samples, cell_volume)):
+        denom = scale * f_norm
+        max_res = max(max_res, float(res / denom if denom > 0 else res))
     return max_res
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,9 @@ import numpy as np
 from .grids import DepthError, DyadicCube, GridSpec, grid_index
 from .haar import (DyadicFunction, broadcast_level, cell_sums, contract, extend,
                    forward_stacked, inverse_stacked, pool_level)
-from .biparam import ProductFunction, ProductGrid, forward2, random_product_function
+from .paraproducts import BkOperator, _trailing, bk_stacked, p_stacked
+from .biparam import (PAtom, ProductFunction, ProductGrid, _lift, _swap, extend2,
+                      forward2, forward2_stacked, inverse2_stacked, pair_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -42,41 +45,53 @@ def _cube_masses(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
 
 
 def _rect_masses(pg: ProductGrid, C: np.ndarray) -> np.ndarray:
-    """The (n_cubes_total1, n_cubes_total2) matrix of masses mu(R) of all
-    rectangles R = I x J, summed over both signature axes."""
+    """The (n_cubes_total1, n_cubes_total2, *passive) masses mu(R) of all
+    rectangles R = I x J, summed over the variable-2 signatures, then over
+    the variable-1 ones, in the same order whatever the passive axes."""
     g1, g2 = pg.grid1, pg.grid2
-    t = C[1:g1.n_samples, 1:g2.n_samples].reshape(g1.n_cubes_total, g1.n_sig,
-                                                  g2.n_cubes_total, g2.n_sig)
-    return (t ** 2).sum(axis=(1, 3))
+    t = C[1:g1.n_samples, 1:g2.n_samples].reshape(
+        (g1.n_cubes_total, g1.n_sig, g2.n_cubes_total, g2.n_sig) + C.shape[2:])
+    return (t ** 2).sum(axis=3).sum(axis=1)
+
+
+def _column_max(x: np.ndarray, lead: int) -> np.ndarray:
+    """Max over the ``lead`` leading axes of ``x``, one value per trailing
+    column: reduced along the rows of a contiguous (columns, values) copy,
+    which numpy does many times faster than across a narrow trailing axis."""
+    cols = np.ascontiguousarray(x.reshape(math.prod(x.shape[:lead]), -1).T)
+    return cols.max(axis=1).reshape(x.shape[lead:])
 
 
 def dyadic_bmo_norm(b: DyadicFunction) -> float:
     """Dyadic BMO norm; invariant under adding constants, homogeneous of degree 1."""
-    return _bmo_stacked(b.grid, forward_stacked(b.grid, b.samples))
+    return float(_bmo_stacked(b.grid, forward_stacked(b.grid, b.samples)))
 
 
-def _bmo_stacked(grid: GridSpec, stacked: np.ndarray) -> float:
-    """:func:`dyadic_bmo_norm` from the stacked coefficients of b."""
+def _bmo_stacked(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
+    """:func:`dyadic_bmo_norm` of every column of the stacked coefficients
+    (n_samples, *passive) of b, shape ``passive``."""
     idx = grid_index(grid)
     mass = _cube_masses(grid, stacked)
-    return float(np.sqrt(np.max((mass + idx.subtree_scan(mass)) * idx.cube_weight)))
+    return np.sqrt(_column_max((mass + idx.subtree_scan(mass))
+                               * _trailing(idx.cube_weight, mass), 1))
 
 
 def rect_bmo_norm(b: ProductFunction) -> float:
     """Sup over dyadic rectangles of the normalized coefficient mass."""
-    return _rect_bmo_stacked(b.pgrid, forward2(b))
+    return float(_rect_bmo_stacked(b.pgrid, forward2(b)))
 
 
-def _rect_bmo_stacked(pg: ProductGrid, C: np.ndarray) -> float:
-    """:func:`rect_bmo_norm` from the stacked coefficients ``C`` of b: the
-    subtree sums (the root included) along axis 0, then along axis 1, give
-    each rectangle's sum over the rectangles inside it."""
+def _rect_bmo_stacked(pg: ProductGrid, C: np.ndarray) -> np.ndarray:
+    """:func:`rect_bmo_norm` of every column of the stacked coefficients
+    ``C`` (n1, n2, *passive) of b, shape ``passive``: the subtree sums (the
+    root included) along axis 0, then along axis 1, give each rectangle's
+    sum over the rectangles inside it."""
     g1, g2 = pg.grid1, pg.grid2
     mass = _rect_masses(pg, C)
     mass = mass + grid_index(g1).subtree_scan(mass)
-    mass = (mass.T + grid_index(g2).subtree_scan(mass.T)).T
+    mass = _swap(_swap(mass) + grid_index(g2).subtree_scan(_swap(mass)))
     weight = np.outer(grid_index(g1).cube_weight, grid_index(g2).cube_weight)
-    return float(np.sqrt(np.max(mass * weight)))
+    return np.sqrt(_column_max(mass * _lift(weight, 2, mass), 2))
 
 
 def open_set_bmo_norm(b: ProductFunction) -> float:
@@ -119,7 +134,7 @@ def square_function(f, variant: str = "S", k: int = 0, var: int = 1):
     """
     if variant in ("S", "S_k"):
         masses = _cube_masses(f.grid, forward_stacked(f.grid, f.samples))
-        return _square_Sk(f.grid, masses, k if variant == "S_k" else 0)
+        return DyadicFunction(f.grid, _square_Sk(f.grid, masses, k if variant == "S_k" else 0))
     if variant == "SS":
         pg = f.pgrid
         root = tuple(DyadicCube(0, (0,) * g.d) for g in (pg.grid1, pg.grid2))
@@ -139,15 +154,16 @@ def _inside(grid: GridSpec, cube: DyadicCube) -> np.ndarray:
     return mark + grid_index(grid).ancestor_scan(mark)
 
 
-def _square_Sk(grid: GridSpec, masses: np.ndarray, k: int) -> DyadicFunction:
-    """S_k(f) from the :func:`_cube_masses` of f: each cube's mass is added to
-    its k-th ancestor, weighted by the ancestor's |I|**(-1)."""
+def _square_Sk(grid: GridSpec, masses: np.ndarray, k: int) -> np.ndarray:
+    """Samples (n_samples, *passive) of S_k(f) from the :func:`_cube_masses`
+    of f: each cube's mass is added to its k-th ancestor, weighted by the
+    ancestor's |I|**(-1)."""
     if k >= grid.N:
         raise DepthError(f"k={k} outside the levels 0..{grid.N - 1} below the root")
     idx = grid_index(grid)
-    grouped = np.zeros(grid.n_cubes_total)
+    grouped = np.zeros(masses.shape)
     np.add.at(grouped, idx.cube_ancestors(k), masses[grid.cube_range(k).start:])
-    return DyadicFunction(grid, np.sqrt(cell_sums(grid, grouped * idx.cube_weight)))
+    return np.sqrt(cell_sums(grid, grouped * _trailing(idx.cube_weight, grouped)))
 
 
 def _rect_square(pg: ProductGrid, C: np.ndarray, region: tuple) -> np.ndarray:
@@ -249,14 +265,15 @@ def jn_profile(a, region) -> tuple:
         g = a.grid
         stacked = forward_stacked(g, a.samples)
         values = _cube_masses(g, stacked) * _inside(g, region) * grid_index(g).cube_weight
-        return (np.sqrt(cell_sums(g, values)), g.cell_volume, _bmo_stacked(g, stacked),
+        return (np.sqrt(cell_sums(g, values)), g.cell_volume, float(_bmo_stacked(g, stacked)),
                 g.volume(region.level))
     # rectangle case
     pg = a.pgrid
     g1, g2 = pg.grid1, pg.grid2
     C = forward2(a)
     return (_rect_square(pg, C, region), g1.cell_volume * g2.cell_volume,
-            _rect_bmo_stacked(pg, C), g1.volume(region[0].level) * g2.volume(region[1].level))
+            float(_rect_bmo_stacked(pg, C)),
+            g1.volume(region[0].level) * g2.volume(region[1].level))
 
 
 def jn_ratio(profile: tuple, p: float) -> float:
@@ -378,94 +395,159 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(trial,)))
 
 
-def _random_signs(grid: GridSpec, rng) -> np.ndarray:
-    """Betas along the cube axis, each +1 or -1 (+1 with probability about 0.69)."""
-    return np.sign(rng.standard_normal(grid.n_cubes_total) + 0.5)
+# Samples in one stack of a trial block: 2**13 float64 values are 64 KiB,
+# below glibc's default mmap threshold, so a study's memory stays flat in the
+# number of trials.
+_BLOCK_SAMPLES = 2 ** 13
+
+
+def _column_norms(x: np.ndarray, cell_volume: float) -> np.ndarray:
+    """L2 norm of every trial column (last axis) of the samples ``x``; each
+    column is summed from a contiguous copy, in the order a function's
+    ``norm()`` sums its samples."""
+    return np.array([np.sqrt(np.sum(np.ascontiguousarray(x[..., t]) ** 2) * cell_volume)
+                     for t in range(x.shape[-1])])
 
 
 def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
-                     grid: GridSpec = None, pgrid: ProductGrid = None) -> list:
+                     grid: GridSpec = None, pgrid: ProductGrid = None,
+                     counters: dict = None) -> list:
     """Max measured ratio ||op|| / (BMO factors * ||f||) per parameter value.
 
     Kinds: ``Bk`` (k range), ``Sk`` (square-function variant), ``Bkl``
     ((k,l) range), ``BPk``, ``PBl``, ``PP``, ``PP1``, ``P``.
+
+    Trials run in blocks of max(1, 2**13 // samples per trial) trials, so
+    no stack of a block holds more than 2**13 samples (64 KiB) and memory
+    does not grow with ``trials``. Trial t draws b, f, then its P symbols
+    or betas from ``_trial_rng(rng_seed, t)`` into column t of the block's
+    stacks. Each stack is transformed once per block, and each (k, l) is
+    one kernel call (the P symbols on the trailing axis) and one inverse
+    transform per block; B_k and B_{k,l}, whose betas are per trial, apply
+    their atoms column by column. Norms and BMO denominators are taken per
+    column and sum in each trial's own order, so no row depends on the
+    block size. A ``counters`` dict receives {"trials", "combos", "blocks"}.
     """
-    from .paraproducts import BkOperator, apply_P, bk_stacked
-    from .biparam import (BiparamOperatorSpec, biparam_operands, extend2,
-                          inverse2, pair_apply, tensor_function)
-    from .haar import random_function
     if kind in ("Bk", "Sk", "P"):
         grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
         # B_k and S_k need k <= N - 1, as in the bi-parameter kinds below
         kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), grid.N - 1)
         combos = [(None, None)] if kind == "P" else [(k, None) for k in range(kmax + 1)]
+        n = (grid.n_samples,)
+        draws = {"Sk": {"f": n}, "P": {"b": n, "a": n, "f": n},
+                 "Bk": {"b": n, "f": n, "beta": (grid.n_cubes_total,)}}[kind]
+        volume = grid.cell_volume
     elif kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
         pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
                                      GridSpec(1, params.get("N2", 4)))
+        g1, g2 = pgrid.grid1, pgrid.grid2
         # B_k needs k <= N - 1 in its variable
-        kmax = min(params.get("kmax", 2), pgrid.grid1.N - 1)
-        lmax = min(params.get("lmax", 2), pgrid.grid2.N - 1)
+        kmax = min(params.get("kmax", 2), g1.N - 1)
+        lmax = min(params.get("lmax", 2), g2.N - 1)
         ks = range(kmax + 1) if kind in ("Bkl", "BPk") else [None]
         ls = range(lmax + 1) if kind in ("Bkl", "PBl") else [None]
         combos = [(k, l) for k in ks for l in ls]
+        draws = {"b": pgrid.shape, "f": pgrid.shape}
+        if kind == "Bkl":
+            draws.update(beta1=(g1.n_cubes_total,), beta2=(g2.n_cubes_total,))
+        if kind in ("PBl", "PP", "PP1"):
+            draws["a1"] = (g1.n_samples,)
+        if kind in ("BPk", "PP", "PP1"):
+            draws["a2"] = (g2.n_samples,)
+        volume = g1.cell_volume * g2.cell_volume
     else:
         raise ValueError(f"unknown study kind {kind}")
 
-    def measure(rng) -> tuple:
-        """(denominator, (k, l) -> ||op f||) of the trial drawn from ``rng``."""
+    def signs(x):
+        """Betas from normal draws: +1 or -1, +1 with probability about 0.69."""
+        return np.sign(x + 0.5)
+
+    def unit(g, a):
+        """The samples a / bmo(a), one trial per column."""
+        return a * (1.0 / _bmo_stacked(g, forward_stacked(g, a)))
+
+    def measure(s: dict) -> tuple:
+        """(denominators, (k, l) -> output samples) of one block of trials,
+        one column per trial."""
         if kind == "Sk":
-            f = random_function(grid, rng)
-            masses = _cube_masses(grid, forward_stacked(grid, f.samples))
-            return f.norm(), lambda k, l: _square_Sk(grid, masses, k).norm()
+            masses = _cube_masses(grid, forward_stacked(grid, s["f"]))
+            return _column_norms(s["f"], volume), lambda k, l: _square_Sk(grid, masses, k)
         if kind == "P":
-            b = random_function(grid, rng)
-            a = random_function(grid, rng)
-            f = random_function(grid, rng)
-            return (dyadic_bmo_norm(b) * dyadic_bmo_norm(a) * f.norm(),
-                    lambda k, l: apply_P(b, a, f).norm())
+            bc, ac, xc = (forward_stacked(grid, s[x]) for x in "baf")
+            denom = (_bmo_stacked(grid, bc) * _bmo_stacked(grid, ac)
+                     * _column_norms(s["f"], volume))
+            ac[0] = 0.0  # the symbol's mean row
+            return denom, lambda k, l: inverse_stacked(grid, p_stacked(grid, bc, ac, xc))
         if kind == "Bk":
-            b = random_function(grid, rng)
-            f = random_function(grid, rng)
-            beta = _random_signs(grid, rng)
-            bc = forward_stacked(grid, b.samples)
-            xe = extend(grid, forward_stacked(grid, f.samples))
+            bc = forward_stacked(grid, s["b"])
+            xe = extend(grid, forward_stacked(grid, s["f"]))
+            beta = signs(s["beta"])
 
             def bk(k, l):
-                out = bk_stacked(BkOperator(grid, k, beta=beta), bc, xe)
-                return DyadicFunction(grid, inverse_stacked(grid, contract(grid, out))).norm()
-            return _bmo_stacked(grid, bc) * f.norm(), bk
-        b = random_product_function(pgrid, rng)
-        f = random_product_function(pgrid, rng)
-        bC = forward2(b)
+                out = np.empty(xe.shape)
+                for t in range(out.shape[-1]):
+                    op = BkOperator(grid, k, beta=beta[:, t])
+                    out[:, t] = bk_stacked(op, bc[:, t], xe[:, t])
+                return inverse_stacked(grid, contract(grid, out))
+            return _bmo_stacked(grid, bc) * _column_norms(s["f"], volume), bk
+        bC = forward2_stacked(pgrid, s["b"])
+        Xe = forward2_stacked(pgrid, s["f"])
+        if kind not in ("PP", "PP1"):  # P x P reads no extended rows
+            Xe = extend2(pgrid, Xe)
+        denom = _rect_bmo_stacked(pgrid, bC) * _column_norms(s["f"], volume)
         if kind == "Bkl":
-            fields = {"beta1": _random_signs(pgrid.grid1, rng),
-                      "beta2": _random_signs(pgrid.grid2, rng)}
+            beta1, beta2 = signs(s["beta1"]), signs(s["beta2"])
+
+            def bkl(k, l):
+                out = np.empty(bC.shape)
+                for t in range(out.shape[-1]):
+                    atoms = (BkOperator(g1, k, beta=beta1[:, t]),
+                             BkOperator(g2, l, beta=beta2[:, t]))
+                    out[..., t] = pair_apply(pgrid, bC[..., t], Xe[..., t], *atoms)
+                return inverse2_stacked(pgrid, out)
+            return denom, bkl
+        # the P symbols, each of BMO norm one, with their mean rows zeroed
+        sym1 = sym2 = sym12 = None
+        if kind == "PBl":
+            sym1 = forward_stacked(g1, unit(g1, s["a1"]))
+            sym1[0] = 0.0
         elif kind == "BPk":
-            a2 = random_function(pgrid.grid2, rng)
-            fields = {"a2": a2 * (1.0 / dyadic_bmo_norm(a2))}
-        elif kind == "PBl":
-            a1 = random_function(pgrid.grid1, rng)
-            fields = {"a1": a1 * (1.0 / dyadic_bmo_norm(a1))}
+            sym2 = forward_stacked(g2, unit(g2, s["a2"]))
+            sym2[0] = 0.0
         else:
-            a1 = random_function(pgrid.grid1, rng)
-            a2 = random_function(pgrid.grid2, rng)
-            fields = {"a": tensor_function(a1 * (1.0 / dyadic_bmo_norm(a1)),
-                                           a2 * (1.0 / dyadic_bmo_norm(a2)))}
-        Xe = extend2(pgrid, forward2(f))
+            sym12 = forward2_stacked(pgrid, unit(g1, s["a1"])[:, None]
+                                     * unit(g2, s["a2"])[None, :])
+            sym12[0, :] = 0.0
+            sym12[:, 0] = 0.0
 
         def pair(k, l):
-            spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
-            out = pair_apply(pgrid, bC, Xe, *biparam_operands(spec, pgrid))
-            return inverse2(pgrid, out).norm()
-        return _rect_bmo_stacked(pgrid, bC) * f.norm(), pair
+            atom1 = BkOperator(g1, k) if kind == "BPk" else PAtom(adjoint=kind == "PP1")
+            atom2 = BkOperator(g2, l) if kind == "PBl" else PAtom()
+            out = pair_apply(pgrid, bC, Xe, atom1, atom2, sym1, sym2, sym12)
+            return inverse2_stacked(pgrid, out)
+        return denom, pair
 
-    # every draw of a trial is independent of (k, l), so each trial is
-    # drawn and transformed once and measured against all combos
     best = dict.fromkeys(combos, 0.0)
-    for t in range(trials):
-        denom, out_norm = measure(_trial_rng(rng_seed, t))
-        if denom > 0:
-            for k, l in combos:
-                best[(k, l)] = max(best[(k, l)], out_norm(k, l) / denom)
+
+    def run_block(ts: range) -> None:
+        """Draw trials ``ts`` into one block and fold its ratios into ``best``;
+        the block's arrays are freed on return, before the next is drawn."""
+        stacks = {name: np.empty(shape + (len(ts),)) for name, shape in draws.items()}
+        for col, t in enumerate(ts):
+            rng = _trial_rng(rng_seed, t)
+            for name, shape in draws.items():
+                stacks[name][..., col] = rng.standard_normal(shape)
+        denom, outputs = measure(stacks)
+        for k, l in combos:
+            for num, den in zip(_column_norms(outputs(k, l), volume), denom):
+                if den > 0:
+                    best[(k, l)] = max(best[(k, l)], float(num / den))
+
+    width = max(1, _BLOCK_SAMPLES // math.prod(draws["f"]))
+    blocks = range(0, trials, width)
+    for start in blocks:
+        run_block(range(start, min(start + width, trials)))
+    if counters is not None:
+        counters.update(trials=trials, combos=len(combos), blocks=len(blocks))
     return [NormReport(kind=kind, k=k, l=l, trials=trials, max_ratio=best[(k, l)],
                        seed=rng_seed) for (k, l) in combos]

@@ -204,14 +204,17 @@ def symbol_stacked(a: DyadicFunction) -> np.ndarray:
 
 
 def _trailing(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``v`` (n,) as (n, 1, ...), broadcasting against ``x`` (n, *passive)."""
-    return v.reshape(v.shape + (1,) * (x.ndim - v.ndim))
+    """``v`` (n, *trials) as (n, 1, ..., 1, *trials), broadcasting against
+    ``x`` (n, *passive, *trials): unit axes for the passive axes that ``v``
+    does not carry, its trial axes last."""
+    return v.reshape(v.shape[:1] + (1,) * (x.ndim - v.ndim) + v.shape[1:])
 
 
 def p_stacked(grid: GridSpec, bc: np.ndarray, avec: np.ndarray,
               x: np.ndarray) -> np.ndarray:
-    """P(b, a, .) in coefficient space (1-parameter); ``x`` may carry
-    trailing passive axes, ``bc`` and ``avec`` are (n,)."""
+    """P(b, a, .) in coefficient space (1-parameter). ``x`` is
+    (n, *passive, *trials); ``bc`` and ``avec`` are (n,), one symbol for
+    every column, or (n, *trials), one symbol per trial column."""
     return _trailing(avec, x) * strict_ancestor_sum(grid, _trailing(bc, x) * x)
 
 

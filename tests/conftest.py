@@ -296,3 +296,161 @@ def welford_average_oracle(builder, fns, samples, rng_seed, base=None):
     out = [(m, np.sqrt(q / (used - 1) / used) if used > 1 else np.zeros_like(m))
            for m, q in zip(mean, msq)]
     return out, {"samples": samples, "used": used, "seed": rng_seed}, len(grids)
+
+
+# ---------------------------------------------------------------------------
+# Reference norm study: one trial at a time through the public operators,
+# with the draws of each trial in the library's order.
+
+
+def random_signs_oracle(grid, rng):
+    """Betas along the cube axis, each +1 or -1 (+1 with probability about 0.69)."""
+    return np.sign(rng.standard_normal(grid.n_cubes_total) + 0.5)
+
+
+def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=None):
+    """Per-trial reference of :func:`dyadlab.norms.uniformity_study`: trial t
+    draws its functions (and betas) from ``_trial_rng(rng_seed, t)``, and
+    every (k, l) is measured on them with the public operators."""
+    from dyadlab import (BiparamOperatorSpec, BkOperator, GridSpec, NormReport,
+                         ProductGrid, apply_Bk, apply_P, apply_biparam,
+                         dyadic_bmo_norm, random_function, random_product_function,
+                         rect_bmo_norm, square_function, tensor_function)
+    from dyadlab.norms import _trial_rng
+    if kind in ("Bk", "Sk", "P"):
+        grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
+        kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), grid.N - 1)
+        combos = [(None, None)] if kind == "P" else [(k, None) for k in range(kmax + 1)]
+    else:
+        pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
+                                     GridSpec(1, params.get("N2", 4)))
+        kmax = min(params.get("kmax", 2), pgrid.grid1.N - 1)
+        lmax = min(params.get("lmax", 2), pgrid.grid2.N - 1)
+        ks = range(kmax + 1) if kind in ("Bkl", "BPk") else [None]
+        ls = range(lmax + 1) if kind in ("Bkl", "PBl") else [None]
+        combos = [(k, l) for k in ks for l in ls]
+
+    def unit(a):
+        return a * (1.0 / dyadic_bmo_norm(a))
+
+    def measure(rng):
+        """(denominator, (k, l) -> ||op f||) of the trial drawn from ``rng``."""
+        if kind == "Sk":
+            f = random_function(grid, rng)
+            return f.norm(), lambda k, l: square_function(f, "S_k", k=k).norm()
+        if kind == "P":
+            b, a, f = (random_function(grid, rng) for _ in range(3))
+            return (dyadic_bmo_norm(b) * dyadic_bmo_norm(a) * f.norm(),
+                    lambda k, l: apply_P(b, a, f).norm())
+        if kind == "Bk":
+            b, f = random_function(grid, rng), random_function(grid, rng)
+            beta = random_signs_oracle(grid, rng)
+            return (dyadic_bmo_norm(b) * f.norm(),
+                    lambda k, l: apply_Bk(BkOperator(grid, k, beta=beta), b, f).norm())
+        b = random_product_function(pgrid, rng)
+        f = random_product_function(pgrid, rng)
+        if kind == "Bkl":
+            fields = {"beta1": random_signs_oracle(pgrid.grid1, rng),
+                      "beta2": random_signs_oracle(pgrid.grid2, rng)}
+        elif kind == "BPk":
+            fields = {"a2": unit(random_function(pgrid.grid2, rng))}
+        elif kind == "PBl":
+            fields = {"a1": unit(random_function(pgrid.grid1, rng))}
+        else:
+            a1 = unit(random_function(pgrid.grid1, rng))
+            fields = {"a": tensor_function(a1, unit(random_function(pgrid.grid2, rng)))}
+
+        def pair(k, l):
+            spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
+            return apply_biparam(spec, b, f).norm()
+        return rect_bmo_norm(b) * f.norm(), pair
+
+    best = dict.fromkeys(combos, 0.0)
+    for t in range(trials):
+        denom, out_norm = measure(_trial_rng(rng_seed, t))
+        if denom > 0:
+            for k, l in combos:
+                best[(k, l)] = max(best[(k, l)], out_norm(k, l) / denom)
+    return [NormReport(kind=kind, k=k, l=l, trials=trials, max_ratio=best[(k, l)],
+                       seed=rng_seed) for (k, l) in combos]
+
+
+# ---------------------------------------------------------------------------
+# Reference one-symbol P kernels: the fixed arrays get unit axes for every
+# trailing axis of the input, so one symbol serves all columns.
+
+
+def _trailing_oracle(v, x):
+    return v.reshape(v.shape + (1,) * (x.ndim - v.ndim))
+
+
+def _lift_oracle(a, lead, X):
+    return None if a is None else a.reshape(a.shape[:lead] + (1,) * (X.ndim - 2))
+
+
+def p_stacked_oracle(grid, bc, avec, x):
+    """P(b, a, .) in coefficient space for one symbol pair (bc, avec) (n,)."""
+    from dyadlab.paraproducts import strict_ancestor_sum
+    return _trailing_oracle(avec, x) * strict_ancestor_sum(grid, _trailing_oracle(bc, x) * x)
+
+
+def pstar_stacked_oracle(grid, bc, avec, x):
+    """Adjoint of :func:`p_stacked_oracle` in the f slot."""
+    from dyadlab.paraproducts import strict_subtree_sum
+    return _trailing_oracle(bc, x) * strict_subtree_sum(grid, _trailing_oracle(avec, x) * x)
+
+
+def _pp1_oracle(pg, bC, X, sym12):
+    from dyadlab.paraproducts import strict_ancestor_sum
+    g1, g2 = pg.grid1, pg.grid2
+    i1 = grid_index(g1)
+    out = np.zeros(X.shape)
+    for lj in range(1, g1.N):
+        Xj = np.moveaxis(g1.level_block(X, lj), 2, 0)
+        aj = np.moveaxis(g1.level_block(sym12, lj), 2, 0)
+        for li in range(lj):
+            Bi = np.moveaxis(g1.level_block(bC, li)[i1.ancestor_flat(lj, lj - li)], 2, 0)
+            Z = strict_ancestor_sum(g2, Bi[:, :, :, None] * Xj[:, :, None, :])
+            R = np.moveaxis((Z * aj[:, :, None, :]).sum(axis=3), 0, 2)
+            up = R[i1.desc_groups(li, lj - li)].sum(axis=1)
+            g1.level_block(out, li)[...] += 2.0 ** (li * g1.d) * up
+    return out
+
+
+def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None, sym12=None):
+    """Contracted B x P, P x B or P x P pair for one symbol: ``bC`` (n1, n2),
+    ``sym1`` (n1,), ``sym2`` (n2,), ``sym12`` (n1, n2), against every trailing
+    column of ``Xe``."""
+    from dyadlab.biparam import PAtom, contract2
+    from dyadlab.paraproducts import bk_gather, strict_ancestor_sum, strict_subtree_sum
+    sw = lambda a: a.swapaxes(0, 1)  # noqa: E731
+    bC = _lift_oracle(bC, 2, Xe)
+    sym1, sym2, sym12 = (_lift_oracle(sym1, 1, Xe), _lift_oracle(sym2, 1, Xe),
+                         _lift_oracle(sym12, 2, Xe))
+    out = np.zeros(Xe.shape)
+
+    def bp(pg, bC, Xe, a1, p2, sym2, out):
+        n2 = pg.grid2.n_samples
+        rin, rout, brows, beta, scale = bk_gather(a1)
+        p = pstar_stacked_oracle if p2.adjoint else p_stacked_oracle
+        C = sw(p(pg.grid2, sw(bC[brows]), sym2, sw(Xe[rin, :n2])))
+        out[rout, :n2] += (C.T * (scale if beta is None else beta * scale)).T
+
+    if isinstance(atom1, PAtom) and isinstance(atom2, PAtom):
+        n1, n2 = pg.shape
+        X = Xe[:n1, :n2]
+        g1, g2 = pg.grid1, pg.grid2
+        if not atom1.adjoint and not atom2.adjoint:
+            res = sym12 * sw(strict_ancestor_sum(g2, sw(strict_ancestor_sum(g1, bC * X))))
+        elif atom1.adjoint and atom2.adjoint:
+            res = bC * sw(strict_subtree_sum(g2, sw(strict_subtree_sum(g1, sym12 * X))))
+        elif atom1.adjoint:
+            res = _pp1_oracle(pg, bC, X, sym12)
+        else:
+            res = sw(_pp1_oracle(pg.swap(), sw(bC), sw(X), sw(sym12)))
+        out[:n1, :n2] += 1.0 * res
+    elif isinstance(atom1, PAtom):
+        bp(pg.swap(), sw(bC), sw(Xe), atom2, atom1, sym1, sw(out))
+    else:
+        bp(pg, bC, Xe, atom1, atom2, sym2, out)
+    return contract2(pg, out)

@@ -6,8 +6,8 @@ from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube, DyadicFunction
                      apply_in_variable, haar_function, inner_product2,
                      iterated_commutator, random_function,
                      random_product_function, random_shift, tensor_function)
-from dyadlab.biparam import (PAtom, contract2, extend2, forward2, forward_var,
-                             inverse2, pair_apply)
+from dyadlab.biparam import (PAtom, contract2, extend2, forward2, forward2_stacked,
+                             forward_var, inverse2, pair_apply)
 from dyadlab.grids import DepthError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
 from conftest import (all_cancellative_indices, all_cubes, bb_pair_oracle,
@@ -474,3 +474,36 @@ def test_b_atoms_match_the_level_loops(pg, passive, rng):
         for a2 in (a for atoms in atoms2.values() for a in atoms):
             check(p, a2, lambda out: bp_pair_oracle(pg.swap(), sw(bCl, 0, 1), sw(Xe, 0, 1),
                                                     a2, p, sym1l, sw(out, 0, 1), weight))
+
+
+@pytest.mark.parametrize("pg", [ProductGrid(GridSpec(1, 3), GridSpec(1, 4)), PG_D2,
+                                ProductGrid(GridSpec(2, 2), GridSpec(2, 3))], ids=repr)
+def test_p_symbol_stacks_match_the_one_symbol_pair_kernels(pg, rng):
+    # PP, PP1, PP2, PPstar, BPk, PBl and the adjoints of BPk/PBl with one
+    # symbol per trial column equal the one-symbol kernels column by column
+    from conftest import pair_apply_oracle
+    g1, g2 = pg.grid1, pg.grid2
+    T = 3
+    bC = forward2_stacked(pg, rng.standard_normal(pg.shape + (T,)))
+    Xe = extend2(pg, forward2_stacked(pg, rng.standard_normal(pg.shape + (T,))))
+    sym1 = forward_var(rng.standard_normal((g1.n_samples, T)), g1, 1)
+    sym2 = forward_var(rng.standard_normal((g2.n_samples, T)), g2, 1)
+    sym12 = forward2_stacked(pg, rng.standard_normal(pg.shape + (T,)))
+    sym1[0] = sym2[0] = sym12[0] = sym12[:, 0] = 0.0
+    pairs = [(PAtom(a), PAtom(b)) for a in (False, True) for b in (False, True)]
+    for p in (PAtom(False), PAtom(True)):
+        pairs += [(BkOperator(g1, k), p) for k in range(g1.N)]
+        pairs += [(p, BkOperator(g2, l)) for l in range(g2.N)]
+    for atom1, atom2 in pairs:
+        got = pair_apply(pg, bC, Xe, atom1, atom2, sym1, sym2, sym12)
+        assert got.shape == pg.shape + (T,)
+        for t in range(T):
+            want = pair_apply_oracle(pg, bC[..., t], Xe[..., t], atom1, atom2,
+                                     sym1[:, t], sym2[:, t], sym12[..., t])
+            assert np.array_equal(got[..., t], want), (atom1, atom2, t)
+        # one symbol for all columns is the broadcast case of the same kernels
+        got = pair_apply(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0], sym2[:, 0],
+                         sym12[..., 0])
+        want = pair_apply_oracle(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0],
+                                 sym2[:, 0], sym12[..., 0])
+        assert np.array_equal(got, want), (atom1, atom2)

@@ -119,11 +119,19 @@ def test_usage_error_exit_code(tmp_path):
                  ["bound-study", "--delta", "inf"],
                  ["selftest", "--N", "25"],
                  ["selftest", "--d", "3", "--N", "9"],
-                 ["mc-demo", "--N", "1"]):  # no (0, 1) shift fits one level
+                 ["mc-demo", "--N", "1"],  # no (0, 1) shift fits one level
+                 # a NaN tolerance would fail every check, or none
+                 ["selftest", "--tol", "nan"],
+                 ["selftest", "--tol", "-1"],
+                 ["verify-decomp", "--tol", "nan"],
+                 ["verify-decomp", "--tol", "inf"],
+                 ["norm-study", "--kind", "Bkl", "--tol", "nan"],
+                 ["norm-study", "--tol", "-1e-12"]):
         assert main(argv + out) == 2, argv
     # config values take the flag's type, range check included
     cfg = tmp_path / "cfg.json"
-    for bad in ({"N": 0}, {"trials": -1}, {"delta": 0}, {"p": [1.0]}):
+    for bad in ({"N": 0}, {"trials": -1}, {"delta": 0}, {"p": [1.0]},
+                {"tol": float("nan")}, {"tol": -1}, {"tol": "inf"}):
         cfg.write_text(json.dumps(bad))
         command = {"delta": "bound-study", "p": "jn-check"}.get(next(iter(bad)),
                                                                  "verify-decomp")
@@ -218,6 +226,19 @@ def test_norm_study_kmax_stops_at_finest_level(kind, tmp_path):
     assert [r["k"] for r in report["results"]["reports"]] == list(range(6))
 
 
+def test_norm_study_counts_trials_combos_and_blocks(tmp_path):
+    # 16 x 16 samples a trial: blocks of 32 trials, so 40 trials take two
+    code, report = run(["norm-study", "--kind", "PP1", "--N", "4", "--trials", "40"],
+                       tmp_path, "norm-study-PP1")
+    assert code == 0
+    assert report["meta"]["counters"] == {"trials": 40, "combos": 1, "blocks": 2}
+    assert "counters" not in report["results"]
+    code, report = run(["norm-study", "--kind", "Bk", "--N", "6", "--kmax", "3",
+                        "--trials", "3"], tmp_path, "norm-study-Bk")
+    assert code == 0
+    assert report["meta"]["counters"] == {"trials": 3, "combos": 4, "blocks": 1}
+
+
 def test_norm_study_defaults_admissible(tmp_path):
     code, report = run(["norm-study", "--trials", "1"], tmp_path, "norm-study-Bk")
     assert code == 0
@@ -233,6 +254,17 @@ PINNED_REPORTS = [
      "norm-study-Sk", "356cdb40b8db268bf69d33a74b312ad0f7f7d3c1d5d52140337632b1a3fcfd56"),
     (["norm-study", "--kind", "P", "--N", "6", "--trials", "5"],
      "norm-study-P", "e7caaf070609d9ddbd78fa8316f93332eb04b482131ec414032ea3bfd33df85b"),
+    (["norm-study", "--kind", "PP", "--N", "3", "--N2", "4", "--trials", "20"],
+     "norm-study-PP", "a7f2fc5198c3263a602df41356dd40be6d083cf4c7979eaaad612b8ec5851bed"),
+    # 40 trials of 16 x 16 samples span two trial blocks
+    (["norm-study", "--kind", "PP1", "--N", "4", "--trials", "40"],
+     "norm-study-PP1", "b19427bce8d0300bafd4275fb93eb2df38bfc44c3505fbe15f308dbb816dc0a2"),
+    (["norm-study", "--kind", "BPk", "--N", "3", "--N2", "4", "--trials", "10"],
+     "norm-study-BPk", "019dd48b6d57e5214349d0325154796597e1b3257ea51cce8f41157df65adb6c"),
+    (["norm-study", "--kind", "PBl", "--N", "4", "--N2", "3", "--trials", "10"],
+     "norm-study-PBl", "9076b7e5eaaa9f0d01869323297cce6beac6baf1f782c08140958b9b9411d235"),
+    (["norm-study", "--kind", "Bkl", "--N", "3", "--trials", "5"],
+     "norm-study-Bkl", "73289349b837697474983cd30b897c02701f5dfff97f86f24ed53c1da2fa463d"),
     (["jn-check", "--N", "6", "--trials", "5"],
      "jn-check", "4bc88a5d83a00893f4bac94300e65b84b556623e3cf26f0c1d9b649da727d0f4"),
     (["jn-check", "--d", "2", "--N", "3", "--trials", "5"],

@@ -10,7 +10,8 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      uniformity_study)
 from dyadlab.haar import haar_forward
 from dyadlab.norms import NormReport, geometric_cap_for, geometric_constant_tail_bound
-from conftest import all_cubes, strictly_inside
+from conftest import (all_cubes, random_signs_oracle, strictly_inside,
+                      uniformity_study_oracle)
 
 
 def test_bmo_trivial_cases(rng):
@@ -368,7 +369,7 @@ def test_jn_profile_gives_jn_check_for_every_p(rng):
 def test_uniformity_study_biparam_rows_match_apply_biparam():
     # transforming each trial once must not change any row
     from dyadlab import BiparamOperatorSpec, apply_biparam
-    from dyadlab.norms import _random_signs, _trial_rng
+    from dyadlab.norms import _trial_rng
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
 
     def unit(a):
@@ -385,8 +386,8 @@ def test_uniformity_study_biparam_rows_match_apply_biparam():
             b = random_product_function(pg, rng)
             f = random_product_function(pg, rng)
             if kind == "Bkl":
-                fields = {"beta1": _random_signs(pg.grid1, rng),
-                          "beta2": _random_signs(pg.grid2, rng)}
+                fields = {"beta1": random_signs_oracle(pg.grid1, rng),
+                          "beta2": random_signs_oracle(pg.grid2, rng)}
             elif kind == "BPk":
                 fields = {"a2": unit(random_function(pg.grid2, rng))}
             elif kind == "PBl":
@@ -407,7 +408,7 @@ def test_uniformity_study_biparam_rows_match_apply_biparam():
 def test_uniformity_study_bk_rows_match_apply_bk():
     # drawing and transforming each trial once must not change any row
     from dyadlab import BkOperator, apply_Bk
-    from dyadlab.norms import _random_signs, _trial_rng
+    from dyadlab.norms import _trial_rng
     g = GridSpec(1, 6)
     reports = uniformity_study("Bk", {"N": 6, "kmax": 5}, trials=4, rng_seed=3)
     best = [0.0] * 6
@@ -415,7 +416,7 @@ def test_uniformity_study_bk_rows_match_apply_bk():
         rng = _trial_rng(3, t)
         b = random_function(g, rng)
         f = random_function(g, rng)
-        beta = _random_signs(g, rng)
+        beta = random_signs_oracle(g, rng)
         for k in range(6):
             op = BkOperator(g, k, beta=beta)
             best[k] = max(best[k], apply_Bk(op, b, f).norm() / (dyadic_bmo_norm(b) * f.norm()))
@@ -458,10 +459,14 @@ def test_uniformity_study_bk_transforms_each_trial_once(monkeypatch):
             calls.append(1)
             return _inner(grid, x)
         monkeypatch.setattr(mod, "forward_stacked", counting)
-    reports = uniformity_study("Bk", {"N": 9, "kmax": 8}, trials=5, rng_seed=7)
+    counters = {}
+    reports = uniformity_study("Bk", {"N": 9, "kmax": 8}, trials=20, rng_seed=7,
+                               counters=counters)
     assert len(reports) == 9
-    # b and f of each of the 5 trials, whatever the number of k values
-    assert len(calls) == 10
+    # 20 trials of 512 samples fill two blocks of 16 columns; the b and f
+    # stacks of each block, whatever the number of trials and k values
+    assert counters == {"trials": 20, "combos": 9, "blocks": 2}
+    assert len(calls) == 4
 
 
 def test_uniformity_study_sk_transforms_each_trial_once(monkeypatch):
@@ -475,5 +480,51 @@ def test_uniformity_study_sk_transforms_each_trial_once(monkeypatch):
     monkeypatch.setattr(norms, "forward_stacked", counting)
     reports = uniformity_study("Sk", {"N": 8, "kmax": 6}, trials=5, rng_seed=7)
     assert len(reports) == 7
-    # f of each of the 5 trials, whatever the number of k values
-    assert len(calls) == 5
+    # the f stack of the one block of 5 trials, whatever the number of k values
+    assert len(calls) == 1
+
+
+# Every kind on caller-free default grids with N1 != N2, and on d = 2 grids
+# passed in; the trials of each case fill three blocks or more.
+_STUDY_CASES = [
+    ("Sk", {"N": 9, "kmax": 8}, 40, None, None),
+    ("Bk", {"N": 9, "kmax": 8}, 40, None, None),
+    ("P", {"N": 9}, 40, None, None),
+    ("P", {}, 70, GridSpec(2, 4), None),
+    ("Sk", {"kmax": 3}, 70, GridSpec(2, 4), None),
+    ("Bk", {"kmax": 3}, 70, GridSpec(2, 4), None),
+] + [(kind, {"N1": 4, "N2": 5, "kmax": 2, "lmax": 2}, 40, None, None)
+     for kind in ("Bkl", "BPk", "PBl", "PP", "PP1")] + [
+    (kind, {"kmax": 1, "lmax": 2}, 20, None, ProductGrid(GridSpec(2, 2), GridSpec(2, 3)))
+    for kind in ("Bkl", "BPk", "PBl", "PP", "PP1")]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41])
+@pytest.mark.parametrize("kind, params, trials, grid, pgrid", _STUDY_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(_STUDY_CASES)])
+def test_uniformity_study_matches_the_per_trial_oracle(kind, params, trials, grid,
+                                                        pgrid, seed):
+    counters = {}
+    got = uniformity_study(kind, params, trials, seed, grid=grid, pgrid=pgrid,
+                           counters=counters)
+    assert counters["blocks"] >= 3 and counters["trials"] == trials
+    assert counters["combos"] == len(got)
+    assert got == uniformity_study_oracle(kind, params, trials, seed, grid=grid, pgrid=pgrid)
+
+
+# ``block`` is the number of trials in one full block: 2**13 // 4096 for P at
+# N = 12, 2**13 // 1024 for PP1 at 32 x 32.
+@pytest.mark.parametrize("kind, params, block", [("P", {"N": 12}, 2),
+                                                 ("PP1", {"N1": 5, "N2": 5}, 8)])
+def test_uniformity_study_memory_does_not_grow_with_trials(kind, params, block):
+    import tracemalloc
+    uniformity_study(kind, params, trials=2, rng_seed=1)  # fill the grid caches
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            uniformity_study(kind, params, trials=trials, rng_seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(40) <= 1.25 * peak(block)

@@ -303,3 +303,26 @@ def test_bk_operator_equality_and_hash(rng):
     assert any(t.atom1.k >= 1 for t in t1)
     assert t1 == t2 and len(set(t1) | set(t2)) == len(t1)
     assert t1[0] != t1[-1]
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3),
+                               GridSpec(2, 2, omega=((1, 0), (0, 1)))], ids=repr)
+@pytest.mark.parametrize("passive", [(), (2,)])
+def test_p_symbol_stacks_match_the_one_symbol_kernels(g, passive, rng):
+    # column t of a symbol stack pairs with trial column t of the input,
+    # bit for bit as the one-symbol kernel on that column
+    from dyadlab.paraproducts import p_stacked, pstar_stacked
+    from conftest import p_stacked_oracle, pstar_stacked_oracle
+    T = 3
+    bc, avec = (forward_stacked(g, rng.standard_normal((g.n_samples, T))) for _ in "ba")
+    avec[0] = 0.0
+    x = forward_stacked(g, rng.standard_normal((g.n_samples,) + passive + (T,)))
+    for kernel, oracle in ((p_stacked, p_stacked_oracle),
+                           (pstar_stacked, pstar_stacked_oracle)):
+        got = kernel(g, bc, avec, x)
+        assert got.shape == x.shape
+        for t in range(T):
+            assert np.array_equal(got[..., t], oracle(g, bc[:, t], avec[:, t], x[..., t]))
+        # a one-dimensional symbol is the broadcast case of the same kernel
+        assert np.array_equal(kernel(g, bc[:, 1], avec[:, 1], x),
+                              oracle(g, bc[:, 1], avec[:, 1], x))
