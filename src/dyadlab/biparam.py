@@ -8,11 +8,14 @@ The operator family combines one "atom" per variable: a
 :class:`~dyadlab.paraproducts.BkOperator` on that variable's grid (the B_k
 diagonal paraproduct) or a ``PAtom`` (the cube/subcube operator P, possibly
 adjoint). This realizes B_{k,l}, BP_k, PB_l, PP, the partial adjoints
-PP_1 / PP_2, and the full adjoint, all evaluated in coefficient space: a
-B atom is one gather over the rows of
-:func:`~dyadlab.paraproducts.bk_gather`, the same layout ``bk_stacked``
-reads, and a P atom is a strict-subcube tree scan of
-:mod:`dyadlab.paraproducts`.
+PP_1 / PP_2, and the full adjoint, all evaluated in coefficient space by one
+per-axis schedule (:func:`pair_apply`): along a B axis the rows of
+:func:`~dyadlab.paraproducts.bk_gather`, the layout ``bk_stacked`` reads;
+along a P or P* axis a strict-subcube tree scan of
+:mod:`dyadlab.paraproducts` (``strict_ancestor_sum`` /
+``strict_subtree_sum``), with ``b`` multiplied once in between. Only a
+joint symbol that couples a P* axis with a P axis needs the level-pair loop
+of ``_pp1_kernel``.
 
 Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
 axis 1, and optional trailing passive axes (one column per trial in
@@ -21,7 +24,8 @@ axes 0 and 1. The fixed arrays (symbol coefficients, betas) broadcast
 against the trailing axes; the symbol coefficients may also carry the
 input's last axes as trial axes, one symbol per trial column
 (:func:`dyadlab.norms.uniformity_study`), and a symbol without them is the
-broadcast case of the same kernels.
+broadcast case of the same schedule. :func:`_along` runs a function that
+acts along axis 0 along either variable.
 
 The atoms read and write the extended layout of both variables
 (:func:`extend2`, :func:`contract2`), where a noncancellative signature
@@ -34,14 +38,15 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .grids import GridMismatchError, GridSpec, grid_index
 from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
-from .paraproducts import (BkOperator, bk_gather, p_stacked, pstar_stacked,
-                           strict_ancestor_sum, strict_subtree_sum, symbol_stacked)
+from .paraproducts import (BkOperator, bk_gather, strict_ancestor_sum,
+                           strict_subtree_sum, symbol_stacked)
 
 _MAGIC_2P = b"DYF2"
 
@@ -140,6 +145,8 @@ class ProductFunction:
     def from_bytes(cls, data: bytes) -> "ProductFunction":
         if data[:4] != _MAGIC_2P:
             raise ValueError("bad magic, expected DYF2")
+        if len(data) < 20:
+            raise ValueError(f"truncated DYF2 header: needs 20 bytes, got {len(data)}")
         d1, N1, d2, N2 = struct.unpack("<IIII", data[4:20])
         pg = ProductGrid(GridSpec(d1, N1), GridSpec(d2, N2))
         return cls(pg, np.frombuffer(data[20:], dtype="<f8").copy())
@@ -157,21 +164,19 @@ def random_product_function(pg: ProductGrid, rng) -> ProductFunction:
 # -- transforms --------------------------------------------------------------
 
 
-def _swap(a: np.ndarray) -> np.ndarray:
-    """Exchange the two variables of a stacked array (axes 0 and 1)."""
-    return a.swapaxes(0, 1)
+def _along(axis: int, fn, a: np.ndarray) -> np.ndarray:
+    """``fn``, which acts along axis 0, applied along ``axis`` of ``a``."""
+    return fn(a) if axis == 0 else fn(a.swapaxes(0, axis)).swapaxes(0, axis)
 
 
 def forward2_stacked(pg: ProductGrid, samples: np.ndarray) -> np.ndarray:
     """Samples (n1, n2, *passive) -> stacked coefficients, same shape."""
-    a = forward_stacked(pg.grid1, samples)
-    return _swap(forward_stacked(pg.grid2, _swap(a)))
+    return _along(1, partial(forward_stacked, pg.grid2), forward_stacked(pg.grid1, samples))
 
 
 def inverse2_stacked(pg: ProductGrid, stacked: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward2_stacked`."""
-    a = _swap(inverse_stacked(pg.grid2, _swap(stacked)))
-    return inverse_stacked(pg.grid1, a)
+    return inverse_stacked(pg.grid1, _along(1, partial(inverse_stacked, pg.grid2), stacked))
 
 
 def forward2(pf: ProductFunction) -> np.ndarray:
@@ -185,19 +190,17 @@ def inverse2(pg: ProductGrid, stacked: np.ndarray) -> ProductFunction:
 
 def extend2(pg: ProductGrid, stacked: np.ndarray) -> np.ndarray:
     """:func:`~dyadlab.haar.extend` along variable 1, then along variable 2."""
-    return _swap(extend(pg.grid2, _swap(extend(pg.grid1, stacked))))
+    return _along(1, partial(extend, pg.grid2), extend(pg.grid1, stacked))
 
 
 def contract2(pg: ProductGrid, ext: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`extend2`: contract variable 2, then variable 1."""
-    return contract(pg.grid1, _swap(contract(pg.grid2, _swap(ext))))
+    return contract(pg.grid1, _along(1, partial(contract, pg.grid2), ext))
 
 
 def forward_var(pf_samples: np.ndarray, grid: GridSpec, var: int) -> np.ndarray:
     """Partial Haar transform in one variable only."""
-    if var == 1:
-        return forward_stacked(grid, pf_samples)
-    return _swap(forward_stacked(grid, _swap(pf_samples)))
+    return _along(var - 1, partial(forward_stacked, grid), pf_samples)
 
 
 def inner_product2(f: ProductFunction, g: ProductFunction) -> float:
@@ -215,9 +218,7 @@ def _check_var(pg: ProductGrid, S, var: int) -> None:
 
 def _apply_var(S, var: int, samples: np.ndarray) -> np.ndarray:
     """``S`` along variable ``var`` of samples (n1, n2, *passive)."""
-    if var == 1:
-        return S.apply_samples(samples)
-    return _swap(S.apply_samples(_swap(samples)))
+    return _along(var - 1, S.apply_samples, samples)
 
 
 def apply_in_variable(S, var: int, f: ProductFunction) -> ProductFunction:
@@ -258,14 +259,23 @@ class PAtom:
     adjoint: bool = False
 
 
-def _lift(a: np.ndarray, lead: int, X: np.ndarray) -> np.ndarray:
-    """``a`` (*lead axes, *trials) with unit axes between its ``lead``
-    leading axes and its trial axes, broadcasting against the trailing axes
-    of ``X`` (n1, n2, *passive, *trials); idempotent."""
-    if a is None:
-        return None
-    units = X.ndim - 2 - (a.ndim - lead)
-    return a.reshape(a.shape[:lead] + (1,) * units + a.shape[lead:])
+def _lift(a: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``a`` (n1, n2, *trials) with unit axes between its variable axes and
+    its trial axes, broadcasting against ``X`` (n1, n2, *passive, *trials);
+    idempotent."""
+    return a.reshape(a.shape[:2] + (1,) * (X.ndim - a.ndim) + a.shape[2:])
+
+
+def _on_axis(v: np.ndarray, axis: int, X: np.ndarray) -> np.ndarray:
+    """``v`` (n, *trials) along variable axis ``axis`` of ``X``
+    (n1, n2, *passive, *trials), unit axes elsewhere, its trial axes last."""
+    lead = (1,) * axis + v.shape[:1]
+    return v.reshape(lead + (1,) * (X.ndim - axis - v.ndim) + v.shape[1:])
+
+
+def _rows(r1, r2):
+    """Index of rows ``r1`` x ``r2``; a P axis' rows are a slice."""
+    return (r1, r2) if isinstance(r1, slice) or isinstance(r2, slice) else (r1[:, None], r2)
 
 
 def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
@@ -279,78 +289,82 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     (m1, m2, *passive, *trials). The fixed arrays ``bC`` (n1, n2), ``sym1``
     (n1,), ``sym2`` (n2,) and ``sym12`` (n1, n2) broadcast against its
     trailing axes; each may also end in the trial axes, e.g. ``sym2``
-    (n2, *trials), to pair trial column t with symbol t (:func:`_lift`).
-    ``sym1``/``sym2`` are stacked symbol coefficients for P atoms acting
-    in that variable; ``sym12`` is the stacked matrix of a product symbol
-    when both atoms are P-type. A B atom reads and writes the rows that
-    :func:`~dyadlab.paraproducts.bk_gather` gives it, all levels at once:
-    B x B is one gather over the row blocks of both variables, B x P one
-    strict-subcube scan along the P variable. With ``out`` (extended, shaped
-    like ``Xe``) the weighted contribution is added into it and None is
-    returned; without, the contracted result (n1, n2, *passive) is returned.
-    Two P atoms read and write only the stacked rows, so for them ``Xe`` may
-    also be the stacked input itself.
+    (n2, *trials), to pair trial column t with symbol t. ``sym_v`` is the
+    stacked symbol of a P atom in variable v; two P atoms take the caller's
+    joint ``sym12`` or else the product of ``sym1`` and ``sym2``.
+
+    The pair is one schedule over the two variable axes:
+    1. gather the input rows of each B axis (:func:`~dyadlab.paraproducts.bk_gather`);
+       a P axis takes the stacked rows as a slice;
+    2. multiply by the P* axes' symbol, then take the strict subtree sum
+       along each P* axis;
+    3. multiply by ``bC``, gathered at the B ancestors;
+    4. take the strict ancestor sum along each P axis, then multiply by the
+       P axes' symbol;
+    5. multiply by each B axis' ``beta * scale`` in axis order (the weight
+       folded into the first; with no B axis it multiplies last) and
+       scatter-add into the output rows.
+    A joint ``sym12`` that couples a P* axis with a P axis does not separate
+    into these steps; it runs the level-pair loop of :func:`_pp1_kernel`.
+
+    With ``out`` (extended, shaped like ``Xe``) the weighted contribution is
+    added into it and None is returned; without, the contracted result
+    (n1, n2, *passive) is returned. Two P atoms read and write only the
+    stacked rows, so for them ``Xe`` may also be the stacked input itself.
     """
-    bC = _lift(bC, 2, Xe)
-    sym1, sym2, sym12 = _lift(sym1, 1, Xe), _lift(sym2, 1, Xe), _lift(sym12, 2, Xe)
+    grids, atoms, syms = (pg.grid1, pg.grid2), (atom1, atom2), (sym1, sym2)
+    p_axes = [v for v in (0, 1) if isinstance(atoms[v], PAtom)]
+    if len(p_axes) == 2:
+        if sym12 is None and (sym1 is None or sym2 is None):
+            raise ValueError("P x P atoms need the product symbol")
+    elif p_axes and syms[p_axes[0]] is None:
+        raise ValueError(f"P atom in variable {p_axes[0] + 1} needs its symbol")
+    bC = _lift(bC, Xe)
     result = out is None
     if result:
         out = np.zeros(Xe.shape)
-    if isinstance(atom1, PAtom) and isinstance(atom2, PAtom):
+    pstar = [v for v in p_axes if atoms[v].adjoint]
+    plain = [v for v in p_axes if not atoms[v].adjoint]
+    if len(pstar) == len(plain) == 1 and sym12 is not None:
         n1, n2 = pg.shape
-        out[:n1, :n2] += weight * _pp_pair(pg, bC, Xe[:n1, :n2], atom1, atom2, sym12)
-    elif isinstance(atom1, PAtom):
-        # mirror: the (B, P) kernel on views with the variables swapped
-        _bp_pair(pg.swap(), _swap(bC), _swap(Xe), atom2, atom1, sym1, _swap(out), weight)
-    elif isinstance(atom2, PAtom):
-        _bp_pair(pg, bC, Xe, atom1, atom2, sym2, out, weight)
+        args = (bC, Xe[:n1, :n2], _lift(sym12, Xe))
+        if atom1.adjoint:
+            res = _pp1_kernel(pg, *args)
+        else:  # PP2 is PP1 with the variables swapped
+            res = _pp1_kernel(pg.swap(), *(a.swapaxes(0, 1) for a in args)).swapaxes(0, 1)
+        out[:n1, :n2] += weight * res
+        return contract2(pg, out) if result else None
+    if len(p_axes) == 2 and len(pstar) != 1:
+        joint = _lift(sym12, Xe) if sym12 is not None \
+            else _on_axis(sym1, 0, Xe) * _on_axis(sym2, 1, Xe)
+        pre, post = ([joint], []) if pstar else ([], [joint])
     else:
-        _bb_pair(bC, Xe, atom1, atom2, out, weight)
+        pre = [_on_axis(syms[v], v, Xe) for v in pstar]
+        post = [_on_axis(syms[v], v, Xe) for v in plain]
+    rows, coefs = [], []  # (input, b, output) rows and beta * scale per axis
+    for v, atom in enumerate(atoms):
+        if v in p_axes:
+            rows.append((slice(grids[v].n_samples),) * 3)
+            continue
+        rin, rout, brows, beta, scale = bk_gather(atom)
+        scale = scale if coefs else weight * scale
+        rows.append((rin, brows, rout))
+        coefs.append((v, scale if beta is None else beta * scale))
+    (in1, b1, out1), (in2, b2, out2) = rows
+    W = Xe[_rows(in1, in2)]
+    for s in pre:
+        W = s * W
+    for v in pstar:
+        W = _along(v, partial(strict_subtree_sum, grids[v]), W)
+    W = bC[_rows(b1, b2)] * W
+    for v in plain:
+        W = _along(v, partial(strict_ancestor_sum, grids[v]), W)
+    for s in post:
+        W = s * W
+    for v, c in coefs:
+        W = _on_axis(c, v, W) * W
+    out[_rows(out1, out2)] += W if coefs else weight * W
     return contract2(pg, out) if result else None
-
-
-def _coef(beta, scale):
-    """Per-cube factor of a B atom: ``beta * scale``, or ``scale`` when all +1."""
-    return scale if beta is None else beta * scale
-
-
-def _bb_pair(bC, Xe, a1: BkOperator, a2: BkOperator, out: np.ndarray,
-             weight: float) -> None:
-    rin1, rout1, b1, beta1, scale1 = bk_gather(a1)
-    rin2, rout2, b2, beta2, scale2 = bk_gather(a2)
-    c1 = _coef(beta1, weight * scale1)
-    c2 = _lift(_coef(beta2, scale2), 1, Xe)
-    ix = np.ix_
-    out[ix(rout1, rout2)] += (c1 * (bC[ix(b1, b2)] * Xe[ix(rin1, rin2)]).T).T * c2
-
-
-def _bp_pair(pg, bC, Xe, a1: BkOperator, p2: PAtom, sym2, out: np.ndarray,
-             weight: float) -> None:
-    if sym2 is None:
-        raise ValueError("P atom in variable 2 needs its symbol")
-    g2 = pg.grid2
-    n2 = g2.n_samples
-    rin, rout, brows, beta, scale = bk_gather(a1)
-    # the 1-D P kernel along variable 2, one column per variable-1 row
-    p = pstar_stacked if p2.adjoint else p_stacked
-    C = _swap(p(g2, _swap(bC[brows]), sym2, _swap(Xe[rin, :n2])))
-    out[rout, :n2] += (C.T * _coef(beta, weight * scale)).T
-
-
-def _pp_pair(pg, bC, X, p1: PAtom, p2: PAtom, sym12) -> np.ndarray:
-    if sym12 is None:
-        raise ValueError("P x P atoms need the product symbol")
-    g1, g2 = pg.grid1, pg.grid2
-    if not p1.adjoint and not p2.adjoint:
-        W = strict_ancestor_sum(g1, bC * X)
-        return sym12 * _swap(strict_ancestor_sum(g2, _swap(W)))
-    if p1.adjoint and p2.adjoint:
-        W = strict_subtree_sum(g1, sym12 * X)
-        return bC * _swap(strict_subtree_sum(g2, _swap(W)))
-    if p1.adjoint:
-        return _pp1_kernel(pg, bC, X, sym12)
-    # PP2 is PP1 with the variables swapped
-    return _swap(_pp1_kernel(pg.swap(), _swap(bC), _swap(X), _swap(sym12)))
 
 
 def _pp1_kernel(pg, bC, X, sym12) -> np.ndarray:

@@ -20,20 +20,23 @@ Everything here is exact linear algebra on the finite torus: the identity
 verification harness checks against independently evaluated commutators.
 
 Both sides are linear in f, so evaluation runs on coefficient stacks with a
-trailing trial axis: ``evaluate_stacked`` takes (n, T) arrays for one
-parameter and (n1, n2, T) for two, and ``verify_identity`` puts all trials
-in one stack, passing it once through the transforms, the direct
-commutator (``multiplication_commutator_stacked`` /
-``iterated_commutator_stacked``) and the term list. Each inner-shift input
-is extended once (see :mod:`dyadlab.haar`), and the terms wrapped in the
-same outer shift(s) sum into one extended buffer, which is contracted once
-and passed through its shift composition once per evaluation.
+trailing trial axis, (n, T) for one parameter and (n1, n2, T) for two.
+``evaluate_stacked`` is one evaluator for t = 1 or 2 variables: it extends
+each of the 2^t inner-shift compositions of the input once (see
+:mod:`dyadlab.haar`), sums every term into the extended buffer of its
+outer-shift group, and contracts each of the 2^t groups once before its
+shifts run. A term is ``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` at
+t = 1 and :func:`~dyadlab.biparam.pair_apply` with one symbol per variable
+at t = 2, so a P-type pair is two tree scans. ``verify_identity`` passes
+all trials once through the transforms, the direct commutator and the terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,9 +45,9 @@ from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
 from .paraproducts import (BkOperator, bk_stacked, p_stacked, pstar_stacked,
                            symbol_stacked)
-from .biparam import (PAtom, ProductFunction, _swap, contract2, extend2,
-                      forward2, forward2_stacked, inverse2, inverse2_stacked,
-                      iterated_commutator_stacked, pair_apply)
+from .biparam import (PAtom, ProductFunction, _along, forward2, forward2_stacked,
+                      inverse2, inverse2_stacked, iterated_commutator_stacked,
+                      pair_apply)
 from .shifts import ANALYSIS, ShiftOperator, multiplication_commutator_stacked
 from .norms import _column_norms, _trial_rng, dyadic_bmo_norm, rect_bmo_norm
 
@@ -299,65 +302,52 @@ def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
 # Evaluation and verification.
 
 
-def _evaluate_one_param(tl: TermList, x: np.ndarray) -> np.ndarray:
-    g = tl.b.grid
-    n = g.n_samples
-    S = tl.shifts[0]
-    # every term list reads both inputs and writes both outer-shift groups;
-    # a group is one extended sum, contracted once, and S runs once on it
-    inputs = {False: extend(g, x), True: extend(g, S.apply_stacked(x))}
-    groups = {key: np.zeros(xe.shape) for key, xe in inputs.items()}
-    sym = None if S.cancellative else symbol_stacked(S.symbol)
-    for term in tl.terms:
-        xin, acc = inputs[term.inner1], groups[term.outer1]
-        if isinstance(term.atom1, PAtom):
-            p = pstar_stacked if term.atom1.adjoint else p_stacked
-            acc[:n] += term.weight * p(g, tl._bc, sym, xin[:n])
-        else:
-            acc += term.weight * bk_stacked(term.atom1, tl._bc, xin)
-    return contract(g, groups[False]) + S.apply_stacked(contract(g, groups[True]))
-
-
-def _evaluate_biparam(tl: TermList, x: np.ndarray) -> np.ndarray:
-    pg = tl.b.pgrid
-    S1, S2 = tl.shifts
-    sym1 = None if S1.cancellative else symbol_stacked(S1.symbol)
-    sym2 = None if S2.cancellative else symbol_stacked(S2.symbol)
-    sym12 = None
-    if sym1 is not None and sym2 is not None:
-        sym12 = np.outer(sym1, sym2)
-    # every term list reads all four inner-shift compositions of x (S2 runs
-    # once, S1 twice) and writes all four outer-shift groups; a group is one
-    # extended sum, contracted once before its shifts run
-    s2x = _swap(S2.apply_stacked(_swap(x)))
-    shifted = {(False, False): x, (False, True): s2x,
-               (True, False): S1.apply_stacked(x), (True, True): S1.apply_stacked(s2x)}
-    inputs = {key: extend2(pg, y) for key, y in shifted.items()}
-    groups = {key: np.zeros(xe.shape) for key, xe in inputs.items()}
-    for term in tl.terms:
-        pair_apply(pg, tl._bc, inputs[(term.inner1, term.inner2)], term.atom1, term.atom2,
-                   sym1=sym1, sym2=sym2, sym12=sym12, out=groups[(term.outer1, term.outer2)],
-                   weight=term.weight)
-    total = np.zeros(x.shape)
-    for (o1, o2), acc in groups.items():
-        y = contract2(pg, acc)
-        if o1:
-            y = S1.apply_stacked(y)
-        if o2:
-            y = _swap(S2.apply_stacked(_swap(y)))
-        total += y
-    return total
-
-
 def evaluate_stacked(tl: TermList, x: np.ndarray) -> np.ndarray:
     """Sum of all terms on a coefficient stack with trailing passive axes.
 
     ``x`` is (n, *passive) for one parameter and (n1, n2, *passive) for two;
-    each column is evaluated as by :func:`evaluate_terms`.
+    each column is evaluated as by :func:`evaluate_terms`. S_v acts along
+    axis v; the inner compositions are built from the last variable's down,
+    so at t = 2 S2 runs once on ``x`` and S1 twice.
     """
-    if tl.arity == 1:
-        return _evaluate_one_param(tl, x)
-    return _evaluate_biparam(tl, x)
+    t, shifts = tl.arity, tl.shifts
+    grids = (tl.b.grid,) if t == 1 else (tl.b.pgrid.grid1, tl.b.pgrid.grid2)
+    syms = [None if S.cancellative else symbol_stacked(S.symbol) for S in shifts]
+    shifted = {(): x}
+    for v in reversed(range(t)):
+        shifted = {key: y for k, y in shifted.items() for key, y in (
+            ((False,) + k, y), ((True,) + k, _along(v, shifts[v].apply_stacked, y)))}
+    inputs = {}
+    for key, y in shifted.items():
+        for v, g in enumerate(grids):
+            y = _along(v, partial(extend, g), y)
+        inputs[key] = y
+    keys = list(itertools.product((False, True), repeat=t))
+    groups = {key: np.zeros(inputs[key].shape) for key in keys}
+    for term in tl.terms:
+        xin = inputs[(term.inner1, term.inner2)[:t]]
+        acc = groups[(term.outer1, term.outer2)[:t]]
+        # t = 1 keeps the 1-D kernels: the pinned 1-D reports hold their order
+        # of operations (bk_stacked forms beta * b * scale before taking x)
+        if t == 2:
+            pair_apply(tl.b.pgrid, tl._bc, xin, term.atom1, term.atom2, sym1=syms[0],
+                       sym2=syms[1], out=acc, weight=term.weight)
+        elif isinstance(term.atom1, PAtom):
+            n = grids[0].n_samples
+            p = pstar_stacked if term.atom1.adjoint else p_stacked
+            acc[:n] += term.weight * p(grids[0], tl._bc, syms[0], xin[:n])
+        else:
+            acc += term.weight * bk_stacked(term.atom1, tl._bc, xin)
+    total = np.zeros(x.shape)
+    for key in keys:
+        y = groups[key]
+        for v in reversed(range(t)):
+            y = _along(v, partial(contract, grids[v]), y)
+        for v in range(t):
+            if key[v]:
+                y = _along(v, shifts[v].apply_stacked, y)
+        total += y
+    return total
 
 
 def evaluate_terms(tl: TermList, f):
@@ -366,8 +356,7 @@ def evaluate_terms(tl: TermList, f):
         g = tl.b.grid
         y = evaluate_stacked(tl, forward_stacked(g, f.samples))
         return DyadicFunction(g, inverse_stacked(g, y))
-    pg = tl.b.pgrid
-    return inverse2(pg, evaluate_stacked(tl, forward2(f)))
+    return inverse2(tl.b.pgrid, evaluate_stacked(tl, forward2(f)))
 
 
 def _trial_samples(shape: tuple, rng_seed: int, trials: int) -> np.ndarray:
@@ -395,34 +384,29 @@ def verify_identity(b, shifts, trials: int, rng_seed: int,
 
     Trial t draws f from ``_trial_rng(rng_seed, t)``; all trials run as the
     columns of one stack. Residuals are measured per trial relative to
-    bmo(b) * ||f||. Returns the report dict {case, d, N, i, j, term_count,
-    max_residual, pass, seed, trials}.
+    bmo(b) * ||f|| (rectangle BMO for two parameters). Returns the report
+    dict {case, d, N, i, j, term_count, max_residual, pass, seed, trials},
+    with d, N, i, j as lists over the variables for two parameters.
     """
     if isinstance(shifts, ShiftOperator):
         shifts = (shifts,)
     if len(shifts) == 1:
-        S = shifts[0]
-        tl = decompose(b, S)
-        g = b.grid
-        F = _trial_samples((g.n_samples,), rng_seed, trials)
-        direct = multiplication_commutator_stacked(b, S, F)
-        approx = inverse_stacked(g, evaluate_stacked(tl, forward_stacked(g, F)))
-        max_res = _max_residual(direct, approx, F, dyadic_bmo_norm(b), g.cell_volume)
-        report = {"case": tl.case, "d": g.d, "N": g.N, "i": S.i, "j": S.j,
-                  "term_count": tl.term_count, "max_residual": max_res,
-                  "pass": bool(max_res < tol), "seed": rng_seed, "trials": trials}
-        return report
-    S1, S2 = shifts
-    tl = decompose_biparam(b, S1, S2)
-    pg = b.pgrid
-    F = _trial_samples(pg.shape, rng_seed, trials)
-    direct = iterated_commutator_stacked(b, S1, S2, F)
-    approx = inverse2_stacked(pg, evaluate_stacked(tl, forward2_stacked(pg, F)))
-    cell_volume = pg.grid1.cell_volume * pg.grid2.cell_volume
-    max_res = _max_residual(direct, approx, F, rect_bmo_norm(b), cell_volume)
-    report = {"case": tl.case, "d": [pg.grid1.d, pg.grid2.d],
-              "N": [pg.grid1.N, pg.grid2.N],
-              "i": [S1.i, S2.i], "j": [S1.j, S2.j],
-              "term_count": tl.term_count, "max_residual": max_res,
-              "pass": bool(max_res < tol), "seed": rng_seed, "trials": trials}
-    return report
+        tl, g = decompose(b, shifts[0]), b.grid
+        grids, shape, scale, volume = (g,), (g.n_samples,), dyadic_bmo_norm(b), g.cell_volume
+        fwd, inv = partial(forward_stacked, g), partial(inverse_stacked, g)
+        commutator = partial(multiplication_commutator_stacked, b, shifts[0])
+    else:
+        tl, pg, volume = decompose_biparam(b, *shifts), b.pgrid, b.cell_volume
+        grids, shape, scale = (pg.grid1, pg.grid2), pg.shape, rect_bmo_norm(b)
+        fwd, inv = partial(forward2_stacked, pg), partial(inverse2_stacked, pg)
+        commutator = partial(iterated_commutator_stacked, b, *shifts)
+    F = _trial_samples(shape, rng_seed, trials)
+    direct = commutator(F)
+    approx = inv(evaluate_stacked(tl, fwd(F)))
+    max_res = _max_residual(direct, approx, F, scale, volume)
+    per_var = (lambda vals: vals[0]) if len(shifts) == 1 else list
+    return {"case": tl.case, "d": per_var([g.d for g in grids]),
+            "N": per_var([g.N for g in grids]), "i": per_var([S.i for S in shifts]),
+            "j": per_var([S.j for S in shifts]), "term_count": tl.term_count,
+            "max_residual": max_res, "pass": bool(max_res < tol), "seed": rng_seed,
+            "trials": trials}

@@ -34,7 +34,6 @@ from .grids import (DyadicCube, GridMismatchError, GridSpec, HaarIndex,
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 _MAGIC_1P = b"DYF1"
-_MAGIC_2P = b"DYF2"
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +248,8 @@ class DyadicFunction:
     def from_bytes(cls, data: bytes) -> "DyadicFunction":
         if data[:4] != _MAGIC_1P:
             raise ValueError("bad magic, expected DYF1")
+        if len(data) < 16:
+            raise ValueError(f"truncated DYF1 header: needs 16 bytes, got {len(data)}")
         d, N, _ = struct.unpack("<III", data[4:16])
         grid = GridSpec(d, N)
         samples = np.frombuffer(data[16:], dtype="<f8")

@@ -30,7 +30,7 @@ from .grids import DepthError, DyadicCube, GridSpec, grid_index
 from .haar import (DyadicFunction, broadcast_level, cell_sums, contract, extend,
                    forward_stacked, inverse_stacked, pool_level)
 from .paraproducts import BkOperator, _trailing, bk_stacked, p_stacked
-from .biparam import (PAtom, ProductFunction, ProductGrid, _lift, _swap, extend2,
+from .biparam import (PAtom, ProductFunction, ProductGrid, _along, _lift, extend2,
                       forward2, forward2_stacked, inverse2_stacked, pair_apply)
 
 
@@ -89,9 +89,9 @@ def _rect_bmo_stacked(pg: ProductGrid, C: np.ndarray) -> np.ndarray:
     g1, g2 = pg.grid1, pg.grid2
     mass = _rect_masses(pg, C)
     mass = mass + grid_index(g1).subtree_scan(mass)
-    mass = _swap(_swap(mass) + grid_index(g2).subtree_scan(_swap(mass)))
+    mass = mass + _along(1, grid_index(g2).subtree_scan, mass)
     weight = np.outer(grid_index(g1).cube_weight, grid_index(g2).cube_weight)
-    return np.sqrt(_column_max(mass * _lift(weight, 2, mass), 2))
+    return np.sqrt(_column_max(mass * _lift(weight, mass), 2))
 
 
 def open_set_bmo_norm(b: ProductFunction) -> float:

@@ -25,8 +25,8 @@ scans of O(n) work: P sums the cube weights |I|**(-1) sum_sig <b,h_I><f,h_I>
 over the strict ancestors of each J, top-down, and P* sums
 sum_sig <a,h_J><f,h_J> over the strict subtree of each I, bottom-up
 (``strict_ancestor_sum`` and ``strict_subtree_sum``). The bi-parameter
-P-type atoms of :mod:`dyadlab.biparam` run the same two sums along each
-variable.
+schedule of :func:`dyadlab.biparam.pair_apply` runs the same two sums along
+each P-type axis, and the rows of ``bk_gather`` along each B axis.
 """
 
 from __future__ import annotations

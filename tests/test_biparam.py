@@ -507,3 +507,40 @@ def test_p_symbol_stacks_match_the_one_symbol_pair_kernels(pg, rng):
         want = pair_apply_oracle(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0],
                                  sym2[:, 0], sym12[..., 0])
         assert np.array_equal(got, want), (atom1, atom2)
+
+
+def test_pair_apply_rejects_a_p_atom_without_its_symbol(rng):
+    bC = forward2(random_product_function(PG, rng))
+    Xe = extend2(PG, rng.standard_normal(PG.shape))
+    sym1 = forward_var(rng.standard_normal(G1.n_samples), G1, 1)
+    sym2 = forward_var(rng.standard_normal(G2.n_samples), G2, 1)
+    with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
+        pair_apply(PG, bC, Xe, BkOperator(G1, 1), PAtom(), sym1=sym1,
+                   sym12=np.outer(sym1, sym2))
+    with pytest.raises(ValueError, match="P atom in variable 1 needs its symbol"):
+        pair_apply(PG, bC, Xe, PAtom(True), BkOperator(G2, 0), sym2=sym2)
+    with pytest.raises(ValueError, match="P x P atoms need the product symbol"):
+        pair_apply(PG, bC, Xe, PAtom(True), PAtom(), sym1=sym1)
+
+
+@pytest.mark.parametrize("pg", [PG, PG_D2, ProductGrid(GridSpec(1, 4), GridSpec(2, 2))],
+                         ids=repr)
+def test_per_axis_partial_adjoints_match_the_level_pair_loop(pg, rng):
+    # PP1/PP2 with one symbol per variable run as two tree scans; they agree
+    # with the level-pair loop on the product symbol up to roundoff
+    from conftest import _pp1_oracle
+    g1, g2 = pg.grid1, pg.grid2
+    bC = forward2(random_product_function(pg, rng))[..., None]
+    X = forward2_stacked(pg, rng.standard_normal(pg.shape + (3,)))
+    sym1 = forward_var(rng.standard_normal(g1.n_samples), g1, 1)
+    sym2 = forward_var(rng.standard_normal(g2.n_samples), g2, 1)
+    sym1[0] = sym2[0] = 0.0
+    sym12 = np.outer(sym1, sym2)[..., None]
+    sw = np.swapaxes
+    want = {True: _pp1_oracle(pg, bC, X, sym12),
+            False: sw(_pp1_oracle(pg.swap(), sw(bC, 0, 1), sw(X, 0, 1), sw(sym12, 0, 1)), 0, 1)}
+    for adjoint1, expect in want.items():
+        got = np.zeros(X.shape)
+        pair_apply(pg, bC[..., 0], X, PAtom(adjoint1), PAtom(not adjoint1),
+                   sym1=sym1, sym2=sym2, out=got)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect)), adjoint1

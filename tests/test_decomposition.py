@@ -523,21 +523,27 @@ def test_trial_stack_columns_are_the_per_trial_draws():
     assert rep["max_residual"] == 0.0 and rep["pass"]
 
 
+def _count_shift_calls(monkeypatch) -> list:
+    """Record the shift of every ShiftOperator.apply_stacked call."""
+    calls = []
+    apply_stacked = ShiftOperator.apply_stacked
+
+    def counting(self, x):
+        calls.append(self)
+        return apply_stacked(self, x)
+
+    monkeypatch.setattr(ShiftOperator, "apply_stacked", counting)
+    return calls
+
+
 def test_one_param_evaluation_applies_the_shift_at_most_twice(rng, monkeypatch):
     # one call for the inner terms, one for the summed outer terms
     g = GridSpec(1, 6)
     tl = decompose_cancellative(random_function(g, rng), random_shift(g, 4, 4, rng))
     assert sum(t.outer1 for t in tl.terms) == 6
-    calls = []
-    apply_stacked = ShiftOperator.apply_stacked
-
-    def counting(self, x):
-        calls.append(x.shape)
-        return apply_stacked(self, x)
-
-    monkeypatch.setattr(ShiftOperator, "apply_stacked", counting)
+    calls = _count_shift_calls(monkeypatch)
     evaluate_terms(tl, random_function(g, rng))
-    assert len(calls) <= 2
+    assert len(calls) == 2
 
 
 def _count_folds(monkeypatch) -> list:
@@ -575,3 +581,40 @@ def test_noncancellative_rows_fold_once_per_outer_group(rng, monkeypatch):
     assert len(groups) == 4
     evaluate_stacked(tl, rng.standard_normal(pg.shape + (2,)))
     assert len(calls) <= 2 * len(groups)
+
+
+def test_decomposition_never_reaches_the_level_pair_loop(rng, monkeypatch):
+    # every P-type pair of a decomposition separates along the variables, so
+    # the joint-symbol kernel of pair_apply is never called
+    from dyadlab import biparam
+
+    def forbidden(*args):
+        raise AssertionError("decomposition reached _pp1_kernel")
+
+    monkeypatch.setattr(biparam, "_pp1_kernel", forbidden)
+    for pg in (ProductGrid(GridSpec(1, 3), GridSpec(1, 3)),
+               ProductGrid(GridSpec(2, 2), GridSpec(1, 3))):
+        b = random_product_function(pg, rng)
+        for ori1 in ("analysis", "synthesis"):
+            for ori2 in ("analysis", "synthesis"):
+                shifts = tuple(random_shift(g, 0, 0, rng, kind="noncancellative",
+                                            orientation=ori)
+                               for g, ori in ((pg.grid1, ori1), (pg.grid2, ori2)))
+                rep = verify_identity(b, shifts, trials=3, rng_seed=4)
+                assert rep["pass"] and rep["max_residual"] < 1e-13, (pg, ori1, ori2)
+
+
+def test_biparam_evaluation_applies_each_shift_once_per_composition(rng, monkeypatch):
+    # S2 once and S1 twice on the inputs, then each once per outer group
+    # that carries it (S1 on two, S2 on two): S1 runs 4 times, S2 3 times
+    calls = _count_shift_calls(monkeypatch)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    for kind2 in ("cancellative", "noncancellative"):
+        S1 = random_shift(pg.grid1, 1, 1, rng)
+        S2 = random_shift(pg.grid2, 0, 0, rng, kind=kind2)
+        tl = decompose_biparam(random_product_function(pg, rng), S1, S2)
+        calls.clear()
+        evaluate_stacked(tl, rng.standard_normal(pg.shape + (2,)))
+        assert sum(c is S1 for c in calls) == 4, kind2
+        assert sum(c is S2 for c in calls) == 3, kind2
+        assert len(calls) == 7

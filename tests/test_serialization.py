@@ -45,6 +45,18 @@ def test_function_binary_header_exact(rng):
         DyadicFunction.from_bytes(b"XXXX" + raw[4:])
 
 
+@pytest.mark.parametrize("cls, size", [(DyadicFunction, 16), (ProductFunction, 20)])
+def test_binary_truncated_header_raises_value_error(cls, size, rng):
+    pg = ProductGrid(GridSpec(1, 2), GridSpec(1, 2))
+    f = random_function(GridSpec(1, 2), rng) if cls is DyadicFunction \
+        else random_product_function(pg, rng)
+    raw = f.to_bytes()
+    for cut in (4, size - 1):
+        with pytest.raises(ValueError, match=f"needs {size} bytes, got {cut}"):
+            cls.from_bytes(raw[:cut])
+    assert np.array_equal(cls.from_bytes(raw).samples, f.samples)
+
+
 def test_omega_grid_json_roundtrip(rng):
     g = GridSpec(1, 3, omega=((1,), (0,), (1,)))
     f = random_function(g, rng)

@@ -47,6 +47,6 @@ def test_traced_jobs_run_and_pass(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["problems"] == [[] for _ in JOBS]
     # the wrapped functions are still on the jobs' call paths
-    assert {"cli", "haar.transform", "paraproducts.bk", "biparam.pair",
+    assert {"cli", "haar.transform", "paraproducts.bk", "paraproducts.p", "biparam.pair",
             "decomposition.verify", "shifts.apply", "norms.study",
             "montecarlo.sample"} <= set(result["layers"])
