@@ -278,6 +278,14 @@ def _rows(r1, r2):
     return (r1, r2) if isinstance(r1, slice) or isinstance(r2, slice) else (r1[:, None], r2)
 
 
+def _take(a: np.ndarray, r1, r2) -> np.ndarray:
+    """``a`` at rows ``r1`` x ``r2``: a P axis' slice is a view, a B axis'
+    rows one ``take`` along its axis."""
+    for axis, r in enumerate((r1, r2)):
+        a = a[(slice(None),) * axis + (r,)] if isinstance(r, slice) else a.take(r, axis=axis)
+    return a
+
+
 def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
                sym1: np.ndarray = None, sym2: np.ndarray = None,
                sym12: np.ndarray = None, out: np.ndarray = None,
@@ -351,12 +359,12 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
         rows.append((rin, brows, rout))
         coefs.append((v, scale if beta is None else beta * scale))
     (in1, b1, out1), (in2, b2, out2) = rows
-    W = Xe[_rows(in1, in2)]
+    W = _take(Xe, in1, in2)
     for s in pre:
         W = s * W
     for v in pstar:
         W = _along(v, partial(strict_subtree_sum, grids[v]), W)
-    W = bC[_rows(b1, b2)] * W
+    W = _take(bC, b1, b2) * W
     for v in plain:
         W = _along(v, partial(strict_ancestor_sum, grids[v]), W)
     for s in post:

@@ -49,7 +49,7 @@ from .biparam import (PAtom, ProductFunction, _along, forward2, forward2_stacked
                       inverse2, inverse2_stacked, iterated_commutator_stacked,
                       pair_apply)
 from .shifts import ANALYSIS, ShiftOperator, multiplication_commutator_stacked
-from .norms import _column_norms, _trial_rng, dyadic_bmo_norm, rect_bmo_norm
+from .norms import _bmo_stacked, _column_norms, _rect_bmo_stacked, _trial_rng
 
 
 @dataclass(frozen=True)
@@ -390,14 +390,18 @@ def verify_identity(b, shifts, trials: int, rng_seed: int,
     """
     if isinstance(shifts, ShiftOperator):
         shifts = (shifts,)
+    # the residual scale is dyadic_bmo_norm(b) or rect_bmo_norm(b), read off
+    # the coefficients of b that the term list already holds
     if len(shifts) == 1:
         tl, g = decompose(b, shifts[0]), b.grid
-        grids, shape, scale, volume = (g,), (g.n_samples,), dyadic_bmo_norm(b), g.cell_volume
+        grids, shape, volume = (g,), (g.n_samples,), g.cell_volume
+        scale = float(_bmo_stacked(g, tl._bc))
         fwd, inv = partial(forward_stacked, g), partial(inverse_stacked, g)
         commutator = partial(multiplication_commutator_stacked, b, shifts[0])
     else:
         tl, pg, volume = decompose_biparam(b, *shifts), b.pgrid, b.cell_volume
-        grids, shape, scale = (pg.grid1, pg.grid2), pg.shape, rect_bmo_norm(b)
+        grids, shape = (pg.grid1, pg.grid2), pg.shape
+        scale = float(_rect_bmo_stacked(pg, tl._bc))
         fwd, inv = partial(forward2_stacked, pg), partial(inverse2_stacked, pg)
         commutator = partial(iterated_commutator_stacked, b, *shifts)
     F = _trial_samples(shape, rng_seed, trials)

@@ -23,6 +23,7 @@ of the extended layout holds cube c at row n_samples + c.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,8 +262,11 @@ class _GridIndex:
         self._anc = {}
         self._desc = {}
         self._cdesc = {}
+        self._cdesc_inv = {}
         self._cells = {}
+        self._owner = {}
         self._bk = {}
+        self._bk_rows = {}
 
     @functools.cached_property
     def cube_weight(self) -> np.ndarray:
@@ -290,6 +294,19 @@ class _GridIndex:
             self._cdesc[depth] = table
         return self._cdesc[depth]
 
+    def descendant_inverse(self, depth: int, n_k: int) -> np.ndarray:
+        """Read-only inverse over the stacked layout of the rows of
+        ``cube_descendants(depth)[:n_k]``, each cube's n_sig rows in turn:
+        entry r is the position of row r among them, or their count where
+        none of those cubes has it."""
+        key = (depth, n_k)
+        if key not in self._cdesc_inv:
+            g = self.grid
+            cubes = self.cube_descendants(depth)[:n_k]
+            self._cdesc_inv[key] = _inverse(1 + cubes[..., None] * g.n_sig
+                                            + np.arange(g.n_sig), g.n_samples)
+        return self._cdesc_inv[key]
+
     def bk_table(self, k: int) -> tuple:
         """B_k gather tables over the cubes of levels k..N-1, level-major:
         each cube's stacked row at signature 0, its k-th ancestor's stacked
@@ -304,6 +321,33 @@ class _GridIndex:
                 arr.setflags(write=False)
             self._bk[k] = (rows, anc, scale)
         return self._bk[k]
+
+    def bk_rows(self, k: int, sig: int) -> tuple:
+        """Read-only rows of signature ``sig`` for the cubes of levels k..N-1,
+        in :meth:`bk_table` order: ``(rows, inverse, b_rows)``.
+
+        ``rows`` holds each cube's extended-layout row, its stacked row at a
+        cancellative ``sig`` and its tail row n_samples + c at the
+        noncancellative one (k = 0 only). ``inverse`` runs over the extended
+        layout: entry r is the position of row r in ``rows``, or len(rows)
+        where no cube has it, so a scatter of ``rows`` into zeros is a gather
+        through it from the values plus one zero row. ``b_rows`` holds the
+        k-th ancestors' stacked rows at ``sig`` (None at the noncancellative
+        signature).
+        """
+        key = (k, sig)
+        if key not in self._bk_rows:
+            g = self.grid
+            base, anc, _ = self.bk_table(k)
+            if sig == g.noncanc_int:
+                rows, b_rows = g.n_samples + np.arange(len(base)), None
+            else:
+                rows, b_rows = base + sig, anc + sig
+            for arr in (rows, b_rows):
+                if arr is not None:
+                    arr.setflags(write=False)
+            self._bk_rows[key] = (rows, _inverse(rows, g.n_samples + g.n_cubes_total), b_rows)
+        return self._bk_rows[key]
 
     def coords(self, level: int) -> np.ndarray:
         """(d, n_cubes) coordinate array of all cubes at ``level``."""
@@ -345,7 +389,7 @@ class _GridIndex:
         out = np.zeros_like(values)
         for lvl in range(1, g.N):
             up = g.cube_range(lvl - 1)
-            out[g.cube_range(lvl)] = (out[up] + values[up])[self.ancestor_flat(lvl, 1)]
+            out[g.cube_range(lvl)] = (out[up] + values[up]).take(self.ancestor_flat(lvl, 1), axis=0)
         return out
 
     def subtree_scan(self, values: np.ndarray) -> np.ndarray:
@@ -353,14 +397,17 @@ class _GridIndex:
 
         ``values`` is laid out as for :meth:`ancestor_scan`. Entry c of the
         result is the sum of ``values`` over the strict descendants of cube c.
+        Each cube's children are summed over a contiguous last axis, so every
+        column of a stack takes the summation order of a single column.
         """
         g = self.grid
-        out = np.zeros_like(values)
+        flat = values.reshape(len(values), math.prod(values.shape[1:]))
+        out = np.zeros_like(flat)
         for lvl in range(g.N - 2, -1, -1):
             down = g.cube_range(lvl + 1)
-            below = out[down] + values[down]
-            out[g.cube_range(lvl)] = below[self.desc_groups(lvl, 1)].sum(axis=1)
-        return out
+            below = (out[down] + flat[down]).take(self.desc_groups(lvl, 1), axis=0)
+            out[g.cube_range(lvl)] = np.ascontiguousarray(below.swapaxes(1, 2)).sum(axis=2)
+        return out.reshape(values.shape)
 
     def cells(self, level: int) -> np.ndarray:
         """(n_cubes, cells_per_cube) flat sample-cell indices of each cube."""
@@ -379,6 +426,27 @@ class _GridIndex:
                     acc = (acc[:, :, None] + weighted[:, None, :]).reshape(acc.shape[0], -1)
             self._cells[level] = acc
         return self._cells[level]
+
+    def cell_owner(self, level: int) -> np.ndarray:
+        """Read-only (n_samples,) flat index of the cube at ``level`` that holds
+        each sample cell: the inverse of :meth:`cells`."""
+        if level not in self._owner:
+            cells = self.cells(level)
+            owner = np.empty(self.grid.n_samples, dtype=np.intp)
+            owner[cells] = np.arange(len(cells))[:, None]
+            owner.setflags(write=False)
+            self._owner[level] = owner
+        return self._owner[level]
+
+
+def _inverse(rows: np.ndarray, size: int) -> np.ndarray:
+    """Read-only inverse of the distinct ``rows`` (read flat) on an axis of
+    ``size`` entries: entry r is the flat position of r in ``rows``, or
+    rows.size where r is absent, the zero row a gather appends."""
+    inverse = np.full(size, rows.size)
+    inverse[rows.reshape(-1)] = np.arange(rows.size)
+    inverse.setflags(write=False)
+    return inverse
 
 
 @functools.lru_cache(maxsize=None)

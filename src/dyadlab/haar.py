@@ -4,14 +4,21 @@ Functions are stored as samples on the finest cells (one value per cell,
 quadrature weight 2**(-N*d) per cell); Haar coefficients are a derived,
 lossless view. The transform is the orthonormal 2**d-band pyramid: at each
 level the 2**d sibling scaling values of a cube combine into one parent
-scaling value and 2**d - 1 cancellative Haar coefficients. Each level takes
-one contiguous reshape per axis, axis 0 first, into a preallocated block
-(:func:`_split`); :func:`inverse_stacked` and :func:`scaling_levels` share
-the merge kernel that undoes it (:func:`_merge`).
+scaling value and 2**d - 1 cancellative Haar coefficients.
 
 All stacked-coefficient helpers accept trailing passive axes so the same
 code drives one-parameter functions and per-variable transforms of tensor
-products.
+products. The pyramid runs trials-leading: the P = prod(passive) columns
+move to the front once, (P, n), so every kernel loop runs along a column's
+cells rather than across the few columns. Each level takes one reshape per
+axis, axis 0 first, into a preallocated block (2**a, P, cubes, 2, rest)
+whose diff(0)/avg(1) choice becomes the next leading block index
+(:func:`_split`); the last block is the next level's scaling values and the
+others are copied into the level's rows. :func:`inverse_stacked` and
+:func:`scaling_levels` share the merge kernel that undoes it
+(:func:`_merge`). Every element takes the steps fl(fl(a - b) c) and
+fl(fl(a + b) c) forward, fl(fl(d + a) c) and fl(fl(a - d) c) inverse, in
+axis order, and every output is C-contiguous whatever the input's layout.
 
 Kernels that pair against the noncancellative Haar function h_I^1 (the
 cube's normalized indicator) work on the *extended* layout: the stacked
@@ -40,100 +47,103 @@ _MAGIC_1P = b"DYF1"
 # Stacked transforms (operate on arrays of shape (n_samples, *passive)).
 
 
-def _split(s: np.ndarray, d: int, n: int, p: int) -> np.ndarray:
-    """One pyramid step: (2n)**d scaling values with ``p`` passive columns ->
-    mixed block (n**d, 2**d, p).
+def _split(s: np.ndarray, d: int, m: int) -> np.ndarray:
+    """One pyramid step on trials-leading blocks: scaling values
+    (P, (2m)**d) -> (2**d, P, m**d).
 
-    Axis ``a`` reads its cells as one reshape (n**(a+1), 2, rest) and appends
-    its diff(0)/avg(1) choice behind those of the earlier axes, so column e
-    of the block encodes the choices with axis 0 most significant; the last
-    column is the parent scaling value.
+    Axis ``a`` reads its block as (2**a, P, m**(a+1), 2, rest), the cell
+    pair of each cube on axis ``a`` at index 3, and writes its diff(0)/avg(1)
+    choice as the next block index, so block e encodes the choices with
+    axis 0 most significant; the last block is the parent scaling values.
     """
+    P = len(s)
+    t = s
     for a in range(d):
-        t = s.reshape(n ** (a + 1), 2, (2 * n) ** (d - 1 - a) << a, p)
-        s = np.empty((t.shape[0], t.shape[2], 2, p))
-        np.subtract(t[:, 0], t[:, 1], out=s[:, :, 0])
-        np.add(t[:, 0], t[:, 1], out=s[:, :, 1])
-        s *= _INV_SQRT2
-    return s.reshape(n ** d, 1 << d, p)
-
-
-def _merge(x: np.ndarray, s: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Inverse pyramid step: the coefficients of the level with n**d cubes in
-    ``x`` (n_samples, p) and its scaling values ``s`` (n**d, p) -> the scaling
-    values one level finer, ((2n)**d, p). Axis 0 first, as in :func:`_split`."""
-    p = x.shape[1]
-    off = n ** d  # the level's rows are off..(off << d) - 1, see GridSpec.level_offset
-    t = np.empty((off, 1 << d, p))
-    t[:, :-1] = x[off:off << d].reshape(off, (1 << d) - 1, p)
-    t[:, -1] = s
-    for a in range(d):
-        u = t.reshape((2 * n) ** a * n, n ** (d - 1 - a), 2, (1 << (d - 1 - a)) * p)
-        t = np.empty((u.shape[0], 2, u.shape[1], u.shape[3]))
-        np.add(u[:, :, 0], u[:, :, 1], out=t[:, 0])
-        np.subtract(u[:, :, 1], u[:, :, 0], out=t[:, 1])
+        rest = (2 * m) ** (d - 1 - a)
+        u = t.reshape(1 << a, P * m ** (a + 1), 2, rest)
+        t = np.empty((1 << a, 2, P * m ** (a + 1), rest))
+        np.subtract(u[:, :, 0], u[:, :, 1], out=t[:, 0])
+        np.add(u[:, :, 0], u[:, :, 1], out=t[:, 1])
         t *= _INV_SQRT2
-    return t.reshape((2 * n) ** d, p)
+    return t.reshape(1 << d, P, m ** d)
+
+
+def _merge(x: np.ndarray, s: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Inverse pyramid step: the coefficients of the level with m**d cubes in
+    ``x`` (P, n_samples) and its scaling values ``s`` (P, m**d) -> the
+    scaling values one level finer, (P, (2m)**d). Axis 0 first, as in
+    :func:`_split`: its choice is the leading block index."""
+    P, off = s.shape  # the level's rows are off..(off << d) - 1, see GridSpec.level_offset
+    t = np.empty((1 << d, P, off))
+    t[:-1] = x[:, off:off << d].reshape(P, off, (1 << d) - 1).transpose(2, 0, 1)
+    t[-1] = s
+    for a in range(d):
+        rest = m ** (d - 1 - a)
+        u = t.reshape(2, (1 << (d - 1 - a)) * P * (2 * m) ** a * m, rest)
+        t = np.empty((u.shape[1], 2, rest))
+        np.add(u[0], u[1], out=t[:, 0])
+        np.subtract(u[1], u[0], out=t[:, 1])
+        t *= _INV_SQRT2
+    return t.reshape(P, (2 * m) ** d)
+
+
+def _trials_leading(a: np.ndarray) -> np.ndarray:
+    """(n, *passive) -> (P, n), P = prod(passive); a view where the layout allows."""
+    return a.transpose((*range(1, a.ndim), 0)).reshape(math.prod(a.shape[1:]), len(a))
 
 
 def forward_stacked(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Samples (n_samples, *passive) -> stacked Haar coefficients.
+    """Samples (n_samples, *passive) -> stacked Haar coefficients, C-contiguous.
 
     A shifted grid's transform is the standard one of the samples rolled by
     ``-grid.shift``; :func:`inverse_stacked` rolls back by ``+grid.shift``.
     """
-    d, N = grid.d, grid.N
-    passive = samples.shape[1:]
-    s = samples.reshape((grid.n_side,) * d + passive).astype(float)
-    s = s * 2.0 ** (-N * d / 2.0)
+    d, N, n = grid.d, grid.N, grid.n_samples
+    s = np.multiply(_trials_leading(samples), 2.0 ** (-N * d / 2.0), dtype=float, order="C")
+    P = len(s)
     if any(grid.shift):
-        s = np.roll(s, [-x for x in grid.shift], axis=tuple(range(d)))
-    out = np.empty(samples.shape)
-    flat = out.reshape(grid.n_samples, math.prod(passive))
+        s = np.roll(s.reshape((P,) + (grid.n_side,) * d), [-x for x in grid.shift],
+                    axis=tuple(range(1, d + 1))).reshape(P, n)
+    out = np.empty((n, P))
     for lvl in range(N - 1, -1, -1):
-        t = _split(s, d, 1 << lvl, flat.shape[1])
-        off = len(t)  # the level's rows are off..(off << d) - 1
-        flat[off:off << d].reshape(t[:, :-1].shape)[...] = t[:, :-1]
-        s = t[:, -1]
-    flat[0] = s[0]
-    return out
+        t = _split(s, d, 1 << lvl)
+        off = t.shape[2]  # the level's rows are off..(off << d) - 1
+        out[off:off << d].reshape(off, (1 << d) - 1, P)[...] = t[:-1].transpose(2, 0, 1)
+        s = t[-1]
+    out[0] = s[:, 0]
+    return out.reshape(samples.shape)
 
 
 def inverse_stacked(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
-    """Stacked Haar coefficients -> samples (n_samples, *passive)."""
+    """Stacked Haar coefficients -> samples (n_samples, *passive), C-contiguous."""
     d, N = grid.d, grid.N
-    passive = stacked.shape[1:]
-    x = stacked.reshape(len(stacked), math.prod(passive))
-    s = x[:1]
+    x = _trials_leading(stacked)
+    s = x[:, :1]
     for lvl in range(N):
         s = _merge(x, s, d, 1 << lvl)
-    s = s.reshape((grid.n_side,) * d + passive)
     if any(grid.shift):
-        s = np.roll(s, grid.shift, axis=tuple(range(d)))
-    return s.reshape((grid.n_samples,) + passive) * 2.0 ** (N * d / 2.0)
+        s = np.roll(s.reshape((len(s),) + (grid.n_side,) * d), grid.shift,
+                    axis=tuple(range(1, d + 1))).reshape(len(s), grid.n_samples)
+    return np.multiply(s.T, 2.0 ** (N * d / 2.0), order="C").reshape(stacked.shape)
 
 
 def scaling_levels(grid: GridSpec, stacked: np.ndarray) -> list:
     """Scaling pairings <f, h_I^1> for every cube at levels 0..N-1.
 
-    Entry ``l`` has shape (n_cubes(l), *passive). These are the full cell
-    averages scaled by |I|**(1/2), mean mode included.
+    Entry ``l`` has shape (n_cubes(l), *passive), C-contiguous. These are
+    the full cell averages scaled by |I|**(1/2), mean mode included.
     """
     passive = stacked.shape[1:]
-    x = stacked.reshape(len(stacked), math.prod(passive))
-    out = [x[:1].astype(float)]
+    x = _trials_leading(stacked)
+    out = [x[:, :1].astype(float)]
     for lvl in range(grid.N - 1):
         out.append(_merge(x, out[-1], grid.d, 1 << lvl))
-    return [s.reshape((grid.n_cubes(lvl),) + passive) for lvl, s in enumerate(out)]
+    return [np.ascontiguousarray(s.T).reshape(s.shape[1:] + passive) for s in out]
 
 
 def broadcast_level(grid: GridSpec, level: int, values: np.ndarray) -> np.ndarray:
     """Per-cube values (n_cubes, *passive) -> piecewise-constant samples."""
-    passive = values.shape[1:]
-    cells = grid_index(grid).cells(level)
-    out = np.zeros((grid.n_samples,) + passive, dtype=float)
-    out[cells] = values[:, None]
-    return out
+    return values.take(grid_index(grid).cell_owner(level), axis=0).astype(float, copy=False)
 
 
 def cell_sums(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -147,8 +157,7 @@ def cell_sums(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 def pool_level(grid: GridSpec, level: int, samples: np.ndarray) -> np.ndarray:
     """Cell averages of ``samples`` over every cube at ``level``."""
-    cells = grid_index(grid).cells(level)
-    return samples[cells].mean(axis=1)
+    return samples.take(grid_index(grid).cells(level), axis=0).mean(axis=1)
 
 
 def fold_noncancellative(grid: GridSpec, c: np.ndarray) -> np.ndarray:
@@ -159,8 +168,10 @@ def fold_noncancellative(grid: GridSpec, c: np.ndarray) -> np.ndarray:
 
 def extend(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
     """Stacked coefficients (n_samples, *passive) -> extended layout: the
-    same rows followed by the :func:`scaling_levels` of levels 0..N-1."""
-    return np.concatenate([stacked] + scaling_levels(grid, stacked))
+    same rows followed by the :func:`scaling_levels` of levels 0..N-1,
+    C-contiguous."""
+    out = np.empty((grid.n_samples + grid.n_cubes_total,) + stacked.shape[1:])
+    return np.concatenate([stacked] + scaling_levels(grid, stacked), out=out)
 
 
 def contract(grid: GridSpec, ext: np.ndarray) -> np.ndarray:

@@ -134,28 +134,30 @@ def bk_gather(op: BkOperator) -> tuple:
     """(rows_in, rows_out, b_rows, beta, scale) of a B_k atom over the cubes of
     levels k..N-1 (``grid_index(grid).bk_table``): its extended-layout rows,
     the stacked rows of <b, h_(I^(k))>, the betas (None: all +1; a read-only
-    view of the atom's) and the scales 2**((level - k) * d / 2)."""
-    g = op.grid
-    rows, anc, scale = grid_index(g).bk_table(op.k)
-
-    def at(sig):
-        # noncancellative only at k = 0: every cube, all of the tail
-        return g.n_samples + np.arange(len(rows)) if sig == g.noncanc_int else rows + sig
-
+    view of the atom's) and the scales 2**((level - k) * d / 2). The rows
+    are read-only arrays shared by every atom of the same k and signatures
+    (``grid_index(grid).bk_rows``)."""
+    g, idx = op.grid, grid_index(op.grid)
     beta = None if op.beta is None else op.beta[g.cube_range(op.k).start:]
-    return at(op.si), at(op.so), anc + op.sb, beta, scale
+    return (idx.bk_rows(op.k, op.si)[0], idx.bk_rows(op.k, op.so)[0],
+            idx.bk_rows(op.k, op.sb)[2], beta, idx.bk_table(op.k)[2])
 
 
 def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficient-space B_k kernel: extended stack (trailing passive axes
     allowed) -> extended stack; ``bc`` holds the symbol's stacked coefficients.
-    One gather over the rows of :func:`bk_gather`."""
-    rin, rout, brows, beta, scale = bk_gather(op)
-    coef = bc[brows] if beta is None else beta * bc[brows]
+    One gather over the rows of :func:`bk_gather`, and one more through the
+    inverse of the output rows in place of a scatter into zeros."""
+    rin, _, brows, beta, scale = bk_gather(op)
+    coef = bc.take(brows, axis=0)
+    if beta is not None:
+        coef = beta * coef
     coef *= scale
-    out = np.zeros_like(x)
-    out[rout] = coef.reshape(coef.shape + (1,) * (x.ndim - 1)) * x[rin]
-    return out
+    res = np.empty((len(rin) + 1,) + x.shape[1:])
+    res[-1] = 0.0
+    np.multiply(coef.reshape(coef.shape + (1,) * (x.ndim - 1)), x.take(rin, axis=0),
+                out=res[:-1])
+    return res.take(grid_index(op.grid).bk_rows(op.k, op.so)[1], axis=0)
 
 
 def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunction:

@@ -126,22 +126,24 @@ class ShiftOperator:
     def apply_stacked(self, x: np.ndarray) -> np.ndarray:
         """Apply to a stacked coefficient array (n_samples, *passive)."""
         g = self.grid
-        out = np.zeros_like(x)
         if self.cancellative:
-            # one gather of the I-cubes of every K, one scatter-add into the J-cubes
+            # one gather of the I-cubes of every K; the J-cubes' rows take the
+            # contraction through their inverse, every other row the zero row
             idx, n_k = grid_index(g), len(self.blocks)
-            fin = g.cube_block(x)[idx.cube_descendants(self.i)[:n_k]]
-            res = np.einsum("kabcd,kab...->kcd...", self.blocks, fin)
-            g.cube_block(out)[idx.cube_descendants(self.j)[:n_k]] += res
-        else:
-            # a cube's rows pair with its row in the tail of the extended layout
-            a = self._acoef.reshape(self._acoef.shape + (1,) * (x.ndim - 1))
-            if self.orientation == ANALYSIS:
-                g.cube_block(out)[...] += a * extend(g, x)[g.n_samples:, None]
-            else:
-                tail = (a * g.cube_block(x)).sum(axis=1)
-                out = contract(g, np.concatenate([out, tail]))
-        return out
+            fin = g.cube_block(x).take(idx.cube_descendants(self.i)[:n_k], axis=0)
+            shape = (n_k,) + self.blocks.shape[3:] + x.shape[1:]
+            res = np.empty((math.prod(shape[:3]) + 1,) + x.shape[1:])
+            res[-1] = 0.0
+            np.einsum("kabcd,kab...->kcd...", self.blocks, fin, out=res[:-1].reshape(shape))
+            return res.take(idx.descendant_inverse(self.j, n_k), axis=0)
+        # a cube's rows pair with its row in the tail of the extended layout
+        out = np.zeros_like(x)
+        a = self._acoef.reshape(self._acoef.shape + (1,) * (x.ndim - 1))
+        if self.orientation == ANALYSIS:
+            g.cube_block(out)[...] += a * extend(g, x)[g.n_samples:, None]
+            return out
+        tail = (a * g.cube_block(x)).sum(axis=1)
+        return contract(g, np.concatenate([out, tail]))
 
     def apply_samples(self, samples: np.ndarray) -> np.ndarray:
         """Apply to sample columns (n_samples, *passive): transform, apply, invert."""

@@ -255,12 +255,17 @@ def ancestor_scan_oracle(grid, values):
 
 
 def subtree_scan_oracle(grid, values):
-    """Per level, each cube's sum of ``values`` over its strict descendants."""
+    """Per level, each cube's sum of ``values`` over its strict descendants;
+    each column of a stack is summed on its own, as a single column."""
     idx = grid_index(grid)
     out = [np.zeros_like(values[-1])]
     for lvl in range(len(values) - 2, -1, -1):
-        below = out[-1] + values[lvl + 1]
-        out.append(below[idx.desc_groups(lvl, 1)].sum(axis=1))
+        below = (out[-1] + values[lvl + 1])[idx.desc_groups(lvl, 1)]
+        sums = np.empty(below.shape[:1] + below.shape[2:])
+        for col in np.ndindex(below.shape[2:]):
+            column = np.ascontiguousarray(below[(slice(None), slice(None)) + col])
+            sums[(slice(None),) + col] = column.sum(axis=1)
+        out.append(sums)
     return out[::-1]
 
 

@@ -564,6 +564,46 @@ def _count_folds(monkeypatch) -> list:
     return calls
 
 
+def _count_forward(monkeypatch) -> list:
+    """Record the input of every haar.forward_stacked call, through any binding."""
+    import sys
+    from dyadlab import haar
+    forward = haar.forward_stacked
+    calls = []
+
+    def counting(grid, samples):
+        calls.append(samples)
+        return forward(grid, samples)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dyadlab" and getattr(mod, "forward_stacked", None) is forward:
+            monkeypatch.setattr(mod, "forward_stacked", counting)
+    return calls
+
+
+def test_verify_identity_transforms_b_once(rng, monkeypatch):
+    # the residual scale comes from the coefficients of b the term list holds:
+    # b once, f once, two in the commutator (S f and S(b f)) and the folds of
+    # the noncancellative rows, whatever the number of trials
+    calls = _count_forward(monkeypatch)
+    g = GridSpec(1, 4)
+    b = random_function(g, rng)
+    S = random_shift(g, 1, 1, rng)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    b2 = random_product_function(pg, rng)
+    S1, S2 = random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 1, 1, rng)
+    for trials in (1, 3):
+        calls.clear()
+        rep = verify_identity(b, S, trials, 5)
+        assert rep["pass"] and rep["max_residual"] > 0
+        assert len(calls) == 6
+        assert sum(x is b.samples for x in calls) == 1
+        calls.clear()
+        assert verify_identity(b2, (S1, S2), trials, 5)["pass"]
+        assert len(calls) == 18
+        assert sum(x is b2.samples for x in calls) == 1
+
+
 def test_noncancellative_rows_fold_once_per_outer_group(rng, monkeypatch):
     # every term writes its noncancellative rows into its group's extended
     # sum, which is contracted once (a fold per variable), not once per term

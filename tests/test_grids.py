@@ -186,3 +186,48 @@ def test_scans_match_the_per_level_lists(g, passive):
                           np.concatenate(ancestor_scan_oracle(g, per_level)))
     assert np.array_equal(idx.subtree_scan(values),
                           np.concatenate(subtree_scan_oracle(g, per_level)))
+
+
+@pytest.mark.parametrize("g, trials", [(GridSpec(3, 3), 4), (GridSpec(3, 4), 2),
+                                       (GridSpec(2, 4), 3), (GridSpec(1, 12), 2)], ids=repr)
+def test_stacked_scans_equal_their_single_columns(g, trials):
+    # a d = 3 cube's 8 children are summed in one order for a column of a
+    # stack and for the column alone
+    idx = grid_index(g)
+    values = np.random.default_rng(g.N).standard_normal((g.n_cubes_total, trials))
+    for scan in (idx.subtree_scan, idx.ancestor_scan):
+        stacked = scan(values)
+        for t in range(trials):
+            assert np.array_equal(stacked[:, t], scan(np.ascontiguousarray(values[:, t])))
+
+
+def test_row_tables_are_read_only_inverses():
+    g = GridSpec(2, 3)
+    idx = grid_index(g)
+    m = g.n_samples + g.n_cubes_total
+    base, anc, _ = idx.bk_table(1)
+    for k, sig in ((1, 0), (1, 2), (0, g.noncanc_int)):
+        rows, inverse, b_rows = idx.bk_rows(k, sig)
+        assert idx.bk_rows(k, sig)[0] is rows  # cached per (k, sig)
+        if sig == g.noncanc_int:
+            assert b_rows is None
+            assert np.array_equal(rows, g.n_samples + np.arange(g.n_cubes_total))
+        else:
+            assert np.array_equal(rows, base + sig) and np.array_equal(b_rows, anc + sig)
+        assert inverse.shape == (m,)
+        assert np.array_equal(inverse[rows], np.arange(len(rows)))
+        assert np.all(np.delete(inverse, rows) == len(rows))
+        for arr in (rows, inverse) + ((b_rows,) if b_rows is not None else ()):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    inverse = idx.descendant_inverse(1, 5)
+    rows = (1 + idx.cube_descendants(1)[:5, :, None] * g.n_sig + np.arange(g.n_sig)).reshape(-1)
+    assert np.array_equal(inverse[rows], np.arange(rows.size))
+    assert np.all(np.delete(inverse, rows) == rows.size)
+    for lvl in range(g.N + 1):
+        owner = idx.cell_owner(lvl)
+        assert np.array_equal(owner[idx.cells(lvl)],
+                              np.repeat(np.arange(g.n_cubes(lvl)), idx.cells(lvl).shape[1])
+                              .reshape(idx.cells(lvl).shape))
+        with pytest.raises(ValueError):
+            owner[0] = 0

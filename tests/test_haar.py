@@ -226,19 +226,27 @@ def test_noncancellative_rows_hold_the_scaling_levels(g, passive, rng):
 
 
 @pytest.mark.parametrize("g", LAYOUT_GRIDS + [GridSpec(1, 1), GridSpec(1, 6), GridSpec(2, 1),
-                                               GridSpec(2, 4), GridSpec(3, 1), GridSpec(3, 3)],
+                                               GridSpec(2, 4), GridSpec(3, 1), GridSpec(3, 3),
+                                               GridSpec(1, 10), GridSpec(2, 5),
+                                               GridSpec(3, 3, omega=((1, 0, 1), (0, 1, 1),
+                                                                     (1, 1, 0)))],
                          ids=repr)
-@pytest.mark.parametrize("passive", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("passive", [(), (3,), (2, 2), (0,), (2,)])
 def test_pyramid_is_bit_identical_to_the_butterfly_oracle(g, passive, rng):
+    # every output is C-contiguous whatever the input's layout: numpy sums a
+    # transposed view in another order, so a layout leak would move bits
     x = rng.standard_normal((g.n_samples,) + passive)
     c = forward_stacked(g, x)
-    assert c.shape == x.shape
+    assert c.shape == x.shape and c.flags.c_contiguous
     assert np.array_equal(c, forward_oracle(g, x))
+    assert np.array_equal(forward_stacked(g, np.asfortranarray(x)), c)
     y = inverse_stacked(g, c)
-    assert y.shape == x.shape
+    assert y.shape == x.shape and y.flags.c_contiguous
     assert np.array_equal(y, inverse_oracle(g, c))
+    assert np.array_equal(inverse_stacked(g, np.asfortranarray(c)), y)
     got, want = scaling_levels(g, c), scaling_levels_oracle(g, c)
     assert len(got) == len(want) == g.N
     for lvl, (u, v) in enumerate(zip(got, want)):
-        assert u.shape == (g.n_cubes(lvl),) + passive
+        assert u.shape == (g.n_cubes(lvl),) + passive and u.flags.c_contiguous
         assert np.array_equal(u, v)
+    assert extend(g, np.asfortranarray(c)).flags.c_contiguous
