@@ -162,7 +162,11 @@ def cmd_verify_decomp(args) -> int:
     failed = next((rep for rep in reports if not rep["pass"]), None)
     results = {"cases": reports, "max_residual": worst,
                "pass": failed is None}
-    path = _write_report(args, "verify-decomp", _resolved_config(args), results)
+    terms = sum(rep["term_count"] for rep in reports)
+    counters = {"cases": len(reports), "trials": args.trials, "terms": terms,
+                "term_evaluations": terms * args.trials}
+    path = _write_report(args, "verify-decomp", _resolved_config(args), results,
+                         counters=counters)
     print(f"verify-decomp: {len(reports)} cases, max residual {worst:.3e} -> {path}")
     if failed is not None:
         return _fail(args.seed, f"identity residual {failed['max_residual']:.3e} "

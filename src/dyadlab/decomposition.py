@@ -21,14 +21,17 @@ verification harness checks against independently evaluated commutators.
 
 Both sides are linear in f, so evaluation runs on coefficient stacks with a
 trailing trial axis, (n, T) for one parameter and (n1, n2, T) for two.
-``evaluate_stacked`` is one evaluator for t = 1 or 2 variables: it extends
-each of the 2^t inner-shift compositions of the input once (see
-:mod:`dyadlab.haar`), sums every term into the extended buffer of its
-outer-shift group, and contracts each of the 2^t groups once before its
-shifts run. A term is ``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` at
-t = 1 and :func:`~dyadlab.biparam.pair_apply` with one symbol per variable
-at t = 2, so a P-type pair is two tree scans. ``verify_identity`` passes
-all trials once through the transforms, the direct commutator and the terms.
+``evaluate_stacked`` is one evaluator for t = 1 or 2 variables: it stacks
+the 2^t inner-shift compositions of the input on a key axis and extends
+them in one call per variable (see :mod:`dyadlab.haar`), sums every term
+into the extended buffer of its outer-shift group, and contracts all 2^t
+groups in one call per variable before their shifts run. A term is
+``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` at t = 1 and
+:func:`~dyadlab.biparam.pair_apply` with one symbol per variable at t = 2,
+so a P-type pair is two tree scans. The atoms and term skeletons of a grid
+are built once (``grid_index(grid).memo``), so a decomposition only
+transforms b and binds it. ``verify_identity`` passes all trials once
+through the transforms, the direct commutator and the terms.
 """
 
 from __future__ import annotations
@@ -43,13 +46,13 @@ import numpy as np
 from .grids import GridSpec, WrongKindError, grid_index
 from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
-from .paraproducts import (BkOperator, bk_stacked, p_stacked, pstar_stacked,
-                           symbol_stacked)
+from .paraproducts import BkOperator, bk_stacked, p_stacked, pstar_stacked
 from .biparam import (PAtom, ProductFunction, _along, forward2, forward2_stacked,
                       inverse2, inverse2_stacked, iterated_commutator_stacked,
                       pair_apply)
 from .shifts import ANALYSIS, ShiftOperator, multiplication_commutator_stacked
-from .norms import _bmo_stacked, _column_norms, _rect_bmo_stacked, _trial_rng
+from .norms import (_bmo_stacked, _column_norms, _rect_bmo_stacked, _require_trials,
+                    _trial_rng)
 
 
 @dataclass(frozen=True)
@@ -147,18 +150,35 @@ def _bk(grid: GridSpec, k: int, sb: int, si: int, so: int, beta=None) -> BkOpera
     return BkOperator(grid, k, grid.int_sig(sb), grid.int_sig(si), grid.int_sig(so), beta)
 
 
+def _atom_group(grid: GridSpec, name) -> tuple:
+    """One group of B_k atoms, built once per grid (``grid_index(grid).memo``):
+    "tail" (eps, non, eps) and "same_cube" (eps, eps2, non ^ eps ^ eps2) at
+    k = 0, "swapped" (eps, non ^ eps ^ eps2, eps2) with the tail atom on its
+    diagonal, and, for an integer k >= 1, (eps, eps2, eps2) with the betas
+    of eps; eps-major throughout."""
+    def build():
+        non, cancs = grid.noncanc_int, range(grid.n_sig)
+        if name == "tail":
+            return tuple(_bk(grid, 0, eps, non, eps) for eps in cancs)
+        if name == "same_cube":
+            return tuple(_bk(grid, 0, eps, eps2, non ^ (eps ^ eps2))
+                         for eps in cancs for eps2 in cancs)
+        if name == "swapped":
+            tail = _atom_group(grid, "tail")
+            return tuple(tail[eps] if eps2 == eps else _bk(grid, 0, eps, non ^ (eps ^ eps2), eps2)
+                         for eps in cancs for eps2 in cancs)
+        betas = [_beta_from_sig(grid, name, eps) for eps in cancs]
+        return tuple(_bk(grid, name, eps, eps2, eps2, betas[eps])
+                     for eps in cancs for eps2 in cancs)
+    return grid_index(grid).memo(("atoms", name), build)
+
+
 def _cancellative_var_atoms(grid: GridSpec, i: int, j: int) -> list:
     """(weight, atom, inner, outer, provenance) for one cancellative variable;
     the b_mul (k <= j) and mul_S (k <= i) halves share their atoms."""
-    non = grid.noncanc_int
-    cancs = range(grid.n_sig)
-    groups = [("tail", [_bk(grid, 0, eps, non, eps) for eps in cancs]),
-              ("same_cube", [_bk(grid, 0, eps, eps2, non ^ (eps ^ eps2))
-                             for eps in cancs for eps2 in cancs])]
-    for k in range(1, max(i, j) + 1):
-        betas = [_beta_from_sig(grid, k, eps) for eps in cancs]
-        groups.append((f"depth_{k}", [_bk(grid, k, eps, eps2, eps2, betas[eps])
-                                      for eps in cancs for eps2 in cancs]))
+    groups = [("tail", _atom_group(grid, "tail")),
+              ("same_cube", _atom_group(grid, "same_cube"))]
+    groups += [(f"depth_{k}", _atom_group(grid, k)) for k in range(1, max(i, j) + 1)]
     out = []
     for weight, inner, half, depth in ((1.0, True, "b_mul", j), (-1.0, False, "mul_S", i)):
         for name, atoms in groups[:2 + depth]:
@@ -168,33 +188,23 @@ def _cancellative_var_atoms(grid: GridSpec, i: int, j: int) -> list:
 
 def _noncancellative_var_atoms(grid: GridSpec, orientation: str) -> list:
     """(weight, atom, inner, outer, provenance) for one noncancellative
-    variable; an atom that two terms share is built once."""
-    non = grid.noncanc_int
-    cancs = range(grid.n_sig)
-    tail = [_bk(grid, 0, eps, non, eps) for eps in cancs]
+    variable; an atom that two terms share is one object."""
+    n = grid.n_sig
+    cancs = range(n)
+    tail, same = _atom_group(grid, "tail"), _atom_group(grid, "same_cube")
     out = []
     if orientation == ANALYSIS:
-        same = [[_bk(grid, 0, eps, eps2, non ^ (eps ^ eps2)) for eps2 in cancs]
-                for eps in cancs]
-        for eps in cancs:
-            for eps2 in cancs:
-                out.append((1.0, same[eps][eps2], True, False, "b_mul:same_cube"))
-        for eps in cancs:
-            out.append((1.0, tail[eps], True, False, "b_mul:tail"))
-        for eps in cancs:
-            # (eps, eps, non) is the b_mul:same_cube atom at eps2 = eps
-            out.append((-1.0, same[eps][eps], False, True, "mul_S:same_cube"))
+        out += [(1.0, atom, True, False, "b_mul:same_cube") for atom in same]
+        out += [(1.0, atom, True, False, "b_mul:tail") for atom in tail]
+        # (eps, eps, non) is the b_mul:same_cube atom at eps2 = eps
+        out += [(-1.0, same[eps * n + eps], False, True, "mul_S:same_cube") for eps in cancs]
         out.append((1.0, PAtom(adjoint=False), False, False, "b_mul:diagonal"))
     else:
-        for eps in cancs:
-            out.append((1.0, tail[eps], True, False, "b_mul:tail"))
-        for eps in cancs:
-            for eps2 in cancs:
-                # at eps2 = eps the same-cube atom (eps, non, eps) is the tail atom
-                atom = tail[eps] if eps2 == eps else _bk(grid, 0, eps, non ^ (eps ^ eps2), eps2)
-                out.append((-1.0, atom, False, True, "mul_S:same_cube"))
-        for eps in cancs:
-            out.append((-1.0, _bk(grid, 0, eps, eps, non), False, True, "mul_S:tail"))
+        out += [(1.0, atom, True, False, "b_mul:tail") for atom in tail]
+        out += [(-1.0, atom, False, True, "mul_S:same_cube")
+                for atom in _atom_group(grid, "swapped")]
+        # (eps, eps, non) is the same-cube atom at eps2 = eps
+        out += [(-1.0, same[eps * n + eps], False, True, "mul_S:tail") for eps in cancs]
         out.append((-1.0, PAtom(adjoint=True), False, False, "b_mul:diagonal"))
     return out
 
@@ -218,20 +228,23 @@ def _count_constant(grid: GridSpec, S: ShiftOperator) -> int:
 
 
 def _one_param_terms(b: DyadicFunction, S: ShiftOperator, kinds: tuple) -> TermList:
-    post_kind, pre_kind = kinds
-    terms = []
-    for weight, atom, inner, outer, prov in _var_atoms(b.grid, S):
-        if isinstance(atom, PAtom):
-            kind = "Pstar_term" if atom.adjoint else "P_term"
-        else:
-            kind = post_kind if inner or not outer else pre_kind
-        terms.append(Term(weight, kind, prov, atom, inner1=inner, outer1=outer))
+    def build():
+        post_kind, pre_kind = kinds
+        terms = []
+        for weight, atom, inner, outer, prov in _var_atoms(b.grid, S):
+            if isinstance(atom, PAtom):
+                kind = "Pstar_term" if atom.adjoint else "P_term"
+            else:
+                kind = post_kind if inner or not outer else pre_kind
+            terms.append(Term(weight, kind, prov, atom, inner1=inner, outer1=outer))
+        return tuple(terms)
+    terms = grid_index(b.grid).memo(("terms", S.kind, S.orientation, S.i, S.j), build)
     case = "cancellative" if S.cancellative else f"noncancellative-{S.orientation}"
     C = _count_constant(b.grid, S)
     meta = {"term_count": len(terms), "count_constant": C,
             "count_bound": C * (1 + max(S.i, S.j)), "i": S.i, "j": S.j,
             "d": b.grid.d, "N": b.grid.N}
-    return TermList(1, b, (S,), terms, case, meta)
+    return TermList(1, b, (S,), list(terms), case, meta)
 
 
 def decompose_cancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
@@ -281,21 +294,21 @@ def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
         raise WrongKindError("S1 must act on variable 1 of b's product grid")
     if S2.grid != pg.grid2:
         raise WrongKindError("S2 must act on variable 2 of b's product grid")
-    L1 = _var_atoms(pg.grid1, S1)
-    L2 = _var_atoms(pg.grid2, S2)
-    terms = []
-    for w1, a1, in1, out1, prov1 in L1:
-        for w2, a2, in2, out2, prov2 in L2:
-            kind = _pair_kind(a1, a2, out1, out2)
-            terms.append(Term(w1 * w2, kind, f"{prov1}|{prov2}", a1, a2,
-                              inner1=in1, outer1=out1, inner2=in2, outer2=out2))
+    def build():
+        return tuple(Term(w1 * w2, _pair_kind(a1, a2, out1, out2), f"{prov1}|{prov2}",
+                          a1, a2, inner1=in1, outer1=out1, inner2=in2, outer2=out2)
+                     for w1, a1, in1, out1, prov1 in _var_atoms(pg.grid1, S1)
+                     for w2, a2, in2, out2, prov2 in _var_atoms(pg.grid2, S2))
+    terms = grid_index(pg.grid1).memo(
+        ("pair_terms", pg.grid2) + tuple((S.kind, S.orientation, S.i, S.j) for S in (S1, S2)),
+        build)
     C = _count_constant(pg.grid1, S1) * _count_constant(pg.grid2, S2)
     meta = {"term_count": len(terms), "count_constant": C,
             "count_bound": C * (1 + max(S1.i, S1.j)) * (1 + max(S2.i, S2.j)),
             "i1": S1.i, "j1": S1.j, "i2": S2.i, "j2": S2.j,
             "N1": pg.grid1.N, "N2": pg.grid2.N}
     case = f"biparam-{S1.kind}-{S2.kind}"
-    return TermList(2, b, (S1, S2), terms, case, meta)
+    return TermList(2, b, (S1, S2), list(terms), case, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +321,28 @@ def evaluate_stacked(tl: TermList, x: np.ndarray) -> np.ndarray:
     ``x`` is (n, *passive) for one parameter and (n1, n2, *passive) for two;
     each column is evaluated as by :func:`evaluate_terms`. S_v acts along
     axis v; the inner compositions are built from the last variable's down,
-    so at t = 2 S2 runs once on ``x`` and S1 twice.
+    so at t = 2 S2 runs once on ``x`` and S1 twice. The 2^t inner inputs and
+    the 2^t outer groups sit on a leading key axis, one contiguous block per
+    key, so each variable takes one extend and one contract, which give
+    every column of a stack the bits of its single-column transform.
     """
     t, shifts = tl.arity, tl.shifts
     grids = (tl.b.grid,) if t == 1 else (tl.b.pgrid.grid1, tl.b.pgrid.grid2)
-    syms = [None if S.cancellative else symbol_stacked(S.symbol) for S in shifts]
+    syms = [None if S.cancellative else S.stacked_symbol() for S in shifts]
     shifted = {(): x}
     for v in reversed(range(t)):
         shifted = {key: y for k, y in shifted.items() for key, y in (
             ((False,) + k, y), ((True,) + k, _along(v, shifts[v].apply_stacked, y)))}
-    inputs = {}
-    for key, y in shifted.items():
-        for v, g in enumerate(grids):
-            y = _along(v, partial(extend, g), y)
-        inputs[key] = y
     keys = list(itertools.product((False, True), repeat=t))
-    groups = {key: np.zeros(inputs[key].shape) for key in keys}
+    slot = {key: n for n, key in enumerate(keys)}
+    inputs = np.stack([shifted[key] for key in keys])
+    for v, g in enumerate(grids):
+        inputs = _along(v + 1, partial(extend, g), inputs)
+    inputs = np.ascontiguousarray(inputs)
+    groups = np.zeros(inputs.shape)
     for term in tl.terms:
-        xin = inputs[(term.inner1, term.inner2)[:t]]
-        acc = groups[(term.outer1, term.outer2)[:t]]
+        xin = inputs[slot[(term.inner1, term.inner2)[:t]]]
+        acc = groups[slot[(term.outer1, term.outer2)[:t]]]
         # t = 1 keeps the 1-D kernels: the pinned 1-D reports hold their order
         # of operations (bk_stacked forms beta * b * scale before taking x)
         if t == 2:
@@ -338,11 +354,10 @@ def evaluate_stacked(tl: TermList, x: np.ndarray) -> np.ndarray:
             acc[:n] += term.weight * p(grids[0], tl._bc, syms[0], xin[:n])
         else:
             acc += term.weight * bk_stacked(term.atom1, tl._bc, xin)
+    for v in reversed(range(t)):
+        groups = _along(v + 1, partial(contract, grids[v]), groups)
     total = np.zeros(x.shape)
-    for key in keys:
-        y = groups[key]
-        for v in reversed(range(t)):
-            y = _along(v, partial(contract, grids[v]), y)
+    for key, y in zip(keys, groups):
         for v in range(t):
             if key[v]:
                 y = _along(v, shifts[v].apply_stacked, y)
@@ -387,7 +402,9 @@ def verify_identity(b, shifts, trials: int, rng_seed: int,
     bmo(b) * ||f|| (rectangle BMO for two parameters). Returns the report
     dict {case, d, N, i, j, term_count, max_residual, pass, seed, trials},
     with d, N, i, j as lists over the variables for two parameters.
+    ``trials`` must be at least 1.
     """
+    _require_trials(trials)
     if isinstance(shifts, ShiftOperator):
         shifts = (shifts,)
     # the residual scale is dyadic_bmo_norm(b) or rect_bmo_norm(b), read off

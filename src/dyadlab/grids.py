@@ -267,6 +267,7 @@ class _GridIndex:
         self._owner = {}
         self._bk = {}
         self._bk_rows = {}
+        self._memo = {}
 
     @functools.cached_property
     def cube_weight(self) -> np.ndarray:
@@ -321,6 +322,14 @@ class _GridIndex:
                 arr.setflags(write=False)
             self._bk[k] = (rows, anc, scale)
         return self._bk[k]
+
+    def memo(self, key, build):
+        """``build()``, called once per ``key`` on this grid: the immutable
+        per-grid values of the modules above, such as the decomposition's
+        B_k atoms and term lists."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def bk_rows(self, k: int, sig: int) -> tuple:
         """Read-only rows of signature ``sig`` for the cubes of levels k..N-1,

@@ -11,14 +11,26 @@ code drives one-parameter functions and per-variable transforms of tensor
 products. The pyramid runs trials-leading: the P = prod(passive) columns
 move to the front once, (P, n), so every kernel loop runs along a column's
 cells rather than across the few columns. Each level takes one reshape per
-axis, axis 0 first, into a preallocated block (2**a, P, cubes, 2, rest)
-whose diff(0)/avg(1) choice becomes the next leading block index
-(:func:`_split`); the last block is the next level's scaling values and the
-others are copied into the level's rows. :func:`inverse_stacked` and
+axis, axis 0 first, into a block (2**a, P, cubes, 2, rest) whose
+diff(0)/avg(1) choice becomes the next leading block index (:func:`_split`,
+one kernel for every d). The levels write through: the last axis puts each
+difference block straight into the level's rows of the output, a strided
+(e, P, cube) view of them, and only the all-avg block, the next level's
+scaling values, becomes a new array. :func:`inverse_stacked` and
 :func:`scaling_levels` share the merge kernel that undoes it
-(:func:`_merge`). Every element takes the steps fl(fl(a - b) c) and
-fl(fl(a + b) c) forward, fl(fl(d + a) c) and fl(fl(a - d) c) inverse, in
-axis order, and every output is C-contiguous whatever the input's layout.
+(:func:`_merge`), which copies a level's rows into one block before its
+axes run: measured, reading them through the strided view instead costs
+more than the copy from d = 2 on. Every element takes the steps
+fl(fl(a - b) c) and fl(fl(a + b) c) forward, fl(fl(d + a) c) and
+fl(fl(a - d) c) inverse, in axis order, so each column of a stack gets the
+bits of its single-column transform, and every output is C-contiguous
+whatever the input's layout. Callers stack independent inputs on a passive
+axis to share one pass: the decomposition extends all of its inner-shift
+inputs, and contracts all of its outer-shift groups, in one call per
+variable, and the direct commutator transforms f and b f together. What
+depends on the grid alone is cached per grid on ``grid_index``: the index
+tables, the B_k rows and the decomposition's atoms and term lists, so an
+identity check transforms b once and builds no atom of its own.
 
 Kernels that pair against the noncancellative Haar function h_I^1 (the
 cube's normalized indicator) work on the *extended* layout: the stacked
@@ -47,25 +59,38 @@ _MAGIC_1P = b"DYF1"
 # Stacked transforms (operate on arrays of shape (n_samples, *passive)).
 
 
-def _split(s: np.ndarray, d: int, m: int) -> np.ndarray:
-    """One pyramid step on trials-leading blocks: scaling values
-    (P, (2m)**d) -> (2**d, P, m**d).
+def _split(s: np.ndarray, out: np.ndarray, d: int, m: int) -> np.ndarray:
+    """One pyramid step on trials-leading scaling values (P, (2m)**d): the
+    level's differences go into its rows of ``out`` (n_samples, P), and the
+    parent scaling values (P, m**d) are returned, the one new array.
 
     Axis ``a`` reads its block as (2**a, P, m**(a+1), 2, rest), the cell
-    pair of each cube on axis ``a`` at index 3, and writes its diff(0)/avg(1)
-    choice as the next block index, so block e encodes the choices with
-    axis 0 most significant; the last block is the parent scaling values.
+    pair of each cube on axis ``a`` at index 3, and makes its diff(0)/avg(1)
+    choice the next block index, so block e encodes the choices with axis 0
+    most significant and the all-avg block is the parent. The last axis
+    writes each difference block straight into the strided (e, P, cube)
+    view of the level's rows.
     """
     P = len(s)
     t = s
-    for a in range(d):
+    for a in range(d - 1):
         rest = (2 * m) ** (d - 1 - a)
         u = t.reshape(1 << a, P * m ** (a + 1), 2, rest)
         t = np.empty((1 << a, 2, P * m ** (a + 1), rest))
         np.subtract(u[:, :, 0], u[:, :, 1], out=t[:, 0])
         np.add(u[:, :, 0], u[:, :, 1], out=t[:, 1])
         t *= _INV_SQRT2
-    return t.reshape(1 << d, P, m ** d)
+    h, off = 1 << (d - 1), m ** d  # the level's rows are off..(off << d) - 1
+    u = t.reshape(h, P, off, 2)
+    rows = out[off:off << d]
+    diff = rows.reshape(off, 2 * h - 1, P).transpose(1, 2, 0)
+    np.subtract(u[..., 0], u[..., 1], out=diff[0::2])
+    if h > 1:
+        np.add(u[:-1, ..., 0], u[:-1, ..., 1], out=diff[1::2])
+    rows *= _INV_SQRT2
+    parent = np.add(u[-1, ..., 0], u[-1, ..., 1])
+    parent *= _INV_SQRT2
+    return parent
 
 
 def _merge(x: np.ndarray, s: np.ndarray, d: int, m: int) -> np.ndarray:
@@ -106,10 +131,7 @@ def forward_stacked(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
                     axis=tuple(range(1, d + 1))).reshape(P, n)
     out = np.empty((n, P))
     for lvl in range(N - 1, -1, -1):
-        t = _split(s, d, 1 << lvl)
-        off = t.shape[2]  # the level's rows are off..(off << d) - 1
-        out[off:off << d].reshape(off, (1 << d) - 1, P)[...] = t[:-1].transpose(2, 0, 1)
-        s = t[-1]
+        s = _split(s, out, d, 1 << lvl)
     out[0] = s[:, 0]
     return out.reshape(samples.shape)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import GridSpec
 from .haar import random_function
-from .norms import NormReport, dyadic_bmo_norm, geometric_constant
+from .norms import NormReport, _require_trials, dyadic_bmo_norm, geometric_constant
 from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_matrix,
                      max_k_level, multiplication_commutator, random_shift)
 
@@ -250,8 +250,9 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
 
     For each (i, j) the sup over trials of ||[M_b, S] f|| with bmo(b) = 1 and
     ||f|| = 1 is recorded; the weighted total sums them against the geometric
-    schedule 2**(-max(i,j) delta/2).
+    schedule 2**(-max(i,j) delta/2). ``trials`` must be at least 1.
     """
+    _require_trials(trials)
     grid = grid or GridSpec(1, 6)
     reports = []
     weighted_total = 0.0

@@ -409,6 +409,12 @@ def _column_norms(x: np.ndarray, cell_volume: float) -> np.ndarray:
                      for t in range(x.shape[-1])])
 
 
+def _require_trials(trials: int) -> None:
+    """Refuse a study without trials: its sup would read 0 and pass vacuously."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                      grid: GridSpec = None, pgrid: ProductGrid = None,
                      counters: dict = None) -> list:
@@ -427,7 +433,9 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     their atoms column by column. Norms and BMO denominators are taken per
     column and sum in each trial's own order, so no row depends on the
     block size. A ``counters`` dict receives {"trials", "combos", "blocks"}.
+    ``trials`` must be at least 1.
     """
+    _require_trials(trials)
     if kind in ("Bk", "Sk", "P"):
         grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
         # B_k and S_k need k <= N - 1, as in the bi-parameter kinds below

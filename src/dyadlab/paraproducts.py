@@ -64,6 +64,7 @@ class BkOperator:
     sb: int = field(init=False, repr=False, compare=False)
     si: int = field(init=False, repr=False, compare=False)
     so: int = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         g = self.grid
@@ -130,6 +131,19 @@ class BkOperator:
                           self.beta)
 
 
+def _gathered(op: BkOperator) -> tuple:
+    """:func:`bk_gather` followed by the inverse of the output rows, looked
+    up on the atom's first use and kept on it."""
+    if op._rows is None:
+        g, idx = op.grid, grid_index(op.grid)
+        beta = None if op.beta is None else op.beta[g.cube_range(op.k).start:]
+        rows_out, inverse, _ = idx.bk_rows(op.k, op.so)
+        object.__setattr__(op, "_rows", (
+            idx.bk_rows(op.k, op.si)[0], rows_out, idx.bk_rows(op.k, op.sb)[2], beta,
+            idx.bk_table(op.k)[2], inverse))
+    return op._rows
+
+
 def bk_gather(op: BkOperator) -> tuple:
     """(rows_in, rows_out, b_rows, beta, scale) of a B_k atom over the cubes of
     levels k..N-1 (``grid_index(grid).bk_table``): its extended-layout rows,
@@ -137,10 +151,7 @@ def bk_gather(op: BkOperator) -> tuple:
     view of the atom's) and the scales 2**((level - k) * d / 2). The rows
     are read-only arrays shared by every atom of the same k and signatures
     (``grid_index(grid).bk_rows``)."""
-    g, idx = op.grid, grid_index(op.grid)
-    beta = None if op.beta is None else op.beta[g.cube_range(op.k).start:]
-    return (idx.bk_rows(op.k, op.si)[0], idx.bk_rows(op.k, op.so)[0],
-            idx.bk_rows(op.k, op.sb)[2], beta, idx.bk_table(op.k)[2])
+    return _gathered(op)[:5]
 
 
 def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -148,7 +159,7 @@ def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
     allowed) -> extended stack; ``bc`` holds the symbol's stacked coefficients.
     One gather over the rows of :func:`bk_gather`, and one more through the
     inverse of the output rows in place of a scatter into zeros."""
-    rin, _, brows, beta, scale = bk_gather(op)
+    rin, _, brows, beta, scale, inverse = _gathered(op)
     coef = bc.take(brows, axis=0)
     if beta is not None:
         coef = beta * coef
@@ -157,7 +168,7 @@ def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
     res[-1] = 0.0
     np.multiply(coef.reshape(coef.shape + (1,) * (x.ndim - 1)), x.take(rin, axis=0),
                 out=res[:-1])
-    return res.take(grid_index(op.grid).bk_rows(op.k, op.so)[1], axis=0)
+    return res.take(inverse, axis=0)
 
 
 def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunction:

@@ -73,6 +73,7 @@ class ShiftOperator:
     orientation: str = None
     meta: dict = field(default_factory=dict)
     _acoef: np.ndarray = field(init=False, compare=False, repr=False, default=None)
+    _sym: np.ndarray = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind == CANCELLATIVE:
@@ -88,10 +89,13 @@ class ShiftOperator:
             if self.symbol is None or self.symbol.grid != self.grid:
                 raise GridMismatchError("symbol must live on the operator grid")
             g = self.grid
+            sym = forward_stacked(g, self.symbol.samples)
+            sym[0] = 0.0
             # a_I along the cube axis, (n_cubes_total, n_sig)
-            acoef = g.cube_block(forward_stacked(g, self.symbol.samples))
-            acoef *= np.sqrt(grid_index(g).cube_weight)[:, None]
-            acoef.setflags(write=False)
+            acoef = g.cube_block(sym) * np.sqrt(grid_index(g).cube_weight)[:, None]
+            for arr in (sym, acoef):
+                arr.setflags(write=False)
+            object.__setattr__(self, "_sym", sym)
             object.__setattr__(self, "_acoef", acoef)
         else:
             raise WrongKindError(f"unknown shift kind {self.kind}")
@@ -120,6 +124,12 @@ class ShiftOperator:
         """a_I = <a,h_I^sig> |I|**(-1/2) along the cube axis, (n_cubes_total,
         n_sig); computed once, when the shift is built, and read-only."""
         return self._acoef
+
+    def stacked_symbol(self) -> np.ndarray:
+        """The symbol's stacked Haar coefficients with the mean row zeroed
+        (``paraproducts.symbol_stacked(self.symbol)``); computed once, when
+        the shift is built, and read-only."""
+        return self._sym
 
     # -- application -------------------------------------------------------
 
@@ -320,9 +330,15 @@ def multiplication_commutator_stacked(b: DyadicFunction, S: ShiftOperator,
     """[M_b, S] applied to every column of ``samples`` (n_samples, *passive).
 
     Column t of the result is ``multiplication_commutator(b, S, f_t)`` for the
-    function f_t sampled by column t.
+    function f_t sampled by column t. f and b f share one transform in and
+    S f and S(b f) one transform out, side by side on a passive axis; each
+    column keeps the bits of its own transform.
     """
     if b.grid != S.grid:
         raise GridMismatchError("b and the shift live on different grids")
+    g = S.grid
     bcol = b.samples.reshape(b.samples.shape + (1,) * (samples.ndim - 1))
-    return bcol * S.apply_samples(samples) - S.apply_samples(bcol * samples)
+    x = forward_stacked(g, np.stack([samples, bcol * samples], axis=1))
+    y = inverse_stacked(g, np.stack([S.apply_stacked(x[:, 0]), S.apply_stacked(x[:, 1])],
+                                    axis=1))
+    return bcol * y[:, 0] - y[:, 1]

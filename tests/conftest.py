@@ -459,3 +459,53 @@ def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None, sym12=None
     else:
         bp(pg, bC, Xe, atom1, atom2, sym2, out)
     return contract2(pg, out)
+
+
+def evaluate_stacked_oracle(tl, x):
+    """``decomposition.evaluate_stacked`` one key at a time: each of the 2^t
+    inner-shift compositions extended on its own, each outer group
+    contracted on its own, and the symbol of a noncancellative shift
+    transformed again."""
+    import itertools
+    from functools import partial
+
+    from dyadlab.biparam import PAtom, _along, pair_apply
+    from dyadlab.haar import contract, extend
+    from dyadlab.paraproducts import bk_stacked, p_stacked, pstar_stacked, symbol_stacked
+
+    t, shifts = tl.arity, tl.shifts
+    grids = (tl.b.grid,) if t == 1 else (tl.b.pgrid.grid1, tl.b.pgrid.grid2)
+    syms = [None if S.cancellative else symbol_stacked(S.symbol) for S in shifts]
+    shifted = {(): x}
+    for v in reversed(range(t)):
+        shifted = {key: y for k, y in shifted.items() for key, y in (
+            ((False,) + k, y), ((True,) + k, _along(v, shifts[v].apply_stacked, y)))}
+    inputs = {}
+    for key, y in shifted.items():
+        for v, g in enumerate(grids):
+            y = _along(v, partial(extend, g), y)
+        inputs[key] = y
+    keys = list(itertools.product((False, True), repeat=t))
+    groups = {key: np.zeros(inputs[key].shape) for key in keys}
+    for term in tl.terms:
+        xin = inputs[(term.inner1, term.inner2)[:t]]
+        acc = groups[(term.outer1, term.outer2)[:t]]
+        if t == 2:
+            pair_apply(tl.b.pgrid, tl._bc, xin, term.atom1, term.atom2, sym1=syms[0],
+                       sym2=syms[1], out=acc, weight=term.weight)
+        elif isinstance(term.atom1, PAtom):
+            n = grids[0].n_samples
+            p = pstar_stacked if term.atom1.adjoint else p_stacked
+            acc[:n] += term.weight * p(grids[0], tl._bc, syms[0], xin[:n])
+        else:
+            acc += term.weight * bk_stacked(term.atom1, tl._bc, xin)
+    total = np.zeros(x.shape)
+    for key in keys:
+        y = groups[key]
+        for v in reversed(range(t)):
+            y = _along(v, partial(contract, grids[v]), y)
+        for v in range(t):
+            if key[v]:
+                y = _along(v, shifts[v].apply_stacked, y)
+        total += y
+    return total

@@ -33,7 +33,14 @@ def test_verify_decomp_small(tmp_path):
     assert report["results"]["pass"]
     assert report["results"]["max_residual"] < 1e-9
     # cancellative grid cases + two noncancellative orientations
-    assert len(report["results"]["cases"]) == 4 + 2
+    cases = report["results"]["cases"]
+    assert len(cases) == 4 + 2
+    # work counters live in meta: 4 + i + j terms per cancellative case, 4 per
+    # noncancellative one, each evaluated once per trial
+    assert report["meta"]["counters"] == {"cases": 6, "trials": 3, "terms": 28,
+                                          "term_evaluations": 84}
+    assert sum(rep["term_count"] for rep in cases) == 28
+    assert "counters" not in report["results"]
 
 
 def test_verify_decomp_biparam(tmp_path):

@@ -15,10 +15,12 @@ from dyadlab import ProductFunction, ShiftOperator, dyadic_bmo_norm, rect_bmo_no
 from dyadlab.biparam import (forward2_stacked, inverse2_stacked,
                              iterated_commutator_stacked)
 from dyadlab.decomposition import decompose, _trial_samples, evaluate_stacked
-from dyadlab.grids import WrongKindError
+from dyadlab.grids import WrongKindError, grid_index
 from dyadlab.haar import forward_stacked, inverse_stacked
 from dyadlab.norms import _trial_rng
 from dyadlab.shifts import multiplication_commutator_stacked, noncancellative_shift
+
+from conftest import evaluate_stacked_oracle
 
 
 def test_wrong_kind_errors(rng):
@@ -330,7 +332,8 @@ def test_termlist_json_terms_are_pinned():
 @pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 4)], ids=repr)
 @pytest.mark.parametrize("ij", [(0, 0), (2, 1), (1, 3)])
 def test_both_halves_share_their_atoms(g, ij, rng, monkeypatch):
-    # b_mul and mul_S use the same B_k atoms: each is built once
+    # b_mul and mul_S use the same B_k atoms: each is built once per grid, so
+    # a second decomposition on the grid builds none and shares its atoms
     from dyadlab import decomposition
     calls = []
     bk = decomposition._bk
@@ -340,11 +343,18 @@ def test_both_halves_share_their_atoms(g, ij, rng, monkeypatch):
         return bk(*args, **kwargs)
 
     monkeypatch.setattr(decomposition, "_bk", counting)
+    grid_index.cache_clear()
     i, j = ij
-    tl = decompose_cancellative(random_function(g, rng), random_shift(g, i, j, rng))
+    S = random_shift(g, i, j, rng)
+    tl = decompose_cancellative(random_function(g, rng), S)
     n = g.n_sig
     assert len(calls) == n + n * n + max(i, j) * n * n
     assert tl.term_count == 2 * (n + n * n) + (i + j) * n * n
+    calls.clear()
+    again = decompose_cancellative(random_function(g, rng), random_shift(g, i, j, rng))
+    assert calls == []
+    assert all(a.atom1 is b.atom1 for a, b in zip(tl.terms, again.terms))
+    assert again.terms == tl.terms and again.terms is not tl.terms
     halves = {half: [t.atom1 for t in tl.terms if t.provenance.startswith(half)]
               for half in ("b_mul", "mul_S")}
     shared = min(halves.values(), key=len)
@@ -518,9 +528,22 @@ def test_trial_stack_columns_are_the_per_trial_draws():
     for t in range(3):
         assert np.array_equal(F2[..., t],
                               random_product_function(pg, _trial_rng(9, t)).samples)
-    rep = verify_identity(random_function(g, np.random.default_rng(0)),
-                          random_shift(g, 1, 1, 0), trials=0, rng_seed=9)
-    assert rep["max_residual"] == 0.0 and rep["pass"]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_studies_refuse_fewer_than_one_trial(trials):
+    # no trial would leave a vacuous pass with max_residual (max_ratio) 0.0
+    from dyadlab.montecarlo import commutator_bound_study
+    from dyadlab.norms import uniformity_study
+    g = GridSpec(1, 4)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_identity(random_function(g, np.random.default_rng(0)),
+                        random_shift(g, 1, 1, 0), trials=trials, rng_seed=9)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        commutator_bound_study(0.5, 1, 1, trials, 3, grid=g)
+    for kind in ("Bk", "PP"):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            uniformity_study(kind, {"N": 4}, trials, 3)
 
 
 def _count_shift_calls(monkeypatch) -> list:
@@ -546,46 +569,29 @@ def test_one_param_evaluation_applies_the_shift_at_most_twice(rng, monkeypatch):
     assert len(calls) == 2
 
 
-def _count_folds(monkeypatch) -> list:
-    """Record every call of haar.fold_noncancellative, through any binding."""
+def _count_calls(monkeypatch, name) -> list:
+    """Record the arguments of every call of haar.<name>, through any binding."""
     import sys
     from dyadlab import haar
-    fold = haar.fold_noncancellative
+    fn = getattr(haar, name)
     calls = []
 
     def counting(*args):
-        calls.append(args[0])
-        return fold(*args)
+        calls.append(args)
+        return fn(*args)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "dyadlab" and \
-                getattr(mod, "fold_noncancellative", None) is fold:
-            monkeypatch.setattr(mod, "fold_noncancellative", counting)
-    return calls
-
-
-def _count_forward(monkeypatch) -> list:
-    """Record the input of every haar.forward_stacked call, through any binding."""
-    import sys
-    from dyadlab import haar
-    forward = haar.forward_stacked
-    calls = []
-
-    def counting(grid, samples):
-        calls.append(samples)
-        return forward(grid, samples)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "dyadlab" and getattr(mod, "forward_stacked", None) is forward:
-            monkeypatch.setattr(mod, "forward_stacked", counting)
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "dyadlab" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counting)
     return calls
 
 
 def test_verify_identity_transforms_b_once(rng, monkeypatch):
     # the residual scale comes from the coefficients of b the term list holds:
-    # b once, f once, two in the commutator (S f and S(b f)) and the folds of
-    # the noncancellative rows, whatever the number of trials
-    calls = _count_forward(monkeypatch)
+    # b once, f once, one fold of the noncancellative rows per variable, and
+    # the direct commutator: f and b f side by side in one transform at t = 1,
+    # one per shift application at t = 2; whatever the number of trials
+    calls = _count_calls(monkeypatch, "forward_stacked")
     g = GridSpec(1, 4)
     b = random_function(g, rng)
     S = random_shift(g, 1, 1, rng)
@@ -596,31 +602,32 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
         calls.clear()
         rep = verify_identity(b, S, trials, 5)
         assert rep["pass"] and rep["max_residual"] > 0
-        assert len(calls) == 6
-        assert sum(x is b.samples for x in calls) == 1
+        assert len(calls) == 4
+        assert sum(x is b.samples for _, x in calls) == 1
         calls.clear()
         assert verify_identity(b2, (S1, S2), trials, 5)["pass"]
-        assert len(calls) == 18
-        assert sum(x is b2.samples for x in calls) == 1
+        assert len(calls) == 12
+        assert sum(x is b2.samples for _, x in calls) == 1
 
 
-def test_noncancellative_rows_fold_once_per_outer_group(rng, monkeypatch):
-    # every term writes its noncancellative rows into its group's extended
-    # sum, which is contracted once (a fold per variable), not once per term
-    calls = _count_folds(monkeypatch)
+def test_one_extend_and_one_contract_per_variable(rng, monkeypatch):
+    # all 2^t inner inputs are extended together, and all 2^t outer groups
+    # contracted together: one scaling pass and one fold per variable
+    levels = _count_calls(monkeypatch, "scaling_levels")
+    folds = _count_calls(monkeypatch, "fold_noncancellative")
     g = GridSpec(2, 3)
     tl = decompose_cancellative(random_function(g, rng), random_shift(g, 1, 1, rng))
     evaluate_stacked(tl, rng.standard_normal((g.n_samples, 2)))
-    assert len(calls) <= 2
-    calls.clear()
-    pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 4))
+    assert len(levels) == len(folds) == 1
+    levels.clear()
+    folds.clear()
+    pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 3))
     tl = decompose_biparam(random_product_function(pg, rng),
-                           random_shift(pg.grid1, 1, 1, rng),
-                           random_shift(pg.grid2, 1, 1, rng))
-    groups = {(t.outer1, t.outer2) for t in tl.terms}
-    assert len(groups) == 4
+                           random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 2, 1, rng))
+    assert len({(t.outer1, t.outer2) for t in tl.terms}) == 4
     evaluate_stacked(tl, rng.standard_normal(pg.shape + (2,)))
-    assert len(calls) <= 2 * len(groups)
+    assert [args[0] for args in levels] == [pg.grid1, pg.grid2]
+    assert [args[0] for args in folds] == [pg.grid2, pg.grid1]
 
 
 def test_decomposition_never_reaches_the_level_pair_loop(rng, monkeypatch):
@@ -658,3 +665,56 @@ def test_biparam_evaluation_applies_each_shift_once_per_composition(rng, monkeyp
         assert sum(c is S1 for c in calls) == 4, kind2
         assert sum(c is S2 for c in calls) == 3, kind2
         assert len(calls) == 7
+
+
+def _shift_of_kind(g, kind, rng):
+    """A random shift of ``kind``: (i, j) for a cancellative one, or an
+    orientation for a noncancellative one."""
+    if isinstance(kind, tuple):
+        return random_shift(g, *kind, rng)
+    return random_shift(g, 0, 0, rng, kind="noncancellative", orientation=kind)
+
+
+ONE_PARAM_KINDS = [(0, 0), (1, 0), (0, 2), (2, 1), "analysis", "synthesis"]
+TWO_PARAM_KINDS = [((1, 1), (0, 1)), ((2, 0), "analysis"), ("synthesis", (1, 0)),
+                   ("analysis", "analysis"), ("analysis", "synthesis"),
+                   ("synthesis", "analysis"), ("synthesis", "synthesis")]
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 3),
+                               GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))], ids=repr)
+@pytest.mark.parametrize("kind", ONE_PARAM_KINDS, ids=str)
+def test_one_parameter_evaluation_is_the_per_key_oracle(g, kind, rng):
+    # one extend and one contract for all keys give the bits of one per key
+    if isinstance(kind, tuple) and max(kind) > g.N - 1:
+        pytest.skip("shift deeper than the grid")
+    tl = decompose(random_function(g, rng), _shift_of_kind(g, kind, rng))
+    for passive in [(1,), (3,), (2, 2)]:
+        x = rng.standard_normal((g.n_samples,) + passive)
+        assert np.array_equal(evaluate_stacked(tl, x), evaluate_stacked_oracle(tl, x))
+
+
+@pytest.mark.parametrize("pg", [ProductGrid(GridSpec(1, 3), GridSpec(1, 4)),
+                                ProductGrid(GridSpec(2, 3), GridSpec(1, 3))], ids=repr)
+@pytest.mark.parametrize("kinds", TWO_PARAM_KINDS, ids=str)
+def test_two_parameter_evaluation_is_the_per_key_oracle(pg, kinds, rng):
+    S1, S2 = (_shift_of_kind(g, k, rng) for g, k in zip((pg.grid1, pg.grid2), kinds))
+    tl = decompose_biparam(random_product_function(pg, rng), S1, S2)
+    for passive in [(1,), (3,)]:
+        x = rng.standard_normal(pg.shape + passive)
+        assert np.array_equal(evaluate_stacked(tl, x), evaluate_stacked_oracle(tl, x))
+
+
+def test_noncancellative_symbol_is_transformed_once(rng, monkeypatch):
+    # the shift holds its stacked symbol: evaluation transforms no symbol
+    from dyadlab.paraproducts import symbol_stacked
+    g = GridSpec(1, 4)
+    for ori in ("analysis", "synthesis"):
+        S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
+        sym = S.stacked_symbol()
+        assert not sym.flags.writeable and np.array_equal(sym, symbol_stacked(S.symbol))
+        tl = decompose_noncancellative(random_function(g, rng), S)
+        calls = _count_calls(monkeypatch, "forward_stacked")
+        evaluate_stacked(tl, rng.standard_normal((g.n_samples, 2)))
+        assert calls and not any(samples is S.symbol.samples for _, samples in calls)
+        monkeypatch.undo()

@@ -250,3 +250,27 @@ def test_pyramid_is_bit_identical_to_the_butterfly_oracle(g, passive, rng):
         assert u.shape == (g.n_cubes(lvl),) + passive and u.flags.c_contiguous
         assert np.array_equal(u, v)
     assert extend(g, np.asfortranarray(c)).flags.c_contiguous
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 6), GridSpec(2, 3), GridSpec(3, 3),
+                               GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1)))], ids=repr)
+@pytest.mark.parametrize("passive", [(), (1,), (3,), (2, 2)])
+def test_stacked_helpers_give_each_column_its_single_column_bits(g, passive, rng):
+    # the decomposition stacks inputs and groups on passive axes, so every
+    # column of a stack must take exactly the steps of a lone column
+    n, m = g.n_samples, g.n_samples + g.n_cubes_total
+    x = rng.standard_normal((n,) + passive)
+    ext = rng.standard_normal((m,) + passive)
+    stacked = {
+        "forward": (forward_stacked(g, x), x, lambda col: forward_stacked(g, col)),
+        "inverse": (inverse_stacked(g, x), x, lambda col: inverse_stacked(g, col)),
+        "levels": (np.concatenate(scaling_levels(g, x)), x,
+                   lambda col: np.concatenate(scaling_levels(g, col))),
+        "extend": (extend(g, x), x, lambda col: extend(g, col)),
+        "contract": (contract(g, ext), ext, lambda col: contract(g, col)),
+    }
+    for name, (out, inp, single) in stacked.items():
+        assert out.shape[1:] == passive, name
+        for col in np.ndindex(*passive):
+            lone = single(np.ascontiguousarray(inp[(slice(None),) + col]))
+            assert np.array_equal(out[(slice(None),) + col], lone), (name, col)

@@ -132,6 +132,22 @@ def test_commutator_basics(rng):
     assert (lhs - rhs).norm() < 1e-12
 
 
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 2),
+                               GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))], ids=repr)
+@pytest.mark.parametrize("kind", [(0, 0), (1, 0), (1, 1), "analysis", "synthesis"], ids=str)
+def test_stacked_commutator_is_bit_identical_to_two_applications(g, kind, rng):
+    # f and b f share their transforms; each column keeps its lone bits
+    from dyadlab.shifts import multiplication_commutator_stacked
+    S = random_shift(g, *kind, rng) if isinstance(kind, tuple) else \
+        random_shift(g, 0, 0, rng, kind="noncancellative", orientation=kind)
+    b = random_function(g, rng)
+    for passive in [(), (1,), (3,), (2, 2)]:
+        F = rng.standard_normal((g.n_samples,) + passive)
+        bcol = b.samples.reshape(b.samples.shape + (1,) * len(passive))
+        want = bcol * S.apply_samples(F) - S.apply_samples(bcol * F)
+        assert np.array_equal(multiplication_commutator_stacked(b, S, F), want)
+
+
 def test_commutator_vanishing_region(rng):
     # [h_I, S] h_J = 0 whenever I strictly contains J^(i); checked over all
     # such cancellative pairs at N=4
