@@ -47,6 +47,7 @@ from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
 from .paraproducts import (BkOperator, bk_gather, strict_ancestor_sum,
                            strict_subtree_sum, symbol_stacked)
+from .shifts import multiplication_commutator_stacked
 
 _MAGIC_2P = b"DYF2"
 
@@ -232,14 +233,17 @@ def iterated_commutator_stacked(b: ProductFunction, S1, S2,
     """[[M_b, S1], S2] on samples (n1, n2, *passive), one function per column.
 
     Expands into the four signed compositions of b, S1 and S2 in sample space.
+    Each bracket [M_b, S1] is one ``multiplication_commutator_stacked`` along
+    variable 1, with variable 2 the trial axis of b's samples: x and b x
+    share one transform in and one out, so the whole commutator takes four
+    transforms each way, two of them for S2.
     """
     pg = b.pgrid
     _check_var(pg, S1, 1)
     _check_var(pg, S2, 2)
-    bs = b.samples.reshape(pg.shape + (1,) * (samples.ndim - 2))
 
     def bracket1(x):
-        return bs * _apply_var(S1, 1, x) - _apply_var(S1, 1, bs * x)
+        return multiplication_commutator_stacked(b.samples, S1, x)
 
     return bracket1(_apply_var(S2, 2, samples)) - _apply_var(S2, 2, bracket1(samples))
 

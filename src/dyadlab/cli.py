@@ -251,8 +251,9 @@ def cmd_mc_demo(args) -> int:
 
 def cmd_bound_study(args) -> int:
     grid = GridSpec(args.d, args.N)
-    rep = commutator_bound_study(args.delta, args.imax, args.jmax,
-                                 trials=args.trials, rng_seed=args.seed, grid=grid)
+    counters = {}
+    rep = commutator_bound_study(args.delta, args.imax, args.jmax, trials=args.trials,
+                                 rng_seed=args.seed, grid=grid, counters=counters)
     geo_closed = geometric_constant_closed_form(args.delta)
     cap = geometric_cap_for(args.delta, tol=1e-11)
     geo_trunc = geometric_constant(args.delta, cap)
@@ -265,7 +266,8 @@ def cmd_bound_study(args) -> int:
     results["reports"] = [json.loads(r.to_json()) for r in rep["reports"]]
     with open(os.path.join(_outdir(args), "bound-study.jsonl"), "w") as fh:
         fh.write(reports_to_jsonl(rep["reports"]))
-    path = _write_report(args, "bound-study", _resolved_config(args), results)
+    path = _write_report(args, "bound-study", _resolved_config(args), results,
+                         counters=counters)
     print(f"bound-study: max ratio {rep['max_ratio']:.4f}, weighted total "
           f"{rep['weighted_total']:.4f}, geometric constant {geo_trunc:.6f} -> {path}")
     if rep["geometric_crosscheck_residual"] > 1e-10:

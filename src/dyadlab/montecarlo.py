@@ -16,10 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import GridSpec
-from .haar import random_function
-from .norms import NormReport, _require_trials, dyadic_bmo_norm, geometric_constant
+from .haar import forward_stacked, random_function
+from .norms import (_BLOCK_SAMPLES, NormReport, _bmo_stacked, _column_norms, _require_trials,
+                    geometric_constant)
 from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_matrix,
-                     max_k_level, multiplication_commutator, random_shift)
+                     max_k_level, multiplication_commutator_stacked, random_shift)
 
 
 @dataclass(frozen=True)
@@ -245,41 +246,67 @@ def mc_representation_demo(base: GridSpec, samples: int, rng_seed: int) -> dict:
 
 
 def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
-                           rng_seed: int, grid: GridSpec = None) -> dict:
+                           rng_seed: int, grid: GridSpec = None,
+                           counters: dict = None) -> dict:
     """Per-(i,j) commutator norms against (1 + max(i,j)) and the weighted sum.
 
     For each (i, j) the sup over trials of ||[M_b, S] f|| with bmo(b) = 1 and
     ||f|| = 1 is recorded; the weighted total sums them against the geometric
     schedule 2**(-max(i,j) delta/2). ``trials`` must be at least 1.
+
+    Trial (i, j, t) draws b, then f, then its shift from
+    ``SeedSequence(entropy=rng_seed, spawn_key=(i, j, t))``; a b of BMO norm
+    0 is skipped before f is drawn. The trials run in loop order in blocks
+    of max(1, 2**13 // n_samples) trials, over every (i, j), so memory does
+    not grow with ``trials``. A block transforms its b stack once for the
+    BMO norms and runs one ``multiplication_commutator_stacked`` with one
+    symbol and one shift per column; every norm is taken per column, so each
+    trial keeps the bits it has when run alone. A ``counters`` dict receives
+    {"pairs", "trials", "blocks"}, ``trials`` counted per pair.
     """
     _require_trials(trials)
     grid = grid or GridSpec(1, 6)
+    volume = grid.cell_volume
+    pairs = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)
+             if max_k_level(grid, i, j) >= 0]
+    best = dict.fromkeys(pairs, 0.0)
+
+    def run_block(keys: list) -> None:
+        """Run the trials ``keys`` as one block and fold their norms into
+        ``best``; the block's arrays are freed on return."""
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=key))
+                for key in keys]
+        b = np.stack([random_function(grid, rng).samples for rng in rngs], axis=1)
+        nb = _bmo_stacked(grid, forward_stacked(grid, b))
+        live = np.flatnonzero(nb != 0.0)
+        if live.size == 0:
+            return
+        b = b[:, live] * (1.0 / nb[live])
+        f = np.stack([random_function(grid, rngs[c]).samples for c in live], axis=1)
+        f = f * (1.0 / _column_norms(f, volume))
+        shifts = [random_shift(grid, *keys[c][:2], rngs[c]) for c in live]
+        out = multiplication_commutator_stacked(b, shifts, f)
+        for c, norm in zip(live, _column_norms(out, volume)):
+            pair = keys[c][:2]
+            best[pair] = max(best[pair], float(norm))
+
+    total, width = len(pairs) * trials, max(1, _BLOCK_SAMPLES // grid.n_samples)
+    blocks = range(0, total, width)
+    for start in blocks:
+        run_block([pairs[n // trials] + (n % trials,)
+                   for n in range(start, min(start + width, total))])
+    if counters is not None:
+        counters.update(pairs=len(pairs), trials=trials, blocks=len(blocks))
     reports = []
     weighted_total = 0.0
     max_ratio = 0.0
-    for i in range(i_max + 1):
-        for j in range(j_max + 1):
-            if max_k_level(grid, i, j) < 0:
-                continue
-            best = 0.0
-            for t in range(trials):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=rng_seed, spawn_key=(i, j, t)))
-                b = random_function(grid, rng)
-                nb = dyadic_bmo_norm(b)
-                if nb == 0.0:
-                    continue
-                b = b * (1.0 / nb)
-                f = random_function(grid, rng)
-                f = f * (1.0 / f.norm())
-                S = random_shift(grid, i, j, rng)
-                best = max(best, multiplication_commutator(b, S, f).norm())
-            ratio = best / (1 + max(i, j))
-            max_ratio = max(max_ratio, ratio)
-            weighted_total += 2.0 ** (-max(i, j) * delta / 2.0) * best
-            reports.append(NormReport(kind="commutator", i=i, j=j, trials=trials,
-                                      max_ratio=ratio, seed=rng_seed,
-                                      extra={"sup_norm": best}))
+    for (i, j), sup in best.items():
+        ratio = sup / (1 + max(i, j))
+        max_ratio = max(max_ratio, ratio)
+        weighted_total += 2.0 ** (-max(i, j) * delta / 2.0) * sup
+        reports.append(NormReport(kind="commutator", i=i, j=j, trials=trials,
+                                  max_ratio=ratio, seed=rng_seed,
+                                  extra={"sup_norm": sup}))
     cap = max(i_max, j_max)
     geo = geometric_constant(delta, cap)
     return {"reports": reports, "weighted_total": weighted_total,

@@ -325,20 +325,46 @@ def multiplication_commutator(b: DyadicFunction, S: ShiftOperator,
     return DyadicFunction(b.grid, multiplication_commutator_stacked(b, S, f.samples))
 
 
-def multiplication_commutator_stacked(b: DyadicFunction, S: ShiftOperator,
-                                      samples: np.ndarray) -> np.ndarray:
+def multiplication_commutator_stacked(b, S, samples: np.ndarray) -> np.ndarray:
     """[M_b, S] applied to every column of ``samples`` (n_samples, *passive).
 
-    Column t of the result is ``multiplication_commutator(b, S, f_t)`` for the
-    function f_t sampled by column t. f and b f share one transform in and
-    S f and S(b f) one transform out, side by side on a passive axis; each
-    column keeps the bits of its own transform.
+    ``b`` is a DyadicFunction, multiplying every column, or a samples array
+    whose shape leads that of ``samples``: an (n_samples, T) stack holds one
+    symbol per column of axis 1, the trial axis. ``S`` is one ShiftOperator,
+    applied to the whole stack, or a sequence of T shifts, shift t applied to
+    column ``samples[:, t]`` alone. Column t of the result is then
+    ``multiplication_commutator(b_t, S_t, f_t)``, bit for bit.
+
+    f and b f share one transform in and S f and S(b f) one transform out,
+    side by side on a passive axis; each column keeps the bits of its own
+    transform. The two applications of a shift stay separate, and a shift
+    sequence reads each column as a lone column: ``apply_stacked``'s
+    ``einsum`` sums a column in another order inside a wider stack.
     """
-    if b.grid != S.grid:
-        raise GridMismatchError("b and the shift live on different grids")
-    g = S.grid
-    bcol = b.samples.reshape(b.samples.shape + (1,) * (samples.ndim - 1))
+    shifts = None if isinstance(S, ShiftOperator) else tuple(S)
+    if shifts is None:
+        g = S.grid
+    else:
+        if not shifts or samples.shape[1:2] != (len(shifts),):
+            raise ValueError(f"{len(shifts)} shifts for samples of shape {samples.shape}")
+        g = shifts[0].grid
+        if any(s.grid != g for s in shifts):
+            raise GridMismatchError("the shifts live on different grids")
+    if isinstance(b, DyadicFunction):
+        if b.grid != g:
+            raise GridMismatchError("b and the shift live on different grids")
+        b = b.samples
+    elif b.shape != samples.shape[:b.ndim] or b.shape[0] != g.n_samples:
+        raise ValueError(f"b stack of shape {b.shape} does not lead samples of "
+                         f"shape {samples.shape} on {g.n_samples} cells")
+    bcol = b.reshape(b.shape + (1,) * (samples.ndim - b.ndim))
     x = forward_stacked(g, np.stack([samples, bcol * samples], axis=1))
-    y = inverse_stacked(g, np.stack([S.apply_stacked(x[:, 0]), S.apply_stacked(x[:, 1])],
-                                    axis=1))
+    if shifts is None:
+        y = np.stack([S.apply_stacked(x[:, 0]), S.apply_stacked(x[:, 1])], axis=1)
+    else:
+        y = np.empty_like(x)
+        for t, s in enumerate(shifts):
+            for half in (0, 1):
+                y[:, half, t] = s.apply_stacked(x[:, half, t])
+    y = inverse_stacked(g, y)
     return bcol * y[:, 0] - y[:, 1]

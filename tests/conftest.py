@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadlab import (DyadicCube, DyadicFunction, HaarIndex, haar_function)
+from dyadlab import (DyadicCube, DyadicFunction, HaarIndex, haar_function, random_function)
 from dyadlab.grids import grid_index
 from dyadlab.shifts import max_k_level
 
@@ -509,3 +509,63 @@ def evaluate_stacked_oracle(tl, x):
                 y = _along(v, shifts[v].apply_stacked, y)
         total += y
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference commutators and bound study: one shift application per
+# composition, one trial at a time.
+
+
+def iterated_commutator_oracle(b, S1, S2, samples):
+    """[[M_b, S1], S2] on samples (n1, n2, *passive) as the four signed
+    compositions, each shift application its own transform in and out."""
+    from dyadlab.biparam import _apply_var
+    bs = b.samples.reshape(b.pgrid.shape + (1,) * (samples.ndim - 2))
+
+    def bracket1(x):
+        return bs * _apply_var(S1, 1, x) - _apply_var(S1, 1, bs * x)
+
+    return bracket1(_apply_var(S2, 2, samples)) - _apply_var(S2, 2, bracket1(samples))
+
+
+def commutator_bound_study_oracle(delta, i_max, j_max, trials, rng_seed, grid=None):
+    """Per-trial reference of :func:`dyadlab.montecarlo.commutator_bound_study`:
+    trial (i, j, t) draws b, f and its shift from its own seed stream and
+    runs one single-column commutator; a b of BMO norm 0 is skipped before
+    f is drawn."""
+    from dyadlab import GridSpec, NormReport, dyadic_bmo_norm, multiplication_commutator
+    from dyadlab.norms import geometric_constant
+    from dyadlab.shifts import random_shift
+    grid = grid or GridSpec(1, 6)
+    reports = []
+    weighted_total = 0.0
+    max_ratio = 0.0
+    for i in range(i_max + 1):
+        for j in range(j_max + 1):
+            if max_k_level(grid, i, j) < 0:
+                continue
+            best = 0.0
+            for t in range(trials):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=rng_seed, spawn_key=(i, j, t)))
+                b = random_function(grid, rng)
+                nb = dyadic_bmo_norm(b)
+                if nb == 0.0:
+                    continue
+                b = b * (1.0 / nb)
+                f = random_function(grid, rng)
+                f = f * (1.0 / f.norm())
+                S = random_shift(grid, i, j, rng)
+                best = max(best, multiplication_commutator(b, S, f).norm())
+            ratio = best / (1 + max(i, j))
+            max_ratio = max(max_ratio, ratio)
+            weighted_total += 2.0 ** (-max(i, j) * delta / 2.0) * best
+            reports.append(NormReport(kind="commutator", i=i, j=j, trials=trials,
+                                      max_ratio=ratio, seed=rng_seed,
+                                      extra={"sup_norm": best}))
+    cap = max(i_max, j_max)
+    geo = geometric_constant(delta, cap)
+    return {"reports": reports, "weighted_total": weighted_total,
+            "max_ratio": max_ratio, "geometric_constant": geo,
+            "delta": delta, "bound_ok": bool(weighted_total <= geo * max_ratio + 1e-12),
+            "grid": {"d": grid.d, "N": grid.N}, "trials": trials, "seed": rng_seed}

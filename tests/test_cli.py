@@ -110,6 +110,13 @@ def test_bound_study(tmp_path):
     jsonl = (tmp_path / "bound-study.jsonl").read_text().strip().split("\n")
     assert len(jsonl) == len(res["reports"])
     assert json.loads(jsonl[0])["kind"] == "commutator"
+    # work counters live in meta: 4 (i, j) pairs of 2 trials, one block
+    assert report["meta"]["counters"] == {"pairs": 4, "trials": 2, "blocks": 1}
+    # 9 trials of 1024 samples fill two blocks of 8
+    code, report = run(["bound-study", "--imax", "0", "--jmax", "0", "--trials", "9",
+                        "--N", "10", "--seed", "3"], tmp_path, "bound-study")
+    assert code == 0
+    assert report["meta"]["counters"] == {"pairs": 1, "trials": 9, "blocks": 2}
 
 
 def test_usage_error_exit_code(tmp_path):
@@ -280,6 +287,14 @@ PINNED_REPORTS = [
      "verify-decomp", "c7c81b9270a95d9360241755bb95a80fbdb7fe88c88183db817c9b7c0c7b2819"),
     (["mc-demo", "--N", "4", "--samples", "600", "--seed", "9"],
      "mc-demo", "05f0e65a408437653efe6c40aff4970ecf5cd36e673bb1fc4e1ff90acc531ec1"),
+    # the perfbench grids job: 25 (i, j) x 4 trials in one block
+    (["bound-study", "--trials", "4"],
+     "bound-study", "bd7d972bef87bfa015aae16e1ccde845966a697a0074cb43fc54f9698942b03d"),
+    (["bound-study", "--d", "2", "--N", "3", "--trials", "5"],
+     "bound-study", "f9438ee049f9917725c0ae71ce9566e2a068cb23411118cc8bf5c9621b8d863d"),
+    # 9 (i, j) x 6 trials of 512 samples span four blocks of 16 trials
+    (["bound-study", "--N", "9", "--imax", "2", "--jmax", "2", "--trials", "6"],
+     "bound-study", "0b4941ae5143f457a19f1246e70d08cc83ef9ac281d9172948d21c31c715c324"),
 ]
 
 

@@ -20,7 +20,7 @@ from dyadlab.haar import forward_stacked, inverse_stacked
 from dyadlab.norms import _trial_rng
 from dyadlab.shifts import multiplication_commutator_stacked, noncancellative_shift
 
-from conftest import evaluate_stacked_oracle
+from conftest import evaluate_stacked_oracle, iterated_commutator_oracle
 
 
 def test_wrong_kind_errors(rng):
@@ -470,6 +470,27 @@ def test_stacked_commutators_match_per_column_calls(rng):
             assert _close(got[..., t], want.samples)
 
 
+@pytest.mark.parametrize("pg", [ProductGrid(GridSpec(1, 4), GridSpec(1, 3)),
+                                ProductGrid(GridSpec(2, 2), GridSpec(1, 3)),
+                                ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                                            GridSpec(2, 2))], ids=repr)
+def test_iterated_commutator_is_the_four_composition_oracle(pg, rng):
+    # x and b x share the transforms of a bracket; the bits stay those of
+    # one transform in and out per shift application
+    def shift(g, kind):
+        if isinstance(kind, tuple):
+            return random_shift(g, *kind, rng)
+        return random_shift(g, 0, 0, rng, kind="noncancellative", orientation=kind)
+    b = random_product_function(pg, rng)
+    for k1, k2 in [((1, 1), (1, 0)), ((0, 1), "analysis"), ("synthesis", (1, 1)),
+                   ("analysis", "synthesis")]:
+        S1, S2 = shift(pg.grid1, k1), shift(pg.grid2, k2)
+        for passive in [(), (1,), (3,), (2, 2)]:
+            F = rng.standard_normal(pg.shape + passive)
+            assert np.array_equal(iterated_commutator_stacked(b, S1, S2, F),
+                                  iterated_commutator_oracle(b, S1, S2, F))
+
+
 def _loop_residuals(tl, scale, trials, seed):
     """Per-trial residuals of ``tl`` against the direct commutator, one call each."""
     out = []
@@ -590,7 +611,8 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
     # the residual scale comes from the coefficients of b the term list holds:
     # b once, f once, one fold of the noncancellative rows per variable, and
     # the direct commutator: f and b f side by side in one transform at t = 1,
-    # one per shift application at t = 2; whatever the number of trials
+    # and at t = 2 one per bracket along variable 1 and one per application
+    # along variable 2; whatever the number of trials
     calls = _count_calls(monkeypatch, "forward_stacked")
     g = GridSpec(1, 4)
     b = random_function(g, rng)
@@ -606,7 +628,7 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
         assert sum(x is b.samples for _, x in calls) == 1
         calls.clear()
         assert verify_identity(b2, (S1, S2), trials, 5)["pass"]
-        assert len(calls) == 12
+        assert len(calls) == 10
         assert sum(x is b2.samples for _, x in calls) == 1
 
 

@@ -3,14 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyadlab import (GridSpec, OmegaSample, average_operator,
+from dyadlab import (DyadicFunction, GridSpec, OmegaSample, average_operator,
                      commutator_bound_study, dense_matrix, hilbert_pattern_builder,
                      hilbert_pattern_shift, mc_representation_demo,
                      random_function, random_shift, sample_omega, shifted_grid,
                      toeplitz_deviation, zscore_verdict)
 from dyadlab import montecarlo
 from dyadlab.montecarlo import _bonferroni_z
-from conftest import dense_shift_matrix_oracle, welford_average_oracle
+import conftest
+from conftest import (commutator_bound_study_oracle, dense_shift_matrix_oracle,
+                      welford_average_oracle)
 
 
 BASE = GridSpec(1, 5)
@@ -318,3 +320,68 @@ def test_bound_study_report(rng):
     const = DyadicFunction(g, np.ones(g.n_samples))
     S = random_shift(g, 1, 1, rng)
     assert multiplication_commutator(const, S, random_function(g, rng)).norm() < 1e-13
+
+
+# (grid, i_max, j_max, trials): one block at N = 6 (100 trials of 64 samples)
+# and at d = 2 N = 3, 5 blocks of 8 trials at N = 10 and 2 at d = 2 N = 5
+_BOUND_CASES = [(GridSpec(1, 6), 4, 4, 4), (GridSpec(2, 3), 3, 2, 5),
+                (GridSpec(1, 10), 1, 1, 10), (GridSpec(2, 5), 1, 1, 3)]
+
+
+@pytest.mark.parametrize("grid, i_max, j_max, trials", _BOUND_CASES, ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 41])
+def test_bound_study_is_the_per_trial_oracle(grid, i_max, j_max, trials, seed):
+    counters = {}
+    got = commutator_bound_study(0.5, i_max, j_max, trials, seed, grid=grid,
+                                 counters=counters)
+    assert got == commutator_bound_study_oracle(0.5, i_max, j_max, trials, seed, grid=grid)
+    pairs = len(got["reports"])
+    width = max(1, 2 ** 13 // grid.n_samples)
+    assert counters == {"pairs": pairs, "trials": trials,
+                        "blocks": -(-pairs * trials // width)}
+
+
+def test_bound_study_skips_a_constant_symbol(monkeypatch):
+    # trial (1, 0, 2) draws a constant b: it is skipped and draws no f and
+    # no shift, in the study as in the per-trial loop
+    inner = conftest.random_function
+    draws = []
+
+    def constant_once(grid, rng):
+        key = rng.bit_generator.seed_seq.spawn_key
+        draws.append(key)
+        if key == (1, 0, 2) and draws.count(key) == 1:
+            return DyadicFunction(grid, np.full(grid.n_samples, 2.5))
+        return inner(grid, rng)
+
+    shifts = []
+    inner_shift = montecarlo.random_shift
+
+    def counting(grid, i, j, rng):
+        shifts.append((i, j))
+        return inner_shift(grid, i, j, rng)
+
+    for module in (montecarlo, conftest):
+        monkeypatch.setattr(module, "random_function", constant_once)
+    monkeypatch.setattr(montecarlo, "random_shift", counting)
+    grid = GridSpec(1, 4)
+    got = commutator_bound_study(1.0, 1, 1, 3, 5, grid=grid)
+    assert len(shifts) == 4 * 3 - 1 and shifts.count((1, 0)) == 2
+    assert len(draws) == 2 * 4 * 3 - 1 and draws.count((1, 0, 2)) == 1
+    draws.clear()
+    assert got == commutator_bound_study_oracle(1.0, 1, 1, 3, 5, grid=grid)
+
+
+def test_bound_study_memory_does_not_grow_with_trials():
+    import tracemalloc
+    grid = GridSpec(1, 10)  # 1024 samples: 8 trials of one (i, j) fill a block
+    commutator_bound_study(1.0, 0, 0, 2, 1, grid=grid)  # fill the grid caches
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            commutator_bound_study(1.0, 0, 0, trials, 1, grid=grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(40) <= 1.25 * peak(8)

@@ -148,6 +148,41 @@ def test_stacked_commutator_is_bit_identical_to_two_applications(g, kind, rng):
         assert np.array_equal(multiplication_commutator_stacked(b, S, F), want)
 
 
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3),
+                               GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))], ids=repr)
+def test_stacked_commutator_with_trial_symbols_and_shifts_is_per_column(g, rng):
+    # one symbol and one shift per column: each column is its lone commutator
+    from dyadlab.shifts import multiplication_commutator_stacked
+    kinds = [(0, 0), (1, 0), (0, 1), (1, 1), "analysis", "synthesis"]
+    S = [random_shift(g, *k, rng) if isinstance(k, tuple) else
+         random_shift(g, 0, 0, rng, kind="noncancellative", orientation=k) for k in kinds]
+    T = len(S)
+    B = rng.standard_normal((g.n_samples, T))
+    F = rng.standard_normal((g.n_samples, T))
+    got = multiplication_commutator_stacked(B, S, F)
+    for t in range(T):
+        want = multiplication_commutator(DyadicFunction(g, B[:, t]), S[t],
+                                         DyadicFunction(g, F[:, t]))
+        assert np.array_equal(got[:, t], want.samples)
+    # a b stack with one shift applies it to the whole stack, twice
+    assert np.array_equal(multiplication_commutator_stacked(B, S[2], F),
+                          B * S[2].apply_samples(F) - S[2].apply_samples(B * F))
+    # one b with a shift per column
+    b = random_function(g, rng)
+    got = multiplication_commutator_stacked(b, S, F)
+    for t in range(T):
+        want = multiplication_commutator(b, S[t], DyadicFunction(g, F[:, t]))
+        assert np.array_equal(got[:, t], want.samples)
+    with pytest.raises(ValueError):
+        multiplication_commutator_stacked(B, S[:-1], F)
+    with pytest.raises(ValueError):
+        multiplication_commutator_stacked(B[:, :-1], S, F)
+    with pytest.raises(ValueError):
+        multiplication_commutator_stacked(B, S, F[:, 0])
+    with pytest.raises(ValueError):
+        multiplication_commutator_stacked(B, [], F[:, :0])
+
+
 def test_commutator_vanishing_region(rng):
     # [h_I, S] h_J = 0 whenever I strictly contains J^(i); checked over all
     # such cancellative pairs at N=4
