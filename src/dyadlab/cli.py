@@ -11,6 +11,7 @@ with the same config and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -24,10 +25,10 @@ from .haar import (haar_forward, haar_function, haar_inverse, inner_product,
                    random_function)
 from .shifts import random_shift
 from .decomposition import verify_identity
-from .norms import (_trial_rng, geometric_cap_for, geometric_constant,
+from .norms import (_BLOCK_SAMPLES, geometric_cap_for, geometric_constant,
                     geometric_constant_closed_form,
-                    geometric_constant_tail_bound, jn_profile, jn_ratio,
-                    reports_to_csv, reports_to_jsonl, uniformity_study)
+                    geometric_constant_tail_bound, jn_study, reports_to_csv,
+                    reports_to_jsonl, uniformity_study)
 from .montecarlo import commutator_bound_study, mc_representation_demo
 from .biparam import ProductGrid
 from . import __version__
@@ -130,11 +131,16 @@ def cmd_selftest(args) -> int:
 
 def cmd_verify_decomp(args) -> int:
     rng = np.random.default_rng(args.seed)
+    if args.biparam:
+        pg = ProductGrid(GridSpec(args.d, args.N), GridSpec(args.d, args.N2 or args.N))
+        n_samples = pg.grid1.n_samples * pg.grid2.n_samples
+    else:
+        grid = GridSpec(args.d, args.N)
+        n_samples = grid.n_samples
 
     def cases():
         """(b, shift or shift pair) of every case, drawn from ``rng`` in turn."""
         if not args.biparam:
-            grid = GridSpec(args.d, args.N)
             for i in range(args.imax + 1):
                 for j in range(args.jmax + 1):
                     if max(i, j) > grid.N - 1:
@@ -147,7 +153,6 @@ def cmd_verify_decomp(args) -> int:
                                       orientation=ori)
         else:
             from .biparam import random_product_function
-            pg = ProductGrid(GridSpec(args.d, args.N), GridSpec(args.d, args.N2 or args.N))
             for i in range(args.imax + 1):
                 for j in range(args.jmax + 1):
                     if max(i, j) > min(pg.grid1.N, pg.grid2.N) - 1:
@@ -156,15 +161,22 @@ def cmd_verify_decomp(args) -> int:
                     S1 = random_shift(pg.grid1, i, j, rng)
                     yield b, (S1, random_shift(pg.grid2, j, i, rng))
 
-    reports = [verify_identity(b, S, trials=args.trials, rng_seed=args.seed,
-                               tol=args.tol) for b, S in cases()]
+    # the cases run in blocks of at most 2**13 samples per stack, each block
+    # drawn from ``rng`` only when its turn comes
+    width = max(1, _BLOCK_SAMPLES // (n_samples * args.trials))
+    reports, blocks, pending = [], 0, cases()
+    while block := list(itertools.islice(pending, width)):
+        symbols, shifts = zip(*block)
+        reports += verify_identity(symbols, shifts, trials=args.trials,
+                                   rng_seed=args.seed, tol=args.tol)
+        blocks += 1
     worst = max([0.0] + [rep["max_residual"] for rep in reports])
     failed = next((rep for rep in reports if not rep["pass"]), None)
     results = {"cases": reports, "max_residual": worst,
                "pass": failed is None}
     terms = sum(rep["term_count"] for rep in reports)
     counters = {"cases": len(reports), "trials": args.trials, "terms": terms,
-                "term_evaluations": terms * args.trials}
+                "term_evaluations": terms * args.trials, "blocks": blocks}
     path = _write_report(args, "verify-decomp", _resolved_config(args), results,
                          counters=counters)
     print(f"verify-decomp: {len(reports)} cases, max residual {worst:.3e} -> {path}")
@@ -199,21 +211,16 @@ def cmd_norm_study(args) -> int:
 
 def cmd_jn_check(args) -> int:
     grid = GridSpec(args.d, args.N)
-    worst = {}
-    for t in range(args.trials):
-        rng = _trial_rng(args.seed, t)
-        a = random_function(grid, rng)
-        lvl = int(rng.integers(0, grid.N))
-        cube = DyadicCube(lvl, grid.pos_from_flat(
-            int(rng.integers(0, grid.n_cubes(lvl))), lvl))
-        profile = jn_profile(a, cube)
-        for p in args.p:
-            worst[p] = max(worst.get(p, 0.0), jn_ratio(profile, p))
-    results = {"ratios": {str(p): v for p, v in worst.items()}}
-    ok = worst.get(2.0, 0.0) <= 1.0 + 1e-12
-    results["p2_at_most_one"] = ok
-    path = _write_report(args, "jn-check", _resolved_config(args), results)
-    print("jn-check: " + " ".join(f"p={p}: {v:.4f}" for p, v in sorted(worst.items()))
+    counters = {}
+    # the verdict reads p = 2 whether or not the ratios list it
+    worst = jn_study(grid, args.p + [2.0], trials=args.trials, rng_seed=args.seed,
+                     counters=counters)
+    ratios = {p: worst[p] for p in args.p}
+    ok = worst[2.0] <= 1.0 + 1e-12
+    results = {"ratios": {str(p): v for p, v in ratios.items()}, "p2_at_most_one": ok}
+    path = _write_report(args, "jn-check", _resolved_config(args), results,
+                         counters=counters)
+    print("jn-check: " + " ".join(f"p={p}: {v:.4f}" for p, v in sorted(ratios.items()))
           + f" -> {path}")
     if not ok:
         return _fail(args.seed, "jn ratio at p=2 exceeded 1")

@@ -30,8 +30,9 @@ groups in one call per variable before their shifts run. A term is
 :func:`~dyadlab.biparam.pair_apply` with one symbol per variable at t = 2,
 so a P-type pair is two tree scans. The atoms and term skeletons of a grid
 are built once (``grid_index(grid).memo``), so a decomposition only
-transforms b and binds it. ``verify_identity`` passes all trials once
-through the transforms, the direct commutator and the terms.
+transforms b and binds it. ``verify_identity`` passes all trials of a
+sequence of cases once through the transforms, the direct commutators and
+the terms.
 """
 
 from __future__ import annotations
@@ -39,18 +40,18 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .grids import GridSpec, WrongKindError, grid_index
+from .grids import GridMismatchError, GridSpec, WrongKindError, grid_index
 from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
 from .paraproducts import BkOperator, bk_stacked, p_stacked, pstar_stacked
 from .biparam import (PAtom, ProductFunction, _along, forward2, forward2_stacked,
                       inverse2, inverse2_stacked, iterated_commutator_stacked,
                       pair_apply)
-from .shifts import ANALYSIS, ShiftOperator, multiplication_commutator_stacked
+from .shifts import ANALYSIS, ShiftOperator
 from .norms import (_bmo_stacked, _column_norms, _rect_bmo_stacked, _require_trials,
                     _trial_rng)
 
@@ -382,52 +383,100 @@ def _trial_samples(shape: tuple, rng_seed: int, trials: int) -> np.ndarray:
     return out
 
 
-def _max_residual(direct: np.ndarray, approx: np.ndarray, samples: np.ndarray,
+@lru_cache(maxsize=1)
+def _trial_inputs(shape: tuple, rng_seed: int, trials: int, cell_volume: float) -> tuple:
+    """The :func:`_trial_samples` and their column norms, read-only. The last
+    draw is kept, so a command that checks its cases in blocks draws and
+    norms its inputs once."""
+    samples = _trial_samples(shape, rng_seed, trials)
+    norms = _column_norms(samples, cell_volume)
+    samples.flags.writeable = norms.flags.writeable = False
+    return samples, norms
+
+
+def _max_residual(direct: np.ndarray, approx: np.ndarray, f_norms: np.ndarray,
                   scale: float, cell_volume: float) -> float:
     """Largest per-column ||direct - approx|| / (scale ||f||) over the trials."""
     max_res = 0.0
-    for res, f_norm in zip(_column_norms(direct - approx, cell_volume),
-                           _column_norms(samples, cell_volume)):
+    for res, f_norm in zip(_column_norms(direct - approx, cell_volume), f_norms):
         denom = scale * f_norm
         max_res = max(max_res, float(res / denom if denom > 0 else res))
     return max_res
 
 
-def verify_identity(b, shifts, trials: int, rng_seed: int,
-                    tol: float = 1e-9) -> dict:
+def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9):
     """Check sum(terms)(f) == commutator(f) on random inputs.
 
-    Trial t draws f from ``_trial_rng(rng_seed, t)``; all trials run as the
-    columns of one stack. Residuals are measured per trial relative to
-    bmo(b) * ||f|| (rectangle BMO for two parameters). Returns the report
+    ``b`` is one symbol and ``shifts`` its shift or shift pair (S1, S2),
+    giving one report; or ``b`` is a sequence of C symbols on one grid and
+    ``shifts`` a sequence of C shifts or shift pairs, giving a list of C
+    reports, each equal bit for bit to its one-case call.
+
+    Trial t draws f from ``_trial_rng(rng_seed, t)``, the same f in every
+    case; all trials of all cases run as one stack. At t = 1, f and every
+    b_c f share one transform in, which also feeds the term lists, and the
+    shifted halves S_c f, S_c(b_c f) of every direct commutator and every
+    term sum share one transform out; each shift applies to its own (n, T)
+    columns, since ``apply_stacked`` sums a column in another order inside a
+    wider stack. At t = 2 the term sums share one transform out and each
+    direct commutator runs alone. Residuals are measured per trial relative
+    to bmo(b) * ||f|| (rectangle BMO for two parameters). A report is the
     dict {case, d, N, i, j, term_count, max_residual, pass, seed, trials},
     with d, N, i, j as lists over the variables for two parameters.
     ``trials`` must be at least 1.
     """
     _require_trials(trials)
-    if isinstance(shifts, ShiftOperator):
-        shifts = (shifts,)
+    one = isinstance(b, (DyadicFunction, ProductFunction))
+    symbols, cases = ([b], [shifts]) if one else (list(b), list(shifts))
+    if not symbols or len(symbols) != len(cases):
+        raise ValueError(f"{len(symbols)} symbols for {len(cases)} shift cases")
+    cases = [(S,) if isinstance(S, ShiftOperator) else tuple(S) for S in cases]
+    t = len(cases[0])
+    if any(len(S) != t for S in cases):
+        raise ValueError("the cases of one call must have one arity")
+    spaces = [bc.grid if t == 1 else bc.pgrid for bc in symbols]
+    if any(sp != spaces[0] for sp in spaces):
+        raise GridMismatchError("the cases of one call must share one grid")
     # the residual scale is dyadic_bmo_norm(b) or rect_bmo_norm(b), read off
     # the coefficients of b that the term list already holds
-    if len(shifts) == 1:
-        tl, g = decompose(b, shifts[0]), b.grid
+    if t == 1:
+        tls = [decompose(bc, S) for bc, (S,) in zip(symbols, cases)]
+        g = symbols[0].grid
         grids, shape, volume = (g,), (g.n_samples,), g.cell_volume
-        scale = float(_bmo_stacked(g, tl._bc))
+        scales = [float(_bmo_stacked(g, tl._bc)) for tl in tls]
         fwd, inv = partial(forward_stacked, g), partial(inverse_stacked, g)
-        commutator = partial(multiplication_commutator_stacked, b, shifts[0])
     else:
-        tl, pg, volume = decompose_biparam(b, *shifts), b.pgrid, b.cell_volume
+        tls = [decompose_biparam(bc, *S) for bc, S in zip(symbols, cases)]
+        pg, volume = symbols[0].pgrid, symbols[0].cell_volume
         grids, shape = (pg.grid1, pg.grid2), pg.shape
-        scale = float(_rect_bmo_stacked(pg, tl._bc))
+        scales = [float(_rect_bmo_stacked(pg, tl._bc)) for tl in tls]
         fwd, inv = partial(forward2_stacked, pg), partial(inverse2_stacked, pg)
-        commutator = partial(iterated_commutator_stacked, b, *shifts)
-    F = _trial_samples(shape, rng_seed, trials)
-    direct = commutator(F)
-    approx = inv(evaluate_stacked(tl, fwd(F)))
-    max_res = _max_residual(direct, approx, F, scale, volume)
-    per_var = (lambda vals: vals[0]) if len(shifts) == 1 else list
-    return {"case": tl.case, "d": per_var([g.d for g in grids]),
-            "N": per_var([g.N for g in grids]), "i": per_var([S.i for S in shifts]),
-            "j": per_var([S.j for S in shifts]), "term_count": tl.term_count,
+    F, f_norms = _trial_inputs(shape, rng_seed, trials, volume)
+    if t == 1:
+        x = fwd(np.stack([F] + [bc.samples[:, None] * F for bc in symbols], axis=1))
+        xf = x[:, 0]
+    else:
+        xf = fwd(F)
+    # per case: the term sum, then at t = 1 the halves S f and S(b f)
+    y = np.empty(shape + (len(tls), 3 if t == 1 else 1, trials))
+    for c, tl in enumerate(tls):
+        y[..., c, 0, :] = evaluate_stacked(tl, xf)
+        if t == 1:
+            y[:, c, 1] = tl.shifts[0].apply_stacked(xf)
+            y[:, c, 2] = tl.shifts[0].apply_stacked(x[:, c + 1])
+    y = inv(y)
+    per_var = (lambda vals: vals[0]) if t == 1 else list
+    reports = []
+    for c, (tl, scale) in enumerate(zip(tls, scales)):
+        if t == 1:
+            direct = symbols[c].samples[:, None] * y[:, c, 1] - y[:, c, 2]
+        else:
+            direct = iterated_commutator_stacked(tl.b, *tl.shifts, F)
+        max_res = _max_residual(direct, y[..., c, 0, :], f_norms, scale, volume)
+        reports.append({
+            "case": tl.case, "d": per_var([g.d for g in grids]),
+            "N": per_var([g.N for g in grids]), "i": per_var([S.i for S in tl.shifts]),
+            "j": per_var([S.j for S in tl.shifts]), "term_count": tl.term_count,
             "max_residual": max_res, "pass": bool(max_res < tol), "seed": rng_seed,
-            "trials": trials}
+            "trials": trials})
+    return reports[0] if one else reports

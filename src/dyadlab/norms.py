@@ -70,8 +70,12 @@ def dyadic_bmo_norm(b: DyadicFunction) -> float:
 def _bmo_stacked(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
     """:func:`dyadic_bmo_norm` of every column of the stacked coefficients
     (n_samples, *passive) of b, shape ``passive``."""
+    return _bmo_of_masses(grid, _cube_masses(grid, stacked))
+
+
+def _bmo_of_masses(grid: GridSpec, mass: np.ndarray) -> np.ndarray:
+    """:func:`_bmo_stacked` from the :func:`_cube_masses` of b."""
     idx = grid_index(grid)
-    mass = _cube_masses(grid, stacked)
     return np.sqrt(_column_max((mass + idx.subtree_scan(mass))
                                * _trailing(idx.cube_weight, mass), 1))
 
@@ -240,7 +244,17 @@ def maximal_function(f, variant: str = "dyadic", p: float = 2.0):
 
 
 def _lp_norm(samples: np.ndarray, cell_volume: float, p: float) -> float:
-    return float((np.sum(np.abs(samples) ** p) * cell_volume) ** (1.0 / p))
+    return _lp_norms(samples.reshape(1, -1), cell_volume, p)[0]
+
+
+def _lp_norms(rows: np.ndarray, cell_volume: float, p: float) -> list:
+    """L^p norm of every row of ``rows`` (columns, values), each summed as a
+    lone array is. Only the nonzero entries are raised to the power (the
+    vectorized pow is several times slower on zeros), and the root is taken
+    per scalar: on an array it can round differently."""
+    a = np.abs(rows)
+    powered = np.power(a, p, out=np.zeros(a.shape), where=a > 0)
+    return [float(total * cell_volume) ** (1.0 / p) for total in powered.sum(axis=1)]
 
 
 def fs_check(family: list, p: float) -> float:
@@ -263,10 +277,9 @@ def jn_profile(a, region) -> tuple:
     """
     if isinstance(a, DyadicFunction):
         g = a.grid
-        stacked = forward_stacked(g, a.samples)
-        values = _cube_masses(g, stacked) * _inside(g, region) * grid_index(g).cube_weight
-        return (np.sqrt(cell_sums(g, values)), g.cell_volume, float(_bmo_stacked(g, stacked)),
-                g.volume(region.level))
+        masses = _cube_masses(g, forward_stacked(g, a.samples))
+        return (_region_square(g, masses, _inside(g, region)), g.cell_volume,
+                float(_bmo_of_masses(g, masses)), g.volume(region.level))
     # rectangle case
     pg = a.pgrid
     g1, g2 = pg.grid1, pg.grid2
@@ -276,10 +289,23 @@ def jn_profile(a, region) -> tuple:
             g1.volume(region[0].level) * g2.volume(region[1].level))
 
 
-def jn_ratio(profile: tuple, p: float) -> float:
-    """The :func:`jn_check` ratio at exponent ``p`` from a :func:`jn_profile`."""
+def _region_square(grid: GridSpec, masses: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Samples (n_samples, *passive) of the square function localized to a
+    region, (sum_{J inside region} mu(J) chi_J / |J|)**(1/2), from the
+    :func:`_cube_masses` of f and the cube-axis indicator ``inside`` of the
+    cubes in the region (:func:`_inside`), one region per column."""
+    weight = _trailing(grid_index(grid).cube_weight, masses)
+    return np.sqrt(cell_sums(grid, masses * inside * weight))
+
+
+def _check_exponent(p: float) -> None:
     if not (1.0 < p < np.inf):
         raise ValueError("p must lie in (1, inf)")
+
+
+def jn_ratio(profile: tuple, p: float) -> float:
+    """The :func:`jn_check` ratio at exponent ``p`` from a :func:`jn_profile`."""
+    _check_exponent(p)
     square, cell_volume, bmo, volume = profile
     if bmo == 0.0:
         return 0.0
@@ -295,6 +321,56 @@ def jn_check(a, region, p: float) -> float:
     several p, take :func:`jn_profile` once and pass it to :func:`jn_ratio`.
     """
     return jn_ratio(jn_profile(a, region), p)
+
+
+def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = None) -> dict:
+    """Worst :func:`jn_check` ratio over random trials, {p: worst} for every p
+    in ``ps``.
+
+    Trial t draws a's samples, a level, then a cube of that level from
+    ``_trial_rng(rng_seed, t)``; its ratio at every p is ``jn_check(a, cube,
+    p)`` bit for bit. The trials run in blocks of max(1, 2**13 // n_samples),
+    so memory does not grow with ``trials``. Each block takes one transform
+    of its a stack, one table of masses for both the square function and the
+    BMO norm, one ancestor scan of the region marks and one ``cell_sums``;
+    the norms are taken per column. A ``counters`` dict receives
+    {"trials", "blocks"}. ``trials`` must be at least 1.
+    """
+    _require_trials(trials)
+    ps = list(dict.fromkeys(ps))
+    for p in ps:
+        _check_exponent(p)
+    idx, n = grid_index(grid), grid.n_samples
+    worst = dict.fromkeys(ps, 0.0)
+
+    def run_block(ts: range) -> None:
+        """Draw trials ``ts`` into one block and fold their ratios into
+        ``worst``; the block's arrays are freed on return."""
+        a = np.empty((n, len(ts)))
+        mark = np.zeros((grid.n_cubes_total, len(ts)))
+        volumes = []
+        for col, t in enumerate(ts):
+            rng = _trial_rng(rng_seed, t)
+            a[:, col] = rng.standard_normal(n)
+            lvl = int(rng.integers(0, grid.N))
+            mark[grid.cube_range(lvl).start + int(rng.integers(0, grid.n_cubes(lvl))), col] = 1.0
+            volumes.append(grid.volume(lvl))
+        masses = _cube_masses(grid, forward_stacked(grid, a))
+        square = _region_square(grid, masses, mark + idx.ancestor_scan(mark))
+        bmo = _bmo_of_masses(grid, masses)
+        rows = np.ascontiguousarray(square.T)
+        for p in ps:
+            for norm, b, volume in zip(_lp_norms(rows, grid.cell_volume, p), bmo, volumes):
+                if b != 0.0:
+                    worst[p] = max(worst[p], norm / (float(b) * volume ** (1.0 / p)))
+
+    width = max(1, _BLOCK_SAMPLES // n)
+    blocks = range(0, trials, width)
+    for start in blocks:
+        run_block(range(start, min(start + width, trials)))
+    if counters is not None:
+        counters.update(trials=trials, blocks=len(blocks))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +478,11 @@ _BLOCK_SAMPLES = 2 ** 13
 
 
 def _column_norms(x: np.ndarray, cell_volume: float) -> np.ndarray:
-    """L2 norm of every trial column (last axis) of the samples ``x``; each
-    column is summed from a contiguous copy, in the order a function's
-    ``norm()`` sums its samples."""
-    return np.array([np.sqrt(np.sum(np.ascontiguousarray(x[..., t]) ** 2) * cell_volume)
-                     for t in range(x.shape[-1])])
+    """L2 norm of every trial column (last axis) of the samples ``x``: one
+    reduction along the rows of a contiguous (columns, values) copy, which
+    sums each column in the order a function's ``norm()`` sums its samples."""
+    cols = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+    return np.sqrt((cols ** 2).sum(axis=1) * cell_volume)
 
 
 def _require_trials(trials: int) -> None:

@@ -569,3 +569,73 @@ def commutator_bound_study_oracle(delta, i_max, j_max, trials, rng_seed, grid=No
             "max_ratio": max_ratio, "geometric_constant": geo,
             "delta": delta, "bound_ok": bool(weighted_total <= geo * max_ratio + 1e-12),
             "grid": {"d": grid.d, "N": grid.N}, "trials": trials, "seed": rng_seed}
+
+
+# Reference identity check, jn study and column norms: one case, one trial
+# or one column at a time.
+
+
+def column_norms_oracle(x, cell_volume):
+    """L2 norm of every trial column (last axis) of ``x``, one column at a
+    time, each summed from a contiguous copy."""
+    return np.array([np.sqrt(np.sum(np.ascontiguousarray(x[..., t]) ** 2) * cell_volume)
+                     for t in range(x.shape[-1])])
+
+
+def verify_identity_oracle(b, shifts, trials, rng_seed, tol=1e-9):
+    """One-case reference of :func:`dyadlab.decomposition.verify_identity`:
+    the case draws and norms its own f stack, transforms it once for the
+    terms, and runs its own stacked direct commutator."""
+    from dyadlab.biparam import forward2_stacked, inverse2_stacked, iterated_commutator_stacked
+    from dyadlab.decomposition import _trial_samples, decompose, decompose_biparam, evaluate_stacked
+    from dyadlab.haar import forward_stacked, inverse_stacked
+    from dyadlab.norms import _bmo_stacked, _rect_bmo_stacked
+    from dyadlab.shifts import ShiftOperator, multiplication_commutator_stacked
+    if isinstance(shifts, ShiftOperator):
+        shifts = (shifts,)
+    if len(shifts) == 1:
+        tl, g = decompose(b, shifts[0]), b.grid
+        grids, shape, volume = (g,), (g.n_samples,), g.cell_volume
+        scale = float(_bmo_stacked(g, tl._bc))
+        F = _trial_samples(shape, rng_seed, trials)
+        direct = multiplication_commutator_stacked(b, shifts[0], F)
+        approx = inverse_stacked(g, evaluate_stacked(tl, forward_stacked(g, F)))
+    else:
+        tl, pg, volume = decompose_biparam(b, *shifts), b.pgrid, b.cell_volume
+        grids, shape = (pg.grid1, pg.grid2), pg.shape
+        scale = float(_rect_bmo_stacked(pg, tl._bc))
+        F = _trial_samples(shape, rng_seed, trials)
+        direct = iterated_commutator_stacked(b, *shifts, F)
+        approx = inverse2_stacked(pg, evaluate_stacked(tl, forward2_stacked(pg, F)))
+    max_res = 0.0
+    for res, f_norm in zip(column_norms_oracle(direct - approx, volume),
+                           column_norms_oracle(F, volume)):
+        denom = scale * f_norm
+        max_res = max(max_res, float(res / denom if denom > 0 else res))
+    per_var = (lambda vals: vals[0]) if len(shifts) == 1 else list
+    return {"case": tl.case, "d": per_var([g.d for g in grids]),
+            "N": per_var([g.N for g in grids]), "i": per_var([S.i for S in shifts]),
+            "j": per_var([S.j for S in shifts]), "term_count": tl.term_count,
+            "max_residual": max_res, "pass": bool(max_res < tol), "seed": rng_seed,
+            "trials": trials}
+
+
+def jn_study_oracle(grid, ps, trials, rng_seed):
+    """Per-trial reference of :func:`dyadlab.norms.jn_study`: trial t draws
+    a, a level and a cube from its own stream, takes its ``jn_profile`` and
+    raises every sample to the power p."""
+    from dyadlab.norms import _trial_rng, jn_profile
+    worst = {}
+    for t in range(trials):
+        rng = _trial_rng(rng_seed, t)
+        a = random_function(grid, rng)
+        lvl = int(rng.integers(0, grid.N))
+        cube = DyadicCube(lvl, grid.pos_from_flat(int(rng.integers(0, grid.n_cubes(lvl))), lvl))
+        square, cell_volume, bmo, volume = jn_profile(a, cube)
+        for p in ps:
+            ratio = 0.0
+            if bmo != 0.0:
+                norm = float((np.sum(np.abs(square) ** p) * cell_volume) ** (1.0 / p))
+                ratio = norm / (bmo * volume ** (1.0 / p))
+            worst[p] = max(worst.get(p, 0.0), ratio)
+    return worst

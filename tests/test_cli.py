@@ -36,11 +36,27 @@ def test_verify_decomp_small(tmp_path):
     cases = report["results"]["cases"]
     assert len(cases) == 4 + 2
     # work counters live in meta: 4 + i + j terms per cancellative case, 4 per
-    # noncancellative one, each evaluated once per trial
+    # noncancellative one, each evaluated once per trial; all 6 cases of 16
+    # samples x 3 trials fit one block
     assert report["meta"]["counters"] == {"cases": 6, "trials": 3, "terms": 28,
-                                          "term_evaluations": 84}
+                                          "term_evaluations": 84, "blocks": 1}
     assert sum(rep["term_count"] for rep in cases) == 28
     assert "counters" not in report["results"]
+
+
+def test_verify_decomp_counts_its_blocks(tmp_path):
+    # 27 cases of 1024 samples x 3 trials: blocks of 2 cases
+    code, report = run(["verify-decomp", "--N", "10", "--trials", "3"], tmp_path,
+                       "verify-decomp")
+    assert code == 0
+    counters = report["meta"]["counters"]
+    assert (counters["cases"], counters["blocks"]) == (27, 14)
+    # one case of 4096 samples x 2 trials is a block of its own
+    code, report = run(["verify-decomp", "--biparam", "--N", "6", "--imax", "1",
+                        "--jmax", "0", "--trials", "2"], tmp_path, "verify-decomp")
+    assert code == 0
+    counters = report["meta"]["counters"]
+    assert (counters["cases"], counters["blocks"]) == (2, 2)
 
 
 def test_verify_decomp_biparam(tmp_path):
@@ -69,6 +85,32 @@ def test_jn_check(tmp_path):
                         "--p", "1.5", "2.0", "--seed", "2"], tmp_path, "jn-check")
     assert code == 0
     assert report["results"]["ratios"]["2.0"] <= 1 + 1e-12
+    # 5 trials of 32 samples fit one block
+    assert report["meta"]["counters"] == {"trials": 5, "blocks": 1}
+    code, report = run(["jn-check", "--N", "12", "--trials", "5", "--seed", "2"],
+                       tmp_path, "jn-check")
+    assert report["meta"]["counters"] == {"trials": 5, "blocks": 3}
+
+
+def test_jn_check_verdict_reads_p2_when_the_ratios_omit_it(tmp_path, monkeypatch):
+    from dyadlab import cli
+    code, report = run(["jn-check", "--N", "5", "--trials", "4", "--p", "1.5"],
+                       tmp_path, "jn-check")
+    assert code == 0
+    assert set(report["results"]["ratios"]) == {"1.5"}
+    assert report["results"]["p2_at_most_one"] is True
+    # a p = 2 ratio above 1 fails the check although --p does not list 2
+    asked = []
+
+    def study(grid, ps, **kwargs):
+        asked.append(list(ps))
+        return {1.5: 0.5, 2.0: 1.5}
+
+    monkeypatch.setattr(cli, "jn_study", study)
+    code, report = run(["jn-check", "--N", "5", "--trials", "4", "--p", "1.5"],
+                       tmp_path, "jn-check")
+    assert code == 1 and asked == [[1.5, 2.0]]
+    assert report["results"] == {"ratios": {"1.5": 0.5}, "p2_at_most_one": False}
 
 
 def test_mc_demo_small(tmp_path):
@@ -283,8 +325,16 @@ PINNED_REPORTS = [
      "jn-check", "4bc88a5d83a00893f4bac94300e65b84b556623e3cf26f0c1d9b649da727d0f4"),
     (["jn-check", "--d", "2", "--N", "3", "--trials", "5"],
      "jn-check", "b8125782163e9a825fd1bc1fa1664242c97e3faab3df5b76bd27f2e1be51fe4a"),
+    # 7 trials of 4096 samples span four blocks of 2 trials
+    (["jn-check", "--N", "12", "--trials", "7"],
+     "jn-check", "a4a32721ac6baa239824cb4ef57f0731339b471922ea65e656571c10e7c6f399"),
+    (["jn-check", "--d", "3", "--N", "3", "--trials", "9", "--p", "1.1", "2.0", "7.5"],
+     "jn-check", "9d3ca248dad3fb9b9ba22e4b978331828476acabb13b606f08272012bff87941"),
     (["verify-decomp", "--d", "1", "--N", "4", "--imax", "1", "--jmax", "1", "--trials", "3"],
      "verify-decomp", "c7c81b9270a95d9360241755bb95a80fbdb7fe88c88183db817c9b7c0c7b2819"),
+    # 27 cases of 1024 samples x 3 trials span 14 blocks of 2 cases
+    (["verify-decomp", "--N", "10", "--imax", "4", "--jmax", "4", "--trials", "3"],
+     "verify-decomp", "638c046cd0bc302063e6767c9172f75502d2fbb8aee81762e5a98839829b0168"),
     (["mc-demo", "--N", "4", "--samples", "600", "--seed", "9"],
      "mc-demo", "05f0e65a408437653efe6c40aff4970ecf5cd36e673bb1fc4e1ff90acc531ec1"),
     # the perfbench grids job: 25 (i, j) x 4 trials in one block

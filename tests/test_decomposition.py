@@ -15,12 +15,13 @@ from dyadlab import ProductFunction, ShiftOperator, dyadic_bmo_norm, rect_bmo_no
 from dyadlab.biparam import (forward2_stacked, inverse2_stacked,
                              iterated_commutator_stacked)
 from dyadlab.decomposition import decompose, _trial_samples, evaluate_stacked
-from dyadlab.grids import WrongKindError, grid_index
+from dyadlab.grids import GridMismatchError, WrongKindError, grid_index
 from dyadlab.haar import forward_stacked, inverse_stacked
 from dyadlab.norms import _trial_rng
 from dyadlab.shifts import multiplication_commutator_stacked, noncancellative_shift
 
-from conftest import evaluate_stacked_oracle, iterated_commutator_oracle
+from conftest import (evaluate_stacked_oracle, iterated_commutator_oracle,
+                      verify_identity_oracle)
 
 
 def test_wrong_kind_errors(rng):
@@ -551,6 +552,106 @@ def test_trial_stack_columns_are_the_per_trial_draws():
                               random_product_function(pg, _trial_rng(9, t)).samples)
 
 
+def _cases_on(g, rng):
+    """(b, S) on grid ``g``: every cancellative (i, j) with i, j <= 2 that
+    fits, then both noncancellative orientations."""
+    shifts = [random_shift(g, i, j, rng) for i in range(3) for j in range(3)
+              if max(i, j) <= g.N - 1]
+    shifts += [random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
+               for ori in ("analysis", "synthesis")]
+    return [(random_function(g, rng), S) for S in shifts]
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 2),
+                               GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))], ids=repr)
+@pytest.mark.parametrize("trials", [1, 2, 5])
+def test_cases_of_one_call_are_the_per_case_oracle(g, trials, rng):
+    # C cases share f, its transform and one transform out, yet each report
+    # equals the one-case check that draws its own f, bit for bit
+    cases = _cases_on(g, rng)
+    symbols, shifts = zip(*cases)
+    want = [verify_identity_oracle(b, S, trials, 17) for b, S in cases]
+    assert verify_identity(symbols, shifts, trials=trials, rng_seed=17) == want
+    assert [verify_identity(b, S, trials, 17) for b, S in cases] == want
+    # any split into blocks gives the same reports
+    assert (verify_identity(symbols[:3], shifts[:3], trials, 17)
+            + verify_identity(symbols[3:], shifts[3:], trials, 17)) == want
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5])
+def test_two_parameter_cases_of_one_call_are_the_per_case_oracle(trials, rng):
+    for pg in (ProductGrid(GridSpec(1, 3), GridSpec(1, 3)),
+               ProductGrid(GridSpec(2, 2), GridSpec(1, 3)),
+               ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                           GridSpec(1, 3, omega=((0,), (1,), (1,))))):
+        cases = []
+        for kinds in [TWO_PARAM_KINDS[k] for k in (0, 2, 3, 4, 6)]:  # all fit N = 2
+            S1, S2 = (_shift_of_kind(g, k, rng) for g, k in zip((pg.grid1, pg.grid2), kinds))
+            cases.append((random_product_function(pg, rng), (S1, S2)))
+        symbols, shifts = zip(*cases)
+        want = [verify_identity_oracle(b, S, trials, 23) for b, S in cases]
+        assert verify_identity(symbols, shifts, trials=trials, rng_seed=23) == want
+        assert [verify_identity(b, S, trials, 23) for b, S in cases] == want
+
+
+def test_cases_of_one_call_share_one_grid_and_arity(rng):
+    g, g2 = GridSpec(1, 4), GridSpec(1, 5)
+    b, S = random_function(g, rng), random_shift(g, 1, 1, rng)
+    b2, S2 = random_function(g2, rng), random_shift(g2, 1, 1, rng)
+    pg = ProductGrid(g, g)
+    B = random_product_function(pg, rng)
+    with pytest.raises(ValueError, match="2 symbols for 1 shift cases"):
+        verify_identity([b, b], [S], trials=2, rng_seed=1)
+    with pytest.raises(ValueError, match="0 symbols"):
+        verify_identity([], [], trials=2, rng_seed=1)
+    with pytest.raises(GridMismatchError, match="share one grid"):
+        verify_identity([b, b2], [S, S2], trials=2, rng_seed=1)
+    with pytest.raises(ValueError, match="one arity"):
+        verify_identity([b, B], [S, (S, S)], trials=2, rng_seed=1)
+
+
+def test_verify_identity_draws_and_norms_f_once_per_command(monkeypatch, rng):
+    # blocks of one command reuse the trial stack of the previous block
+    from dyadlab import decomposition
+    from dyadlab.decomposition import _trial_inputs
+    draws = []
+    trial_samples = decomposition._trial_samples
+
+    def counting(*args):
+        draws.append(args)
+        return trial_samples(*args)
+
+    monkeypatch.setattr(decomposition, "_trial_samples", counting)
+    _trial_inputs.cache_clear()
+    g = GridSpec(1, 4)
+    cases = _cases_on(g, rng)
+    for b, S in cases:
+        verify_identity([b], [S], trials=3, rng_seed=8)
+    assert draws == [((g.n_samples,), 8, 3)]
+    F, norms = _trial_inputs((g.n_samples,), 8, 3, g.cell_volume)
+    assert not F.flags.writeable and not norms.flags.writeable
+    verify_identity([cases[0][0]], [cases[0][1]], trials=4, rng_seed=8)
+    assert len(draws) == 2
+
+
+def test_verify_decomp_memory_does_not_grow_with_cases(tmp_path):
+    import tracemalloc
+    from dyadlab.cli import main
+    # 1024 samples x 3 trials: blocks of 2 cases; the first run fills the
+    # grid caches with the atoms of every depth
+    argv = ["verify-decomp", "--N", "10", "--trials", "3", "--out", str(tmp_path)]
+    main(argv + ["--imax", "4", "--jmax", "4"])
+
+    def peak(depth):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--imax", str(depth), "--jmax", str(depth)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(4) <= 1.25 * peak(1)  # 27 cases in 14 blocks, 6 cases in 3
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_studies_refuse_fewer_than_one_trial(trials):
     # no trial would leave a vacuous pass with max_residual (max_ratio) 0.0
@@ -609,10 +710,11 @@ def _count_calls(monkeypatch, name) -> list:
 
 def test_verify_identity_transforms_b_once(rng, monkeypatch):
     # the residual scale comes from the coefficients of b the term list holds:
-    # b once, f once, one fold of the noncancellative rows per variable, and
-    # the direct commutator: f and b f side by side in one transform at t = 1,
-    # and at t = 2 one per bracket along variable 1 and one per application
-    # along variable 2; whatever the number of trials
+    # b once, one fold of the noncancellative rows per variable, and f: at
+    # t = 1 f and b f side by side in one transform that feeds both the terms
+    # and the direct commutator, at t = 2 f once for the terms, one transform
+    # per bracket along variable 1 and one per application along variable 2;
+    # whatever the number of trials
     calls = _count_calls(monkeypatch, "forward_stacked")
     g = GridSpec(1, 4)
     b = random_function(g, rng)
@@ -624,7 +726,7 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
         calls.clear()
         rep = verify_identity(b, S, trials, 5)
         assert rep["pass"] and rep["max_residual"] > 0
-        assert len(calls) == 4
+        assert len(calls) == 3
         assert sum(x is b.samples for _, x in calls) == 1
         calls.clear()
         assert verify_identity(b2, (S1, S2), trials, 5)["pass"]

@@ -9,9 +9,10 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      reports_to_jsonl, square_function, tensor_function,
                      uniformity_study)
 from dyadlab.haar import haar_forward
-from dyadlab.norms import NormReport, geometric_cap_for, geometric_constant_tail_bound
-from conftest import (all_cubes, random_signs_oracle, strictly_inside,
-                      uniformity_study_oracle)
+from dyadlab.norms import (NormReport, geometric_cap_for, geometric_constant_tail_bound,
+                           jn_study)
+from conftest import (all_cubes, column_norms_oracle, jn_study_oracle,
+                      random_signs_oracle, strictly_inside, uniformity_study_oracle)
 
 
 def test_bmo_trivial_cases(rng):
@@ -349,6 +350,70 @@ def test_norm_report_serialization():
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("kind,k,l,i,j,trials,max_ratio,seed")
     assert lines[1].split(",")[0] == "Bk"
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41])
+@pytest.mark.parametrize("grid, trials", [
+    (GridSpec(1, 6), 1), (GridSpec(1, 6), 2), (GridSpec(1, 6), 5),
+    (GridSpec(2, 3), 5), (GridSpec(3, 2), 5), (GridSpec(1, 1), 5),
+    (GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))), 5),
+    (GridSpec(1, 12), 5),  # 3 blocks of at most 2 trials
+    (GridSpec(2, 5), 19),  # 3 blocks of at most 8 trials
+], ids=repr)
+def test_jn_study_is_the_per_trial_oracle(grid, trials, seed):
+    ps = [1.1, 1.25, 1.5, 2.0, 3.0, 7.5]
+    counters = {}
+    got = jn_study(grid, ps, trials, seed, counters=counters)
+    assert got == jn_study_oracle(grid, ps, trials, seed)
+    assert list(got) == ps
+    width = max(1, 2 ** 13 // grid.n_samples)
+    assert counters == {"trials": trials, "blocks": -(-trials // width)}
+
+
+def test_jn_study_refuses_bad_input():
+    g = GridSpec(1, 4)
+    assert list(jn_study(g, [2.0, 1.5, 2.0], 3, 1)) == [2.0, 1.5]
+    with pytest.raises(ValueError, match="p must lie"):
+        jn_study(g, [1.5, 1.0], 3, 1)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        jn_study(g, [2.0], 0, 1)
+
+
+def test_jn_study_memory_does_not_grow_with_trials():
+    import tracemalloc
+    grid = GridSpec(1, 10)  # 1024 samples: 8 trials fill a block
+    jn_study(grid, [1.5, 2.0], 2, 1)  # fill the grid caches
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            jn_study(grid, [1.5, 2.0], trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(40) <= 1.25 * peak(8)
+
+
+def test_column_norms_is_the_per_column_oracle(rng):
+    from dyadlab.norms import _column_norms
+    for _ in range(60):
+        shape = tuple(int(k) for k in rng.integers(1, 40, size=rng.integers(1, 4)))
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.3:
+            x = np.asfortranarray(x)
+        volume = 2.0 ** -int(rng.integers(0, 12))
+        assert np.array_equal(_column_norms(x, volume), column_norms_oracle(x, volume))
+
+
+def test_lp_norm_powers_only_the_nonzero_samples(rng):
+    from dyadlab.norms import _lp_norm
+    for p in (1.1, 1.5, 2.0, 3.0, 7.5):
+        for _ in range(20):
+            x = rng.standard_normal(int(rng.integers(1, 300)))
+            x[rng.random(x.size) < 0.6] = 0.0
+            want = float((np.sum(np.abs(x) ** p) * 0.125) ** (1.0 / p))
+            assert _lp_norm(x, 0.125, p) == want
+        assert _lp_norm(np.zeros(8), 0.125, p) == 0.0
 
 
 def test_jn_profile_gives_jn_check_for_every_p(rng):
