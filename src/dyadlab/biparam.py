@@ -21,9 +21,9 @@ Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
 axis 1, and optional trailing passive axes (one column per trial in
 :func:`dyadlab.decomposition.verify_identity`). Variables swap by swapping
 axes 0 and 1. The fixed arrays (symbol coefficients, betas) broadcast
-against the trailing axes; the symbol coefficients may also carry the
-input's last axes as trial axes, one symbol per trial column
-(:func:`dyadlab.norms.uniformity_study`), and a symbol without them is the
+against the trailing axes; they may also carry the input's last axes as
+trial axes, one symbol or beta per trial column
+(:func:`dyadlab.norms.uniformity_study`), and an array without them is the
 broadcast case of the same schedule. :func:`_along` runs a function that
 acts along axis 0 along either variable.
 
@@ -45,7 +45,7 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec, grid_index
 from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
-from .paraproducts import (BkOperator, bk_gather, strict_ancestor_sum,
+from .paraproducts import (BkOperator, _trailing, bk_gather, strict_ancestor_sum,
                            strict_subtree_sum, symbol_stacked)
 from .shifts import multiplication_commutator_stacked
 
@@ -270,13 +270,6 @@ def _lift(a: np.ndarray, X: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:2] + (1,) * (X.ndim - a.ndim) + a.shape[2:])
 
 
-def _on_axis(v: np.ndarray, axis: int, X: np.ndarray) -> np.ndarray:
-    """``v`` (n, *trials) along variable axis ``axis`` of ``X``
-    (n1, n2, *passive, *trials), unit axes elsewhere, its trial axes last."""
-    lead = (1,) * axis + v.shape[:1]
-    return v.reshape(lead + (1,) * (X.ndim - axis - v.ndim) + v.shape[1:])
-
-
 def _rows(r1, r2):
     """Index of rows ``r1`` x ``r2``; a P axis' rows are a slice."""
     return (r1, r2) if isinstance(r1, slice) or isinstance(r2, slice) else (r1[:, None], r2)
@@ -300,10 +293,11 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     the input in the extended layout of both variables (:func:`extend2`),
     (m1, m2, *passive, *trials). The fixed arrays ``bC`` (n1, n2), ``sym1``
     (n1,), ``sym2`` (n2,) and ``sym12`` (n1, n2) broadcast against its
-    trailing axes; each may also end in the trial axes, e.g. ``sym2``
-    (n2, *trials), to pair trial column t with symbol t. ``sym_v`` is the
-    stacked symbol of a P atom in variable v; two P atoms take the caller's
-    joint ``sym12`` or else the product of ``sym1`` and ``sym2``.
+    trailing axes; each, and a B atom's betas, may also end in the trial
+    axes, e.g. ``sym2`` (n2, *trials), to pair trial column t with symbol t.
+    ``sym_v`` is the stacked symbol of a P atom in variable v; two P atoms
+    take the caller's joint ``sym12`` or else the product of ``sym1`` and
+    ``sym2``.
 
     The pair is one schedule over the two variable axes:
     1. gather the input rows of each B axis (:func:`~dyadlab.paraproducts.bk_gather`);
@@ -348,11 +342,11 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
         return contract2(pg, out) if result else None
     if len(p_axes) == 2 and len(pstar) != 1:
         joint = _lift(sym12, Xe) if sym12 is not None \
-            else _on_axis(sym1, 0, Xe) * _on_axis(sym2, 1, Xe)
+            else _trailing(sym1, Xe) * _trailing(sym2, Xe, 1)
         pre, post = ([joint], []) if pstar else ([], [joint])
     else:
-        pre = [_on_axis(syms[v], v, Xe) for v in pstar]
-        post = [_on_axis(syms[v], v, Xe) for v in plain]
+        pre = [_trailing(syms[v], Xe, v) for v in pstar]
+        post = [_trailing(syms[v], Xe, v) for v in plain]
     rows, coefs = [], []  # (input, b, output) rows and beta * scale per axis
     for v, atom in enumerate(atoms):
         if v in p_axes:
@@ -361,7 +355,7 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
         rin, rout, brows, beta, scale = bk_gather(atom)
         scale = scale if coefs else weight * scale
         rows.append((rin, brows, rout))
-        coefs.append((v, scale if beta is None else beta * scale))
+        coefs.append((v, scale if beta is None else beta * _trailing(scale, beta)))
     (in1, b1, out1), (in2, b2, out2) = rows
     W = _take(Xe, in1, in2)
     for s in pre:
@@ -374,7 +368,7 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     for s in post:
         W = s * W
     for v, c in coefs:
-        W = _on_axis(c, v, W) * W
+        W = _trailing(c, W, v) * W
     out[_rows(out1, out2)] += W if coefs else weight * W
     return contract2(pg, out) if result else None
 

@@ -11,6 +11,7 @@ with the same config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -213,7 +214,7 @@ def cmd_jn_check(args) -> int:
     grid = GridSpec(args.d, args.N)
     counters = {}
     # the verdict reads p = 2 whether or not the ratios list it
-    worst = jn_study(grid, args.p + [2.0], trials=args.trials, rng_seed=args.seed,
+    worst = jn_study(grid, [*args.p, 2.0], trials=args.trials, rng_seed=args.seed,
                      counters=counters)
     ratios = {p: worst[p] for p in args.p}
     ok = worst[2.0] <= 1.0 + 1e-12
@@ -296,7 +297,10 @@ def _add_common(p: argparse.ArgumentParser):
                    help="JSON config file; command-line flags override it")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and shared by every :func:`main`
+    call: parsing reads it and leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="dyadlab",
                                  description="dyadic shift / commutator laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jn-check", help="localized square-function ratios")
     p.add_argument("--d", type=_POSITIVE, default=1)
     p.add_argument("--N", type=_POSITIVE, default=6)
-    p.add_argument("--p", type=_EXPONENT, nargs="+", default=[1.25, 1.5, 2.0, 3.0])
+    p.add_argument("--p", type=_EXPONENT, nargs="+", default=(1.25, 1.5, 2.0, 3.0))
     p.add_argument("--trials", type=_POSITIVE, default=50)
     _add_common(p)
     p.set_defaults(func=cmd_jn_check)

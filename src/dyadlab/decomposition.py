@@ -414,13 +414,12 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9):
 
     Trial t draws f from ``_trial_rng(rng_seed, t)``, the same f in every
     case; all trials of all cases run as one stack. At t = 1, f and every
-    b_c f share one transform in, which also feeds the term lists, and the
-    shifted halves S_c f, S_c(b_c f) of every direct commutator and every
-    term sum share one transform out; each shift applies to its own (n, T)
-    columns, since ``apply_stacked`` sums a column in another order inside a
-    wider stack. At t = 2 the term sums share one transform out and each
-    direct commutator runs alone. Residuals are measured per trial relative
-    to bmo(b) * ||f|| (rectangle BMO for two parameters). A report is the
+    b_c f share one transform in, which also feeds the term lists; S_c is
+    applied once to [f | b_c f], and the shifted halves of every direct
+    commutator and every term sum share one transform out. At t = 2 the
+    term sums share one transform out and each direct commutator runs
+    alone. Residuals are measured per trial relative to bmo(b) * ||f||
+    (rectangle BMO for two parameters). A report is the
     dict {case, d, N, i, j, term_count, max_residual, pass, seed, trials},
     with d, N, i, j as lists over the variables for two parameters.
     ``trials`` must be at least 1.
@@ -462,8 +461,7 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9):
     for c, tl in enumerate(tls):
         y[..., c, 0, :] = evaluate_stacked(tl, xf)
         if t == 1:
-            y[:, c, 1] = tl.shifts[0].apply_stacked(xf)
-            y[:, c, 2] = tl.shifts[0].apply_stacked(x[:, c + 1])
+            y[:, c, 1:] = tl.shifts[0].apply_stacked(x[:, [0, c + 1]])
     y = inv(y)
     per_var = (lambda vals: vals[0]) if t == 1 else list
     reports = []

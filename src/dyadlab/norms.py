@@ -504,9 +504,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     does not grow with ``trials``. Trial t draws b, f, then its P symbols
     or betas from ``_trial_rng(rng_seed, t)`` into column t of the block's
     stacks. Each stack is transformed once per block, and each (k, l) is
-    one kernel call (the P symbols on the trailing axis) and one inverse
-    transform per block; B_k and B_{k,l}, whose betas are per trial, apply
-    their atoms column by column. Norms and BMO denominators are taken per
+    one kernel call (the P symbols and the betas on the trailing axis) and
+    one inverse transform per block. Norms and BMO denominators are taken per
     column and sum in each trial's own order, so no row depends on the
     block size. A ``counters`` dict receives {"trials", "combos", "blocks"}.
     ``trials`` must be at least 1.
@@ -568,31 +567,19 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
             beta = signs(s["beta"])
 
             def bk(k, l):
-                out = np.empty(xe.shape)
-                for t in range(out.shape[-1]):
-                    op = BkOperator(grid, k, beta=beta[:, t])
-                    out[:, t] = bk_stacked(op, bc[:, t], xe[:, t])
-                return inverse_stacked(grid, contract(grid, out))
+                return inverse_stacked(grid, contract(grid, bk_stacked(
+                    BkOperator(grid, k, beta=beta), bc, xe)))
             return _bmo_stacked(grid, bc) * _column_norms(s["f"], volume), bk
         bC = forward2_stacked(pgrid, s["b"])
         Xe = forward2_stacked(pgrid, s["f"])
         if kind not in ("PP", "PP1"):  # P x P reads no extended rows
             Xe = extend2(pgrid, Xe)
         denom = _rect_bmo_stacked(pgrid, bC) * _column_norms(s["f"], volume)
+        # the betas, or the P symbols: each of BMO norm one, its mean row zeroed
+        sym1 = sym2 = sym12 = beta1 = beta2 = None
         if kind == "Bkl":
             beta1, beta2 = signs(s["beta1"]), signs(s["beta2"])
-
-            def bkl(k, l):
-                out = np.empty(bC.shape)
-                for t in range(out.shape[-1]):
-                    atoms = (BkOperator(g1, k, beta=beta1[:, t]),
-                             BkOperator(g2, l, beta=beta2[:, t]))
-                    out[..., t] = pair_apply(pgrid, bC[..., t], Xe[..., t], *atoms)
-                return inverse2_stacked(pgrid, out)
-            return denom, bkl
-        # the P symbols, each of BMO norm one, with their mean rows zeroed
-        sym1 = sym2 = sym12 = None
-        if kind == "PBl":
+        elif kind == "PBl":
             sym1 = forward_stacked(g1, unit(g1, s["a1"]))
             sym1[0] = 0.0
         elif kind == "BPk":
@@ -605,8 +592,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
             sym12[:, 0] = 0.0
 
         def pair(k, l):
-            atom1 = BkOperator(g1, k) if kind == "BPk" else PAtom(adjoint=kind == "PP1")
-            atom2 = BkOperator(g2, l) if kind == "PBl" else PAtom()
+            atom1 = PAtom(adjoint=kind == "PP1") if k is None else BkOperator(g1, k, beta=beta1)
+            atom2 = PAtom() if l is None else BkOperator(g2, l, beta=beta2)
             out = pair_apply(pgrid, bC, Xe, atom1, atom2, sym1, sym2, sym12)
             return inverse2_stacked(pgrid, out)
         return denom, pair

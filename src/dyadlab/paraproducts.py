@@ -51,8 +51,10 @@ class BkOperator:
     DyadicCube -> float, an array along the cube axis, or a sequence of N
     per-level arrays indexed by flat cube position; it is stored as None or
     a private read-only float array along the cube axis, (n_cubes_total,),
-    whose entries have magnitude <= 1. Two atoms are equal when grid, k,
-    signatures and betas agree (betas compared value by value).
+    whose entries have magnitude <= 1. An array may also end in trial axes,
+    (n_cubes_total, *trials), one beta per trial column of the input (see
+    :func:`bk_stacked`). Two atoms are equal when grid, k, signatures and
+    betas agree (betas compared value by value).
     """
 
     grid: GridSpec
@@ -100,9 +102,9 @@ class BkOperator:
             beta = np.concatenate(beta)
         if beta is not None:
             beta = np.array(beta, dtype=float)
-            if beta.shape != (g.n_cubes_total,):
+            if beta.shape[:1] != (g.n_cubes_total,):
                 raise ValueError(f"beta along the cube axis needs shape "
-                                 f"({g.n_cubes_total},), got {beta.shape}")
+                                 f"({g.n_cubes_total}, *trials), got {beta.shape}")
             if not np.all(np.abs(beta) <= 1.0 + 1e-12):
                 raise ValueError("beta entries must have magnitude <= 1")
             beta.setflags(write=False)  # decomposition terms share atoms
@@ -155,19 +157,20 @@ def bk_gather(op: BkOperator) -> tuple:
 
 
 def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coefficient-space B_k kernel: extended stack (trailing passive axes
-    allowed) -> extended stack; ``bc`` holds the symbol's stacked coefficients.
-    One gather over the rows of :func:`bk_gather`, and one more through the
-    inverse of the output rows in place of a scatter into zeros."""
+    """Coefficient-space B_k kernel: extended stack (m, *passive, *trials) ->
+    extended stack; ``bc`` holds the symbol's stacked coefficients: (n,), one
+    symbol for every column, or (n, *trials), one per trial column, and the
+    atom's betas likewise. One gather over the rows of :func:`bk_gather`,
+    and one more through the inverse of the output rows in place of a
+    scatter into zeros."""
     rin, _, brows, beta, scale, inverse = _gathered(op)
     coef = bc.take(brows, axis=0)
     if beta is not None:
-        coef = beta * coef
-    coef *= scale
+        coef = _trailing(beta, coef) * _trailing(coef, beta)
+    coef *= _trailing(scale, coef)
     res = np.empty((len(rin) + 1,) + x.shape[1:])
     res[-1] = 0.0
-    np.multiply(coef.reshape(coef.shape + (1,) * (x.ndim - 1)), x.take(rin, axis=0),
-                out=res[:-1])
+    np.multiply(_trailing(coef, x), x.take(rin, axis=0), out=res[:-1])
     return res.take(inverse, axis=0)
 
 
@@ -216,11 +219,12 @@ def symbol_stacked(a: DyadicFunction) -> np.ndarray:
     return coeffs
 
 
-def _trailing(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``v`` (n, *trials) as (n, 1, ..., 1, *trials), broadcasting against
-    ``x`` (n, *passive, *trials): unit axes for the passive axes that ``v``
-    does not carry, its trial axes last."""
-    return v.reshape(v.shape[:1] + (1,) * (x.ndim - v.ndim) + v.shape[1:])
+def _trailing(v: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``v`` (n, *trials) along axis ``axis`` of ``x`` (..., n, *passive,
+    *trials): unit axes elsewhere, for the axes that ``v`` does not carry,
+    and its trial axes last."""
+    lead = (1,) * axis + v.shape[:1]
+    return v.reshape(lead + (1,) * (x.ndim - axis - v.ndim) + v.shape[1:])
 
 
 def p_stacked(grid: GridSpec, bc: np.ndarray, avec: np.ndarray,

@@ -47,6 +47,23 @@ def blocks_shape(grid: GridSpec, i: int, j: int) -> tuple:
             1 << (grid.d * j), grid.n_sig)
 
 
+def _contract(blocks: np.ndarray, fin: np.ndarray, out: np.ndarray) -> None:
+    """out[K, b, t, ...] = sum over (a, s) of blocks[K, a, s, b, t] fin[K, a, s, ...],
+    adding the (a, s) in turn, so a column gets the same bits alone and in
+    any stack. ``einsum`` does so wherever a block has more than one output
+    entry; where it has one (d = 1, j = 0) it sums a lone column as a dot
+    product in another order, so there the sum is written out."""
+    if math.prod(blocks.shape[3:]) > 1:
+        np.einsum("kabcd,kab...->kcd...", blocks, fin, out=out)
+        return
+    w = blocks.reshape((len(blocks), -1) + (1,) * (fin.ndim - 3))
+    fin = fin.reshape(w.shape[:2] + fin.shape[3:])
+    acc = out.reshape(fin[:, 0].shape)
+    np.multiply(w[:, 0], fin[:, 0], out=acc)
+    for a in range(1, w.shape[1]):
+        acc += w[:, a] * fin[:, a]
+
+
 @dataclass(frozen=True, eq=False)
 class ShiftOperator:
     """Dyadic shift S^(i,j); cancellative, or a symbol-driven paraproduct.
@@ -134,7 +151,8 @@ class ShiftOperator:
     # -- application -------------------------------------------------------
 
     def apply_stacked(self, x: np.ndarray) -> np.ndarray:
-        """Apply to a stacked coefficient array (n_samples, *passive)."""
+        """Apply to a stacked coefficient array (n_samples, *passive); each
+        column gets the bits it has alone (:func:`_contract`)."""
         g = self.grid
         if self.cancellative:
             # one gather of the I-cubes of every K; the J-cubes' rows take the
@@ -144,7 +162,7 @@ class ShiftOperator:
             shape = (n_k,) + self.blocks.shape[3:] + x.shape[1:]
             res = np.empty((math.prod(shape[:3]) + 1,) + x.shape[1:])
             res[-1] = 0.0
-            np.einsum("kabcd,kab...->kcd...", self.blocks, fin, out=res[:-1].reshape(shape))
+            _contract(self.blocks, fin, res[:-1].reshape(shape))
             return res.take(idx.descendant_inverse(self.j, n_k), axis=0)
         # a cube's rows pair with its row in the tail of the extended layout
         out = np.zeros_like(x)
@@ -332,14 +350,12 @@ def multiplication_commutator_stacked(b, S, samples: np.ndarray) -> np.ndarray:
     whose shape leads that of ``samples``: an (n_samples, T) stack holds one
     symbol per column of axis 1, the trial axis. ``S`` is one ShiftOperator,
     applied to the whole stack, or a sequence of T shifts, shift t applied to
-    column ``samples[:, t]`` alone. Column t of the result is then
+    column ``samples[:, t]``. Column t of the result is then
     ``multiplication_commutator(b_t, S_t, f_t)``, bit for bit.
 
-    f and b f share one transform in and S f and S(b f) one transform out,
-    side by side on a passive axis; each column keeps the bits of its own
-    transform. The two applications of a shift stay separate, and a shift
-    sequence reads each column as a lone column: ``apply_stacked``'s
-    ``einsum`` sums a column in another order inside a wider stack.
+    f and b f lie side by side on a passive axis: they share one transform
+    in, one application of each shift and one transform out, and each column
+    keeps the bits it has alone.
     """
     shifts = None if isinstance(S, ShiftOperator) else tuple(S)
     if shifts is None:
@@ -359,12 +375,7 @@ def multiplication_commutator_stacked(b, S, samples: np.ndarray) -> np.ndarray:
                          f"shape {samples.shape} on {g.n_samples} cells")
     bcol = b.reshape(b.shape + (1,) * (samples.ndim - b.ndim))
     x = forward_stacked(g, np.stack([samples, bcol * samples], axis=1))
-    if shifts is None:
-        y = np.stack([S.apply_stacked(x[:, 0]), S.apply_stacked(x[:, 1])], axis=1)
-    else:
-        y = np.empty_like(x)
-        for t, s in enumerate(shifts):
-            for half in (0, 1):
-                y[:, half, t] = s.apply_stacked(x[:, half, t])
+    y = S.apply_stacked(x) if shifts is None else \
+        np.stack([s.apply_stacked(x[:, :, t]) for t, s in enumerate(shifts)], axis=2)
     y = inverse_stacked(g, y)
     return bcol * y[:, 0] - y[:, 1]

@@ -11,6 +11,20 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def assert_columns_alone(kernel, draw, widths=(1, 2, 5)):
+    """Check a stacked kernel column by column: on stacks of 1, 2 and 5 trial
+    columns, column t of ``kernel(*draw(T))`` is ``np.array_equal`` to
+    ``kernel`` run on the t-th columns of its arguments alone. ``draw(T)``
+    returns the kernel's array arguments, each with the trial axis last."""
+    for T in widths:
+        args = draw(T)
+        got = kernel(*args)
+        assert got.shape[-1] == T
+        for t in range(T):
+            alone = kernel(*(np.array(a[..., t]) for a in args))
+            assert np.array_equal(got[..., t], alone), (T, t)
+
+
 def all_cubes(grid):
     for lvl in range(grid.N):
         for flat in range(grid.n_cubes(lvl)):

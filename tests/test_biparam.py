@@ -10,7 +10,8 @@ from dyadlab.biparam import (PAtom, contract2, extend2, forward2, forward2_stack
                              forward_var, inverse2, pair_apply)
 from dyadlab.grids import DepthError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
-from conftest import (all_cancellative_indices, all_cubes, bb_pair_oracle,
+from conftest import (all_cancellative_indices, all_cubes, assert_columns_alone,
+                      bb_pair_oracle,
                       bp_pair_oracle, dense_matrix, sig_rows, strictly_inside)
 
 
@@ -507,6 +508,36 @@ def test_p_symbol_stacks_match_the_one_symbol_pair_kernels(pg, rng):
         want = pair_apply_oracle(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0],
                                  sym2[:, 0], sym12[..., 0])
         assert np.array_equal(got, want), (atom1, atom2)
+
+
+@pytest.mark.parametrize("pg", [ProductGrid(GridSpec(1, 3), GridSpec(1, 4)), PG_D2,
+                                ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                                            GridSpec(2, 2))], ids=repr)
+def test_pair_apply_with_trial_betas_gives_a_column_its_bits_alone(pg, rng):
+    # B_{k,l}, BP_k and PB_l with one symbol and one beta array per trial
+    # column, as uniformity_study runs them
+    g1, g2 = pg.grid1, pg.grid2
+
+    def draw(T):
+        bC = forward2_stacked(pg, rng.standard_normal(pg.shape + (T,)))
+        Xe = extend2(pg, forward2_stacked(pg, rng.standard_normal(pg.shape + (T,))))
+        beta1, beta2 = (np.sign(rng.standard_normal((g.n_cubes_total, T)) + 0.5)
+                        for g in (g1, g2))
+        sym1 = forward_var(rng.standard_normal((g1.n_samples, T)), g1, 1)
+        sym2 = forward_var(rng.standard_normal((g2.n_samples, T)), g2, 1)
+        sym1[0] = sym2[0] = 0.0
+        return bC, Xe, beta1, beta2, sym1, sym2
+    for k in range(g1.N):
+        for l in range(g2.N):
+            assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2: pair_apply(
+                pg, bC, Xe, BkOperator(g1, k, beta=beta1), BkOperator(g2, l, beta=beta2)),
+                draw)
+        for p in (PAtom(False), PAtom(True)):
+            assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2: pair_apply(
+                pg, bC, Xe, BkOperator(g1, k, beta=beta1), p, sym2=sym2), draw)
+    for l in range(g2.N):
+        assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2: pair_apply(
+            pg, bC, Xe, PAtom(), BkOperator(g2, l, beta=beta2), sym1=sym1), draw)
 
 
 def test_pair_apply_rejects_a_p_atom_without_its_symbol(rng):

@@ -92,6 +92,35 @@ def test_jn_check(tmp_path):
     assert report["meta"]["counters"] == {"trials": 5, "blocks": 3}
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path):
+    # the parser is built once; calls that share it, with other flags and
+    # one through --config, write the bodies of calls on a parser of their own
+    from dyadlab import cli
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": 5, "p": [1.5, 3.0], "trials": 3}))
+    jobs = [(["jn-check", "--config", str(config), "--seed", "2"], "jn-check"),
+            (["jn-check", "--N", "4", "--trials", "2"], "jn-check"),
+            (["verify-decomp", "--N", "3", "--imax", "1", "--jmax", "1", "--trials", "2"],
+             "verify-decomp")]
+
+    def bodies(own_parser):
+        out = []
+        for n, (argv, name) in enumerate(jobs):
+            if own_parser:
+                cli.build_parser.cache_clear()
+            code, report = run(argv, tmp_path / f"{own_parser}{n}", name)
+            assert code == 0
+            del report["meta"], report["config"]["out"]
+            out.append(report)
+        return out
+    cli.build_parser()
+    built = cli.build_parser.cache_info().misses
+    shared = bodies(False)
+    assert cli.build_parser.cache_info().misses == built
+    assert shared[0]["config"]["p"] == [1.5, 3.0] and shared[1]["config"]["N"] == 4
+    assert shared == bodies(True)
+
+
 def test_jn_check_verdict_reads_p2_when_the_ratios_omit_it(tmp_path, monkeypatch):
     from dyadlab import cli
     code, report = run(["jn-check", "--N", "5", "--trials", "4", "--p", "1.5"],
@@ -339,7 +368,7 @@ PINNED_REPORTS = [
      "mc-demo", "05f0e65a408437653efe6c40aff4970ecf5cd36e673bb1fc4e1ff90acc531ec1"),
     # the perfbench grids job: 25 (i, j) x 4 trials in one block
     (["bound-study", "--trials", "4"],
-     "bound-study", "bd7d972bef87bfa015aae16e1ccde845966a697a0074cb43fc54f9698942b03d"),
+     "bound-study", "e95bbce65e25199c46de66902462a15d074d3687ea82e69d8fcf85c21abcfc03"),
     (["bound-study", "--d", "2", "--N", "3", "--trials", "5"],
      "bound-study", "f9438ee049f9917725c0ae71ce9566e2a068cb23411118cc8bf5c9621b8d863d"),
     # 9 (i, j) x 6 trials of 512 samples span four blocks of 16 trials

@@ -10,7 +10,7 @@ from dyadlab.grids import InvalidIndexError, grid_index
 from dyadlab.haar import extend, forward_stacked
 from dyadlab.norms import dyadic_bmo_norm, uniformity_study
 from dyadlab.paraproducts import bk_gather, bk_stacked
-from conftest import all_cubes, sig_rows, strictly_inside
+from conftest import assert_columns_alone, all_cubes, sig_rows, strictly_inside
 
 
 def bk_oracle(op, b, f):
@@ -181,6 +181,37 @@ def test_bk_beta_dict_is_stored_on_the_cube_axis(rng):
         BkOperator(g, 1, beta=levels[:1])
     with pytest.raises(ValueError, match="cube axis"):
         BkOperator(g, 1, beta=np.ones(g.n_cubes_total + 1))
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3),
+                               GridSpec(2, 2, omega=((1, 0), (0, 1)))], ids=repr)
+def test_bk_stacked_with_trial_betas_gives_a_column_its_bits_alone(g, rng):
+    # one symbol and one beta array per trial column, every depth and the
+    # noncancellative signatures at k = 0
+    non = (1,) * g.d
+    atoms = [(k, None, None) for k in range(g.N)] + [(0, non, None), (0, None, non)]
+
+    def draw(T):
+        beta = np.sign(rng.standard_normal((g.n_cubes_total, T)) + 0.5)
+        bc = forward_stacked(g, rng.standard_normal((g.n_samples, T)))
+        x = extend(g, forward_stacked(g, rng.standard_normal((g.n_samples, T))))
+        return beta, bc, x
+    for k, sig_in, sig_out in atoms:
+        assert_columns_alone(lambda beta, bc, x: bk_stacked(
+            BkOperator(g, k, sig_in=sig_in, sig_out=sig_out, beta=beta), bc, x), draw)
+    # one symbol or one beta array for every column is the broadcast case
+    beta, bc, x = draw(3)
+    for one_beta, one_bc in ((beta[:, 1], bc), (beta, bc[:, 1])):
+        got = bk_stacked(BkOperator(g, 1, beta=one_beta), one_bc, x)
+        for t in range(3):
+            want = bk_stacked(BkOperator(g, 1, beta=beta[:, 1] if one_beta.ndim == 1
+                                         else beta[:, t]),
+                              bc[:, 1] if one_bc.ndim == 1 else bc[:, t], np.array(x[:, t]))
+            assert np.array_equal(got[:, t], want), t
+    with pytest.raises(ValueError, match="cube axis"):
+        BkOperator(g, 1, beta=np.ones((g.n_cubes_total + 1, 3)))
+    with pytest.raises(ValueError, match="magnitude"):
+        BkOperator(g, 1, beta=np.full((g.n_cubes_total, 3), 2.0))
 
 
 def test_bk_betas_are_read_only():

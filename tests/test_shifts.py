@@ -11,7 +11,8 @@ from dyadlab.grids import DepthError, WrongKindError
 from dyadlab.haar import fold_noncancellative, forward_stacked, scaling_levels
 from dyadlab.norms import dyadic_bmo_norm
 from dyadlab.shifts import expected_coefficient_count, max_k_level
-from conftest import dense_matrix, dense_shift_matrix_oracle, shift_apply_oracle
+from conftest import (assert_columns_alone, dense_matrix, dense_shift_matrix_oracle,
+                      shift_apply_oracle)
 
 
 def test_coefficient_count_formula():
@@ -154,6 +155,8 @@ def test_stacked_commutator_with_trial_symbols_and_shifts_is_per_column(g, rng):
     # one symbol and one shift per column: each column is its lone commutator
     from dyadlab.shifts import multiplication_commutator_stacked
     kinds = [(0, 0), (1, 0), (0, 1), (1, 1), "analysis", "synthesis"]
+    if g.N >= 4:  # a K block of one output entry, d = 1 and j = 0
+        kinds += [(2, 0), (3, 0)]
     S = [random_shift(g, *k, rng) if isinstance(k, tuple) else
          random_shift(g, 0, 0, rng, kind="noncancellative", orientation=k) for k in kinds]
     T = len(S)
@@ -164,7 +167,7 @@ def test_stacked_commutator_with_trial_symbols_and_shifts_is_per_column(g, rng):
         want = multiplication_commutator(DyadicFunction(g, B[:, t]), S[t],
                                          DyadicFunction(g, F[:, t]))
         assert np.array_equal(got[:, t], want.samples)
-    # a b stack with one shift applies it to the whole stack, twice
+    # a b stack with one shift: the bits of its two applications
     assert np.array_equal(multiplication_commutator_stacked(B, S[2], F),
                           B * S[2].apply_samples(F) - S[2].apply_samples(B * F))
     # one b with a shift per column
@@ -310,7 +313,28 @@ def test_cancellative_apply_matches_the_level_loop(g, rng):
             S = random_shift(g, i, j, rng)
             for passive in ((), (3,), (2, 2)):
                 x = rng.standard_normal((g.n_samples,) + passive)
-                assert np.array_equal(S.apply_stacked(x), shift_apply_oracle(S, x))
+                if passive:
+                    want = shift_apply_oracle(S, x)
+                else:  # the per-level einsum sums a lone column in another order
+                    want = shift_apply_oracle(S, np.stack([x, x], axis=1))[:, 0]
+                assert np.array_equal(S.apply_stacked(x), want)
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 4), GridSpec(2, 4), GridSpec(3, 3),
+                               GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))),
+                               GridSpec(2, 3, omega=((1, 0), (0, 1), (1, 1)))], ids=repr)
+def test_apply_stacked_gives_a_column_its_bits_alone(g, rng):
+    # every (i, j) <= 3 and both noncancellative orientations: a column
+    # has the same bits in a stack of any width as alone
+    shifts = [random_shift(g, i, j, rng) for i in range(4) for j in range(4)
+              if max(i, j) <= g.N - 1]
+    shifts += [random_shift(g, 0, 0, rng, kind="noncancellative", orientation=o)
+               for o in ("analysis", "synthesis")]
+    for S in shifts:
+        assert_columns_alone(S.apply_stacked,
+                             lambda T: (rng.standard_normal((g.n_samples, T)),))
+        assert_columns_alone(S.apply_stacked,
+                             lambda T: (rng.standard_normal((g.n_samples, 2, T)),))
 
 
 def test_shift_equality_and_hash(rng):
