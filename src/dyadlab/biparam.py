@@ -297,7 +297,8 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     axes, e.g. ``sym2`` (n2, *trials), to pair trial column t with symbol t.
     ``sym_v`` is the stacked symbol of a P atom in variable v; two P atoms
     take the caller's joint ``sym12`` or else the product of ``sym1`` and
-    ``sym2``.
+    ``sym2``. ``weight`` is a float, or an array on the trial axes, e.g.
+    (C, 1), one weight per column.
 
     The pair is one schedule over the two variable axes:
     1. gather the input rows of each B axis (:func:`~dyadlab.paraproducts.bk_gather`);
@@ -353,9 +354,10 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
             rows.append((slice(grids[v].n_samples),) * 3)
             continue
         rin, rout, brows, beta, scale = bk_gather(atom)
-        scale = scale if coefs else weight * scale
+        scale = scale if coefs else np.multiply.outer(scale, weight)
         rows.append((rin, brows, rout))
-        coefs.append((v, scale if beta is None else beta * _trailing(scale, beta)))
+        coefs.append((v, scale if beta is None
+                      else _trailing(beta, scale) * _trailing(scale, beta)))
     (in1, b1, out1), (in2, b2, out2) = rows
     W = _take(Xe, in1, in2)
     for s in pre:

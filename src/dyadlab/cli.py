@@ -165,11 +165,11 @@ def cmd_verify_decomp(args) -> int:
     # the cases run in blocks of at most 2**13 samples per stack, each block
     # drawn from ``rng`` only when its turn comes
     width = max(1, _BLOCK_SAMPLES // (n_samples * args.trials))
-    reports, blocks, pending = [], 0, cases()
+    reports, blocks, pending, sweeps = [], 0, cases(), {"term_calls": 0}
     while block := list(itertools.islice(pending, width)):
         symbols, shifts = zip(*block)
         reports += verify_identity(symbols, shifts, trials=args.trials,
-                                   rng_seed=args.seed, tol=args.tol)
+                                   rng_seed=args.seed, tol=args.tol, counters=sweeps)
         blocks += 1
     worst = max([0.0] + [rep["max_residual"] for rep in reports])
     failed = next((rep for rep in reports if not rep["pass"]), None)
@@ -177,7 +177,7 @@ def cmd_verify_decomp(args) -> int:
                "pass": failed is None}
     terms = sum(rep["term_count"] for rep in reports)
     counters = {"cases": len(reports), "trials": args.trials, "terms": terms,
-                "term_evaluations": terms * args.trials, "blocks": blocks}
+                "term_evaluations": terms * args.trials, "blocks": blocks, **sweeps}
     path = _write_report(args, "verify-decomp", _resolved_config(args), results,
                          counters=counters)
     print(f"verify-decomp: {len(reports)} cases, max residual {worst:.3e} -> {path}")

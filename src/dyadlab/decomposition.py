@@ -21,26 +21,34 @@ verification harness checks against independently evaluated commutators.
 
 Both sides are linear in f, so evaluation runs on coefficient stacks with a
 trailing trial axis, (n, T) for one parameter and (n1, n2, T) for two.
-``evaluate_stacked`` is one evaluator for t = 1 or 2 variables: it stacks
-the 2^t inner-shift compositions of the input on a key axis and extends
-them in one call per variable (see :mod:`dyadlab.haar`), sums every term
-into the extended buffer of its outer-shift group, and contracts all 2^t
-groups in one call per variable before their shifts run. A term is
-``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` at t = 1 and
-:func:`~dyadlab.biparam.pair_apply` with one symbol per variable at t = 2,
-so a P-type pair is two tree scans. The atoms and term skeletons of a grid
-are built once (``grid_index(grid).memo``), so a decomposition only
-transforms b and binds it. ``verify_identity`` passes all trials of a
-sequence of cases once through the transforms, the direct commutators and
-the terms.
+``evaluate_stacked`` is one evaluator for t = 1 or 2 variables and for a
+block of cases, which sit on a case axis before the trial axis, (n, C, T)
+or (n1, n2, C, T); a single term list is a block of one. It stacks the 2^t
+inner-shift compositions of the input on a key axis and extends them in
+one call per variable (see :mod:`dyadlab.haar`), sums every term into the
+extended buffer of its outer-shift group, and contracts all 2^t groups in
+one call per variable before their shifts run. The cases of one family
+(the shift kinds and orientations) share one sweep of that family's term
+list at their largest (i, j), of which every case's list is an ordered
+subsequence: a term is one ``bk_stacked``, ``p_stacked`` or
+``pstar_stacked`` call at t = 1 and one
+:func:`~dyadlab.biparam.pair_apply` with one symbol per variable at t = 2
+(so a P-type pair is two tree scans), with b, the symbols and the weights
+on the case axis, weight 0 for a case that lacks the term. The atoms and
+term skeletons of a grid are built once (``grid_index(grid).memo``), so a
+decomposition only binds b; its list transforms b on first use.
+``verify_identity`` passes all trials of a block of cases once through the
+transforms, the direct commutators and one term sweep, and transforms the
+block's symbols once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -51,7 +59,7 @@ from .paraproducts import BkOperator, bk_stacked, p_stacked, pstar_stacked
 from .biparam import (PAtom, ProductFunction, _along, forward2, forward2_stacked,
                       inverse2, inverse2_stacked, iterated_commutator_stacked,
                       pair_apply)
-from .shifts import ANALYSIS, ShiftOperator
+from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator
 from .norms import (_bmo_stacked, _column_norms, _rect_bmo_stacked, _require_trials,
                     _trial_rng)
 
@@ -102,11 +110,13 @@ class TermList:
     case: str
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
+    @cached_property
+    def _bc(self) -> np.ndarray:
+        """Stacked coefficients of b, transformed on first use; a block of
+        :func:`verify_identity` sets them from one transform of its symbols."""
         if self.arity == 1:
-            self._bc = forward_stacked(self.b.grid, self.b.samples)
-        else:
-            self._bc = forward2(self.b)
+            return forward_stacked(self.b.grid, self.b.samples)
+        return forward2(self.b)
 
     @property
     def term_count(self) -> int:
@@ -210,10 +220,40 @@ def _noncancellative_var_atoms(grid: GridSpec, orientation: str) -> list:
     return out
 
 
-def _var_atoms(grid: GridSpec, S: ShiftOperator) -> list:
-    if S.cancellative:
-        return _cancellative_var_atoms(grid, S.i, S.j)
-    return _noncancellative_var_atoms(grid, S.orientation)
+def _spec(S: ShiftOperator) -> tuple:
+    """What a shift's term list depends on: (kind, orientation, i, j), with
+    no orientation for a cancellative shift."""
+    return (S.kind, None if S.cancellative else S.orientation, S.i, S.j)
+
+
+def _var_atoms(grid: GridSpec, spec: tuple) -> list:
+    kind, orientation, i, j = spec
+    if kind == CANCELLATIVE:
+        return _cancellative_var_atoms(grid, i, j)
+    return _noncancellative_var_atoms(grid, orientation)
+
+
+def _skeleton(grids: tuple, specs: tuple) -> tuple:
+    """The terms of shifts of ``specs`` (one :func:`_spec` per variable) on
+    ``grids``, built once per grid (``grid_index(grids[0]).memo``): the
+    per-variable list at t = 1, the product of the two lists at t = 2."""
+    def build():
+        if len(grids) == 2:
+            return tuple(Term(w1 * w2, _pair_kind(a1, a2, out1, out2), f"{prov1}|{prov2}",
+                              a1, a2, inner1=in1, outer1=out1, inner2=in2, outer2=out2)
+                         for w1, a1, in1, out1, prov1 in _var_atoms(grids[0], specs[0])
+                         for w2, a2, in2, out2, prov2 in _var_atoms(grids[1], specs[1]))
+        post_kind, pre_kind = (("Bk_of_Sf", "S_of_Bk") if specs[0][0] == CANCELLATIVE
+                               else ("B0_of_S00f", "S00_of_B0"))
+        terms = []
+        for weight, atom, inner, outer, prov in _var_atoms(grids[0], specs[0]):
+            if isinstance(atom, PAtom):
+                kind = "Pstar_term" if atom.adjoint else "P_term"
+            else:
+                kind = post_kind if inner or not outer else pre_kind
+            terms.append(Term(weight, kind, prov, atom, inner1=inner, outer1=outer))
+        return tuple(terms)
+    return grid_index(grids[0]).memo(("terms",) + grids[1:] + specs, build)
 
 
 def _count_constant(grid: GridSpec, S: ShiftOperator) -> int:
@@ -228,18 +268,8 @@ def _count_constant(grid: GridSpec, S: ShiftOperator) -> int:
 # One-parameter decompositions.
 
 
-def _one_param_terms(b: DyadicFunction, S: ShiftOperator, kinds: tuple) -> TermList:
-    def build():
-        post_kind, pre_kind = kinds
-        terms = []
-        for weight, atom, inner, outer, prov in _var_atoms(b.grid, S):
-            if isinstance(atom, PAtom):
-                kind = "Pstar_term" if atom.adjoint else "P_term"
-            else:
-                kind = post_kind if inner or not outer else pre_kind
-            terms.append(Term(weight, kind, prov, atom, inner1=inner, outer1=outer))
-        return tuple(terms)
-    terms = grid_index(b.grid).memo(("terms", S.kind, S.orientation, S.i, S.j), build)
+def _one_param_terms(b: DyadicFunction, S: ShiftOperator) -> TermList:
+    terms = _skeleton((b.grid,), (_spec(S),))
     case = "cancellative" if S.cancellative else f"noncancellative-{S.orientation}"
     C = _count_constant(b.grid, S)
     meta = {"term_count": len(terms), "count_constant": C,
@@ -254,7 +284,7 @@ def decompose_cancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
         raise WrongKindError("decompose_cancellative needs a cancellative shift")
     if b.grid != S.grid:
         raise WrongKindError("b must live on the shift grid")
-    return _one_param_terms(b, S, ("Bk_of_Sf", "S_of_Bk"))
+    return _one_param_terms(b, S)
 
 
 def decompose_noncancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
@@ -263,7 +293,7 @@ def decompose_noncancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
         raise WrongKindError("decompose_noncancellative needs a noncancellative shift")
     if b.grid != S.grid:
         raise WrongKindError("b must live on the shift grid")
-    return _one_param_terms(b, S, ("B0_of_S00f", "S00_of_B0"))
+    return _one_param_terms(b, S)
 
 
 def decompose(b: DyadicFunction, S: ShiftOperator) -> TermList:
@@ -295,14 +325,7 @@ def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
         raise WrongKindError("S1 must act on variable 1 of b's product grid")
     if S2.grid != pg.grid2:
         raise WrongKindError("S2 must act on variable 2 of b's product grid")
-    def build():
-        return tuple(Term(w1 * w2, _pair_kind(a1, a2, out1, out2), f"{prov1}|{prov2}",
-                          a1, a2, inner1=in1, outer1=out1, inner2=in2, outer2=out2)
-                     for w1, a1, in1, out1, prov1 in _var_atoms(pg.grid1, S1)
-                     for w2, a2, in2, out2, prov2 in _var_atoms(pg.grid2, S2))
-    terms = grid_index(pg.grid1).memo(
-        ("pair_terms", pg.grid2) + tuple((S.kind, S.orientation, S.i, S.j) for S in (S1, S2)),
-        build)
+    terms = _skeleton((pg.grid1, pg.grid2), (_spec(S1), _spec(S2)))
     C = _count_constant(pg.grid1, S1) * _count_constant(pg.grid2, S2)
     meta = {"term_count": len(terms), "count_constant": C,
             "count_bound": C * (1 + max(S1.i, S1.j)) * (1 + max(S2.i, S2.j)),
@@ -316,24 +339,101 @@ def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
 # Evaluation and verification.
 
 
-def evaluate_stacked(tl: TermList, x: np.ndarray) -> np.ndarray:
-    """Sum of all terms on a coefficient stack with trailing passive axes.
+def _positions(where: dict, terms) -> list:
+    """The places of ``terms`` in a list whose places ``where`` holds; they
+    must be an ordered subsequence of that list."""
+    pos = [where.get(term, -1) for term in terms]
+    if min(pos, default=0) < 0 or any(p >= q for p, q in zip(pos, pos[1:])):
+        raise ValueError("the terms of a case are not an ordered subsequence "
+                         "of their family's terms")
+    return pos
 
-    ``x`` is (n, *passive) for one parameter and (n1, n2, *passive) for two;
-    each column is evaluated as by :func:`evaluate_terms`. S_v acts along
-    axis v; the inner compositions are built from the last variable's down,
-    so at t = 2 S2 runs once on ``x`` and S1 twice. The 2^t inner inputs and
-    the 2^t outer groups sit on a leading key axis, one contiguous block per
-    key, so each variable takes one extend and one contract, which give
-    every column of a stack the bits of its single-column transform.
+
+def _family_weights(grids: tuple, tls: list) -> tuple:
+    """The sweep of one family of cases: its term list at the cases' largest
+    (i, j) per variable, and the (terms, cases) weights, a case's own weight
+    where its list has the term and 0 where it lacks it. A case's list must
+    be an ordered subsequence of that list, so that every accumulator adds a
+    case's terms in the case's own order. The places of a list as
+    ``decompose`` builds it are looked up once per grid and (i, j)."""
+    memo = grid_index(grids[0]).memo
+    specs = [tuple(map(_spec, tl.shifts)) for tl in tls]
+    top = tuple(spec[:2] + (max(s[v][2] for s in specs), max(s[v][3] for s in specs))
+                for v, spec in enumerate(specs[0]))
+    master = _skeleton(grids, top)
+    where = memo(("term_places",) + grids[1:] + top,
+                 lambda: {term: p for p, term in enumerate(master)})
+    weights = np.zeros((len(master), len(tls)))
+    for c, tl in enumerate(tls):
+        own = _skeleton(grids, specs[c])
+        if len(tl.terms) == len(own) and all(map(operator.is_, tl.terms, own)):
+            pos = memo(("case_places",) + grids[1:] + top + specs[c],
+                       partial(_positions, where, own))
+        else:
+            pos = _positions(where, tl.terms)
+        weights[pos, c] = [term.weight for term in tl.terms]
+    return master, weights
+
+
+def _each_case(tls: list, v: int, y: np.ndarray) -> np.ndarray:
+    """Case c's shift of variable v along that variable of column c of the
+    case axis of ``y`` (axis t)."""
+    t = tls[0].arity
+    return np.stack([_along(v, tl.shifts[v].apply_stacked, y[(slice(None),) * t + (c,)])
+                     for c, tl in enumerate(tls)], axis=t)
+
+
+def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
+                     counters: dict = None) -> np.ndarray:
+    """Sum of all terms of a block of cases on coefficient stacks.
+
+    ``tls`` is a sequence of C term lists of one arity t on one grid, and
+    ``x`` is (n, C, *trials) for one parameter or (n1, n2, C, *trials) for
+    two: column c of the case axis is case c's input. A single TermList is a
+    block of one on ``x`` (n, *passive) or (n1, n2, *passive), and returns
+    that shape. Each column is evaluated as by :func:`evaluate_terms`. S_v
+    acts along axis v; the inner compositions are built from the last
+    variable's down, so at t = 2 S2 runs once on ``x`` and S1 twice, case by
+    case. At t = 1 the caller may pass ``sx``, each case's S_c x, which it
+    already has. The 2^t inner inputs and the 2^t outer groups sit on a
+    leading key axis, one contiguous block per key, so each variable takes
+    one extend and one contract per block, which give every column of a
+    stack the bits of its single-column transform.
+
+    The cases of one family (the shift kinds and orientations) share one
+    sweep of that family's term list at their largest (i, j) (see
+    :func:`_family_weights`): each term is one ``bk_stacked``,
+    ``p_stacked``/``pstar_stacked`` or ``pair_apply`` call on the family's
+    columns, its weight on the case axis, 0 for a case that lacks it; a term
+    that no case has is skipped. So each case keeps its own ``acc += w *
+    term`` steps and their bits. A ``counters`` dict receives the kernel
+    calls in ``term_calls``.
     """
-    t, shifts = tl.arity, tl.shifts
-    grids = (tl.b.grid,) if t == 1 else (tl.b.pgrid.grid1, tl.b.pgrid.grid2)
-    syms = [None if S.cancellative else S.stacked_symbol() for S in shifts]
-    shifted = {(): x}
-    for v in reversed(range(t)):
-        shifted = {key: y for k, y in shifted.items() for key, y in (
-            ((False,) + k, y), ((True,) + k, _along(v, shifts[v].apply_stacked, y)))}
+    one = isinstance(tls, TermList)
+    tls = [tls] if one else list(tls)
+    t = tls[0].arity
+    if one:
+        x = np.expand_dims(x, t)
+    if x.shape[t:t + 1] != (len(tls),):
+        raise ValueError(f"{len(tls)} term lists for a case axis of shape {x.shape}")
+    grids = (tls[0].b.grid,) if t == 1 else (tls[0].b.pgrid.grid1, tls[0].b.pgrid.grid2)
+    trial = (1,) * (x.ndim - t - 1)
+
+    def on_cases(arrays):
+        """Per-case arrays on a case axis, with unit trial axes; one case's
+        array alone, the broadcast case of the kernels."""
+        if len(arrays) == 1:
+            return arrays[0]
+        arr = np.stack(arrays, axis=-1)
+        return arr.reshape(arr.shape + trial)
+
+    if sx is not None:
+        shifted = {(False,): x, (True,): sx}
+    else:
+        shifted = {(): x}
+        for v in reversed(range(t)):
+            shifted = {key: y for k, y in shifted.items() for key, y in (
+                ((False,) + k, y), ((True,) + k, _each_case(tls, v, y)))}
     keys = list(itertools.product((False, True), repeat=t))
     slot = {key: n for n, key in enumerate(keys)}
     inputs = np.stack([shifted[key] for key in keys])
@@ -341,29 +441,54 @@ def evaluate_stacked(tl: TermList, x: np.ndarray) -> np.ndarray:
         inputs = _along(v + 1, partial(extend, g), inputs)
     inputs = np.ascontiguousarray(inputs)
     groups = np.zeros(inputs.shape)
-    for term in tl.terms:
-        xin = inputs[slot[(term.inner1, term.inner2)[:t]]]
-        acc = groups[slot[(term.outer1, term.outer2)[:t]]]
-        # t = 1 keeps the 1-D kernels: the pinned 1-D reports hold their order
-        # of operations (bk_stacked forms beta * b * scale before taking x)
-        if t == 2:
-            pair_apply(tl.b.pgrid, tl._bc, xin, term.atom1, term.atom2, sym1=syms[0],
-                       sym2=syms[1], out=acc, weight=term.weight)
-        elif isinstance(term.atom1, PAtom):
-            n = grids[0].n_samples
-            p = pstar_stacked if term.atom1.adjoint else p_stacked
-            acc[:n] += term.weight * p(grids[0], tl._bc, syms[0], xin[:n])
-        else:
-            acc += term.weight * bk_stacked(term.atom1, tl._bc, xin)
+    families = {}
+    for c, tl in enumerate(tls):
+        families.setdefault(tuple(_spec(S)[:2] for S in tl.shifts), []).append(c)
+    calls = 0
+    for cols in families.values():
+        # the family's columns: a view where they are contiguous, else a copy
+        # whose sums are written back
+        cut = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
+        at = (slice(None),) * t + (cut,)
+        fam = [tls[c] for c in cols]
+        fin, acc = inputs[(slice(None),) + at], groups[(slice(None),) + at]
+        fbc = on_cases([tl._bc for tl in fam])
+        syms = [None if S.cancellative
+                else on_cases([tl.shifts[v].stacked_symbol() for tl in fam])
+                for v, S in enumerate(fam[0].shifts)]
+        master, weights = _family_weights(grids, fam)
+        present = weights.any(axis=1)
+        for term, w, used in zip(master, weights.reshape(weights.shape + trial), present):
+            if not used:
+                continue
+            xin = fin[slot[(term.inner1, term.inner2)[:t]]]
+            out = acc[slot[(term.outer1, term.outer2)[:t]]]
+            # t = 1 keeps the 1-D kernels: the pinned 1-D reports hold their
+            # order of operations (bk_stacked forms beta * b * scale before
+            # taking x)
+            if t == 2:
+                pair_apply(tls[0].b.pgrid, fbc, xin, term.atom1, term.atom2, sym1=syms[0],
+                           sym2=syms[1], out=out, weight=w)
+            elif isinstance(term.atom1, PAtom):
+                n = grids[0].n_samples
+                p = pstar_stacked if term.atom1.adjoint else p_stacked
+                out[:n] += w * p(grids[0], fbc, syms[0], xin[:n])
+            else:
+                out += w * bk_stacked(term.atom1, fbc, xin)
+            calls += 1
+        if not isinstance(cut, slice):
+            groups[(slice(None),) + at] = acc
     for v in reversed(range(t)):
         groups = _along(v + 1, partial(contract, grids[v]), groups)
     total = np.zeros(x.shape)
     for key, y in zip(keys, groups):
         for v in range(t):
             if key[v]:
-                y = _along(v, shifts[v].apply_stacked, y)
+                y = _each_case(tls, v, y)
         total += y
-    return total
+    if counters is not None:
+        counters["term_calls"] = counters.get("term_calls", 0) + calls
+    return total[(slice(None),) * t + (0,)] if one else total
 
 
 def evaluate_terms(tl: TermList, f):
@@ -404,7 +529,8 @@ def _max_residual(direct: np.ndarray, approx: np.ndarray, f_norms: np.ndarray,
     return max_res
 
 
-def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9):
+def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
+                    counters: dict = None):
     """Check sum(terms)(f) == commutator(f) on random inputs.
 
     ``b`` is one symbol and ``shifts`` its shift or shift pair (S1, S2),
@@ -413,16 +539,20 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9):
     reports, each equal bit for bit to its one-case call.
 
     Trial t draws f from ``_trial_rng(rng_seed, t)``, the same f in every
-    case; all trials of all cases run as one stack. At t = 1, f and every
-    b_c f share one transform in, which also feeds the term lists; S_c is
-    applied once to [f | b_c f], and the shifted halves of every direct
-    commutator and every term sum share one transform out. At t = 2 the
-    term sums share one transform out and each direct commutator runs
-    alone. Residuals are measured per trial relative to bmo(b) * ||f||
-    (rectangle BMO for two parameters). A report is the
-    dict {case, d, N, i, j, term_count, max_residual, pass, seed, trials},
-    with d, N, i, j as lists over the variables for two parameters.
-    ``trials`` must be at least 1.
+    case; all trials of all cases run as one stack. The C symbols share one
+    transform, which gives every term list its coefficients of b and every
+    case its residual scale. The term sums are one :func:`evaluate_stacked`
+    sweep with the cases on its case axis, and share one transform out. At
+    t = 1, f and every b_c f share one transform in, which also feeds the
+    term sweep; S_c is applied once to [f | b_c f], whose S_c f is the
+    sweep's inner input, and the shifted halves of every direct commutator
+    share the transform out of the term sums. At t = 2 each direct
+    commutator runs alone. Residuals are measured per trial relative to
+    bmo(b) * ||f|| (rectangle BMO for two parameters). A report is the dict
+    {case, d, N, i, j, term_count, max_residual, pass, seed, trials}, with
+    d, N, i, j as lists over the variables for two parameters. ``trials``
+    must be at least 1. A ``counters`` dict receives the term-kernel calls
+    of the sweep in ``term_calls``, added to any it holds.
     """
     _require_trials(trials)
     one = isinstance(b, (DyadicFunction, ProductFunction))
@@ -436,41 +566,46 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9):
     spaces = [bc.grid if t == 1 else bc.pgrid for bc in symbols]
     if any(sp != spaces[0] for sp in spaces):
         raise GridMismatchError("the cases of one call must share one grid")
-    # the residual scale is dyadic_bmo_norm(b) or rect_bmo_norm(b), read off
-    # the coefficients of b that the term list already holds
     if t == 1:
         tls = [decompose(bc, S) for bc, (S,) in zip(symbols, cases)]
         g = symbols[0].grid
         grids, shape, volume = (g,), (g.n_samples,), g.cell_volume
-        scales = [float(_bmo_stacked(g, tl._bc)) for tl in tls]
-        fwd, inv = partial(forward_stacked, g), partial(inverse_stacked, g)
+        fwd, inv, bmo = (partial(forward_stacked, g), partial(inverse_stacked, g),
+                         partial(_bmo_stacked, g))
     else:
         tls = [decompose_biparam(bc, *S) for bc, S in zip(symbols, cases)]
         pg, volume = symbols[0].pgrid, symbols[0].cell_volume
         grids, shape = (pg.grid1, pg.grid2), pg.shape
-        scales = [float(_rect_bmo_stacked(pg, tl._bc)) for tl in tls]
-        fwd, inv = partial(forward2_stacked, pg), partial(inverse2_stacked, pg)
+        fwd, inv, bmo = (partial(forward2_stacked, pg), partial(inverse2_stacked, pg),
+                         partial(_rect_bmo_stacked, pg))
+    # the symbols' coefficients, and from them the residual scales
+    # dyadic_bmo_norm(b_c) or rect_bmo_norm(b_c)
+    bcs = fwd(np.stack([bc.samples for bc in symbols], axis=-1))
+    for c, tl in enumerate(tls):
+        tl._bc = bcs[..., c]
+    scales = bmo(bcs)
     F, f_norms = _trial_inputs(shape, rng_seed, trials, volume)
+    C = len(tls)
+    # per case: the term sum, then at t = 1 the halves S f and S(b f)
+    y = np.empty(shape + (C, 3 if t == 1 else 1, trials))
     if t == 1:
         x = fwd(np.stack([F] + [bc.samples[:, None] * F for bc in symbols], axis=1))
-        xf = x[:, 0]
-    else:
-        xf = fwd(F)
-    # per case: the term sum, then at t = 1 the halves S f and S(b f)
-    y = np.empty(shape + (len(tls), 3 if t == 1 else 1, trials))
-    for c, tl in enumerate(tls):
-        y[..., c, 0, :] = evaluate_stacked(tl, xf)
-        if t == 1:
+        for c, tl in enumerate(tls):
             y[:, c, 1:] = tl.shifts[0].apply_stacked(x[:, [0, c + 1]])
+        xf, sx = x[:, :1], y[:, :, 1]
+    else:
+        xf, sx = fwd(F)[..., None, :], None
+    y[..., 0, :] = evaluate_stacked(tls, np.broadcast_to(xf, shape + (C, trials)), sx=sx,
+                                    counters=counters)
     y = inv(y)
     per_var = (lambda vals: vals[0]) if t == 1 else list
     reports = []
-    for c, (tl, scale) in enumerate(zip(tls, scales)):
+    for c, tl in enumerate(tls):
         if t == 1:
             direct = symbols[c].samples[:, None] * y[:, c, 1] - y[:, c, 2]
         else:
             direct = iterated_commutator_stacked(tl.b, *tl.shifts, F)
-        max_res = _max_residual(direct, y[..., c, 0, :], f_norms, scale, volume)
+        max_res = _max_residual(direct, y[..., c, 0, :], f_norms, float(scales[c]), volume)
         reports.append({
             "case": tl.case, "d": per_var([g.d for g in grids]),
             "N": per_var([g.N for g in grids]), "i": per_var([S.i for S in tl.shifts]),

@@ -514,8 +514,10 @@ def test_p_symbol_stacks_match_the_one_symbol_pair_kernels(pg, rng):
                                 ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
                                             GridSpec(2, 2))], ids=repr)
 def test_pair_apply_with_trial_betas_gives_a_column_its_bits_alone(pg, rng):
-    # B_{k,l}, BP_k and PB_l with one symbol and one beta array per trial
-    # column, as uniformity_study runs them
+    # B_{k,l}, BP_k, PB_l and the separable P x P pairs with one symbol, one
+    # beta array and one weight per trial column, as uniformity_study and
+    # the block sweep of evaluate_stacked run them (a weight of 0 for a
+    # case that lacks the term)
     g1, g2 = pg.grid1, pg.grid2
 
     def draw(T):
@@ -526,18 +528,33 @@ def test_pair_apply_with_trial_betas_gives_a_column_its_bits_alone(pg, rng):
         sym1 = forward_var(rng.standard_normal((g1.n_samples, T)), g1, 1)
         sym2 = forward_var(rng.standard_normal((g2.n_samples, T)), g2, 1)
         sym1[0] = sym2[0] = 0.0
-        return bC, Xe, beta1, beta2, sym1, sym2
+        w = rng.choice([-1.0, 0.0, 1.0, 0.5], T)
+        return bC, Xe, beta1, beta2, sym1, sym2, w
     for k in range(g1.N):
         for l in range(g2.N):
-            assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2: pair_apply(
-                pg, bC, Xe, BkOperator(g1, k, beta=beta1), BkOperator(g2, l, beta=beta2)),
-                draw)
+            assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2, w: pair_apply(
+                pg, bC, Xe, BkOperator(g1, k, beta=beta1), BkOperator(g2, l, beta=beta2),
+                weight=w), draw)
         for p in (PAtom(False), PAtom(True)):
-            assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2: pair_apply(
-                pg, bC, Xe, BkOperator(g1, k, beta=beta1), p, sym2=sym2), draw)
+            assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2, w: pair_apply(
+                pg, bC, Xe, BkOperator(g1, k, beta=beta1), p, sym2=sym2, weight=w), draw)
     for l in range(g2.N):
-        assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2: pair_apply(
-            pg, bC, Xe, PAtom(), BkOperator(g2, l, beta=beta2), sym1=sym1), draw)
+        assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2, w: pair_apply(
+            pg, bC, Xe, PAtom(), BkOperator(g2, l, beta=beta2), sym1=sym1, weight=w), draw)
+    for a1 in (False, True):
+        for a2 in (False, True):
+            assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2, w: pair_apply(
+                pg, bC, Xe, PAtom(a1), PAtom(a2), sym1=sym1, sym2=sym2, weight=w), draw)
+    # a weight on the trial axes is the float weight, column by column
+    bC, Xe, beta1, beta2, sym1, sym2, w = draw(4)
+    for atoms in ((BkOperator(g1, 1, beta=beta1[:, 0]), PAtom(True)),
+                  (PAtom(False), PAtom(True))):
+        got = pair_apply(pg, bC[..., 0], Xe, *atoms, sym1=sym1[:, 0], sym2=sym2[:, 0],
+                         weight=w)
+        for t in range(4):
+            want = pair_apply(pg, bC[..., 0], Xe[..., t], *atoms, sym1=sym1[:, 0],
+                              sym2=sym2[:, 0], weight=float(w[t]))
+            assert np.array_equal(got[..., t], want), (atoms, t)
 
 
 def test_pair_apply_rejects_a_p_atom_without_its_symbol(rng):

@@ -37,9 +37,11 @@ def test_verify_decomp_small(tmp_path):
     assert len(cases) == 4 + 2
     # work counters live in meta: 4 + i + j terms per cancellative case, 4 per
     # noncancellative one, each evaluated once per trial; all 6 cases of 16
-    # samples x 3 trials fit one block
+    # samples x 3 trials fit one block, whose sweeps make one kernel call per
+    # term of the cancellative list at (1, 1) and of each orientation's list
     assert report["meta"]["counters"] == {"cases": 6, "trials": 3, "terms": 28,
-                                          "term_evaluations": 84, "blocks": 1}
+                                          "term_evaluations": 84, "blocks": 1,
+                                          "term_calls": 6 + 4 + 4}
     assert sum(rep["term_count"] for rep in cases) == 28
     assert "counters" not in report["results"]
 

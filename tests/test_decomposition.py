@@ -14,7 +14,7 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
 from dyadlab import ProductFunction, ShiftOperator, dyadic_bmo_norm, rect_bmo_norm
 from dyadlab.biparam import (forward2_stacked, inverse2_stacked,
                              iterated_commutator_stacked)
-from dyadlab.decomposition import decompose, _trial_samples, evaluate_stacked
+from dyadlab.decomposition import TermList, decompose, _trial_samples, evaluate_stacked
 from dyadlab.grids import GridMismatchError, WrongKindError, grid_index
 from dyadlab.haar import forward_stacked, inverse_stacked
 from dyadlab.norms import _trial_rng
@@ -562,13 +562,83 @@ def _cases_on(g, rng):
     return [(random_function(g, rng), S) for S in shifts]
 
 
+@pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 3)], ids=repr)
+def test_every_term_list_is_an_ordered_subsequence_of_its_family_list(g, rng):
+    # the block sweep runs a family's list at its cases' largest (i, j):
+    # the list at any (i, j) <= (I, J) is an ordered subsequence of the list
+    # at (I, J), term for term, so each case keeps its own order of sums
+    from dyadlab.decomposition import _family_weights
+    b = random_function(g, rng)
+    ij = [(i, j) for i in range(g.N) for j in range(g.N)]
+    lists = {(i, j): decompose(b, random_shift(g, i, j, rng)) for i, j in ij}
+    for top in ij:
+        where = {term: p for p, term in enumerate(lists[top].terms)}
+        assert len(where) == lists[top].term_count  # no term twice
+        for i, j in ij:
+            if i <= top[0] and j <= top[1]:
+                pos = [where[term] for term in lists[(i, j)].terms]
+                assert pos == sorted(set(pos)), ((i, j), top)
+    # a block's weights: each case's own on its terms, 0 on the others
+    block = [lists[k] for k in ij if k != (g.N - 1, g.N - 1)]
+    master, weights = _family_weights((g,), block)
+    assert master == tuple(lists[(g.N - 1, g.N - 1)].terms)
+    for c, tl in enumerate(block):
+        assert [(term, w) for term, w in zip(master, weights[:, c]) if w] == \
+            [(term, term.weight) for term in tl.terms]
+    # the two-parameter lists are the products of these
+    pg = ProductGrid(GridSpec(1, 3), g if g.d < 3 else GridSpec(3, 2))
+    b2 = random_product_function(pg, rng)
+    S1s = [random_shift(pg.grid1, i, j, rng) for i in range(3) for j in range(3)]
+    S2s = [random_shift(pg.grid2, 0, 1, rng), random_shift(pg.grid2, 1, 0, rng)]
+    pair_lists = [decompose_biparam(b2, S1, S2) for S1 in S1s for S2 in S2s]
+    master, weights = _family_weights((pg.grid1, pg.grid2), pair_lists)
+    assert master == tuple(decompose_biparam(b2, S1s[-1], random_shift(
+        pg.grid2, 1, 1, rng)).terms)
+    for c, tl in enumerate(pair_lists):
+        assert [term for term, w in zip(master, weights[:, c]) if w] == tl.terms
+    with pytest.raises(ValueError, match="ordered subsequence"):
+        _family_weights((g,), [TermList(1, b, (random_shift(g, 1, 0, rng),),
+                                        lists[(1, 0)].terms[::-1], "cancellative")])
+
+
+def _block_orders(cases) -> list:
+    """Index orders of blocks of ``cases``: reversed; interleaved, a case
+    without cancellative shifts first and the others amid the cancellative
+    ones, with a repeated (i, j); and without the cancellative case of the
+    largest (i, j), so that no case of the block has its family's whole
+    term list."""
+    n = len(cases)
+    shifts = [(S,) if isinstance(S, ShiftOperator) else S for _, S in cases]
+    canc = [c for c in range(n) if all(S.cancellative for S in shifts[c])]
+    rest = [c for c in range(n) if c not in canc]
+    interleaved = rest[:1] + canc[:2] + [canc[1]] + rest[1:] + canc[2:]
+    top = max(canc, key=lambda c: sum(S.i + S.j for S in shifts[c]))
+    return [list(range(n))[::-1], interleaved, [c for c in range(n) if c != top]]
+
+
+def _block_evaluation_is_the_per_case_oracle(cases, trials, rng):
+    """The sweep of one block on (n, C, T) stacks, each column np.array_equal
+    to its own list's per-key oracle."""
+    tls = [decompose(b, S) if isinstance(S, ShiftOperator) else decompose_biparam(b, *S)
+           for b, S in cases]
+    shape = tls[0].b.samples.shape
+    x = rng.standard_normal(shape + (len(tls), trials))
+    got = evaluate_stacked(tls, x)
+    for c, tl in enumerate(tls):
+        assert np.array_equal(got[..., c, :], evaluate_stacked_oracle(tl, x[..., c, :])), c
+
+
 @pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 2),
                                GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))], ids=repr)
 @pytest.mark.parametrize("trials", [1, 2, 5])
 def test_cases_of_one_call_are_the_per_case_oracle(g, trials, rng):
-    # C cases share f, its transform and one transform out, yet each report
-    # equals the one-case check that draws its own f, bit for bit
+    # C cases share f, its transform, one term sweep and one transform out,
+    # yet each report equals the one-case check that draws its own f, bit
+    # for bit, in any order and block of the cases; a second symbol of each
+    # orientation gives those families two columns
     cases = _cases_on(g, rng)
+    cases += [(random_function(g, rng), _shift_of_kind(g, ori, rng))
+              for ori in ("analysis", "synthesis")]
     symbols, shifts = zip(*cases)
     want = [verify_identity_oracle(b, S, trials, 17) for b, S in cases]
     assert verify_identity(symbols, shifts, trials=trials, rng_seed=17) == want
@@ -576,6 +646,10 @@ def test_cases_of_one_call_are_the_per_case_oracle(g, trials, rng):
     # any split into blocks gives the same reports
     assert (verify_identity(symbols[:3], shifts[:3], trials, 17)
             + verify_identity(symbols[3:], shifts[3:], trials, 17)) == want
+    for order in _block_orders(cases):
+        assert verify_identity([symbols[c] for c in order], [shifts[c] for c in order],
+                               trials, 17) == [want[c] for c in order], order
+        _block_evaluation_is_the_per_case_oracle([cases[c] for c in order], trials, rng)
 
 
 @pytest.mark.parametrize("trials", [1, 2, 5])
@@ -584,14 +658,27 @@ def test_two_parameter_cases_of_one_call_are_the_per_case_oracle(trials, rng):
                ProductGrid(GridSpec(2, 2), GridSpec(1, 3)),
                ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
                            GridSpec(1, 3, omega=((0,), (1,), (1,))))):
+        # two more cancellative pairs, so the cancellative family has three
+        # cases of different (i, j), then every mix that fits the grids, and
+        # a second case of two of the mixed families
+        mixes = [((0, 1), (1, 0)), ((1, 0), (0, 0))] + TWO_PARAM_KINDS
+        mixes += [((1, 0), "analysis"), ("analysis", "synthesis")]
         cases = []
-        for kinds in [TWO_PARAM_KINDS[k] for k in (0, 2, 3, 4, 6)]:  # all fit N = 2
+        for kinds in mixes:
+            if any(isinstance(k, tuple) and max(k) > g.N - 1
+                   for g, k in zip((pg.grid1, pg.grid2), kinds)):
+                continue
             S1, S2 = (_shift_of_kind(g, k, rng) for g, k in zip((pg.grid1, pg.grid2), kinds))
             cases.append((random_product_function(pg, rng), (S1, S2)))
+        assert len(cases) == len(mixes) - (pg.grid1.N < 3)
         symbols, shifts = zip(*cases)
         want = [verify_identity_oracle(b, S, trials, 23) for b, S in cases]
         assert verify_identity(symbols, shifts, trials=trials, rng_seed=23) == want
         assert [verify_identity(b, S, trials, 23) for b, S in cases] == want
+        for order in _block_orders(cases):
+            assert verify_identity([symbols[c] for c in order], [shifts[c] for c in order],
+                                   trials, 23) == [want[c] for c in order], order
+            _block_evaluation_is_the_per_case_oracle([cases[c] for c in order], trials, rng)
 
 
 def test_cases_of_one_call_share_one_grid_and_arity(rng):
@@ -689,6 +776,16 @@ def test_one_param_evaluation_applies_the_shift_at_most_twice(rng, monkeypatch):
     calls = _count_shift_calls(monkeypatch)
     evaluate_terms(tl, random_function(g, rng))
     assert len(calls) == 2
+    # verify_identity applies each case's shift once to [f | b_c f], whose
+    # S_c f is the inner input of the terms, and once to its outer group
+    shifts = [random_shift(g, 4, 4, rng), random_shift(g, 1, 2, rng), random_shift(g, 0, 0, rng)]
+    shifts += [random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
+               for ori in ("analysis", "synthesis")]
+    for block in ([shifts[0]], shifts):
+        calls.clear()
+        verify_identity([random_function(g, rng) for _ in block], block, trials=3, rng_seed=2)
+        assert len(calls) == 2 * len(block)
+        assert all(sum(c is S for c in calls) == 2 for S in block)
 
 
 def _count_calls(monkeypatch, name) -> list:
@@ -709,29 +806,38 @@ def _count_calls(monkeypatch, name) -> list:
 
 
 def test_verify_identity_transforms_b_once(rng, monkeypatch):
-    # the residual scale comes from the coefficients of b the term list holds:
-    # b once, one fold of the noncancellative rows per variable, and f: at
-    # t = 1 f and b f side by side in one transform that feeds both the terms
-    # and the direct commutator, at t = 2 f once for the terms, one transform
-    # per bracket along variable 1 and one per application along variable 2;
-    # whatever the number of trials
+    # one transform of the block's symbols gives the term lists their
+    # coefficients of b and the cases their residual scales; then one fold
+    # of the noncancellative rows per variable, and f: at t = 1 f and every
+    # b_c f side by side in one transform that feeds both the terms and the
+    # direct commutators, at t = 2 f once for the terms, and per case one
+    # transform per bracket along variable 1 and one per application along
+    # variable 2; whatever the number of trials
     calls = _count_calls(monkeypatch, "forward_stacked")
     g = GridSpec(1, 4)
-    b = random_function(g, rng)
-    S = random_shift(g, 1, 1, rng)
+    bs = [random_function(g, rng) for _ in range(3)]
+    shifts = [random_shift(g, 1, 1, rng), random_shift(g, 2, 0, rng),
+              random_shift(g, 0, 0, rng, kind="noncancellative")]
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
-    b2 = random_product_function(pg, rng)
-    S1, S2 = random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 1, 1, rng)
+    b2 = [random_product_function(pg, rng) for _ in range(2)]
+    pairs = [(random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 1, 1, rng)),
+             (random_shift(pg.grid1, 0, 1, rng), random_shift(pg.grid2, 1, 0, rng))]
+
+    def one_symbol_transform(symbols):
+        stack = np.stack([b.samples for b in symbols], axis=-1)
+        return sum(x.shape == stack.shape and np.array_equal(x, stack) for _, x in calls) == 1
+
     for trials in (1, 3):
-        calls.clear()
-        rep = verify_identity(b, S, trials, 5)
-        assert rep["pass"] and rep["max_residual"] > 0
-        assert len(calls) == 3
-        assert sum(x is b.samples for _, x in calls) == 1
-        calls.clear()
-        assert verify_identity(b2, (S1, S2), trials, 5)["pass"]
-        assert len(calls) == 10
-        assert sum(x is b2.samples for _, x in calls) == 1
+        for C in (1, 3):
+            calls.clear()
+            reps = verify_identity(bs[:C], shifts[:C], trials, 5)
+            assert all(rep["pass"] and rep["max_residual"] > 0 for rep in reps)
+            assert len(calls) == 3 and one_symbol_transform(bs[:C])
+        for C in (1, 2):
+            calls.clear()
+            assert all(rep["pass"] for rep in verify_identity(b2[:C], pairs[:C], trials, 5))
+            # forward2_stacked is one call per variable
+            assert len(calls) == 6 + 4 * C and one_symbol_transform(b2[:C])
 
 
 def test_one_extend_and_one_contract_per_variable(rng, monkeypatch):

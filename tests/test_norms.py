@@ -11,7 +11,7 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
 from dyadlab.haar import haar_forward
 from dyadlab.norms import (NormReport, geometric_cap_for, geometric_constant_tail_bound,
                            jn_study)
-from conftest import (all_cubes, column_norms_oracle, jn_study_oracle,
+from conftest import (all_cubes, assert_columns_alone, column_norms_oracle, jn_study_oracle,
                       random_signs_oracle, strictly_inside, uniformity_study_oracle)
 
 
@@ -88,6 +88,32 @@ def test_rect_bmo_matches_brute_force(pg, rng):
                        if within(g1, s1, c1) and within(g2, s2, c2))
                    / (g1.volume(c1.level) * g2.volume(c2.level)) for c1, c2 in rects)
         assert abs(rect_bmo_norm(b) - np.sqrt(best)) <= 1e-13 * np.sqrt(best)
+
+
+@pytest.mark.parametrize("space", [GridSpec(1, 6), GridSpec(2, 3), GridSpec(3, 2),
+                                   GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))),
+                                   ProductGrid(GridSpec(1, 3), GridSpec(2, 2)),
+                                   ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                                               GridSpec(1, 4))], ids=repr)
+def test_bmo_of_a_symbol_stack_gives_a_column_its_bits_alone(space, rng):
+    # a block of verify_identity takes its C symbols' coefficients from one
+    # transform and their residual scales from one norm call: column c has
+    # the bits of b_c's own transform and norm
+    from functools import partial
+    from dyadlab.biparam import forward2_stacked
+    from dyadlab.haar import forward_stacked
+    from dyadlab.norms import _bmo_stacked, _rect_bmo_stacked
+    if isinstance(space, ProductGrid):
+        fwd, norm = partial(forward2_stacked, space), partial(_rect_bmo_stacked, space)
+        shape = space.shape
+    else:
+        fwd, norm = partial(forward_stacked, space), partial(_bmo_stacked, space)
+        shape = (space.n_samples,)
+
+    def draw(T):
+        return (rng.standard_normal(shape + (T,)),)
+    for kernel in (fwd, norm, lambda samples: norm(fwd(samples))):
+        assert_columns_alone(kernel, draw)
 
 
 def test_rect_bmo_lower_bounds_open_set_norm(rng):
