@@ -19,8 +19,9 @@ of ``_pp1_kernel``.
 
 Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
 axis 1, and optional trailing passive axes (one column per trial in
-:func:`dyadlab.decomposition.verify_identity`). Variables swap by swapping
-axes 0 and 1. The fixed arrays (symbol coefficients, betas) broadcast
+:func:`dyadlab.decomposition.verify_identity`, after the case axis of a
+block of cases in :func:`iterated_commutator_stacked`). Variables swap by
+swapping axes 0 and 1. The fixed arrays (symbol coefficients, betas) broadcast
 against the trailing axes; they may also carry the input's last axes as
 trial axes, one symbol or beta per trial column
 (:func:`dyadlab.norms.uniformity_study`), and an array without them is the
@@ -47,7 +48,7 @@ from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
 from .paraproducts import (BkOperator, _trailing, bk_gather, strict_ancestor_sum,
                            strict_subtree_sum, symbol_stacked)
-from .shifts import multiplication_commutator_stacked
+from .shifts import ShiftOperator, _each_case, multiplication_commutator_stacked
 
 _MAGIC_2P = b"DYF2"
 
@@ -228,24 +229,57 @@ def apply_in_variable(S, var: int, f: ProductFunction) -> ProductFunction:
     return ProductFunction(f.pgrid, _apply_var(S, var, f.samples))
 
 
-def iterated_commutator_stacked(b: ProductFunction, S1, S2,
-                                samples: np.ndarray) -> np.ndarray:
-    """[[M_b, S1], S2] on samples (n1, n2, *passive), one function per column.
+def iterated_commutator_stacked(b, S1, S2, samples: np.ndarray) -> np.ndarray:
+    """[[M_b, S1], S2] on samples, one function per column.
 
-    Expands into the four signed compositions of b, S1 and S2 in sample space.
-    Each bracket [M_b, S1] is one ``multiplication_commutator_stacked`` along
-    variable 1, with variable 2 the trial axis of b's samples: x and b x
-    share one transform in and one out, so the whole commutator takes four
-    transforms each way, two of them for S2.
+    ``b`` is one ProductFunction with one shift per variable, on ``samples``
+    (n1, n2, *passive): the broadcast case of a block of one. Or ``b`` is a
+    samples stack (n1, n2, C) and ``S1``, ``S2`` are sequences of C shifts,
+    symbol c and shifts c acting on column c of the case axis of
+    ``samples`` (n1, n2, C, *trials); a case axis of length 1 is one input
+    shared by every case. Column c is then ``iterated_commutator(b_c, S1_c,
+    S2_c, f_c)``, bit for bit.
+
+    Expands into [M_b, S1](S2 f) - S2([M_b, S1] f). S2 f of every case
+    takes one transform of f along variable 2 and one back; the two
+    brackets of every case are one ``multiplication_commutator_stacked``
+    on [S2 f | f] with the case axis next to the rows (variable 2 and the
+    bracket on its trial axes); S2 of the second bracket takes one
+    transform each way. So a block takes three transforms each way, and
+    applies S1 once and S2 twice per case, whatever its number of cases.
     """
-    pg = b.pgrid
-    _check_var(pg, S1, 1)
-    _check_var(pg, S2, 2)
+    if isinstance(b, ProductFunction):
+        if not isinstance(S1, ShiftOperator) or not isinstance(S2, ShiftOperator):
+            raise ValueError("one ProductFunction b takes one shift per variable")
+        _check_var(b.pgrid, S1, 1)
+        _check_var(b.pgrid, S2, 2)
+        return iterated_commutator_stacked(b.samples[:, :, None], (S1,), (S2,),
+                                           samples[:, :, None])[:, :, 0]
+    S1, S2 = tuple(S1), tuple(S2)
+    C = len(S1)
+    if not C or len(S2) != C or b.shape[2:] != (C,) or samples.shape[2:3] not in ((1,), (C,)):
+        raise ValueError(f"{len(S1)} and {len(S2)} shifts for a b stack of shape {b.shape} "
+                         f"and samples of shape {samples.shape}")
+    g1, g2 = S1[0].grid, S2[0].grid
+    if any(S.grid != g2 for S in S2):
+        raise GridMismatchError("the shifts of variable 2 live on different grids")
+    if b.shape[:2] != samples.shape[:2] or b.shape[:2] != (g1.n_samples, g2.n_samples):
+        raise GridMismatchError(f"b stack of shape {b.shape} and samples of shape "
+                                f"{samples.shape} off the shifts' product grid")
+    fwd2, inv2 = partial(forward_stacked, g2), partial(inverse_stacked, g2)
+    shape = samples.shape[:2] + (C,) + samples.shape[3:]
 
-    def bracket1(x):
-        return multiplication_commutator_stacked(b.samples, S1, x)
+    def apply2(x):
+        """S2_c along variable 2 of case column c of the samples ``x``."""
+        return _along(1, inv2, _each_case(S2, np.broadcast_to(_along(1, fwd2, x), shape), 2, 1))
 
-    return bracket1(_apply_var(S2, 2, samples)) - _apply_var(S2, 2, bracket1(samples))
+    # [S2 f | f] on an axis after the case axis, then the case axis next to
+    # the rows: b_c leads case c's columns
+    pair = np.stack([apply2(samples), np.broadcast_to(samples, shape)], axis=3)
+    brackets = multiplication_commutator_stacked(np.moveaxis(b, 2, 1), S1,
+                                                 np.moveaxis(pair, 2, 1))
+    brackets = np.moveaxis(brackets, 1, 2)
+    return brackets[:, :, :, 0] - apply2(brackets[:, :, :, 1])
 
 
 def iterated_commutator(b: ProductFunction, S1, S2, f: ProductFunction) -> ProductFunction:

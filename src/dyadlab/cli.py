@@ -70,8 +70,7 @@ def _write_report(args, name: str, config: dict, results, counters: dict = None)
     report = {"meta": meta, "config": config, "results": results}
     path = os.path.join(_outdir(args), f"{name}.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
 

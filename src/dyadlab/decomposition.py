@@ -37,9 +37,15 @@ subsequence: a term is one ``bk_stacked``, ``p_stacked`` or
 on the case axis, weight 0 for a case that lacks the term. The atoms and
 term skeletons of a grid are built once (``grid_index(grid).memo``), so a
 decomposition only binds b; its list transforms b on first use.
+Each case's shifts run once per variable and stage of a sweep, on every
+key that takes them at once (twice per variable at t = 2). The term
+objects of a family are built once per grid (grid pair): the lists at every
+(i, j) select the same objects, so a block reads each case's places in its
+family's list from the per-variable entries instead of looking terms up.
 ``verify_identity`` passes all trials of a block of cases once through the
 transforms, the direct commutators and one term sweep, and transforms the
-block's symbols once.
+block's symbols once; at t = 2 the block's direct commutators are one
+stacked call.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from .paraproducts import BkOperator, bk_stacked, p_stacked, pstar_stacked
 from .biparam import (PAtom, ProductFunction, _along, forward2, forward2_stacked,
                       inverse2, inverse2_stacked, iterated_commutator_stacked,
                       pair_apply)
-from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator
+from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator, _each_case
 from .norms import (_bmo_stacked, _column_norms, _rect_bmo_stacked, _require_trials,
                     _trial_rng)
 
@@ -185,15 +191,18 @@ def _atom_group(grid: GridSpec, name) -> tuple:
 
 
 def _cancellative_var_atoms(grid: GridSpec, i: int, j: int) -> list:
-    """(weight, atom, inner, outer, provenance) for one cancellative variable;
-    the b_mul (k <= j) and mul_S (k <= i) halves share their atoms."""
+    """(key, weight, atom, inner, outer, provenance) for one cancellative
+    variable; the b_mul (k <= j) and mul_S (k <= i) halves share their
+    atoms. The key (half, group, atom) names an entry at every (i, j)."""
     groups = [("tail", _atom_group(grid, "tail")),
               ("same_cube", _atom_group(grid, "same_cube"))]
     groups += [(f"depth_{k}", _atom_group(grid, k)) for k in range(1, max(i, j) + 1)]
     out = []
-    for weight, inner, half, depth in ((1.0, True, "b_mul", j), (-1.0, False, "mul_S", i)):
-        for name, atoms in groups[:2 + depth]:
-            out += [(weight, atom, inner, not inner, f"{half}:{name}") for atom in atoms]
+    for h, (weight, inner, half, depth) in enumerate(((1.0, True, "b_mul", j),
+                                                      (-1.0, False, "mul_S", i))):
+        for g, (name, atoms) in enumerate(groups[:2 + depth]):
+            out += [((h, g, a), weight, atom, inner, not inner, f"{half}:{name}")
+                    for a, atom in enumerate(atoms)]
     return out
 
 
@@ -226,34 +235,72 @@ def _spec(S: ShiftOperator) -> tuple:
     return (S.kind, None if S.cancellative else S.orientation, S.i, S.j)
 
 
-def _var_atoms(grid: GridSpec, spec: tuple) -> list:
-    kind, orientation, i, j = spec
-    if kind == CANCELLATIVE:
-        return _cancellative_var_atoms(grid, i, j)
-    return _noncancellative_var_atoms(grid, orientation)
+def _var_atoms(grid: GridSpec, spec: tuple) -> tuple:
+    """(key, weight, atom, inner, outer, provenance) per entry of one
+    variable's list, memoized per grid; the key names an entry in every
+    list of its family (a noncancellative list is one list)."""
+    def build():
+        kind, orientation, i, j = spec
+        if kind == CANCELLATIVE:
+            return tuple(_cancellative_var_atoms(grid, i, j))
+        return tuple((n,) + entry for n, entry in
+                     enumerate(_noncancellative_var_atoms(grid, orientation)))
+    return grid_index(grid).memo(("entries",) + spec, build)
 
 
 def _skeleton(grids: tuple, specs: tuple) -> tuple:
     """The terms of shifts of ``specs`` (one :func:`_spec` per variable) on
-    ``grids``, built once per grid (``grid_index(grids[0]).memo``): the
-    per-variable list at t = 1, the product of the two lists at t = 2."""
+    ``grids``: the per-variable list at t = 1, the product of the two lists
+    at t = 2, memoized per grid (``grid_index(grids[0]).memo``). A term is
+    built once per grid (grid pair) and entry, an entry's key or a pair of
+    keys, so the lists of one family at every (i, j) hold the same
+    objects."""
+    memo = grid_index(grids[0]).memo
+
     def build():
+        pool = memo(("term_pool",) + grids[1:] + tuple(spec[:2] for spec in specs), dict)
         if len(grids) == 2:
-            return tuple(Term(w1 * w2, _pair_kind(a1, a2, out1, out2), f"{prov1}|{prov2}",
-                              a1, a2, inner1=in1, outer1=out1, inner2=in2, outer2=out2)
-                         for w1, a1, in1, out1, prov1 in _var_atoms(grids[0], specs[0])
-                         for w2, a2, in2, out2, prov2 in _var_atoms(grids[1], specs[1]))
-        post_kind, pre_kind = (("Bk_of_Sf", "S_of_Bk") if specs[0][0] == CANCELLATIVE
-                               else ("B0_of_S00f", "S00_of_B0"))
+            def make(e1, e2):
+                (_, w1, a1, in1, out1, prov1), (_, w2, a2, in2, out2, prov2) = e1, e2
+                return Term(w1 * w2, _pair_kind(a1, a2, out1, out2), f"{prov1}|{prov2}",
+                            a1, a2, inner1=in1, outer1=out1, inner2=in2, outer2=out2)
+        else:
+            post_kind, pre_kind = (("Bk_of_Sf", "S_of_Bk") if specs[0][0] == CANCELLATIVE
+                                   else ("B0_of_S00f", "S00_of_B0"))
+
+            def make(entry):
+                _, weight, atom, inner, outer, prov = entry
+                if isinstance(atom, PAtom):
+                    kind = "Pstar_term" if atom.adjoint else "P_term"
+                else:
+                    kind = post_kind if inner or not outer else pre_kind
+                return Term(weight, kind, prov, atom, inner1=inner, outer1=outer)
         terms = []
-        for weight, atom, inner, outer, prov in _var_atoms(grids[0], specs[0]):
-            if isinstance(atom, PAtom):
-                kind = "Pstar_term" if atom.adjoint else "P_term"
-            else:
-                kind = post_kind if inner or not outer else pre_kind
-            terms.append(Term(weight, kind, prov, atom, inner1=inner, outer1=outer))
+        for entries in itertools.product(*map(_var_atoms, grids, specs)):
+            key = tuple(entry[0] for entry in entries)
+            if key not in pool:
+                pool[key] = make(*entries)
+            terms.append(pool[key])
         return tuple(terms)
-    return grid_index(grids[0]).memo(("terms",) + grids[1:] + specs, build)
+    return memo(("terms",) + grids[1:] + specs, build)
+
+
+def _places(grids: tuple, top: tuple, specs: tuple) -> tuple:
+    """Where the list of ``specs`` sits in the list of ``top`` of its family,
+    read from the entries' keys per variable (a pair's place is p1 M2 + p2,
+    M2 the length of ``top``'s variable-2 list), and the list's weights;
+    memoized per grid."""
+    def build():
+        places = []
+        for g, spec, whole in zip(grids, specs, top):
+            where = {e[0]: p for p, e in enumerate(_var_atoms(g, whole))}
+            places.append(np.array([where[e[0]] for e in _var_atoms(g, spec)]))
+        if len(places) == 2:
+            places = [(places[0][:, None] * len(_var_atoms(grids[1], top[1]))
+                       + places[1]).ravel()]
+        weights = np.array([term.weight for term in _skeleton(grids, specs)])
+        return places[0], weights
+    return grid_index(grids[0]).memo(("places",) + grids[1:] + top + specs, build)
 
 
 def _count_constant(grid: GridSpec, S: ShiftOperator) -> int:
@@ -354,33 +401,25 @@ def _family_weights(grids: tuple, tls: list) -> tuple:
     (i, j) per variable, and the (terms, cases) weights, a case's own weight
     where its list has the term and 0 where it lacks it. A case's list must
     be an ordered subsequence of that list, so that every accumulator adds a
-    case's terms in the case's own order. The places of a list as
-    ``decompose`` builds it are looked up once per grid and (i, j)."""
-    memo = grid_index(grids[0]).memo
+    case's terms in the case's own order. A list as ``decompose`` builds it
+    holds the master's own objects, and its places come from
+    :func:`_places`; any other list's are looked up term by term."""
     specs = [tuple(map(_spec, tl.shifts)) for tl in tls]
     top = tuple(spec[:2] + (max(s[v][2] for s in specs), max(s[v][3] for s in specs))
                 for v, spec in enumerate(specs[0]))
     master = _skeleton(grids, top)
-    where = memo(("term_places",) + grids[1:] + top,
-                 lambda: {term: p for p, term in enumerate(master)})
     weights = np.zeros((len(master), len(tls)))
     for c, tl in enumerate(tls):
         own = _skeleton(grids, specs[c])
         if len(tl.terms) == len(own) and all(map(operator.is_, tl.terms, own)):
-            pos = memo(("case_places",) + grids[1:] + top + specs[c],
-                       partial(_positions, where, own))
+            pos, w = _places(grids, top, specs[c])
         else:
-            pos = _positions(where, tl.terms)
-        weights[pos, c] = [term.weight for term in tl.terms]
+            where = grid_index(grids[0]).memo(
+                ("term_places",) + grids[1:] + top,
+                lambda: {term: p for p, term in enumerate(master)})
+            pos, w = _positions(where, tl.terms), [term.weight for term in tl.terms]
+        weights[pos, c] = w
     return master, weights
-
-
-def _each_case(tls: list, v: int, y: np.ndarray) -> np.ndarray:
-    """Case c's shift of variable v along that variable of column c of the
-    case axis of ``y`` (axis t)."""
-    t = tls[0].arity
-    return np.stack([_along(v, tl.shifts[v].apply_stacked, y[(slice(None),) * t + (c,)])
-                     for c, tl in enumerate(tls)], axis=t)
 
 
 def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
@@ -392,32 +431,47 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
     two: column c of the case axis is case c's input. A single TermList is a
     block of one on ``x`` (n, *passive) or (n1, n2, *passive), and returns
     that shape. Each column is evaluated as by :func:`evaluate_terms`. S_v
-    acts along axis v; the inner compositions are built from the last
-    variable's down, so at t = 2 S2 runs once on ``x`` and S1 twice, case by
-    case. At t = 1 the caller may pass ``sx``, each case's S_c x, which it
-    already has. The 2^t inner inputs and the 2^t outer groups sit on a
-    leading key axis, one contiguous block per key, so each variable takes
-    one extend and one contract per block, which give every column of a
-    stack the bits of its single-column transform.
+    acts along axis v, and each case's S_v runs once per variable and
+    stage: the inner compositions are built from the last variable's down,
+    each variable's shift applied once to every key built so far, side by
+    side on a trailing axis; the outer groups that carry S_v take it the
+    same way, variable 1 first. So at t = 2 each case applies S1 twice and
+    S2 twice, at t = 1 its S twice. At t = 1 the caller may pass ``sx``,
+    each case's S_c x, which it already has. The 2^t inner inputs and the
+    2^t outer groups sit on a leading key axis, one contiguous block per
+    key, so each variable takes one extend and one contract per block,
+    which give every column of a stack the bits of its single-column
+    transform.
 
     The cases of one family (the shift kinds and orientations) share one
     sweep of that family's term list at their largest (i, j) (see
-    :func:`_family_weights`): each term is one ``bk_stacked``,
+    :func:`_family_weights`; a list that is not an ordered subsequence of
+    it raises ``ValueError``): each term is one ``bk_stacked``,
     ``p_stacked``/``pstar_stacked`` or ``pair_apply`` call on the family's
     columns, its weight on the case axis, 0 for a case that lacks it; a term
-    that no case has is skipped. So each case keeps its own ``acc += w *
-    term`` steps and their bits. A ``counters`` dict receives the kernel
-    calls in ``term_calls``.
+    that no case has is skipped. A family of one case sweeps its own list
+    with its own weights. So each case keeps its own ``acc += w * term``
+    steps and their bits. A ``counters`` dict receives the kernel calls in
+    ``term_calls``.
     """
     one = isinstance(tls, TermList)
     tls = [tls] if one else list(tls)
     t = tls[0].arity
     if one:
-        x = np.expand_dims(x, t)
+        x = x[(slice(None),) * t + (None,)]
     if x.shape[t:t + 1] != (len(tls),):
         raise ValueError(f"{len(tls)} term lists for a case axis of shape {x.shape}")
     grids = (tls[0].b.grid,) if t == 1 else (tls[0].b.pgrid.grid1, tls[0].b.pgrid.grid2)
     trial = (1,) * (x.ndim - t - 1)
+    shifts = [[tl.shifts[v] for tl in tls] for v in range(t)]
+
+    def stage(v, ys):
+        """Case c's S_v along variable v of column c of every array of
+        ``ys``: the arrays side by side on a trailing axis, one application
+        per case."""
+        stack = ys[0][..., None] if len(ys) == 1 else np.stack(ys, axis=-1)
+        out = _each_case(shifts[v], stack, t, v)
+        return [out[..., k] for k in range(len(ys))]
 
     def on_cases(arrays):
         """Per-case arrays on a case axis, with unit trial axes; one case's
@@ -432,8 +486,9 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
     else:
         shifted = {(): x}
         for v in reversed(range(t)):
-            shifted = {key: y for k, y in shifted.items() for key, y in (
-                ((False,) + k, y), ((True,) + k, _each_case(tls, v, y)))}
+            applied = stage(v, list(shifted.values()))
+            shifted = {**{(False,) + k: y for k, y in shifted.items()},
+                       **{(True,) + k: y for k, y in zip(shifted, applied)}}
     keys = list(itertools.product((False, True), repeat=t))
     slot = {key: n for n, key in enumerate(keys)}
     inputs = np.stack([shifted[key] for key in keys])
@@ -456,9 +511,15 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
         syms = [None if S.cancellative
                 else on_cases([tl.shifts[v].stacked_symbol() for tl in fam])
                 for v, S in enumerate(fam[0].shifts)]
-        master, weights = _family_weights(grids, fam)
-        present = weights.any(axis=1)
-        for term, w, used in zip(master, weights.reshape(weights.shape + trial), present):
+        if len(fam) == 1:
+            # a family of one sweeps its own list, with its own weights
+            master = fam[0].terms
+            ws = [term.weight for term in master]
+            present = [w != 0.0 for w in ws]
+        else:
+            master, weights = _family_weights(grids, fam)
+            ws, present = weights.reshape(weights.shape + trial), weights.any(axis=1)
+        for term, w, used in zip(master, ws, present):
             if not used:
                 continue
             xin = fin[slot[(term.inner1, term.inner2)[:t]]]
@@ -480,11 +541,13 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
             groups[(slice(None),) + at] = acc
     for v in reversed(range(t)):
         groups = _along(v + 1, partial(contract, grids[v]), groups)
+    groups = list(groups)
+    for v in range(t):
+        sel = [n for n, key in enumerate(keys) if key[v]]
+        for n, y in zip(sel, stage(v, [groups[n] for n in sel])):
+            groups[n] = y
     total = np.zeros(x.shape)
-    for key, y in zip(keys, groups):
-        for v in range(t):
-            if key[v]:
-                y = _each_case(tls, v, y)
+    for y in groups:
         total += y
     if counters is not None:
         counters["term_calls"] = counters.get("term_calls", 0) + calls
@@ -546,8 +609,11 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     t = 1, f and every b_c f share one transform in, which also feeds the
     term sweep; S_c is applied once to [f | b_c f], whose S_c f is the
     sweep's inner input, and the shifted halves of every direct commutator
-    share the transform out of the term sums. At t = 2 each direct
-    commutator runs alone. Residuals are measured per trial relative to
+    share the transform out of the term sums. At t = 2 the direct
+    commutators of the block are one :func:`iterated_commutator_stacked`
+    call on the symbols' samples stack, with f shared by every case: three
+    transforms each way, whatever the number of cases, and S1 once and S2
+    twice per case. Residuals are measured per trial relative to
     bmo(b) * ||f|| (rectangle BMO for two parameters). A report is the dict
     {case, d, N, i, j, term_count, max_residual, pass, seed, trials}, with
     d, N, i, j as lists over the variables for two parameters. ``trials``
@@ -580,7 +646,8 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
                          partial(_rect_bmo_stacked, pg))
     # the symbols' coefficients, and from them the residual scales
     # dyadic_bmo_norm(b_c) or rect_bmo_norm(b_c)
-    bcs = fwd(np.stack([bc.samples for bc in symbols], axis=-1))
+    bsamples = np.stack([bc.samples for bc in symbols], axis=-1)
+    bcs = fwd(bsamples)
     for c, tl in enumerate(tls):
         tl._bc = bcs[..., c]
     scales = bmo(bcs)
@@ -595,17 +662,17 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
         xf, sx = x[:, :1], y[:, :, 1]
     else:
         xf, sx = fwd(F)[..., None, :], None
+        direct = iterated_commutator_stacked(bsamples, [S1 for S1, _ in cases],
+                                             [S2 for _, S2 in cases], F[:, :, None])
     y[..., 0, :] = evaluate_stacked(tls, np.broadcast_to(xf, shape + (C, trials)), sx=sx,
                                     counters=counters)
     y = inv(y)
     per_var = (lambda vals: vals[0]) if t == 1 else list
     reports = []
     for c, tl in enumerate(tls):
-        if t == 1:
-            direct = symbols[c].samples[:, None] * y[:, c, 1] - y[:, c, 2]
-        else:
-            direct = iterated_commutator_stacked(tl.b, *tl.shifts, F)
-        max_res = _max_residual(direct, y[..., c, 0, :], f_norms, float(scales[c]), volume)
+        direct_c = (symbols[c].samples[:, None] * y[:, c, 1] - y[:, c, 2] if t == 1
+                    else direct[:, :, c])
+        max_res = _max_residual(direct_c, y[..., c, 0, :], f_norms, float(scales[c]), volume)
         reports.append({
             "case": tl.case, "d": per_var([g.d for g in grids]),
             "N": per_var([g.N for g in grids]), "i": per_var([S.i for S in tl.shifts]),

@@ -335,6 +335,24 @@ class LinearOperatorHandle:
         return dense_matrix(self)
 
 
+def _each_case(shifts, y: np.ndarray, case_axis: int, axis: int = 0) -> np.ndarray:
+    """Shift c of the sequence ``shifts`` applied along ``axis`` of column c
+    of axis ``case_axis`` (after ``axis``) of the coefficient stack ``y``; a
+    single ShiftOperator is applied to the whole stack. The result of a
+    sequence of one shift is a view of that shift's result, not a copy."""
+    def apply(S, a):
+        return S.apply_stacked(a) if axis == 0 else \
+            S.apply_stacked(a.swapaxes(0, axis)).swapaxes(0, axis)
+
+    if isinstance(shifts, ShiftOperator):
+        return apply(shifts, y)
+    at = (slice(None),) * case_axis
+    cols = [apply(S, y[at + (c,)]) for c, S in enumerate(shifts)]
+    if len(cols) == 1:
+        return cols[0][at + (None,)]
+    return np.stack(cols, case_axis)
+
+
 def multiplication_commutator(b: DyadicFunction, S: ShiftOperator,
                               f: DyadicFunction) -> DyadicFunction:
     """[M_b, S] f = b * (S f) - S(b * f); products exact on samples."""
@@ -375,7 +393,5 @@ def multiplication_commutator_stacked(b, S, samples: np.ndarray) -> np.ndarray:
                          f"shape {samples.shape} on {g.n_samples} cells")
     bcol = b.reshape(b.shape + (1,) * (samples.ndim - b.ndim))
     x = forward_stacked(g, np.stack([samples, bcol * samples], axis=1))
-    y = S.apply_stacked(x) if shifts is None else \
-        np.stack([s.apply_stacked(x[:, :, t]) for t, s in enumerate(shifts)], axis=2)
-    y = inverse_stacked(g, y)
+    y = inverse_stacked(g, _each_case(S if shifts is None else shifts, x, 2))
     return bcol * y[:, 0] - y[:, 1]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -44,6 +45,16 @@ def test_verify_decomp_small(tmp_path):
                                           "term_calls": 6 + 4 + 4}
     assert sum(rep["term_count"] for rep in cases) == 28
     assert "counters" not in report["results"]
+
+
+def test_a_report_file_holds_the_bytes_json_dump_streams(tmp_path):
+    # a report is written as one string; its bytes are those of json.dump
+    code, report = run(["verify-decomp", "--biparam", "--N", "3", "--imax", "1",
+                        "--jmax", "1", "--trials", "2"], tmp_path, "verify-decomp")
+    assert code == 0
+    streamed = io.StringIO()
+    json.dump(report, streamed, indent=2, sort_keys=True)
+    assert (tmp_path / "verify-decomp.json").read_text() == streamed.getvalue() + "\n"
 
 
 def test_verify_decomp_counts_its_blocks(tmp_path):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import operator
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from dyadlab.haar import forward_stacked, inverse_stacked
 from dyadlab.norms import _trial_rng
 from dyadlab.shifts import multiplication_commutator_stacked, noncancellative_shift
 
-from conftest import (evaluate_stacked_oracle, iterated_commutator_oracle,
-                      verify_identity_oracle)
+from conftest import (assert_columns_alone, evaluate_stacked_oracle,
+                      iterated_commutator_oracle, verify_identity_oracle)
 
 
 def test_wrong_kind_errors(rng):
@@ -492,6 +494,57 @@ def test_iterated_commutator_is_the_four_composition_oracle(pg, rng):
                                   iterated_commutator_oracle(b, S1, S2, F))
 
 
+@pytest.mark.parametrize("pg", [ProductGrid(GridSpec(1, 3), GridSpec(1, 3)),
+                                ProductGrid(GridSpec(1, 3), GridSpec(2, 2)),
+                                ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                                            GridSpec(1, 4))], ids=repr)
+def test_iterated_commutator_on_a_case_axis_is_the_per_case_oracle(pg, rng):
+    # column c of a block is case c's own commutator with symbol c and shift
+    # pair c, bit for bit, on its own input or on one input that every case
+    # shares (a case axis of length 1); every mix of kinds, blocks of 1, 2
+    # and 5 cases
+    pairs = [tuple(_shift_of_kind(g, k, rng) for g, k in zip((pg.grid1, pg.grid2), kinds))
+             for kinds in TWO_PARAM_KINDS]
+    for C in (1, 2, 5):
+        for start in range(0, len(pairs), C):
+            S1s, S2s = zip(*[pairs[(start + c) % len(pairs)] for c in range(C)])
+            b = rng.standard_normal(pg.shape + (C,))
+            for trials in (1, 2, 5):
+                F = rng.standard_normal(pg.shape + (C, trials))
+                for x in (F, F[:, :, :1]):
+                    got = iterated_commutator_stacked(b, S1s, S2s, x)
+                    assert got.shape == F.shape
+                    for c in range(C):
+                        want = iterated_commutator_oracle(ProductFunction(pg, b[..., c]),
+                                                          S1s[c], S2s[c], x[:, :, c % x.shape[2]])
+                        assert np.array_equal(got[:, :, c], want), (C, start, trials, c)
+            # a trial column has the bits it has alone
+            assert_columns_alone(partial(iterated_commutator_stacked, b, S1s, S2s),
+                                 lambda T: (rng.standard_normal(pg.shape + (C, T)),))
+
+
+def test_iterated_commutator_on_a_case_axis_refuses_bad_blocks(rng):
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 4))
+    S1s = [random_shift(pg.grid1, 1, 0, rng), random_shift(pg.grid1, 0, 1, rng)]
+    S2s = [random_shift(pg.grid2, 1, 1, rng), random_shift(pg.grid2, 2, 0, rng)]
+    b = rng.standard_normal(pg.shape + (2,))
+    F = rng.standard_normal(pg.shape + (2, 3))
+    for args in [(b, S1s, S2s[:1], F), (b, S1s[:1], S2s[:1], F),
+                 (b[..., :1], S1s, S2s, F), (b, S1s, S2s, rng.standard_normal(pg.shape + (3, 3))),
+                 (b, [], [], F)]:
+        with pytest.raises(ValueError):
+            iterated_commutator_stacked(*args)
+    with pytest.raises(ValueError, match="one shift per variable"):
+        iterated_commutator_stacked(random_product_function(pg, rng), S1s, S2s, F)
+    for s1, s2 in [(S1s, [S2s[0], random_shift(pg.grid1, 1, 1, rng)]),
+                   ([S1s[0], random_shift(pg.grid2, 1, 1, rng)], S2s),
+                   ([random_shift(pg.grid2, 1, 1, rng)] * 2, [random_shift(pg.grid1, 1, 1, rng)] * 2)]:
+        with pytest.raises(GridMismatchError):
+            iterated_commutator_stacked(b, s1, s2, F)
+    with pytest.raises(GridMismatchError):
+        iterated_commutator_stacked(random_product_function(pg, rng), S2s[0], S1s[0], F[:, :, 0])
+
+
 def _loop_residuals(tl, scale, trials, seed):
     """Per-trial residuals of ``tl`` against the direct commutator, one call each."""
     out = []
@@ -599,6 +652,56 @@ def test_every_term_list_is_an_ordered_subsequence_of_its_family_list(g, rng):
     with pytest.raises(ValueError, match="ordered subsequence"):
         _family_weights((g,), [TermList(1, b, (random_shift(g, 1, 0, rng),),
                                         lists[(1, 0)].terms[::-1], "cancellative")])
+
+
+def test_the_lists_of_a_family_share_their_term_objects(rng, monkeypatch):
+    # a term is built once per grid (grid pair) and family: every case's
+    # list holds its family's master objects, at the places where the block
+    # sweep gives the case its weights, and a later list at a smaller (i, j)
+    # builds no term
+    from dyadlab import decomposition
+    from dyadlab.decomposition import Term, _family_weights
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return Term(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "Term", counting)
+    grid_index.cache_clear()
+    g = GridSpec(2, 3)
+    pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 3))
+    grids = {1: (g,), 2: (pg.grid1, pg.grid2)}
+    b, b2 = random_function(g, rng), random_product_function(pg, rng)
+    top = {1: decompose(b, random_shift(g, 2, 2, rng)),
+           2: decompose_biparam(b2, random_shift(pg.grid1, 3, 2, rng),
+                                random_shift(pg.grid2, 1, 2, rng))}
+    ones = [decompose(random_function(g, rng), random_shift(g, 0, 0, rng, kind="noncancellative",
+                                                            orientation=ori))
+            for ori in ("analysis", "synthesis")]
+    assert len(built) == sum(tl.term_count for tl in [*top.values(), *ones])
+    built.clear()
+    blocks = {1: [decompose(b, random_shift(g, i, j, rng)) for i, j in ((0, 0), (2, 1), (1, 2))],
+              2: [decompose_biparam(b2, random_shift(pg.grid1, i1, j1, rng),
+                                    random_shift(pg.grid2, i2, j2, rng))
+                  for i1, j1, i2, j2 in ((0, 0, 0, 0), (3, 1, 0, 2), (1, 2, 1, 0))]}
+    assert built == []
+    for t, block in blocks.items():
+        master, weights = _family_weights(grids[t], block + [top[t]])
+        assert all(map(operator.is_, master, top[t].terms))
+        for c, tl in enumerate(block + [top[t]]):
+            places = np.flatnonzero(weights[:, c])
+            assert len(places) == tl.term_count
+            assert all(master[p] is term for p, term in zip(places, tl.terms)), (t, c)
+            assert np.array_equal(weights[places, c], [term.weight for term in tl.terms])
+        # a list that is not a skeleton (one term dropped) is placed term by term
+        want = weights[:, 1].copy()
+        want[np.flatnonzero(want)[3]] = 0.0
+        _, weights = _family_weights(grids[t], [block[1].drop(3), top[t]])
+        assert np.array_equal(weights[:, 0], want)
+    again = [decompose(random_function(g, rng), tl.shifts[0]) for tl in ones]
+    assert built == []
+    assert all(all(map(operator.is_, a.terms, o.terms)) for a, o in zip(again, ones))
 
 
 def _block_orders(cases) -> list:
@@ -810,9 +913,10 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
     # coefficients of b and the cases their residual scales; then one fold
     # of the noncancellative rows per variable, and f: at t = 1 f and every
     # b_c f side by side in one transform that feeds both the terms and the
-    # direct commutators, at t = 2 f once for the terms, and per case one
-    # transform per bracket along variable 1 and one per application along
-    # variable 2; whatever the number of trials
+    # direct commutators, at t = 2 f once for the terms, and three for the
+    # direct commutators of the whole block (f along variable 2, both
+    # brackets of every case along variable 1, the second brackets along
+    # variable 2); whatever the number of trials and cases
     calls = _count_calls(monkeypatch, "forward_stacked")
     g = GridSpec(1, 4)
     bs = [random_function(g, rng) for _ in range(3)]
@@ -837,7 +941,7 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
             calls.clear()
             assert all(rep["pass"] for rep in verify_identity(b2[:C], pairs[:C], trials, 5))
             # forward2_stacked is one call per variable
-            assert len(calls) == 6 + 4 * C and one_symbol_transform(b2[:C])
+            assert len(calls) == 9 and one_symbol_transform(b2[:C])
 
 
 def test_one_extend_and_one_contract_per_variable(rng, monkeypatch):
@@ -882,8 +986,8 @@ def test_decomposition_never_reaches_the_level_pair_loop(rng, monkeypatch):
 
 
 def test_biparam_evaluation_applies_each_shift_once_per_composition(rng, monkeypatch):
-    # S2 once and S1 twice on the inputs, then each once per outer group
-    # that carries it (S1 on two, S2 on two): S1 runs 4 times, S2 3 times
+    # S2 once on the input and S1 once on [x | S2 x], then S1 once on its two
+    # outer groups side by side and S2 once on its two: each runs twice
     calls = _count_shift_calls(monkeypatch)
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     for kind2 in ("cancellative", "noncancellative"):
@@ -892,9 +996,9 @@ def test_biparam_evaluation_applies_each_shift_once_per_composition(rng, monkeyp
         tl = decompose_biparam(random_product_function(pg, rng), S1, S2)
         calls.clear()
         evaluate_stacked(tl, rng.standard_normal(pg.shape + (2,)))
-        assert sum(c is S1 for c in calls) == 4, kind2
-        assert sum(c is S2 for c in calls) == 3, kind2
-        assert len(calls) == 7
+        assert sum(c is S1 for c in calls) == 2, kind2
+        assert sum(c is S2 for c in calls) == 2, kind2
+        assert len(calls) == 4
 
 
 def _shift_of_kind(g, kind, rng):
