@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -26,7 +25,7 @@ from .haar import (haar_forward, haar_function, haar_inverse, inner_product,
                    random_function)
 from .shifts import random_shift
 from .decomposition import verify_identity
-from .norms import (_BLOCK_SAMPLES, geometric_cap_for, geometric_constant,
+from .norms import (_in_blocks, geometric_cap_for, geometric_constant,
                     geometric_constant_closed_form,
                     geometric_constant_tail_bound, jn_study, reports_to_csv,
                     reports_to_jsonl, uniformity_study)
@@ -163,13 +162,13 @@ def cmd_verify_decomp(args) -> int:
 
     # the cases run in blocks of at most 2**13 samples per stack, each block
     # drawn from ``rng`` only when its turn comes
-    width = max(1, _BLOCK_SAMPLES // (n_samples * args.trials))
-    reports, blocks, pending, sweeps = [], 0, cases(), {"term_calls": 0}
-    while block := list(itertools.islice(pending, width)):
+    reports, sweeps = [], {"term_calls": 0}
+
+    def check(block):
         symbols, shifts = zip(*block)
-        reports += verify_identity(symbols, shifts, trials=args.trials,
-                                   rng_seed=args.seed, tol=args.tol, counters=sweeps)
-        blocks += 1
+        reports.extend(verify_identity(symbols, shifts, trials=args.trials,
+                                       rng_seed=args.seed, tol=args.tol, counters=sweeps))
+    blocks = _in_blocks(cases(), n_samples * args.trials, check)
     worst = max([0.0] + [rep["max_residual"] for rep in reports])
     failed = next((rep for rep in reports if not rep["pass"]), None)
     results = {"cases": reports, "max_residual": worst,

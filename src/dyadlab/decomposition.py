@@ -27,21 +27,21 @@ or (n1, n2, C, T); a single term list is a block of one. It stacks the 2^t
 inner-shift compositions of the input on a key axis and extends them in
 one call per variable (see :mod:`dyadlab.haar`), sums every term into the
 extended buffer of its outer-shift group, and contracts all 2^t groups in
-one call per variable before their shifts run. The cases of one family
-(the shift kinds and orientations) share one sweep of that family's term
-list at their largest (i, j), of which every case's list is an ordered
-subsequence: a term is one ``bk_stacked``, ``p_stacked`` or
-``pstar_stacked`` call at t = 1 and one
-:func:`~dyadlab.biparam.pair_apply` with one symbol per variable at t = 2
-(so a P-type pair is two tree scans), with b, the symbols and the weights
-on the case axis, weight 0 for a case that lacks the term. The atoms and
-term skeletons of a grid are built once (``grid_index(grid).memo``), so a
-decomposition only binds b; its list transforms b on first use.
+one call per variable before their shifts run. Each term carries the key
+of the entry it is built from (a pair of entry keys at t = 2), and within
+one family (the shift kinds and orientations) key order is list order. So
+the cases of a family share one sweep, the union of their terms sorted by
+key: a term is one ``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` call
+at t = 1 and one :func:`~dyadlab.biparam.pair_apply` with one symbol per
+variable at t = 2 (so a P-type pair is two tree scans), with b, the
+symbols and the weights on the case axis, weight 0 for a case that lacks
+the term. A single list is a family of one on the same path. The atoms
+and term skeletons of a grid are built once (``grid_index(grid).memo``),
+so a decomposition only binds b; its list transforms b on first use.
 Each case's shifts run once per variable and stage of a sweep, on every
 key that takes them at once (twice per variable at t = 2). The term
-objects of a family are built once per grid (grid pair): the lists at every
-(i, j) select the same objects, so a block reads each case's places in its
-family's list from the per-variable entries instead of looking terms up.
+objects of a family are built once per grid (grid pair), so the lists at
+every (i, j) select the same objects.
 ``verify_identity`` passes all trials of a block of cases once through the
 transforms, the direct commutators and one term sweep, and transforms the
 block's symbols once; at t = 2 the block's direct commutators are one
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -76,7 +75,10 @@ class Term:
 
     ``atom1``/``atom2`` are per-variable kernels (BkOperator or PAtom); ``inner*``
     applies that variable's shift to the input first, ``outer*`` wraps it
-    around the output. One-parameter terms use variable 1 only.
+    around the output. One-parameter terms use variable 1 only. ``key``
+    names the term in its family: its entry's key, or a pair of keys at two
+    parameters (see :func:`_var_atoms`); the keys of a list ascend, and a
+    term without a key cannot be swept.
     """
 
     weight: float
@@ -88,6 +90,7 @@ class Term:
     outer1: bool = False
     inner2: bool = False
     outer2: bool = False
+    key: object = field(default=None, compare=False)
 
     def describe(self) -> dict:
         out = {"weight": self.weight, "kind": self.kind,
@@ -207,8 +210,9 @@ def _cancellative_var_atoms(grid: GridSpec, i: int, j: int) -> list:
 
 
 def _noncancellative_var_atoms(grid: GridSpec, orientation: str) -> list:
-    """(weight, atom, inner, outer, provenance) for one noncancellative
-    variable; an atom that two terms share is one object."""
+    """(key, weight, atom, inner, outer, provenance) for one noncancellative
+    variable, the key an entry's index in its orientation's one list; an
+    atom that two terms share is one object."""
     n = grid.n_sig
     cancs = range(n)
     tail, same = _atom_group(grid, "tail"), _atom_group(grid, "same_cube")
@@ -226,7 +230,7 @@ def _noncancellative_var_atoms(grid: GridSpec, orientation: str) -> list:
         # (eps, eps, non) is the same-cube atom at eps2 = eps
         out += [(-1.0, same[eps * n + eps], False, True, "mul_S:tail") for eps in cancs]
         out.append((-1.0, PAtom(adjoint=True), False, False, "b_mul:diagonal"))
-    return out
+    return [(n,) + entry for n, entry in enumerate(out)]
 
 
 def _spec(S: ShiftOperator) -> tuple:
@@ -238,13 +242,12 @@ def _spec(S: ShiftOperator) -> tuple:
 def _var_atoms(grid: GridSpec, spec: tuple) -> tuple:
     """(key, weight, atom, inner, outer, provenance) per entry of one
     variable's list, memoized per grid; the key names an entry in every
-    list of its family (a noncancellative list is one list)."""
+    list of its family (a noncancellative list is one list), and the keys
+    of a list ascend in list order."""
     def build():
         kind, orientation, i, j = spec
-        if kind == CANCELLATIVE:
-            return tuple(_cancellative_var_atoms(grid, i, j))
-        return tuple((n,) + entry for n, entry in
-                     enumerate(_noncancellative_var_atoms(grid, orientation)))
+        return tuple(_cancellative_var_atoms(grid, i, j) if kind == CANCELLATIVE
+                     else _noncancellative_var_atoms(grid, orientation))
     return grid_index(grid).memo(("entries",) + spec, build)
 
 
@@ -252,7 +255,7 @@ def _skeleton(grids: tuple, specs: tuple) -> tuple:
     """The terms of shifts of ``specs`` (one :func:`_spec` per variable) on
     ``grids``: the per-variable list at t = 1, the product of the two lists
     at t = 2, memoized per grid (``grid_index(grids[0]).memo``). A term is
-    built once per grid (grid pair) and entry, an entry's key or a pair of
+    built once per grid (grid pair) and key, its entry's key or a pair of
     keys, so the lists of one family at every (i, j) hold the same
     objects."""
     memo = grid_index(grids[0]).memo
@@ -261,20 +264,21 @@ def _skeleton(grids: tuple, specs: tuple) -> tuple:
         pool = memo(("term_pool",) + grids[1:] + tuple(spec[:2] for spec in specs), dict)
         if len(grids) == 2:
             def make(e1, e2):
-                (_, w1, a1, in1, out1, prov1), (_, w2, a2, in2, out2, prov2) = e1, e2
+                (k1, w1, a1, in1, out1, prov1), (k2, w2, a2, in2, out2, prov2) = e1, e2
                 return Term(w1 * w2, _pair_kind(a1, a2, out1, out2), f"{prov1}|{prov2}",
-                            a1, a2, inner1=in1, outer1=out1, inner2=in2, outer2=out2)
+                            a1, a2, inner1=in1, outer1=out1, inner2=in2, outer2=out2,
+                            key=(k1, k2))
         else:
             post_kind, pre_kind = (("Bk_of_Sf", "S_of_Bk") if specs[0][0] == CANCELLATIVE
                                    else ("B0_of_S00f", "S00_of_B0"))
 
             def make(entry):
-                _, weight, atom, inner, outer, prov = entry
+                key, weight, atom, inner, outer, prov = entry
                 if isinstance(atom, PAtom):
                     kind = "Pstar_term" if atom.adjoint else "P_term"
                 else:
                     kind = post_kind if inner or not outer else pre_kind
-                return Term(weight, kind, prov, atom, inner1=inner, outer1=outer)
+                return Term(weight, kind, prov, atom, inner1=inner, outer1=outer, key=key)
         terms = []
         for entries in itertools.product(*map(_var_atoms, grids, specs)):
             key = tuple(entry[0] for entry in entries)
@@ -283,24 +287,6 @@ def _skeleton(grids: tuple, specs: tuple) -> tuple:
             terms.append(pool[key])
         return tuple(terms)
     return memo(("terms",) + grids[1:] + specs, build)
-
-
-def _places(grids: tuple, top: tuple, specs: tuple) -> tuple:
-    """Where the list of ``specs`` sits in the list of ``top`` of its family,
-    read from the entries' keys per variable (a pair's place is p1 M2 + p2,
-    M2 the length of ``top``'s variable-2 list), and the list's weights;
-    memoized per grid."""
-    def build():
-        places = []
-        for g, spec, whole in zip(grids, specs, top):
-            where = {e[0]: p for p, e in enumerate(_var_atoms(g, whole))}
-            places.append(np.array([where[e[0]] for e in _var_atoms(g, spec)]))
-        if len(places) == 2:
-            places = [(places[0][:, None] * len(_var_atoms(grids[1], top[1]))
-                       + places[1]).ravel()]
-        weights = np.array([term.weight for term in _skeleton(grids, specs)])
-        return places[0], weights
-    return grid_index(grids[0]).memo(("places",) + grids[1:] + top + specs, build)
 
 
 def _count_constant(grid: GridSpec, S: ShiftOperator) -> int:
@@ -315,7 +301,10 @@ def _count_constant(grid: GridSpec, S: ShiftOperator) -> int:
 # One-parameter decompositions.
 
 
-def _one_param_terms(b: DyadicFunction, S: ShiftOperator) -> TermList:
+def decompose(b: DyadicFunction, S: ShiftOperator) -> TermList:
+    """Term list with sum(terms)(f) = [M_b, S] f for every f, S of either kind."""
+    if b.grid != S.grid:
+        raise WrongKindError("b must live on the shift grid")
     terms = _skeleton((b.grid,), (_spec(S),))
     case = "cancellative" if S.cancellative else f"noncancellative-{S.orientation}"
     C = _count_constant(b.grid, S)
@@ -329,23 +318,14 @@ def decompose_cancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
     """Term list with sum(terms)(f) = [M_b, S] f for every f, S cancellative."""
     if not S.cancellative:
         raise WrongKindError("decompose_cancellative needs a cancellative shift")
-    if b.grid != S.grid:
-        raise WrongKindError("b must live on the shift grid")
-    return _one_param_terms(b, S)
+    return decompose(b, S)
 
 
 def decompose_noncancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
     """Term list for a symbol-driven shift, either orientation."""
     if S.cancellative:
         raise WrongKindError("decompose_noncancellative needs a noncancellative shift")
-    if b.grid != S.grid:
-        raise WrongKindError("b must live on the shift grid")
-    return _one_param_terms(b, S)
-
-
-def decompose(b: DyadicFunction, S: ShiftOperator) -> TermList:
-    return decompose_cancellative(b, S) if S.cancellative \
-        else decompose_noncancellative(b, S)
+    return decompose(b, S)
 
 
 # ---------------------------------------------------------------------------
@@ -386,40 +366,24 @@ def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
 # Evaluation and verification.
 
 
-def _positions(where: dict, terms) -> list:
-    """The places of ``terms`` in a list whose places ``where`` holds; they
-    must be an ordered subsequence of that list."""
-    pos = [where.get(term, -1) for term in terms]
-    if min(pos, default=0) < 0 or any(p >= q for p, q in zip(pos, pos[1:])):
-        raise ValueError("the terms of a case are not an ordered subsequence "
-                         "of their family's terms")
-    return pos
-
-
-def _family_weights(grids: tuple, tls: list) -> tuple:
-    """The sweep of one family of cases: its term list at the cases' largest
-    (i, j) per variable, and the (terms, cases) weights, a case's own weight
-    where its list has the term and 0 where it lacks it. A case's list must
-    be an ordered subsequence of that list, so that every accumulator adds a
-    case's terms in the case's own order. A list as ``decompose`` builds it
-    holds the master's own objects, and its places come from
-    :func:`_places`; any other list's are looked up term by term."""
-    specs = [tuple(map(_spec, tl.shifts)) for tl in tls]
-    top = tuple(spec[:2] + (max(s[v][2] for s in specs), max(s[v][3] for s in specs))
-                for v, spec in enumerate(specs[0]))
-    master = _skeleton(grids, top)
-    weights = np.zeros((len(master), len(tls)))
+def _family_weights(tls: list) -> tuple:
+    """The sweep of one family of cases: the union of the cases' terms in
+    key order, which is list order within a family, and the (terms, cases)
+    weights, a case's own weight where its list has the term and 0 where it
+    lacks it. A case's keys must ascend, so that every accumulator adds a
+    case's terms in the case's own order."""
+    terms = {term.key: term for tl in tls for term in tl.terms}
+    if None in terms:
+        raise ValueError("a term without a key cannot be swept")
+    place = {key: p for p, key in enumerate(sorted(terms))}
+    weights = np.zeros((len(place), len(tls)))
     for c, tl in enumerate(tls):
-        own = _skeleton(grids, specs[c])
-        if len(tl.terms) == len(own) and all(map(operator.is_, tl.terms, own)):
-            pos, w = _places(grids, top, specs[c])
-        else:
-            where = grid_index(grids[0]).memo(
-                ("term_places",) + grids[1:] + top,
-                lambda: {term: p for p, term in enumerate(master)})
-            pos, w = _positions(where, tl.terms), [term.weight for term in tl.terms]
-        weights[pos, c] = w
-    return master, weights
+        pos = [place[term.key] for term in tl.terms]
+        if any(p >= q for p, q in zip(pos, pos[1:])):
+            raise ValueError("the terms of a case are not an ordered subsequence "
+                             "of their family's terms")
+        weights[pos, c] = [term.weight for term in tl.terms]
+    return tuple(terms[key] for key in place), weights
 
 
 def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
@@ -444,15 +408,13 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
     transform.
 
     The cases of one family (the shift kinds and orientations) share one
-    sweep of that family's term list at their largest (i, j) (see
-    :func:`_family_weights`; a list that is not an ordered subsequence of
-    it raises ``ValueError``): each term is one ``bk_stacked``,
-    ``p_stacked``/``pstar_stacked`` or ``pair_apply`` call on the family's
-    columns, its weight on the case axis, 0 for a case that lacks it; a term
-    that no case has is skipped. A family of one case sweeps its own list
-    with its own weights. So each case keeps its own ``acc += w * term``
-    steps and their bits. A ``counters`` dict receives the kernel calls in
-    ``term_calls``.
+    sweep, the union of their terms in key order (see
+    :func:`_family_weights`; a list whose keys do not ascend raises
+    ``ValueError``), and a single list is a family of one: each term is one
+    ``bk_stacked``, ``p_stacked``/``pstar_stacked`` or ``pair_apply`` call
+    on the family's columns, its weight on the case axis, 0 for a case that
+    lacks it. So each case keeps its own ``acc += w * term`` steps and their
+    bits. A ``counters`` dict receives the kernel calls in ``term_calls``.
     """
     one = isinstance(tls, TermList)
     tls = [tls] if one else list(tls)
@@ -511,17 +473,8 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
         syms = [None if S.cancellative
                 else on_cases([tl.shifts[v].stacked_symbol() for tl in fam])
                 for v, S in enumerate(fam[0].shifts)]
-        if len(fam) == 1:
-            # a family of one sweeps its own list, with its own weights
-            master = fam[0].terms
-            ws = [term.weight for term in master]
-            present = [w != 0.0 for w in ws]
-        else:
-            master, weights = _family_weights(grids, fam)
-            ws, present = weights.reshape(weights.shape + trial), weights.any(axis=1)
-        for term, w, used in zip(master, ws, present):
-            if not used:
-                continue
+        terms, weights = _family_weights(fam)
+        for term, w in zip(terms, weights.reshape(weights.shape + trial)):
             xin = fin[slot[(term.inner1, term.inner2)[:t]]]
             out = acc[slot[(term.outer1, term.outer2)[:t]]]
             # t = 1 keeps the 1-D kernels: the pinned 1-D reports hold their

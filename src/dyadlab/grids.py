@@ -254,19 +254,30 @@ def ancestor(grid: GridSpec, cube: DyadicCube, k: int) -> DyadicCube:
 # Cached vectorized index maps.
 
 
+def _memoized(method):
+    """A method of :class:`_GridIndex` whose value is built once per grid
+    and arguments, and kept in the grid's memo table under (name, *args)."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (name, *args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        # built outside the handler, so that a build error (DepthError) is
+        # not chained to the KeyError
+        value = self._memo[key] = method(self, *args)
+        return value
+    return cached
+
+
 class _GridIndex:
     """Vectorized cube-index machinery for one grid; cached per GridSpec."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        self._anc = {}
-        self._desc = {}
-        self._cdesc = {}
-        self._cdesc_inv = {}
-        self._cells = {}
-        self._owner = {}
-        self._bk = {}
-        self._bk_rows = {}
         self._memo = {}
 
     @functools.cached_property
@@ -284,53 +295,50 @@ class _GridIndex:
         return np.concatenate([g.cube_range(lvl - k).start + self.ancestor_flat(lvl, k)
                                for lvl in range(k, g.N)])
 
+    @_memoized
     def cube_descendants(self, depth: int) -> np.ndarray:
         """Read-only table whose row c lists the cube-axis entries of the cubes
         ``depth`` levels below cube c (levels 0..N-1-depth), in desc_groups order."""
-        if depth not in self._cdesc:
-            g = self.grid
-            table = np.concatenate([g.cube_range(lvl + depth).start + self.desc_groups(lvl, depth)
-                                    for lvl in range(g.N - depth)])
-            table.setflags(write=False)
-            self._cdesc[depth] = table
-        return self._cdesc[depth]
+        g = self.grid
+        table = np.concatenate([g.cube_range(lvl + depth).start + self.desc_groups(lvl, depth)
+                                for lvl in range(g.N - depth)])
+        table.setflags(write=False)
+        return table
 
+    @_memoized
     def descendant_inverse(self, depth: int, n_k: int) -> np.ndarray:
         """Read-only inverse over the stacked layout of the rows of
         ``cube_descendants(depth)[:n_k]``, each cube's n_sig rows in turn:
         entry r is the position of row r among them, or their count where
         none of those cubes has it."""
-        key = (depth, n_k)
-        if key not in self._cdesc_inv:
-            g = self.grid
-            cubes = self.cube_descendants(depth)[:n_k]
-            self._cdesc_inv[key] = _inverse(1 + cubes[..., None] * g.n_sig
-                                            + np.arange(g.n_sig), g.n_samples)
-        return self._cdesc_inv[key]
+        g = self.grid
+        cubes = self.cube_descendants(depth)[:n_k]
+        return _inverse(1 + cubes[..., None] * g.n_sig + np.arange(g.n_sig), g.n_samples)
 
+    @_memoized
     def bk_table(self, k: int) -> tuple:
         """B_k gather tables over the cubes of levels k..N-1, level-major:
         each cube's stacked row at signature 0, its k-th ancestor's stacked
         row at signature 0, and the scale 2**((level - k) * d / 2). One entry
         per k; a signature adds to the rows."""
-        if k not in self._bk:
-            g, start = self.grid, self.grid.cube_range(k).start
-            rows = 1 + np.arange(start, g.n_cubes_total) * g.n_sig
-            anc = 1 + self.cube_ancestors(k) * g.n_sig
-            scale = np.sqrt(self.cube_weight[start:] / 2.0 ** (k * g.d))
-            for arr in (rows, anc, scale):
-                arr.setflags(write=False)
-            self._bk[k] = (rows, anc, scale)
-        return self._bk[k]
+        g, start = self.grid, self.grid.cube_range(k).start
+        rows = 1 + np.arange(start, g.n_cubes_total) * g.n_sig
+        anc = 1 + self.cube_ancestors(k) * g.n_sig
+        scale = np.sqrt(self.cube_weight[start:] / 2.0 ** (k * g.d))
+        for arr in (rows, anc, scale):
+            arr.setflags(write=False)
+        return rows, anc, scale
 
     def memo(self, key, build):
         """``build()``, called once per ``key`` on this grid: the immutable
         per-grid values of the modules above, such as the decomposition's
-        B_k atoms and term lists."""
+        B_k atoms and term lists. The tables of this class share the same
+        memo, under (method name, *args)."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
 
+    @_memoized
     def bk_rows(self, k: int, sig: int) -> tuple:
         """Read-only rows of signature ``sig`` for the cubes of levels k..N-1,
         in :meth:`bk_table` order: ``(rows, inverse, b_rows)``.
@@ -344,19 +352,16 @@ class _GridIndex:
         k-th ancestors' stacked rows at ``sig`` (None at the noncancellative
         signature).
         """
-        key = (k, sig)
-        if key not in self._bk_rows:
-            g = self.grid
-            base, anc, _ = self.bk_table(k)
-            if sig == g.noncanc_int:
-                rows, b_rows = g.n_samples + np.arange(len(base)), None
-            else:
-                rows, b_rows = base + sig, anc + sig
-            for arr in (rows, b_rows):
-                if arr is not None:
-                    arr.setflags(write=False)
-            self._bk_rows[key] = (rows, _inverse(rows, g.n_samples + g.n_cubes_total), b_rows)
-        return self._bk_rows[key]
+        g = self.grid
+        base, anc, _ = self.bk_table(k)
+        if sig == g.noncanc_int:
+            rows, b_rows = g.n_samples + np.arange(len(base)), None
+        else:
+            rows, b_rows = base + sig, anc + sig
+        for arr in (rows, b_rows):
+            if arr is not None:
+                arr.setflags(write=False)
+        return rows, _inverse(rows, g.n_samples + g.n_cubes_total), b_rows
 
     def coords(self, level: int) -> np.ndarray:
         """(d, n_cubes) coordinate array of all cubes at ``level``."""
@@ -364,28 +369,24 @@ class _GridIndex:
         flat = np.arange(self.grid.n_cubes(level))
         return np.array(np.unravel_index(flat, (n,) * self.grid.d))
 
+    @_memoized
     def ancestor_flat(self, level: int, k: int) -> np.ndarray:
         """Flat index of the k-th ancestor for every cube at ``level``."""
-        key = (level, k)
-        if key not in self._anc:
-            if k < 0 or k > level:
-                raise DepthError(f"ancestor depth {k} exceeds level {level}")
-            c = self.coords(level) >> k
-            self._anc[key] = np.ravel_multi_index(tuple(c), ((1 << (level - k)),) * self.grid.d)
-        return self._anc[key]
+        if k < 0 or k > level:
+            raise DepthError(f"ancestor depth {k} exceeds level {level}")
+        c = self.coords(level) >> k
+        return np.ravel_multi_index(tuple(c), ((1 << (level - k)),) * self.grid.d)
 
+    @_memoized
     def desc_groups(self, kappa: int, depth: int) -> np.ndarray:
         """Cubes at level kappa+depth grouped by ancestor at kappa.
 
         Returns an int array of shape (n_cubes(kappa), 2**(d*depth)) whose
         row ``q`` lists the flat indices of the descendants of cube ``q``.
         """
-        key = (kappa, depth)
-        if key not in self._desc:
-            anc = self.ancestor_flat(kappa + depth, depth)
-            order = np.argsort(anc, kind="stable")
-            self._desc[key] = order.reshape(self.grid.n_cubes(kappa), -1)
-        return self._desc[key]
+        anc = self.ancestor_flat(kappa + depth, depth)
+        order = np.argsort(anc, kind="stable")
+        return order.reshape(self.grid.n_cubes(kappa), -1)
 
     def ancestor_scan(self, values: np.ndarray) -> np.ndarray:
         """Sums over strict ancestors, computed top-down.
@@ -418,34 +419,32 @@ class _GridIndex:
             out[g.cube_range(lvl)] = np.ascontiguousarray(below.swapaxes(1, 2)).sum(axis=2)
         return out.reshape(values.shape)
 
+    @_memoized
     def cells(self, level: int) -> np.ndarray:
         """(n_cubes, cells_per_cube) flat sample-cell indices of each cube."""
-        if level not in self._cells:
-            g = self.grid
-            step = 1 << (g.N - level)
-            side = g.n_side
-            c = self.coords(level)
-            acc = None
-            for a in range(g.d):
-                axis_cells = (g.shift[a] + c[a][:, None] * step + np.arange(step)) % side
-                weighted = axis_cells * (side ** (g.d - 1 - a))
-                if acc is None:
-                    acc = weighted
-                else:
-                    acc = (acc[:, :, None] + weighted[:, None, :]).reshape(acc.shape[0], -1)
-            self._cells[level] = acc
-        return self._cells[level]
+        g = self.grid
+        step = 1 << (g.N - level)
+        side = g.n_side
+        c = self.coords(level)
+        acc = None
+        for a in range(g.d):
+            axis_cells = (g.shift[a] + c[a][:, None] * step + np.arange(step)) % side
+            weighted = axis_cells * (side ** (g.d - 1 - a))
+            if acc is None:
+                acc = weighted
+            else:
+                acc = (acc[:, :, None] + weighted[:, None, :]).reshape(acc.shape[0], -1)
+        return acc
 
+    @_memoized
     def cell_owner(self, level: int) -> np.ndarray:
         """Read-only (n_samples,) flat index of the cube at ``level`` that holds
         each sample cell: the inverse of :meth:`cells`."""
-        if level not in self._owner:
-            cells = self.cells(level)
-            owner = np.empty(self.grid.n_samples, dtype=np.intp)
-            owner[cells] = np.arange(len(cells))[:, None]
-            owner.setflags(write=False)
-            self._owner[level] = owner
-        return self._owner[level]
+        cells = self.cells(level)
+        owner = np.empty(self.grid.n_samples, dtype=np.intp)
+        owner[cells] = np.arange(len(cells))[:, None]
+        owner.setflags(write=False)
+        return owner
 
 
 def _inverse(rows: np.ndarray, size: int) -> np.ndarray:

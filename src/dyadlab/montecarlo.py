@@ -17,8 +17,8 @@ import numpy as np
 
 from .grids import GridSpec
 from .haar import forward_stacked, random_function
-from .norms import (_BLOCK_SAMPLES, NormReport, _bmo_stacked, _column_norms, _require_trials,
-                    geometric_constant)
+from .norms import (NormReport, _bmo_stacked, _column_norms, _in_blocks,
+                    _require_trials, geometric_constant)
 from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_matrix,
                      max_k_level, multiplication_commutator_stacked, random_shift)
 
@@ -290,13 +290,10 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
             pair = keys[c][:2]
             best[pair] = max(best[pair], float(norm))
 
-    total, width = len(pairs) * trials, max(1, _BLOCK_SAMPLES // grid.n_samples)
-    blocks = range(0, total, width)
-    for start in blocks:
-        run_block([pairs[n // trials] + (n % trials,)
-                   for n in range(start, min(start + width, total))])
+    blocks = _in_blocks((pair + (t,) for pair in pairs for t in range(trials)),
+                        grid.n_samples, run_block)
     if counters is not None:
-        counters.update(pairs=len(pairs), trials=trials, blocks=len(blocks))
+        counters.update(pairs=len(pairs), trials=trials, blocks=blocks)
     reports = []
     weighted_total = 0.0
     max_ratio = 0.0

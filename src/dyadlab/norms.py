@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -343,7 +344,7 @@ def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = No
     idx, n = grid_index(grid), grid.n_samples
     worst = dict.fromkeys(ps, 0.0)
 
-    def run_block(ts: range) -> None:
+    def run_block(ts: list) -> None:
         """Draw trials ``ts`` into one block and fold their ratios into
         ``worst``; the block's arrays are freed on return."""
         a = np.empty((n, len(ts)))
@@ -364,12 +365,9 @@ def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = No
                 if b != 0.0:
                     worst[p] = max(worst[p], norm / (float(b) * volume ** (1.0 / p)))
 
-    width = max(1, _BLOCK_SAMPLES // n)
-    blocks = range(0, trials, width)
-    for start in blocks:
-        run_block(range(start, min(start + width, trials)))
+    blocks = _in_blocks(range(trials), n, run_block)
     if counters is not None:
-        counters.update(trials=trials, blocks=len(blocks))
+        counters.update(trials=trials, blocks=blocks)
     return worst
 
 
@@ -475,6 +473,18 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 # below glibc's default mmap threshold, so a study's memory stays flat in the
 # number of trials.
 _BLOCK_SAMPLES = 2 ** 13
+
+
+def _in_blocks(items, samples: int, run) -> int:
+    """Call ``run`` on consecutive blocks of ``items``, lists of at most
+    max(1, _BLOCK_SAMPLES // samples) items, one item taking ``samples``
+    samples of a stack; an item is drawn from the iterable only when its
+    block's turn comes. Returns the number of blocks."""
+    width, items, blocks = max(1, _BLOCK_SAMPLES // samples), iter(items), 0
+    while block := list(itertools.islice(items, width)):
+        run(block)
+        blocks += 1
+    return blocks
 
 
 def _column_norms(x: np.ndarray, cell_volume: float) -> np.ndarray:
@@ -600,7 +610,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
 
     best = dict.fromkeys(combos, 0.0)
 
-    def run_block(ts: range) -> None:
+    def run_block(ts: list) -> None:
         """Draw trials ``ts`` into one block and fold its ratios into ``best``;
         the block's arrays are freed on return, before the next is drawn."""
         stacks = {name: np.empty(shape + (len(ts),)) for name, shape in draws.items()}
@@ -614,11 +624,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                 if den > 0:
                     best[(k, l)] = max(best[(k, l)], float(num / den))
 
-    width = max(1, _BLOCK_SAMPLES // math.prod(draws["f"]))
-    blocks = range(0, trials, width)
-    for start in blocks:
-        run_block(range(start, min(start + width, trials)))
+    blocks = _in_blocks(range(trials), math.prod(draws["f"]), run_block)
     if counters is not None:
-        counters.update(trials=trials, combos=len(combos), blocks=len(blocks))
+        counters.update(trials=trials, combos=len(combos), blocks=blocks)
     return [NormReport(kind=kind, k=k, l=l, trials=trials, max_ratio=best[(k, l)],
                        seed=rng_seed) for (k, l) in combos]

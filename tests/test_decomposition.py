@@ -1,6 +1,7 @@
 import hashlib
 import json
 import operator
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -617,13 +618,24 @@ def _cases_on(g, rng):
 
 @pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3), GridSpec(3, 3)], ids=repr)
 def test_every_term_list_is_an_ordered_subsequence_of_its_family_list(g, rng):
-    # the block sweep runs a family's list at its cases' largest (i, j):
-    # the list at any (i, j) <= (I, J) is an ordered subsequence of the list
-    # at (I, J), term for term, so each case keeps its own order of sums
+    # the block sweep runs the union of a family's terms in key order: every
+    # term has a key, the keys of a list ascend, and the list at any
+    # (i, j) <= (I, J) is an ordered subsequence of the list at (I, J), term
+    # for term, so each case keeps its own order of sums
     from dyadlab.decomposition import _family_weights
+
+    def assert_keys_ascend(tl):
+        keys = [term.key for term in tl.terms]
+        assert None not in keys and keys == sorted(set(keys)), tl.shifts
+
     b = random_function(g, rng)
     ij = [(i, j) for i in range(g.N) for j in range(g.N)]
     lists = {(i, j): decompose(b, random_shift(g, i, j, rng)) for i, j in ij}
+    lists.update({ori: decompose(b, random_shift(g, 0, 0, rng, kind="noncancellative",
+                                                 orientation=ori))
+                  for ori in ("analysis", "synthesis")})
+    for tl in lists.values():
+        assert_keys_ascend(tl)
     for top in ij:
         where = {term: p for p, term in enumerate(lists[top].terms)}
         assert len(where) == lists[top].term_count  # no term twice
@@ -633,7 +645,7 @@ def test_every_term_list_is_an_ordered_subsequence_of_its_family_list(g, rng):
                 assert pos == sorted(set(pos)), ((i, j), top)
     # a block's weights: each case's own on its terms, 0 on the others
     block = [lists[k] for k in ij if k != (g.N - 1, g.N - 1)]
-    master, weights = _family_weights((g,), block)
+    master, weights = _family_weights(block)
     assert master == tuple(lists[(g.N - 1, g.N - 1)].terms)
     for c, tl in enumerate(block):
         assert [(term, w) for term, w in zip(master, weights[:, c]) if w] == \
@@ -644,14 +656,20 @@ def test_every_term_list_is_an_ordered_subsequence_of_its_family_list(g, rng):
     S1s = [random_shift(pg.grid1, i, j, rng) for i in range(3) for j in range(3)]
     S2s = [random_shift(pg.grid2, 0, 1, rng), random_shift(pg.grid2, 1, 0, rng)]
     pair_lists = [decompose_biparam(b2, S1, S2) for S1 in S1s for S2 in S2s]
-    master, weights = _family_weights((pg.grid1, pg.grid2), pair_lists)
+    non = [random_shift(grid, 0, 0, rng, kind="noncancellative", orientation=ori)
+           for grid, ori in ((pg.grid1, "analysis"), (pg.grid2, "synthesis"))]
+    for tl in pair_lists + [decompose_biparam(b2, non[0], S2s[0]),
+                            decompose_biparam(b2, S1s[-1], non[1]),
+                            decompose_biparam(b2, *non)]:
+        assert_keys_ascend(tl)
+    master, weights = _family_weights(pair_lists)
     assert master == tuple(decompose_biparam(b2, S1s[-1], random_shift(
         pg.grid2, 1, 1, rng)).terms)
     for c, tl in enumerate(pair_lists):
         assert [term for term, w in zip(master, weights[:, c]) if w] == tl.terms
     with pytest.raises(ValueError, match="ordered subsequence"):
-        _family_weights((g,), [TermList(1, b, (random_shift(g, 1, 0, rng),),
-                                        lists[(1, 0)].terms[::-1], "cancellative")])
+        _family_weights([TermList(1, b, (random_shift(g, 1, 0, rng),),
+                                  lists[(1, 0)].terms[::-1], "cancellative")])
 
 
 def test_the_lists_of_a_family_share_their_term_objects(rng, monkeypatch):
@@ -671,7 +689,6 @@ def test_the_lists_of_a_family_share_their_term_objects(rng, monkeypatch):
     grid_index.cache_clear()
     g = GridSpec(2, 3)
     pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 3))
-    grids = {1: (g,), 2: (pg.grid1, pg.grid2)}
     b, b2 = random_function(g, rng), random_product_function(pg, rng)
     top = {1: decompose(b, random_shift(g, 2, 2, rng)),
            2: decompose_biparam(b2, random_shift(pg.grid1, 3, 2, rng),
@@ -687,21 +704,79 @@ def test_the_lists_of_a_family_share_their_term_objects(rng, monkeypatch):
                   for i1, j1, i2, j2 in ((0, 0, 0, 0), (3, 1, 0, 2), (1, 2, 1, 0))]}
     assert built == []
     for t, block in blocks.items():
-        master, weights = _family_weights(grids[t], block + [top[t]])
+        master, weights = _family_weights(block + [top[t]])
         assert all(map(operator.is_, master, top[t].terms))
         for c, tl in enumerate(block + [top[t]]):
             places = np.flatnonzero(weights[:, c])
             assert len(places) == tl.term_count
             assert all(master[p] is term for p, term in zip(places, tl.terms)), (t, c)
             assert np.array_equal(weights[places, c], [term.weight for term in tl.terms])
-        # a list that is not a skeleton (one term dropped) is placed term by term
+        # a list with one term dropped is placed by the keys it keeps
         want = weights[:, 1].copy()
         want[np.flatnonzero(want)[3]] = 0.0
-        _, weights = _family_weights(grids[t], [block[1].drop(3), top[t]])
+        _, weights = _family_weights([block[1].drop(3), top[t]])
         assert np.array_equal(weights[:, 0], want)
     again = [decompose(random_function(g, rng), tl.shifts[0]) for tl in ones]
     assert built == []
     assert all(all(map(operator.is_, a.terms, o.terms)) for a, o in zip(again, ones))
+
+
+def test_a_single_list_and_a_block_of_one_are_placed_alike(rng, monkeypatch):
+    # one placement path: a single TermList and a block of one case each
+    # place their terms with exactly one _family_weights call
+    from dyadlab import decomposition
+    calls = []
+    place = decomposition._family_weights
+
+    def counting(tls):
+        calls.append(len(tls))
+        return place(tls)
+
+    monkeypatch.setattr(decomposition, "_family_weights", counting)
+    g = GridSpec(1, 4)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    for tl in (decompose(random_function(g, rng), random_shift(g, 2, 1, rng)),
+               decompose(random_function(g, rng), random_shift(g, 0, 0, rng,
+                                                               kind="noncancellative")),
+               decompose_biparam(random_product_function(pg, rng),
+                                 random_shift(pg.grid1, 1, 2, rng),
+                                 random_shift(pg.grid2, 1, 0, rng))):
+        f = random_function(g, rng) if tl.arity == 1 else random_product_function(pg, rng)
+        calls.clear()
+        single = evaluate_terms(tl, f)
+        assert calls == [1], tl.case
+        x = (forward_stacked(g, f.samples) if tl.arity == 1
+             else forward2_stacked(pg, f.samples))
+        calls.clear()
+        block = evaluate_stacked([tl], x[..., None, None])
+        assert calls == [1], tl.case
+        y = inverse_stacked(g, block[:, 0, 0]) if tl.arity == 1 \
+            else inverse2_stacked(pg, block[:, :, 0, 0])
+        assert np.array_equal(single.samples, y), tl.case
+
+
+def test_a_single_list_out_of_key_order_raises(rng):
+    # a single list is placed as a block is, so reversing its terms raises
+    # through evaluate_terms as it does in a block, and so does a term
+    # without a key
+    g = GridSpec(1, 4)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    for tl, f in ((decompose(random_function(g, rng), random_shift(g, 1, 1, rng)),
+                   random_function(g, rng)),
+                  (decompose_biparam(random_product_function(pg, rng),
+                                     random_shift(pg.grid1, 1, 0, rng),
+                                     random_shift(pg.grid2, 0, 1, rng)),
+                   random_product_function(pg, rng))):
+        reversed_tl = TermList(tl.arity, tl.b, tl.shifts, tl.terms[::-1], tl.case)
+        for run in (lambda: evaluate_terms(reversed_tl, f),
+                    lambda: evaluate_stacked([reversed_tl, tl], np.zeros(
+                        tl.b.samples.shape + (2, 1)))):
+            with pytest.raises(ValueError, match="ordered subsequence"):
+                run()
+        keyless = TermList(tl.arity, tl.b, tl.shifts,
+                           [replace(tl.terms[0], key=None)] + tl.terms[1:], tl.case)
+        with pytest.raises(ValueError, match="without a key"):
+            evaluate_terms(keyless, f)
 
 
 def _block_orders(cases) -> list:

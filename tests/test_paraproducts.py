@@ -140,7 +140,8 @@ def test_bk_tables_are_keyed_by_depth_alone(rng):
     assert len({(t.atom1.k, t.atom1.sb, t.atom1.si, t.atom1.so) for t in tl.terms}) \
         > len({t.atom1.k for t in tl.terms}) > 1
     evaluate_terms(tl, random_function(g, rng))
-    tables = grid_index(g)._bk
+    tables = {key[1]: table for key, table in grid_index(g)._memo.items()
+              if key[0] == "bk_table"}
     assert set(tables) <= set(range(g.N))
     assert set(tables) >= {t.atom1.k for t in tl.terms}
     for k, (rows, anc, scale) in tables.items():
