@@ -13,9 +13,9 @@ per-axis schedule (:func:`pair_apply`): along a B axis the rows of
 :func:`~dyadlab.paraproducts.bk_gather`, the layout ``bk_stacked`` reads;
 along a P or P* axis a strict-subcube tree scan of
 :mod:`dyadlab.paraproducts` (``strict_ancestor_sum`` /
-``strict_subtree_sum``), with ``b`` multiplied once in between. Only a
-joint symbol that couples a P* axis with a P axis needs the level-pair loop
-of ``_pp1_kernel``.
+``strict_subtree_sum``), with ``b`` multiplied once in between. Every P
+axis takes its own symbol: a PP-family symbol is a1 x a2, or a sum of
+such products (:func:`apply_biparam`).
 
 Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
 axis 1, and optional trailing passive axes (one column per trial in
@@ -43,7 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from .grids import GridMismatchError, GridSpec, grid_index
+from .grids import GridMismatchError, GridSpec
 from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
 from .paraproducts import (BkOperator, _trailing, bk_gather, strict_ancestor_sum,
@@ -319,34 +319,31 @@ def _take(a: np.ndarray, r1, r2) -> np.ndarray:
 
 def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
                sym1: np.ndarray = None, sym2: np.ndarray = None,
-               sym12: np.ndarray = None, out: np.ndarray = None,
-               weight: float = 1.0) -> np.ndarray:
+               out: np.ndarray = None, weight: float = 1.0) -> np.ndarray:
     """Evaluate the tensor of two one-variable atoms on extended stacks.
 
     Each atom is a BkOperator on its variable's grid or a PAtom. ``Xe`` is
     the input in the extended layout of both variables (:func:`extend2`),
     (m1, m2, *passive, *trials). The fixed arrays ``bC`` (n1, n2), ``sym1``
-    (n1,), ``sym2`` (n2,) and ``sym12`` (n1, n2) broadcast against its
-    trailing axes; each, and a B atom's betas, may also end in the trial
-    axes, e.g. ``sym2`` (n2, *trials), to pair trial column t with symbol t.
-    ``sym_v`` is the stacked symbol of a P atom in variable v; two P atoms
-    take the caller's joint ``sym12`` or else the product of ``sym1`` and
-    ``sym2``. ``weight`` is a float, or an array on the trial axes, e.g.
-    (C, 1), one weight per column.
+    (n1,) and ``sym2`` (n2,) broadcast against its trailing axes; each, and
+    a B atom's betas, may also end in the trial axes, e.g. ``sym2``
+    (n2, *trials), to pair trial column t with symbol t. ``sym_v`` is the
+    stacked symbol of a P atom in variable v. ``weight`` is a float, or an
+    array on the trial axes, e.g. (C, 1), one weight per column.
 
     The pair is one schedule over the two variable axes:
     1. gather the input rows of each B axis (:func:`~dyadlab.paraproducts.bk_gather`);
        a P axis takes the stacked rows as a slice;
-    2. multiply by the P* axes' symbol, then take the strict subtree sum
+    2. multiply by the P* axes' symbols, then take the strict subtree sum
        along each P* axis;
     3. multiply by ``bC``, gathered at the B ancestors;
     4. take the strict ancestor sum along each P axis, then multiply by the
-       P axes' symbol;
+       P axes' symbols;
     5. multiply by each B axis' ``beta * scale`` in axis order (the weight
        folded into the first; with no B axis it multiplies last) and
        scatter-add into the output rows.
-    A joint ``sym12`` that couples a P* axis with a P axis does not separate
-    into these steps; it runs the level-pair loop of :func:`_pp1_kernel`.
+    Two P atoms of one orientation multiply once, by the product of their
+    symbols.
 
     With ``out`` (extended, shaped like ``Xe``) the weighted contribution is
     added into it and None is returned; without, the contracted result
@@ -355,30 +352,18 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     """
     grids, atoms, syms = (pg.grid1, pg.grid2), (atom1, atom2), (sym1, sym2)
     p_axes = [v for v in (0, 1) if isinstance(atoms[v], PAtom)]
-    if len(p_axes) == 2:
-        if sym12 is None and (sym1 is None or sym2 is None):
-            raise ValueError("P x P atoms need the product symbol")
-    elif p_axes and syms[p_axes[0]] is None:
-        raise ValueError(f"P atom in variable {p_axes[0] + 1} needs its symbol")
+    for v in p_axes:
+        if syms[v] is None:
+            raise ValueError(f"P atom in variable {v + 1} needs its symbol")
     bC = _lift(bC, Xe)
     result = out is None
     if result:
         out = np.zeros(Xe.shape)
     pstar = [v for v in p_axes if atoms[v].adjoint]
     plain = [v for v in p_axes if not atoms[v].adjoint]
-    if len(pstar) == len(plain) == 1 and sym12 is not None:
-        n1, n2 = pg.shape
-        args = (bC, Xe[:n1, :n2], _lift(sym12, Xe))
-        if atom1.adjoint:
-            res = _pp1_kernel(pg, *args)
-        else:  # PP2 is PP1 with the variables swapped
-            res = _pp1_kernel(pg.swap(), *(a.swapaxes(0, 1) for a in args)).swapaxes(0, 1)
-        out[:n1, :n2] += weight * res
-        return contract2(pg, out) if result else None
-    if len(p_axes) == 2 and len(pstar) != 1:
-        joint = _lift(sym12, Xe) if sym12 is not None \
-            else _trailing(sym1, Xe) * _trailing(sym2, Xe, 1)
-        pre, post = ([joint], []) if pstar else ([], [joint])
+    if len(pstar) == 2 or len(plain) == 2:
+        joint = [_trailing(sym1, Xe) * _trailing(sym2, Xe, 1)]
+        pre, post = (joint, []) if pstar else ([], joint)
     else:
         pre = [_trailing(syms[v], Xe, v) for v in pstar]
         post = [_trailing(syms[v], Xe, v) for v in plain]
@@ -409,46 +394,22 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     return contract2(pg, out) if result else None
 
 
-def _pp1_kernel(pg, bC, X, sym12) -> np.ndarray:
-    """P adjoint in variable 1 only:
-
-        out[I1, J2] = sum_{J1 strictly inside I1} sum_{I2 strictly containing J2}
-                      |I1|**(-1) |I2|**(-1) a[J1, J2] b[I1, I2] X[J1, I2]
-
-    (all signatures of J1 and I2). For each level pair li < lj the b rows of
-    each cube's ancestor at li meet the X rows of the cube, an ancestor scan
-    runs along variable 2, and the a-weighted result is summed into the
-    ancestor. Trailing passive axes of ``X`` ride along (``bC``, ``sym12``
-    carry unit ones or the same trial axes).
-    """
-    g1, g2 = pg.grid1, pg.grid2
-    i1 = grid_index(g1)
-    out = np.zeros(X.shape)
-    for lj in range(1, g1.N):
-        # variable 2 leads: (n2, n_cubes1(lj), n_sig1, *passive)
-        Xj = np.moveaxis(g1.level_block(X, lj), 2, 0)
-        aj = np.moveaxis(g1.level_block(sym12, lj), 2, 0)
-        for li in range(lj):
-            Bi = np.moveaxis(g1.level_block(bC, li)[i1.ancestor_flat(lj, lj - li)], 2, 0)
-            # axes (n2, cube J1, signature of I1, signature of J1, *passive)
-            Z = strict_ancestor_sum(g2, Bi[:, :, :, None] * Xj[:, :, None, :])
-            R = np.moveaxis((Z * aj[:, :, None, :]).sum(axis=3), 0, 2)
-            up = R[i1.desc_groups(li, lj - li)].sum(axis=1)
-            g1.level_block(out, li)[...] += 2.0 ** (li * g1.d) * up
-    return out
-
-
 # -- public bi-parameter operator surface -------------------------------------
+
+
+_PP_FLAGS = {"PP": (False, False), "PP1": (True, False), "PP2": (False, True),
+             "PPstar": (True, True)}  # adjoint flags of the two P atoms
 
 
 @dataclass(frozen=True)
 class BiparamOperatorSpec:
-    """Parameters of one bi-parameter operator of kind Bkl/PP/PP1/PP2/BPk/PBl.
+    """Parameters of one bi-parameter operator of kind Bkl/PP/PP1/PP2/PPstar/BPk/PBl.
 
     Signature fields are {0,1}^d tuples per variable; ``None`` means the
-    all-zero (cancellative) signature. Symbols: ``a`` (ProductFunction) for
-    the PP family, ``a2``/``a1`` (DyadicFunction) for BPk/PBl. ``p_adjoint``
-    tags the adjoint variant of the P factor in BPk/PBl.
+    all-zero (cancellative) signature. Symbols: the PP family takes ``a``
+    (ProductFunction), or ``a1`` and ``a2`` (DyadicFunction) for the product
+    symbol a1 x a2; BPk takes ``a2`` and PBl ``a1``. ``p_adjoint`` tags the
+    adjoint variant of the P factor in BPk/PBl.
     """
 
     kind: str
@@ -468,52 +429,60 @@ class BiparamOperatorSpec:
     p_adjoint: bool = False
 
     def validate(self, pg: ProductGrid):
-        if self.kind not in ("Bkl", "PP", "PP1", "PP2", "PPstar", "BPk", "PBl"):
+        """Raise ValueError for an unknown kind or a missing symbol, and
+        GridMismatchError for a symbol off ``pg`` (``a1``, ``a2`` off the
+        grid of their variable)."""
+        if self.kind not in ("Bkl", "BPk", "PBl") + tuple(_PP_FLAGS):
             raise ValueError(f"unknown bi-parameter kind {self.kind}")
-        if self.kind in ("PP", "PP1", "PP2", "PPstar") and self.a is None:
-            raise ValueError(f"{self.kind} needs the product symbol a")
+        if self.kind in _PP_FLAGS:
+            halves = (self.a1 is not None) + (self.a2 is not None)
+            if halves != (2 if self.a is None else 0):
+                raise ValueError(f"{self.kind} needs the product symbol a, or a1 and a2")
         if self.kind == "BPk" and self.a2 is None:
             raise ValueError("BPk needs the variable-2 symbol a2")
         if self.kind == "PBl" and self.a1 is None:
             raise ValueError("PBl needs the variable-1 symbol a1")
-
-
-def biparam_operands(spec: BiparamOperatorSpec, pg: ProductGrid) -> tuple:
-    """Atoms and symbols of ``spec`` on ``pg``: (atom1, atom2, sym1, sym2, sym12).
-
-    ``pair_apply(pg, bC, extend2(pg, X), *biparam_operands(spec, pg))``
-    evaluates the operator on stacked coefficients ``X``, so callers holding
-    extended inputs reuse them across specs.
-    """
-    spec.validate(pg)
-    g1, g2 = pg.grid1, pg.grid2
-    sym1 = sym2 = sym12 = None
-    if spec.kind in ("Bkl", "BPk"):
-        a1 = BkOperator(g1, spec.k, spec.sig_b1, spec.sig_in1, spec.sig_out1, spec.beta1)
-    if spec.kind in ("Bkl", "PBl"):
-        a2 = BkOperator(g2, spec.l, spec.sig_b2, spec.sig_in2, spec.sig_out2, spec.beta2)
-    if spec.kind == "BPk":
-        a2 = PAtom(adjoint=spec.p_adjoint)
-        sym2 = symbol_stacked(spec.a2)
-    elif spec.kind == "PBl":
-        a1 = PAtom(adjoint=spec.p_adjoint)
-        sym1 = symbol_stacked(spec.a1)
-    elif spec.kind != "Bkl":
-        flags = {"PP": (False, False), "PP1": (True, False),
-                 "PP2": (False, True), "PPstar": (True, True)}[spec.kind]
-        a1, a2 = PAtom(flags[0]), PAtom(flags[1])
-        sym12 = forward2(spec.a)
-        sym12[0, :] = 0.0
-        sym12[:, 0] = 0.0
-    return a1, a2, sym1, sym2, sym12
+        if self.a is not None and self.a.pgrid != pg:
+            raise GridMismatchError("symbol a lives off the operands' product grid")
+        for v, (sym, grid) in enumerate(((self.a1, pg.grid1), (self.a2, pg.grid2)), 1):
+            if sym is not None and sym.grid != grid:
+                raise GridMismatchError(f"symbol a{v} lives off the grid of variable {v}")
 
 
 def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
                   f: ProductFunction) -> ProductFunction:
-    """Literal evaluation of the defining Haar sums of the requested kind."""
+    """Literal evaluation of the defining Haar sums of the requested kind.
+
+    Each P axis takes its own symbol. A general PP-family symbol ``a`` with
+    stacked coefficients A (mean rows zeroed) is the sum over the rows r of
+    A of e_r x A[r, :]: variable 1 takes the columns of the identity and
+    variable 2 the rows of A, one rank-one term per column of a trailing
+    axis of one :func:`pair_apply` call, and the terms are summed at the end.
+    """
     pg = f.pgrid
     if b.pgrid != pg:
         raise GridMismatchError("b and f live on different product grids")
+    spec.validate(pg)
+    g1, g2 = pg.grid1, pg.grid2
     Xe = extend2(pg, forward2(f))
-    out = pair_apply(pg, forward2(b), Xe, *biparam_operands(spec, pg))
-    return inverse2(pg, out)
+    sym1 = sym2 = None
+    if spec.kind in ("Bkl", "BPk"):
+        atom1 = BkOperator(g1, spec.k, spec.sig_b1, spec.sig_in1, spec.sig_out1, spec.beta1)
+    if spec.kind in ("Bkl", "PBl"):
+        atom2 = BkOperator(g2, spec.l, spec.sig_b2, spec.sig_in2, spec.sig_out2, spec.beta2)
+    if spec.kind == "BPk":
+        atom2, sym2 = PAtom(adjoint=spec.p_adjoint), symbol_stacked(spec.a2)
+    elif spec.kind == "PBl":
+        atom1, sym1 = PAtom(adjoint=spec.p_adjoint), symbol_stacked(spec.a1)
+    elif spec.kind != "Bkl":
+        atom1, atom2 = (PAtom(flag) for flag in _PP_FLAGS[spec.kind])
+        if spec.a is None:
+            sym1, sym2 = symbol_stacked(spec.a1), symbol_stacked(spec.a2)
+        else:
+            A = forward2(spec.a)
+            A[0, :] = 0.0
+            A[:, 0] = 0.0
+            sym1, sym2 = np.eye(g1.n_samples), A.T
+            Xe = np.broadcast_to(Xe[..., None], Xe.shape + (g1.n_samples,))
+    out = pair_apply(pg, forward2(b), Xe, atom1, atom2, sym1, sym2)
+    return inverse2(pg, out.sum(axis=2) if out.ndim == 3 else out)

@@ -299,9 +299,11 @@ def _add_common(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once and shared by every :func:`main`
     call: parsing reads it and leaves it unchanged."""
-    ap = argparse.ArgumentParser(prog="dyadlab",
-                                 description="dyadic shift / commutator laboratory")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # flags are spelt in full: a config file fills in every flag the
+    # command line does not name, and a prefix names none
+    parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    ap = parser(prog="dyadlab", description="dyadic shift / commutator laboratory")
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=parser)
 
     p = sub.add_parser("selftest", help="orthonormality/Parseval/adjoint suite")
     p.add_argument("--d", type=_POSITIVE, default=1)

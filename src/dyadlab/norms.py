@@ -586,25 +586,20 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
             Xe = extend2(pgrid, Xe)
         denom = _rect_bmo_stacked(pgrid, bC) * _column_norms(s["f"], volume)
         # the betas, or the P symbols: each of BMO norm one, its mean row zeroed
-        sym1 = sym2 = sym12 = beta1 = beta2 = None
+        sym1 = sym2 = beta1 = beta2 = None
         if kind == "Bkl":
             beta1, beta2 = signs(s["beta1"]), signs(s["beta2"])
-        elif kind == "PBl":
+        if "a1" in s:
             sym1 = forward_stacked(g1, unit(g1, s["a1"]))
             sym1[0] = 0.0
-        elif kind == "BPk":
+        if "a2" in s:
             sym2 = forward_stacked(g2, unit(g2, s["a2"]))
             sym2[0] = 0.0
-        else:
-            sym12 = forward2_stacked(pgrid, unit(g1, s["a1"])[:, None]
-                                     * unit(g2, s["a2"])[None, :])
-            sym12[0, :] = 0.0
-            sym12[:, 0] = 0.0
 
         def pair(k, l):
             atom1 = PAtom(adjoint=kind == "PP1") if k is None else BkOperator(g1, k, beta=beta1)
             atom2 = PAtom() if l is None else BkOperator(g2, l, beta=beta2)
-            out = pair_apply(pgrid, bC, Xe, atom1, atom2, sym1, sym2, sym12)
+            out = pair_apply(pgrid, bC, Xe, atom1, atom2, sym1, sym2)
             return inverse2_stacked(pgrid, out)
         return denom, pair
 

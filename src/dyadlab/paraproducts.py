@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import DepthError, GridSpec, InvalidIndexError, grid_index
+from .grids import (DepthError, GridMismatchError, GridSpec, InvalidIndexError,
+                    grid_index)
 from .haar import (DyadicFunction, contract, extend, forward_stacked,
                    inverse_stacked)
 
@@ -178,7 +179,7 @@ def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunc
     """Evaluate B_k(b, f). Cubes shallower than k contribute nothing."""
     g = op.grid
     if b.grid != g or f.grid != g:
-        raise ValueError("operands must live on the operator grid")
+        raise GridMismatchError("operands must live on the operator grid")
     bc = forward_stacked(g, b.samples)
     xe = extend(g, forward_stacked(g, f.samples))
     return DyadicFunction(g, inverse_stacked(g, contract(g, bk_stacked(op, bc, xe))))
@@ -241,16 +242,19 @@ def pstar_stacked(grid: GridSpec, bc: np.ndarray, avec: np.ndarray,
     return _trailing(bc, x) * strict_subtree_sum(grid, _trailing(avec, x) * x)
 
 
-def apply_P(b: DyadicFunction, a: DyadicFunction, f: DyadicFunction) -> DyadicFunction:
+def _apply_p(kernel, b: DyadicFunction, a: DyadicFunction, f: DyadicFunction) -> DyadicFunction:
     g = b.grid
+    if a.grid != g or f.grid != g:
+        raise GridMismatchError("a and f must live on the grid of b")
     bc = forward_stacked(g, b.samples)
     xc = forward_stacked(g, f.samples)
-    return DyadicFunction(g, inverse_stacked(g, p_stacked(g, bc, symbol_stacked(a), xc)))
+    return DyadicFunction(g, inverse_stacked(g, kernel(g, bc, symbol_stacked(a), xc)))
+
+
+def apply_P(b: DyadicFunction, a: DyadicFunction, f: DyadicFunction) -> DyadicFunction:
+    return _apply_p(p_stacked, b, a, f)
 
 
 def apply_P_adjoint(b: DyadicFunction, a: DyadicFunction,
                     f: DyadicFunction) -> DyadicFunction:
-    g = b.grid
-    bc = forward_stacked(g, b.samples)
-    xc = forward_stacked(g, f.samples)
-    return DyadicFunction(g, inverse_stacked(g, pstar_stacked(g, bc, symbol_stacked(a), xc)))
+    return _apply_p(pstar_stacked, b, a, f)

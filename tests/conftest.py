@@ -334,7 +334,7 @@ def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=Non
     from dyadlab import (BiparamOperatorSpec, BkOperator, GridSpec, NormReport,
                          ProductGrid, apply_Bk, apply_P, apply_biparam,
                          dyadic_bmo_norm, random_function, random_product_function,
-                         rect_bmo_norm, square_function, tensor_function)
+                         rect_bmo_norm, square_function)
     from dyadlab.norms import _trial_rng
     if kind in ("Bk", "Sk", "P"):
         grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
@@ -377,7 +377,7 @@ def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=Non
             fields = {"a1": unit(random_function(pgrid.grid1, rng))}
         else:
             a1 = unit(random_function(pgrid.grid1, rng))
-            fields = {"a": tensor_function(a1, unit(random_function(pgrid.grid2, rng)))}
+            fields = {"a1": a1, "a2": unit(random_function(pgrid.grid2, rng))}
 
         def pair(k, l):
             spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
@@ -436,16 +436,16 @@ def _pp1_oracle(pg, bC, X, sym12):
     return out
 
 
-def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None, sym12=None):
-    """Contracted B x P, P x B or P x P pair for one symbol: ``bC`` (n1, n2),
-    ``sym1`` (n1,), ``sym2`` (n2,), ``sym12`` (n1, n2), against every trailing
-    column of ``Xe``."""
+def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None):
+    """Contracted B x P, P x B or P x P pair for one symbol per variable:
+    ``bC`` (n1, n2), ``sym1`` (n1,), ``sym2`` (n2,), against every trailing
+    column of ``Xe``. Two P atoms of one orientation take the outer product
+    of the symbols; mixed orientations take each symbol on its own side."""
     from dyadlab.biparam import PAtom, contract2
     from dyadlab.paraproducts import bk_gather, strict_ancestor_sum, strict_subtree_sum
     sw = lambda a: a.swapaxes(0, 1)  # noqa: E731
     bC = _lift_oracle(bC, 2, Xe)
-    sym1, sym2, sym12 = (_lift_oracle(sym1, 1, Xe), _lift_oracle(sym2, 1, Xe),
-                         _lift_oracle(sym12, 2, Xe))
+    sym1, sym2 = _lift_oracle(sym1, 1, Xe), _lift_oracle(sym2, 1, Xe)
     out = np.zeros(Xe.shape)
 
     def bp(pg, bC, Xe, a1, p2, sym2, out):
@@ -459,14 +459,15 @@ def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None, sym12=None
         n1, n2 = pg.shape
         X = Xe[:n1, :n2]
         g1, g2 = pg.grid1, pg.grid2
+        s1, s2 = sym1[:, None], sym2[None, :]
         if not atom1.adjoint and not atom2.adjoint:
-            res = sym12 * sw(strict_ancestor_sum(g2, sw(strict_ancestor_sum(g1, bC * X))))
+            res = (s1 * s2) * sw(strict_ancestor_sum(g2, sw(strict_ancestor_sum(g1, bC * X))))
         elif atom1.adjoint and atom2.adjoint:
-            res = bC * sw(strict_subtree_sum(g2, sw(strict_subtree_sum(g1, sym12 * X))))
+            res = bC * sw(strict_subtree_sum(g2, sw(strict_subtree_sum(g1, (s1 * s2) * X))))
         elif atom1.adjoint:
-            res = _pp1_oracle(pg, bC, X, sym12)
+            res = s2 * sw(strict_ancestor_sum(g2, sw(bC * strict_subtree_sum(g1, s1 * X))))
         else:
-            res = sw(_pp1_oracle(pg.swap(), sw(bC), sw(X), sw(sym12)))
+            res = s1 * strict_ancestor_sum(g1, bC * sw(strict_subtree_sum(g2, sw(s2 * X))))
         out[:n1, :n2] += 1.0 * res
     elif isinstance(atom1, PAtom):
         bp(pg.swap(), sw(bC), sw(Xe), atom2, atom1, sym1, sw(out))

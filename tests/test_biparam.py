@@ -8,7 +8,7 @@ from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube, DyadicFunction
                      random_product_function, random_shift, tensor_function)
 from dyadlab.biparam import (PAtom, contract2, extend2, forward2, forward2_stacked,
                              forward_var, inverse2, pair_apply)
-from dyadlab.grids import DepthError, InvalidIndexError
+from dyadlab.grids import DepthError, GridMismatchError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
 from conftest import (all_cancellative_indices, all_cubes, assert_columns_alone,
                       bb_pair_oracle,
@@ -18,6 +18,8 @@ from conftest import (all_cancellative_indices, all_cubes, assert_columns_alone,
 PG = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
 G1, G2 = PG.grid1, PG.grid2
 PG_D2 = ProductGrid(GridSpec(2, 3), GridSpec(1, 3))
+PG_SHIFTED = ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
+                         GridSpec(1, 3, omega=((0,), (1,), (1,))))
 
 
 def ip(f, g):
@@ -225,7 +227,7 @@ def _ppstar_oracle(a, b, f):
 
 def test_pp_matches_quadruple_sum_oracle(rng):
     # PG_D2 has d = 2 in variable 1: three signatures per cube
-    for pg in (PG, PG_D2):
+    for pg in (PG, PG_D2, PG_SHIFTED):
         a = random_product_function(pg, rng)
         b = random_product_function(pg, rng)
         f = random_product_function(pg, rng)
@@ -250,7 +252,7 @@ def test_pp_empty_inner_sum(rng):
 
 
 def test_pp1_matches_oracle_and_partial_adjoint_relation(rng):
-    for pg in (PG, PG_D2):
+    for pg in (PG, PG_D2, PG_SHIFTED):
         g1, g2 = pg.grid1, pg.grid2
         a = random_product_function(pg, rng)
         b = random_product_function(pg, rng)
@@ -267,6 +269,18 @@ def test_pp1_matches_oracle_and_partial_adjoint_relation(rng):
                                            tensor_function(h1, f2)),
                              tensor_function(f1, h2))
         assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("pg", [PG, PG_D2, PG_SHIFTED], ids=repr)
+def test_pp_product_symbol_is_the_tensor_symbol(pg, rng):
+    # a1 and a2, one symbol per P axis, give the operator of a = a1 x a2
+    b, f = random_product_function(pg, rng), random_product_function(pg, rng)
+    a1, a2 = random_function(pg.grid1, rng), random_function(pg.grid2, rng)
+    for kind in ("PP", "PP1", "PP2", "PPstar"):
+        got = apply_biparam(BiparamOperatorSpec(kind, a1=a1, a2=a2), b, f).samples
+        want = apply_biparam(BiparamOperatorSpec(kind, a=tensor_function(a1, a2)), b,
+                             f).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), kind
 
 
 def _bpk_oracle(spec, b, f):
@@ -315,12 +329,32 @@ def test_bpk_pbl_match_oracles(rng):
 def test_missing_symbol_raises(rng):
     b = random_product_function(PG, rng)
     f = random_product_function(PG, rng)
-    with pytest.raises(ValueError):
-        apply_biparam(BiparamOperatorSpec("PP"), b, f)
+    a = random_product_function(PG, rng)
+    a1, a2 = random_function(G1, rng), random_function(G2, rng)
+    for kind in ("PP", "PP1"):
+        for fields in ({}, {"a1": a1}, {"a2": a2}, {"a": a, "a1": a1},
+                       {"a": a, "a1": a1, "a2": a2}):
+            with pytest.raises(ValueError, match=f"{kind} needs the product symbol a, or a1"):
+                apply_biparam(BiparamOperatorSpec(kind, **fields), b, f)
     with pytest.raises(ValueError):
         apply_biparam(BiparamOperatorSpec("BPk", k=1), b, f)
     with pytest.raises(ValueError):
         apply_biparam(BiparamOperatorSpec("nope"), b, f)
+
+
+def test_spec_symbols_off_the_product_grid_raise(rng):
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 4))
+    b, f = random_product_function(pg, rng), random_product_function(pg, rng)
+    a1 = random_function(pg.grid1, rng)
+    off = [random_function(GridSpec(2, 2), rng),
+           random_function(GridSpec(1, 4, omega=((1,), (0,), (1,), (0,))), rng)]
+    specs = [BiparamOperatorSpec(kind, a1=a1, a2=a2) for kind in ("PP", "PP1") for a2 in off]
+    specs += [BiparamOperatorSpec("BPk", a2=a2) for a2 in off]
+    other = ProductGrid(GridSpec(1, 3, omega=((1,), (1,), (0,))), pg.grid2)
+    specs.append(BiparamOperatorSpec("PP2", a=random_product_function(other, rng)))
+    for spec in specs:
+        with pytest.raises(GridMismatchError):
+            apply_biparam(spec, b, f)
 
 
 def test_bkl_martingale_bound_exact(rng):
@@ -489,24 +523,21 @@ def test_p_symbol_stacks_match_the_one_symbol_pair_kernels(pg, rng):
     Xe = extend2(pg, forward2_stacked(pg, rng.standard_normal(pg.shape + (T,))))
     sym1 = forward_var(rng.standard_normal((g1.n_samples, T)), g1, 1)
     sym2 = forward_var(rng.standard_normal((g2.n_samples, T)), g2, 1)
-    sym12 = forward2_stacked(pg, rng.standard_normal(pg.shape + (T,)))
-    sym1[0] = sym2[0] = sym12[0] = sym12[:, 0] = 0.0
+    sym1[0] = sym2[0] = 0.0
     pairs = [(PAtom(a), PAtom(b)) for a in (False, True) for b in (False, True)]
     for p in (PAtom(False), PAtom(True)):
         pairs += [(BkOperator(g1, k), p) for k in range(g1.N)]
         pairs += [(p, BkOperator(g2, l)) for l in range(g2.N)]
     for atom1, atom2 in pairs:
-        got = pair_apply(pg, bC, Xe, atom1, atom2, sym1, sym2, sym12)
+        got = pair_apply(pg, bC, Xe, atom1, atom2, sym1, sym2)
         assert got.shape == pg.shape + (T,)
         for t in range(T):
             want = pair_apply_oracle(pg, bC[..., t], Xe[..., t], atom1, atom2,
-                                     sym1[:, t], sym2[:, t], sym12[..., t])
+                                     sym1[:, t], sym2[:, t])
             assert np.array_equal(got[..., t], want), (atom1, atom2, t)
         # one symbol for all columns is the broadcast case of the same kernels
-        got = pair_apply(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0], sym2[:, 0],
-                         sym12[..., 0])
-        want = pair_apply_oracle(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0],
-                                 sym2[:, 0], sym12[..., 0])
+        got = pair_apply(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0], sym2[:, 0])
+        want = pair_apply_oracle(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0], sym2[:, 0])
         assert np.array_equal(got, want), (atom1, atom2)
 
 
@@ -563,12 +594,16 @@ def test_pair_apply_rejects_a_p_atom_without_its_symbol(rng):
     sym1 = forward_var(rng.standard_normal(G1.n_samples), G1, 1)
     sym2 = forward_var(rng.standard_normal(G2.n_samples), G2, 1)
     with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
-        pair_apply(PG, bC, Xe, BkOperator(G1, 1), PAtom(), sym1=sym1,
-                   sym12=np.outer(sym1, sym2))
+        pair_apply(PG, bC, Xe, BkOperator(G1, 1), PAtom(), sym1=sym1)
     with pytest.raises(ValueError, match="P atom in variable 1 needs its symbol"):
         pair_apply(PG, bC, Xe, PAtom(True), BkOperator(G2, 0), sym2=sym2)
-    with pytest.raises(ValueError, match="P x P atoms need the product symbol"):
-        pair_apply(PG, bC, Xe, PAtom(True), PAtom(), sym1=sym1)
+    for adjoint1 in (False, True):
+        for adjoint2 in (False, True):
+            atoms = (PAtom(adjoint1), PAtom(adjoint2))
+            with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
+                pair_apply(PG, bC, Xe, *atoms, sym1=sym1)
+            with pytest.raises(ValueError, match="P atom in variable 1 needs its symbol"):
+                pair_apply(PG, bC, Xe, *atoms, sym2=sym2)
 
 
 @pytest.mark.parametrize("pg", [PG, PG_D2, ProductGrid(GridSpec(1, 4), GridSpec(2, 2))],

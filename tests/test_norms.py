@@ -485,7 +485,7 @@ def test_uniformity_study_biparam_rows_match_apply_biparam():
                 fields = {"a1": unit(random_function(pg.grid1, rng))}
             else:
                 a1 = unit(random_function(pg.grid1, rng))
-                fields = {"a": tensor_function(a1, unit(random_function(pg.grid2, rng)))}
+                fields = {"a1": a1, "a2": unit(random_function(pg.grid2, rng))}
             denom = rect_bmo_norm(b) * f.norm()
             for k in ks:
                 for l in ls:

@@ -6,7 +6,7 @@ import pytest
 from dyadlab import (BkOperator, DyadicCube, DyadicFunction, GridSpec,
                      HaarIndex, apply_Bk, apply_P, apply_P_adjoint,
                      haar_function, inner_product, random_function)
-from dyadlab.grids import InvalidIndexError, grid_index
+from dyadlab.grids import GridMismatchError, InvalidIndexError, grid_index
 from dyadlab.haar import extend, forward_stacked
 from dyadlab.norms import dyadic_bmo_norm, uniformity_study
 from dyadlab.paraproducts import bk_gather, bk_stacked
@@ -162,6 +162,20 @@ def test_bk_signature_rules():
         apply_Bk(BkOperator(g, 0, beta=beta),
                  random_function(g, np.random.default_rng(0)),
                  random_function(g, np.random.default_rng(1)))
+
+
+def test_operands_off_the_operator_grid_raise(rng):
+    g = GridSpec(1, 4)
+    b = random_function(g, rng)
+    for other in (GridSpec(2, 2), GridSpec(1, 4, omega=((1,), (0,), (1,), (0,)))):
+        a, f = random_function(other, rng), random_function(other, rng)
+        for apply in (apply_P, apply_P_adjoint):
+            for operands in ((b, a, f), (b, b, f), (b, a, b)):
+                with pytest.raises(GridMismatchError):
+                    apply(*operands)
+        for operands in ((b, f), (f, b)):
+            with pytest.raises(GridMismatchError):
+                apply_Bk(BkOperator(g, 1), *operands)
 
 
 def test_bk_beta_dict_is_stored_on_the_cube_axis(rng):
