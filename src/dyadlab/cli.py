@@ -287,7 +287,7 @@ def cmd_bound_study(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_COUNT, default=7)
     p.add_argument("--out", type=str, default=None,
                    help="output directory (default: $DYADLAB_OUTDIR or .)")
     p.add_argument("--format", choices=("json", "csv"), default="json")

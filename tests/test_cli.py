@@ -218,6 +218,9 @@ def test_usage_error_exit_code(tmp_path):
                  ["selftest", "--N", "25"],
                  ["selftest", "--d", "3", "--N", "9"],
                  ["mc-demo", "--N", "1"],  # no (0, 1) shift fits one level
+                 # numpy seeds are nonnegative
+                 ["mc-demo", "--seed", "-1"],
+                 ["selftest", "--seed", "-1"],
                  # a NaN tolerance would fail every check, or none
                  ["selftest", "--tol", "nan"],
                  ["selftest", "--tol", "-1"],
@@ -232,7 +235,7 @@ def test_usage_error_exit_code(tmp_path):
     # config values take the flag's type, range check included
     cfg = tmp_path / "cfg.json"
     for bad in ({"N": 0}, {"trials": -1}, {"delta": 0}, {"p": [1.0]},
-                {"tol": float("nan")}, {"tol": -1}, {"tol": "inf"}):
+                {"tol": float("nan")}, {"tol": -1}, {"tol": "inf"}, {"seed": -1}):
         cfg.write_text(json.dumps(bad))
         command = {"delta": "bound-study", "p": "jn-check"}.get(next(iter(bad)),
                                                                  "verify-decomp")

@@ -177,6 +177,59 @@ def test_builder_called_once_per_distinct_grid_in_first_seen_order():
     assert np.isclose(mean[0, 0], np.mean(shifts), rtol=1e-14)
 
 
+def numpy_draws(rng_seed, samples):
+    """numpy's own replay seeds of ``samples`` samples and, per seed, the
+    first 24 values of ``default_rng(seed).integers(0, 2)``; the first N*d
+    of them are ``sample_omega``'s (N, d) offsets, level by level (see
+    test_sample_omega_is_the_per_level_draw)."""
+    seeds = np.array(replay_seeds(rng_seed, samples), dtype=np.uint32)
+    bits = np.stack([np.random.default_rng(int(s)).integers(0, 2, size=24) for s in seeds])
+    return seeds, bits
+
+
+@pytest.mark.parametrize("rng_seed", [0, 41, 2 ** 32 + 1, 2 ** 128 + 3])
+def test_batch_draw_is_numpys_per_sample_draw(rng_seed):
+    # 8193 samples cross a block boundary; (2, 12) draws N*d = 24 offsets
+    want_seeds, want_bits = numpy_draws(rng_seed, 8193)
+    for samples in (1, 2, 1000, 8193):
+        for d, N in [(1, 2), (1, 6), (2, 4), (3, 3), (1, 12), (2, 12)]:
+            seeds, keys = montecarlo._draw_grids(GridSpec(d, N), samples, rng_seed)
+            offsets = keys[:, None] >> np.arange(N * d, dtype=np.uint64) & 1
+            assert np.array_equal(seeds, want_seeds[:samples]), (samples, d, N)
+            assert np.array_equal(offsets, want_bits[:samples, :N * d]), (samples, d, N)
+
+
+def test_batch_draw_rejects_a_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError):
+        montecarlo._draw_grids(BASE, 3, -1)
+    with pytest.raises(ValueError):
+        average_operator(hilbert_pattern_builder(BASE), 3, -1)
+
+
+@pytest.mark.parametrize("flipped", [slice(0, 1), slice(None)])
+def test_replay_guard_stops_a_batch_draw_that_disagrees(monkeypatch, flipped):
+    # one flipped offset bit, in the first sample or in every sample
+    draw = montecarlo._draw_grids
+
+    def flip(base, samples, rng_seed):
+        seeds, keys = draw(base, samples, rng_seed)
+        keys[flipped] ^= 1 << 2
+        return seeds, keys
+    calls = []
+
+    def build(om):
+        calls.append(om.seed)
+        return np.eye(8)
+    build.grid = GridSpec(1, 3)
+    monkeypatch.setattr(montecarlo, "_draw_grids", flip)
+    seed = replay_seeds(5, 1)[0]
+    with pytest.raises(RuntimeError, match=rf"sample 1 of 50: .*sample_omega\(base, {seed}\)"):
+        average_operator(build, 50, 5)
+    assert calls == []
+
+
 def _pattern_case(d, N):
     """(builder, statistics) of a fixed shift pattern on the shifted grids:
     the demo's pattern and statistics in one dimension, a random shift's
@@ -193,7 +246,8 @@ def _pattern_case(d, N):
     return build, (lambda M: M, lambda M: M + M.T)
 
 
-@pytest.mark.parametrize("d,N,samples", [(1, 4, 300), (1, 6, 300), (2, 2, 200)])
+# 8200 samples span two draw blocks
+@pytest.mark.parametrize("d,N,samples", [(1, 4, 300), (1, 6, 300), (2, 2, 200), (1, 3, 8200)])
 @pytest.mark.parametrize("rng_seed", [0, 3, 11])
 def test_grouped_average_matches_per_sample_welford(d, N, samples, rng_seed):
     builder, fns = _pattern_case(d, N)
