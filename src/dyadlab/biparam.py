@@ -1,8 +1,9 @@
 """Tensor-product grids and bi-parameter operators.
 
-Functions of two variables are sample matrices (variable 1 slow). Per-variable
+Functions of two variables are sample matrices (variable 1 slow) on a
+:class:`ProductGrid`, whose ``grids`` are the variables' grids. Per-variable
 Haar transforms act along one axis with the other axis passive, so the full
-transform is the composition in either order.
+transform (:func:`~dyadlab.haar.forward_space`) is their composition.
 
 The operator family combines one "atom" per variable: a
 :class:`~dyadlab.paraproducts.BkOperator` on that variable's grid (the B_k
@@ -25,8 +26,8 @@ swapping axes 0 and 1. The fixed arrays (symbol coefficients, betas) broadcast
 against the trailing axes; they may also carry the input's last axes as
 trial axes, one symbol or beta per trial column
 (:func:`dyadlab.norms.uniformity_study`), and an array without them is the
-broadcast case of the same schedule. :func:`_along` runs a function that
-acts along axis 0 along either variable.
+broadcast case of the same schedule. :func:`~dyadlab.haar._along` runs a
+function that acts along axis 0 along either variable.
 
 The atoms read and write the extended layout of both variables
 (:func:`extend2`, :func:`contract2`), where a noncancellative signature
@@ -37,14 +38,14 @@ sum of terms once.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .grids import GridMismatchError, GridSpec
-from .haar import (DyadicFunction, contract, extend, forward_stacked,
+from .haar import (DyadicFunction, SampledFunction, _along, contract, extend,
+                   forward_space, forward_stacked, inner_product, inverse_space,
                    inverse_stacked)
 from .paraproducts import (BkOperator, _trailing, bk_gather, strict_ancestor_sum,
                            strict_subtree_sum, symbol_stacked)
@@ -59,6 +60,11 @@ class ProductGrid:
     grid2: GridSpec
 
     @property
+    def grids(self) -> tuple:
+        """The grid of each variable."""
+        return (self.grid1, self.grid2)
+
+    @property
     def shape(self) -> tuple:
         return (self.grid1.n_samples, self.grid2.n_samples)
 
@@ -67,52 +73,18 @@ class ProductGrid:
 
 
 @dataclass(frozen=True)
-class ProductFunction:
+class ProductFunction(SampledFunction):
     """Function on torus1 x torus2 sampled on the finest rectangles."""
 
     pgrid: ProductGrid
     samples: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float).reshape(self.pgrid.shape)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite (no NaN or inf)")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
     @property
-    def cell_volume(self) -> float:
-        return self.pgrid.grid1.cell_volume * self.pgrid.grid2.cell_volume
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.samples ** 2) * self.cell_volume))
-
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
+    def space(self) -> ProductGrid:
+        return self.pgrid
 
     def transpose(self) -> "ProductFunction":
         return ProductFunction(self.pgrid.swap(), self.samples.T)
-
-    def __add__(self, other):
-        self._check(other)
-        return ProductFunction(self.pgrid, self.samples + other.samples)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ProductFunction(self.pgrid, self.samples - other.samples)
-
-    def __mul__(self, scalar):
-        return ProductFunction(self.pgrid, self.samples * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ProductFunction(self.pgrid, -self.samples)
-
-    def _check(self, other):
-        if not isinstance(other, ProductFunction) or other.pgrid != self.pgrid:
-            raise GridMismatchError("operands live on different product grids")
 
     def to_json(self) -> str:
         """Keys d1, N1, d2, N2, samples; omega1/omega2 for shifted grids."""
@@ -138,20 +110,12 @@ class ProductFunction:
     def to_bytes(self) -> bytes:
         """20-byte header (magic DYF2, u32 d1,N1,d2,N2) + LE float64, var 1 slow."""
         g1, g2 = self.pgrid.grid1, self.pgrid.grid2
-        if g1.omega is not None or g2.omega is not None:
-            raise ValueError("binary format covers standard grids only")
-        header = _MAGIC_2P + struct.pack("<IIII", g1.d, g1.N, g2.d, g2.N)
-        return header + self.samples.astype("<f8").tobytes()
+        return self._encode(_MAGIC_2P, "<IIII", g1.d, g1.N, g2.d, g2.N)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProductFunction":
-        if data[:4] != _MAGIC_2P:
-            raise ValueError("bad magic, expected DYF2")
-        if len(data) < 20:
-            raise ValueError(f"truncated DYF2 header: needs 20 bytes, got {len(data)}")
-        d1, N1, d2, N2 = struct.unpack("<IIII", data[4:20])
-        pg = ProductGrid(GridSpec(d1, N1), GridSpec(d2, N2))
-        return cls(pg, np.frombuffer(data[20:], dtype="<f8").copy())
+        return cls._decode(data, _MAGIC_2P, "<IIII", lambda d1, N1, d2, N2: ProductGrid(
+            GridSpec(d1, N1), GridSpec(d2, N2)))
 
 
 def tensor_function(f1: DyadicFunction, f2: DyadicFunction) -> ProductFunction:
@@ -166,28 +130,13 @@ def random_product_function(pg: ProductGrid, rng) -> ProductFunction:
 # -- transforms --------------------------------------------------------------
 
 
-def _along(axis: int, fn, a: np.ndarray) -> np.ndarray:
-    """``fn``, which acts along axis 0, applied along ``axis`` of ``a``."""
-    return fn(a) if axis == 0 else fn(a.swapaxes(0, axis)).swapaxes(0, axis)
-
-
-def forward2_stacked(pg: ProductGrid, samples: np.ndarray) -> np.ndarray:
-    """Samples (n1, n2, *passive) -> stacked coefficients, same shape."""
-    return _along(1, partial(forward_stacked, pg.grid2), forward_stacked(pg.grid1, samples))
-
-
-def inverse2_stacked(pg: ProductGrid, stacked: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`forward2_stacked`."""
-    return inverse_stacked(pg.grid1, _along(1, partial(inverse_stacked, pg.grid2), stacked))
-
-
 def forward2(pf: ProductFunction) -> np.ndarray:
     """Full stacked coefficient matrix (variable 1 rows, variable 2 columns)."""
-    return forward2_stacked(pf.pgrid, pf.samples)
+    return forward_space(pf.pgrid, pf.samples)
 
 
 def inverse2(pg: ProductGrid, stacked: np.ndarray) -> ProductFunction:
-    return ProductFunction(pg, inverse2_stacked(pg, stacked))
+    return ProductFunction(pg, inverse_space(pg, stacked))
 
 
 def extend2(pg: ProductGrid, stacked: np.ndarray) -> np.ndarray:
@@ -200,21 +149,14 @@ def contract2(pg: ProductGrid, ext: np.ndarray) -> np.ndarray:
     return contract(pg.grid1, _along(1, partial(contract, pg.grid2), ext))
 
 
-def forward_var(pf_samples: np.ndarray, grid: GridSpec, var: int) -> np.ndarray:
-    """Partial Haar transform in one variable only."""
-    return _along(var - 1, partial(forward_stacked, grid), pf_samples)
-
-
-def inner_product2(f: ProductFunction, g: ProductFunction) -> float:
-    f._check(g)
-    return float(np.sum(f.samples * g.samples) * f.cell_volume)
+inner_product2 = inner_product
 
 
 # -- variable-wise shift application and iterated commutators ----------------
 
 
 def _check_var(pg: ProductGrid, S, var: int) -> None:
-    if S.grid != (pg.grid1 if var == 1 else pg.grid2):
+    if S.grid != pg.grids[var - 1]:
         raise GridMismatchError(f"operator grid does not match variable {var}")
 
 
@@ -460,8 +402,7 @@ def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
     axis of one :func:`pair_apply` call, and the terms are summed at the end.
     """
     pg = f.pgrid
-    if b.pgrid != pg:
-        raise GridMismatchError("b and f live on different product grids")
+    b._check(f)
     spec.validate(pg)
     g1, g2 = pg.grid1, pg.grid2
     Xe = extend2(pg, forward2(f))

@@ -73,12 +73,9 @@ def _write_report(args, name: str, config: dict, results, counters: dict = None)
     return path
 
 
-def _resolved_config(args, extra: dict = None) -> dict:
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func", "config") and v is not None}
-    if extra:
-        cfg.update(extra)
-    return cfg
+def _resolved_config(args) -> dict:
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "config") and v is not None}
 
 
 def _fail(seed, message: str) -> int:

@@ -21,6 +21,8 @@ verification harness checks against independently evaluated commutators.
 
 Both sides are linear in f, so evaluation runs on coefficient stacks with a
 trailing trial axis, (n, T) for one parameter and (n1, n2, T) for two.
+Outside the term kernels every step runs along the ``grids`` of the
+list's space, one loop for t = 1 and 2.
 ``evaluate_stacked`` is one evaluator for t = 1 or 2 variables and for a
 block of cases, which sit on a case axis before the trial axis, (n, C, T)
 or (n1, n2, C, T); a single term list is a block of one. It stacks the 2^t
@@ -44,8 +46,9 @@ objects of a family are built once per grid (grid pair), so the lists at
 every (i, j) select the same objects.
 ``verify_identity`` passes all trials of a block of cases once through the
 transforms, the direct commutators and one term sweep, and transforms the
-block's symbols once; at t = 2 the block's direct commutators are one
-stacked call.
+block's symbols once; it keeps two things per arity, the choice of
+decomposition and the direct commutator, and at t = 2 the block's direct
+commutators are one stacked call.
 """
 
 from __future__ import annotations
@@ -58,15 +61,12 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .grids import GridMismatchError, GridSpec, WrongKindError, grid_index
-from .haar import (DyadicFunction, contract, extend, forward_stacked,
-                   inverse_stacked)
+from .haar import (DyadicFunction, SampledFunction, _along, contract, extend,
+                   forward_space, inverse_space)
 from .paraproducts import BkOperator, bk_stacked, p_stacked, pstar_stacked
-from .biparam import (PAtom, ProductFunction, _along, forward2, forward2_stacked,
-                      inverse2, inverse2_stacked, iterated_commutator_stacked,
-                      pair_apply)
+from .biparam import PAtom, ProductFunction, iterated_commutator_stacked, pair_apply
 from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator, _each_case
-from .norms import (_bmo_stacked, _column_norms, _rect_bmo_stacked, _require_trials,
-                    _trial_rng)
+from .norms import _bmo_stacked, _column_norms, _require_trials, _trial_rng
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,16 @@ class TermList:
     case: str
     meta: dict = field(default_factory=dict)
 
+    @property
+    def space(self):
+        """The grid, or the product grid, that b lives on."""
+        return self.b.space
+
     @cached_property
     def _bc(self) -> np.ndarray:
         """Stacked coefficients of b, transformed on first use; a block of
         :func:`verify_identity` sets them from one transform of its symbols."""
-        if self.arity == 1:
-            return forward_stacked(self.b.grid, self.b.samples)
-        return forward2(self.b)
+        return forward_space(self.space, self.b.samples)
 
     @property
     def term_count(self) -> int:
@@ -348,11 +351,10 @@ def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
                       S2: ShiftOperator) -> TermList:
     """Product of the per-variable constructions for [[M_b, S1], S2]."""
     pg = b.pgrid
-    if S1.grid != pg.grid1:
-        raise WrongKindError("S1 must act on variable 1 of b's product grid")
-    if S2.grid != pg.grid2:
-        raise WrongKindError("S2 must act on variable 2 of b's product grid")
-    terms = _skeleton((pg.grid1, pg.grid2), (_spec(S1), _spec(S2)))
+    for v, (S, g) in enumerate(zip((S1, S2), pg.grids), 1):
+        if S.grid != g:
+            raise WrongKindError(f"S{v} must act on variable {v} of b's product grid")
+    terms = _skeleton(pg.grids, (_spec(S1), _spec(S2)))
     C = _count_constant(pg.grid1, S1) * _count_constant(pg.grid2, S2)
     meta = {"term_count": len(terms), "count_constant": C,
             "count_bound": C * (1 + max(S1.i, S1.j)) * (1 + max(S2.i, S2.j)),
@@ -423,7 +425,7 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
         x = x[(slice(None),) * t + (None,)]
     if x.shape[t:t + 1] != (len(tls),):
         raise ValueError(f"{len(tls)} term lists for a case axis of shape {x.shape}")
-    grids = (tls[0].b.grid,) if t == 1 else (tls[0].b.pgrid.grid1, tls[0].b.pgrid.grid2)
+    grids = tls[0].space.grids
     trial = (1,) * (x.ndim - t - 1)
     shifts = [[tl.shifts[v] for tl in tls] for v in range(t)]
 
@@ -481,7 +483,7 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
             # order of operations (bk_stacked forms beta * b * scale before
             # taking x)
             if t == 2:
-                pair_apply(tls[0].b.pgrid, fbc, xin, term.atom1, term.atom2, sym1=syms[0],
+                pair_apply(tls[0].space, fbc, xin, term.atom1, term.atom2, sym1=syms[0],
                            sym2=syms[1], out=out, weight=w)
             elif isinstance(term.atom1, PAtom):
                 n = grids[0].n_samples
@@ -509,11 +511,8 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
 
 def evaluate_terms(tl: TermList, f):
     """Sum of all terms applied to ``f`` (coefficient-space, one inverse at the end)."""
-    if tl.arity == 1:
-        g = tl.b.grid
-        y = evaluate_stacked(tl, forward_stacked(g, f.samples))
-        return DyadicFunction(g, inverse_stacked(g, y))
-    return inverse2(tl.b.pgrid, evaluate_stacked(tl, forward2(f)))
+    y = evaluate_stacked(tl, forward_space(tl.space, f.samples))
+    return type(tl.b)(tl.space, inverse_space(tl.space, y))
 
 
 def _trial_samples(shape: tuple, rng_seed: int, trials: int) -> np.ndarray:
@@ -574,7 +573,7 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     of the sweep in ``term_calls``, added to any it holds.
     """
     _require_trials(trials)
-    one = isinstance(b, (DyadicFunction, ProductFunction))
+    one = isinstance(b, SampledFunction)
     symbols, cases = ([b], [shifts]) if one else (list(b), list(shifts))
     if not symbols or len(symbols) != len(cases):
         raise ValueError(f"{len(symbols)} symbols for {len(cases)} shift cases")
@@ -582,50 +581,44 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     t = len(cases[0])
     if any(len(S) != t for S in cases):
         raise ValueError("the cases of one call must have one arity")
-    spaces = [bc.grid if t == 1 else bc.pgrid for bc in symbols]
-    if any(sp != spaces[0] for sp in spaces):
+    space = symbols[0].space
+    if any(bc.space != space for bc in symbols):
         raise GridMismatchError("the cases of one call must share one grid")
-    if t == 1:
-        tls = [decompose(bc, S) for bc, (S,) in zip(symbols, cases)]
-        g = symbols[0].grid
-        grids, shape, volume = (g,), (g.n_samples,), g.cell_volume
-        fwd, inv, bmo = (partial(forward_stacked, g), partial(inverse_stacked, g),
-                         partial(_bmo_stacked, g))
-    else:
-        tls = [decompose_biparam(bc, *S) for bc, S in zip(symbols, cases)]
-        pg, volume = symbols[0].pgrid, symbols[0].cell_volume
-        grids, shape = (pg.grid1, pg.grid2), pg.shape
-        fwd, inv, bmo = (partial(forward2_stacked, pg), partial(inverse2_stacked, pg),
-                         partial(_rect_bmo_stacked, pg))
+    # the decomposition, and the report's per-variable values: scalars at t = 1
+    make, per_var = (decompose, lambda vals: vals[0]) if t == 1 else (decompose_biparam, list)
+    tls = [make(bc, *S) for bc, S in zip(symbols, cases)]
+    grids, shape, volume = space.grids, symbols[0].samples.shape, symbols[0].cell_volume
     # the symbols' coefficients, and from them the residual scales
     # dyadic_bmo_norm(b_c) or rect_bmo_norm(b_c)
     bsamples = np.stack([bc.samples for bc in symbols], axis=-1)
-    bcs = fwd(bsamples)
+    bcs = forward_space(space, bsamples)
     for c, tl in enumerate(tls):
         tl._bc = bcs[..., c]
-    scales = bmo(bcs)
+    scales = _bmo_stacked(space, bcs)
     F, f_norms = _trial_inputs(shape, rng_seed, trials, volume)
     C = len(tls)
-    # per case: the term sum, then at t = 1 the halves S f and S(b f)
-    y = np.empty(shape + (C, 3 if t == 1 else 1, trials))
+    # the direct commutators: at t = 1 the halves S f and S(b f) of every
+    # case go out with the term sums, after them on their own axis
     if t == 1:
-        x = fwd(np.stack([F] + [bc.samples[:, None] * F for bc in symbols], axis=1))
-        for c, tl in enumerate(tls):
-            y[:, c, 1:] = tl.shifts[0].apply_stacked(x[:, [0, c + 1]])
+        y = np.empty(shape + (C, 3, trials))
+        x = forward_space(space, np.stack([F] + [bc.samples[:, None] * F for bc in symbols],
+                                          axis=1))
+        for c, (S,) in enumerate(cases):
+            y[:, c, 1:] = S.apply_stacked(x[:, [0, c + 1]])
         xf, sx = x[:, :1], y[:, :, 1]
     else:
-        xf, sx = fwd(F)[..., None, :], None
-        direct = iterated_commutator_stacked(bsamples, [S1 for S1, _ in cases],
-                                             [S2 for _, S2 in cases], F[:, :, None])
+        y = np.empty(shape + (C, 1, trials))
+        xf, sx = forward_space(space, F)[..., None, :], None
+        direct = iterated_commutator_stacked(bsamples, *zip(*cases), F[:, :, None])
     y[..., 0, :] = evaluate_stacked(tls, np.broadcast_to(xf, shape + (C, trials)), sx=sx,
                                     counters=counters)
-    y = inv(y)
-    per_var = (lambda vals: vals[0]) if t == 1 else list
+    y = inverse_space(space, y)
+    if t == 1:
+        direct = bsamples[:, :, None] * y[:, :, 1] - y[:, :, 2]
     reports = []
     for c, tl in enumerate(tls):
-        direct_c = (symbols[c].samples[:, None] * y[:, c, 1] - y[:, c, 2] if t == 1
-                    else direct[:, :, c])
-        max_res = _max_residual(direct_c, y[..., c, 0, :], f_norms, float(scales[c]), volume)
+        max_res = _max_residual(direct[..., c, :], y[..., c, 0, :], f_norms,
+                                float(scales[c]), volume)
         reports.append({
             "case": tl.case, "d": per_var([g.d for g in grids]),
             "N": per_var([g.N for g in grids]), "i": per_var([S.i for S in tl.shifts]),

@@ -96,6 +96,11 @@ class GridSpec:
         object.__setattr__(self, "shift", tuple(shift))
 
     @property
+    def grids(self) -> tuple:
+        """The grid of each variable: this one alone (see ``ProductGrid.grids``)."""
+        return (self,)
+
+    @property
     def n_side(self) -> int:
         return 1 << self.N
 

@@ -6,6 +6,10 @@ lossless view. The transform is the orthonormal 2**d-band pyramid: at each
 level the 2**d sibling scaling values of a cube combine into one parent
 scaling value and 2**d - 1 cancellative Haar coefficients.
 
+A function's space is a GridSpec or a ProductGrid, whose ``grids`` hold one
+grid per variable; :class:`SampledFunction` holds what the two function
+types share, and :func:`forward_space` transforms along every variable.
+
 All stacked-coefficient helpers accept trailing passive axes so the same
 code drives one-parameter functions and per-variable transforms of tensor
 products. The pyramid runs trials-leading: the P = prod(passive) columns
@@ -44,6 +48,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,6 +154,27 @@ def inverse_stacked(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
     return np.multiply(s.T, 2.0 ** (N * d / 2.0), order="C").reshape(stacked.shape)
 
 
+def _along(axis: int, fn, a: np.ndarray) -> np.ndarray:
+    """``fn``, which acts along axis 0, applied along ``axis`` of ``a``."""
+    return fn(a) if axis == 0 else fn(a.swapaxes(0, axis)).swapaxes(0, axis)
+
+
+def forward_space(space, samples: np.ndarray) -> np.ndarray:
+    """Samples (*shape, *passive) on ``space``, variable v on axis v ->
+    stacked coefficients, same shape: :func:`forward_stacked` along each
+    variable's axis in turn, variable 1 first."""
+    for v, g in enumerate(space.grids):
+        samples = _along(v, partial(forward_stacked, g), samples)
+    return samples
+
+
+def inverse_space(space, stacked: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`forward_space`, the last variable first."""
+    for v in reversed(range(len(space.grids))):
+        stacked = _along(v, partial(inverse_stacked, space.grids[v]), stacked)
+    return stacked
+
+
 def scaling_levels(grid: GridSpec, stacked: np.ndarray) -> list:
     """Scaling pairings <f, h_I^1> for every cube at levels 0..N-1.
 
@@ -209,8 +235,77 @@ def contract(grid: GridSpec, ext: np.ndarray) -> np.ndarray:
 # Public function/coefficient types.
 
 
+class SampledFunction:
+    """What the sampled function types share. A subclass is a frozen
+    dataclass whose first field is its ``space``, a GridSpec or a
+    ProductGrid; its samples, one axis per variable, are a read-only copy."""
+
+    def __post_init__(self):
+        shape = tuple(g.n_samples for g in self.space.grids)
+        arr = np.asarray(self.samples, dtype=float)
+        if arr.size != math.prod(shape):
+            raise ValueError(f"expected {math.prod(shape)} samples, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite (no NaN or inf)")
+        arr = arr.reshape(shape).copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "samples", arr)
+
+    @property
+    def cell_volume(self) -> float:
+        return math.prod(g.cell_volume for g in self.space.grids)
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.sum(self.samples ** 2) * self.cell_volume))
+
+    def mean(self) -> float:
+        return float(np.mean(self.samples))
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.space, self.samples + other.samples)
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.space, self.samples - other.samples)
+
+    def __mul__(self, scalar):
+        return type(self)(self.space, self.samples * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(self.space, -self.samples)
+
+    def _check(self, other):
+        if not isinstance(other, SampledFunction) or other.space != self.space:
+            raise GridMismatchError("operands live on different grids")
+
+    def _encode(self, magic: bytes, fmt: str, *fields) -> bytes:
+        """The binary format: ``magic``, the header ``fields`` packed by the
+        struct format ``fmt``, then the samples as LE float64."""
+        if any(g.omega is not None for g in self.space.grids):
+            raise ValueError("binary format covers standard (unshifted) grids only")
+        return magic + struct.pack(fmt, *fields) + self.samples.astype("<f8").tobytes()
+
+    @classmethod
+    def _decode(cls, data: bytes, magic: bytes, fmt: str, make_space):
+        """Inverse of :meth:`_encode`; ``make_space`` builds the space from
+        the header fields. The payload must hold exactly one value per sample."""
+        name, head = magic.decode(), 4 + struct.calcsize(fmt)
+        if data[:4] != magic:
+            raise ValueError(f"bad magic, expected {name}")
+        if len(data) < head:
+            raise ValueError(f"truncated {name} header: needs {head} bytes, got {len(data)}")
+        space = make_space(*struct.unpack(fmt, data[4:head]))
+        need, got = 8 * math.prod(g.n_samples for g in space.grids), len(data) - head
+        if got != need:
+            raise ValueError(f"{name} payload: needs {need} bytes, got {got}")
+        return cls(space, np.frombuffer(data[head:], dtype="<f8"))
+
+
 @dataclass(frozen=True)
-class DyadicFunction:
+class DyadicFunction(SampledFunction):
     """Real function on the torus, sampled on the finest cells of ``grid``.
 
     Samples are flat in row-major order (axis 1 slowest).
@@ -219,41 +314,9 @@ class DyadicFunction:
     grid: GridSpec
     samples: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float).reshape(-1)
-        if arr.shape != (self.grid.n_samples,):
-            raise ValueError(f"expected {self.grid.n_samples} samples, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite (no NaN or inf)")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.samples ** 2) * self.grid.cell_volume))
-
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
-    def __add__(self, other):
-        self._check(other)
-        return DyadicFunction(self.grid, self.samples + other.samples)
-
-    def __sub__(self, other):
-        self._check(other)
-        return DyadicFunction(self.grid, self.samples - other.samples)
-
-    def __mul__(self, scalar):
-        return DyadicFunction(self.grid, self.samples * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DyadicFunction(self.grid, -self.samples)
-
-    def _check(self, other):
-        if not isinstance(other, DyadicFunction) or other.grid != self.grid:
-            raise GridMismatchError("operands live on different grids")
+    @property
+    def space(self) -> GridSpec:
+        return self.grid
 
     # -- serialization ---------------------------------------------------
 
@@ -272,21 +335,11 @@ class DyadicFunction:
 
     def to_bytes(self) -> bytes:
         """16-byte header (magic DYF1, u32 d, u32 N, u32 reserved) + LE float64."""
-        if self.grid.omega is not None:
-            raise ValueError("binary format covers standard (unshifted) grids only")
-        header = _MAGIC_1P + struct.pack("<III", self.grid.d, self.grid.N, 0)
-        return header + self.samples.astype("<f8").tobytes()
+        return self._encode(_MAGIC_1P, "<III", self.grid.d, self.grid.N, 0)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DyadicFunction":
-        if data[:4] != _MAGIC_1P:
-            raise ValueError("bad magic, expected DYF1")
-        if len(data) < 16:
-            raise ValueError(f"truncated DYF1 header: needs 16 bytes, got {len(data)}")
-        d, N, _ = struct.unpack("<III", data[4:16])
-        grid = GridSpec(d, N)
-        samples = np.frombuffer(data[16:], dtype="<f8")
-        return cls(grid, samples)
+        return cls._decode(data, _MAGIC_1P, "<III", lambda d, N, _: GridSpec(d, N))
 
 
 @dataclass(frozen=True)
@@ -366,10 +419,11 @@ def haar_function(grid: GridSpec, idx: HaarIndex) -> DyadicFunction:
     return DyadicFunction(grid, samples)
 
 
-def inner_product(f: DyadicFunction, g: DyadicFunction) -> float:
-    """L2 pairing with piecewise-constant quadrature."""
+def inner_product(f: SampledFunction, g: SampledFunction) -> float:
+    """L2 pairing with piecewise-constant quadrature, of two functions on
+    one grid or one product grid."""
     f._check(g)
-    return float(np.sum(f.samples * g.samples) * f.grid.cell_volume)
+    return float(np.sum(f.samples * g.samples) * f.cell_volume)
 
 
 def pointwise_multiply(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:

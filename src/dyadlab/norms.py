@@ -1,17 +1,19 @@
 """BMO norms, square and maximal functions, and empirical boundedness studies.
 
-Every norm and square function here reads one table of Carleson masses,
-mu_b(I) = sum_sig <b, h_I^sig>**2 on the cube axis of :mod:`dyadlab.grids`
-(``_cube_masses``) and mu_b(R) as one matrix over the cube axes of both
-variables (``_rect_masses``); only these two square Haar coefficients.
-The dyadic BMO norm is
+Every norm and square function here reads one table of Carleson masses
+(``_masses``), the only code that squares Haar coefficients: mu_b(I) =
+sum_sig <b, h_I^sig>**2 on the cube axis of :mod:`dyadlab.grids` for one
+variable, and mu_b(R) over the cube axes of both variables for a rectangle
+R = I x J. Each step runs along the ``grids`` of the space (a GridSpec or
+a ProductGrid) one variable at a time, so one code serves both. The dyadic
+BMO norm is
 
     ||b||_bmo = sup_I ( |I|**(-1) sum_{J inside I} mu_b(J) )**(1/2)
 
 (mean mode excluded). The rectangle BMO norm is the bi-parameter analogue
 over dyadic rectangles. I' x J' lies in I x J when I' lies in I and J' in
-J, so its inner sum is the 1-D subtree sum along each axis of the matrix in
-turn. It lower-bounds the open-set product norm
+J, so its inner sum is the 1-D subtree sum along each cube axis in turn.
+It lower-bounds the open-set product norm
 sup_Omega |Omega|**(-1) sum_{R inside Omega} mu_b(R) (Chang-Fefferman),
 which is computed here by exhaustive enumeration only at toy sizes.
 """
@@ -24,35 +26,42 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
 from .grids import DepthError, DyadicCube, GridSpec, grid_index
-from .haar import (DyadicFunction, broadcast_level, cell_sums, contract, extend,
-                   forward_stacked, inverse_stacked, pool_level)
-from .paraproducts import BkOperator, _trailing, bk_stacked, p_stacked
-from .biparam import (PAtom, ProductFunction, ProductGrid, _along, _lift, extend2,
-                      forward2, forward2_stacked, inverse2_stacked, pair_apply)
+from .haar import (DyadicFunction, _along, broadcast_level, cell_sums, contract,
+                   extend, forward_space, forward_stacked, inverse_space,
+                   inverse_stacked, pool_level)
+from .paraproducts import BkOperator, bk_stacked, p_stacked
+from .biparam import PAtom, ProductFunction, ProductGrid, extend2, pair_apply
 
 
 # ---------------------------------------------------------------------------
 # BMO norms.
 
 
-def _cube_masses(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
-    """Each cube's mass mu(I), summed over its signatures, along the cube
-    axis: shape (n_cubes_total, *passive)."""
-    return (grid.cube_block(stacked) ** 2).sum(axis=1)
+def _masses(space, stacked: np.ndarray) -> np.ndarray:
+    """The masses mu(R) of every cube or rectangle R from the stacked
+    coefficients (*shape, *passive) of ``space``, one cube axis per
+    variable, (n_cubes_total1[, n_cubes_total2], *passive): summed over the
+    last variable's signatures first, in the same order whatever the
+    passive axes."""
+    grids = space.grids
+    cut = stacked[tuple(slice(1, g.n_samples) for g in grids)]
+    t = cut.reshape(sum(((g.n_cubes_total, g.n_sig) for g in grids), ())
+                    + stacked.shape[len(grids):]) ** 2
+    for v in reversed(range(len(grids))):
+        t = t.sum(axis=2 * v + 1)
+    return t
 
 
-def _rect_masses(pg: ProductGrid, C: np.ndarray) -> np.ndarray:
-    """The (n_cubes_total1, n_cubes_total2, *passive) masses mu(R) of all
-    rectangles R = I x J, summed over the variable-2 signatures, then over
-    the variable-1 ones, in the same order whatever the passive axes."""
-    g1, g2 = pg.grid1, pg.grid2
-    t = C[1:g1.n_samples, 1:g2.n_samples].reshape(
-        (g1.n_cubes_total, g1.n_sig, g2.n_cubes_total, g2.n_sig) + C.shape[2:])
-    return (t ** 2).sum(axis=3).sum(axis=1)
+def _weighted(space, values: np.ndarray) -> np.ndarray:
+    """``values`` on the cube axes of ``space`` times |R|**(-1) of their
+    cube or rectangle R, a power of two."""
+    w = reduce(np.multiply.outer, [grid_index(g).cube_weight for g in space.grids])
+    return values * w.reshape(w.shape + (1,) * (values.ndim - w.ndim))
 
 
 def _column_max(x: np.ndarray, lead: int) -> np.ndarray:
@@ -65,38 +74,27 @@ def _column_max(x: np.ndarray, lead: int) -> np.ndarray:
 
 def dyadic_bmo_norm(b: DyadicFunction) -> float:
     """Dyadic BMO norm; invariant under adding constants, homogeneous of degree 1."""
-    return float(_bmo_stacked(b.grid, forward_stacked(b.grid, b.samples)))
-
-
-def _bmo_stacked(grid: GridSpec, stacked: np.ndarray) -> np.ndarray:
-    """:func:`dyadic_bmo_norm` of every column of the stacked coefficients
-    (n_samples, *passive) of b, shape ``passive``."""
-    return _bmo_of_masses(grid, _cube_masses(grid, stacked))
-
-
-def _bmo_of_masses(grid: GridSpec, mass: np.ndarray) -> np.ndarray:
-    """:func:`_bmo_stacked` from the :func:`_cube_masses` of b."""
-    idx = grid_index(grid)
-    return np.sqrt(_column_max((mass + idx.subtree_scan(mass))
-                               * _trailing(idx.cube_weight, mass), 1))
+    return float(_bmo_stacked(b.space, forward_space(b.space, b.samples)))
 
 
 def rect_bmo_norm(b: ProductFunction) -> float:
     """Sup over dyadic rectangles of the normalized coefficient mass."""
-    return float(_rect_bmo_stacked(b.pgrid, forward2(b)))
+    return float(_bmo_stacked(b.space, forward_space(b.space, b.samples)))
 
 
-def _rect_bmo_stacked(pg: ProductGrid, C: np.ndarray) -> np.ndarray:
-    """:func:`rect_bmo_norm` of every column of the stacked coefficients
-    ``C`` (n1, n2, *passive) of b, shape ``passive``: the subtree sums (the
-    root included) along axis 0, then along axis 1, give each rectangle's
-    sum over the rectangles inside it."""
-    g1, g2 = pg.grid1, pg.grid2
-    mass = _rect_masses(pg, C)
-    mass = mass + grid_index(g1).subtree_scan(mass)
-    mass = mass + _along(1, grid_index(g2).subtree_scan, mass)
-    weight = np.outer(grid_index(g1).cube_weight, grid_index(g2).cube_weight)
-    return np.sqrt(_column_max(mass * _lift(weight, mass), 2))
+def _bmo_stacked(space, stacked: np.ndarray) -> np.ndarray:
+    """:func:`dyadic_bmo_norm` or :func:`rect_bmo_norm` of every column of
+    the stacked coefficients (*shape, *passive) of b, shape ``passive``."""
+    return _bmo_of_masses(space, _masses(space, stacked))
+
+
+def _bmo_of_masses(space, mass: np.ndarray) -> np.ndarray:
+    """:func:`_bmo_stacked` from the :func:`_masses` of b: the subtree sums
+    (the root included) along each cube axis in turn give each cube's or
+    rectangle's sum over the ones inside it."""
+    for v, g in enumerate(space.grids):
+        mass = mass + _along(v, grid_index(g).subtree_scan, mass)
+    return np.sqrt(_column_max(_weighted(space, mass), len(space.grids)))
 
 
 def open_set_bmo_norm(b: ProductFunction) -> float:
@@ -106,7 +104,7 @@ def open_set_bmo_norm(b: ProductFunction) -> float:
     n_cells = g1.n_samples * g2.n_samples
     if n_cells > 16:
         raise ValueError("open-set enumeration is exponential; use tiny grids")
-    sq = _rect_masses(pg, forward2(b))
+    sq = _masses(pg, forward_space(pg, b.samples))
     rects = []  # (cell mask, coefficient mass)
     for l1 in range(g1.N):
         for l2 in range(g2.N):
@@ -122,7 +120,7 @@ def open_set_bmo_norm(b: ProductFunction) -> float:
     mass = np.zeros(len(omega))
     for mask, m in rects:  # in rectangle order, as a running sum per set
         mass += np.where(omega[:, mask].all(axis=1), m, 0.0)
-    vol = omega.sum(axis=1) * (g1.cell_volume * g2.cell_volume)
+    vol = omega.sum(axis=1) * b.cell_volume
     return float(np.sqrt(np.max(mass / vol, where=mass > 0, initial=0.0)))
 
 
@@ -138,12 +136,12 @@ def square_function(f, variant: str = "S", k: int = 0, var: int = 1):
     one variable of the partial pairings, square-aggregated in the other).
     """
     if variant in ("S", "S_k"):
-        masses = _cube_masses(f.grid, forward_stacked(f.grid, f.samples))
+        masses = _masses(f.grid, forward_stacked(f.grid, f.samples))
         return DyadicFunction(f.grid, _square_Sk(f.grid, masses, k if variant == "S_k" else 0))
     if variant == "SS":
-        pg = f.pgrid
-        root = tuple(DyadicCube(0, (0,) * g.d) for g in (pg.grid1, pg.grid2))
-        return ProductFunction(pg, _rect_square(pg, forward2(f), root))
+        masses = _masses(f.space, forward_space(f.space, f.samples))
+        # every rectangle lies inside the root pair
+        return ProductFunction(f.space, _region_square(f.space, masses, 1.0))
     if variant == "hybrid_max_square":
         return _hybrid_max_square(f, var)
     raise ValueError(f"unknown square function variant {variant}")
@@ -160,7 +158,7 @@ def _inside(grid: GridSpec, cube: DyadicCube) -> np.ndarray:
 
 
 def _square_Sk(grid: GridSpec, masses: np.ndarray, k: int) -> np.ndarray:
-    """Samples (n_samples, *passive) of S_k(f) from the :func:`_cube_masses`
+    """Samples (n_samples, *passive) of S_k(f) from the :func:`_masses`
     of f: each cube's mass is added to its k-th ancestor, weighted by the
     ancestor's |I|**(-1)."""
     if k >= grid.N:
@@ -168,29 +166,14 @@ def _square_Sk(grid: GridSpec, masses: np.ndarray, k: int) -> np.ndarray:
     idx = grid_index(grid)
     grouped = np.zeros(masses.shape)
     np.add.at(grouped, idx.cube_ancestors(k), masses[grid.cube_range(k).start:])
-    return np.sqrt(cell_sums(grid, grouped * _trailing(idx.cube_weight, grouped)))
-
-
-def _rect_square(pg: ProductGrid, C: np.ndarray, region: tuple) -> np.ndarray:
-    """Samples of the square function localized to ``region`` (a pair of
-    cubes), (sum_{R inside region} mu(R) chi_R / |R|)**(1/2), from the
-    stacked coefficients ``C``."""
-    g1, g2 = pg.grid1, pg.grid2
-    inside = np.outer(_inside(g1, region[0]), _inside(g2, region[1]))
-    weight = np.outer(grid_index(g1).cube_weight, grid_index(g2).cube_weight)
-    values = _rect_masses(pg, C) * inside * weight
-    return np.sqrt(cell_sums(g1, cell_sums(g2, values.T).T))
+    return np.sqrt(cell_sums(grid, _weighted(grid, grouped)))
 
 
 def _hybrid_max_square(f: ProductFunction, var: int) -> ProductFunction:
     """Maximal function in ``var`` of partial pairings, squares in the other."""
     pg = f.pgrid
-    if var == 1:
-        g_max, g_sq = pg.grid1, pg.grid2
-        samples = f.samples
-    else:
-        g_max, g_sq = pg.grid2, pg.grid1
-        samples = f.samples.T
+    g_max, g_sq = pg.grids if var == 1 else pg.grids[::-1]
+    samples = f.samples if var == 1 else f.samples.T
     pairings = forward_stacked(g_sq, samples.T)  # rows: var-sq stacked, cols: var-max cells
     mass = np.empty((g_sq.n_cubes_total, g_max.n_samples))
     for lvl in range(g_sq.N):  # per level: batched, numpy sums the cell means in another order
@@ -276,27 +259,27 @@ def jn_profile(a, region) -> tuple:
     ``jn_ratio(jn_profile(a, region), p)`` is ``jn_check(a, region, p)``;
     for several p the transform, region masks and BMO norm run once.
     """
-    if isinstance(a, DyadicFunction):
-        g = a.grid
-        masses = _cube_masses(g, forward_stacked(g, a.samples))
-        return (_region_square(g, masses, _inside(g, region)), g.cell_volume,
-                float(_bmo_of_masses(g, masses)), g.volume(region.level))
-    # rectangle case
-    pg = a.pgrid
-    g1, g2 = pg.grid1, pg.grid2
-    C = forward2(a)
-    return (_rect_square(pg, C, region), g1.cell_volume * g2.cell_volume,
-            float(_rect_bmo_stacked(pg, C)),
-            g1.volume(region[0].level) * g2.volume(region[1].level))
+    space = a.space
+    cubes = (region,) if isinstance(region, DyadicCube) else tuple(region)
+    masses = _masses(space, forward_space(space, a.samples))
+    inside = reduce(np.multiply.outer, [
+        _inside(g, cube) for g, cube in zip(space.grids, cubes, strict=True)])
+    return (_region_square(space, masses, inside), a.cell_volume,
+            float(_bmo_of_masses(space, masses)),
+            math.prod(g.volume(cube.level) for g, cube in zip(space.grids, cubes)))
 
 
-def _region_square(grid: GridSpec, masses: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Samples (n_samples, *passive) of the square function localized to a
-    region, (sum_{J inside region} mu(J) chi_J / |J|)**(1/2), from the
-    :func:`_cube_masses` of f and the cube-axis indicator ``inside`` of the
-    cubes in the region (:func:`_inside`), one region per column."""
-    weight = _trailing(grid_index(grid).cube_weight, masses)
-    return np.sqrt(cell_sums(grid, masses * inside * weight))
+def _region_square(space, masses: np.ndarray, inside) -> np.ndarray:
+    """Samples (*shape, *passive) of the square function localized to a
+    region, (sum_{R inside region} mu(R) chi_R / |R|)**(1/2), from the
+    :func:`_masses` of f and the indicator ``inside`` on the cube axes of
+    the cubes or rectangles in the region (:func:`_inside` per variable),
+    one region per column. ``cell_sums`` runs along the last variable
+    first."""
+    values = _weighted(space, masses * inside)
+    for v in reversed(range(len(space.grids))):
+        values = _along(v, partial(cell_sums, space.grids[v]), values)
+    return np.sqrt(values)
 
 
 def _check_exponent(p: float) -> None:
@@ -356,7 +339,7 @@ def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = No
             lvl = int(rng.integers(0, grid.N))
             mark[grid.cube_range(lvl).start + int(rng.integers(0, grid.n_cubes(lvl))), col] = 1.0
             volumes.append(grid.volume(lvl))
-        masses = _cube_masses(grid, forward_stacked(grid, a))
+        masses = _masses(grid, forward_stacked(grid, a))
         square = _region_square(grid, masses, mark + idx.ancestor_scan(mark))
         bmo = _bmo_of_masses(grid, masses)
         rows = np.ascontiguousarray(square.T)
@@ -563,7 +546,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
         """(denominators, (k, l) -> output samples) of one block of trials,
         one column per trial."""
         if kind == "Sk":
-            masses = _cube_masses(grid, forward_stacked(grid, s["f"]))
+            masses = _masses(grid, forward_stacked(grid, s["f"]))
             return _column_norms(s["f"], volume), lambda k, l: _square_Sk(grid, masses, k)
         if kind == "P":
             bc, ac, xc = (forward_stacked(grid, s[x]) for x in "baf")
@@ -580,11 +563,11 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                 return inverse_stacked(grid, contract(grid, bk_stacked(
                     BkOperator(grid, k, beta=beta), bc, xe)))
             return _bmo_stacked(grid, bc) * _column_norms(s["f"], volume), bk
-        bC = forward2_stacked(pgrid, s["b"])
-        Xe = forward2_stacked(pgrid, s["f"])
+        bC = forward_space(pgrid, s["b"])
+        Xe = forward_space(pgrid, s["f"])
         if kind not in ("PP", "PP1"):  # P x P reads no extended rows
             Xe = extend2(pgrid, Xe)
-        denom = _rect_bmo_stacked(pgrid, bC) * _column_norms(s["f"], volume)
+        denom = _bmo_stacked(pgrid, bC) * _column_norms(s["f"], volume)
         # the betas, or the P symbols: each of BMO norm one, its mean row zeroed
         sym1 = sym2 = beta1 = beta2 = None
         if kind == "Bkl":
@@ -600,7 +583,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
             atom1 = PAtom(adjoint=kind == "PP1") if k is None else BkOperator(g1, k, beta=beta1)
             atom2 = PAtom() if l is None else BkOperator(g2, l, beta=beta2)
             out = pair_apply(pgrid, bC, Xe, atom1, atom2, sym1, sym2)
-            return inverse2_stacked(pgrid, out)
+            return inverse_space(pgrid, out)
         return denom, pair
 
     best = dict.fromkeys(combos, 0.0)

@@ -602,10 +602,10 @@ def verify_identity_oracle(b, shifts, trials, rng_seed, tol=1e-9):
     the case draws and norms its own f stack, transforms its own b, sums
     its terms through :func:`evaluate_stacked_oracle` (one key at a time),
     and runs its own stacked direct commutator."""
-    from dyadlab.biparam import forward2_stacked, inverse2_stacked, iterated_commutator_stacked
+    from dyadlab.biparam import iterated_commutator_stacked
     from dyadlab.decomposition import _trial_samples, decompose, decompose_biparam
-    from dyadlab.haar import forward_stacked, inverse_stacked
-    from dyadlab.norms import _bmo_stacked, _rect_bmo_stacked
+    from dyadlab.haar import forward_space, forward_stacked, inverse_space, inverse_stacked
+    from dyadlab.norms import _bmo_stacked
     from dyadlab.shifts import ShiftOperator, multiplication_commutator_stacked
     if isinstance(shifts, ShiftOperator):
         shifts = (shifts,)
@@ -619,10 +619,10 @@ def verify_identity_oracle(b, shifts, trials, rng_seed, tol=1e-9):
     else:
         tl, pg, volume = decompose_biparam(b, *shifts), b.pgrid, b.cell_volume
         grids, shape = (pg.grid1, pg.grid2), pg.shape
-        scale = float(_rect_bmo_stacked(pg, tl._bc))
+        scale = float(_bmo_stacked(pg, tl._bc))
         F = _trial_samples(shape, rng_seed, trials)
         direct = iterated_commutator_stacked(b, *shifts, F)
-        approx = inverse2_stacked(pg, evaluate_stacked_oracle(tl, forward2_stacked(pg, F)))
+        approx = inverse_space(pg, evaluate_stacked_oracle(tl, forward_space(pg, F)))
     max_res = 0.0
     for res, f_norm in zip(column_norms_oracle(direct - approx, volume),
                            column_norms_oracle(F, volume)):

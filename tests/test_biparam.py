@@ -6,8 +6,8 @@ from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube, DyadicFunction
                      apply_in_variable, haar_function, inner_product2,
                      iterated_commutator, random_function,
                      random_product_function, random_shift, tensor_function)
-from dyadlab.biparam import (PAtom, contract2, extend2, forward2, forward2_stacked,
-                             forward_var, inverse2, pair_apply)
+from dyadlab.biparam import PAtom, contract2, extend2, forward2, inverse2, pair_apply
+from dyadlab.haar import forward_space, forward_stacked
 from dyadlab.grids import DepthError, GridMismatchError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
 from conftest import (all_cancellative_indices, all_cubes, assert_columns_alone,
@@ -32,8 +32,8 @@ def hx(g, cube, sig=(0,)):
 
 def test_partial_transforms_commute(rng):
     f = random_product_function(PG, rng)
-    a = forward_var(forward_var(f.samples, G1, 1).T, G2, 1).T
-    b = forward_var(forward_var(f.samples.T, G2, 1).T, G1, 1)
+    a = forward_stacked(G2, forward_stacked(G1, f.samples).T).T
+    b = forward_stacked(G1, forward_stacked(G2, f.samples.T).T)
     assert np.max(np.abs(a - b)) < 1e-12
     assert np.max(np.abs(a - forward2(f))) < 1e-12
     back = inverse2(PG, forward2(f))
@@ -485,8 +485,8 @@ def test_b_atoms_match_the_level_loops(pg, passive, rng):
     bC = forward2(random_product_function(pg, rng))
     Xe = extend2(pg, rng.standard_normal(pg.shape + passive))
     start = rng.standard_normal(Xe.shape)
-    sym1 = forward_var(rng.standard_normal(g1.n_samples), g1, 1)
-    sym2 = forward_var(rng.standard_normal(g2.n_samples), g2, 1)
+    sym1 = forward_stacked(g1, rng.standard_normal(g1.n_samples))
+    sym2 = forward_stacked(g2, rng.standard_normal(g2.n_samples))
     bCl, sym1l, sym2l = (a.reshape(a.shape + pad) for a in (bC, sym1, sym2))
     sw = np.swapaxes
     weight = -0.75
@@ -519,10 +519,10 @@ def test_p_symbol_stacks_match_the_one_symbol_pair_kernels(pg, rng):
     from conftest import pair_apply_oracle
     g1, g2 = pg.grid1, pg.grid2
     T = 3
-    bC = forward2_stacked(pg, rng.standard_normal(pg.shape + (T,)))
-    Xe = extend2(pg, forward2_stacked(pg, rng.standard_normal(pg.shape + (T,))))
-    sym1 = forward_var(rng.standard_normal((g1.n_samples, T)), g1, 1)
-    sym2 = forward_var(rng.standard_normal((g2.n_samples, T)), g2, 1)
+    bC = forward_space(pg, rng.standard_normal(pg.shape + (T,)))
+    Xe = extend2(pg, forward_space(pg, rng.standard_normal(pg.shape + (T,))))
+    sym1 = forward_stacked(g1, rng.standard_normal((g1.n_samples, T)))
+    sym2 = forward_stacked(g2, rng.standard_normal((g2.n_samples, T)))
     sym1[0] = sym2[0] = 0.0
     pairs = [(PAtom(a), PAtom(b)) for a in (False, True) for b in (False, True)]
     for p in (PAtom(False), PAtom(True)):
@@ -552,12 +552,12 @@ def test_pair_apply_with_trial_betas_gives_a_column_its_bits_alone(pg, rng):
     g1, g2 = pg.grid1, pg.grid2
 
     def draw(T):
-        bC = forward2_stacked(pg, rng.standard_normal(pg.shape + (T,)))
-        Xe = extend2(pg, forward2_stacked(pg, rng.standard_normal(pg.shape + (T,))))
+        bC = forward_space(pg, rng.standard_normal(pg.shape + (T,)))
+        Xe = extend2(pg, forward_space(pg, rng.standard_normal(pg.shape + (T,))))
         beta1, beta2 = (np.sign(rng.standard_normal((g.n_cubes_total, T)) + 0.5)
                         for g in (g1, g2))
-        sym1 = forward_var(rng.standard_normal((g1.n_samples, T)), g1, 1)
-        sym2 = forward_var(rng.standard_normal((g2.n_samples, T)), g2, 1)
+        sym1 = forward_stacked(g1, rng.standard_normal((g1.n_samples, T)))
+        sym2 = forward_stacked(g2, rng.standard_normal((g2.n_samples, T)))
         sym1[0] = sym2[0] = 0.0
         w = rng.choice([-1.0, 0.0, 1.0, 0.5], T)
         return bC, Xe, beta1, beta2, sym1, sym2, w
@@ -591,8 +591,8 @@ def test_pair_apply_with_trial_betas_gives_a_column_its_bits_alone(pg, rng):
 def test_pair_apply_rejects_a_p_atom_without_its_symbol(rng):
     bC = forward2(random_product_function(PG, rng))
     Xe = extend2(PG, rng.standard_normal(PG.shape))
-    sym1 = forward_var(rng.standard_normal(G1.n_samples), G1, 1)
-    sym2 = forward_var(rng.standard_normal(G2.n_samples), G2, 1)
+    sym1 = forward_stacked(G1, rng.standard_normal(G1.n_samples))
+    sym2 = forward_stacked(G2, rng.standard_normal(G2.n_samples))
     with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
         pair_apply(PG, bC, Xe, BkOperator(G1, 1), PAtom(), sym1=sym1)
     with pytest.raises(ValueError, match="P atom in variable 1 needs its symbol"):
@@ -614,9 +614,9 @@ def test_per_axis_partial_adjoints_match_the_level_pair_loop(pg, rng):
     from conftest import _pp1_oracle
     g1, g2 = pg.grid1, pg.grid2
     bC = forward2(random_product_function(pg, rng))[..., None]
-    X = forward2_stacked(pg, rng.standard_normal(pg.shape + (3,)))
-    sym1 = forward_var(rng.standard_normal(g1.n_samples), g1, 1)
-    sym2 = forward_var(rng.standard_normal(g2.n_samples), g2, 1)
+    X = forward_space(pg, rng.standard_normal(pg.shape + (3,)))
+    sym1 = forward_stacked(g1, rng.standard_normal(g1.n_samples))
+    sym2 = forward_stacked(g2, rng.standard_normal(g2.n_samples))
     sym1[0] = sym2[0] = 0.0
     sym12 = np.outer(sym1, sym2)[..., None]
     sw = np.swapaxes

@@ -15,11 +15,10 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      random_product_function, random_shift, tensor_function,
                      verify_identity)
 from dyadlab import ProductFunction, ShiftOperator, dyadic_bmo_norm, rect_bmo_norm
-from dyadlab.biparam import (forward2_stacked, inverse2_stacked,
-                             iterated_commutator_stacked)
+from dyadlab.biparam import iterated_commutator_stacked
 from dyadlab.decomposition import TermList, decompose, _trial_samples, evaluate_stacked
 from dyadlab.grids import GridMismatchError, WrongKindError, grid_index
-from dyadlab.haar import forward_stacked, inverse_stacked
+from dyadlab.haar import forward_space, forward_stacked, inverse_space, inverse_stacked
 from dyadlab.norms import _trial_rng
 from dyadlab.shifts import multiplication_commutator_stacked, noncancellative_shift
 
@@ -450,7 +449,7 @@ def test_stacked_evaluation_matches_per_column_calls(rng):
         pg = b.pgrid
         tl = decompose_biparam(b, S1, S2)
         F = rng.standard_normal(pg.shape + (T,))
-        got = inverse2_stacked(pg, evaluate_stacked(tl, forward2_stacked(pg, F)))
+        got = inverse_space(pg, evaluate_stacked(tl, forward_space(pg, F)))
         assert got.shape == F.shape
         for t in range(T):
             want = evaluate_terms(tl, ProductFunction(pg, F[..., t])).samples
@@ -746,12 +745,12 @@ def test_a_single_list_and_a_block_of_one_are_placed_alike(rng, monkeypatch):
         single = evaluate_terms(tl, f)
         assert calls == [1], tl.case
         x = (forward_stacked(g, f.samples) if tl.arity == 1
-             else forward2_stacked(pg, f.samples))
+             else forward_space(pg, f.samples))
         calls.clear()
         block = evaluate_stacked([tl], x[..., None, None])
         assert calls == [1], tl.case
         y = inverse_stacked(g, block[:, 0, 0]) if tl.arity == 1 \
-            else inverse2_stacked(pg, block[:, :, 0, 0])
+            else inverse_space(pg, block[:, :, 0, 0])
         assert np.array_equal(single.samples, y), tl.case
 
 
@@ -1015,7 +1014,7 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
         for C in (1, 2):
             calls.clear()
             assert all(rep["pass"] for rep in verify_identity(b2[:C], pairs[:C], trials, 5))
-            # forward2_stacked is one call per variable
+            # forward_space is one call per variable
             assert len(calls) == 9 and one_symbol_transform(b2[:C])
 
 

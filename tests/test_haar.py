@@ -7,7 +7,7 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      haar_forward, haar_function, haar_inverse, inner_product,
                      pointwise_multiply, random_function)
 from dyadlab.biparam import ProductFunction, ProductGrid
-from dyadlab.grids import InvalidIndexError
+from dyadlab.grids import GridMismatchError, InvalidIndexError
 from dyadlab.haar import (HaarCoefficients, contract, extend, forward_stacked,
                           inverse_stacked, scaling_levels)
 from conftest import (all_cancellative_indices, forward_oracle, inverse_oracle,
@@ -107,6 +107,24 @@ def test_non_finite_samples_rejected():
             DyadicFunction(GridSpec(1, 3), samples)
         with pytest.raises(ValueError):
             ProductFunction(pg, samples)
+
+
+def test_wrong_sample_count_and_mixed_operands_rejected(rng):
+    # both function types count their samples alike, and neither takes the
+    # other as an operand
+    g, pg = GridSpec(1, 2), ProductGrid(GridSpec(1, 2), GridSpec(1, 2))
+    for n in (3, 5):
+        with pytest.raises(ValueError, match=f"expected 4 samples, got \\({n},\\)"):
+            DyadicFunction(g, np.zeros(n))
+    for n in (15, 17):
+        with pytest.raises(ValueError, match=f"expected 16 samples, got \\({n},\\)"):
+            ProductFunction(pg, np.zeros(n))
+    f = random_function(g, rng)
+    F = ProductFunction(pg, rng.standard_normal(pg.shape))
+    for x, y in ((f, F), (F, f)):
+        for op in (lambda: x + y, lambda: x - y, lambda: inner_product(x, y)):
+            with pytest.raises(GridMismatchError):
+                op()
 
 
 @settings(max_examples=25, deadline=None)

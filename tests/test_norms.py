@@ -100,15 +100,10 @@ def test_bmo_of_a_symbol_stack_gives_a_column_its_bits_alone(space, rng):
     # transform and their residual scales from one norm call: column c has
     # the bits of b_c's own transform and norm
     from functools import partial
-    from dyadlab.biparam import forward2_stacked
-    from dyadlab.haar import forward_stacked
-    from dyadlab.norms import _bmo_stacked, _rect_bmo_stacked
-    if isinstance(space, ProductGrid):
-        fwd, norm = partial(forward2_stacked, space), partial(_rect_bmo_stacked, space)
-        shape = space.shape
-    else:
-        fwd, norm = partial(forward_stacked, space), partial(_bmo_stacked, space)
-        shape = (space.n_samples,)
+    from dyadlab.haar import forward_space
+    from dyadlab.norms import _bmo_stacked
+    fwd, norm = partial(forward_space, space), partial(_bmo_stacked, space)
+    shape = tuple(g.n_samples for g in space.grids)
 
     def draw(T):
         return (rng.standard_normal(shape + (T,)),)
@@ -252,22 +247,26 @@ def test_square_functions_are_the_localized_squares_at_the_root(rng):
     assert np.array_equal(square_function(F, "SS").samples, jn_profile(F, root)[0])
 
 
-def test_rect_masses_match_per_index_sums(rng):
-    from dyadlab.biparam import forward2
-    from dyadlab.norms import _rect_masses
-    pg = ProductGrid(GridSpec(2, 1), GridSpec(1, 2))
-    g1, g2 = pg.grid1, pg.grid2
-    C = forward2(random_product_function(pg, rng))
-    masses = _rect_masses(pg, C)
-    assert masses.shape == (g1.n_cubes_total, g2.n_cubes_total) == (1, 3)
-    for c1 in all_cubes(g1):
-        for c2 in all_cubes(g2):
-            brute = sum(C[g1.stacked_index(HaarIndex(c1, g1.int_sig(e1))),
-                          g2.stacked_index(HaarIndex(c2, g2.int_sig(e2)))] ** 2
-                        for e1 in range(g1.n_sig) for e2 in range(g2.n_sig))
-            got = masses[g1.cube_range(c1.level).start + g1.flat_pos(c1.pos, c1.level),
-                         g2.cube_range(c2.level).start + g2.flat_pos(c2.pos, c2.level)]
-            assert abs(got - brute) < 1e-12
+@pytest.mark.parametrize("space", [ProductGrid(GridSpec(2, 1), GridSpec(1, 2)),
+                                   GridSpec(1, 3), GridSpec(2, 2),
+                                   GridSpec(1, 3, omega=((1,), (0,), (1,)))], ids=repr)
+def test_rect_masses_match_per_index_sums(space, rng):
+    # the one mass table: mu(R) of every rectangle (two variables) or cube
+    # (one), against sums of per-HaarIndex coefficients
+    import itertools
+    from dyadlab.haar import forward_space
+    from dyadlab.norms import _masses
+    grids = space.grids
+    C = forward_space(space, rng.standard_normal(tuple(g.n_samples for g in grids)))
+    masses = _masses(space, C)
+    assert masses.shape == tuple(g.n_cubes_total for g in grids)
+    for cubes in itertools.product(*map(all_cubes, grids)):
+        brute = sum(C[tuple(g.stacked_index(HaarIndex(c, g.int_sig(e)))
+                            for g, c, e in zip(grids, cubes, sigs))] ** 2
+                    for sigs in itertools.product(*(range(g.n_sig) for g in grids)))
+        got = masses[tuple(g.cube_range(c.level).start + g.flat_pos(c.pos, c.level)
+                           for g, c in zip(grids, cubes))]
+        assert abs(got - brute) < 1e-12
 
 
 def test_double_square_function_parseval(rng):

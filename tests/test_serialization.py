@@ -54,6 +54,12 @@ def test_binary_truncated_header_raises_value_error(cls, size, rng):
     for cut in (4, size - 1):
         with pytest.raises(ValueError, match=f"needs {size} bytes, got {cut}"):
             cls.from_bytes(raw[:cut])
+    # the payload holds exactly 8 bytes per sample: one cut by 3 or 8 bytes,
+    # or 8 bytes too long, names the needed and the given byte counts
+    need = 8 * f.samples.size
+    for bad in (raw[:-3], raw[:-8], raw + bytes(8)):
+        with pytest.raises(ValueError, match=f"payload: needs {need} bytes, got {len(bad) - size}"):
+            cls.from_bytes(bad)
     assert np.array_equal(cls.from_bytes(raw).samples, f.samples)
 
 
