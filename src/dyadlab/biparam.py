@@ -37,7 +37,6 @@ sum of terms once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 
@@ -79,33 +78,15 @@ class ProductFunction(SampledFunction):
     pgrid: ProductGrid
     samples: np.ndarray
 
+    _json_suffixes = ("1", "2")
+    _make_space = ProductGrid
+
     @property
     def space(self) -> ProductGrid:
         return self.pgrid
 
     def transpose(self) -> "ProductFunction":
         return ProductFunction(self.pgrid.swap(), self.samples.T)
-
-    def to_json(self) -> str:
-        """Keys d1, N1, d2, N2, samples; omega1/omega2 for shifted grids."""
-        g1, g2 = self.pgrid.grid1, self.pgrid.grid2
-        obj = {"d1": g1.d, "N1": g1.N, "d2": g2.d, "N2": g2.N,
-               "samples": self.samples.reshape(-1).tolist()}
-        for key, g in (("omega1", g1), ("omega2", g2)):
-            if g.omega is not None:
-                obj[key] = [list(level) for level in g.omega]
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProductFunction":
-        obj = json.loads(text)
-        grids = []
-        for v in "12":
-            omega = obj.get("omega" + v)
-            if omega is not None:
-                omega = tuple(tuple(level) for level in omega)
-            grids.append(GridSpec(int(obj["d" + v]), int(obj["N" + v]), omega))
-        return cls(ProductGrid(*grids), np.asarray(obj["samples"], dtype=float))
 
     def to_bytes(self) -> bytes:
         """20-byte header (magic DYF2, u32 d1,N1,d2,N2) + LE float64, var 1 slow."""

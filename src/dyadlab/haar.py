@@ -8,7 +8,8 @@ scaling value and 2**d - 1 cancellative Haar coefficients.
 
 A function's space is a GridSpec or a ProductGrid, whose ``grids`` hold one
 grid per variable; :class:`SampledFunction` holds what the two function
-types share, and :func:`forward_space` transforms along every variable.
+types share, the JSON codec included (one loop over the grids), and
+:func:`forward_space` transforms along every variable.
 
 All stacked-coefficient helpers accept trailing passive axes so the same
 code drives one-parameter functions and per-variable transforms of tensor
@@ -235,21 +236,29 @@ def contract(grid: GridSpec, ext: np.ndarray) -> np.ndarray:
 # Public function/coefficient types.
 
 
+def _read_only(values, shape: tuple, what: str) -> np.ndarray:
+    """A read-only float copy of ``values`` in ``shape``; refused unless it
+    holds exactly prod(shape) values, all finite. ``what`` names them."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size != math.prod(shape):
+        raise ValueError(f"expected {math.prod(shape)} {what}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite (no NaN or inf)")
+    arr = arr.reshape(shape).copy()
+    arr.setflags(write=False)
+    return arr
+
+
 class SampledFunction:
     """What the sampled function types share. A subclass is a frozen
     dataclass whose first field is its ``space``, a GridSpec or a
-    ProductGrid; its samples, one axis per variable, are a read-only copy."""
+    ProductGrid; its samples, one axis per variable, are a read-only copy.
+    It declares its JSON key suffix per variable (``_json_suffixes``) and
+    builds its space from the grids (``_make_space``)."""
 
     def __post_init__(self):
         shape = tuple(g.n_samples for g in self.space.grids)
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.size != math.prod(shape):
-            raise ValueError(f"expected {math.prod(shape)} samples, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite (no NaN or inf)")
-        arr = arr.reshape(shape).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _read_only(self.samples, shape, "samples"))
 
     @property
     def cell_volume(self) -> float:
@@ -280,6 +289,24 @@ class SampledFunction:
     def _check(self, other):
         if not isinstance(other, SampledFunction) or other.space != self.space:
             raise GridMismatchError("operands live on different grids")
+
+    # -- serialization: JSON on every grid, binary on standard grids ------
+
+    def to_json(self) -> str:
+        """Keys d, N per variable (with the type's ``_json_suffixes``), the
+        samples flat in row-major order, then omega per shifted grid."""
+        named = list(zip(self._json_suffixes, self.space.grids))
+        obj = {key + v: getattr(g, key) for v, g in named for key in ("d", "N")}
+        obj["samples"] = self.samples.reshape(-1).tolist()
+        obj.update({"omega" + v: g.omega for v, g in named if g.omega is not None})
+        return json.dumps(obj)
+
+    @classmethod
+    def from_json(cls, text: str):
+        obj = json.loads(text)
+        grids = [GridSpec(int(obj["d" + v]), int(obj["N" + v]), obj.get("omega" + v))
+                 for v in cls._json_suffixes]
+        return cls(cls._make_space(*grids), np.asarray(obj["samples"], dtype=float))
 
     def _encode(self, magic: bytes, fmt: str, *fields) -> bytes:
         """The binary format: ``magic``, the header ``fields`` packed by the
@@ -314,24 +341,12 @@ class DyadicFunction(SampledFunction):
     grid: GridSpec
     samples: np.ndarray
 
+    _json_suffixes = ("",)
+    _make_space = staticmethod(lambda grid: grid)
+
     @property
     def space(self) -> GridSpec:
         return self.grid
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        obj = {"d": self.grid.d, "N": self.grid.N, "samples": self.samples.tolist()}
-        if self.grid.omega is not None:
-            obj["omega"] = [list(level) for level in self.grid.omega]
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DyadicFunction":
-        obj = json.loads(text)
-        omega = tuple(tuple(level) for level in obj["omega"]) if "omega" in obj else None
-        grid = GridSpec(int(obj["d"]), int(obj["N"]), omega)
-        return cls(grid, np.asarray(obj["samples"], dtype=float))
 
     def to_bytes(self) -> bytes:
         """16-byte header (magic DYF1, u32 d, u32 N, u32 reserved) + LE float64."""
@@ -350,12 +365,8 @@ class HaarCoefficients:
     stacked: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.stacked, dtype=float).reshape(-1)
-        if arr.shape != (self.grid.n_samples,):
-            raise ValueError("stacked vector has wrong size for grid")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "stacked", arr)
+        stacked = _read_only(self.stacked, (self.grid.n_samples,), "coefficients")
+        object.__setattr__(self, "stacked", stacked)
 
     @property
     def mean(self) -> float:
@@ -394,8 +405,7 @@ def haar_inverse(c: HaarCoefficients) -> DyadicFunction:
 def haar_function(grid: GridSpec, idx: HaarIndex) -> DyadicFunction:
     """The sampled Haar function h_I^sig; unit L2 norm, mean zero iff cancellative."""
     grid.validate_cube(idx.cube)
-    if len(idx.sig) != grid.d or any(s not in (0, 1) for s in idx.sig):
-        raise InvalidIndexError(f"bad signature {idx.sig}")
+    grid.sig_int(idx.sig)  # refuses a bad signature
     lvl = idx.cube.level
     if idx.cancellative and lvl >= grid.N:
         raise InvalidIndexError("cancellative indices require level < N")

@@ -5,8 +5,11 @@ Every norm and square function here reads one table of Carleson masses
 sum_sig <b, h_I^sig>**2 on the cube axis of :mod:`dyadlab.grids` for one
 variable, and mu_b(R) over the cube axes of both variables for a rectangle
 R = I x J. Each step runs along the ``grids`` of the space (a GridSpec or
-a ProductGrid) one variable at a time, so one code serves both. The dyadic
-BMO norm is
+a ProductGrid) one variable at a time, so one code serves both: S and SS
+are one square function localized to the whole space, and the dyadic and
+strong maximal functions one max over the level means of every variable
+(``_max_samples``). A variant given the other function type raises
+``ValueError``. The dyadic BMO norm is
 
     ||b||_bmo = sup_I ( |I|**(-1) sum_{J inside I} mu_b(J) )**(1/2)
 
@@ -128,6 +131,20 @@ def open_set_bmo_norm(b: ProductFunction) -> float:
 # Square functions.
 
 
+# The function type each one-function variant of square_function and
+# maximal_function takes.
+_NEEDS = {"S": DyadicFunction, "S_k": DyadicFunction, "dyadic": DyadicFunction,
+          "SS": ProductFunction, "hybrid_max_square": ProductFunction,
+          "strong_rect": ProductFunction}
+
+
+def _require_type(f, variant: str) -> None:
+    """Refuse ``f`` unless it is of the function type ``variant`` needs."""
+    if not isinstance(f, _NEEDS[variant]):
+        raise ValueError(f"variant {variant} needs a {_NEEDS[variant].__name__}, "
+                         f"got {type(f).__name__}")
+
+
 def square_function(f, variant: str = "S", k: int = 0, var: int = 1):
     """Pointwise l2 aggregation of Haar coefficients.
 
@@ -135,16 +152,16 @@ def square_function(f, variant: str = "S", k: int = 0, var: int = 1):
     ``SS`` (bi-parameter, per rectangle), ``hybrid_max_square`` (maximal in
     one variable of the partial pairings, square-aggregated in the other).
     """
-    if variant in ("S", "S_k"):
-        masses = _masses(f.grid, forward_stacked(f.grid, f.samples))
-        return DyadicFunction(f.grid, _square_Sk(f.grid, masses, k if variant == "S_k" else 0))
-    if variant == "SS":
-        masses = _masses(f.space, forward_space(f.space, f.samples))
-        # every rectangle lies inside the root pair
-        return ProductFunction(f.space, _region_square(f.space, masses, 1.0))
+    if variant not in ("S", "S_k", "SS", "hybrid_max_square"):
+        raise ValueError(f"unknown square function variant {variant}")
+    _require_type(f, variant)
     if variant == "hybrid_max_square":
         return _hybrid_max_square(f, var)
-    raise ValueError(f"unknown square function variant {variant}")
+    masses = _masses(f.space, forward_space(f.space, f.samples))
+    if variant == "S_k":
+        return DyadicFunction(f.grid, _square_Sk(f.grid, masses, k))
+    # S and SS: every cube or rectangle lies inside the whole space
+    return type(f)(f.space, _region_square(f.space, masses, 1.0))
 
 
 def _inside(grid: GridSpec, cube: DyadicCube) -> np.ndarray:
@@ -177,7 +194,7 @@ def _hybrid_max_square(f: ProductFunction, var: int) -> ProductFunction:
     pairings = forward_stacked(g_sq, samples.T)  # rows: var-sq stacked, cols: var-max cells
     mass = np.empty((g_sq.n_cubes_total, g_max.n_samples))
     for lvl in range(g_sq.N):  # per level: batched, numpy sums the cell means in another order
-        m = _dyadic_max_samples(g_max, g_sq.level_block(pairings, lvl).T).T
+        m = _max_samples(g_max, g_sq.level_block(pairings, lvl).T).T
         mass[g_sq.cube_range(lvl)] = (m ** 2).sum(axis=1)
     out = np.sqrt(cell_sums(g_sq, mass * grid_index(g_sq).cube_weight[:, None]))
     return ProductFunction(pg, out.T if var == 1 else out)
@@ -187,43 +204,29 @@ def _hybrid_max_square(f: ProductFunction, var: int) -> ProductFunction:
 # Maximal functions.
 
 
-def _dyadic_max_samples(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """max over dyadic ancestors of |cell averages|; passive axes supported."""
-    out = np.abs(samples).astype(float) * 0.0
-    for lvl in range(grid.N + 1):
-        if lvl == grid.N:
-            avg = np.abs(samples)
-        else:
-            avg = np.abs(broadcast_level(grid, lvl, pool_level(grid, lvl, samples)))
-        out = np.maximum(out, avg)
-    return out
+def _max_samples(space, samples: np.ndarray) -> np.ndarray:
+    """Samples (*shape, *passive) of the dyadic maximal function on a
+    GridSpec, or the strong maximal function on a ProductGrid: each cell's
+    max over the cubes or rectangles that contain it, the cells themselves
+    included, of |the mean of ``samples`` over them|. The means run one
+    variable at a time, variable 1 first, at every level 0..N of each."""
+    means = [samples]
+    for v, g in enumerate(space.grids):
+        means = [_along(v, lambda x: broadcast_level(g, lvl, pool_level(g, lvl, x)), m)
+                 if lvl < g.N else m for m in means for lvl in range(g.N + 1)]
+    return reduce(np.maximum, map(np.abs, means))
 
 
 def maximal_function(f, variant: str = "dyadic", p: float = 2.0):
     """Dyadic / strong (rectangle) maximal functions; ``vector_FS`` takes a list."""
-    if variant == "dyadic":
-        return DyadicFunction(f.grid, _dyadic_max_samples(f.grid, f.samples))
-    if variant == "strong_rect":
-        pg = f.pgrid
-        g1, g2 = pg.grid1, pg.grid2
-        best = np.zeros(pg.shape)
-        for l1 in range(g1.N + 1):
-            rows = f.samples if l1 == g1.N else broadcast_level(
-                g1, l1, pool_level(g1, l1, f.samples))
-            for l2 in range(g2.N + 1):
-                avg = rows.T if l2 == g2.N else broadcast_level(
-                    g2, l2, pool_level(g2, l2, rows.T))
-                best = np.maximum(best, np.abs(avg.T))
-        return ProductFunction(pg, best)
+    if variant in ("dyadic", "strong_rect"):
+        _require_type(f, variant)
+        return type(f)(f.space, _max_samples(f.space, f.samples))
     if variant == "vector_FS":
         if not (1.0 < p <= 2.0):
             raise ValueError("vector variant needs p in (1, 2]")
-        family = f
-        grid = family[0].grid
-        acc = np.zeros(grid.n_samples)
-        for fi in family:
-            acc += _dyadic_max_samples(grid, fi.samples) ** 2
-        return DyadicFunction(grid, np.sqrt(acc))
+        grid = f[0].grid
+        return DyadicFunction(grid, np.sqrt(sum(_max_samples(grid, fi.samples) ** 2 for fi in f)))
     raise ValueError(f"unknown maximal function variant {variant}")
 
 

@@ -201,7 +201,7 @@ class ShiftOperator:
         g = self.grid
         obj = {"grid": {"d": g.d, "N": g.N}, "i": self.i, "j": self.j, "kind": self.kind}
         if g.omega is not None:
-            obj["grid"]["omega"] = [list(level) for level in g.omega]
+            obj["grid"]["omega"] = g.omega
         if self.cancellative:
             idx = grid_index(g)
             gi, gj = idx.cube_descendants(self.i), idx.cube_descendants(self.j)
@@ -223,8 +223,7 @@ class ShiftOperator:
     def from_json(cls, text: str) -> "ShiftOperator":
         obj = json.loads(text)
         gspec = obj["grid"]
-        omega = tuple(tuple(l) for l in gspec["omega"]) if "omega" in gspec else None
-        grid = GridSpec(int(gspec["d"]), int(gspec["N"]), omega)
+        grid = GridSpec(int(gspec["d"]), int(gspec["N"]), gspec.get("omega"))
         i, j = int(obj["i"]), int(obj["j"])
         if obj["kind"] == NONCANCELLATIVE:
             symbol = DyadicFunction.from_json(json.dumps(obj["symbol"]))

@@ -46,6 +46,9 @@ def test_haar_function_invalid_index():
         haar_function(g, HaarIndex(DyadicCube(2, (0,)), (0,)))  # cancellative at N
     with pytest.raises(InvalidIndexError):
         haar_function(g, HaarIndex(DyadicCube(1, (4,)), (0,)))
+    for sig in ((2,), (0, 1)):
+        with pytest.raises(InvalidIndexError, match="bad signature"):
+            haar_function(g, HaarIndex(DyadicCube(1, (0,)), sig))
 
 
 def test_forward_two_cell_example():
@@ -103,19 +106,23 @@ def test_non_finite_samples_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         samples = np.zeros(8)
         samples[3] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="samples must be finite"):
             DyadicFunction(GridSpec(1, 3), samples)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="samples must be finite"):
             ProductFunction(pg, samples)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            HaarCoefficients(GridSpec(1, 3), samples)
 
 
 def test_wrong_sample_count_and_mixed_operands_rejected(rng):
-    # both function types count their samples alike, and neither takes the
-    # other as an operand
+    # both function types, and the coefficient vector, count their values
+    # alike, and neither function type takes the other as an operand
     g, pg = GridSpec(1, 2), ProductGrid(GridSpec(1, 2), GridSpec(1, 2))
     for n in (3, 5):
         with pytest.raises(ValueError, match=f"expected 4 samples, got \\({n},\\)"):
             DyadicFunction(g, np.zeros(n))
+        with pytest.raises(ValueError, match=f"expected 4 coefficients, got \\({n},\\)"):
+            HaarCoefficients(g, np.zeros(n))
     for n in (15, 17):
         with pytest.raises(ValueError, match=f"expected 16 samples, got \\({n},\\)"):
             ProductFunction(pg, np.zeros(n))

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
-                     ProductGrid, dyadic_bmo_norm, fs_check, geometric_constant,
-                     geometric_constant_closed_form, haar_function, jn_check,
+                     ProductFunction, ProductGrid, dyadic_bmo_norm, fs_check,
+                     geometric_constant, geometric_constant_closed_form, haar_function, jn_check,
                      maximal_function, open_set_bmo_norm, random_function,
                      random_product_function, rect_bmo_norm, reports_to_csv,
                      reports_to_jsonl, square_function, tensor_function,
                      uniformity_study)
+from dyadlab.grids import grid_index
 from dyadlab.haar import haar_forward
 from dyadlab.norms import (NormReport, geometric_cap_for, geometric_constant_tail_bound,
                            jn_study)
@@ -232,6 +235,51 @@ def test_strong_maximal_and_hybrid(rng):
     # L2 bound: per-slice maximal constant is at most 2 for the dyadic M
     assert H1.norm() <= 2.0 * f.norm() + 1e-12
     assert H2.norm() <= 2.0 * f.norm() + 1e-12
+
+
+def maximal_oracle(space, samples):
+    """Each cell's max, over every cube or rectangle R containing it, the
+    cells included, of |the flat mean of ``samples`` over R's cells|."""
+    best = np.zeros(samples.shape)
+    per_var = [[cells for lvl in range(g.N + 1) for cells in grid_index(g).cells(lvl)]
+               for g in space.grids]
+    for region in itertools.product(*per_var):
+        block = np.ix_(*region)
+        best[block] = np.maximum(best[block], abs(samples[block].mean()))
+    return best
+
+
+@pytest.mark.parametrize("space", [GridSpec(1, 5), GridSpec(2, 3),
+                                   GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))),
+                                   ProductGrid(GridSpec(2, 2), GridSpec(1, 3))], ids=repr)
+def test_maximal_functions_match_the_brute_force_oracle(space, rng):
+    # a flat mean rounds differently from the per-variable means, hence rtol
+    cls = DyadicFunction if isinstance(space, GridSpec) else ProductFunction
+    variant = "dyadic" if cls is DyadicFunction else "strong_rect"
+    family = [cls(space, rng.standard_normal(tuple(g.n_samples for g in space.grids)))
+              for _ in range(3)]
+    oracles = [maximal_oracle(space, f.samples) for f in family]
+    for f, oracle in zip(family, oracles):
+        np.testing.assert_allclose(maximal_function(f, variant).samples, oracle,
+                                   rtol=1e-12, atol=0)
+    if cls is DyadicFunction:
+        np.testing.assert_allclose(maximal_function(family, "vector_FS").samples,
+                                   np.sqrt(sum(m ** 2 for m in oracles)), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("op, variant, need", [
+    (square_function, "S", DyadicFunction), (square_function, "S_k", DyadicFunction),
+    (maximal_function, "dyadic", DyadicFunction), (square_function, "SS", ProductFunction),
+    (square_function, "hybrid_max_square", ProductFunction),
+    (maximal_function, "strong_rect", ProductFunction)], ids=lambda x: getattr(x, "__name__", x))
+def test_a_variant_refuses_the_other_function_type(op, variant, need, rng):
+    f = random_function(GridSpec(1, 3), rng)
+    F = random_product_function(ProductGrid(GridSpec(1, 2), GridSpec(1, 2)), rng)
+    right, wrong = (f, F) if need is DyadicFunction else (F, f)
+    assert type(op(right, variant)) is need
+    with pytest.raises(ValueError, match=f"variant {variant} needs a {need.__name__}, "
+                                         f"got {type(wrong).__name__}"):
+        op(wrong, variant)
 
 
 def test_square_functions_are_the_localized_squares_at_the_root(rng):

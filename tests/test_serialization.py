@@ -144,3 +144,24 @@ def test_shift_json_text_is_pinned(g, i, j, seed, digest):
     text = S.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert ShiftOperator.from_json(text) == S
+
+
+@pytest.mark.parametrize("space, seed, digest", [
+    (GridSpec(1, 3, omega=((1,), (0,), (1,))), 3,
+     "75879b5215aec552ddd6d46a0859d2bf9997c2f32713d17c3016de2608c606d8"),
+    (GridSpec(2, 2, omega=((1, 0), (1, 1))), 4,
+     "95cd7a8f5309afe3ba45590b8a8e6f1f6a8b496968e12430025a852f9e53635f"),
+    (ProductGrid(GridSpec(1, 3, omega=((0,), (1,), (1,))), GridSpec(2, 1)), 5,
+     "84203ccda60c19ab589ac7892f5b1f7f8372eddfa191367a1c5f87da81658bed"),
+    (ProductGrid(GridSpec(1, 2), GridSpec(2, 2, omega=((0, 1), (1, 0)))), 6,
+     "06653d9e2bf0c17e5b3cdf8bdcba0e4475e33277d25c49e16afb41c6f5939206"),
+], ids=repr)
+def test_function_json_text_is_pinned(space, seed, digest):
+    # key order, sample order and the omega lists of shifted grids are fixed
+    cls = DyadicFunction if isinstance(space, GridSpec) else ProductFunction
+    f = cls(space, np.random.default_rng(seed).standard_normal(
+        tuple(g.n_samples for g in space.grids)))
+    text = f.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    back = cls.from_json(text)
+    assert back.space == space and np.array_equal(back.samples, f.samples)
