@@ -26,7 +26,7 @@ print(f"shift (i,j) = (2,3): {terms.term_count} terms "
       f"(bound {terms.meta['count_bound']} = C (1+max), C = "
       f"{terms.meta['count_constant']})")
 for t in terms.terms:
-    k = t.atom1.k
+    k = t.atoms[0].k
     sign = "+" if t.weight > 0 else "-"
     print(f"  {sign} {t.kind:10s} k={k}  [{t.provenance}]")
 

@@ -10,10 +10,11 @@ averages over ancestors, torus mean mode included) and the k >= 1 terms are
 martingale transforms whose +-1 beta sequences are sampled Haar-product
 constants. For a noncancellative shift the list uses B_0 terms together with
 the cube/subcube operator P (analysis orientation) or its adjoint (synthesis
-orientation). The bi-parameter decomposition is the product of the
-per-variable constructions; its terms combine a one-variable atom per
-variable (a ``BkOperator`` on that variable's grid or a ``PAtom``) with
-optional inner/outer shift compositions.
+orientation). ``decompose(b, *shifts)`` takes one shift per variable of
+b's grid or product grid and builds the product of the per-variable
+constructions: a term holds per variable one atom (a ``BkOperator`` on
+that variable's grid or a ``PAtom``) and whether the shift composes
+inside or outside it.
 
 Everything here is exact linear algebra on the finite torus: the identity
 ``sum of terms == commutator`` holds to floating-point roundoff, which the
@@ -29,32 +30,30 @@ or (n1, n2, C, T); a single term list is a block of one. It stacks the 2^t
 inner-shift compositions of the input on a key axis and extends them in
 one call per variable (see :mod:`dyadlab.haar`), sums every term into the
 extended buffer of its outer-shift group, and contracts all 2^t groups in
-one call per variable before their shifts run. Each term carries the key
-of the entry it is built from (a pair of entry keys at t = 2), and within
-one family (the shift kinds and orientations) key order is list order. So
-the cases of a family share one sweep, the union of their terms sorted by
-key: a term is one ``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` call
-at t = 1 and one :func:`~dyadlab.biparam.pair_apply` with one symbol per
-variable at t = 2 (so a P-type pair is two tree scans), with b, the
-symbols and the weights on the case axis, weight 0 for a case that lacks
-the term. A single list is a family of one on the same path. The atoms
-and term skeletons of a grid are built once (``grid_index(grid).memo``),
-so a decomposition only binds b; its list transforms b on first use.
-Each case's shifts run once per variable and stage of a sweep, on every
-key that takes them at once (twice per variable at t = 2). The term
-objects of a family are built once per grid (grid pair), so the lists at
-every (i, j) select the same objects.
+one call per variable before their shifts run. Each term carries the tuple
+of its entries' keys, one per variable, and within one family (the shift
+kinds and orientations) key order is list order. So the cases of a family
+share one sweep, the union of their terms sorted by key: a term is one
+``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` call at t = 1 and one
+:func:`~dyadlab.biparam.pair_apply` with one symbol per variable at t = 2
+(so a P-type pair is two tree scans), with b, the symbols and the weights
+on the case axis, weight 0 for a case that lacks the term. A single list is
+a family of one on the same path. The atoms and term skeletons of a grid
+are built once (``grid_index(grid).memo``), so a decomposition only binds
+b; its list transforms b on first use. Each case's shifts run once per
+variable and stage of a sweep, on every key that takes them at once (twice
+per variable at t = 2).
 ``verify_identity`` passes all trials of a block of cases once through the
 transforms, the direct commutators and one term sweep, and transforms the
-block's symbols once; it keeps two things per arity, the choice of
-decomposition and the direct commutator, and at t = 2 the block's direct
-commutators are one stacked call.
+block's symbols once; it keeps per arity only the direct commutator, which
+at t = 2 is one stacked call for the block.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -73,51 +72,54 @@ from .norms import _bmo_stacked, _column_norms, _require_trials, _trial_rng
 class Term:
     """One summand of a decomposition.
 
-    ``atom1``/``atom2`` are per-variable kernels (BkOperator or PAtom); ``inner*``
-    applies that variable's shift to the input first, ``outer*`` wraps it
-    around the output. One-parameter terms use variable 1 only. ``key``
-    names the term in its family: its entry's key, or a pair of keys at two
-    parameters (see :func:`_var_atoms`); the keys of a list ascend, and a
+    ``atoms`` holds one kernel per variable (BkOperator or PAtom); ``inner``
+    and ``outer`` hold one flag per variable, whether that variable's shift
+    is applied to the input first or wrapped around the output. ``key``
+    names the term in its family: the tuple of its entries' keys, one per
+    variable (see :func:`_var_atoms`); the keys of a list ascend, and a
     term without a key cannot be swept.
     """
 
     weight: float
     kind: str
     provenance: str
-    atom1: object
-    atom2: object = None
-    inner1: bool = False
-    outer1: bool = False
-    inner2: bool = False
-    outer2: bool = False
+    atoms: tuple
+    inner: tuple
+    outer: tuple
     key: object = field(default=None, compare=False)
 
     def describe(self) -> dict:
+        """The released layout: ``atom2`` only at two variables, and two inner
+        and two outer flags, False past the last variable."""
         out = {"weight": self.weight, "kind": self.kind,
                "provenance": self.provenance}
-        for slot, atom in (("1", self.atom1), ("2", self.atom2)):
-            if atom is None:
-                continue
+        for v, atom in enumerate(self.atoms, 1):
             if isinstance(atom, BkOperator):
-                out[f"atom{slot}"] = {"type": "B", "k": atom.k, "sig_b": atom.sb,
-                                      "sig_in": atom.si, "sig_out": atom.so}
+                out[f"atom{v}"] = {"type": "B", "k": atom.k, "sig_b": atom.sb,
+                                   "sig_in": atom.si, "sig_out": atom.so}
             else:
-                out[f"atom{slot}"] = {"type": "P", "adjoint": atom.adjoint}
-        out["inner"] = [self.inner1, self.inner2]
-        out["outer"] = [self.outer1, self.outer2]
+                out[f"atom{v}"] = {"type": "P", "adjoint": atom.adjoint}
+        pad = [False] * (2 - len(self.atoms))
+        out["inner"] = list(self.inner) + pad
+        out["outer"] = list(self.outer) + pad
         return out
 
 
 @dataclass
 class TermList:
-    """Ordered decomposition terms bound to the symbol b and the shift(s)."""
+    """Ordered decomposition terms bound to the symbol b and one shift per
+    variable."""
 
-    arity: int
     b: object
     shifts: tuple
     terms: list
     case: str
     meta: dict = field(default_factory=dict)
+
+    @property
+    def arity(self) -> int:
+        """The number of variables, one shift each."""
+        return len(self.shifts)
 
     @property
     def space(self):
@@ -135,10 +137,11 @@ class TermList:
         return len(self.terms)
 
     def drop(self, index: int) -> "TermList":
-        """Copy with one term removed (harness sanity checks)."""
-        terms = [t for n, t in enumerate(self.terms) if n != index]
-        return TermList(self.arity, self.b, self.shifts, terms,
-                        self.case, dict(self.meta))
+        """Copy without the term at ``index``, a list index: -1 is the last
+        term, and one out of range raises ``IndexError``."""
+        terms = list(self.terms)
+        del terms[index]
+        return TermList(self.b, self.shifts, terms, self.case, dict(self.meta))
 
     def to_json(self) -> str:
         obj = {"arity": self.arity, "case": self.case, "meta": self.meta,
@@ -254,39 +257,42 @@ def _var_atoms(grid: GridSpec, spec: tuple) -> tuple:
     return grid_index(grid).memo(("entries",) + spec, build)
 
 
+def _term_kind(specs: tuple, atoms: tuple, inner: tuple, outer: tuple) -> str:
+    """A term's kind in the released names: by its atoms, their P
+    orientations and, for B_k atoms, where the shifts go."""
+    is_bk = tuple(isinstance(atom, BkOperator) for atom in atoms)
+    if len(atoms) == 1:
+        if not is_bk[0]:
+            return "Pstar_term" if atoms[0].adjoint else "P_term"
+        names = (("Bk_of_Sf", "S_of_Bk") if specs[0][0] == CANCELLATIVE
+                 else ("B0_of_S00f", "S00_of_B0"))
+        return names[outer[0] and not inner[0]]
+    if all(is_bk):
+        return "S_of_Bkl" if any(outer) else "Bkl_of_Sf"
+    if any(is_bk):
+        return "BPk" if is_bk[0] else "PBl"
+    adjoint = tuple(atom.adjoint for atom in atoms)
+    return {(False, False): "PP_term", (True, False): "PP1_term",
+            (False, True): "PP2_term", (True, True): "PPstar_term"}[adjoint]
+
+
 def _skeleton(grids: tuple, specs: tuple) -> tuple:
     """The terms of shifts of ``specs`` (one :func:`_spec` per variable) on
-    ``grids``: the per-variable list at t = 1, the product of the two lists
-    at t = 2, memoized per grid (``grid_index(grids[0]).memo``). A term is
-    built once per grid (grid pair) and key, its entry's key or a pair of
-    keys, so the lists of one family at every (i, j) hold the same
+    ``grids``: the product of the per-variable lists, memoized per grid
+    (``grid_index(grids[0]).memo``), the weights multiplied and the
+    provenances joined by "|". A term is built once per grid (grid pair)
+    and key, so the lists of one family at every (i, j) hold the same
     objects."""
     memo = grid_index(grids[0]).memo
 
     def build():
         pool = memo(("term_pool",) + grids[1:] + tuple(spec[:2] for spec in specs), dict)
-        if len(grids) == 2:
-            def make(e1, e2):
-                (k1, w1, a1, in1, out1, prov1), (k2, w2, a2, in2, out2, prov2) = e1, e2
-                return Term(w1 * w2, _pair_kind(a1, a2, out1, out2), f"{prov1}|{prov2}",
-                            a1, a2, inner1=in1, outer1=out1, inner2=in2, outer2=out2,
-                            key=(k1, k2))
-        else:
-            post_kind, pre_kind = (("Bk_of_Sf", "S_of_Bk") if specs[0][0] == CANCELLATIVE
-                                   else ("B0_of_S00f", "S00_of_B0"))
-
-            def make(entry):
-                key, weight, atom, inner, outer, prov = entry
-                if isinstance(atom, PAtom):
-                    kind = "Pstar_term" if atom.adjoint else "P_term"
-                else:
-                    kind = post_kind if inner or not outer else pre_kind
-                return Term(weight, kind, prov, atom, inner1=inner, outer1=outer, key=key)
         terms = []
         for entries in itertools.product(*map(_var_atoms, grids, specs)):
-            key = tuple(entry[0] for entry in entries)
+            key, weights, atoms, inner, outer, provs = zip(*entries)
             if key not in pool:
-                pool[key] = make(*entries)
+                pool[key] = Term(math.prod(weights), _term_kind(specs, atoms, inner, outer),
+                                 "|".join(provs), atoms, inner, outer, key=key)
             terms.append(pool[key])
         return tuple(terms)
     return memo(("terms",) + grids[1:] + specs, build)
@@ -301,20 +307,33 @@ def _count_constant(grid: GridSpec, S: ShiftOperator) -> int:
 
 
 # ---------------------------------------------------------------------------
-# One-parameter decompositions.
+# Decompositions.
 
 
-def decompose(b: DyadicFunction, S: ShiftOperator) -> TermList:
-    """Term list with sum(terms)(f) = [M_b, S] f for every f, S of either kind."""
-    if b.grid != S.grid:
-        raise WrongKindError("b must live on the shift grid")
-    terms = _skeleton((b.grid,), (_spec(S),))
-    case = "cancellative" if S.cancellative else f"noncancellative-{S.orientation}"
-    C = _count_constant(b.grid, S)
+def decompose(b: SampledFunction, *shifts: ShiftOperator) -> TermList:
+    """Term list with sum(terms)(f) = [M_b, S] f for every f, S of either
+    kind; or, given one shift per variable of b's product grid,
+    sum(terms)(f) = [[M_b, S1], S2] f, the product of the per-variable
+    constructions."""
+    grids = b.space.grids
+    if len(shifts) != len(grids):
+        raise WrongKindError(f"b has {len(grids)} variable(s), one shift each; got {len(shifts)}")
+    for v, (S, g) in enumerate(zip(shifts, grids), 1):
+        if S.grid != g:
+            raise WrongKindError(f"shift {v} must act on the grid of variable {v} of b")
+    terms = _skeleton(grids, tuple(map(_spec, shifts)))
+    C = math.prod(map(_count_constant, grids, shifts))
     meta = {"term_count": len(terms), "count_constant": C,
-            "count_bound": C * (1 + max(S.i, S.j)), "i": S.i, "j": S.j,
-            "d": b.grid.d, "N": b.grid.N}
-    return TermList(1, b, (S,), list(terms), case, meta)
+            "count_bound": C * math.prod(1 + max(S.i, S.j) for S in shifts)}
+    if len(shifts) == 1:
+        (S,), (g,) = shifts, grids
+        case = "cancellative" if S.cancellative else f"noncancellative-{S.orientation}"
+        meta.update(i=S.i, j=S.j, d=g.d, N=g.N)
+    else:
+        case = "-".join(["biparam"] + [S.kind for S in shifts])
+        meta.update({f"{x}{v}": getattr(S, x) for v, S in enumerate(shifts, 1) for x in "ij"})
+        meta.update({f"N{v}": g.N for v, g in enumerate(grids, 1)})
+    return TermList(b, shifts, list(terms), case, meta)
 
 
 def decompose_cancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
@@ -331,37 +350,9 @@ def decompose_noncancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
     return decompose(b, S)
 
 
-# ---------------------------------------------------------------------------
-# Bi-parameter decomposition.
-
-
-def _pair_kind(atom1, atom2, outer1, outer2) -> str:
-    if isinstance(atom1, BkOperator) and isinstance(atom2, BkOperator):
-        return "S_of_Bkl" if (outer1 or outer2) else "Bkl_of_Sf"
-    if isinstance(atom1, BkOperator):
-        return "BPk"
-    if isinstance(atom2, BkOperator):
-        return "PBl"
-    key = (atom1.adjoint, atom2.adjoint)
-    return {(False, False): "PP_term", (True, False): "PP1_term",
-            (False, True): "PP2_term", (True, True): "PPstar_term"}[key]
-
-
-def decompose_biparam(b: ProductFunction, S1: ShiftOperator,
-                      S2: ShiftOperator) -> TermList:
+def decompose_biparam(b: ProductFunction, S1: ShiftOperator, S2: ShiftOperator) -> TermList:
     """Product of the per-variable constructions for [[M_b, S1], S2]."""
-    pg = b.pgrid
-    for v, (S, g) in enumerate(zip((S1, S2), pg.grids), 1):
-        if S.grid != g:
-            raise WrongKindError(f"S{v} must act on variable {v} of b's product grid")
-    terms = _skeleton(pg.grids, (_spec(S1), _spec(S2)))
-    C = _count_constant(pg.grid1, S1) * _count_constant(pg.grid2, S2)
-    meta = {"term_count": len(terms), "count_constant": C,
-            "count_bound": C * (1 + max(S1.i, S1.j)) * (1 + max(S2.i, S2.j)),
-            "i1": S1.i, "j1": S1.j, "i2": S2.i, "j2": S2.j,
-            "N1": pg.grid1.N, "N2": pg.grid2.N}
-    case = f"biparam-{S1.kind}-{S2.kind}"
-    return TermList(2, b, (S1, S2), list(terms), case, meta)
+    return decompose(b, S1, S2)
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +468,19 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
                 for v, S in enumerate(fam[0].shifts)]
         terms, weights = _family_weights(fam)
         for term, w in zip(terms, weights.reshape(weights.shape + trial)):
-            xin = fin[slot[(term.inner1, term.inner2)[:t]]]
-            out = acc[slot[(term.outer1, term.outer2)[:t]]]
+            xin, out = fin[slot[term.inner]], acc[slot[term.outer]]
             # t = 1 keeps the 1-D kernels: the pinned 1-D reports hold their
             # order of operations (bk_stacked forms beta * b * scale before
             # taking x)
             if t == 2:
-                pair_apply(tls[0].space, fbc, xin, term.atom1, term.atom2, sym1=syms[0],
+                pair_apply(tls[0].space, fbc, xin, *term.atoms, sym1=syms[0],
                            sym2=syms[1], out=out, weight=w)
-            elif isinstance(term.atom1, PAtom):
+            elif isinstance(term.atoms[0], PAtom):
                 n = grids[0].n_samples
-                p = pstar_stacked if term.atom1.adjoint else p_stacked
+                p = pstar_stacked if term.atoms[0].adjoint else p_stacked
                 out[:n] += w * p(grids[0], fbc, syms[0], xin[:n])
             else:
-                out += w * bk_stacked(term.atom1, fbc, xin)
+                out += w * bk_stacked(term.atoms[0], fbc, xin)
             calls += 1
         if not isinstance(cut, slice):
             groups[(slice(None),) + at] = acc
@@ -584,9 +574,9 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     space = symbols[0].space
     if any(bc.space != space for bc in symbols):
         raise GridMismatchError("the cases of one call must share one grid")
-    # the decomposition, and the report's per-variable values: scalars at t = 1
-    make, per_var = (decompose, lambda vals: vals[0]) if t == 1 else (decompose_biparam, list)
-    tls = [make(bc, *S) for bc, S in zip(symbols, cases)]
+    # the report's per-variable values: scalars at t = 1
+    per_var = (lambda vals: vals[0]) if t == 1 else list
+    tls = [decompose(bc, *S) for bc, S in zip(symbols, cases)]
     grids, shape, volume = space.grids, symbols[0].samples.shape, symbols[0].cell_volume
     # the symbols' coefficients, and from them the residual scales
     # dyadic_bmo_norm(b_c) or rect_bmo_norm(b_c)

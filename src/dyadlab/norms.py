@@ -33,7 +33,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .grids import DepthError, DyadicCube, GridSpec, grid_index
+from .grids import DepthError, DyadicCube, GridMismatchError, GridSpec, grid_index
 from .haar import (DyadicFunction, _along, broadcast_level, cell_sums, contract,
                    extend, forward_space, forward_stacked, inverse_space,
                    inverse_stacked, pool_level)
@@ -131,11 +131,11 @@ def open_set_bmo_norm(b: ProductFunction) -> float:
 # Square functions.
 
 
-# The function type each one-function variant of square_function and
-# maximal_function takes.
+# The function type each variant of square_function and maximal_function
+# takes, for every member of a vector_FS family.
 _NEEDS = {"S": DyadicFunction, "S_k": DyadicFunction, "dyadic": DyadicFunction,
-          "SS": ProductFunction, "hybrid_max_square": ProductFunction,
-          "strong_rect": ProductFunction}
+          "vector_FS": DyadicFunction, "SS": ProductFunction,
+          "hybrid_max_square": ProductFunction, "strong_rect": ProductFunction}
 
 
 def _require_type(f, variant: str) -> None:
@@ -218,13 +218,17 @@ def _max_samples(space, samples: np.ndarray) -> np.ndarray:
 
 
 def maximal_function(f, variant: str = "dyadic", p: float = 2.0):
-    """Dyadic / strong (rectangle) maximal functions; ``vector_FS`` takes a list."""
+    """Dyadic / strong (rectangle) maximal functions; ``vector_FS`` takes a one-grid list."""
     if variant in ("dyadic", "strong_rect"):
         _require_type(f, variant)
         return type(f)(f.space, _max_samples(f.space, f.samples))
     if variant == "vector_FS":
         if not (1.0 < p <= 2.0):
             raise ValueError("vector variant needs p in (1, 2]")
+        for fi in f:
+            _require_type(fi, variant)
+            if fi.grid != f[0].grid:
+                raise GridMismatchError("the functions of a vector_FS family must share one grid")
         grid = f[0].grid
         return DyadicFunction(grid, np.sqrt(sum(_max_samples(grid, fi.samples) ** 2 for fi in f)))
     raise ValueError(f"unknown maximal function variant {variant}")
@@ -246,13 +250,12 @@ def _lp_norms(rows: np.ndarray, cell_volume: float, p: float) -> list:
 
 def fs_check(family: list, p: float) -> float:
     """Vector-valued maximal inequality ratio for a family of functions."""
-    grid = family[0].grid
     num = maximal_function(family, variant="vector_FS", p=min(p, 2.0))
     den = np.sqrt(sum(fi.samples ** 2 for fi in family))
-    dn = _lp_norm(den, grid.cell_volume, p)
+    dn = _lp_norm(den, num.cell_volume, p)
     if dn == 0.0:
         return 0.0
-    return _lp_norm(num.samples, grid.cell_volume, p) / dn
+    return _lp_norm(num.samples, num.cell_volume, p) / dn
 
 
 def jn_profile(a, region) -> tuple:
@@ -493,7 +496,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     """Max measured ratio ||op|| / (BMO factors * ||f||) per parameter value.
 
     Kinds: ``Bk`` (k range), ``Sk`` (square-function variant), ``Bkl``
-    ((k,l) range), ``BPk``, ``PBl``, ``PP``, ``PP1``, ``P``.
+    ((k,l) range), ``BPk``, ``PBl``, ``PP``, ``PP1``, ``P``; ``grid`` is for
+    Bk, Sk and P, ``pgrid`` for the others.
 
     Trials run in blocks of max(1, 2**13 // samples per trial) trials, so
     no stack of a block holds more than 2**13 samples (64 KiB) and memory
@@ -508,6 +512,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
     """
     _require_trials(trials)
     if kind in ("Bk", "Sk", "P"):
+        if pgrid is not None:
+            raise ValueError(f"study kind {kind} runs on one grid: give grid, not pgrid")
         grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
         # B_k and S_k need k <= N - 1, as in the bi-parameter kinds below
         kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), grid.N - 1)
@@ -517,6 +523,8 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                  "Bk": {"b": n, "f": n, "beta": (grid.n_cubes_total,)}}[kind]
         volume = grid.cell_volume
     elif kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
+        if grid is not None:
+            raise ValueError(f"study kind {kind} runs on a product grid: give pgrid, not grid")
         pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
                                      GridSpec(1, params.get("N2", 4)))
         g1, g2 = pgrid.grid1, pgrid.grid2

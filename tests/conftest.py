@@ -503,17 +503,17 @@ def evaluate_stacked_oracle(tl, x):
     keys = list(itertools.product((False, True), repeat=t))
     groups = {key: np.zeros(inputs[key].shape) for key in keys}
     for term in tl.terms:
-        xin = inputs[(term.inner1, term.inner2)[:t]]
-        acc = groups[(term.outer1, term.outer2)[:t]]
+        xin = inputs[term.inner]
+        acc = groups[term.outer]
         if t == 2:
-            pair_apply(tl.b.pgrid, tl._bc, xin, term.atom1, term.atom2, sym1=syms[0],
+            pair_apply(tl.b.pgrid, tl._bc, xin, term.atoms[0], term.atoms[1], sym1=syms[0],
                        sym2=syms[1], out=acc, weight=term.weight)
-        elif isinstance(term.atom1, PAtom):
+        elif isinstance(term.atoms[0], PAtom):
             n = grids[0].n_samples
-            p = pstar_stacked if term.atom1.adjoint else p_stacked
+            p = pstar_stacked if term.atoms[0].adjoint else p_stacked
             acc[:n] += term.weight * p(grids[0], tl._bc, syms[0], xin[:n])
         else:
-            acc += term.weight * bk_stacked(term.atom1, tl._bc, xin)
+            acc += term.weight * bk_stacked(term.atoms[0], tl._bc, xin)
     total = np.zeros(x.shape)
     for key in keys:
         y = groups[key]

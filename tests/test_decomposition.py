@@ -106,6 +106,33 @@ def test_decompose_dispatcher(rng):
     assert decompose(b, Sn).case == "noncancellative-synthesis"
 
 
+def test_one_decompose_for_one_and_two_variables(rng):
+    for b, shifts in _one_param_cases(rng) + _biparam_cases(rng):
+        shifts = shifts if isinstance(shifts, tuple) else (shifts,)
+        tl = decompose(b, *shifts)
+        t = len(b.space.grids)
+        assert tl.arity == len(tl.shifts) == len(shifts) == t
+        assert all(len(term.atoms) == len(term.inner) == len(term.outer) == len(term.key) == t
+                   for term in tl.terms)
+        if t == 2:
+            pair = decompose_biparam(b, *shifts)
+            assert all(x is y for x, y in zip(tl.terms, pair.terms))
+            assert (tl.terms, tl.case, tl.meta) == (pair.terms, pair.case, pair.meta)
+
+
+def test_decompose_takes_one_shift_per_variable_on_its_grid(rng):
+    g = GridSpec(1, 3)
+    pg = ProductGrid(GridSpec(2, 2), g)
+    b, b2 = random_function(g, rng), random_product_function(pg, rng)
+    S1, S2 = random_shift(pg.grid1, 1, 0, rng), random_shift(g, 0, 1, rng)
+    for bad, match in (((b, S2, S2), "b has 1 variable"), ((b2, S1), "b has 2 variable"),
+                       ((b2, S2, S2), "shift 1 must act on the grid of variable 1"),
+                       ((b2, S1, S1), "shift 2 must act on the grid of variable 2"),
+                       ((b, S1), "shift 1 must act on the grid of variable 1")):
+        with pytest.raises(WrongKindError, match=match):
+            decompose(*bad)
+
+
 def test_constant_b_gives_zero_terms(rng):
     g = GridSpec(1, 4)
     const = DyadicFunction(g, np.full(g.n_samples, 2.0))
@@ -189,6 +216,20 @@ def test_dropping_a_term_breaks_identity(rng):
     assert (direct - full).norm() / f.norm() < 1e-12
     broken = tl.drop(0)
     assert (direct - evaluate_terms(broken, f)).norm() / f.norm() > 1e-6
+
+
+def test_drop_follows_list_indexing(rng):
+    # a negative or out-of-range index used to drop nothing
+    g = GridSpec(1, 4)
+    tl = decompose(random_function(g, rng), random_shift(g, 1, 1, rng))
+    assert tl.term_count == 6
+    for index, kept in ((0, tl.terms[1:]), (-1, tl.terms[:-1]), (-6, tl.terms[1:]),
+                        (2, tl.terms[:2] + tl.terms[3:])):
+        assert tl.drop(index).terms == kept
+    for index in (6, 99, -7):
+        with pytest.raises(IndexError):
+            tl.drop(index)
+    assert tl.term_count == 6
 
 
 def test_empty_terms_zero_commutator():
@@ -356,9 +397,9 @@ def test_both_halves_share_their_atoms(g, ij, rng, monkeypatch):
     calls.clear()
     again = decompose_cancellative(random_function(g, rng), random_shift(g, i, j, rng))
     assert calls == []
-    assert all(a.atom1 is b.atom1 for a, b in zip(tl.terms, again.terms))
+    assert all(a.atoms[0] is b.atoms[0] for a, b in zip(tl.terms, again.terms))
     assert again.terms == tl.terms and again.terms is not tl.terms
-    halves = {half: [t.atom1 for t in tl.terms if t.provenance.startswith(half)]
+    halves = {half: [t.atoms[0] for t in tl.terms if t.provenance.startswith(half)]
               for half in ("b_mul", "mul_S")}
     shared = min(halves.values(), key=len)
     assert all(a is b for a, b in zip(halves["b_mul"], halves["mul_S"]))
@@ -374,7 +415,7 @@ def test_noncancellative_atoms_are_built_once(ori, rng):
         g = GridSpec(d, 3)
         S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
         tl = decompose_noncancellative(random_function(g, rng), S)
-        atoms = [t.atom1 for t in tl.terms if isinstance(t.atom1, BkOperator)]
+        atoms = [t.atoms[0] for t in tl.terms if isinstance(t.atoms[0], BkOperator)]
         assert len(atoms) == n_terms
         assert len({id(a) for a in atoms}) == n_distinct == len(set(atoms))
 
@@ -582,8 +623,8 @@ def test_verify_identity_measures_every_trial(rng, monkeypatch):
     S1, S2 = random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 0, 1, rng)
     broken = decompose(b, S).drop(0)
     broken2 = decompose_biparam(b2, S1, S2).drop(0)
-    monkeypatch.setattr(decomposition, "decompose", lambda *a: broken)
-    monkeypatch.setattr(decomposition, "decompose_biparam", lambda *a: broken2)
+    monkeypatch.setattr(decomposition, "decompose",
+                        lambda b, *shifts: broken if len(shifts) == 1 else broken2)
     for tl, shifts, scale in ((broken, S, dyadic_bmo_norm(b)),
                               (broken2, (S1, S2), rect_bmo_norm(b2))):
         res = _loop_residuals(tl, scale, 5, 3)
@@ -667,7 +708,7 @@ def test_every_term_list_is_an_ordered_subsequence_of_its_family_list(g, rng):
     for c, tl in enumerate(pair_lists):
         assert [term for term, w in zip(master, weights[:, c]) if w] == tl.terms
     with pytest.raises(ValueError, match="ordered subsequence"):
-        _family_weights([TermList(1, b, (random_shift(g, 1, 0, rng),),
+        _family_weights([TermList(b, (random_shift(g, 1, 0, rng),),
                                   lists[(1, 0)].terms[::-1], "cancellative")])
 
 
@@ -766,13 +807,13 @@ def test_a_single_list_out_of_key_order_raises(rng):
                                      random_shift(pg.grid1, 1, 0, rng),
                                      random_shift(pg.grid2, 0, 1, rng)),
                    random_product_function(pg, rng))):
-        reversed_tl = TermList(tl.arity, tl.b, tl.shifts, tl.terms[::-1], tl.case)
+        reversed_tl = TermList(tl.b, tl.shifts, tl.terms[::-1], tl.case)
         for run in (lambda: evaluate_terms(reversed_tl, f),
                     lambda: evaluate_stacked([reversed_tl, tl], np.zeros(
                         tl.b.samples.shape + (2, 1)))):
             with pytest.raises(ValueError, match="ordered subsequence"):
                 run()
-        keyless = TermList(tl.arity, tl.b, tl.shifts,
+        keyless = TermList(tl.b, tl.shifts,
                            [replace(tl.terms[0], key=None)] + tl.terms[1:], tl.case)
         with pytest.raises(ValueError, match="without a key"):
             evaluate_terms(keyless, f)
@@ -949,7 +990,7 @@ def test_one_param_evaluation_applies_the_shift_at_most_twice(rng, monkeypatch):
     # one call for the inner terms, one for the summed outer terms
     g = GridSpec(1, 6)
     tl = decompose_cancellative(random_function(g, rng), random_shift(g, 4, 4, rng))
-    assert sum(t.outer1 for t in tl.terms) == 6
+    assert sum(t.outer[0] for t in tl.terms) == 6
     calls = _count_shift_calls(monkeypatch)
     evaluate_terms(tl, random_function(g, rng))
     assert len(calls) == 2
@@ -1032,7 +1073,7 @@ def test_one_extend_and_one_contract_per_variable(rng, monkeypatch):
     pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 3))
     tl = decompose_biparam(random_product_function(pg, rng),
                            random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 2, 1, rng))
-    assert len({(t.outer1, t.outer2) for t in tl.terms}) == 4
+    assert len({t.outer for t in tl.terms}) == 4
     evaluate_stacked(tl, rng.standard_normal(pg.shape + (2,)))
     assert [args[0] for args in levels] == [pg.grid1, pg.grid2]
     assert [args[0] for args in folds] == [pg.grid2, pg.grid1]

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      random_product_function, rect_bmo_norm, reports_to_csv,
                      reports_to_jsonl, square_function, tensor_function,
                      uniformity_study)
-from dyadlab.grids import grid_index
+from dyadlab.grids import GridMismatchError, grid_index
 from dyadlab.haar import haar_forward
 from dyadlab.norms import (NormReport, geometric_cap_for, geometric_constant_tail_bound,
                            jn_study)
@@ -335,6 +336,23 @@ def test_fs_check(rng):
     assert fs_check([DyadicFunction(g, np.zeros(g.n_samples))], 1.5) == 0.0
 
 
+def test_a_vector_fs_family_shares_one_grid_of_dyadic_functions(rng):
+    # a member off the first member's grid was read on that grid, and a
+    # ProductFunction member had no grid to read
+    g = GridSpec(1, 3)
+    shifted = DyadicFunction(GridSpec(1, 3, omega=((0,), (1,), (0,))), np.arange(8.0))
+    assert np.array_equal(maximal_function([shifted], "vector_FS").samples,
+                          [3.5, 3.5, 3.5, 3.5, 4.5, 5.0, 6.5, 7.0])
+    F = random_product_function(ProductGrid(g, g), rng)
+    for op in (partial(maximal_function, variant="vector_FS"), partial(fs_check, p=1.5)):
+        with pytest.raises(GridMismatchError):
+            op([DyadicFunction(g, np.zeros(8)), shifted])
+        for family in ([F], [random_function(g, rng), F]):
+            with pytest.raises(ValueError, match="variant vector_FS needs a DyadicFunction, "
+                                                 "got ProductFunction"):
+                op(family)
+
+
 def test_jn_check_p2_at_most_one(rng):
     g = GridSpec(1, 6)
     for _ in range(10):
@@ -401,6 +419,18 @@ def test_uniformity_study_biparam_kinds():
         assert all(np.isfinite(r.max_ratio) for r in reports)
         if kind == "Bkl":
             assert all(r.max_ratio <= 1 + 1e-12 for r in reports)
+
+
+@pytest.mark.parametrize("kind", ["Bk", "Sk", "P", "Bkl", "BPk", "PBl", "PP", "PP1"])
+def test_uniformity_study_refuses_a_grid_of_the_other_arity(kind):
+    # the wrong one of grid and pgrid was ignored, and the study ran on the
+    # default grid
+    g = GridSpec(1, 2)
+    one = kind in ("Bk", "Sk", "P")
+    wrong = {"pgrid": ProductGrid(g, g)} if one else {"grid": g}
+    with pytest.raises(ValueError, match=f"study kind {kind} runs on .*not "
+                                         f"{'pgrid' if one else 'grid'}$"):
+        uniformity_study(kind, {"kmax": 0, "lmax": 0}, 1, 0, **wrong)
 
 
 def test_uniformity_study_biparam_ranges_stop_at_finest_level():

@@ -137,13 +137,13 @@ def test_bk_tables_are_keyed_by_depth_alone(rng):
     g = GridSpec(2, 4)
     b = random_function(g, rng)
     tl = decompose_cancellative(b, random_shift(g, 2, 1, rng))
-    assert len({(t.atom1.k, t.atom1.sb, t.atom1.si, t.atom1.so) for t in tl.terms}) \
-        > len({t.atom1.k for t in tl.terms}) > 1
+    assert len({(t.atoms[0].k, t.atoms[0].sb, t.atoms[0].si, t.atoms[0].so) for t in tl.terms}) \
+        > len({t.atoms[0].k for t in tl.terms}) > 1
     evaluate_terms(tl, random_function(g, rng))
     tables = {key[1]: table for key, table in grid_index(g)._memo.items()
               if key[0] == "bk_table"}
     assert set(tables) <= set(range(g.N))
-    assert set(tables) >= {t.atom1.k for t in tl.terms}
+    assert set(tables) >= {t.atoms[0].k for t in tl.terms}
     for k, (rows, anc, scale) in tables.items():
         n_rows = sum(g.n_cubes(lvl) for lvl in range(k, g.N))
         assert rows.shape == anc.shape == scale.shape == (n_rows,)
@@ -346,7 +346,7 @@ def test_bk_operator_equality_and_hash(rng):
     f = random_function(g, rng)
     S = random_shift(g, 2, 2, rng)
     t1, t2 = decompose_cancellative(f, S).terms, decompose_cancellative(f, S).terms
-    assert any(t.atom1.k >= 1 for t in t1)
+    assert any(t.atoms[0].k >= 1 for t in t1)
     assert t1 == t2 and len(set(t1) | set(t2)) == len(t1)
     assert t1[0] != t1[-1]
 
