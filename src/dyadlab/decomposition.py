@@ -323,7 +323,7 @@ def decompose(b: SampledFunction, *shifts: ShiftOperator) -> TermList:
             raise WrongKindError(f"shift {v} must act on the grid of variable {v} of b")
     terms = _skeleton(grids, tuple(map(_spec, shifts)))
     C = math.prod(map(_count_constant, grids, shifts))
-    meta = {"term_count": len(terms), "count_constant": C,
+    meta = {"count_constant": C,
             "count_bound": C * math.prod(1 + max(S.i, S.j) for S in shifts)}
     if len(shifts) == 1:
         (S,), (g,) = shifts, grids

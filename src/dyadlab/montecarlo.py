@@ -11,15 +11,14 @@ growth and the geometrically weighted total.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grids import GridSpec
 from .haar import forward_stacked, random_function
-from .norms import (_BLOCK_SAMPLES, NormReport, _bmo_stacked, _column_norms, _in_blocks,
-                    _require_trials, geometric_constant)
+from .norms import (NormReport, _bmo_stacked, _column_norms, _in_blocks, _require_trials,
+                    geometric_constant)
 from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_matrix,
                      max_k_level, multiplication_commutator_stacked, random_shift)
 
@@ -34,7 +33,6 @@ class OmegaSample:
     """
 
     offsets: tuple
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "offsets",
@@ -44,7 +42,7 @@ class OmegaSample:
 def sample_omega(base: GridSpec, rng_seed: int) -> OmegaSample:
     """Offsets drawn i.i.d. uniform on {0,1}^d; reproducible from the seed."""
     offsets = np.random.default_rng(rng_seed).integers(0, 2, size=(base.N, base.d))
-    return OmegaSample(offsets.tolist(), int(rng_seed))
+    return OmegaSample(offsets.tolist())
 
 
 def shifted_grid(base: GridSpec, omega: OmegaSample) -> GridSpec:
@@ -90,17 +88,14 @@ def average_operator(builder, samples: int, rng_seed: int, base: GridSpec = None
 
     ``builder`` maps an OmegaSample to a LinearOperatorHandle (or directly to
     a dense matrix); the base grid is read from ``builder.grid`` unless given.
-    A builder must depend on ``omega.offsets`` alone, i.e. on the grid: the
-    torus has only 2**(N*d) distinct grids, so each one drawn is built once
-    and weighted by the number of samples that drew it (see
-    :func:`_average_stats`). Sample i = 0, 1, ... has the replay seed
-    ``SeedSequence(rng_seed).spawn(samples)[i].generate_state(1)[0]`` and the
-    grid ``sample_omega(base, seed)``; all samples are drawn in one vectorized
-    pass that reproduces numpy's stream, and distinct grids merge in
-    first-seen order, so results are bit-stable. A builder that raises stops
-    the average; the exception carries a note naming the replay seed of the
-    first sample that drew that grid (``sample_omega(base, seed)`` rebuilds
-    it). A negative ``rng_seed`` raises ValueError, as ``SeedSequence`` does.
+    A builder sees only the grid's offsets, so the average depends only on
+    how many of the ``samples`` drew each of the 2**(N*d) grids: every
+    sample draws a grid index uniformly, and each distinct grid is built
+    once and weighted by its count (see :func:`_average_stats`). Results are
+    bit-stable for a given ``rng_seed``. A builder that raises stops the
+    average; the exception carries a note naming the grid's offsets
+    (``shifted_grid`` rebuilds it) and how many samples drew it. A negative
+    ``rng_seed`` raises ValueError, as ``np.random.default_rng`` does.
     """
     [(mean, stderr)], stats, _ = _average_stats(builder, (lambda M: M,), samples,
                                                 rng_seed, base)
@@ -112,38 +107,33 @@ def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = N
     fn(M) for every fn in ``fns`` (all of one shape); returns
     [(mean, stderr) per fn], the stats and the number of distinct grids drawn.
 
-    :func:`_draw_grids` draws every sample's replay seed and offsets in one
-    vectorized pass, and ``np.unique`` groups the samples by their offsets.
-    Each distinct grid is then rebuilt by ``sample_omega`` from the seed of
-    the first sample that drew it, checked against the batch draw (a
-    mismatch raises RuntimeError before anything merges), built and scored
-    once, in first-seen order. Its ``count`` identical values merge into the
-    running mean and sum of squared deviations by the pairwise update of
-    Chan, Golub & LeVeque (1983). Groups are streamed: no matrix outlives its
-    merge.
+    Every sample's grid index is drawn in one call of
+    ``default_rng(rng_seed).integers(0, 2**(N*d), size=samples)``; offset a
+    of level j is bit (j - 1) * d + a of the index. ``np.unique`` counts the
+    samples of each index, and each distinct grid is built and scored once,
+    in index order. Its ``count`` identical values merge into the running
+    mean and sum of squared deviations by the pairwise update of Chan, Golub
+    & LeVeque (1983). Grids are streamed: no matrix outlives its merge.
     """
     base = base or getattr(builder, "grid", None)
     if not isinstance(base, GridSpec):
         raise ValueError("builder must expose its base grid (builder.grid or base=)")
     if samples < 1:
         raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
-    seeds, keys = _draw_grids(base, samples, rng_seed)
-    _, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(firsts)
+    indices = np.random.default_rng(rng_seed).integers(0, base.n_samples, size=samples)
+    grids, counts = np.unique(indices, return_counts=True)
     used, mean, msq = 0, None, None
-    for first, count in zip(firsts[order].tolist(), counts[order].tolist()):
-        number, omega = first + 1, sample_omega(base, int(seeds[first]))
-        if _offsets_key(omega.offsets) != keys[first]:
-            raise RuntimeError(f"Monte Carlo sample {number} of {samples}: the batch "
-                               f"draw disagrees with sample_omega(base, {omega.seed})")
+    for index, count in zip(grids.tolist(), counts.tolist()):
+        omega = OmegaSample([[index >> (lvl * base.d + a) & 1 for a in range(base.d)]
+                             for lvl in range(base.N)])
         try:
             handle = builder(omega)
             M = handle.matrix() if isinstance(handle, LinearOperatorHandle) \
                 else np.asarray(handle, dtype=float)
             X = np.stack([fn(M) for fn in fns])
         except BaseException as exc:  # annotated and re-raised, never dropped
-            exc.add_note(f"Monte Carlo sample {number} of {samples}, "
-                         f"replay seed {omega.seed}")
+            exc.add_note(f"Monte Carlo grid with offsets {omega.offsets}, "
+                         f"drawn by {count} of {samples} samples")
             raise
         if mean is None:
             mean, msq = np.zeros_like(X), np.zeros_like(X)
@@ -154,143 +144,7 @@ def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = N
         used = total
     out = [(m, np.sqrt(q / (used - 1) / used) if used > 1 else np.zeros_like(m))
            for m, q in zip(mean, msq)]
-    return out, {"samples": samples, "used": used, "seed": rng_seed}, len(firsts)
-
-
-# ---------------------------------------------------------------------------
-# The batch draw: numpy's per-sample seeding and offset draw, on arrays over
-# samples. Constants are numpy's SeedSequence hash (numpy/random/
-# bit_generator.pyx) and PCG64's 128-bit LCG multiplier (pcg64.h).
-
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
-
-
-def _draw_grids(base: GridSpec, samples: int, rng_seed: int):
-    """Replay seeds (uint32) and packed offsets (uint64) of samples
-    0..samples-1, bit for bit those of the per-sample loop
-
-        seed = SeedSequence(rng_seed).spawn(samples)[i].generate_state(1)[0]
-        offsets = sample_omega(base, seed).offsets
-
-    with offset a of level j at bit (j - 1) * d + a of the key. Samples are
-    drawn in blocks of ``_BLOCK_SAMPLES``, so the temporaries do not grow
-    with ``samples``. A negative ``rng_seed`` raises ValueError.
-    """
-    rng_seed = operator.index(rng_seed)
-    if rng_seed < 0:
-        raise ValueError(f"expected a non-negative seed, got {rng_seed}")
-    root = [np.array([rng_seed >> s & _M32], dtype=np.uint32)
-            for s in range(0, max(rng_seed.bit_length(), 1), 32)]
-    # with a spawn key, numpy pads the root entropy to the pool size
-    root += [np.zeros(1, dtype=np.uint32)] * (4 - len(root))
-    seeds, keys = [], []
-    for start in range(0, samples, _BLOCK_SAMPLES):
-        child = np.arange(start, min(start + _BLOCK_SAMPLES, samples), dtype=np.uint32)
-        seed = _generate_state(_mix_entropy(root + [child]), 1)[0]
-        seeds.append(seed)
-        keys.append(_default_rng_keys(seed, base.N * base.d))
-    return np.concatenate(seeds), np.concatenate(keys)
-
-
-def _offsets_key(offsets: tuple) -> int:
-    """The packed key of ``OmegaSample.offsets``, as :func:`_draw_grids` packs it."""
-    bits = [x for level in offsets for x in level]
-    return sum(x << b for b, x in enumerate(bits))
-
-
-def _hashmix(value, hashes):
-    """SeedSequence's hashmix of uint32 words, with the next hash constants."""
-    xor, mult = next(hashes)
-    value = (value ^ xor) * mult
-    return value ^ value >> 16
-
-
-def _hash_constants(init: int, mult: int):
-    """The (xor, multiply) constants of successive hashmix calls."""
-    while True:
-        nxt = init * mult & _M32
-        yield init, nxt
-        init = nxt
-
-
-def _mix_entropy(words: list) -> list:
-    """SeedSequence's 4-word pool of the uint32 entropy ``words`` (arrays
-    that broadcast against each other)."""
-    hashes = _hash_constants(_INIT_A, _MULT_A)
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [_hashmix(words[i] if i < len(words) else zero, hashes) for i in range(4)]
-
-    def mix(x, y):
-        out = _MIX_L * x - _MIX_R * y
-        return out ^ out >> 16
-
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], _hashmix(pool[src], hashes))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], _hashmix(word, hashes))
-    return pool
-
-
-def _generate_state(pool: list, n_words: int) -> list:
-    """SeedSequence.generate_state(n_words) of ``pool``, as uint32 word arrays."""
-    hashes = _hash_constants(_INIT_B, _MULT_B)
-    return [_hashmix(pool[i % 4], hashes) for i in range(n_words)]
-
-
-def _default_rng_keys(seeds: np.ndarray, n_bits: int) -> np.ndarray:
-    """Packed ``default_rng(seed).integers(0, 2, n_bits)`` per uint32 seed.
-
-    Each PCG64 output steps the LCG once and returns the 64-bit xsl-rr of its
-    state; ``integers(0, 2)`` takes the top bit of a 32-bit half of an
-    output, low half first.
-    """
-    hi, lo, inc = _pcg64_seeded(seeds)
-    hi, lo = _pcg64_step(hi, lo, inc)  # the last step of the seeding
-    key = np.zeros(seeds.shape, dtype=np.uint64)
-    for b in range(n_bits):
-        if b % 2 == 0:
-            hi, lo = _pcg64_step(hi, lo, inc)
-            xsl, rot = hi ^ lo, hi >> 58
-        # the output is xsl rotated right by rot: its bit 31 (63) is bit
-        # 31 + rot (63 + rot) of xsl, mod 64
-        key |= (xsl >> ((31 + 32 * (b % 2) + rot) & 63) & 1) << b
-    return key
-
-
-def _pcg64_seeded(seeds: np.ndarray):
-    """PCG64's state (high and low uint64 halves) before the last step of
-    ``default_rng(seed)``'s seeding, and its increment, per uint32 seed.
-
-    The state s and the stream t come from ``SeedSequence(seed).
-    generate_state(4, uint64)``, each 128 bits with its high half first; the
-    increment is 2t + 1, and the LCG starts at 0, steps, adds s and steps.
-    """
-    words = _generate_state(_mix_entropy([seeds]), 8)
-    s_hi, s_lo, t_hi, t_lo = (words[i].astype(np.uint64) | words[i + 1].astype(np.uint64) << 32
-                              for i in range(0, 8, 2))
-    inc = (t_hi << 1 | t_lo >> 63, t_lo << 1 | 1)
-    lo = inc[1] + s_lo
-    return inc[0] + s_hi + (lo < s_lo), lo, inc
-
-
-def _pcg64_step(hi, lo, inc):
-    """The LCG step x -> x * MULT + inc mod 2**128 on (high, low) uint64
-    halves; the high half of lo * MULT_LO is formed from 32-bit halves."""
-    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
-    a0, a1 = lo & _M32, lo >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    hi = (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-          + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc[0])
-    lo = lo * _PCG_MULT_LO + inc[1]
-    return hi + (lo < inc[1]), lo
+    return out, {"samples": samples, "used": used, "seed": rng_seed}, len(grids)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +170,8 @@ def toeplitz_deviation(M: np.ndarray) -> np.ndarray:
 
 def _bonferroni_z(n_tests: int, alpha: float = 0.01) -> float:
     """Two-sided familywise z threshold for ``n_tests`` simultaneous tests."""
-    from math import erf, sqrt
-    target = 1.0 - alpha / (2.0 * max(n_tests, 1))
-    lo, hi = 0.0, 16.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + erf(mid / sqrt(2.0))) < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    from statistics import NormalDist  # imported on use: it loads decimal and fractions
+    return -NormalDist().inv_cdf(alpha / (2 * max(n_tests, 1)))
 
 
 def zscore_verdict(mean: np.ndarray, stderr: np.ndarray, z: float = 3.0,

@@ -285,23 +285,33 @@ def subtree_scan_oracle(grid, values):
 
 # ---------------------------------------------------------------------------
 # Reference Monte Carlo average: one builder call and one Welford update per
-# sample, in sample order.
+# sample, in draw order.
+
+
+def grid_indices(base, samples, rng_seed):
+    """The grid index that each Monte Carlo sample draws, in sample order."""
+    return np.random.default_rng(rng_seed).integers(0, base.n_samples, size=samples)
+
+
+def omega_of_index(base, index):
+    """The offsets of grid ``index``: offset a of level j is its bit
+    (j - 1) * d + a."""
+    from dyadlab import OmegaSample
+    bits = iter(format(int(index), f"0{base.N * base.d}b")[::-1])
+    return OmegaSample([[int(next(bits)) for _ in range(base.d)] for _ in range(base.N)])
 
 
 def welford_average_oracle(builder, fns, samples, rng_seed, base=None):
     """Per-sample Welford mean and standard error of fn(M) for every fn in
-    ``fns``, M the matrix of builder(omega) on each seeded grid; returns what
-    ``montecarlo._average_stats`` returns."""
-    from dyadlab import LinearOperatorHandle, sample_omega
+    ``fns``, M the matrix of builder(omega) on each sample's grid; returns
+    what ``montecarlo._average_stats`` returns."""
+    from dyadlab import LinearOperatorHandle
     base = base or builder.grid
     mean = [None] * len(fns)
     msq = [None] * len(fns)
-    grids = set()
-    children = np.random.SeedSequence(rng_seed).spawn(samples)
-    for used, child in enumerate(children, start=1):
-        omega = sample_omega(base, int(child.generate_state(1)[0]))
-        grids.add(omega.offsets)
-        handle = builder(omega)
+    indices = grid_indices(base, samples, rng_seed).tolist()
+    for used, index in enumerate(indices, start=1):
+        handle = builder(omega_of_index(base, index))
         M = handle.matrix() if isinstance(handle, LinearOperatorHandle) \
             else np.asarray(handle, dtype=float)
         for n, fn in enumerate(fns):
@@ -314,7 +324,7 @@ def welford_average_oracle(builder, fns, samples, rng_seed, base=None):
             msq[n] += delta * (X - mean[n])
     out = [(m, np.sqrt(q / (used - 1) / used) if used > 1 else np.zeros_like(m))
            for m, q in zip(mean, msq)]
-    return out, {"samples": samples, "used": used, "seed": rng_seed}, len(grids)
+    return out, {"samples": samples, "used": used, "seed": rng_seed}, len(set(indices))
 
 
 # ---------------------------------------------------------------------------

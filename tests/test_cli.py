@@ -384,7 +384,7 @@ PINNED_REPORTS = [
     (["verify-decomp", "--N", "10", "--imax", "4", "--jmax", "4", "--trials", "3"],
      "verify-decomp", "638c046cd0bc302063e6767c9172f75502d2fbb8aee81762e5a98839829b0168"),
     (["mc-demo", "--N", "4", "--samples", "600", "--seed", "9"],
-     "mc-demo", "05f0e65a408437653efe6c40aff4970ecf5cd36e673bb1fc4e1ff90acc531ec1"),
+     "mc-demo", "05fa5c91e8ac45f1cc3225aef45c081bf55b24a7ad536d85795e236294999861"),
     # the perfbench grids job: 25 (i, j) x 4 trials in one block
     (["bound-study", "--trials", "4"],
      "bound-study", "e95bbce65e25199c46de66902462a15d074d3687ea82e69d8fcf85c21abcfc03"),

@@ -232,6 +232,15 @@ def test_drop_follows_list_indexing(rng):
     assert tl.term_count == 6
 
 
+def test_dropped_list_json_states_no_stale_count(rng):
+    # the list's JSON used to keep the count of terms before the drop
+    g = GridSpec(1, 4)
+    tl = decompose(random_function(g, rng), random_shift(g, 1, 1, rng)).drop(-1)
+    obj = json.loads(tl.to_json())
+    assert len(obj["terms"]) == tl.term_count == 5
+    assert obj["meta"].get("term_count", tl.term_count) == tl.term_count
+
+
 def test_empty_terms_zero_commutator():
     g = GridSpec(1, 3)
     zero_b = DyadicFunction(g, np.zeros(g.n_samples))

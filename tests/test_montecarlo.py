@@ -12,24 +12,16 @@ from dyadlab import montecarlo
 from dyadlab.montecarlo import _bonferroni_z
 import conftest
 from conftest import (commutator_bound_study_oracle, dense_shift_matrix_oracle,
-                      welford_average_oracle)
+                      grid_indices, omega_of_index, welford_average_oracle)
 
 
 BASE = GridSpec(1, 5)
 
 
-def replay_seeds(rng_seed, samples):
-    """The per-sample replay seeds of a Monte Carlo average, in sample order."""
-    return [int(c.generate_state(1)[0])
-            for c in np.random.SeedSequence(rng_seed).spawn(samples)]
-
-
-def first_seen(base, seeds):
-    """The seed of the first sample that drew each distinct grid, in order."""
-    firsts = {}
-    for seed in seeds:
-        firsts.setdefault(sample_omega(base, seed).offsets, seed)
-    return list(firsts.values())
+def distinct_grids(base, samples, rng_seed):
+    """Offsets and sample count of each distinct grid drawn, in index order."""
+    indices, counts = np.unique(grid_indices(base, samples, rng_seed), return_counts=True)
+    return [omega_of_index(base, i).offsets for i in indices], counts.tolist()
 
 
 def test_sample_omega_deterministic():
@@ -46,11 +38,11 @@ def test_sample_omega_is_the_per_level_draw(d, N):
     for seed in range(40):
         rng = np.random.default_rng(seed)
         want = tuple(tuple(int(x) for x in rng.integers(0, 2, size=d)) for _ in range(N))
-        assert sample_omega(base, seed) == OmegaSample(want, seed)
+        assert sample_omega(base, seed) == OmegaSample(want)
 
 
 def test_shifted_grid_identity_and_offsets():
-    zero = OmegaSample(tuple((0,) for _ in range(BASE.N)), 0)
+    zero = OmegaSample(tuple((0,) for _ in range(BASE.N)))
     assert shifted_grid(BASE, zero) == BASE
 
 
@@ -65,7 +57,7 @@ def test_pattern_coefficients_at_admissible_bound():
 
 def test_base_matrix_matches_oracle():
     # the unshifted sample's matrix is the base matrix itself
-    zero = OmegaSample(tuple((0,) for _ in range(BASE.N)), 0)
+    zero = OmegaSample(tuple((0,) for _ in range(BASE.N)))
     M_base = hilbert_pattern_builder(BASE)(zero).matrix()
     assert np.max(np.abs(M_base - dense_shift_matrix_oracle(hilbert_pattern_shift(BASE)))) < 1e-13
 
@@ -105,8 +97,8 @@ def test_average_operator_trivial_cases():
     # one sample: its own matrix, with zero standard error
     builder = hilbert_pattern_builder(BASE)
     m, se, stats = average_operator(builder, 1, 3)
-    (seed,) = replay_seeds(3, 1)
-    assert np.array_equal(m, builder(sample_omega(BASE, seed)).matrix())
+    (index,) = grid_indices(BASE, 1, 3)
+    assert np.array_equal(m, builder(omega_of_index(BASE, index)).matrix())
     assert np.all(se == 0.0)
     assert stats == {"samples": 1, "used": 1, "seed": 3}
 
@@ -133,23 +125,21 @@ def test_average_operator_linearity():
 
 def test_average_operator_propagates_failures():
     g = GridSpec(1, 2)
-    seeds = replay_seeds(1, 9)
-    firsts = first_seen(g, seeds)
-    assert len(firsts) >= 3
+    grids, counts = distinct_grids(g, 9, 1)
+    assert len(grids) >= 3
     calls = []
 
     def flaky(om):
-        calls.append(om.seed)
+        calls.append(om.offsets)
         if len(calls) == 3:
             raise RuntimeError("boom")
         return np.eye(4)
     flaky.grid = g
     with pytest.raises(RuntimeError, match="boom") as info:
         average_operator(flaky, 9, 1)
-    # one call per distinct grid, made with the first sample that drew it
-    assert calls == firsts[:3]
-    number = seeds.index(firsts[2]) + 1
-    assert any(f"sample {number} of 9, replay seed {firsts[2]}" in note
+    # one call per distinct grid, in index order
+    assert calls == grids[:3]
+    assert any(f"offsets {grids[2]}, drawn by {counts[2]} of 9 samples" in note
                for note in info.value.__notes__)
 
     # a failing statistic is reported the same way
@@ -157,77 +147,47 @@ def test_average_operator_propagates_failures():
         raise FloatingPointError("bad")
     with pytest.raises(FloatingPointError) as info:
         montecarlo._average_stats(hilbert_pattern_builder(g), (bad_statistic,), 5, 1)
-    assert any(f"replay seed {seeds[0]}" in note for note in info.value.__notes__)
+    grids, counts = distinct_grids(g, 5, 1)
+    assert any(f"offsets {grids[0]}, drawn by {counts[0]} of 5 samples" in note
+               for note in info.value.__notes__)
 
 
-def test_builder_called_once_per_distinct_grid_in_first_seen_order():
+def test_builder_called_once_per_distinct_grid_in_index_order():
     g = GridSpec(1, 3)
     calls = []
 
     def build(om):
-        calls.append(om.seed)
+        calls.append(om.offsets)
         return np.eye(g.n_samples) * shifted_grid(g, om).shift[0]
     build.grid = g
     mean, _, stats = average_operator(build, 100, 5)
-    seeds = replay_seeds(5, 100)
-    assert calls == first_seen(g, seeds)
+    assert calls == distinct_grids(g, 100, 5)[0]
     assert len(calls) == 8 and stats["used"] == 100
     # each grid weighs as many samples as drew it
-    shifts = [shifted_grid(g, sample_omega(g, seed)).shift[0] for seed in seeds]
+    shifts = [shifted_grid(g, omega_of_index(g, i)).shift[0] for i in grid_indices(g, 100, 5)]
     assert np.isclose(mean[0, 0], np.mean(shifts), rtol=1e-14)
 
 
-def numpy_draws(rng_seed, samples):
-    """numpy's own replay seeds of ``samples`` samples and, per seed, the
-    first 24 values of ``default_rng(seed).integers(0, 2)``; the first N*d
-    of them are ``sample_omega``'s (N, d) offsets, level by level (see
-    test_sample_omega_is_the_per_level_draw)."""
-    seeds = np.array(replay_seeds(rng_seed, samples), dtype=np.uint32)
-    bits = np.stack([np.random.default_rng(int(s)).integers(0, 2, size=24) for s in seeds])
-    return seeds, bits
+@pytest.mark.parametrize("samples", [1, 7, 100, 5000])
+@pytest.mark.parametrize("rng_seed", [0, 5, 2 ** 64 + 1])
+def test_average_counts_the_samples_of_each_grid_index(samples, rng_seed):
+    # the mean of the one-hot vectors of the drawn grid indices is their
+    # histogram over the samples
+    g = GridSpec(1, 3)
+
+    def one_hot(om):
+        index = sum(x << lvl for lvl, (x,) in enumerate(om.offsets))
+        return np.eye(g.n_samples)[index]
+    one_hot.grid = g
+    mean, _, stats = average_operator(one_hot, samples, rng_seed)
+    want = np.bincount(grid_indices(g, samples, rng_seed), minlength=g.n_samples)
+    assert np.array_equal(np.rint(mean * samples), want)
+    assert stats["used"] == samples
 
 
-@pytest.mark.parametrize("rng_seed", [0, 41, 2 ** 32 + 1, 2 ** 128 + 3])
-def test_batch_draw_is_numpys_per_sample_draw(rng_seed):
-    # 8193 samples cross a block boundary; (2, 12) draws N*d = 24 offsets
-    want_seeds, want_bits = numpy_draws(rng_seed, 8193)
-    for samples in (1, 2, 1000, 8193):
-        for d, N in [(1, 2), (1, 6), (2, 4), (3, 3), (1, 12), (2, 12)]:
-            seeds, keys = montecarlo._draw_grids(GridSpec(d, N), samples, rng_seed)
-            offsets = keys[:, None] >> np.arange(N * d, dtype=np.uint64) & 1
-            assert np.array_equal(seeds, want_seeds[:samples]), (samples, d, N)
-            assert np.array_equal(offsets, want_bits[:samples, :N * d]), (samples, d, N)
-
-
-def test_batch_draw_rejects_a_negative_seed():
-    with pytest.raises(ValueError):
-        np.random.SeedSequence(-1)
-    with pytest.raises(ValueError):
-        montecarlo._draw_grids(BASE, 3, -1)
+def test_average_operator_rejects_a_negative_seed():
     with pytest.raises(ValueError):
         average_operator(hilbert_pattern_builder(BASE), 3, -1)
-
-
-@pytest.mark.parametrize("flipped", [slice(0, 1), slice(None)])
-def test_replay_guard_stops_a_batch_draw_that_disagrees(monkeypatch, flipped):
-    # one flipped offset bit, in the first sample or in every sample
-    draw = montecarlo._draw_grids
-
-    def flip(base, samples, rng_seed):
-        seeds, keys = draw(base, samples, rng_seed)
-        keys[flipped] ^= 1 << 2
-        return seeds, keys
-    calls = []
-
-    def build(om):
-        calls.append(om.seed)
-        return np.eye(8)
-    build.grid = GridSpec(1, 3)
-    monkeypatch.setattr(montecarlo, "_draw_grids", flip)
-    seed = replay_seeds(5, 1)[0]
-    with pytest.raises(RuntimeError, match=rf"sample 1 of 50: .*sample_omega\(base, {seed}\)"):
-        average_operator(build, 50, 5)
-    assert calls == []
 
 
 def _pattern_case(d, N):
@@ -246,7 +206,6 @@ def _pattern_case(d, N):
     return build, (lambda M: M, lambda M: M + M.T)
 
 
-# 8200 samples span two draw blocks
 @pytest.mark.parametrize("d,N,samples", [(1, 4, 300), (1, 6, 300), (2, 2, 200), (1, 3, 8200)])
 @pytest.mark.parametrize("rng_seed", [0, 3, 11])
 def test_grouped_average_matches_per_sample_welford(d, N, samples, rng_seed):
@@ -284,6 +243,13 @@ def test_bonferroni_threshold_monotone():
     assert _bonferroni_z(1) < _bonferroni_z(100) < _bonferroni_z(10000) < 6.0
 
 
+@pytest.mark.parametrize("n_tests", [1, 100, 2016, 4032, 10 ** 4, 10 ** 6])
+def test_bonferroni_threshold_is_the_normal_quantile(n_tests):
+    norm = pytest.importorskip("scipy.stats").norm
+    want = norm.isf(0.01 / (2 * n_tests))
+    assert abs(_bonferroni_z(n_tests) - want) <= 1e-14
+
+
 def test_representation_demo_small():
     # reduced sample count keeps the test quick; statistics still separate the
     # averaged matrix (noise-level deviations) from a single grid
@@ -312,7 +278,7 @@ def test_representation_demo_is_one_pass(monkeypatch):
         inner = hilbert_pattern_builder(grid)
 
         def build(omega):
-            calls.append(omega.seed)
+            calls.append(omega.offsets)
             return inner(omega)
         build.grid = grid
         return build
@@ -327,8 +293,8 @@ def test_representation_demo_is_one_pass(monkeypatch):
     monkeypatch.setattr(montecarlo, "zscore_verdict", recording_verdict)
     rep = mc_representation_demo(base, samples=50, rng_seed=7)
     # one call per distinct grid drawn, and one for the single-grid contrast
-    distinct = first_seen(base, replay_seeds(7, 50))
-    assert calls == distinct + [7 + 1]
+    distinct = distinct_grids(base, 50, 7)[0]
+    assert calls == distinct + [sample_omega(base, 7 + 1).offsets]
     assert rep["counters"] == {"samples": 50, "distinct_grids": len(distinct)}
     got = [(rep["mean_matrix"], rep["stderr_matrix"])] + verdict_inputs
     assert len(got) == 3
