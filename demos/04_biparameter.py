@@ -10,19 +10,20 @@ its partial adjoints.
 import numpy as np
 
 from dyadlab import (BiparamOperatorSpec, GridSpec, ProductGrid,
-                     apply_biparam, apply_in_variable, decompose_biparam,
-                     inner_product2, iterated_commutator, random_function,
+                     apply_biparam, apply_in_variable, decompose, inner_product,
+                     iterated_commutator, random_function,
                      random_product_function, random_shift, rect_bmo_norm,
                      tensor_function, verify_identity)
 
 rng = np.random.default_rng(4)
 pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 4))
+grid1, grid2 = pg.grids
 
 # --- variable-wise application -----------------------------------------------
-S1 = random_shift(pg.grid1, 1, 1, rng)
-S2 = random_shift(pg.grid2, 0, 2, rng)
-f1 = random_function(pg.grid1, rng)
-f2 = random_function(pg.grid2, rng)
+S1 = random_shift(grid1, 1, 1, rng)
+S2 = random_shift(grid2, 0, 2, rng)
+f1 = random_function(grid1, rng)
+f2 = random_function(grid2, rng)
 f = tensor_function(f1, f2)
 slicewise = apply_in_variable(S1, 1, f)
 factored = tensor_function(S1.apply(f1), f2)
@@ -32,8 +33,8 @@ print("slice application on a tensor product factors:",
 # --- iterated commutator factorizes on tensor inputs --------------------------
 from dyadlab import multiplication_commutator
 
-b1 = random_function(pg.grid1, rng)
-b2 = random_function(pg.grid2, rng)
+b1 = random_function(grid1, rng)
+b2 = random_function(grid2, rng)
 lhs = iterated_commutator(tensor_function(b1, b2), S1, S2, f)
 rhs = tensor_function(multiplication_commutator(b1, S1, f1),
                       multiplication_commutator(b2, S2, f2))
@@ -44,11 +45,11 @@ print("\ndecomposition identity across the four mixes:")
 for k1 in ("cancellative", "noncancellative"):
     for k2 in ("cancellative", "noncancellative"):
         bb = random_product_function(pg, rng)
-        T1 = random_shift(pg.grid1, *((1, 1) if k1 == "cancellative" else (0, 0)),
+        T1 = random_shift(grid1, *((1, 1) if k1 == "cancellative" else (0, 0)),
                           rng, kind=k1)
-        T2 = random_shift(pg.grid2, *((2, 0) if k2 == "cancellative" else (0, 0)),
+        T2 = random_shift(grid2, *((2, 0) if k2 == "cancellative" else (0, 0)),
                           rng, kind=k2)
-        tl = decompose_biparam(bb, T1, T2)
+        tl = decompose(bb, T1, T2)
         rep = verify_identity(bb, (T1, T2), trials=10, rng_seed=21)
         kinds = sorted({t.kind for t in tl.terms})
         print(f"  {k1[:4]}/{k2[:4]}: {tl.term_count:3d} terms "
@@ -61,11 +62,11 @@ ff = random_product_function(pg, rng)
 pp = apply_biparam(BiparamOperatorSpec("PP", a=aa), bb, ff)
 print("\n||PP(b,a,f)|| / (rect_bmo(b) ||f||) =",
       round(pp.norm() / (rect_bmo_norm(bb) * ff.norm()), 4))
-g1, g2 = random_function(pg.grid1, rng), random_function(pg.grid2, rng)
-lhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP", a=aa), bb,
-                                   tensor_function(f1, f2)),
-                     tensor_function(g1, g2))
-rhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP1", a=aa), bb,
-                                   tensor_function(g1, f2)),
-                     tensor_function(f1, g2))
+g1, g2 = random_function(grid1, rng), random_function(grid2, rng)
+lhs = inner_product(apply_biparam(BiparamOperatorSpec("PP", a=aa), bb,
+                                  tensor_function(f1, f2)),
+                    tensor_function(g1, g2))
+rhs = inner_product(apply_biparam(BiparamOperatorSpec("PP1", a=aa), bb,
+                                  tensor_function(g1, f2)),
+                    tensor_function(f1, g2))
 print("partial-adjoint pairing gap:", abs(lhs - rhs))

@@ -18,12 +18,11 @@ from .shifts import (LinearOperatorHandle, ShiftOperator, dense_matrix,
                      noncancellative_shift, operator_norm, random_shift)
 from .paraproducts import (BkOperator, apply_Bk, apply_P, apply_P_adjoint)
 from .biparam import (BiparamOperatorSpec, ProductFunction, ProductGrid,
-                      apply_biparam, apply_in_variable, inner_product2,
-                      iterated_commutator, random_product_function,
-                      tensor_function)
-from .decomposition import (Term, TermList, decompose, decompose_biparam,
-                            decompose_cancellative, decompose_noncancellative,
-                            evaluate_terms, verify_identity)
+                      apply_biparam, apply_in_variable, iterated_commutator,
+                      random_product_function, tensor_function)
+from .decomposition import (Term, TermList, decompose, decompose_cancellative,
+                            decompose_noncancellative, evaluate_terms,
+                            verify_identity)
 from .norms import (NormReport, dyadic_bmo_norm, fs_check, geometric_constant,
                     geometric_constant_closed_form, jn_check,
                     maximal_function, open_set_bmo_norm, rect_bmo_norm,

@@ -1,7 +1,8 @@
 """Tensor-product grids and bi-parameter operators.
 
-Functions of two variables are sample matrices (variable 1 slow) on a
-:class:`ProductGrid`, whose ``grids`` are the variables' grids. Per-variable
+Functions of t >= 2 variables are sample arrays, one axis per variable
+(variable 1 slowest), on a :class:`ProductGrid`, whose ``grids`` are the
+variables' grids; the operators below take two. Per-variable
 Haar transforms act along one axis with the other axis passive, so the full
 transform (:func:`~dyadlab.haar.forward_space`) is their composition.
 
@@ -21,18 +22,18 @@ such products (:func:`apply_biparam`).
 Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
 axis 1, and optional trailing passive axes (one column per trial in
 :func:`dyadlab.decomposition.verify_identity`, after the case axis of a
-block of cases in :func:`iterated_commutator_stacked`). Variables swap by
-swapping axes 0 and 1. The fixed arrays (symbol coefficients, betas) broadcast
-against the trailing axes; they may also carry the input's last axes as
-trial axes, one symbol or beta per trial column
+block of cases in :func:`~dyadlab.shifts.commutator_stacked`). Variables
+swap by swapping axes 0 and 1. The fixed arrays (symbol coefficients,
+betas) broadcast against the trailing axes; they may also carry the
+input's last axes as trial axes, one symbol or beta per trial column
 (:func:`dyadlab.norms.uniformity_study`), and an array without them is the
 broadcast case of the same schedule. :func:`~dyadlab.haar._along` runs a
 function that acts along axis 0 along either variable.
 
 The atoms read and write the extended layout of both variables
-(:func:`extend2`, :func:`contract2`), where a noncancellative signature
-selects rows like any other; callers extend an input once and contract a
-sum of terms once.
+(:func:`~dyadlab.haar.extend_space`, ``contract_space``), where a
+noncancellative signature selects rows like any other; callers extend an
+input once and contract a sum of terms once.
 """
 
 from __future__ import annotations
@@ -43,42 +44,48 @@ from functools import partial
 import numpy as np
 
 from .grids import GridMismatchError, GridSpec
-from .haar import (DyadicFunction, SampledFunction, _along, contract, extend,
-                   forward_space, forward_stacked, inner_product, inverse_space,
-                   inverse_stacked)
+from .haar import (DyadicFunction, SampledFunction, _along, contract_space,
+                   extend_space, forward_space, inverse_space)
 from .paraproducts import (BkOperator, _trailing, bk_gather, strict_ancestor_sum,
                            strict_subtree_sum, symbol_stacked)
-from .shifts import ShiftOperator, _each_case, multiplication_commutator_stacked
+from .shifts import commutator_stacked
 
 _MAGIC_2P = b"DYF2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ProductGrid:
-    grid1: GridSpec
-    grid2: GridSpec
+    """The product of the grids of t >= 2 variables, ``grids`` in variable order."""
 
-    @property
-    def grids(self) -> tuple:
-        """The grid of each variable."""
-        return (self.grid1, self.grid2)
+    grids: tuple
+
+    def __init__(self, *grids: GridSpec):
+        if len(grids) < 2:
+            raise ValueError(f"a product grid takes two or more grids, got {len(grids)}")
+        object.__setattr__(self, "grids", grids)
+
+    def __repr__(self) -> str:
+        named = (f"grid{v}={g!r}" for v, g in enumerate(self.grids, 1))
+        return f"ProductGrid({', '.join(named)})"
 
     @property
     def shape(self) -> tuple:
-        return (self.grid1.n_samples, self.grid2.n_samples)
+        return tuple(g.n_samples for g in self.grids)
 
     def swap(self) -> "ProductGrid":
-        return ProductGrid(self.grid2, self.grid1)
+        """The variables in reverse order."""
+        return ProductGrid(*reversed(self.grids))
 
 
 @dataclass(frozen=True)
 class ProductFunction(SampledFunction):
-    """Function on torus1 x torus2 sampled on the finest rectangles."""
+    """Function on the product of t >= 2 tori, sampled on the finest
+    rectangles, one axis per variable."""
 
     pgrid: ProductGrid
     samples: np.ndarray
 
-    _json_suffixes = ("1", "2")
+    _json_suffixes = staticmethod(lambda count: tuple(map(str, range(1, count + 1))))
     _make_space = ProductGrid
 
     @property
@@ -86,11 +93,15 @@ class ProductFunction(SampledFunction):
         return self.pgrid
 
     def transpose(self) -> "ProductFunction":
+        """The variables in reverse order."""
         return ProductFunction(self.pgrid.swap(), self.samples.T)
 
     def to_bytes(self) -> bytes:
-        """20-byte header (magic DYF2, u32 d1,N1,d2,N2) + LE float64, var 1 slow."""
-        g1, g2 = self.pgrid.grid1, self.pgrid.grid2
+        """20-byte header (magic DYF2, u32 d1,N1,d2,N2) + LE float64, var 1
+        slow; two variables only."""
+        if len(self.pgrid.grids) != 2:
+            raise ValueError(f"DYF2 holds two variables, not {len(self.pgrid.grids)}")
+        g1, g2 = self.pgrid.grids
         return self._encode(_MAGIC_2P, "<IIII", g1.d, g1.N, g2.d, g2.N)
 
     @classmethod
@@ -106,31 +117,6 @@ def tensor_function(f1: DyadicFunction, f2: DyadicFunction) -> ProductFunction:
 
 def random_product_function(pg: ProductGrid, rng) -> ProductFunction:
     return ProductFunction(pg, rng.standard_normal(pg.shape))
-
-
-# -- transforms --------------------------------------------------------------
-
-
-def forward2(pf: ProductFunction) -> np.ndarray:
-    """Full stacked coefficient matrix (variable 1 rows, variable 2 columns)."""
-    return forward_space(pf.pgrid, pf.samples)
-
-
-def inverse2(pg: ProductGrid, stacked: np.ndarray) -> ProductFunction:
-    return ProductFunction(pg, inverse_space(pg, stacked))
-
-
-def extend2(pg: ProductGrid, stacked: np.ndarray) -> np.ndarray:
-    """:func:`~dyadlab.haar.extend` along variable 1, then along variable 2."""
-    return _along(1, partial(extend, pg.grid2), extend(pg.grid1, stacked))
-
-
-def contract2(pg: ProductGrid, ext: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`extend2`: contract variable 2, then variable 1."""
-    return contract(pg.grid1, _along(1, partial(contract, pg.grid2), ext))
-
-
-inner_product2 = inner_product
 
 
 # -- variable-wise shift application and iterated commutators ----------------
@@ -152,63 +138,10 @@ def apply_in_variable(S, var: int, f: ProductFunction) -> ProductFunction:
     return ProductFunction(f.pgrid, _apply_var(S, var, f.samples))
 
 
-def iterated_commutator_stacked(b, S1, S2, samples: np.ndarray) -> np.ndarray:
-    """[[M_b, S1], S2] on samples, one function per column.
-
-    ``b`` is one ProductFunction with one shift per variable, on ``samples``
-    (n1, n2, *passive): the broadcast case of a block of one. Or ``b`` is a
-    samples stack (n1, n2, C) and ``S1``, ``S2`` are sequences of C shifts,
-    symbol c and shifts c acting on column c of the case axis of
-    ``samples`` (n1, n2, C, *trials); a case axis of length 1 is one input
-    shared by every case. Column c is then ``iterated_commutator(b_c, S1_c,
-    S2_c, f_c)``, bit for bit.
-
-    Expands into [M_b, S1](S2 f) - S2([M_b, S1] f). S2 f of every case
-    takes one transform of f along variable 2 and one back; the two
-    brackets of every case are one ``multiplication_commutator_stacked``
-    on [S2 f | f] with the case axis next to the rows (variable 2 and the
-    bracket on its trial axes); S2 of the second bracket takes one
-    transform each way. So a block takes three transforms each way, and
-    applies S1 once and S2 twice per case, whatever its number of cases.
-    """
-    if isinstance(b, ProductFunction):
-        if not isinstance(S1, ShiftOperator) or not isinstance(S2, ShiftOperator):
-            raise ValueError("one ProductFunction b takes one shift per variable")
-        _check_var(b.pgrid, S1, 1)
-        _check_var(b.pgrid, S2, 2)
-        return iterated_commutator_stacked(b.samples[:, :, None], (S1,), (S2,),
-                                           samples[:, :, None])[:, :, 0]
-    S1, S2 = tuple(S1), tuple(S2)
-    C = len(S1)
-    if not C or len(S2) != C or b.shape[2:] != (C,) or samples.shape[2:3] not in ((1,), (C,)):
-        raise ValueError(f"{len(S1)} and {len(S2)} shifts for a b stack of shape {b.shape} "
-                         f"and samples of shape {samples.shape}")
-    g1, g2 = S1[0].grid, S2[0].grid
-    if any(S.grid != g2 for S in S2):
-        raise GridMismatchError("the shifts of variable 2 live on different grids")
-    if b.shape[:2] != samples.shape[:2] or b.shape[:2] != (g1.n_samples, g2.n_samples):
-        raise GridMismatchError(f"b stack of shape {b.shape} and samples of shape "
-                                f"{samples.shape} off the shifts' product grid")
-    fwd2, inv2 = partial(forward_stacked, g2), partial(inverse_stacked, g2)
-    shape = samples.shape[:2] + (C,) + samples.shape[3:]
-
-    def apply2(x):
-        """S2_c along variable 2 of case column c of the samples ``x``."""
-        return _along(1, inv2, _each_case(S2, np.broadcast_to(_along(1, fwd2, x), shape), 2, 1))
-
-    # [S2 f | f] on an axis after the case axis, then the case axis next to
-    # the rows: b_c leads case c's columns
-    pair = np.stack([apply2(samples), np.broadcast_to(samples, shape)], axis=3)
-    brackets = multiplication_commutator_stacked(np.moveaxis(b, 2, 1), S1,
-                                                 np.moveaxis(pair, 2, 1))
-    brackets = np.moveaxis(brackets, 1, 2)
-    return brackets[:, :, :, 0] - apply2(brackets[:, :, :, 1])
-
-
 def iterated_commutator(b: ProductFunction, S1, S2, f: ProductFunction) -> ProductFunction:
-    """[[M_b, S1], S2] f expanded into the four signed compositions."""
+    """[[M_b, S1], S2] f: :func:`~dyadlab.shifts.commutator_stacked` at two variables."""
     b._check(f)
-    return ProductFunction(f.pgrid, iterated_commutator_stacked(b, S1, S2, f.samples))
+    return ProductFunction(f.pgrid, commutator_stacked(b, (S1, S2), f.samples))
 
 
 # -- atom machinery -----------------------------------------------------------
@@ -246,7 +179,8 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     """Evaluate the tensor of two one-variable atoms on extended stacks.
 
     Each atom is a BkOperator on its variable's grid or a PAtom. ``Xe`` is
-    the input in the extended layout of both variables (:func:`extend2`),
+    the input in the extended layout of both variables
+    (:func:`~dyadlab.haar.extend_space`),
     (m1, m2, *passive, *trials). The fixed arrays ``bC`` (n1, n2), ``sym1``
     (n1,) and ``sym2`` (n2,) broadcast against its trailing axes; each, and
     a B atom's betas, may also end in the trial axes, e.g. ``sym2``
@@ -273,7 +207,7 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     (n1, n2, *passive) is returned. Two P atoms read and write only the
     stacked rows, so for them ``Xe`` may also be the stacked input itself.
     """
-    grids, atoms, syms = (pg.grid1, pg.grid2), (atom1, atom2), (sym1, sym2)
+    grids, atoms, syms = pg.grids, (atom1, atom2), (sym1, sym2)
     p_axes = [v for v in (0, 1) if isinstance(atoms[v], PAtom)]
     for v in p_axes:
         if syms[v] is None:
@@ -314,7 +248,7 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
     for v, c in coefs:
         W = _trailing(c, W, v) * W
     out[_rows(out1, out2)] += W if coefs else weight * W
-    return contract2(pg, out) if result else None
+    return contract_space(pg, out) if result else None
 
 
 # -- public bi-parameter operator surface -------------------------------------
@@ -367,7 +301,7 @@ class BiparamOperatorSpec:
             raise ValueError("PBl needs the variable-1 symbol a1")
         if self.a is not None and self.a.pgrid != pg:
             raise GridMismatchError("symbol a lives off the operands' product grid")
-        for v, (sym, grid) in enumerate(((self.a1, pg.grid1), (self.a2, pg.grid2)), 1):
+        for v, (sym, grid) in enumerate(zip((self.a1, self.a2), pg.grids), 1):
             if sym is not None and sym.grid != grid:
                 raise GridMismatchError(f"symbol a{v} lives off the grid of variable {v}")
 
@@ -385,8 +319,8 @@ def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
     pg = f.pgrid
     b._check(f)
     spec.validate(pg)
-    g1, g2 = pg.grid1, pg.grid2
-    Xe = extend2(pg, forward2(f))
+    g1, g2 = pg.grids
+    Xe = extend_space(pg, forward_space(pg, f.samples))
     sym1 = sym2 = None
     if spec.kind in ("Bkl", "BPk"):
         atom1 = BkOperator(g1, spec.k, spec.sig_b1, spec.sig_in1, spec.sig_out1, spec.beta1)
@@ -401,10 +335,10 @@ def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
         if spec.a is None:
             sym1, sym2 = symbol_stacked(spec.a1), symbol_stacked(spec.a2)
         else:
-            A = forward2(spec.a)
+            A = forward_space(pg, spec.a.samples)
             A[0, :] = 0.0
             A[:, 0] = 0.0
             sym1, sym2 = np.eye(g1.n_samples), A.T
             Xe = np.broadcast_to(Xe[..., None], Xe.shape + (g1.n_samples,))
-    out = pair_apply(pg, forward2(b), Xe, atom1, atom2, sym1, sym2)
-    return inverse2(pg, out.sum(axis=2) if out.ndim == 3 else out)
+    out = pair_apply(pg, forward_space(pg, b.samples), Xe, atom1, atom2, sym1, sym2)
+    return ProductFunction(pg, inverse_space(pg, out.sum(axis=2) if out.ndim == 3 else out))

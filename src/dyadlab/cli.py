@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -129,7 +130,7 @@ def cmd_verify_decomp(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.biparam:
         pg = ProductGrid(GridSpec(args.d, args.N), GridSpec(args.d, args.N2 or args.N))
-        n_samples = pg.grid1.n_samples * pg.grid2.n_samples
+        n_samples = math.prod(pg.shape)
     else:
         grid = GridSpec(args.d, args.N)
         n_samples = grid.n_samples
@@ -151,11 +152,12 @@ def cmd_verify_decomp(args) -> int:
             from .biparam import random_product_function
             for i in range(args.imax + 1):
                 for j in range(args.jmax + 1):
-                    if max(i, j) > min(pg.grid1.N, pg.grid2.N) - 1:
+                    if max(i, j) > min(g.N for g in pg.grids) - 1:
                         continue
                     b = random_product_function(pg, rng)
-                    S1 = random_shift(pg.grid1, i, j, rng)
-                    yield b, (S1, random_shift(pg.grid2, j, i, rng))
+                    g1, g2 = pg.grids
+                    S1 = random_shift(g1, i, j, rng)
+                    yield b, (S1, random_shift(g2, j, i, rng))
 
     # the cases run in blocks of at most 2**13 samples per stack, each block
     # drawn from ``rng`` only when its turn comes

@@ -24,9 +24,9 @@ Both sides are linear in f, so evaluation runs on coefficient stacks with a
 trailing trial axis, (n, T) for one parameter and (n1, n2, T) for two.
 Outside the term kernels every step runs along the ``grids`` of the
 list's space, one loop for t = 1 and 2.
-``evaluate_stacked`` is one evaluator for t = 1 or 2 variables and for a
-block of cases, which sit on a case axis before the trial axis, (n, C, T)
-or (n1, n2, C, T); a single term list is a block of one. It stacks the 2^t
+``evaluate_stacked`` is one evaluator for t = 1 or 2 variables (it refuses
+more) and for a block of cases, which sit on a case axis before the trial
+axis, (n, C, T) or (n1, n2, C, T); a single term list is a block of one. It stacks the 2^t
 inner-shift compositions of the input on a key axis and extends them in
 one call per variable (see :mod:`dyadlab.haar`), sums every term into the
 extended buffer of its outer-shift group, and contracts all 2^t groups in
@@ -45,8 +45,10 @@ variable and stage of a sweep, on every key that takes them at once (twice
 per variable at t = 2).
 ``verify_identity`` passes all trials of a block of cases once through the
 transforms, the direct commutators and one term sweep, and transforms the
-block's symbols once; it keeps per arity only the direct commutator, which
-at t = 2 is one stacked call for the block.
+block's symbols once. Its one t = 1 branch transforms f and every b f
+together for both the direct commutator and the sweep; at t = 2 the
+direct commutators are one :func:`~dyadlab.shifts.commutator_stacked` call
+for the block.
 """
 
 from __future__ import annotations
@@ -55,16 +57,16 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .grids import GridMismatchError, GridSpec, WrongKindError, grid_index
-from .haar import (DyadicFunction, SampledFunction, _along, contract, extend,
+from .haar import (DyadicFunction, SampledFunction, contract_space, extend_space,
                    forward_space, inverse_space)
 from .paraproducts import BkOperator, bk_stacked, p_stacked, pstar_stacked
-from .biparam import PAtom, ProductFunction, iterated_commutator_stacked, pair_apply
-from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator, _each_case
+from .biparam import PAtom, pair_apply
+from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator, _each_case, commutator_stacked
 from .norms import _bmo_stacked, _column_norms, _require_trials, _trial_rng
 
 
@@ -261,9 +263,7 @@ def _term_kind(specs: tuple, atoms: tuple, inner: tuple, outer: tuple) -> str:
     """A term's kind in the released names: by its atoms, their P
     orientations and, for B_k atoms, where the shifts go."""
     is_bk = tuple(isinstance(atom, BkOperator) for atom in atoms)
-    if len(atoms) == 1:
-        if not is_bk[0]:
-            return "Pstar_term" if atoms[0].adjoint else "P_term"
+    if len(atoms) == 1 and is_bk[0]:
         names = (("Bk_of_Sf", "S_of_Bk") if specs[0][0] == CANCELLATIVE
                  else ("B0_of_S00f", "S00_of_B0"))
         return names[outer[0] and not inner[0]]
@@ -271,9 +271,10 @@ def _term_kind(specs: tuple, atoms: tuple, inner: tuple, outer: tuple) -> str:
         return "S_of_Bkl" if any(outer) else "Bkl_of_Sf"
     if any(is_bk):
         return "BPk" if is_bk[0] else "PBl"
-    adjoint = tuple(atom.adjoint for atom in atoms)
-    return {(False, False): "PP_term", (True, False): "PP1_term",
-            (False, True): "PP2_term", (True, True): "PPstar_term"}[adjoint]
+    # P atoms only: P_term, Pstar_term; PP_term, PP1_term, PP2_term, PPstar_term
+    adjoint = [str(v) for v, atom in enumerate(atoms, 1) if atom.adjoint]
+    tag = "star" if len(adjoint) == len(atoms) else "".join(adjoint)
+    return "P" * len(atoms) + tag + "_term"
 
 
 def _skeleton(grids: tuple, specs: tuple) -> tuple:
@@ -350,11 +351,6 @@ def decompose_noncancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
     return decompose(b, S)
 
 
-def decompose_biparam(b: ProductFunction, S1: ShiftOperator, S2: ShiftOperator) -> TermList:
-    """Product of the per-variable constructions for [[M_b, S1], S2]."""
-    return decompose(b, S1, S2)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation and verification.
 
@@ -412,11 +408,15 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
     one = isinstance(tls, TermList)
     tls = [tls] if one else list(tls)
     t = tls[0].arity
+    if t > 2:
+        raise ValueError(f"the term kernels cover one and two variables, not {t} "
+                         f"(ROADMAP item 14)")
     if one:
         x = x[(slice(None),) * t + (None,)]
     if x.shape[t:t + 1] != (len(tls),):
         raise ValueError(f"{len(tls)} term lists for a case axis of shape {x.shape}")
-    grids = tls[0].space.grids
+    space = tls[0].space
+    grids = space.grids
     trial = (1,) * (x.ndim - t - 1)
     shifts = [[tl.shifts[v] for tl in tls] for v in range(t)]
 
@@ -446,10 +446,8 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
                        **{(True,) + k: y for k, y in zip(shifted, applied)}}
     keys = list(itertools.product((False, True), repeat=t))
     slot = {key: n for n, key in enumerate(keys)}
-    inputs = np.stack([shifted[key] for key in keys])
-    for v, g in enumerate(grids):
-        inputs = _along(v + 1, partial(extend, g), inputs)
-    inputs = np.ascontiguousarray(inputs)
+    inputs = extend_space(space, np.stack([shifted[key] for key in keys], axis=t))
+    inputs = np.ascontiguousarray(np.moveaxis(inputs, t, 0))
     groups = np.zeros(inputs.shape)
     families = {}
     for c, tl in enumerate(tls):
@@ -473,7 +471,7 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
             # order of operations (bk_stacked forms beta * b * scale before
             # taking x)
             if t == 2:
-                pair_apply(tls[0].space, fbc, xin, *term.atoms, sym1=syms[0],
+                pair_apply(space, fbc, xin, *term.atoms, sym1=syms[0],
                            sym2=syms[1], out=out, weight=w)
             elif isinstance(term.atoms[0], PAtom):
                 n = grids[0].n_samples
@@ -484,9 +482,7 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
             calls += 1
         if not isinstance(cut, slice):
             groups[(slice(None),) + at] = acc
-    for v in reversed(range(t)):
-        groups = _along(v + 1, partial(contract, grids[v]), groups)
-    groups = list(groups)
+    groups = list(np.moveaxis(contract_space(space, np.moveaxis(groups, 0, t)), t, 0))
     for v in range(t):
         sel = [n for n, key in enumerate(keys) if key[v]]
         for n, y in zip(sel, stage(v, [groups[n] for n in sel])):
@@ -538,10 +534,11 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
                     counters: dict = None):
     """Check sum(terms)(f) == commutator(f) on random inputs.
 
-    ``b`` is one symbol and ``shifts`` its shift or shift pair (S1, S2),
-    giving one report; or ``b`` is a sequence of C symbols on one grid and
-    ``shifts`` a sequence of C shifts or shift pairs, giving a list of C
-    reports, each equal bit for bit to its one-case call.
+    ``b`` is one symbol and ``shifts`` its shift or one shift per variable
+    (S1, S2), giving one report; or ``b`` is a sequence of C symbols on one
+    grid and ``shifts`` a sequence of C shifts or shift tuples, giving a
+    list of C reports, each equal bit for bit to its one-case call. Three
+    or more variables raise ``ValueError`` (see :func:`evaluate_stacked`).
 
     Trial t draws f from ``_trial_rng(rng_seed, t)``, the same f in every
     case; all trials of all cases run as one stack. The C symbols share one
@@ -552,10 +549,11 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     term sweep; S_c is applied once to [f | b_c f], whose S_c f is the
     sweep's inner input, and the shifted halves of every direct commutator
     share the transform out of the term sums. At t = 2 the direct
-    commutators of the block are one :func:`iterated_commutator_stacked`
-    call on the symbols' samples stack, with f shared by every case: three
-    transforms each way, whatever the number of cases, and S1 once and S2
-    twice per case. Residuals are measured per trial relative to
+    commutators of the block are one
+    :func:`~dyadlab.shifts.commutator_stacked` call on the symbols' samples
+    stack, with f shared by every case: three transforms each way, whatever
+    the number of cases, plus one of f alone along variable 1, and S1 once
+    and S2 twice per case. Residuals are measured per trial relative to
     bmo(b) * ||f|| (rectangle BMO for two parameters). A report is the dict
     {case, d, N, i, j, term_count, max_residual, pass, seed, trials}, with
     d, N, i, j as lists over the variables for two parameters. ``trials``
@@ -599,7 +597,7 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     else:
         y = np.empty(shape + (C, 1, trials))
         xf, sx = forward_space(space, F)[..., None, :], None
-        direct = iterated_commutator_stacked(bsamples, *zip(*cases), F[:, :, None])
+        direct = commutator_stacked(bsamples, list(zip(*cases)), np.expand_dims(F, t))
     y[..., 0, :] = evaluate_stacked(tls, np.broadcast_to(xf, shape + (C, trials)), sx=sx,
                                     counters=counters)
     y = inverse_space(space, y)

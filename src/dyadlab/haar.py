@@ -45,6 +45,7 @@ coefficients followed by the scaling pairings <f, h_I^1> of levels 0..N-1
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -176,6 +177,20 @@ def inverse_space(space, stacked: np.ndarray) -> np.ndarray:
     return stacked
 
 
+def extend_space(space, stacked: np.ndarray) -> np.ndarray:
+    """:func:`extend` along each variable's axis in turn, variable 1 first."""
+    for v, g in enumerate(space.grids):
+        stacked = _along(v, partial(extend, g), stacked)
+    return stacked
+
+
+def contract_space(space, ext: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`extend_space`: :func:`contract`, the last variable first."""
+    for v in reversed(range(len(space.grids))):
+        ext = _along(v, partial(contract, space.grids[v]), ext)
+    return ext
+
+
 def scaling_levels(grid: GridSpec, stacked: np.ndarray) -> list:
     """Scaling pairings <f, h_I^1> for every cube at levels 0..N-1.
 
@@ -253,8 +268,9 @@ class SampledFunction:
     """What the sampled function types share. A subclass is a frozen
     dataclass whose first field is its ``space``, a GridSpec or a
     ProductGrid; its samples, one axis per variable, are a read-only copy.
-    It declares its JSON key suffix per variable (``_json_suffixes``) and
-    builds its space from the grids (``_make_space``)."""
+    It declares the JSON key suffixes of its variables, given how many
+    (``_json_suffixes``), and builds its space from the grids
+    (``_make_space``)."""
 
     def __post_init__(self):
         shape = tuple(g.n_samples for g in self.space.grids)
@@ -295,7 +311,8 @@ class SampledFunction:
     def to_json(self) -> str:
         """Keys d, N per variable (with the type's ``_json_suffixes``), the
         samples flat in row-major order, then omega per shifted grid."""
-        named = list(zip(self._json_suffixes, self.space.grids))
+        grids = self.space.grids
+        named = list(zip(self._json_suffixes(len(grids)), grids))
         obj = {key + v: getattr(g, key) for v, g in named for key in ("d", "N")}
         obj["samples"] = self.samples.reshape(-1).tolist()
         obj.update({"omega" + v: g.omega for v, g in named if g.omega is not None})
@@ -304,8 +321,9 @@ class SampledFunction:
     @classmethod
     def from_json(cls, text: str):
         obj = json.loads(text)
+        count = next(v for v in itertools.count(1) if f"d{v}" not in obj) - 1
         grids = [GridSpec(int(obj["d" + v]), int(obj["N" + v]), obj.get("omega" + v))
-                 for v in cls._json_suffixes]
+                 for v in cls._json_suffixes(count)]
         return cls(cls._make_space(*grids), np.asarray(obj["samples"], dtype=float))
 
     def _encode(self, magic: bytes, fmt: str, *fields) -> bytes:
@@ -341,7 +359,7 @@ class DyadicFunction(SampledFunction):
     grid: GridSpec
     samples: np.ndarray
 
-    _json_suffixes = ("",)
+    _json_suffixes = staticmethod(lambda count: ("",))
     _make_space = staticmethod(lambda grid: grid)
 
     @property

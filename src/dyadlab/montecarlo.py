@@ -20,7 +20,7 @@ from .haar import forward_stacked, random_function
 from .norms import (NormReport, _bmo_stacked, _column_norms, _in_blocks, _require_trials,
                     geometric_constant)
 from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_matrix,
-                     max_k_level, multiplication_commutator_stacked, random_shift)
+                     max_k_level, commutator_stacked, random_shift)
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
     0 is skipped before f is drawn. The trials run in loop order in blocks
     of max(1, 2**13 // n_samples) trials, over every (i, j), so memory does
     not grow with ``trials``. A block transforms its b stack once for the
-    BMO norms and runs one ``multiplication_commutator_stacked`` with one
+    BMO norms and runs one ``commutator_stacked`` with one
     symbol and one shift per column; every norm is taken per column, so each
     trial keeps the bits it has when run alone. A ``counters`` dict receives
     {"pairs", "trials", "blocks"}, ``trials`` counted per pair.
@@ -275,7 +275,7 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
         f = np.stack([random_function(grid, rngs[c]).samples for c in live], axis=1)
         f = f * (1.0 / _column_norms(f, volume))
         shifts = [random_shift(grid, *keys[c][:2], rngs[c]) for c in live]
-        out = multiplication_commutator_stacked(b, shifts, f)
+        out = commutator_stacked(b, (shifts,), f)
         for c, norm in zip(live, _column_norms(out, volume)):
             pair = keys[c][:2]
             best[pair] = max(best[pair], float(norm))

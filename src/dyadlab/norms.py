@@ -35,10 +35,10 @@ import numpy as np
 
 from .grids import DepthError, DyadicCube, GridMismatchError, GridSpec, grid_index
 from .haar import (DyadicFunction, _along, broadcast_level, cell_sums, contract,
-                   extend, forward_space, forward_stacked, inverse_space,
-                   inverse_stacked, pool_level)
+                   extend, extend_space, forward_space, forward_stacked,
+                   inverse_space, inverse_stacked, pool_level)
 from .paraproducts import BkOperator, bk_stacked, p_stacked
-from .biparam import PAtom, ProductFunction, ProductGrid, extend2, pair_apply
+from .biparam import PAtom, ProductFunction, ProductGrid, pair_apply
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def _bmo_of_masses(space, mass: np.ndarray) -> np.ndarray:
 def open_set_bmo_norm(b: ProductFunction) -> float:
     """Product BMO over arbitrary unions of cells; exponential, toy sizes only."""
     pg = b.pgrid
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     n_cells = g1.n_samples * g2.n_samples
     if n_cells > 16:
         raise ValueError("open-set enumeration is exponential; use tiny grids")
@@ -527,7 +527,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
             raise ValueError(f"study kind {kind} runs on a product grid: give pgrid, not grid")
         pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
                                      GridSpec(1, params.get("N2", 4)))
-        g1, g2 = pgrid.grid1, pgrid.grid2
+        g1, g2 = pgrid.grids
         # B_k needs k <= N - 1 in its variable
         kmax = min(params.get("kmax", 2), g1.N - 1)
         lmax = min(params.get("lmax", 2), g2.N - 1)
@@ -577,7 +577,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
         bC = forward_space(pgrid, s["b"])
         Xe = forward_space(pgrid, s["f"])
         if kind not in ("PP", "PP1"):  # P x P reads no extended rows
-            Xe = extend2(pgrid, Xe)
+            Xe = extend_space(pgrid, Xe)
         denom = _bmo_stacked(pgrid, bC) * _column_norms(s["f"], volume)
         # the betas, or the P symbols: each of BMO norm one, its mean row zeroed
         sym1 = sym2 = beta1 = beta2 = None

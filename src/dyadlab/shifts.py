@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec,
                     InvalidIndexError, WrongKindError, grid_index)
-from .haar import (DyadicFunction, contract, extend, forward_stacked,
+from .haar import (DyadicFunction, _along, contract, extend, forward_stacked,
                    inverse_stacked)
 
 CANCELLATIVE = "cancellative"
@@ -336,17 +337,11 @@ class LinearOperatorHandle:
 
 def _each_case(shifts, y: np.ndarray, case_axis: int, axis: int = 0) -> np.ndarray:
     """Shift c of the sequence ``shifts`` applied along ``axis`` of column c
-    of axis ``case_axis`` (after ``axis``) of the coefficient stack ``y``; a
-    single ShiftOperator is applied to the whole stack. The result of a
-    sequence of one shift is a view of that shift's result, not a copy."""
-    def apply(S, a):
-        return S.apply_stacked(a) if axis == 0 else \
-            S.apply_stacked(a.swapaxes(0, axis)).swapaxes(0, axis)
-
-    if isinstance(shifts, ShiftOperator):
-        return apply(shifts, y)
+    of axis ``case_axis`` (after ``axis``) of the coefficient stack ``y``.
+    The result of a sequence of one shift is a view of that shift's result,
+    not a copy."""
     at = (slice(None),) * case_axis
-    cols = [apply(S, y[at + (c,)]) for c, S in enumerate(shifts)]
+    cols = [_along(axis, S.apply_stacked, y[at + (c,)]) for c, S in enumerate(shifts)]
     if len(cols) == 1:
         return cols[0][at + (None,)]
     return np.stack(cols, case_axis)
@@ -355,42 +350,78 @@ def _each_case(shifts, y: np.ndarray, case_axis: int, axis: int = 0) -> np.ndarr
 def multiplication_commutator(b: DyadicFunction, S: ShiftOperator,
                               f: DyadicFunction) -> DyadicFunction:
     """[M_b, S] f = b * (S f) - S(b * f); products exact on samples."""
-    if b.grid != f.grid:
-        raise GridMismatchError("b and f live on different grids")
-    return DyadicFunction(b.grid, multiplication_commutator_stacked(b, S, f.samples))
+    b._check(f)
+    return DyadicFunction(b.grid, commutator_stacked(b, (S,), f.samples))
 
 
-def multiplication_commutator_stacked(b, S, samples: np.ndarray) -> np.ndarray:
-    """[M_b, S] applied to every column of ``samples`` (n_samples, *passive).
+def commutator_stacked(b, shifts, samples: np.ndarray) -> np.ndarray:
+    """The commutator [...[[M_b, S_1], S_2], ..., S_t] of t >= 1 variables,
+    S_v acting along variable v, on every column of ``samples``.
 
-    ``b`` is a DyadicFunction, multiplying every column, or a samples array
-    whose shape leads that of ``samples``: an (n_samples, T) stack holds one
-    symbol per column of axis 1, the trial axis. ``S`` is one ShiftOperator,
-    applied to the whole stack, or a sequence of T shifts, shift t applied to
-    column ``samples[:, t]``. Column t of the result is then
-    ``multiplication_commutator(b_t, S_t, f_t)``, bit for bit.
+    ``b`` is one function, a DyadicFunction or a ProductFunction of t
+    variables, and ``shifts`` one ShiftOperator per variable, on ``samples``
+    (*shape, *passive): the broadcast case of a block of one. Or ``b`` is a
+    samples stack (*shape, C) and ``shifts`` holds per variable a sequence
+    of C shifts, symbol c and shifts c acting on column c of the case axis
+    of ``samples`` (*shape, C, *trials). A case axis of length 1 is one
+    input that every case shares: it is transformed once along each
+    variable and its coefficients go to every case. Column c is then case
+    c's commutator alone, bit for bit.
 
-    f and b f lie side by side on a passive axis: they share one transform
-    in, one application of each shift and one transform out, and each column
-    keeps the bits it has alone.
+    C_t follows the recursion C_v y = C_{v-1}(S_v y) - S_v(C_{v-1} y), with
+    C_0 = M_b. Each level stacks its two inputs S_v y and y on a key axis,
+    so a block applies S_v twice per case at every level v >= 2 (one
+    transform each way per application), and S_1 once per case, to y and
+    b y side by side.
     """
-    shifts = None if isinstance(S, ShiftOperator) else tuple(S)
-    if shifts is None:
-        g = S.grid
-    else:
-        if not shifts or samples.shape[1:2] != (len(shifts),):
-            raise ValueError(f"{len(shifts)} shifts for samples of shape {samples.shape}")
-        g = shifts[0].grid
-        if any(s.grid != g for s in shifts):
-            raise GridMismatchError("the shifts live on different grids")
-    if isinstance(b, DyadicFunction):
-        if b.grid != g:
-            raise GridMismatchError("b and the shift live on different grids")
-        b = b.samples
-    elif b.shape != samples.shape[:b.ndim] or b.shape[0] != g.n_samples:
-        raise ValueError(f"b stack of shape {b.shape} does not lead samples of "
-                         f"shape {samples.shape} on {g.n_samples} cells")
-    bcol = b.reshape(b.shape + (1,) * (samples.ndim - b.ndim))
-    x = forward_stacked(g, np.stack([samples, bcol * samples], axis=1))
-    y = inverse_stacked(g, _each_case(S if shifts is None else shifts, x, 2))
-    return bcol * y[:, 0] - y[:, 1]
+    if not isinstance(b, np.ndarray):
+        grids = b.space.grids
+        if len(shifts) != len(grids) or not all(isinstance(S, ShiftOperator) for S in shifts):
+            raise ValueError(f"one function b of {len(grids)} variable(s) takes one shift "
+                             f"per variable")
+        if any(S.grid != g for S, g in zip(shifts, grids)):
+            raise GridMismatchError("a shift lives off the grid of its variable of b")
+        case = (slice(None),) * len(grids) + (None,)
+        return commutator_stacked(b.samples[..., None], [(S,) for S in shifts],
+                                  samples[case])[case[:-1] + (0,)]
+    shifts = [tuple(Ss) for Ss in shifts]
+    t, C = len(shifts), len(shifts[0]) if shifts else 0
+    if not C or any(len(Ss) != C for Ss in shifts) or b.shape[t:] != (C,) \
+            or samples.shape[t:t + 1] not in ((1,), (C,)):
+        raise ValueError(f"shifts of {[len(Ss) for Ss in shifts]} cases per variable for "
+                         f"a b stack of shape {b.shape} and samples of shape {samples.shape}")
+    grids = [Ss[0].grid for Ss in shifts]
+    if any(S.grid != g for Ss, g in zip(shifts, grids) for S in Ss):
+        raise GridMismatchError("the shifts of one variable live on different grids")
+    shape = tuple(g.n_samples for g in grids)
+    if b.shape[:t] != shape or samples.shape[:t] != shape:
+        raise GridMismatchError(f"b stack of shape {b.shape} and samples of shape "
+                                f"{samples.shape} off the shifts' grids")
+
+    def times_b(y):
+        return b.reshape(b.shape + (1,) * (y.ndim - t - 1)) * y
+
+    def apply(v, parts):
+        """S_v of case c along variable v of case column c of every part, the
+        parts' keys side by side on the last axis. Only the last part may
+        hold one shared column: it is transformed on its own and broadcast."""
+        n = len(parts) - (parts[-1].shape[t] != C)
+        groups = ([np.concatenate(parts[:n], axis=-1)] if n > 1 else parts[:n]) + parts[n:]
+        x = [_along(v, partial(forward_stacked, grids[v]), y) for y in groups]
+        x = [np.broadcast_to(y, y.shape[:t] + (C,) + y.shape[t + 1:]) for y in x]
+        x = x[0] if len(x) == 1 else np.concatenate(x, axis=-1)
+        return _along(v, partial(inverse_stacked, grids[v]), _each_case(shifts[v], x, t, v))
+
+    # down, the last variable first: each variable v >= 2 puts S_v y before
+    # y on the key axis; then C_1 of every key, and up, variable 2 first:
+    # each takes C_{v-1}(S_v y) - S_v(C_{v-1} y) from the halves of its keys
+    parts = [samples[..., None]]
+    for v in reversed(range(1, t)):
+        parts.insert(0, apply(v, parts))
+    z = apply(0, [times_b(y) for y in parts] + parts)
+    k = z.shape[-1] // 2
+    z = times_b(z[..., k:]) - z[..., :k]
+    for v in range(1, t):
+        k = z.shape[-1] // 2
+        z = z[..., :k] - apply(v, [z[..., k:]])
+    return z[..., 0]

@@ -222,7 +222,7 @@ def _b_rows_oracle(g, a, lvl):
 def bb_pair_oracle(pg, bC, Xe, a1, a2, out, weight):
     """B x B into ``out``: one pass per level pair (l1, l2); ``bC`` carries
     the trailing unit axes of ``Xe``."""
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     pad = (1,) * (Xe.ndim - 2)
     for l1 in range(a1.k, g1.N):
         c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
@@ -239,7 +239,7 @@ def bp_pair_oracle(pg, bC, Xe, a1, p2, sym2, out, weight):
     """B x P into ``out``: one strict-subcube scan per level of the B atom;
     ``bC`` and ``sym2`` carry the trailing unit axes of ``Xe``."""
     from dyadlab.paraproducts import strict_ancestor_sum, strict_subtree_sum
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     n2 = g2.n_samples
     for l1 in range(a1.k, g1.N):
         Bg = bC[_b_rows_oracle(g1, a1, l1), :]
@@ -353,8 +353,8 @@ def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=Non
     else:
         pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
                                      GridSpec(1, params.get("N2", 4)))
-        kmax = min(params.get("kmax", 2), pgrid.grid1.N - 1)
-        lmax = min(params.get("lmax", 2), pgrid.grid2.N - 1)
+        kmax = min(params.get("kmax", 2), pgrid.grids[0].N - 1)
+        lmax = min(params.get("lmax", 2), pgrid.grids[1].N - 1)
         ks = range(kmax + 1) if kind in ("Bkl", "BPk") else [None]
         ls = range(lmax + 1) if kind in ("Bkl", "PBl") else [None]
         combos = [(k, l) for k in ks for l in ls]
@@ -379,15 +379,15 @@ def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=Non
         b = random_product_function(pgrid, rng)
         f = random_product_function(pgrid, rng)
         if kind == "Bkl":
-            fields = {"beta1": random_signs_oracle(pgrid.grid1, rng),
-                      "beta2": random_signs_oracle(pgrid.grid2, rng)}
+            fields = {"beta1": random_signs_oracle(pgrid.grids[0], rng),
+                      "beta2": random_signs_oracle(pgrid.grids[1], rng)}
         elif kind == "BPk":
-            fields = {"a2": unit(random_function(pgrid.grid2, rng))}
+            fields = {"a2": unit(random_function(pgrid.grids[1], rng))}
         elif kind == "PBl":
-            fields = {"a1": unit(random_function(pgrid.grid1, rng))}
+            fields = {"a1": unit(random_function(pgrid.grids[0], rng))}
         else:
-            a1 = unit(random_function(pgrid.grid1, rng))
-            fields = {"a1": a1, "a2": unit(random_function(pgrid.grid2, rng))}
+            a1 = unit(random_function(pgrid.grids[0], rng))
+            fields = {"a1": a1, "a2": unit(random_function(pgrid.grids[1], rng))}
 
         def pair(k, l):
             spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
@@ -431,7 +431,7 @@ def pstar_stacked_oracle(grid, bc, avec, x):
 
 def _pp1_oracle(pg, bC, X, sym12):
     from dyadlab.paraproducts import strict_ancestor_sum
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     i1 = grid_index(g1)
     out = np.zeros(X.shape)
     for lj in range(1, g1.N):
@@ -451,7 +451,8 @@ def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None):
     ``bC`` (n1, n2), ``sym1`` (n1,), ``sym2`` (n2,), against every trailing
     column of ``Xe``. Two P atoms of one orientation take the outer product
     of the symbols; mixed orientations take each symbol on its own side."""
-    from dyadlab.biparam import PAtom, contract2
+    from dyadlab.biparam import PAtom
+    from dyadlab.haar import contract_space
     from dyadlab.paraproducts import bk_gather, strict_ancestor_sum, strict_subtree_sum
     sw = lambda a: a.swapaxes(0, 1)  # noqa: E731
     bC = _lift_oracle(bC, 2, Xe)
@@ -459,16 +460,16 @@ def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None):
     out = np.zeros(Xe.shape)
 
     def bp(pg, bC, Xe, a1, p2, sym2, out):
-        n2 = pg.grid2.n_samples
+        n2 = pg.grids[1].n_samples
         rin, rout, brows, beta, scale = bk_gather(a1)
         p = pstar_stacked_oracle if p2.adjoint else p_stacked_oracle
-        C = sw(p(pg.grid2, sw(bC[brows]), sym2, sw(Xe[rin, :n2])))
+        C = sw(p(pg.grids[1], sw(bC[brows]), sym2, sw(Xe[rin, :n2])))
         out[rout, :n2] += (C.T * (scale if beta is None else beta * scale)).T
 
     if isinstance(atom1, PAtom) and isinstance(atom2, PAtom):
         n1, n2 = pg.shape
         X = Xe[:n1, :n2]
-        g1, g2 = pg.grid1, pg.grid2
+        g1, g2 = pg.grids
         s1, s2 = sym1[:, None], sym2[None, :]
         if not atom1.adjoint and not atom2.adjoint:
             res = (s1 * s2) * sw(strict_ancestor_sum(g2, sw(strict_ancestor_sum(g1, bC * X))))
@@ -483,7 +484,7 @@ def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None):
         bp(pg.swap(), sw(bC), sw(Xe), atom2, atom1, sym1, sw(out))
     else:
         bp(pg, bC, Xe, atom1, atom2, sym2, out)
-    return contract2(pg, out)
+    return contract_space(pg, out)
 
 
 def evaluate_stacked_oracle(tl, x):
@@ -499,7 +500,7 @@ def evaluate_stacked_oracle(tl, x):
     from dyadlab.paraproducts import bk_stacked, p_stacked, pstar_stacked, symbol_stacked
 
     t, shifts = tl.arity, tl.shifts
-    grids = (tl.b.grid,) if t == 1 else (tl.b.pgrid.grid1, tl.b.pgrid.grid2)
+    grids = (tl.b.grid,) if t == 1 else tl.b.pgrid.grids
     syms = [None if S.cancellative else symbol_stacked(S.symbol) for S in shifts]
     shifted = {(): x}
     for v in reversed(range(t)):
@@ -612,11 +613,10 @@ def verify_identity_oracle(b, shifts, trials, rng_seed, tol=1e-9):
     the case draws and norms its own f stack, transforms its own b, sums
     its terms through :func:`evaluate_stacked_oracle` (one key at a time),
     and runs its own stacked direct commutator."""
-    from dyadlab.biparam import iterated_commutator_stacked
-    from dyadlab.decomposition import _trial_samples, decompose, decompose_biparam
+    from dyadlab.decomposition import _trial_samples, decompose
     from dyadlab.haar import forward_space, forward_stacked, inverse_space, inverse_stacked
     from dyadlab.norms import _bmo_stacked
-    from dyadlab.shifts import ShiftOperator, multiplication_commutator_stacked
+    from dyadlab.shifts import ShiftOperator, commutator_stacked
     if isinstance(shifts, ShiftOperator):
         shifts = (shifts,)
     if len(shifts) == 1:
@@ -624,14 +624,14 @@ def verify_identity_oracle(b, shifts, trials, rng_seed, tol=1e-9):
         grids, shape, volume = (g,), (g.n_samples,), g.cell_volume
         scale = float(_bmo_stacked(g, tl._bc))
         F = _trial_samples(shape, rng_seed, trials)
-        direct = multiplication_commutator_stacked(b, shifts[0], F)
+        direct = commutator_stacked(b, shifts, F)
         approx = inverse_stacked(g, evaluate_stacked_oracle(tl, forward_stacked(g, F)))
     else:
-        tl, pg, volume = decompose_biparam(b, *shifts), b.pgrid, b.cell_volume
-        grids, shape = (pg.grid1, pg.grid2), pg.shape
+        tl, pg, volume = decompose(b, *shifts), b.pgrid, b.cell_volume
+        grids, shape = pg.grids, pg.shape
         scale = float(_bmo_stacked(pg, tl._bc))
         F = _trial_samples(shape, rng_seed, trials)
-        direct = iterated_commutator_stacked(b, *shifts, F)
+        direct = commutator_stacked(b, shifts, F)
         approx = inverse_space(pg, evaluate_stacked_oracle(tl, forward_space(pg, F)))
     max_res = 0.0
     for res, f_norm in zip(column_norms_oracle(direct - approx, volume),

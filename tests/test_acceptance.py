@@ -11,10 +11,10 @@ import numpy as np
 from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube,
                      DyadicFunction, GridSpec, HaarIndex, ProductGrid,
                      apply_Bk, apply_P, apply_P_adjoint, apply_biparam,
-                     decompose_biparam, dyadic_bmo_norm, evaluate_terms,
+                     dyadic_bmo_norm, evaluate_terms,
                      geometric_constant, geometric_constant_closed_form,
                      haar_forward, haar_function, haar_inverse, inner_product,
-                     inner_product2, jn_check, mc_representation_demo,
+                     jn_check, mc_representation_demo,
                      multiplication_commutator, random_function,
                      random_product_function, random_shift,
                      tensor_function, verify_identity)
@@ -132,11 +132,11 @@ def test_criterion_3_decomposition_identity_biparameter():
                     ori1 = "analysis" if (n1 + n2) % 2 == 0 else "synthesis"
                     ori2 = "analysis" if n2 % 2 == 0 else "synthesis"
                     b = random_product_function(pg, rng)
-                    S1 = random_shift(pg.grid1, i1, j1, rng, kind=mix1,
+                    S1 = random_shift(pg.grids[0], i1, j1, rng, kind=mix1,
                                       orientation=ori1)
-                    S2 = random_shift(pg.grid2, i2, j2, rng, kind=mix2,
+                    S2 = random_shift(pg.grids[1], i2, j2, rng, kind=mix2,
                                       orientation=ori2)
-                    tl = decompose_biparam(b, S1, S2)
+                    tl = decompose(b, S1, S2)
                     assert tl.term_count <= tl.meta["count_bound"]
                     count_const = max(count_const, tl.meta["count_constant"])
                     rep = verify_identity(b, (S1, S2), trials=50, rng_seed=7,
@@ -313,12 +313,12 @@ def test_criterion_10_core_algebra():
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     aa = random_product_function(pg, rng)
     bb = random_product_function(pg, rng)
-    f1, g1f = random_function(pg.grid1, rng), random_function(pg.grid1, rng)
-    f2, g2f = random_function(pg.grid2, rng), random_function(pg.grid2, rng)
-    lhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP", a=aa), bb,
+    f1, g1f = random_function(pg.grids[0], rng), random_function(pg.grids[0], rng)
+    f2, g2f = random_function(pg.grids[1], rng), random_function(pg.grids[1], rng)
+    lhs = inner_product(apply_biparam(BiparamOperatorSpec("PP", a=aa), bb,
                                        tensor_function(f1, f2)),
                          tensor_function(g1f, g2f))
-    rhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP1", a=aa), bb,
+    rhs = inner_product(apply_biparam(BiparamOperatorSpec("PP1", a=aa), bb,
                                        tensor_function(g1f, f2)),
                          tensor_function(f1, g2f))
     worst = max(worst, abs(lhs - rhs))

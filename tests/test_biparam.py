@@ -3,11 +3,12 @@ import pytest
 
 from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube, DyadicFunction,
                      GridSpec, HaarIndex, ProductFunction, ProductGrid, apply_biparam,
-                     apply_in_variable, haar_function, inner_product2,
+                     apply_in_variable, haar_function, inner_product,
                      iterated_commutator, random_function,
                      random_product_function, random_shift, tensor_function)
-from dyadlab.biparam import PAtom, contract2, extend2, forward2, inverse2, pair_apply
-from dyadlab.haar import forward_space, forward_stacked
+from dyadlab.biparam import PAtom, pair_apply
+from dyadlab.haar import (contract_space, extend_space, forward_space, forward_stacked,
+                          inverse_space)
 from dyadlab.grids import DepthError, GridMismatchError, InvalidIndexError
 from dyadlab.norms import rect_bmo_norm
 from conftest import (all_cancellative_indices, all_cubes, assert_columns_alone,
@@ -16,7 +17,7 @@ from conftest import (all_cancellative_indices, all_cubes, assert_columns_alone,
 
 
 PG = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
-G1, G2 = PG.grid1, PG.grid2
+G1, G2 = PG.grids
 PG_D2 = ProductGrid(GridSpec(2, 3), GridSpec(1, 3))
 PG_SHIFTED = ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
                          GridSpec(1, 3, omega=((0,), (1,), (1,))))
@@ -35,8 +36,8 @@ def test_partial_transforms_commute(rng):
     a = forward_stacked(G2, forward_stacked(G1, f.samples).T).T
     b = forward_stacked(G1, forward_stacked(G2, f.samples.T).T)
     assert np.max(np.abs(a - b)) < 1e-12
-    assert np.max(np.abs(a - forward2(f))) < 1e-12
-    back = inverse2(PG, forward2(f))
+    assert np.max(np.abs(a - forward_space(f.pgrid, f.samples))) < 1e-12
+    back = ProductFunction(PG, inverse_space(PG, forward_space(PG, f.samples)))
     assert (back - f).norm() < 1e-12
 
 
@@ -135,7 +136,7 @@ def _ipf(F, h):
 
 def _pp_oracle(a, b, f):
     pg = f.pgrid
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     H1, H2 = _haars(g1), _haars(g2)
     out = np.zeros(pg.shape)
     for I1, h1 in H1:
@@ -158,7 +159,7 @@ def _pp_oracle(a, b, f):
 
 def _pp1_oracle(a, b, f):
     pg = f.pgrid
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     H1, H2 = _haars(g1), _haars(g2)
     out = np.zeros(pg.shape)
     for I1, h1 in H1:
@@ -181,7 +182,7 @@ def _pp1_oracle(a, b, f):
 
 def _pp2_oracle(a, b, f):
     pg = f.pgrid
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     H1, H2 = _haars(g1), _haars(g2)
     out = np.zeros(pg.shape)
     for I1, h1 in H1:
@@ -204,7 +205,7 @@ def _pp2_oracle(a, b, f):
 
 def _ppstar_oracle(a, b, f):
     pg = f.pgrid
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     H1, H2 = _haars(g1), _haars(g2)
     out = np.zeros(pg.shape)
     for I1, h1 in H1:
@@ -243,7 +244,7 @@ def test_pp_empty_inner_sum(rng):
     a = tensor_function(root_haar, random_function(G2, rng))
     # only level-0 coefficients in variable 1 never sit strictly inside
     pg1 = ProductGrid(GridSpec(1, 1), G2)
-    a1 = tensor_function(haar_function(pg1.grid1, HaarIndex(DyadicCube(0, (0,)), (0,))),
+    a1 = tensor_function(haar_function(pg1.grids[0], HaarIndex(DyadicCube(0, (0,)), (0,))),
                          random_function(G2, rng))
     b1 = random_product_function(pg1, rng)
     f1 = random_product_function(pg1, rng)
@@ -253,7 +254,7 @@ def test_pp_empty_inner_sum(rng):
 
 def test_pp1_matches_oracle_and_partial_adjoint_relation(rng):
     for pg in (PG, PG_D2, PG_SHIFTED):
-        g1, g2 = pg.grid1, pg.grid2
+        g1, g2 = pg.grids
         a = random_product_function(pg, rng)
         b = random_product_function(pg, rng)
         f = random_product_function(pg, rng)
@@ -262,10 +263,10 @@ def test_pp1_matches_oracle_and_partial_adjoint_relation(rng):
         # <PP(f1 x f2), g1 x g2> = <PP1(g1 x f2), f1 x g2>
         f1, h1 = random_function(g1, rng), random_function(g1, rng)
         f2, h2 = random_function(g2, rng), random_function(g2, rng)
-        lhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP", a=a), b,
+        lhs = inner_product(apply_biparam(BiparamOperatorSpec("PP", a=a), b,
                                            tensor_function(f1, f2)),
                              tensor_function(h1, h2))
-        rhs = inner_product2(apply_biparam(BiparamOperatorSpec("PP1", a=a), b,
+        rhs = inner_product(apply_biparam(BiparamOperatorSpec("PP1", a=a), b,
                                            tensor_function(h1, f2)),
                              tensor_function(f1, h2))
         assert abs(lhs - rhs) < 1e-10
@@ -275,7 +276,7 @@ def test_pp1_matches_oracle_and_partial_adjoint_relation(rng):
 def test_pp_product_symbol_is_the_tensor_symbol(pg, rng):
     # a1 and a2, one symbol per P axis, give the operator of a = a1 x a2
     b, f = random_product_function(pg, rng), random_product_function(pg, rng)
-    a1, a2 = random_function(pg.grid1, rng), random_function(pg.grid2, rng)
+    a1, a2 = random_function(pg.grids[0], rng), random_function(pg.grids[1], rng)
     for kind in ("PP", "PP1", "PP2", "PPstar"):
         got = apply_biparam(BiparamOperatorSpec(kind, a1=a1, a2=a2), b, f).samples
         want = apply_biparam(BiparamOperatorSpec(kind, a=tensor_function(a1, a2)), b,
@@ -345,12 +346,12 @@ def test_missing_symbol_raises(rng):
 def test_spec_symbols_off_the_product_grid_raise(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 4))
     b, f = random_product_function(pg, rng), random_product_function(pg, rng)
-    a1 = random_function(pg.grid1, rng)
+    a1 = random_function(pg.grids[0], rng)
     off = [random_function(GridSpec(2, 2), rng),
            random_function(GridSpec(1, 4, omega=((1,), (0,), (1,), (0,))), rng)]
     specs = [BiparamOperatorSpec(kind, a1=a1, a2=a2) for kind in ("PP", "PP1") for a2 in off]
     specs += [BiparamOperatorSpec("BPk", a2=a2) for a2 in off]
-    other = ProductGrid(GridSpec(1, 3, omega=((1,), (1,), (0,))), pg.grid2)
+    other = ProductGrid(GridSpec(1, 3, omega=((1,), (1,), (0,))), pg.grids[1])
     specs.append(BiparamOperatorSpec("PP2", a=random_product_function(other, rng)))
     for spec in specs:
         with pytest.raises(GridMismatchError):
@@ -433,17 +434,17 @@ def test_bk_atom_error_contract(name, rng):
     GridSpec(1, 3, omega=((1,), (0,), (1,))), GridSpec(3, 2, omega=((0, 1, 1), (1, 0, 1))))],
     ids=repr)
 @pytest.mark.parametrize("passive", [(), (3,)])
-def test_contract2_is_the_adjoint_of_extend2(pg, passive, rng):
+def test_contract_space_is_the_adjoint_of_extend_space(pg, passive, rng):
     from dyadlab.haar import extend
     x = rng.standard_normal(pg.shape + passive)
-    ext = extend2(pg, x)
+    ext = extend_space(pg, x)
     y = rng.standard_normal(ext.shape)
-    lhs = np.einsum("ij...,ij...->...", contract2(pg, y), x)
+    lhs = np.einsum("ij...,ij...->...", contract_space(pg, y), x)
     rhs = np.einsum("ij...,ij...->...", y, ext)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
     # variable 1 first: the noncancellative rows of both variables hold the
     # scaling pairings of variable 1's scaling pairings
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     rows1 = sig_rows(g1, g1.N - 1, g1.noncanc_int)
     expect = extend(g2, np.swapaxes(extend(g1, x)[rows1], 0, 1))
     assert np.array_equal(ext[rows1], np.swapaxes(expect, 0, 1))
@@ -480,10 +481,10 @@ def _pairs(atoms1, atoms2, rng):
 def test_b_atoms_match_the_level_loops(pg, passive, rng):
     # pair_apply's one-gather B kernels are bit-identical to the per-level
     # (pair) loops of conftest, for Bkl, BPk and PBl (the mirror path)
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     pad = (1,) * len(passive)
-    bC = forward2(random_product_function(pg, rng))
-    Xe = extend2(pg, rng.standard_normal(pg.shape + passive))
+    bC = forward_space(pg, random_product_function(pg, rng).samples)
+    Xe = extend_space(pg, rng.standard_normal(pg.shape + passive))
     start = rng.standard_normal(Xe.shape)
     sym1 = forward_stacked(g1, rng.standard_normal(g1.n_samples))
     sym2 = forward_stacked(g2, rng.standard_normal(g2.n_samples))
@@ -517,10 +518,10 @@ def test_p_symbol_stacks_match_the_one_symbol_pair_kernels(pg, rng):
     # PP, PP1, PP2, PPstar, BPk, PBl and the adjoints of BPk/PBl with one
     # symbol per trial column equal the one-symbol kernels column by column
     from conftest import pair_apply_oracle
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
     T = 3
     bC = forward_space(pg, rng.standard_normal(pg.shape + (T,)))
-    Xe = extend2(pg, forward_space(pg, rng.standard_normal(pg.shape + (T,))))
+    Xe = extend_space(pg, forward_space(pg, rng.standard_normal(pg.shape + (T,))))
     sym1 = forward_stacked(g1, rng.standard_normal((g1.n_samples, T)))
     sym2 = forward_stacked(g2, rng.standard_normal((g2.n_samples, T)))
     sym1[0] = sym2[0] = 0.0
@@ -549,11 +550,11 @@ def test_pair_apply_with_trial_betas_gives_a_column_its_bits_alone(pg, rng):
     # beta array and one weight per trial column, as uniformity_study and
     # the block sweep of evaluate_stacked run them (a weight of 0 for a
     # case that lacks the term)
-    g1, g2 = pg.grid1, pg.grid2
+    g1, g2 = pg.grids
 
     def draw(T):
         bC = forward_space(pg, rng.standard_normal(pg.shape + (T,)))
-        Xe = extend2(pg, forward_space(pg, rng.standard_normal(pg.shape + (T,))))
+        Xe = extend_space(pg, forward_space(pg, rng.standard_normal(pg.shape + (T,))))
         beta1, beta2 = (np.sign(rng.standard_normal((g.n_cubes_total, T)) + 0.5)
                         for g in (g1, g2))
         sym1 = forward_stacked(g1, rng.standard_normal((g1.n_samples, T)))
@@ -589,8 +590,8 @@ def test_pair_apply_with_trial_betas_gives_a_column_its_bits_alone(pg, rng):
 
 
 def test_pair_apply_rejects_a_p_atom_without_its_symbol(rng):
-    bC = forward2(random_product_function(PG, rng))
-    Xe = extend2(PG, rng.standard_normal(PG.shape))
+    bC = forward_space(PG, random_product_function(PG, rng).samples)
+    Xe = extend_space(PG, rng.standard_normal(PG.shape))
     sym1 = forward_stacked(G1, rng.standard_normal(G1.n_samples))
     sym2 = forward_stacked(G2, rng.standard_normal(G2.n_samples))
     with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
@@ -612,8 +613,8 @@ def test_per_axis_partial_adjoints_match_the_level_pair_loop(pg, rng):
     # PP1/PP2 with one symbol per variable run as two tree scans; they agree
     # with the level-pair loop on the product symbol up to roundoff
     from conftest import _pp1_oracle
-    g1, g2 = pg.grid1, pg.grid2
-    bC = forward2(random_product_function(pg, rng))[..., None]
+    g1, g2 = pg.grids
+    bC = forward_space(pg, random_product_function(pg, rng).samples)[..., None]
     X = forward_space(pg, rng.standard_normal(pg.shape + (3,)))
     sym1 = forward_stacked(g1, rng.standard_normal(g1.n_samples))
     sym2 = forward_stacked(g2, rng.standard_normal(g2.n_samples))

@@ -183,6 +183,16 @@ def test_mc_demo_zero_samples_exits_2(tmp_path, capsys):
     assert err.startswith("mc-demo: --samples") and "\n" not in err
 
 
+def test_mc_demo_fails_its_familywise_z_test_on_some_seeds(tmp_path, capsys):
+    # the test holds each z-score to a Bonferroni threshold, so about 0.5 %
+    # of seeds fail it by design; seed 60 is one, and its exit names it
+    code, report = run(["mc-demo", "--N", "6", "--samples", "1000", "--seed", "60"],
+                       tmp_path, "mc-demo")
+    res = report["results"]
+    assert code == 1 and not (res["toeplitz"]["pass"] and res["antisymmetry"]["pass"])
+    assert "replay seed: 60" in capsys.readouterr().out.splitlines()
+
+
 def test_bound_study(tmp_path):
     code, report = run(["bound-study", "--delta", "1.0", "--imax", "1",
                         "--jmax", "1", "--trials", "2", "--N", "4",

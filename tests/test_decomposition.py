@@ -8,19 +8,19 @@ import numpy as np
 import pytest
 
 from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
-                     ProductGrid, decompose_biparam,
+                     ProductGrid,
                      decompose_cancellative, decompose_noncancellative,
                      evaluate_terms, haar_function, iterated_commutator,
                      multiplication_commutator, random_function,
                      random_product_function, random_shift, tensor_function,
                      verify_identity)
 from dyadlab import ProductFunction, ShiftOperator, dyadic_bmo_norm, rect_bmo_norm
-from dyadlab.biparam import iterated_commutator_stacked
+from dyadlab.biparam import PAtom
 from dyadlab.decomposition import TermList, decompose, _trial_samples, evaluate_stacked
 from dyadlab.grids import GridMismatchError, WrongKindError, grid_index
 from dyadlab.haar import forward_space, forward_stacked, inverse_space, inverse_stacked
 from dyadlab.norms import _trial_rng
-from dyadlab.shifts import multiplication_commutator_stacked, noncancellative_shift
+from dyadlab.shifts import commutator_stacked, noncancellative_shift
 
 from conftest import (assert_columns_alone, evaluate_stacked_oracle,
                       iterated_commutator_oracle, verify_identity_oracle)
@@ -88,9 +88,9 @@ def test_biparam_count_law_full_range(rng):
         for j1 in range(3):
             for i2 in range(3):
                 for j2 in range(3):
-                    S1 = random_shift(pg.grid1, i1, j1, rng)
-                    S2 = random_shift(pg.grid2, i2, j2, rng)
-                    tl = decompose_biparam(b, S1, S2)
+                    S1 = random_shift(pg.grids[0], i1, j1, rng)
+                    S2 = random_shift(pg.grids[1], i2, j2, rng)
+                    tl = decompose(b, S1, S2)
                     assert tl.term_count == (4 + i1 + j1) * (4 + i2 + j2)
                     assert tl.term_count <= tl.meta["count_constant"] \
                         * (1 + max(i1, j1)) * (1 + max(i2, j2))
@@ -115,7 +115,7 @@ def test_one_decompose_for_one_and_two_variables(rng):
         assert all(len(term.atoms) == len(term.inner) == len(term.outer) == len(term.key) == t
                    for term in tl.terms)
         if t == 2:
-            pair = decompose_biparam(b, *shifts)
+            pair = decompose(b, *shifts)
             assert all(x is y for x, y in zip(tl.terms, pair.terms))
             assert (tl.terms, tl.case, tl.meta) == (pair.terms, pair.case, pair.meta)
 
@@ -124,7 +124,7 @@ def test_decompose_takes_one_shift_per_variable_on_its_grid(rng):
     g = GridSpec(1, 3)
     pg = ProductGrid(GridSpec(2, 2), g)
     b, b2 = random_function(g, rng), random_product_function(pg, rng)
-    S1, S2 = random_shift(pg.grid1, 1, 0, rng), random_shift(g, 0, 1, rng)
+    S1, S2 = random_shift(pg.grids[0], 1, 0, rng), random_shift(g, 0, 1, rng)
     for bad, match in (((b, S2, S2), "b has 1 variable"), ((b2, S1), "b has 2 variable"),
                        ((b2, S2, S2), "shift 1 must act on the grid of variable 1"),
                        ((b2, S1, S1), "shift 2 must act on the grid of variable 2"),
@@ -268,11 +268,11 @@ def test_biparam_identity_all_mixes(rng):
              ("noncancellative", "noncancellative", (0, 0), (0, 0))]
     for k1, k2, (i1, j1), (i2, j2) in cases:
         b = random_product_function(pg, rng)
-        S1 = random_shift(pg.grid1, i1, j1, rng, kind=k1)
-        S2 = random_shift(pg.grid2, i2, j2, rng, kind=k2)
+        S1 = random_shift(pg.grids[0], i1, j1, rng, kind=k1)
+        S2 = random_shift(pg.grids[1], i2, j2, rng, kind=k2)
         rep = verify_identity(b, (S1, S2), trials=3, rng_seed=23, tol=1e-9)
         assert rep["pass"], rep
-        tl = decompose_biparam(b, S1, S2)
+        tl = decompose(b, S1, S2)
         assert tl.term_count <= tl.meta["count_bound"]
 
 
@@ -280,28 +280,28 @@ def test_biparam_pp_kind_per_orientation(rng):
     # same orientation in both variables -> exactly one plain PP term
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     b = random_product_function(pg, rng)
-    S1 = random_shift(pg.grid1, 0, 0, rng, kind="noncancellative",
+    S1 = random_shift(pg.grids[0], 0, 0, rng, kind="noncancellative",
                       orientation="analysis")
-    S2 = random_shift(pg.grid2, 0, 0, rng, kind="noncancellative",
+    S2 = random_shift(pg.grids[1], 0, 0, rng, kind="noncancellative",
                       orientation="analysis")
-    tl = decompose_biparam(b, S1, S2)
+    tl = decompose(b, S1, S2)
     assert [t.kind for t in tl.terms].count("PP_term") == 1
     assert not any(t.kind in ("PP1_term", "PP2_term", "PPstar_term")
                    for t in tl.terms)
     # opposite orientations produce the partial adjoints instead
-    S1s = random_shift(pg.grid1, 0, 0, rng, kind="noncancellative",
+    S1s = random_shift(pg.grids[0], 0, 0, rng, kind="noncancellative",
                        orientation="synthesis")
-    tl2 = decompose_biparam(b, S1s, S2)
+    tl2 = decompose(b, S1s, S2)
     kinds = [t.kind for t in tl2.terms]
     assert kinds.count("PP1_term") == 1 and kinds.count("PP_term") == 0
 
 
 def test_biparam_tensor_factorization(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
-    b1, f1 = random_function(pg.grid1, rng), random_function(pg.grid1, rng)
-    b2, f2 = random_function(pg.grid2, rng), random_function(pg.grid2, rng)
-    S1 = random_shift(pg.grid1, 1, 0, rng)
-    S2 = random_shift(pg.grid2, 0, 1, rng)
+    b1, f1 = random_function(pg.grids[0], rng), random_function(pg.grids[0], rng)
+    b2, f2 = random_function(pg.grids[1], rng), random_function(pg.grids[1], rng)
+    S1 = random_shift(pg.grids[0], 1, 0, rng)
+    S2 = random_shift(pg.grids[1], 0, 1, rng)
     lhs = iterated_commutator(tensor_function(b1, b2), S1, S2,
                               tensor_function(f1, f2))
     rhs = tensor_function(multiplication_commutator(b1, S1, f1),
@@ -315,9 +315,9 @@ def test_biparam_mixed_dimensions_and_shifted_grids(rng):
     for k1 in ("cancellative", "noncancellative"):
         for k2 in ("cancellative", "noncancellative"):
             b = random_product_function(pg, rng)
-            S1 = random_shift(pg.grid1, *((1, 1) if k1 == "cancellative" else (0, 0)),
+            S1 = random_shift(pg.grids[0], *((1, 1) if k1 == "cancellative" else (0, 0)),
                               rng, kind=k1)
-            S2 = random_shift(pg.grid2, *((2, 1) if k2 == "cancellative" else (0, 0)),
+            S2 = random_shift(pg.grids[1], *((2, 1) if k2 == "cancellative" else (0, 0)),
                               rng, kind=k2,
                               orientation="synthesis" if k2 == "noncancellative"
                               else "analysis")
@@ -326,8 +326,8 @@ def test_biparam_mixed_dimensions_and_shifted_grids(rng):
     pgo = ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
                       GridSpec(1, 3, omega=((0,), (1,), (1,))))
     b = random_product_function(pgo, rng)
-    rep = verify_identity(b, (random_shift(pgo.grid1, 1, 1, rng),
-                              random_shift(pgo.grid2, 0, 2, rng)),
+    rep = verify_identity(b, (random_shift(pgo.grids[0], 1, 1, rng),
+                              random_shift(pgo.grids[1], 0, 2, rng)),
                           trials=2, rng_seed=2, tol=1e-10)
     assert rep["pass"], rep
 
@@ -375,7 +375,7 @@ def test_termlist_json_terms_are_pinned():
         "f2462025b8deb8b1cf439f412c5fa047f88f8cfb9c9fda92b6568568e87f59d1"
     g = GridSpec(1, 3)
     b = random_product_function(ProductGrid(g, g), np.random.default_rng(0))
-    tl = decompose_biparam(b, random_shift(g, 1, 1, 1),
+    tl = decompose(b, random_shift(g, 1, 1, 1),
                            random_shift(g, 0, 0, 2, kind="noncancellative",
                                         orientation="synthesis"))
     assert tl.term_count == 24 and _terms_digest(tl) == \
@@ -468,15 +468,15 @@ def _biparam_cases(rng):
     def non(g, ori):
         return random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
 
-    cases = [(pg, random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 0, 2, rng)),
-             (pg, non(pg.grid1, "analysis"), random_shift(pg.grid2, 1, 0, rng)),
-             (pg, random_shift(pg.grid1, 2, 1, rng), non(pg.grid2, "synthesis"))]
+    cases = [(pg, random_shift(pg.grids[0], 1, 1, rng), random_shift(pg.grids[1], 0, 2, rng)),
+             (pg, non(pg.grids[0], "analysis"), random_shift(pg.grids[1], 1, 0, rng)),
+             (pg, random_shift(pg.grids[0], 2, 1, rng), non(pg.grids[1], "synthesis"))]
     for o1 in ("analysis", "synthesis"):
         for o2 in ("analysis", "synthesis"):
-            cases.append((pg, non(pg.grid1, o1), non(pg.grid2, o2)))
-    cases += [(pg2, random_shift(pg2.grid1, 1, 1, rng), non(pg2.grid2, "synthesis")),
-              (pg2, non(pg2.grid1, "analysis"), random_shift(pg2.grid2, 2, 1, rng)),
-              (pgo, random_shift(pgo.grid1, 1, 1, rng), random_shift(pgo.grid2, 0, 2, rng))]
+            cases.append((pg, non(pg.grids[0], o1), non(pg.grids[1], o2)))
+    cases += [(pg2, random_shift(pg2.grids[0], 1, 1, rng), non(pg2.grids[1], "synthesis")),
+              (pg2, non(pg2.grids[0], "analysis"), random_shift(pg2.grids[1], 2, 1, rng)),
+              (pgo, random_shift(pgo.grids[0], 1, 1, rng), random_shift(pgo.grids[1], 0, 2, rng))]
     return [(random_product_function(p, rng), (S1, S2)) for p, S1, S2 in cases]
 
 
@@ -497,7 +497,7 @@ def test_stacked_evaluation_matches_per_column_calls(rng):
             assert _close(got[:, t], want), (tl.case, g, t)
     for b, (S1, S2) in _biparam_cases(rng):
         pg = b.pgrid
-        tl = decompose_biparam(b, S1, S2)
+        tl = decompose(b, S1, S2)
         F = rng.standard_normal(pg.shape + (T,))
         got = inverse_space(pg, evaluate_stacked(tl, forward_space(pg, F)))
         assert got.shape == F.shape
@@ -510,14 +510,14 @@ def test_stacked_commutators_match_per_column_calls(rng):
     T = 3
     for b, S in _one_param_cases(rng):
         F = rng.standard_normal((b.grid.n_samples, T))
-        got = multiplication_commutator_stacked(b, S, F)
+        got = commutator_stacked(b, (S,), F)
         for t in range(T):
             want = multiplication_commutator(b, S, DyadicFunction(b.grid, F[:, t]))
             assert _close(got[:, t], want.samples)
     for b, (S1, S2) in _biparam_cases(rng):
         pg = b.pgrid
         F = rng.standard_normal(pg.shape + (T,))
-        got = iterated_commutator_stacked(b, S1, S2, F)
+        got = commutator_stacked(b, (S1, S2), F)
         for t in range(T):
             want = iterated_commutator(b, S1, S2, ProductFunction(pg, F[..., t]))
             assert _close(got[..., t], want.samples)
@@ -537,10 +537,10 @@ def test_iterated_commutator_is_the_four_composition_oracle(pg, rng):
     b = random_product_function(pg, rng)
     for k1, k2 in [((1, 1), (1, 0)), ((0, 1), "analysis"), ("synthesis", (1, 1)),
                    ("analysis", "synthesis")]:
-        S1, S2 = shift(pg.grid1, k1), shift(pg.grid2, k2)
+        S1, S2 = shift(pg.grids[0], k1), shift(pg.grids[1], k2)
         for passive in [(), (1,), (3,), (2, 2)]:
             F = rng.standard_normal(pg.shape + passive)
-            assert np.array_equal(iterated_commutator_stacked(b, S1, S2, F),
+            assert np.array_equal(commutator_stacked(b, (S1, S2), F),
                                   iterated_commutator_oracle(b, S1, S2, F))
 
 
@@ -553,7 +553,7 @@ def test_iterated_commutator_on_a_case_axis_is_the_per_case_oracle(pg, rng):
     # pair c, bit for bit, on its own input or on one input that every case
     # shares (a case axis of length 1); every mix of kinds, blocks of 1, 2
     # and 5 cases
-    pairs = [tuple(_shift_of_kind(g, k, rng) for g, k in zip((pg.grid1, pg.grid2), kinds))
+    pairs = [tuple(_shift_of_kind(g, k, rng) for g, k in zip(pg.grids, kinds))
              for kinds in TWO_PARAM_KINDS]
     for C in (1, 2, 5):
         for start in range(0, len(pairs), C):
@@ -562,37 +562,37 @@ def test_iterated_commutator_on_a_case_axis_is_the_per_case_oracle(pg, rng):
             for trials in (1, 2, 5):
                 F = rng.standard_normal(pg.shape + (C, trials))
                 for x in (F, F[:, :, :1]):
-                    got = iterated_commutator_stacked(b, S1s, S2s, x)
+                    got = commutator_stacked(b, (S1s, S2s), x)
                     assert got.shape == F.shape
                     for c in range(C):
                         want = iterated_commutator_oracle(ProductFunction(pg, b[..., c]),
                                                           S1s[c], S2s[c], x[:, :, c % x.shape[2]])
                         assert np.array_equal(got[:, :, c], want), (C, start, trials, c)
             # a trial column has the bits it has alone
-            assert_columns_alone(partial(iterated_commutator_stacked, b, S1s, S2s),
+            assert_columns_alone(partial(commutator_stacked, b, (S1s, S2s)),
                                  lambda T: (rng.standard_normal(pg.shape + (C, T)),))
 
 
 def test_iterated_commutator_on_a_case_axis_refuses_bad_blocks(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 4))
-    S1s = [random_shift(pg.grid1, 1, 0, rng), random_shift(pg.grid1, 0, 1, rng)]
-    S2s = [random_shift(pg.grid2, 1, 1, rng), random_shift(pg.grid2, 2, 0, rng)]
+    S1s = [random_shift(pg.grids[0], 1, 0, rng), random_shift(pg.grids[0], 0, 1, rng)]
+    S2s = [random_shift(pg.grids[1], 1, 1, rng), random_shift(pg.grids[1], 2, 0, rng)]
     b = rng.standard_normal(pg.shape + (2,))
     F = rng.standard_normal(pg.shape + (2, 3))
-    for args in [(b, S1s, S2s[:1], F), (b, S1s[:1], S2s[:1], F),
-                 (b[..., :1], S1s, S2s, F), (b, S1s, S2s, rng.standard_normal(pg.shape + (3, 3))),
-                 (b, [], [], F)]:
+    for args in [(b, (S1s, S2s[:1]), F), (b, (S1s[:1], S2s[:1]), F),
+                 (b[..., :1], (S1s, S2s), F),
+                 (b, (S1s, S2s), rng.standard_normal(pg.shape + (3, 3))), (b, ([], []), F)]:
         with pytest.raises(ValueError):
-            iterated_commutator_stacked(*args)
+            commutator_stacked(*args)
     with pytest.raises(ValueError, match="one shift per variable"):
-        iterated_commutator_stacked(random_product_function(pg, rng), S1s, S2s, F)
-    for s1, s2 in [(S1s, [S2s[0], random_shift(pg.grid1, 1, 1, rng)]),
-                   ([S1s[0], random_shift(pg.grid2, 1, 1, rng)], S2s),
-                   ([random_shift(pg.grid2, 1, 1, rng)] * 2, [random_shift(pg.grid1, 1, 1, rng)] * 2)]:
+        commutator_stacked(random_product_function(pg, rng), (S1s, S2s), F)
+    for s1, s2 in [(S1s, [S2s[0], random_shift(pg.grids[0], 1, 1, rng)]),
+                   ([S1s[0], random_shift(pg.grids[1], 1, 1, rng)], S2s),
+                   ([random_shift(pg.grids[1], 1, 1, rng)] * 2, [random_shift(pg.grids[0], 1, 1, rng)] * 2)]:
         with pytest.raises(GridMismatchError):
-            iterated_commutator_stacked(b, s1, s2, F)
+            commutator_stacked(b, (s1, s2), F)
     with pytest.raises(GridMismatchError):
-        iterated_commutator_stacked(random_product_function(pg, rng), S2s[0], S1s[0], F[:, :, 0])
+        commutator_stacked(random_product_function(pg, rng), (S2s[0], S1s[0]), F[:, :, 0])
 
 
 def _loop_residuals(tl, scale, trials, seed):
@@ -617,7 +617,7 @@ def test_verify_identity_residual_matches_per_trial_loop(rng):
         assert abs(rep["max_residual"] - want) <= 1e-15
     for b, shifts in _biparam_cases(rng)[:4]:
         rep = verify_identity(b, shifts, trials=4, rng_seed=11)
-        want = max(_loop_residuals(decompose_biparam(b, *shifts), rect_bmo_norm(b), 4, 11))
+        want = max(_loop_residuals(decompose(b, *shifts), rect_bmo_norm(b), 4, 11))
         assert abs(rep["max_residual"] - want) <= 1e-15
 
 
@@ -629,9 +629,9 @@ def test_verify_identity_measures_every_trial(rng, monkeypatch):
     b, S = random_function(g, rng), random_shift(g, 1, 2, rng)
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     b2 = random_product_function(pg, rng)
-    S1, S2 = random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 0, 1, rng)
+    S1, S2 = random_shift(pg.grids[0], 1, 1, rng), random_shift(pg.grids[1], 0, 1, rng)
     broken = decompose(b, S).drop(0)
-    broken2 = decompose_biparam(b2, S1, S2).drop(0)
+    broken2 = decompose(b2, S1, S2).drop(0)
     monkeypatch.setattr(decomposition, "decompose",
                         lambda b, *shifts: broken if len(shifts) == 1 else broken2)
     for tl, shifts, scale in ((broken, S, dyadic_bmo_norm(b)),
@@ -702,18 +702,18 @@ def test_every_term_list_is_an_ordered_subsequence_of_its_family_list(g, rng):
     # the two-parameter lists are the products of these
     pg = ProductGrid(GridSpec(1, 3), g if g.d < 3 else GridSpec(3, 2))
     b2 = random_product_function(pg, rng)
-    S1s = [random_shift(pg.grid1, i, j, rng) for i in range(3) for j in range(3)]
-    S2s = [random_shift(pg.grid2, 0, 1, rng), random_shift(pg.grid2, 1, 0, rng)]
-    pair_lists = [decompose_biparam(b2, S1, S2) for S1 in S1s for S2 in S2s]
+    S1s = [random_shift(pg.grids[0], i, j, rng) for i in range(3) for j in range(3)]
+    S2s = [random_shift(pg.grids[1], 0, 1, rng), random_shift(pg.grids[1], 1, 0, rng)]
+    pair_lists = [decompose(b2, S1, S2) for S1 in S1s for S2 in S2s]
     non = [random_shift(grid, 0, 0, rng, kind="noncancellative", orientation=ori)
-           for grid, ori in ((pg.grid1, "analysis"), (pg.grid2, "synthesis"))]
-    for tl in pair_lists + [decompose_biparam(b2, non[0], S2s[0]),
-                            decompose_biparam(b2, S1s[-1], non[1]),
-                            decompose_biparam(b2, *non)]:
+           for grid, ori in ((pg.grids[0], "analysis"), (pg.grids[1], "synthesis"))]
+    for tl in pair_lists + [decompose(b2, non[0], S2s[0]),
+                            decompose(b2, S1s[-1], non[1]),
+                            decompose(b2, *non)]:
         assert_keys_ascend(tl)
     master, weights = _family_weights(pair_lists)
-    assert master == tuple(decompose_biparam(b2, S1s[-1], random_shift(
-        pg.grid2, 1, 1, rng)).terms)
+    assert master == tuple(decompose(b2, S1s[-1], random_shift(
+        pg.grids[1], 1, 1, rng)).terms)
     for c, tl in enumerate(pair_lists):
         assert [term for term, w in zip(master, weights[:, c]) if w] == tl.terms
     with pytest.raises(ValueError, match="ordered subsequence"):
@@ -740,16 +740,16 @@ def test_the_lists_of_a_family_share_their_term_objects(rng, monkeypatch):
     pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 3))
     b, b2 = random_function(g, rng), random_product_function(pg, rng)
     top = {1: decompose(b, random_shift(g, 2, 2, rng)),
-           2: decompose_biparam(b2, random_shift(pg.grid1, 3, 2, rng),
-                                random_shift(pg.grid2, 1, 2, rng))}
+           2: decompose(b2, random_shift(pg.grids[0], 3, 2, rng),
+                                random_shift(pg.grids[1], 1, 2, rng))}
     ones = [decompose(random_function(g, rng), random_shift(g, 0, 0, rng, kind="noncancellative",
                                                             orientation=ori))
             for ori in ("analysis", "synthesis")]
     assert len(built) == sum(tl.term_count for tl in [*top.values(), *ones])
     built.clear()
     blocks = {1: [decompose(b, random_shift(g, i, j, rng)) for i, j in ((0, 0), (2, 1), (1, 2))],
-              2: [decompose_biparam(b2, random_shift(pg.grid1, i1, j1, rng),
-                                    random_shift(pg.grid2, i2, j2, rng))
+              2: [decompose(b2, random_shift(pg.grids[0], i1, j1, rng),
+                                    random_shift(pg.grids[1], i2, j2, rng))
                   for i1, j1, i2, j2 in ((0, 0, 0, 0), (3, 1, 0, 2), (1, 2, 1, 0))]}
     assert built == []
     for t, block in blocks.items():
@@ -787,9 +787,9 @@ def test_a_single_list_and_a_block_of_one_are_placed_alike(rng, monkeypatch):
     for tl in (decompose(random_function(g, rng), random_shift(g, 2, 1, rng)),
                decompose(random_function(g, rng), random_shift(g, 0, 0, rng,
                                                                kind="noncancellative")),
-               decompose_biparam(random_product_function(pg, rng),
-                                 random_shift(pg.grid1, 1, 2, rng),
-                                 random_shift(pg.grid2, 1, 0, rng))):
+               decompose(random_product_function(pg, rng),
+                                 random_shift(pg.grids[0], 1, 2, rng),
+                                 random_shift(pg.grids[1], 1, 0, rng))):
         f = random_function(g, rng) if tl.arity == 1 else random_product_function(pg, rng)
         calls.clear()
         single = evaluate_terms(tl, f)
@@ -812,9 +812,9 @@ def test_a_single_list_out_of_key_order_raises(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     for tl, f in ((decompose(random_function(g, rng), random_shift(g, 1, 1, rng)),
                    random_function(g, rng)),
-                  (decompose_biparam(random_product_function(pg, rng),
-                                     random_shift(pg.grid1, 1, 0, rng),
-                                     random_shift(pg.grid2, 0, 1, rng)),
+                  (decompose(random_product_function(pg, rng),
+                                     random_shift(pg.grids[0], 1, 0, rng),
+                                     random_shift(pg.grids[1], 0, 1, rng)),
                    random_product_function(pg, rng))):
         reversed_tl = TermList(tl.b, tl.shifts, tl.terms[::-1], tl.case)
         for run in (lambda: evaluate_terms(reversed_tl, f),
@@ -846,7 +846,7 @@ def _block_orders(cases) -> list:
 def _block_evaluation_is_the_per_case_oracle(cases, trials, rng):
     """The sweep of one block on (n, C, T) stacks, each column np.array_equal
     to its own list's per-key oracle."""
-    tls = [decompose(b, S) if isinstance(S, ShiftOperator) else decompose_biparam(b, *S)
+    tls = [decompose(b, S) if isinstance(S, ShiftOperator) else decompose(b, *S)
            for b, S in cases]
     shape = tls[0].b.samples.shape
     x = rng.standard_normal(shape + (len(tls), trials))
@@ -893,11 +893,11 @@ def test_two_parameter_cases_of_one_call_are_the_per_case_oracle(trials, rng):
         cases = []
         for kinds in mixes:
             if any(isinstance(k, tuple) and max(k) > g.N - 1
-                   for g, k in zip((pg.grid1, pg.grid2), kinds)):
+                   for g, k in zip(pg.grids, kinds)):
                 continue
-            S1, S2 = (_shift_of_kind(g, k, rng) for g, k in zip((pg.grid1, pg.grid2), kinds))
+            S1, S2 = (_shift_of_kind(g, k, rng) for g, k in zip(pg.grids, kinds))
             cases.append((random_product_function(pg, rng), (S1, S2)))
-        assert len(cases) == len(mixes) - (pg.grid1.N < 3)
+        assert len(cases) == len(mixes) - (pg.grids[0].N < 3)
         symbols, shifts = zip(*cases)
         want = [verify_identity_oracle(b, S, trials, 23) for b, S in cases]
         assert verify_identity(symbols, shifts, trials=trials, rng_seed=23) == want
@@ -1040,7 +1040,8 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
     # direct commutators, at t = 2 f once for the terms, and three for the
     # direct commutators of the whole block (f along variable 2, both
     # brackets of every case along variable 1, the second brackets along
-    # variable 2); whatever the number of trials and cases
+    # variable 2), and f alone along variable 1 when two or more cases share
+    # it; whatever the number of trials and cases
     calls = _count_calls(monkeypatch, "forward_stacked")
     g = GridSpec(1, 4)
     bs = [random_function(g, rng) for _ in range(3)]
@@ -1048,8 +1049,8 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
               random_shift(g, 0, 0, rng, kind="noncancellative")]
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     b2 = [random_product_function(pg, rng) for _ in range(2)]
-    pairs = [(random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 1, 1, rng)),
-             (random_shift(pg.grid1, 0, 1, rng), random_shift(pg.grid2, 1, 0, rng))]
+    pairs = [(random_shift(pg.grids[0], 1, 1, rng), random_shift(pg.grids[1], 1, 1, rng)),
+             (random_shift(pg.grids[0], 0, 1, rng), random_shift(pg.grids[1], 1, 0, rng))]
 
     def one_symbol_transform(symbols):
         stack = np.stack([b.samples for b in symbols], axis=-1)
@@ -1065,7 +1066,7 @@ def test_verify_identity_transforms_b_once(rng, monkeypatch):
             calls.clear()
             assert all(rep["pass"] for rep in verify_identity(b2[:C], pairs[:C], trials, 5))
             # forward_space is one call per variable
-            assert len(calls) == 9 and one_symbol_transform(b2[:C])
+            assert len(calls) == 9 + (C > 1) and one_symbol_transform(b2[:C])
 
 
 def test_one_extend_and_one_contract_per_variable(rng, monkeypatch):
@@ -1080,12 +1081,12 @@ def test_one_extend_and_one_contract_per_variable(rng, monkeypatch):
     levels.clear()
     folds.clear()
     pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 3))
-    tl = decompose_biparam(random_product_function(pg, rng),
-                           random_shift(pg.grid1, 1, 1, rng), random_shift(pg.grid2, 2, 1, rng))
+    tl = decompose(random_product_function(pg, rng),
+                           random_shift(pg.grids[0], 1, 1, rng), random_shift(pg.grids[1], 2, 1, rng))
     assert len({t.outer for t in tl.terms}) == 4
     evaluate_stacked(tl, rng.standard_normal(pg.shape + (2,)))
-    assert [args[0] for args in levels] == [pg.grid1, pg.grid2]
-    assert [args[0] for args in folds] == [pg.grid2, pg.grid1]
+    assert [args[0] for args in levels] == list(pg.grids)
+    assert [args[0] for args in folds] == [pg.grids[1], pg.grids[0]]
 
 
 def test_decomposition_never_reaches_the_level_pair_loop(rng):
@@ -1098,7 +1099,7 @@ def test_decomposition_never_reaches_the_level_pair_loop(rng):
             for ori2 in ("analysis", "synthesis"):
                 shifts = tuple(random_shift(g, 0, 0, rng, kind="noncancellative",
                                             orientation=ori)
-                               for g, ori in ((pg.grid1, ori1), (pg.grid2, ori2)))
+                               for g, ori in ((pg.grids[0], ori1), (pg.grids[1], ori2)))
                 rep = verify_identity(b, shifts, trials=3, rng_seed=4)
                 assert rep["pass"] and rep["max_residual"] < 1e-13, (pg, ori1, ori2)
 
@@ -1109,9 +1110,9 @@ def test_biparam_evaluation_applies_each_shift_once_per_composition(rng, monkeyp
     calls = _count_shift_calls(monkeypatch)
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     for kind2 in ("cancellative", "noncancellative"):
-        S1 = random_shift(pg.grid1, 1, 1, rng)
-        S2 = random_shift(pg.grid2, 0, 0, rng, kind=kind2)
-        tl = decompose_biparam(random_product_function(pg, rng), S1, S2)
+        S1 = random_shift(pg.grids[0], 1, 1, rng)
+        S2 = random_shift(pg.grids[1], 0, 0, rng, kind=kind2)
+        tl = decompose(random_product_function(pg, rng), S1, S2)
         calls.clear()
         evaluate_stacked(tl, rng.standard_normal(pg.shape + (2,)))
         assert sum(c is S1 for c in calls) == 2, kind2
@@ -1125,6 +1126,29 @@ def _shift_of_kind(g, kind, rng):
     if isinstance(kind, tuple):
         return random_shift(g, *kind, rng)
     return random_shift(g, 0, 0, rng, kind="noncancellative", orientation=kind)
+
+
+def test_three_variables_are_refused_by_the_term_kernels(rng):
+    # decompose takes one shift per variable of a product of three grids,
+    # but the term kernels cover one and two variables: evaluating the list
+    # raises, and so does an identity check, before it reports a residual
+    pg = ProductGrid(GridSpec(1, 2), GridSpec(1, 2), GridSpec(1, 2))
+    b = random_product_function(pg, rng)
+    F = rng.standard_normal(pg.shape + (2,))
+    for kinds in [((1, 0), (0, 1), (1, 1)), ("analysis", (1, 0), "synthesis"),
+                  ("analysis", "synthesis", "analysis")]:
+        shifts = [_shift_of_kind(g, k, rng) for g, k in zip(pg.grids, kinds)]
+        tl = decompose(b, *shifts)
+        assert tl.arity == 3 and tl.term_count > 0
+        with pytest.raises(ValueError, match="ROADMAP item 14"):
+            evaluate_stacked(tl, forward_space(pg, F))
+        with pytest.raises(ValueError, match="ROADMAP item 14"):
+            evaluate_terms(tl, ProductFunction(pg, F[..., 0]))
+        with pytest.raises(ValueError, match="ROADMAP item 14"):
+            verify_identity(b, shifts, 2, 5)
+    # a P atom in every variable names its adjoint variables
+    assert {t.kind for t in tl.terms if all(isinstance(a, PAtom) for a in t.atoms)} \
+        == {"PPP2_term"}
 
 
 ONE_PARAM_KINDS = [(0, 0), (1, 0), (0, 2), (2, 1), "analysis", "synthesis"]
@@ -1150,8 +1174,8 @@ def test_one_parameter_evaluation_is_the_per_key_oracle(g, kind, rng):
                                 ProductGrid(GridSpec(2, 3), GridSpec(1, 3))], ids=repr)
 @pytest.mark.parametrize("kinds", TWO_PARAM_KINDS, ids=str)
 def test_two_parameter_evaluation_is_the_per_key_oracle(pg, kinds, rng):
-    S1, S2 = (_shift_of_kind(g, k, rng) for g, k in zip((pg.grid1, pg.grid2), kinds))
-    tl = decompose_biparam(random_product_function(pg, rng), S1, S2)
+    S1, S2 = (_shift_of_kind(g, k, rng) for g, k in zip(pg.grids, kinds))
+    tl = decompose(random_product_function(pg, rng), S1, S2)
     for passive in [(1,), (3,)]:
         x = rng.standard_normal(pg.shape + passive)
         assert np.array_equal(evaluate_stacked(tl, x), evaluate_stacked_oracle(tl, x))

@@ -52,18 +52,18 @@ def test_bmo_matches_brute_force(rng):
 def test_rect_bmo(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     # root-level elementary tensor Haar has norm 1
-    h1 = haar_function(pg.grid1, HaarIndex(DyadicCube(0, (0,)), (0,)))
-    h2 = haar_function(pg.grid2, HaarIndex(DyadicCube(0, (0,)), (0,)))
+    h1 = haar_function(pg.grids[0], HaarIndex(DyadicCube(0, (0,)), (0,)))
+    h2 = haar_function(pg.grids[1], HaarIndex(DyadicCube(0, (0,)), (0,)))
     assert abs(rect_bmo_norm(tensor_function(h1, h2)) - 1.0) < 1e-12
     # deeper single coefficient: norm |R|**(-1/2)
-    h1d = haar_function(pg.grid1, HaarIndex(DyadicCube(1, (0,)), (0,)))
+    h1d = haar_function(pg.grids[0], HaarIndex(DyadicCube(1, (0,)), (0,)))
     assert abs(rect_bmo_norm(tensor_function(h1d, h2)) - np.sqrt(2.0)) < 1e-12
     # constant in either variable -> 0
-    const2 = DyadicFunction(pg.grid2, np.ones(pg.grid2.n_samples))
-    assert rect_bmo_norm(tensor_function(random_function(pg.grid1, rng), const2)) < 1e-12
+    const2 = DyadicFunction(pg.grids[1], np.ones(pg.grids[1].n_samples))
+    assert rect_bmo_norm(tensor_function(random_function(pg.grids[0], rng), const2)) < 1e-12
     # tensor bound
-    a1 = random_function(pg.grid1, rng)
-    a2 = random_function(pg.grid2, rng)
+    a1 = random_function(pg.grids[0], rng)
+    a2 = random_function(pg.grids[1], rng)
     assert rect_bmo_norm(tensor_function(a1, a2)) <= \
         dyadic_bmo_norm(a1) * dyadic_bmo_norm(a2) + 1e-10
 
@@ -74,8 +74,8 @@ def test_rect_bmo(rng):
 def test_rect_bmo_matches_brute_force(pg, rng):
     # sup over rectangles R of |R|**(-1) sum_{R' inside R} mu(R'), from
     # per-HaarIndex coefficients
-    from dyadlab.biparam import forward2
-    g1, g2 = pg.grid1, pg.grid2
+    from dyadlab.haar import forward_space
+    g1, g2 = pg.grids
     rects = [(c1, c2) for c1 in all_cubes(g1) for c2 in all_cubes(g2)]
 
     def within(g, inner, outer):
@@ -83,7 +83,7 @@ def test_rect_bmo_matches_brute_force(pg, rng):
 
     for _ in range(3):
         b = random_product_function(pg, rng)
-        C = forward2(b)
+        C = forward_space(b.pgrid, b.samples)
         mass = {(c1, c2): sum(C[g1.stacked_index(HaarIndex(c1, g1.int_sig(e1))),
                                 g2.stacked_index(HaarIndex(c2, g2.int_sig(e2)))] ** 2
                               for e1 in range(g1.n_sig) for e2 in range(g2.n_sig))
@@ -127,11 +127,11 @@ def test_rect_bmo_lower_bounds_open_set_norm(rng):
 def open_set_bmo_norm_loop(b):
     """Open-set BMO by one Python pass per union of cells, summing the
     masses of the rectangles it contains in rectangle order."""
-    from dyadlab.biparam import forward2
+    from dyadlab.haar import forward_space
     from dyadlab.grids import grid_index
-    g1, g2 = b.pgrid.grid1, b.pgrid.grid2
+    g1, g2 = b.pgrid.grids
     n_cells = g1.n_samples * g2.n_samples
-    C = forward2(b)
+    C = forward_space(b.pgrid, b.samples)
     rects = []
     for l1 in range(g1.N):
         for l2 in range(g2.N):
@@ -322,8 +322,8 @@ def test_double_square_function_parseval(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     f = random_product_function(pg, rng)
     SS = square_function(f, "SS")
-    from dyadlab.biparam import forward2
-    C = forward2(f)
+    from dyadlab.haar import forward_space
+    C = forward_space(f.pgrid, f.samples)
     mass = (C ** 2).sum() - (C[0, :] ** 2).sum() - (C[:, 0] ** 2).sum() + C[0, 0] ** 2
     assert abs(SS.norm() ** 2 - mass) < 1e-12
 
@@ -554,15 +554,15 @@ def test_uniformity_study_biparam_rows_match_apply_biparam():
             b = random_product_function(pg, rng)
             f = random_product_function(pg, rng)
             if kind == "Bkl":
-                fields = {"beta1": random_signs_oracle(pg.grid1, rng),
-                          "beta2": random_signs_oracle(pg.grid2, rng)}
+                fields = {"beta1": random_signs_oracle(pg.grids[0], rng),
+                          "beta2": random_signs_oracle(pg.grids[1], rng)}
             elif kind == "BPk":
-                fields = {"a2": unit(random_function(pg.grid2, rng))}
+                fields = {"a2": unit(random_function(pg.grids[1], rng))}
             elif kind == "PBl":
-                fields = {"a1": unit(random_function(pg.grid1, rng))}
+                fields = {"a1": unit(random_function(pg.grids[0], rng))}
             else:
-                a1 = unit(random_function(pg.grid1, rng))
-                fields = {"a1": a1, "a2": unit(random_function(pg.grid2, rng))}
+                a1 = unit(random_function(pg.grids[0], rng))
+                fields = {"a1": a1, "a2": unit(random_function(pg.grids[1], rng))}
             denom = rect_bmo_norm(b) * f.norm()
             for k in ks:
                 for l in ls:

@@ -82,6 +82,29 @@ def test_omega_grid_json_roundtrip(rng):
         assert obj["omega" + var] == [[1], [0], [1]]
 
 
+def test_three_variable_function_json_roundtrip(rng):
+    # the JSON codec keys every variable; the DYF2 binary format holds two
+    g = GridSpec(1, 2, omega=((1,), (0,)))
+    pg = ProductGrid(GridSpec(1, 2), GridSpec(2, 1), g)
+    pf = random_product_function(pg, rng)
+    assert pf.samples.shape == pg.shape == (4, 4, 4)
+    obj = json.loads(pf.to_json())
+    assert set(obj) == {"d1", "N1", "d2", "N2", "d3", "N3", "samples", "omega3"}
+    back = ProductFunction.from_json(pf.to_json())
+    assert back.pgrid == pg and np.array_equal(back.samples, pf.samples)
+    with pytest.raises(ValueError, match="DYF2 holds two variables, not 3"):
+        ProductFunction(ProductGrid(*(GridSpec(1, 2),) * 3), pf.samples).to_bytes()
+    # the transpose reverses every variable
+    flipped = pf.transpose()
+    assert flipped.pgrid.grids == pg.grids[::-1]
+    assert np.array_equal(flipped.samples, pf.samples.transpose(2, 1, 0))
+    # a product of one grid is refused, and so is JSON that names one variable
+    with pytest.raises(ValueError, match="two or more grids"):
+        ProductGrid(GridSpec(1, 2))
+    with pytest.raises(ValueError, match="two or more grids"):
+        ProductFunction.from_json(json.dumps({"d1": 1, "N1": 2, "samples": [0.0] * 4}))
+
+
 def test_shift_json_roundtrip(rng):
     g = GridSpec(1, 3)
     S = random_shift(g, 1, 0, rng)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,7 @@ def test_commutator_basics(rng):
 @pytest.mark.parametrize("kind", [(0, 0), (1, 0), (1, 1), "analysis", "synthesis"], ids=str)
 def test_stacked_commutator_is_bit_identical_to_two_applications(g, kind, rng):
     # f and b f share their transforms; each column keeps its lone bits
-    from dyadlab.shifts import multiplication_commutator_stacked
+    from dyadlab.shifts import commutator_stacked
     S = random_shift(g, *kind, rng) if isinstance(kind, tuple) else \
         random_shift(g, 0, 0, rng, kind="noncancellative", orientation=kind)
     b = random_function(g, rng)
@@ -146,14 +148,14 @@ def test_stacked_commutator_is_bit_identical_to_two_applications(g, kind, rng):
         F = rng.standard_normal((g.n_samples,) + passive)
         bcol = b.samples.reshape(b.samples.shape + (1,) * len(passive))
         want = bcol * S.apply_samples(F) - S.apply_samples(bcol * F)
-        assert np.array_equal(multiplication_commutator_stacked(b, S, F), want)
+        assert np.array_equal(commutator_stacked(b, (S,), F), want)
 
 
 @pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3),
                                GridSpec(1, 4, omega=((1,), (0,), (1,), (1,)))], ids=repr)
 def test_stacked_commutator_with_trial_symbols_and_shifts_is_per_column(g, rng):
     # one symbol and one shift per column: each column is its lone commutator
-    from dyadlab.shifts import multiplication_commutator_stacked
+    from dyadlab.shifts import commutator_stacked
     kinds = [(0, 0), (1, 0), (0, 1), (1, 1), "analysis", "synthesis"]
     if g.N >= 4:  # a K block of one output entry, d = 1 and j = 0
         kinds += [(2, 0), (3, 0)]
@@ -162,28 +164,98 @@ def test_stacked_commutator_with_trial_symbols_and_shifts_is_per_column(g, rng):
     T = len(S)
     B = rng.standard_normal((g.n_samples, T))
     F = rng.standard_normal((g.n_samples, T))
-    got = multiplication_commutator_stacked(B, S, F)
+    got = commutator_stacked(B, (S,), F)
     for t in range(T):
         want = multiplication_commutator(DyadicFunction(g, B[:, t]), S[t],
                                          DyadicFunction(g, F[:, t]))
         assert np.array_equal(got[:, t], want.samples)
-    # a b stack with one shift: the bits of its two applications
-    assert np.array_equal(multiplication_commutator_stacked(B, S[2], F),
+    # one shift for every column: the bits of its two applications
+    assert np.array_equal(commutator_stacked(B, ([S[2]] * T,), F),
                           B * S[2].apply_samples(F) - S[2].apply_samples(B * F))
-    # one b with a shift per column
-    b = random_function(g, rng)
-    got = multiplication_commutator_stacked(b, S, F)
+    # one input shared by every case, with trial columns after the case axis
+    F3 = rng.standard_normal((g.n_samples, 1, 3))
+    got = commutator_stacked(B, (S,), F3)
+    assert np.array_equal(got, commutator_stacked(B, (S,), np.repeat(F3, T, axis=1)))
     for t in range(T):
-        want = multiplication_commutator(b, S[t], DyadicFunction(g, F[:, t]))
-        assert np.array_equal(got[:, t], want.samples)
+        want = B[:, t, None] * S[t].apply_samples(F3[:, 0]) \
+            - S[t].apply_samples(B[:, t, None] * F3[:, 0])
+        assert np.array_equal(got[:, t], want)
     with pytest.raises(ValueError):
-        multiplication_commutator_stacked(B, S[:-1], F)
+        commutator_stacked(B, (S[:-1],), F)
     with pytest.raises(ValueError):
-        multiplication_commutator_stacked(B[:, :-1], S, F)
+        commutator_stacked(B[:, :-1], (S,), F)
     with pytest.raises(ValueError):
-        multiplication_commutator_stacked(B, S, F[:, 0])
+        commutator_stacked(B, (S,), F[:, :2])
     with pytest.raises(ValueError):
-        multiplication_commutator_stacked(B, [], F[:, :0])
+        commutator_stacked(B, ([],), F[:, :0])
+    with pytest.raises(ValueError):
+        commutator_stacked(B, (), F)
+
+
+def _shift_of(g, kind, v, rng):
+    """A random shift of ``kind`` on ``g``: a cancellative one takes its
+    (i, j) from the variable ``v``, a noncancellative one the orientation."""
+    if kind == "cancellative":
+        return random_shift(g, *[(1, 0), (0, 1), (1, 1)][v % 3], rng)
+    return random_shift(g, 0, 0, rng, kind="noncancellative", orientation=kind)
+
+
+THREE_GRIDS = (GridSpec(1, 2), GridSpec(1, 2, omega=((1,), (0,))), GridSpec(1, 2))
+
+
+def test_three_variable_commutator_is_the_kronecker_oracle(rng):
+    # C_v = C_(v-1) K_v - K_v C_(v-1) from C_0 = M_b, with K_v the shift's
+    # dense matrix in slot v of a Kronecker product; all 27 mixes of the
+    # three kinds on one case axis, two trials per case
+    from dyadlab.biparam import ProductFunction, ProductGrid
+    from dyadlab.shifts import commutator_stacked
+    mixes = list(itertools.product(("cancellative", "analysis", "synthesis"), repeat=3))
+    cases = [[_shift_of(g, kind, v, rng) for v, (g, kind) in enumerate(zip(THREE_GRIDS, mix))]
+             for mix in mixes]
+    shape = tuple(g.n_samples for g in THREE_GRIDS)
+    b = rng.standard_normal(shape + (len(cases),))
+    F = rng.standard_normal(shape + (len(cases), 2))
+    got = commutator_stacked(b, list(zip(*cases)), F)
+    for c, (mix, shifts_c) in enumerate(zip(mixes, cases)):
+        comm = np.diag(b[..., c].reshape(-1))
+        for v, S in enumerate(shifts_c):
+            K = np.ones((1, 1))
+            for w, g in enumerate(THREE_GRIDS):
+                K = np.kron(K, dense_shift_matrix_oracle(S) if w == v else np.eye(g.n_samples))
+            comm = comm @ K - K @ comm
+        want = comm @ F[..., c, :].reshape(-1, 2)
+        err = np.linalg.norm(got[..., c, :].reshape(-1, 2) - want)
+        assert err <= 1e-13 * np.linalg.norm(want), mix
+    # one function with one shift per variable is a block of one
+    pg = ProductGrid(*THREE_GRIDS)
+    alone = commutator_stacked(ProductFunction(pg, b[..., 5]), cases[5], F[..., 5, :])
+    assert np.array_equal(alone, got[..., 5, :])
+    with pytest.raises(ValueError, match="one shift per variable"):
+        commutator_stacked(ProductFunction(pg, b[..., 5]), cases[5][:2], F[..., 5, :])
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_a_shared_input_is_transformed_once_per_variable(t, rng, monkeypatch):
+    # an input with a case axis of length 1 goes to every case: it is
+    # transformed once along each variable and gives the bits of the same
+    # input repeated on the case axis
+    from dyadlab.shifts import commutator_stacked
+    grids = (GridSpec(1, 3), GridSpec(2, 2), GridSpec(1, 2, omega=((1,), (0,))))[:t]
+    kinds = ["cancellative", "analysis", "synthesis", "cancellative"]
+    shifts_v = [[_shift_of(g, kind, v + c, rng) for c, kind in enumerate(kinds)]
+                for v, g in enumerate(grids)]
+    shape = tuple(g.n_samples for g in grids)
+    b = rng.standard_normal(shape + (len(kinds),))
+    F = rng.standard_normal(shape + (1, 3))
+    calls = []
+
+    def counting(grid, x):
+        calls.append((grid, x.size))
+        return forward_stacked(grid, x)
+    monkeypatch.setattr(shifts, "forward_stacked", counting)
+    shared = commutator_stacked(b, shifts_v, F)
+    assert all(calls.count((g, F.size)) == 1 for g in grids)
+    assert np.array_equal(shared, commutator_stacked(b, shifts_v, np.repeat(F, len(kinds), t)))
 
 
 def test_commutator_vanishing_region(rng):
