@@ -2,8 +2,10 @@
 
 Functions of t >= 2 variables are sample arrays, one axis per variable
 (variable 1 slowest), on a :class:`ProductGrid`, whose ``grids`` are the
-variables' grids; the operators below take two. Per-variable
-Haar transforms act along one axis with the other axis passive, so the full
+variables' grids. The tensor kernel :func:`pair_apply` takes any t >= 2;
+the named operators of :func:`apply_biparam` take two
+(:meth:`ProductGrid.two_grids` refuses other t). Per-variable Haar
+transforms act along one axis with the other axes passive, so the full
 transform (:func:`~dyadlab.haar.forward_space`) is their composition.
 
 The operator family combines one "atom" per variable: a
@@ -19,18 +21,18 @@ along a P or P* axis a strict-subcube tree scan of
 axis takes its own symbol: a PP-family symbol is a1 x a2, or a sum of
 such products (:func:`apply_biparam`).
 
-Stacked arrays are (n1, n2, *passive): variable 1 on axis 0, variable 2 on
-axis 1, and optional trailing passive axes (one column per trial in
+Stacked arrays are (n1, ..., nt, *passive): variable v on axis v - 1, and
+optional trailing passive axes (one column per trial in
 :func:`dyadlab.decomposition.verify_identity`, after the case axis of a
-block of cases in :func:`~dyadlab.shifts.commutator_stacked`). Variables
-swap by swapping axes 0 and 1. The fixed arrays (symbol coefficients,
-betas) broadcast against the trailing axes; they may also carry the
-input's last axes as trial axes, one symbol or beta per trial column
-(:func:`dyadlab.norms.uniformity_study`), and an array without them is the
-broadcast case of the same schedule. :func:`~dyadlab.haar._along` runs a
-function that acts along axis 0 along either variable.
+block of cases in :func:`~dyadlab.shifts.commutator_stacked`). Two
+variables swap by swapping axes 0 and 1. The fixed arrays (symbol
+coefficients, betas) broadcast against the trailing axes; they may also
+carry the input's last axes as trial axes, one symbol or beta per trial
+column (:func:`dyadlab.norms.uniformity_study`), and an array without them
+is the broadcast case of the same schedule. :func:`~dyadlab.haar._along`
+runs a function that acts along axis 0 along any variable.
 
-The atoms read and write the extended layout of both variables
+The atoms read and write the extended layout of every variable
 (:func:`~dyadlab.haar.extend_space`, ``contract_space``), where a
 noncancellative signature selects rows like any other; callers extend an
 input once and contract a sum of terms once.
@@ -38,8 +40,9 @@ input once and contract a sum of terms once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -76,6 +79,13 @@ class ProductGrid:
         """The variables in reverse order."""
         return ProductGrid(*reversed(self.grids))
 
+    def two_grids(self, what: str) -> tuple:
+        """The two grids, for ``what``, which takes two variables; any other
+        number of variables raises ValueError naming it."""
+        if len(self.grids) != 2:
+            raise ValueError(f"{what} takes two variables, not {len(self.grids)}")
+        return self.grids
+
 
 @dataclass(frozen=True)
 class ProductFunction(SampledFunction):
@@ -99,9 +109,7 @@ class ProductFunction(SampledFunction):
     def to_bytes(self) -> bytes:
         """20-byte header (magic DYF2, u32 d1,N1,d2,N2) + LE float64, var 1
         slow; two variables only."""
-        if len(self.pgrid.grids) != 2:
-            raise ValueError(f"DYF2 holds two variables, not {len(self.pgrid.grids)}")
-        g1, g2 = self.pgrid.grids
+        g1, g2 = self.pgrid.two_grids("DYF2")
         return self._encode(_MAGIC_2P, "<IIII", g1.d, g1.N, g2.d, g2.N)
 
     @classmethod
@@ -153,77 +161,69 @@ class PAtom:
     adjoint: bool = False
 
 
-def _lift(a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``a`` (n1, n2, *trials) with unit axes between its variable axes and
-    its trial axes, broadcasting against ``X`` (n1, n2, *passive, *trials);
-    idempotent."""
-    return a.reshape(a.shape[:2] + (1,) * (X.ndim - a.ndim) + a.shape[2:])
+def _lift(a: np.ndarray, X: np.ndarray, t: int) -> np.ndarray:
+    """``a`` (n1, ..., nt, *trials) with unit axes between its t variable
+    axes and its trial axes, broadcasting against ``X``
+    (n1, ..., nt, *passive, *trials); idempotent."""
+    return a.reshape(a.shape[:t] + (1,) * (X.ndim - a.ndim) + a.shape[t:])
 
 
-def _rows(r1, r2):
-    """Index of rows ``r1`` x ``r2``; a P axis' rows are a slice."""
-    return (r1, r2) if isinstance(r1, slice) or isinstance(r2, slice) else (r1[:, None], r2)
-
-
-def _take(a: np.ndarray, r1, r2) -> np.ndarray:
-    """``a`` at rows ``r1`` x ``r2``: a P axis' slice is a view, a B axis'
-    rows one ``take`` along its axis."""
-    for axis, r in enumerate((r1, r2)):
+def _take(a: np.ndarray, rows: tuple) -> np.ndarray:
+    """``a`` at the product of ``rows``, one entry per variable axis: a P
+    axis' slice is a view, a B axis' rows one ``take`` along its axis."""
+    for axis, r in enumerate(rows):
         a = a[(slice(None),) * axis + (r,)] if isinstance(r, slice) else a.take(r, axis=axis)
     return a
 
 
-def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
-               sym1: np.ndarray = None, sym2: np.ndarray = None,
-               out: np.ndarray = None, weight: float = 1.0) -> np.ndarray:
-    """Evaluate the tensor of two one-variable atoms on extended stacks.
+def pair_apply(space: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atoms: tuple,
+               syms=None, out: np.ndarray = None, weight: float = 1.0) -> np.ndarray:
+    """Evaluate the tensor of t >= 2 one-variable atoms on extended stacks.
 
-    Each atom is a BkOperator on its variable's grid or a PAtom. ``Xe`` is
-    the input in the extended layout of both variables
-    (:func:`~dyadlab.haar.extend_space`),
-    (m1, m2, *passive, *trials). The fixed arrays ``bC`` (n1, n2), ``sym1``
-    (n1,) and ``sym2`` (n2,) broadcast against its trailing axes; each, and
-    a B atom's betas, may also end in the trial axes, e.g. ``sym2``
-    (n2, *trials), to pair trial column t with symbol t. ``sym_v`` is the
-    stacked symbol of a P atom in variable v. ``weight`` is a float, or an
-    array on the trial axes, e.g. (C, 1), one weight per column.
+    ``atoms`` holds one atom per variable of ``space``: a BkOperator on that
+    variable's grid or a PAtom. ``syms`` holds one stacked symbol per
+    variable, the symbol of a P atom and None on a B axis; without P atoms
+    it may be None. ``Xe`` is the input in the extended layout of every
+    variable (:func:`~dyadlab.haar.extend_space`), (m1, ..., mt, *passive,
+    *trials). The fixed arrays ``bC`` (n1, ..., nt) and ``syms[v]`` (nv,)
+    broadcast against its trailing axes; each, and a B atom's betas, may
+    also end in the trial axes, e.g. a symbol (nv, *trials), to pair trial
+    column t with symbol t. ``weight`` is a float, or an array on the trial
+    axes, e.g. (C, 1), one weight per column.
 
-    The pair is one schedule over the two variable axes:
+    The tensor is one schedule over the t variable axes:
     1. gather the input rows of each B axis (:func:`~dyadlab.paraproducts.bk_gather`);
        a P axis takes the stacked rows as a slice;
-    2. multiply by the P* axes' symbols, then take the strict subtree sum
-       along each P* axis;
+    2. multiply by the product of the P* axes' symbols, then take the strict
+       subtree sum along each P* axis;
     3. multiply by ``bC``, gathered at the B ancestors;
     4. take the strict ancestor sum along each P axis, then multiply by the
-       P axes' symbols;
+       product of the P axes' symbols;
     5. multiply by each B axis' ``beta * scale`` in axis order (the weight
        folded into the first; with no B axis it multiplies last) and
        scatter-add into the output rows.
-    Two P atoms of one orientation multiply once, by the product of their
-    symbols.
 
     With ``out`` (extended, shaped like ``Xe``) the weighted contribution is
     added into it and None is returned; without, the contracted result
-    (n1, n2, *passive) is returned. Two P atoms read and write only the
-    stacked rows, so for them ``Xe`` may also be the stacked input itself.
+    (n1, ..., nt, *passive) is returned. P atoms alone read and write only
+    the stacked rows, so for them ``Xe`` may also be the stacked input
+    itself.
     """
-    grids, atoms, syms = pg.grids, (atom1, atom2), (sym1, sym2)
-    p_axes = [v for v in (0, 1) if isinstance(atoms[v], PAtom)]
+    grids, t = space.grids, len(atoms)
+    syms = (None,) * t if syms is None else syms
+    p_axes = [v for v in range(t) if isinstance(atoms[v], PAtom)]
     for v in p_axes:
         if syms[v] is None:
             raise ValueError(f"P atom in variable {v + 1} needs its symbol")
-    bC = _lift(bC, Xe)
+    bC = _lift(bC, Xe, t)
     result = out is None
     if result:
         out = np.zeros(Xe.shape)
     pstar = [v for v in p_axes if atoms[v].adjoint]
     plain = [v for v in p_axes if not atoms[v].adjoint]
-    if len(pstar) == 2 or len(plain) == 2:
-        joint = [_trailing(sym1, Xe) * _trailing(sym2, Xe, 1)]
-        pre, post = (joint, []) if pstar else ([], joint)
-    else:
-        pre = [_trailing(syms[v], Xe, v) for v in pstar]
-        post = [_trailing(syms[v], Xe, v) for v in plain]
+    # the symbols of one orientation multiply together, then W once
+    pre = [_trailing(syms[v], Xe, v) for v in pstar]
+    post = [_trailing(syms[v], Xe, v) for v in plain]
     rows, coefs = [], []  # (input, b, output) rows and beta * scale per axis
     for v, atom in enumerate(atoms):
         if v in p_axes:
@@ -234,21 +234,30 @@ def pair_apply(pg: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atom1, atom2,
         rows.append((rin, brows, rout))
         coefs.append((v, scale if beta is None
                       else _trailing(beta, scale) * _trailing(scale, beta)))
-    (in1, b1, out1), (in2, b2, out2) = rows
-    W = _take(Xe, in1, in2)
-    for s in pre:
-        W = s * W
+    ins, bs, outs = zip(*rows)
+    W = _take(Xe, ins)
+    if pre:
+        W = reduce(operator.mul, pre) * W
     for v in pstar:
         W = _along(v, partial(strict_subtree_sum, grids[v]), W)
-    W = _take(bC, b1, b2) * W
+    W = _take(bC, bs) * W
     for v in plain:
         W = _along(v, partial(strict_ancestor_sum, grids[v]), W)
-    for s in post:
-        W = s * W
+    if post:
+        W = reduce(operator.mul, post) * W
     for v, c in coefs:
         W = _trailing(c, W, v) * W
-    out[_rows(out1, out2)] += W if coefs else weight * W
-    return contract_space(pg, out) if result else None
+    b_axes = [v for v, _ in coefs]
+    if b_axes and b_axes[-1] - b_axes[0] >= len(b_axes):
+        # numpy puts the axes of non-adjacent index arrays first, so B
+        # axes with a P axis between them index every axis as rows
+        outs = [np.arange(r.stop) if isinstance(r, slice) else r for r in outs]
+        b_axes = range(t)
+    outs = list(outs)
+    for k, v in enumerate(b_axes[:-1]):  # the rows of B axes broadcast as a grid
+        outs[v] = outs[v].reshape((-1,) + (1,) * (len(b_axes) - 1 - k))
+    out[tuple(outs)] += W if coefs else weight * W
+    return contract_space(space, out) if result else None
 
 
 # -- public bi-parameter operator surface -------------------------------------
@@ -317,28 +326,28 @@ def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
     axis of one :func:`pair_apply` call, and the terms are summed at the end.
     """
     pg = f.pgrid
+    g1, g2 = pg.two_grids("apply_biparam")
     b._check(f)
     spec.validate(pg)
-    g1, g2 = pg.grids
     Xe = extend_space(pg, forward_space(pg, f.samples))
-    sym1 = sym2 = None
+    syms = [None, None]
     if spec.kind in ("Bkl", "BPk"):
         atom1 = BkOperator(g1, spec.k, spec.sig_b1, spec.sig_in1, spec.sig_out1, spec.beta1)
     if spec.kind in ("Bkl", "PBl"):
         atom2 = BkOperator(g2, spec.l, spec.sig_b2, spec.sig_in2, spec.sig_out2, spec.beta2)
     if spec.kind == "BPk":
-        atom2, sym2 = PAtom(adjoint=spec.p_adjoint), symbol_stacked(spec.a2)
+        atom2, syms[1] = PAtom(adjoint=spec.p_adjoint), symbol_stacked(spec.a2)
     elif spec.kind == "PBl":
-        atom1, sym1 = PAtom(adjoint=spec.p_adjoint), symbol_stacked(spec.a1)
+        atom1, syms[0] = PAtom(adjoint=spec.p_adjoint), symbol_stacked(spec.a1)
     elif spec.kind != "Bkl":
         atom1, atom2 = (PAtom(flag) for flag in _PP_FLAGS[spec.kind])
         if spec.a is None:
-            sym1, sym2 = symbol_stacked(spec.a1), symbol_stacked(spec.a2)
+            syms = [symbol_stacked(spec.a1), symbol_stacked(spec.a2)]
         else:
             A = forward_space(pg, spec.a.samples)
             A[0, :] = 0.0
             A[:, 0] = 0.0
-            sym1, sym2 = np.eye(g1.n_samples), A.T
+            syms = [np.eye(g1.n_samples), A.T]
             Xe = np.broadcast_to(Xe[..., None], Xe.shape + (g1.n_samples,))
-    out = pair_apply(pg, forward_space(pg, b.samples), Xe, atom1, atom2, sym1, sym2)
+    out = pair_apply(pg, forward_space(pg, b.samples), Xe, (atom1, atom2), syms)
     return ProductFunction(pg, inverse_space(pg, out.sum(axis=2) if out.ndim == 3 else out))

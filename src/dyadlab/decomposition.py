@@ -21,12 +21,12 @@ Everything here is exact linear algebra on the finite torus: the identity
 verification harness checks against independently evaluated commutators.
 
 Both sides are linear in f, so evaluation runs on coefficient stacks with a
-trailing trial axis, (n, T) for one parameter and (n1, n2, T) for two.
+trailing trial axis, (n, T) for one parameter and (n1, ..., nt, T) for t.
 Outside the term kernels every step runs along the ``grids`` of the
-list's space, one loop for t = 1 and 2.
-``evaluate_stacked`` is one evaluator for t = 1 or 2 variables (it refuses
-more) and for a block of cases, which sit on a case axis before the trial
-axis, (n, C, T) or (n1, n2, C, T); a single term list is a block of one. It stacks the 2^t
+list's space, one loop for every t.
+``evaluate_stacked`` is one evaluator for any number t of variables and
+for a block of cases, which sit on a case axis before the trial axis,
+(n, C, T) or (n1, ..., nt, C, T); a single term list is a block of one. It stacks the 2^t
 inner-shift compositions of the input on a key axis and extends them in
 one call per variable (see :mod:`dyadlab.haar`), sums every term into the
 extended buffer of its outer-shift group, and contracts all 2^t groups in
@@ -35,18 +35,19 @@ of its entries' keys, one per variable, and within one family (the shift
 kinds and orientations) key order is list order. So the cases of a family
 share one sweep, the union of their terms sorted by key: a term is one
 ``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` call at t = 1 and one
-:func:`~dyadlab.biparam.pair_apply` with one symbol per variable at t = 2
-(so a P-type pair is two tree scans), with b, the symbols and the weights
+:func:`~dyadlab.biparam.pair_apply` with one atom and one symbol per
+variable at every t >= 2 (so a P-type pair is two tree scans), with b, the
+symbols and the weights
 on the case axis, weight 0 for a case that lacks the term. A single list is
 a family of one on the same path. The atoms and term skeletons of a grid
 are built once (``grid_index(grid).memo``), so a decomposition only binds
 b; its list transforms b on first use. Each case's shifts run once per
 variable and stage of a sweep, on every key that takes them at once (twice
-per variable at t = 2).
+per variable at t >= 2).
 ``verify_identity`` passes all trials of a block of cases once through the
 transforms, the direct commutators and one term sweep, and transforms the
 block's symbols once. Its one t = 1 branch transforms f and every b f
-together for both the direct commutator and the sweep; at t = 2 the
+together for both the direct commutator and the sweep; at t >= 2 the
 direct commutators are one :func:`~dyadlab.shifts.commutator_stacked` call
 for the block.
 """
@@ -91,8 +92,9 @@ class Term:
     key: object = field(default=None, compare=False)
 
     def describe(self) -> dict:
-        """The released layout: ``atom2`` only at two variables, and two inner
-        and two outer flags, False past the last variable."""
+        """The released layout: ``atom1`` .. ``atom{t}``, one per variable,
+        and one inner and one outer flag per variable, padded with False to
+        two at one variable."""
         out = {"weight": self.weight, "kind": self.kind,
                "provenance": self.provenance}
         for v, atom in enumerate(self.atoms, 1):
@@ -379,17 +381,17 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
                      counters: dict = None) -> np.ndarray:
     """Sum of all terms of a block of cases on coefficient stacks.
 
-    ``tls`` is a sequence of C term lists of one arity t on one grid, and
-    ``x`` is (n, C, *trials) for one parameter or (n1, n2, C, *trials) for
-    two: column c of the case axis is case c's input. A single TermList is a
-    block of one on ``x`` (n, *passive) or (n1, n2, *passive), and returns
-    that shape. Each column is evaluated as by :func:`evaluate_terms`. S_v
-    acts along axis v, and each case's S_v runs once per variable and
-    stage: the inner compositions are built from the last variable's down,
-    each variable's shift applied once to every key built so far, side by
-    side on a trailing axis; the outer groups that carry S_v take it the
-    same way, variable 1 first. So at t = 2 each case applies S1 twice and
-    S2 twice, at t = 1 its S twice. At t = 1 the caller may pass ``sx``,
+    ``tls`` is a sequence of C term lists of one arity t >= 1 on one grid
+    or product grid, and ``x`` is (n1, ..., nt, C, *trials): column c of
+    the case axis is case c's input. A single TermList is a block of one on
+    ``x`` (n1, ..., nt, *passive), and returns that shape. Each column is
+    evaluated as by :func:`evaluate_terms`. S_v acts along axis v, and
+    each case's S_v runs once per variable and stage: the inner
+    compositions are built from the last variable's down, each variable's
+    shift applied once to every key built so far, side by side on a
+    trailing axis; the outer groups that carry S_v take it the same way,
+    variable 1 first. So each case applies every S_v twice. At t = 1 the
+    caller may pass ``sx``,
     each case's S_c x, which it already has. The 2^t inner inputs and the
     2^t outer groups sit on a leading key axis, one contiguous block per
     key, so each variable takes one extend and one contract per block,
@@ -402,15 +404,13 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
     ``ValueError``), and a single list is a family of one: each term is one
     ``bk_stacked``, ``p_stacked``/``pstar_stacked`` or ``pair_apply`` call
     on the family's columns, its weight on the case axis, 0 for a case that
-    lacks it. So each case keeps its own ``acc += w * term`` steps and their
+    lacks it. ``pair_apply`` takes every t >= 2, one atom and one symbol per
+    variable. So each case keeps its own ``acc += w * term`` steps and their
     bits. A ``counters`` dict receives the kernel calls in ``term_calls``.
     """
     one = isinstance(tls, TermList)
     tls = [tls] if one else list(tls)
     t = tls[0].arity
-    if t > 2:
-        raise ValueError(f"the term kernels cover one and two variables, not {t} "
-                         f"(ROADMAP item 14)")
     if one:
         x = x[(slice(None),) * t + (None,)]
     if x.shape[t:t + 1] != (len(tls),):
@@ -469,10 +469,9 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
             xin, out = fin[slot[term.inner]], acc[slot[term.outer]]
             # t = 1 keeps the 1-D kernels: the pinned 1-D reports hold their
             # order of operations (bk_stacked forms beta * b * scale before
-            # taking x)
-            if t == 2:
-                pair_apply(space, fbc, xin, *term.atoms, sym1=syms[0],
-                           sym2=syms[1], out=out, weight=w)
+            # taking x); every t >= 2 is one pair_apply
+            if t >= 2:
+                pair_apply(space, fbc, xin, term.atoms, syms, out=out, weight=w)
             elif isinstance(term.atoms[0], PAtom):
                 n = grids[0].n_samples
                 p = pstar_stacked if term.atoms[0].adjoint else p_stacked
@@ -535,10 +534,9 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     """Check sum(terms)(f) == commutator(f) on random inputs.
 
     ``b`` is one symbol and ``shifts`` its shift or one shift per variable
-    (S1, S2), giving one report; or ``b`` is a sequence of C symbols on one
-    grid and ``shifts`` a sequence of C shifts or shift tuples, giving a
-    list of C reports, each equal bit for bit to its one-case call. Three
-    or more variables raise ``ValueError`` (see :func:`evaluate_stacked`).
+    (S1, ..., St), giving one report; or ``b`` is a sequence of C symbols on
+    one grid and ``shifts`` a sequence of C shifts or shift tuples, giving a
+    list of C reports, each equal bit for bit to its one-case call.
 
     Trial t draws f from ``_trial_rng(rng_seed, t)``, the same f in every
     case; all trials of all cases run as one stack. The C symbols share one
@@ -548,15 +546,16 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     t = 1, f and every b_c f share one transform in, which also feeds the
     term sweep; S_c is applied once to [f | b_c f], whose S_c f is the
     sweep's inner input, and the shifted halves of every direct commutator
-    share the transform out of the term sums. At t = 2 the direct
+    share the transform out of the term sums. At t >= 2 the direct
     commutators of the block are one
     :func:`~dyadlab.shifts.commutator_stacked` call on the symbols' samples
-    stack, with f shared by every case: three transforms each way, whatever
-    the number of cases, plus one of f alone along variable 1, and S1 once
-    and S2 twice per case. Residuals are measured per trial relative to
-    bmo(b) * ||f|| (rectangle BMO for two parameters). A report is the dict
-    {case, d, N, i, j, term_count, max_residual, pass, seed, trials}, with
-    d, N, i, j as lists over the variables for two parameters. ``trials``
+    stack, with f shared by every case: at t = 2 three transforms each way,
+    whatever the number of cases, plus one of f alone along variable 1, and
+    S1 once and S2 twice per case. Residuals are measured per trial
+    relative to bmo(b) * ||f|| (rectangle BMO for two or more parameters).
+    A report is the dict {case, d, N, i, j, term_count, max_residual, pass,
+    seed, trials}, with d, N, i, j as lists over the variables for two or
+    more parameters. ``trials``
     must be at least 1. A ``counters`` dict receives the term-kernel calls
     of the sweep in ``term_calls``, added to any it holds.
     """

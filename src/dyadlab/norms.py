@@ -103,7 +103,7 @@ def _bmo_of_masses(space, mass: np.ndarray) -> np.ndarray:
 def open_set_bmo_norm(b: ProductFunction) -> float:
     """Product BMO over arbitrary unions of cells; exponential, toy sizes only."""
     pg = b.pgrid
-    g1, g2 = pg.grids
+    g1, g2 = pg.two_grids("open_set_bmo_norm")
     n_cells = g1.n_samples * g2.n_samples
     if n_cells > 16:
         raise ValueError("open-set enumeration is exponential; use tiny grids")
@@ -189,7 +189,8 @@ def _square_Sk(grid: GridSpec, masses: np.ndarray, k: int) -> np.ndarray:
 def _hybrid_max_square(f: ProductFunction, var: int) -> ProductFunction:
     """Maximal function in ``var`` of partial pairings, squares in the other."""
     pg = f.pgrid
-    g_max, g_sq = pg.grids if var == 1 else pg.grids[::-1]
+    grids = pg.two_grids("hybrid_max_square")
+    g_max, g_sq = grids if var == 1 else grids[::-1]
     samples = f.samples if var == 1 else f.samples.T
     pairings = forward_stacked(g_sq, samples.T)  # rows: var-sq stacked, cols: var-max cells
     mass = np.empty((g_sq.n_cubes_total, g_max.n_samples))
@@ -527,7 +528,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
             raise ValueError(f"study kind {kind} runs on a product grid: give pgrid, not grid")
         pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
                                      GridSpec(1, params.get("N2", 4)))
-        g1, g2 = pgrid.grids
+        g1, g2 = pgrid.two_grids(f"study kind {kind}")
         # B_k needs k <= N - 1 in its variable
         kmax = min(params.get("kmax", 2), g1.N - 1)
         lmax = min(params.get("lmax", 2), g2.N - 1)
@@ -593,7 +594,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
         def pair(k, l):
             atom1 = PAtom(adjoint=kind == "PP1") if k is None else BkOperator(g1, k, beta=beta1)
             atom2 = PAtom() if l is None else BkOperator(g2, l, beta=beta2)
-            out = pair_apply(pgrid, bC, Xe, atom1, atom2, sym1, sym2)
+            out = pair_apply(pgrid, bC, Xe, (atom1, atom2), (sym1, sym2))
             return inverse_space(pgrid, out)
         return denom, pair
 

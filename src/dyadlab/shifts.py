@@ -404,11 +404,16 @@ def commutator_stacked(b, shifts, samples: np.ndarray) -> np.ndarray:
     def apply(v, parts):
         """S_v of case c along variable v of case column c of every part, the
         parts' keys side by side on the last axis. Only the last part may
-        hold one shared column: it is transformed on its own and broadcast."""
+        hold one shared column: it is transformed on its own and broadcast.
+        The list ``parts`` is emptied, each group as it is transformed, so
+        the caller's list holds no input past its transform."""
         n = len(parts) - (parts[-1].shape[t] != C)
-        groups = ([np.concatenate(parts[:n], axis=-1)] if n > 1 else parts[:n]) + parts[n:]
-        x = [_along(v, partial(forward_stacked, grids[v]), y) for y in groups]
-        x = [np.broadcast_to(y, y.shape[:t] + (C,) + y.shape[t + 1:]) for y in x]
+        if n > 1:
+            parts[:n] = [np.concatenate(parts[:n], axis=-1)]
+        x = []
+        while parts:
+            y = _along(v, partial(forward_stacked, grids[v]), parts.pop(0))
+            x.append(np.broadcast_to(y, y.shape[:t] + (C,) + y.shape[t + 1:]))
         x = x[0] if len(x) == 1 else np.concatenate(x, axis=-1)
         return _along(v, partial(inverse_stacked, grids[v]), _each_case(shifts[v], x, t, v))
 
@@ -417,8 +422,9 @@ def commutator_stacked(b, shifts, samples: np.ndarray) -> np.ndarray:
     # each takes C_{v-1}(S_v y) - S_v(C_{v-1} y) from the halves of its keys
     parts = [samples[..., None]]
     for v in reversed(range(1, t)):
-        parts.insert(0, apply(v, parts))
-    z = apply(0, [times_b(y) for y in parts] + parts)
+        parts.insert(0, apply(v, list(parts)))
+    parts = [times_b(y) for y in parts] + parts
+    z = apply(0, parts)
     k = z.shape[-1] // 2
     z = times_b(z[..., k:]) - z[..., :k]
     for v in range(1, t):

@@ -446,15 +446,17 @@ def _pp1_oracle(pg, bC, X, sym12):
     return out
 
 
-def pair_apply_oracle(pg, bC, Xe, atom1, atom2, sym1=None, sym2=None):
+def pair_apply_oracle(pg, bC, Xe, atoms, syms=(None, None)):
     """Contracted B x P, P x B or P x P pair for one symbol per variable:
-    ``bC`` (n1, n2), ``sym1`` (n1,), ``sym2`` (n2,), against every trailing
-    column of ``Xe``. Two P atoms of one orientation take the outer product
-    of the symbols; mixed orientations take each symbol on its own side."""
+    ``bC`` (n1, n2), ``syms`` ((n1,) or None, (n2,) or None), against every
+    trailing column of ``Xe``. Two P atoms of one orientation take the outer
+    product of the symbols; mixed orientations take each symbol on its own
+    side."""
     from dyadlab.biparam import PAtom
     from dyadlab.haar import contract_space
     from dyadlab.paraproducts import bk_gather, strict_ancestor_sum, strict_subtree_sum
     sw = lambda a: a.swapaxes(0, 1)  # noqa: E731
+    (atom1, atom2), (sym1, sym2) = atoms, syms
     bC = _lift_oracle(bC, 2, Xe)
     sym1, sym2 = _lift_oracle(sym1, 1, Xe), _lift_oracle(sym2, 1, Xe)
     out = np.zeros(Xe.shape)
@@ -516,9 +518,8 @@ def evaluate_stacked_oracle(tl, x):
     for term in tl.terms:
         xin = inputs[term.inner]
         acc = groups[term.outer]
-        if t == 2:
-            pair_apply(tl.b.pgrid, tl._bc, xin, term.atoms[0], term.atoms[1], sym1=syms[0],
-                       sym2=syms[1], out=acc, weight=term.weight)
+        if t >= 2:
+            pair_apply(tl.b.pgrid, tl._bc, xin, term.atoms, syms, out=acc, weight=term.weight)
         elif isinstance(term.atoms[0], PAtom):
             n = grids[0].n_samples
             p = pstar_stacked if term.atoms[0].adjoint else p_stacked

@@ -343,6 +343,22 @@ def test_missing_symbol_raises(rng):
         apply_biparam(BiparamOperatorSpec("nope"), b, f)
 
 
+@pytest.mark.parametrize("entry", ["open_set_bmo_norm", "hybrid_max_square",
+                                   "uniformity_study", "apply_biparam", "to_bytes"])
+def test_two_variable_entry_points_refuse_three_variables(entry, rng):
+    # one shared check names the arity, where unpacking two grids would not
+    from dyadlab import open_set_bmo_norm, square_function, uniformity_study
+    pg = ProductGrid(GridSpec(1, 2), GridSpec(1, 2), GridSpec(1, 2))
+    f = random_product_function(pg, rng)
+    call = {"open_set_bmo_norm": lambda: open_set_bmo_norm(f),
+            "hybrid_max_square": lambda: square_function(f, "hybrid_max_square"),
+            "uniformity_study": lambda: uniformity_study("Bkl", {}, 1, 0, pgrid=pg),
+            "apply_biparam": lambda: apply_biparam(BiparamOperatorSpec("Bkl"), f, f),
+            "to_bytes": f.to_bytes}[entry]
+    with pytest.raises(ValueError, match="takes two variables, not 3"):
+        call()
+
+
 def test_spec_symbols_off_the_product_grid_raise(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 4))
     b, f = random_product_function(pg, rng), random_product_function(pg, rng)
@@ -494,7 +510,7 @@ def test_b_atoms_match_the_level_loops(pg, passive, rng):
 
     def check(atom1, atom2, oracle):
         got, want = start.copy(), start.copy()
-        pair_apply(pg, bC, Xe, atom1, atom2, sym1=sym1, sym2=sym2, out=got, weight=weight)
+        pair_apply(pg, bC, Xe, (atom1, atom2), (sym1, sym2), out=got, weight=weight)
         oracle(want)
         assert np.array_equal(got, want), (atom1, atom2)
 
@@ -530,15 +546,15 @@ def test_p_symbol_stacks_match_the_one_symbol_pair_kernels(pg, rng):
         pairs += [(BkOperator(g1, k), p) for k in range(g1.N)]
         pairs += [(p, BkOperator(g2, l)) for l in range(g2.N)]
     for atom1, atom2 in pairs:
-        got = pair_apply(pg, bC, Xe, atom1, atom2, sym1, sym2)
+        got = pair_apply(pg, bC, Xe, (atom1, atom2), (sym1, sym2))
         assert got.shape == pg.shape + (T,)
         for t in range(T):
-            want = pair_apply_oracle(pg, bC[..., t], Xe[..., t], atom1, atom2,
-                                     sym1[:, t], sym2[:, t])
+            want = pair_apply_oracle(pg, bC[..., t], Xe[..., t], (atom1, atom2),
+                                     (sym1[:, t], sym2[:, t]))
             assert np.array_equal(got[..., t], want), (atom1, atom2, t)
         # one symbol for all columns is the broadcast case of the same kernels
-        got = pair_apply(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0], sym2[:, 0])
-        want = pair_apply_oracle(pg, bC[..., 0], Xe, atom1, atom2, sym1[:, 0], sym2[:, 0])
+        got = pair_apply(pg, bC[..., 0], Xe, (atom1, atom2), (sym1[:, 0], sym2[:, 0]))
+        want = pair_apply_oracle(pg, bC[..., 0], Xe, (atom1, atom2), (sym1[:, 0], sym2[:, 0]))
         assert np.array_equal(got, want), (atom1, atom2)
 
 
@@ -565,27 +581,26 @@ def test_pair_apply_with_trial_betas_gives_a_column_its_bits_alone(pg, rng):
     for k in range(g1.N):
         for l in range(g2.N):
             assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2, w: pair_apply(
-                pg, bC, Xe, BkOperator(g1, k, beta=beta1), BkOperator(g2, l, beta=beta2),
+                pg, bC, Xe, (BkOperator(g1, k, beta=beta1), BkOperator(g2, l, beta=beta2)),
                 weight=w), draw)
         for p in (PAtom(False), PAtom(True)):
             assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2, w: pair_apply(
-                pg, bC, Xe, BkOperator(g1, k, beta=beta1), p, sym2=sym2, weight=w), draw)
+                pg, bC, Xe, (BkOperator(g1, k, beta=beta1), p), (None, sym2), weight=w), draw)
     for l in range(g2.N):
         assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2, w: pair_apply(
-            pg, bC, Xe, PAtom(), BkOperator(g2, l, beta=beta2), sym1=sym1, weight=w), draw)
+            pg, bC, Xe, (PAtom(), BkOperator(g2, l, beta=beta2)), (sym1, None), weight=w), draw)
     for a1 in (False, True):
         for a2 in (False, True):
             assert_columns_alone(lambda bC, Xe, beta1, beta2, sym1, sym2, w: pair_apply(
-                pg, bC, Xe, PAtom(a1), PAtom(a2), sym1=sym1, sym2=sym2, weight=w), draw)
+                pg, bC, Xe, (PAtom(a1), PAtom(a2)), (sym1, sym2), weight=w), draw)
     # a weight on the trial axes is the float weight, column by column
     bC, Xe, beta1, beta2, sym1, sym2, w = draw(4)
     for atoms in ((BkOperator(g1, 1, beta=beta1[:, 0]), PAtom(True)),
                   (PAtom(False), PAtom(True))):
-        got = pair_apply(pg, bC[..., 0], Xe, *atoms, sym1=sym1[:, 0], sym2=sym2[:, 0],
-                         weight=w)
+        got = pair_apply(pg, bC[..., 0], Xe, atoms, (sym1[:, 0], sym2[:, 0]), weight=w)
         for t in range(4):
-            want = pair_apply(pg, bC[..., 0], Xe[..., t], *atoms, sym1=sym1[:, 0],
-                              sym2=sym2[:, 0], weight=float(w[t]))
+            want = pair_apply(pg, bC[..., 0], Xe[..., t], atoms, (sym1[:, 0], sym2[:, 0]),
+                              weight=float(w[t]))
             assert np.array_equal(got[..., t], want), (atoms, t)
 
 
@@ -595,16 +610,86 @@ def test_pair_apply_rejects_a_p_atom_without_its_symbol(rng):
     sym1 = forward_stacked(G1, rng.standard_normal(G1.n_samples))
     sym2 = forward_stacked(G2, rng.standard_normal(G2.n_samples))
     with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
-        pair_apply(PG, bC, Xe, BkOperator(G1, 1), PAtom(), sym1=sym1)
+        pair_apply(PG, bC, Xe, (BkOperator(G1, 1), PAtom()), (sym1, None))
     with pytest.raises(ValueError, match="P atom in variable 1 needs its symbol"):
-        pair_apply(PG, bC, Xe, PAtom(True), BkOperator(G2, 0), sym2=sym2)
+        pair_apply(PG, bC, Xe, (PAtom(True), BkOperator(G2, 0)), (None, sym2))
     for adjoint1 in (False, True):
         for adjoint2 in (False, True):
             atoms = (PAtom(adjoint1), PAtom(adjoint2))
             with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
-                pair_apply(PG, bC, Xe, *atoms, sym1=sym1)
+                pair_apply(PG, bC, Xe, atoms, (sym1, None))
             with pytest.raises(ValueError, match="P atom in variable 1 needs its symbol"):
-                pair_apply(PG, bC, Xe, *atoms, sym2=sym2)
+                pair_apply(PG, bC, Xe, atoms, (None, sym2))
+
+
+PG3 = ProductGrid(GridSpec(1, 2), GridSpec(1, 3), GridSpec(1, 2))
+
+
+def _atoms_of_three(pg, rng):
+    """Per variable: B_0 with a noncancellative signature (input side on
+    variables 1 and 3, output side on variable 2), B_1 with betas, P, P*."""
+    out = []
+    for v, g in enumerate(pg.grids):
+        non = {"sig_out" if v == 1 else "sig_in": (1,)}
+        out.append([BkOperator(g, 0, **non),
+                    BkOperator(g, 1, beta=rng.uniform(-1.0, 1.0, g.n_cubes_total)),
+                    PAtom(False), PAtom(True)])
+    return out
+
+
+def test_three_atoms_are_the_product_of_the_one_variable_kernels(rng):
+    # with b a sum of two rank-one tensors, the tensor of three atoms is the
+    # sum over the ranks of the 1-D kernels (bk_stacked, p_stacked or
+    # pstar_stacked on the stacked rows) run along each variable in turn;
+    # every mix of B and P atoms, B axes apart (B, P, B) included
+    from itertools import product
+
+    from dyadlab.haar import _along
+    from dyadlab.paraproducts import bk_stacked, p_stacked, pstar_stacked
+    grids = PG3.grids
+    ranks = [[forward_stacked(g, rng.standard_normal(g.n_samples)) for g in grids]
+             for _ in range(2)]
+    bC = sum(np.einsum("i,j,k->ijk", *vecs) for vecs in ranks)
+    syms = [forward_stacked(g, rng.standard_normal(g.n_samples)) for g in grids]
+    Xe = extend_space(PG3, rng.standard_normal(PG3.shape + (2,)))
+
+    def one_variable(v, atom, bv, y):
+        g = grids[v]
+
+        def kernel(z):
+            if not isinstance(atom, PAtom):
+                return bk_stacked(atom, bv, z)
+            res = np.zeros(z.shape)
+            p = pstar_stacked if atom.adjoint else p_stacked
+            res[:g.n_samples] = p(g, bv, syms[v], z[:g.n_samples])
+            return res
+        return _along(v, kernel, y)
+
+    for atoms in product(*_atoms_of_three(PG3, rng)):
+        want = np.zeros(Xe.shape)
+        for vecs in ranks:
+            y = Xe
+            for v, (atom, bv) in enumerate(zip(atoms, vecs)):
+                y = one_variable(v, atom, bv, y)
+            want += y
+        got = np.zeros(Xe.shape)
+        pair_apply(PG3, bC, Xe, atoms,
+                   [s if isinstance(a, PAtom) else None for a, s in zip(atoms, syms)],
+                   out=got)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), atoms
+        assert np.array_equal(pair_apply(PG3, bC, Xe, atoms, syms),
+                              contract_space(PG3, got)), atoms
+
+
+def test_pair_apply_of_three_rejects_a_p_atom_without_its_symbol(rng):
+    bC = forward_space(PG3, rng.standard_normal(PG3.shape))
+    Xe = extend_space(PG3, rng.standard_normal(PG3.shape))
+    syms = [forward_stacked(g, rng.standard_normal(g.n_samples)) for g in PG3.grids]
+    B1, _, B3 = (BkOperator(g, 0) for g in PG3.grids)
+    with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
+        pair_apply(PG3, bC, Xe, (B1, PAtom(), B3))
+    with pytest.raises(ValueError, match="P atom in variable 3 needs its symbol"):
+        pair_apply(PG3, bC, Xe, (PAtom(True), PAtom(), PAtom(True)), syms[:2] + [None])
 
 
 @pytest.mark.parametrize("pg", [PG, PG_D2, ProductGrid(GridSpec(1, 4), GridSpec(2, 2))],
@@ -625,6 +710,6 @@ def test_per_axis_partial_adjoints_match_the_level_pair_loop(pg, rng):
             False: sw(_pp1_oracle(pg.swap(), sw(bC, 0, 1), sw(X, 0, 1), sw(sym12, 0, 1)), 0, 1)}
     for adjoint1, expect in want.items():
         got = np.zeros(X.shape)
-        pair_apply(pg, bC[..., 0], X, PAtom(adjoint1), PAtom(not adjoint1),
-                   sym1=sym1, sym2=sym2, out=got)
+        pair_apply(pg, bC[..., 0], X, (PAtom(adjoint1), PAtom(not adjoint1)), (sym1, sym2),
+                   out=got)
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect)), adjoint1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import operator
 from dataclasses import replace
@@ -1128,27 +1129,46 @@ def _shift_of_kind(g, kind, rng):
     return random_shift(g, 0, 0, rng, kind="noncancellative", orientation=kind)
 
 
-def test_three_variables_are_refused_by_the_term_kernels(rng):
-    # decompose takes one shift per variable of a product of three grids,
-    # but the term kernels cover one and two variables: evaluating the list
-    # raises, and so does an identity check, before it reports a residual
+THREE_VAR_KINDS = [(0, 0), (1, 0), (0, 1), (1, 1), "analysis", "synthesis"]
+
+
+def test_three_variables_verify_their_identity_in_one_block(rng):
+    # every mix of the six shift kinds of a d=1 N=2 grid in each of three
+    # variables, all 216 cases in one block: the term sweep reproduces the
+    # direct commutator, and a case's report is its one-case call, bit for bit
     pg = ProductGrid(GridSpec(1, 2), GridSpec(1, 2), GridSpec(1, 2))
-    b = random_product_function(pg, rng)
-    F = rng.standard_normal(pg.shape + (2,))
-    for kinds in [((1, 0), (0, 1), (1, 1)), ("analysis", (1, 0), "synthesis"),
-                  ("analysis", "synthesis", "analysis")]:
-        shifts = [_shift_of_kind(g, k, rng) for g, k in zip(pg.grids, kinds)]
-        tl = decompose(b, *shifts)
-        assert tl.arity == 3 and tl.term_count > 0
-        with pytest.raises(ValueError, match="ROADMAP item 14"):
-            evaluate_stacked(tl, forward_space(pg, F))
-        with pytest.raises(ValueError, match="ROADMAP item 14"):
-            evaluate_terms(tl, ProductFunction(pg, F[..., 0]))
-        with pytest.raises(ValueError, match="ROADMAP item 14"):
-            verify_identity(b, shifts, 2, 5)
-    # a P atom in every variable names its adjoint variables
+    mixes = list(itertools.product(THREE_VAR_KINDS, repeat=3))
+    symbols = [random_product_function(pg, rng) for _ in mixes]
+    cases = [tuple(_shift_of_kind(g, k, rng) for g, k in zip(pg.grids, kinds))
+             for kinds in mixes]
+    reports = verify_identity(symbols, cases, 2, 5)
+    assert len(reports) == 216 and all(r["pass"] for r in reports)
+    assert max(r["max_residual"] for r in reports) < 1e-13
+    for c in (0, 41, 130, 215):
+        assert verify_identity(symbols[c], cases[c], 2, 5) == reports[c], mixes[c]
+    # a P atom in every variable names its adjoint variables; its list
+    # evaluates a function as the direct commutator does
+    c = mixes.index(("analysis", "synthesis", "analysis"))
+    tl = decompose(symbols[c], *cases[c])
+    f = random_product_function(pg, rng)
+    direct = commutator_stacked(symbols[c], cases[c], f.samples)
+    assert np.max(np.abs(evaluate_terms(tl, f).samples - direct)) <= 1e-13 * np.max(np.abs(direct))
     assert {t.kind for t in tl.terms if all(isinstance(a, PAtom) for a in t.atoms)} \
         == {"PPP2_term"}
+
+
+@pytest.mark.parametrize("pg", [
+    ProductGrid(GridSpec(1, 2, omega=((1,), (0,))), GridSpec(1, 3), GridSpec(1, 2)),
+    ProductGrid(GridSpec(1, 2), GridSpec(2, 2), GridSpec(1, 2))], ids=repr)
+def test_three_variable_evaluation_is_the_per_key_oracle(pg, rng):
+    # one extend and one contract per variable for all eight keys give the
+    # bits of one per key, with B, P and P* atoms in every position
+    for kinds in [((1, 0), (0, 1), (1, 1)), ("analysis", (1, 0), "synthesis"),
+                  ("synthesis", "analysis", (0, 1))]:
+        tl = decompose(random_product_function(pg, rng),
+                       *(_shift_of_kind(g, k, rng) for g, k in zip(pg.grids, kinds)))
+        x = rng.standard_normal(pg.shape + (2,))
+        assert np.array_equal(evaluate_stacked(tl, x), evaluate_stacked_oracle(tl, x)), kinds
 
 
 ONE_PARAM_KINDS = [(0, 0), (1, 0), (0, 2), (2, 1), "analysis", "synthesis"]

@@ -92,7 +92,7 @@ def test_three_variable_function_json_roundtrip(rng):
     assert set(obj) == {"d1", "N1", "d2", "N2", "d3", "N3", "samples", "omega3"}
     back = ProductFunction.from_json(pf.to_json())
     assert back.pgrid == pg and np.array_equal(back.samples, pf.samples)
-    with pytest.raises(ValueError, match="DYF2 holds two variables, not 3"):
+    with pytest.raises(ValueError, match="DYF2 takes two variables, not 3"):
         ProductFunction(ProductGrid(*(GridSpec(1, 2),) * 3), pf.samples).to_bytes()
     # the transpose reverses every variable
     flipped = pf.transpose()
