@@ -10,10 +10,9 @@ operator P or its adjoint, depending on orientation.
 
 import numpy as np
 
-from dyadlab import (GridSpec, decompose_cancellative,
-                     decompose_noncancellative, dyadic_bmo_norm,
-                     evaluate_terms, multiplication_commutator,
-                     random_function, random_shift, verify_identity)
+from dyadlab import (GridSpec, decompose, dyadic_bmo_norm, evaluate_terms,
+                     multiplication_commutator, random_function, random_shift,
+                     verify_identity)
 
 rng = np.random.default_rng(3)
 grid = GridSpec(d=1, N=6)
@@ -21,7 +20,7 @@ grid = GridSpec(d=1, N=6)
 # --- one decomposition, inspected term by term -------------------------------
 b = random_function(grid, rng)
 S = random_shift(grid, 2, 3, rng)
-terms = decompose_cancellative(b, S)
+terms = decompose(b, S)
 print(f"shift (i,j) = (2,3): {terms.term_count} terms "
       f"(bound {terms.meta['count_bound']} = C (1+max), C = "
       f"{terms.meta['count_constant']})")
@@ -49,7 +48,7 @@ print("\nnoncancellative orientations:")
 for ori in ("analysis", "synthesis"):
     b = random_function(grid, rng)
     Sn = random_shift(grid, 0, 0, rng, kind="noncancellative", orientation=ori)
-    tl = decompose_noncancellative(b, Sn)
+    tl = decompose(b, Sn)
     kinds = sorted({t.kind for t in tl.terms})
     rep = verify_identity(b, Sn, trials=20, rng_seed=13)
     print(f"  {ori}: kinds {kinds}, residual {rep['max_residual']:.2e}")

@@ -9,11 +9,12 @@ its partial adjoints.
 
 import numpy as np
 
-from dyadlab import (BiparamOperatorSpec, GridSpec, ProductGrid,
-                     apply_biparam, apply_in_variable, decompose, inner_product,
+from dyadlab import (GridSpec, ProductGrid, apply_biparam, apply_in_variable,
+                     decompose, inner_product,
                      iterated_commutator, random_function,
                      random_product_function, random_shift, rect_bmo_norm,
                      tensor_function, verify_identity)
+from dyadlab.biparam import PAtom
 
 rng = np.random.default_rng(4)
 pg = ProductGrid(GridSpec(1, 4), GridSpec(1, 4))
@@ -56,17 +57,17 @@ for k1 in ("cancellative", "noncancellative"):
           f"(residual {rep['max_residual']:.1e}), kinds: {', '.join(kinds)}")
 
 # --- named operators and the partial-adjoint relation -------------------------
+# an operator is one atom per variable: PP is (P, P), PP_1 is (P*, P)
+P, PSTAR = PAtom(), PAtom(adjoint=True)
 bb = random_product_function(pg, rng)
 aa = random_product_function(pg, rng)
 ff = random_product_function(pg, rng)
-pp = apply_biparam(BiparamOperatorSpec("PP", a=aa), bb, ff)
+pp = apply_biparam((P, P), bb, ff, aa)
 print("\n||PP(b,a,f)|| / (rect_bmo(b) ||f||) =",
       round(pp.norm() / (rect_bmo_norm(bb) * ff.norm()), 4))
 g1, g2 = random_function(grid1, rng), random_function(grid2, rng)
-lhs = inner_product(apply_biparam(BiparamOperatorSpec("PP", a=aa), bb,
-                                  tensor_function(f1, f2)),
+lhs = inner_product(apply_biparam((P, P), bb, tensor_function(f1, f2), aa),
                     tensor_function(g1, g2))
-rhs = inner_product(apply_biparam(BiparamOperatorSpec("PP1", a=aa), bb,
-                                  tensor_function(g1, f2)),
+rhs = inner_product(apply_biparam((PSTAR, P), bb, tensor_function(g1, f2), aa),
                     tensor_function(f1, g2))
 print("partial-adjoint pairing gap:", abs(lhs - rhs))

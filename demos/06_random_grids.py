@@ -11,19 +11,18 @@ import numpy as np
 
 from dyadlab import (GridSpec, average_operator, commutator_bound_study,
                      hilbert_pattern_builder, mc_representation_demo,
-                     sample_omega, shifted_grid, toeplitz_deviation)
+                     sample_omega, toeplitz_deviation)
 
 base = GridSpec(1, 6)
 
 # --- a shifted grid is the standard grid translated by shift cells -------------
-omega = sample_omega(base, 12345)
-grid = shifted_grid(base, omega)
-print("offsets per level:", [o[0] for o in omega.offsets])
+grid = sample_omega(base, 12345)
+print("offsets per level:", [o[0] for o in grid.omega or ((0,),) * base.N])
 print("translation in finest cells:", grid.shift[0])
 
 # --- one grid vs the average ---------------------------------------------------
 builder = hilbert_pattern_builder(base)
-single = builder(omega).matrix()
+single = builder(grid).matrix()
 print("\nsingle grid, max Toeplitz deviation:",
       round(float(np.max(np.abs(toeplitz_deviation(single)))), 4))
 

@@ -2,11 +2,12 @@
 
 Functions of t >= 2 variables are sample arrays, one axis per variable
 (variable 1 slowest), on a :class:`ProductGrid`, whose ``grids`` are the
-variables' grids. The tensor kernel :func:`pair_apply` takes any t >= 2;
-the named operators of :func:`apply_biparam` take two
-(:meth:`ProductGrid.two_grids` refuses other t). Per-variable Haar
-transforms act along one axis with the other axes passive, so the full
-transform (:func:`~dyadlab.haar.forward_space`) is their composition.
+variables' grids. The tensor kernel :func:`pair_apply` and the operator
+:func:`apply_biparam` take any t >= 2; only a symbol given on the product
+grid takes two (:meth:`ProductGrid.two_grids` refuses other t).
+Per-variable Haar transforms act along one axis with the other axes
+passive, so the full transform (:func:`~dyadlab.haar.forward_space`) is
+their composition.
 
 The operator family combines one "atom" per variable: a
 :class:`~dyadlab.paraproducts.BkOperator` on that variable's grid (the B_k
@@ -17,9 +18,10 @@ per-axis schedule (:func:`pair_apply`): along a B axis the rows of
 :func:`~dyadlab.paraproducts.bk_gather`, the layout ``bk_stacked`` reads;
 along a P or P* axis a strict-subcube tree scan of
 :mod:`dyadlab.paraproducts` (``strict_ancestor_sum`` /
-``strict_subtree_sum``), with ``b`` multiplied once in between. Every P
-axis takes its own symbol: a PP-family symbol is a1 x a2, or a sum of
-such products (:func:`apply_biparam`).
+``strict_subtree_sum``), with ``b`` multiplied once in between. An
+operator is its tuple of atoms, e.g. (B_k, P) for BP_k or (P*, P) for
+PP_1. Every P axis takes its own symbol: a PP-family symbol is a1 x a2,
+or a sum of such products (:func:`apply_biparam`).
 
 Stacked arrays are (n1, ..., nt, *passive): variable v on axis v - 1, and
 optional trailing passive axes (one column per trial in
@@ -49,7 +51,7 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec
 from .haar import (DyadicFunction, SampledFunction, _along, contract_space,
                    extend_space, forward_space, inverse_space)
-from .paraproducts import (BkOperator, _trailing, bk_gather, strict_ancestor_sum,
+from .paraproducts import (_trailing, bk_gather, strict_ancestor_sum,
                            strict_subtree_sum, symbol_stacked)
 from .shifts import commutator_stacked
 
@@ -260,94 +262,50 @@ def pair_apply(space: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atoms: tuple,
     return contract_space(space, out) if result else None
 
 
-# -- public bi-parameter operator surface -------------------------------------
+# -- public operator surface -------------------------------------------------
 
 
-_PP_FLAGS = {"PP": (False, False), "PP1": (True, False), "PP2": (False, True),
-             "PPstar": (True, True)}  # adjoint flags of the two P atoms
+def apply_biparam(atoms: tuple, b: ProductFunction, f: ProductFunction,
+                  syms=None) -> ProductFunction:
+    """Literal evaluation of the tensor of ``atoms`` on f, with symbol b.
 
-
-@dataclass(frozen=True)
-class BiparamOperatorSpec:
-    """Parameters of one bi-parameter operator of kind Bkl/PP/PP1/PP2/PPstar/BPk/PBl.
-
-    Signature fields are {0,1}^d tuples per variable; ``None`` means the
-    all-zero (cancellative) signature. Symbols: the PP family takes ``a``
-    (ProductFunction), or ``a1`` and ``a2`` (DyadicFunction) for the product
-    symbol a1 x a2; BPk takes ``a2`` and PBl ``a1``. ``p_adjoint`` tags the
-    adjoint variant of the P factor in BPk/PBl.
-    """
-
-    kind: str
-    k: int = 0
-    l: int = 0
-    sig_b1: tuple = None
-    sig_in1: tuple = None
-    sig_out1: tuple = None
-    sig_b2: tuple = None
-    sig_in2: tuple = None
-    sig_out2: tuple = None
-    beta1: object = None
-    beta2: object = None
-    a: "ProductFunction" = None
-    a1: DyadicFunction = None
-    a2: DyadicFunction = None
-    p_adjoint: bool = False
-
-    def validate(self, pg: ProductGrid):
-        """Raise ValueError for an unknown kind or a missing symbol, and
-        GridMismatchError for a symbol off ``pg`` (``a1``, ``a2`` off the
-        grid of their variable)."""
-        if self.kind not in ("Bkl", "BPk", "PBl") + tuple(_PP_FLAGS):
-            raise ValueError(f"unknown bi-parameter kind {self.kind}")
-        if self.kind in _PP_FLAGS:
-            halves = (self.a1 is not None) + (self.a2 is not None)
-            if halves != (2 if self.a is None else 0):
-                raise ValueError(f"{self.kind} needs the product symbol a, or a1 and a2")
-        if self.kind == "BPk" and self.a2 is None:
-            raise ValueError("BPk needs the variable-2 symbol a2")
-        if self.kind == "PBl" and self.a1 is None:
-            raise ValueError("PBl needs the variable-1 symbol a1")
-        if self.a is not None and self.a.pgrid != pg:
-            raise GridMismatchError("symbol a lives off the operands' product grid")
-        for v, (sym, grid) in enumerate(zip((self.a1, self.a2), pg.grids), 1):
-            if sym is not None and sym.grid != grid:
-                raise GridMismatchError(f"symbol a{v} lives off the grid of variable {v}")
-
-
-def apply_biparam(spec: BiparamOperatorSpec, b: ProductFunction,
-                  f: ProductFunction) -> ProductFunction:
-    """Literal evaluation of the defining Haar sums of the requested kind.
-
-    Each P axis takes its own symbol. A general PP-family symbol ``a`` with
-    stacked coefficients A (mean rows zeroed) is the sum over the rows r of
-    A of e_r x A[r, :]: variable 1 takes the columns of the identity and
-    variable 2 the rows of A, one rank-one term per column of a trailing
-    axis of one :func:`pair_apply` call, and the terms are summed at the end.
+    ``atoms`` holds one atom per variable of f's product grid, as for
+    :func:`pair_apply`: a BkOperator on that variable's grid or a PAtom.
+    ``syms`` gives the P atoms their symbols: one DyadicFunction per
+    variable, on that variable's grid, with None on a B axis. Or, for two P
+    atoms, it is one ProductFunction ``a`` on f's product grid, the general
+    PP-family symbol: with stacked coefficients A (mean rows zeroed) it is
+    the sum over the rows r of A of e_r x A[r, :], so variable 1 takes the
+    columns of the identity and variable 2 the rows of A, one rank-one term
+    per column of a trailing axis of one :func:`pair_apply` call, and the
+    terms are summed at the end.
     """
     pg = f.pgrid
-    g1, g2 = pg.two_grids("apply_biparam")
     b._check(f)
-    spec.validate(pg)
+    if len(atoms) != len(pg.grids):
+        raise ValueError(f"{len(pg.grids)} variables take one atom each, got {len(atoms)}")
+    for v, atom in enumerate(atoms, 1):
+        if not isinstance(atom, PAtom):
+            _check_var(pg, atom, v)
+    bC = forward_space(pg, b.samples)
     Xe = extend_space(pg, forward_space(pg, f.samples))
-    syms = [None, None]
-    if spec.kind in ("Bkl", "BPk"):
-        atom1 = BkOperator(g1, spec.k, spec.sig_b1, spec.sig_in1, spec.sig_out1, spec.beta1)
-    if spec.kind in ("Bkl", "PBl"):
-        atom2 = BkOperator(g2, spec.l, spec.sig_b2, spec.sig_in2, spec.sig_out2, spec.beta2)
-    if spec.kind == "BPk":
-        atom2, syms[1] = PAtom(adjoint=spec.p_adjoint), symbol_stacked(spec.a2)
-    elif spec.kind == "PBl":
-        atom1, syms[0] = PAtom(adjoint=spec.p_adjoint), symbol_stacked(spec.a1)
-    elif spec.kind != "Bkl":
-        atom1, atom2 = (PAtom(flag) for flag in _PP_FLAGS[spec.kind])
-        if spec.a is None:
-            syms = [symbol_stacked(spec.a1), symbol_stacked(spec.a2)]
-        else:
-            A = forward_space(pg, spec.a.samples)
-            A[0, :] = 0.0
-            A[:, 0] = 0.0
-            syms = [np.eye(g1.n_samples), A.T]
-            Xe = np.broadcast_to(Xe[..., None], Xe.shape + (g1.n_samples,))
-    out = pair_apply(pg, forward_space(pg, b.samples), Xe, (atom1, atom2), syms)
-    return ProductFunction(pg, inverse_space(pg, out.sum(axis=2) if out.ndim == 3 else out))
+    if not isinstance(syms, ProductFunction):
+        if syms is not None:
+            for v, (atom, sym, grid) in enumerate(zip(atoms, syms, pg.grids, strict=True), 1):
+                if sym is not None and not isinstance(atom, PAtom):
+                    raise ValueError(f"the B atom in variable {v} takes no symbol")
+                if sym is not None and sym.grid != grid:
+                    raise GridMismatchError(f"symbol of variable {v} lives off its grid")
+            syms = [None if sym is None else symbol_stacked(sym) for sym in syms]
+        return ProductFunction(pg, inverse_space(pg, pair_apply(pg, bC, Xe, atoms, syms)))
+    g1, _ = pg.two_grids("a product-grid symbol")
+    if not all(isinstance(atom, PAtom) for atom in atoms):
+        raise ValueError("a product-grid symbol takes a P atom in both variables")
+    if syms.pgrid != pg:
+        raise GridMismatchError("symbol a lives off the operands' product grid")
+    A = forward_space(pg, syms.samples)
+    A[0, :] = 0.0
+    A[:, 0] = 0.0
+    Xe = np.broadcast_to(Xe[..., None], Xe.shape + (g1.n_samples,))
+    out = pair_apply(pg, bC, Xe, atoms, (np.eye(g1.n_samples), A.T))
+    return ProductFunction(pg, inverse_space(pg, out.sum(axis=2)))

@@ -63,7 +63,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grids import GridMismatchError, GridSpec, WrongKindError, grid_index
-from .haar import (DyadicFunction, SampledFunction, contract_space, extend_space,
+from .haar import (SampledFunction, contract_space, extend_space,
                    forward_space, inverse_space)
 from .paraproducts import BkOperator, bk_stacked, p_stacked, pstar_stacked
 from .biparam import PAtom, pair_apply
@@ -337,20 +337,6 @@ def decompose(b: SampledFunction, *shifts: ShiftOperator) -> TermList:
         meta.update({f"{x}{v}": getattr(S, x) for v, S in enumerate(shifts, 1) for x in "ij"})
         meta.update({f"N{v}": g.N for v, g in enumerate(grids, 1)})
     return TermList(b, shifts, list(terms), case, meta)
-
-
-def decompose_cancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
-    """Term list with sum(terms)(f) = [M_b, S] f for every f, S cancellative."""
-    if not S.cancellative:
-        raise WrongKindError("decompose_cancellative needs a cancellative shift")
-    return decompose(b, S)
-
-
-def decompose_noncancellative(b: DyadicFunction, S: ShiftOperator) -> TermList:
-    """Term list for a symbol-driven shift, either orientation."""
-    if S.cancellative:
-        raise WrongKindError("decompose_noncancellative needs a noncancellative shift")
-    return decompose(b, S)
 
 
 # ---------------------------------------------------------------------------

@@ -250,11 +250,6 @@ class HaarIndex:
         return any(s == 0 for s in self.sig)
 
 
-def ancestor(grid: GridSpec, cube: DyadicCube, k: int) -> DyadicCube:
-    """Convenience wrapper for :meth:`GridSpec.ancestor`."""
-    return grid.ancestor(cube, k)
-
-
 # ---------------------------------------------------------------------------
 # Cached vectorized index maps.
 

@@ -54,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from .grids import (DyadicCube, GridMismatchError, GridSpec, HaarIndex,
+from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec, HaarIndex,
                     InvalidIndexError, grid_index)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -392,7 +392,11 @@ class HaarCoefficients:
         return float(self.stacked[0])
 
     def level(self, level: int) -> np.ndarray:
-        """Cancellative coefficients at ``level``, shape (n_cubes, n_sig)."""
+        """Cancellative coefficients at ``level``, shape (n_cubes, n_sig);
+        a level outside 0..N-1 raises DepthError."""
+        if not 0 <= level <= self.grid.N - 1:
+            raise DepthError(f"level {level} outside the levels 0..{self.grid.N - 1} "
+                             f"below the root")
         return self.grid.level_block(self.stacked, level)
 
     def coefficient(self, idx: HaarIndex) -> float:

@@ -11,7 +11,7 @@ growth and the geometrically weighted total.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,32 +23,13 @@ from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_ma
                      max_k_level, commutator_stacked, random_shift)
 
 
-@dataclass(frozen=True)
-class OmegaSample:
-    """Per-level grid offsets omega_j in {0,1}^d for levels 1..N.
-
-    They name the shifted grid whose translation is
-    sum_j 2**(N-j) omega_j finest cells per axis (see :mod:`dyadlab.grids`);
-    uniform offsets give a uniform translation.
-    """
-
-    offsets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "offsets",
-                           tuple(tuple(int(x) for x in lvl) for lvl in self.offsets))
-
-
-def sample_omega(base: GridSpec, rng_seed: int) -> OmegaSample:
-    """Offsets drawn i.i.d. uniform on {0,1}^d; reproducible from the seed."""
+def sample_omega(base: GridSpec, rng_seed: int) -> GridSpec:
+    """The base grid shifted by per-level offsets omega_j drawn i.i.d.
+    uniform on {0,1}^d; reproducible from the seed. Its translation is
+    sum_j 2**(N-j) omega_j finest cells per axis (see :mod:`dyadlab.grids`),
+    so uniform offsets give a uniform translation."""
     offsets = np.random.default_rng(rng_seed).integers(0, 2, size=(base.N, base.d))
-    return OmegaSample(offsets.tolist())
-
-
-def shifted_grid(base: GridSpec, omega: OmegaSample) -> GridSpec:
-    """The base grid translated by ``GridSpec.shift`` cells; the level-k cube
-    at position p covers cells shift + p * 2**(N-k) + [0, 2**(N-k))."""
-    return GridSpec(base.d, base.N, omega.offsets)
+    return GridSpec(base.d, base.N, offsets.tolist())
 
 
 def hilbert_pattern_shift(grid: GridSpec) -> ShiftOperator:
@@ -64,7 +45,7 @@ def hilbert_pattern_shift(grid: GridSpec) -> ShiftOperator:
 
 
 def hilbert_pattern_builder(base: GridSpec):
-    """omega -> handle of the fixed pattern on the shifted grid.
+    """Shifted grid -> handle of the fixed pattern on it.
 
     The pattern's blocks and dense matrix are built once on ``base``; a
     shifted grid is a translation, so each grid reuses the blocks and rolls
@@ -73,8 +54,7 @@ def hilbert_pattern_builder(base: GridSpec):
     pattern = hilbert_pattern_shift(base)
     M_base = dense_matrix(pattern)
 
-    def build(omega: OmegaSample) -> LinearOperatorHandle:
-        g = shifted_grid(base, omega)
+    def build(g: GridSpec) -> LinearOperatorHandle:
         s = g.shift[0]
         return LinearOperatorHandle(g, replace(pattern, grid=g).apply_samples,
                                     matrix_fn=lambda: np.roll(M_base, (s, s), axis=(0, 1)))
@@ -83,26 +63,25 @@ def hilbert_pattern_builder(base: GridSpec):
     return build
 
 
-def average_operator(builder, samples: int, rng_seed: int, base: GridSpec = None):
-    """Monte Carlo mean and per-entry standard error of builder(omega) matrices.
+def average_operator(builder, samples: int, rng_seed: int):
+    """Monte Carlo mean and per-entry standard error of builder(grid) matrices.
 
-    ``builder`` maps an OmegaSample to a LinearOperatorHandle (or directly to
-    a dense matrix); the base grid is read from ``builder.grid`` unless given.
-    A builder sees only the grid's offsets, so the average depends only on
-    how many of the ``samples`` drew each of the 2**(N*d) grids: every
-    sample draws a grid index uniformly, and each distinct grid is built
-    once and weighted by its count (see :func:`_average_stats`). Results are
-    bit-stable for a given ``rng_seed``. A builder that raises stops the
-    average; the exception carries a note naming the grid's offsets
-    (``shifted_grid`` rebuilds it) and how many samples drew it. A negative
-    ``rng_seed`` raises ValueError, as ``np.random.default_rng`` does.
+    ``builder`` maps a shifted grid of its base grid ``builder.grid`` to a
+    LinearOperatorHandle (or directly to a dense matrix). It sees only the
+    grid, so the average depends only on how many of the ``samples`` drew
+    each of the 2**(N*d) grids: every sample draws a grid index uniformly,
+    and each distinct grid is built once and weighted by its count (see
+    :func:`_average_stats`). Results are bit-stable for a given
+    ``rng_seed``. A builder that raises stops the average; the exception
+    carries a note naming the grid's offsets and how many samples drew it.
+    A negative ``rng_seed`` raises ValueError, as ``np.random.default_rng``
+    does.
     """
-    [(mean, stderr)], stats, _ = _average_stats(builder, (lambda M: M,), samples,
-                                                rng_seed, base)
+    [(mean, stderr)], stats, _ = _average_stats(builder, (lambda M: M,), samples, rng_seed)
     return mean, stderr, stats
 
 
-def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = None):
+def _average_stats(builder, fns, samples: int, rng_seed: int):
     """One pass of :func:`average_operator` over the seeded grids that averages
     fn(M) for every fn in ``fns`` (all of one shape); returns
     [(mean, stderr) per fn], the stats and the number of distinct grids drawn.
@@ -115,24 +94,24 @@ def _average_stats(builder, fns, samples: int, rng_seed: int, base: GridSpec = N
     mean and sum of squared deviations by the pairwise update of Chan, Golub
     & LeVeque (1983). Grids are streamed: no matrix outlives its merge.
     """
-    base = base or getattr(builder, "grid", None)
+    base = getattr(builder, "grid", None)
     if not isinstance(base, GridSpec):
-        raise ValueError("builder must expose its base grid (builder.grid or base=)")
+        raise ValueError("builder must expose its base grid as builder.grid")
     if samples < 1:
         raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
     indices = np.random.default_rng(rng_seed).integers(0, base.n_samples, size=samples)
     grids, counts = np.unique(indices, return_counts=True)
     used, mean, msq = 0, None, None
     for index, count in zip(grids.tolist(), counts.tolist()):
-        omega = OmegaSample([[index >> (lvl * base.d + a) & 1 for a in range(base.d)]
-                             for lvl in range(base.N)])
+        offsets = tuple(tuple(index >> (lvl * base.d + a) & 1 for a in range(base.d))
+                        for lvl in range(base.N))
         try:
-            handle = builder(omega)
+            handle = builder(GridSpec(base.d, base.N, offsets))
             M = handle.matrix() if isinstance(handle, LinearOperatorHandle) \
                 else np.asarray(handle, dtype=float)
             X = np.stack([fn(M) for fn in fns])
         except BaseException as exc:  # annotated and re-raised, never dropped
-            exc.add_note(f"Monte Carlo grid with offsets {omega.offsets}, "
+            exc.add_note(f"Monte Carlo grid with offsets {offsets}, "
                          f"drawn by {count} of {samples} samples")
             raise
         if mean is None:

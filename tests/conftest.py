@@ -293,25 +293,30 @@ def grid_indices(base, samples, rng_seed):
     return np.random.default_rng(rng_seed).integers(0, base.n_samples, size=samples)
 
 
-def omega_of_index(base, index):
+def offsets_of_index(base, index):
     """The offsets of grid ``index``: offset a of level j is its bit
     (j - 1) * d + a."""
-    from dyadlab import OmegaSample
     bits = iter(format(int(index), f"0{base.N * base.d}b")[::-1])
-    return OmegaSample([[int(next(bits)) for _ in range(base.d)] for _ in range(base.N)])
+    return tuple(tuple(int(next(bits)) for _ in range(base.d)) for _ in range(base.N))
 
 
-def welford_average_oracle(builder, fns, samples, rng_seed, base=None):
+def grid_of_index(base, index):
+    """Grid ``index`` of ``base``: the base grid shifted by its offsets."""
+    from dyadlab import GridSpec
+    return GridSpec(base.d, base.N, offsets_of_index(base, index))
+
+
+def welford_average_oracle(builder, fns, samples, rng_seed):
     """Per-sample Welford mean and standard error of fn(M) for every fn in
-    ``fns``, M the matrix of builder(omega) on each sample's grid; returns
+    ``fns``, M the matrix of builder(grid) on each sample's grid; returns
     what ``montecarlo._average_stats`` returns."""
     from dyadlab import LinearOperatorHandle
-    base = base or builder.grid
+    base = builder.grid
     mean = [None] * len(fns)
     msq = [None] * len(fns)
     indices = grid_indices(base, samples, rng_seed).tolist()
     for used, index in enumerate(indices, start=1):
-        handle = builder(omega_of_index(base, index))
+        handle = builder(grid_of_index(base, index))
         M = handle.matrix() if isinstance(handle, LinearOperatorHandle) \
             else np.asarray(handle, dtype=float)
         for n, fn in enumerate(fns):
@@ -341,10 +346,10 @@ def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=Non
     """Per-trial reference of :func:`dyadlab.norms.uniformity_study`: trial t
     draws its functions (and betas) from ``_trial_rng(rng_seed, t)``, and
     every (k, l) is measured on them with the public operators."""
-    from dyadlab import (BiparamOperatorSpec, BkOperator, GridSpec, NormReport,
-                         ProductGrid, apply_Bk, apply_P, apply_biparam,
-                         dyadic_bmo_norm, random_function, random_product_function,
-                         rect_bmo_norm, square_function)
+    from dyadlab import (BkOperator, GridSpec, NormReport, ProductGrid, apply_Bk,
+                         apply_P, apply_biparam, dyadic_bmo_norm, random_function,
+                         random_product_function, rect_bmo_norm, square_function)
+    from dyadlab.biparam import PAtom
     from dyadlab.norms import _trial_rng
     if kind in ("Bk", "Sk", "P"):
         grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
@@ -378,20 +383,21 @@ def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=Non
                     lambda k, l: apply_Bk(BkOperator(grid, k, beta=beta), b, f).norm())
         b = random_product_function(pgrid, rng)
         f = random_product_function(pgrid, rng)
+        g1, g2 = pgrid.grids
+        beta1 = beta2 = syms = None
         if kind == "Bkl":
-            fields = {"beta1": random_signs_oracle(pgrid.grids[0], rng),
-                      "beta2": random_signs_oracle(pgrid.grids[1], rng)}
+            beta1, beta2 = random_signs_oracle(g1, rng), random_signs_oracle(g2, rng)
         elif kind == "BPk":
-            fields = {"a2": unit(random_function(pgrid.grids[1], rng))}
+            syms = [None, unit(random_function(g2, rng))]
         elif kind == "PBl":
-            fields = {"a1": unit(random_function(pgrid.grids[0], rng))}
+            syms = [unit(random_function(g1, rng)), None]
         else:
-            a1 = unit(random_function(pgrid.grids[0], rng))
-            fields = {"a1": a1, "a2": unit(random_function(pgrid.grids[1], rng))}
+            syms = [unit(random_function(g1, rng)), unit(random_function(g2, rng))]
 
         def pair(k, l):
-            spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
-            return apply_biparam(spec, b, f).norm()
+            atoms = (PAtom(kind == "PP1") if k is None else BkOperator(g1, k, beta=beta1),
+                     PAtom() if l is None else BkOperator(g2, l, beta=beta2))
+            return apply_biparam(atoms, b, f, syms).norm()
         return rect_bmo_norm(b) * f.norm(), pair
 
     best = dict.fromkeys(combos, 0.0)

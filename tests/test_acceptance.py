@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube,
+from dyadlab import (BkOperator, DyadicCube,
                      DyadicFunction, GridSpec, HaarIndex, ProductGrid,
                      apply_Bk, apply_P, apply_P_adjoint, apply_biparam,
                      dyadic_bmo_norm, evaluate_terms,
@@ -194,7 +194,7 @@ def test_criterion_5_uniform_bk_bound():
 def test_criterion_6_oracle_equivalence():
     from test_paraproducts import bk_oracle, p_oracle
     from test_biparam import (_bkl_oracle, _bpk_oracle, _pp1_oracle,
-                              _pp_oracle, PG, G1, G2)
+                              _pp_oracle, P, PG, PSTAR, G1, G2)
     worst = 0.0
     g = GridSpec(1, 3)
     for t in range(20):
@@ -229,23 +229,19 @@ def test_criterion_6_oracle_equivalence():
         aa = random_product_function(PG, rng)
         a1 = random_function(G1, rng)
         a2 = random_function(G2, rng)
-        spec = BiparamOperatorSpec("Bkl", k=t % 3, l=(t + 1) % 3)
-        worst = max(worst, np.max(np.abs(apply_biparam(spec, bb, ff).samples
-                                         - _bkl_oracle(spec, bb, ff))))
-        spec = BiparamOperatorSpec("PP", a=aa)
-        worst = max(worst, np.max(np.abs(apply_biparam(spec, bb, ff).samples
+        atoms = (BkOperator(G1, t % 3), BkOperator(G2, (t + 1) % 3))
+        worst = max(worst, np.max(np.abs(apply_biparam(atoms, bb, ff).samples
+                                         - _bkl_oracle(atoms, bb, ff))))
+        worst = max(worst, np.max(np.abs(apply_biparam((P, P), bb, ff, aa).samples
                                          - _pp_oracle(aa, bb, ff))))
-        spec = BiparamOperatorSpec("PP1", a=aa)
-        worst = max(worst, np.max(np.abs(apply_biparam(spec, bb, ff).samples
+        worst = max(worst, np.max(np.abs(apply_biparam((PSTAR, P), bb, ff, aa).samples
                                          - _pp1_oracle(aa, bb, ff))))
-        spec = BiparamOperatorSpec("BPk", k=t % 3, a2=a2)
-        worst = max(worst, np.max(np.abs(apply_biparam(spec, bb, ff).samples
-                                         - _bpk_oracle(spec, bb, ff))))
-        spec = BiparamOperatorSpec("PBl", l=t % 3, a1=a1)
-        swap = BiparamOperatorSpec("BPk", k=t % 3, a2=a1)
-        want = apply_biparam(swap, bb.transpose(), ff.transpose()).samples.T
-        worst = max(worst, np.max(np.abs(apply_biparam(spec, bb, ff).samples
-                                         - want)))
+        B1 = BkOperator(G1, t % 3)
+        worst = max(worst, np.max(np.abs(apply_biparam((B1, P), bb, ff, [None, a2]).samples
+                                         - _bpk_oracle(B1, a2, bb, ff))))
+        want = apply_biparam((B1, P), bb.transpose(), ff.transpose(), [None, a1]).samples.T
+        got = apply_biparam((P, BkOperator(G2, t % 3)), bb, ff, [a1, None]).samples
+        worst = max(worst, np.max(np.abs(got - want)))
     ok = worst < 1e-10
     _report(6, ok, f"max oracle residual {worst:.2e}")
     assert worst < 1e-10
@@ -286,6 +282,7 @@ def test_criterion_9_monte_carlo_representation():
 
 
 def test_criterion_10_core_algebra():
+    from test_biparam import P, PSTAR
     worst = 0.0
     rng = np.random.default_rng(7)
     g = GridSpec(2, 3)
@@ -315,12 +312,10 @@ def test_criterion_10_core_algebra():
     bb = random_product_function(pg, rng)
     f1, g1f = random_function(pg.grids[0], rng), random_function(pg.grids[0], rng)
     f2, g2f = random_function(pg.grids[1], rng), random_function(pg.grids[1], rng)
-    lhs = inner_product(apply_biparam(BiparamOperatorSpec("PP", a=aa), bb,
-                                       tensor_function(f1, f2)),
-                         tensor_function(g1f, g2f))
-    rhs = inner_product(apply_biparam(BiparamOperatorSpec("PP1", a=aa), bb,
-                                       tensor_function(g1f, f2)),
-                         tensor_function(f1, g2f))
+    lhs = inner_product(apply_biparam((P, P), bb, tensor_function(f1, f2), aa),
+                        tensor_function(g1f, g2f))
+    rhs = inner_product(apply_biparam((PSTAR, P), bb, tensor_function(g1f, f2), aa),
+                        tensor_function(f1, g2f))
     worst = max(worst, abs(lhs - rhs))
     # mean invariance of commutators
     b = random_function(g, rng)

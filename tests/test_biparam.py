@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadlab import (BiparamOperatorSpec, BkOperator, DyadicCube, DyadicFunction,
+from dyadlab import (BkOperator, DyadicCube, DyadicFunction,
                      GridSpec, HaarIndex, ProductFunction, ProductGrid, apply_biparam,
                      apply_in_variable, haar_function, inner_product,
                      iterated_commutator, random_function,
@@ -21,6 +21,7 @@ G1, G2 = PG.grids
 PG_D2 = ProductGrid(GridSpec(2, 3), GridSpec(1, 3))
 PG_SHIFTED = ProductGrid(GridSpec(1, 3, omega=((1,), (0,), (1,))),
                          GridSpec(1, 3, omega=((0,), (1,), (1,))))
+P, PSTAR = PAtom(), PAtom(True)  # the atoms of PP (P, P), PP1 (P*, P), PP2 (P, P*), PP* (P*, P*)
 
 
 def ip(f, g):
@@ -79,24 +80,23 @@ def test_iterated_commutator_trivial_cases(rng):
     assert iterated_commutator(b, S1, S2, f).norm() < 1e-12
 
 
-def _bkl_oracle(spec, b, f):
+def _bkl_oracle(atoms, b, f):
+    B1, B2 = atoms
     out = np.zeros(PG.shape)
     for I1 in all_cubes(G1):
-        if I1.level < spec.k:
+        if I1.level < B1.k:
             continue
         for I2 in all_cubes(G2):
-            if I2.level < spec.l:
+            if I2.level < B2.k:
                 continue
-            anc1 = G1.ancestor(I1, spec.k)
-            anc2 = G2.ancestor(I2, spec.l)
+            anc1 = G1.ancestor(I1, B1.k)
+            anc2 = G2.ancestor(I2, B2.k)
             hb = np.outer(hx(G1, anc1), hx(G2, anc2))
-            hin = np.outer(hx(G1, I1, spec.sig_in1 or (0,)),
-                           hx(G2, I2, spec.sig_in2 or (0,)))
-            hout = np.outer(hx(G1, I1, spec.sig_out1 or (0,)),
-                            hx(G2, I2, spec.sig_out2 or (0,)))
+            hin = np.outer(hx(G1, I1, B1.sig_in), hx(G2, I2, B2.sig_in))
+            hout = np.outer(hx(G1, I1, B1.sig_out), hx(G2, I2, B2.sig_out))
             w = ip(b.samples, hb) * ip(f.samples, hin)
-            out += w * hout * 2.0 ** ((I1.level - spec.k) / 2.0) \
-                * 2.0 ** ((I2.level - spec.l) / 2.0)
+            out += w * hout * 2.0 ** ((I1.level - B1.k) / 2.0) \
+                * 2.0 ** ((I2.level - B2.k) / 2.0)
     return out
 
 
@@ -104,25 +104,25 @@ def test_bkl_matches_quadruple_sum_oracle(rng):
     b = random_product_function(PG, rng)
     f = random_product_function(PG, rng)
     for (k, l) in [(0, 0), (1, 0), (0, 2), (2, 1)]:
-        spec = BiparamOperatorSpec("Bkl", k=k, l=l)
-        got = apply_biparam(spec, b, f).samples
-        assert np.max(np.abs(got - _bkl_oracle(spec, b, f))) < 1e-10
-    spec = BiparamOperatorSpec("Bkl", k=0, l=1, sig_in1=(1,))
-    assert np.max(np.abs(apply_biparam(spec, b, f).samples
-                         - _bkl_oracle(spec, b, f))) < 1e-10
-    spec = BiparamOperatorSpec("Bkl", k=0, l=0, sig_out1=(1,), sig_in2=(1,))
-    assert np.max(np.abs(apply_biparam(spec, b, f).samples
-                         - _bkl_oracle(spec, b, f))) < 1e-10
+        atoms = (BkOperator(G1, k), BkOperator(G2, l))
+        got = apply_biparam(atoms, b, f).samples
+        assert np.max(np.abs(got - _bkl_oracle(atoms, b, f))) < 1e-10
+    atoms = (BkOperator(G1, 0, sig_in=(1,)), BkOperator(G2, 1))
+    assert np.max(np.abs(apply_biparam(atoms, b, f).samples
+                         - _bkl_oracle(atoms, b, f))) < 1e-10
+    atoms = (BkOperator(G1, 0, sig_out=(1,)), BkOperator(G2, 0, sig_in=(1,)))
+    assert np.max(np.abs(apply_biparam(atoms, b, f).samples
+                         - _bkl_oracle(atoms, b, f))) < 1e-10
 
 
 def test_bkl_constant_b_zero(rng):
     const = ProductFunction(PG, np.full(PG.shape, 1.5))
     f = random_product_function(PG, rng)
-    for kind, kwargs in [("Bkl", {}), ("PP", {"a": random_product_function(PG, rng)}),
-                         ("BPk", {"a2": random_function(G2, rng)}),
-                         ("PBl", {"a1": random_function(G1, rng)})]:
-        spec = BiparamOperatorSpec(kind, **kwargs)
-        assert apply_biparam(spec, const, f).norm() < 1e-12
+    for atoms, syms in [((BkOperator(G1, 0), BkOperator(G2, 0)), None),
+                        ((PAtom(), PAtom()), random_product_function(PG, rng)),
+                        ((BkOperator(G1, 0), PAtom()), [None, random_function(G2, rng)]),
+                        ((PAtom(), BkOperator(G2, 0)), [random_function(G1, rng), None])]:
+        assert apply_biparam(atoms, const, f, syms).norm() < 1e-12
 
 
 def _haars(g):
@@ -232,10 +232,10 @@ def test_pp_matches_quadruple_sum_oracle(rng):
         a = random_product_function(pg, rng)
         b = random_product_function(pg, rng)
         f = random_product_function(pg, rng)
-        for kind, oracle in (("PP", _pp_oracle), ("PP2", _pp2_oracle),
-                             ("PPstar", _ppstar_oracle)):
-            got = apply_biparam(BiparamOperatorSpec(kind, a=a), b, f).samples
-            assert np.max(np.abs(got - oracle(a, b, f))) < 1e-10, (pg, kind)
+        for atoms, oracle in (((P, P), _pp_oracle), ((P, PSTAR), _pp2_oracle),
+                              ((PSTAR, PSTAR), _ppstar_oracle)):
+            got = apply_biparam(atoms, b, f, a).samples
+            assert np.max(np.abs(got - oracle(a, b, f))) < 1e-10, (pg, atoms)
 
 
 def test_pp_empty_inner_sum(rng):
@@ -248,7 +248,7 @@ def test_pp_empty_inner_sum(rng):
                          random_function(G2, rng))
     b1 = random_product_function(pg1, rng)
     f1 = random_product_function(pg1, rng)
-    out = apply_biparam(BiparamOperatorSpec("PP", a=a1), b1, f1)
+    out = apply_biparam((P, P), b1, f1, a1)
     assert out.norm() < 1e-13
 
 
@@ -258,17 +258,15 @@ def test_pp1_matches_oracle_and_partial_adjoint_relation(rng):
         a = random_product_function(pg, rng)
         b = random_product_function(pg, rng)
         f = random_product_function(pg, rng)
-        got = apply_biparam(BiparamOperatorSpec("PP1", a=a), b, f).samples
+        got = apply_biparam((PSTAR, P), b, f, a).samples
         assert np.max(np.abs(got - _pp1_oracle(a, b, f))) < 1e-10
-        # <PP(f1 x f2), g1 x g2> = <PP1(g1 x f2), f1 x g2>
+        # <P(f1 x f2), g1 x g2> = <PP1(g1 x f2), f1 x g2>
         f1, h1 = random_function(g1, rng), random_function(g1, rng)
         f2, h2 = random_function(g2, rng), random_function(g2, rng)
-        lhs = inner_product(apply_biparam(BiparamOperatorSpec("PP", a=a), b,
-                                           tensor_function(f1, f2)),
-                             tensor_function(h1, h2))
-        rhs = inner_product(apply_biparam(BiparamOperatorSpec("PP1", a=a), b,
-                                           tensor_function(h1, f2)),
-                             tensor_function(f1, h2))
+        lhs = inner_product(apply_biparam((P, P), b, tensor_function(f1, f2), a),
+                            tensor_function(h1, h2))
+        rhs = inner_product(apply_biparam((PSTAR, P), b, tensor_function(h1, f2), a),
+                            tensor_function(f1, h2))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -277,24 +275,23 @@ def test_pp_product_symbol_is_the_tensor_symbol(pg, rng):
     # a1 and a2, one symbol per P axis, give the operator of a = a1 x a2
     b, f = random_product_function(pg, rng), random_product_function(pg, rng)
     a1, a2 = random_function(pg.grids[0], rng), random_function(pg.grids[1], rng)
-    for kind in ("PP", "PP1", "PP2", "PPstar"):
-        got = apply_biparam(BiparamOperatorSpec(kind, a1=a1, a2=a2), b, f).samples
-        want = apply_biparam(BiparamOperatorSpec(kind, a=tensor_function(a1, a2)), b,
-                             f).samples
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), kind
+    for atoms in ((P, P), (PSTAR, P), (P, PSTAR), (PSTAR, PSTAR)):
+        got = apply_biparam(atoms, b, f, [a1, a2]).samples
+        want = apply_biparam(atoms, b, f, tensor_function(a1, a2)).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), atoms
 
 
-def _bpk_oracle(spec, b, f):
+def _bpk_oracle(B1, a2, b, f):
     out = np.zeros(PG.shape)
     for I1 in all_cubes(G1):
-        if I1.level < spec.k:
+        if I1.level < B1.k:
             continue
-        anc1 = G1.ancestor(I1, spec.k)
+        anc1 = G1.ancestor(I1, B1.k)
         for I2 in all_cubes(G2):
             hb = np.outer(hx(G1, anc1), hx(G2, I2))
-            hin = np.outer(hx(G1, I1, spec.sig_in1 or (0,)), hx(G2, I2))
+            hin = np.outer(hx(G1, I1, B1.sig_in), hx(G2, I2))
             w = ip(b.samples, hb) * ip(f.samples, hin) \
-                * 2.0 ** ((I1.level - spec.k) / 2.0) * 2.0 ** I2.level
+                * 2.0 ** ((I1.level - B1.k) / 2.0) * 2.0 ** I2.level
             if w == 0.0:
                 continue
             inner = np.zeros(G2.n_samples)
@@ -302,8 +299,8 @@ def _bpk_oracle(spec, b, f):
                 if not strictly_inside(G2, J2, I2):
                     continue
                 h2 = hx(G2, J2)
-                inner += float(np.sum(spec.a2.samples * h2) * G2.cell_volume) * h2
-            out += w * np.outer(hx(G1, I1, spec.sig_out1 or (0,)), inner)
+                inner += float(np.sum(a2.samples * h2) * G2.cell_volume) * h2
+            out += w * np.outer(hx(G1, I1, B1.sig_out), inner)
     return out
 
 
@@ -311,36 +308,61 @@ def test_bpk_pbl_match_oracles(rng):
     b = random_product_function(PG, rng)
     f = random_product_function(PG, rng)
     a2 = random_function(G2, rng)
-    for k in (0, 1, 2):
-        spec = BiparamOperatorSpec("BPk", k=k, a2=a2)
-        got = apply_biparam(spec, b, f).samples
-        assert np.max(np.abs(got - _bpk_oracle(spec, b, f))) < 1e-10
-    spec = BiparamOperatorSpec("BPk", k=0, a2=a2, sig_in1=(1,))
-    assert np.max(np.abs(apply_biparam(spec, b, f).samples
-                         - _bpk_oracle(spec, b, f))) < 1e-10
+    for B1 in (BkOperator(G1, 0), BkOperator(G1, 1), BkOperator(G1, 2),
+               BkOperator(G1, 0, sig_in=(1,))):
+        got = apply_biparam((B1, P), b, f, [None, a2]).samples
+        assert np.max(np.abs(got - _bpk_oracle(B1, a2, b, f))) < 1e-10
     # PBl is the variable swap of BPk
     a1 = random_function(G1, rng)
-    spec = BiparamOperatorSpec("PBl", l=1, a1=a1)
-    spec_sw = BiparamOperatorSpec("BPk", k=1, a2=a1)
-    got = apply_biparam(spec, b, f).samples
-    want = apply_biparam(spec_sw, b.transpose(), f.transpose()).samples.T
+    got = apply_biparam((P, BkOperator(G2, 1)), b, f, [a1, None]).samples
+    want = apply_biparam((BkOperator(G1, 1), P), b.transpose(), f.transpose(),
+                         [None, a1]).samples.T
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_missing_symbol_raises(rng):
     b = random_product_function(PG, rng)
     f = random_product_function(PG, rng)
+    a1, a2 = random_function(G1, rng), random_function(G2, rng)
+    for atoms in ((P, P), (PSTAR, P)):
+        for syms, var in ((None, 1), ([None, None], 1), ([a1, None], 2), ([None, a2], 1)):
+            with pytest.raises(ValueError, match=f"P atom in variable {var} needs its symbol"):
+                apply_biparam(atoms, b, f, syms)
+    with pytest.raises(ValueError, match="P atom in variable 2 needs its symbol"):
+        apply_biparam((BkOperator(G1, 1), P), b, f)
+
+
+def test_atoms_and_symbols_must_fit_the_variables(rng):
+    b = random_product_function(PG, rng)
+    f = random_product_function(PG, rng)
+    B1, B2 = BkOperator(G1, 1), BkOperator(G2, 0)
     a = random_product_function(PG, rng)
     a1, a2 = random_function(G1, rng), random_function(G2, rng)
-    for kind in ("PP", "PP1"):
-        for fields in ({}, {"a1": a1}, {"a2": a2}, {"a": a, "a1": a1},
-                       {"a": a, "a1": a1, "a2": a2}):
-            with pytest.raises(ValueError, match=f"{kind} needs the product symbol a, or a1"):
-                apply_biparam(BiparamOperatorSpec(kind, **fields), b, f)
-    with pytest.raises(ValueError):
-        apply_biparam(BiparamOperatorSpec("BPk", k=1), b, f)
-    with pytest.raises(ValueError):
-        apply_biparam(BiparamOperatorSpec("nope"), b, f)
+    for atoms in ((B1,), (P,), (B1, B2, B2), (P, P, P)):
+        with pytest.raises(ValueError, match=f"2 variables take one atom each, got {len(atoms)}"):
+            apply_biparam(atoms, b, f)
+    for atoms in ((B1, B2), (B1, P), (P, B2)):
+        with pytest.raises(ValueError, match="a product-grid symbol takes a P atom in both"):
+            apply_biparam(atoms, b, f, a)
+    with pytest.raises(ValueError, match="the B atom in variable 1 takes no symbol"):
+        apply_biparam((B1, P), b, f, [a1, a2])
+    with pytest.raises(ValueError, match="the B atom in variable 2 takes no symbol"):
+        apply_biparam((P, B2), b, f, [a1, a2])
+    with pytest.raises(ValueError):  # one symbol per variable
+        apply_biparam((P, P), b, f, [a1])
+
+
+def test_a_b_atom_off_its_variable_grid_raises(rng):
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 4))
+    b, f = random_product_function(pg, rng), random_product_function(pg, rng)
+    a2 = random_function(pg.grids[1], rng)
+    shifted = GridSpec(1, 3, omega=((1,), (0,), (1,)))
+    for atom1 in (BkOperator(GridSpec(1, 4), 1), BkOperator(shifted, 1),
+                  BkOperator(GridSpec(2, 3), 0)):
+        with pytest.raises(GridMismatchError, match="does not match variable 1"):
+            apply_biparam((atom1, P), b, f, [None, a2])
+    with pytest.raises(GridMismatchError, match="does not match variable 2"):
+        apply_biparam((BkOperator(pg.grids[0], 0), BkOperator(pg.grids[0], 0)), b, f)
 
 
 @pytest.mark.parametrize("entry", ["open_set_bmo_norm", "hybrid_max_square",
@@ -353,7 +375,7 @@ def test_two_variable_entry_points_refuse_three_variables(entry, rng):
     call = {"open_set_bmo_norm": lambda: open_set_bmo_norm(f),
             "hybrid_max_square": lambda: square_function(f, "hybrid_max_square"),
             "uniformity_study": lambda: uniformity_study("Bkl", {}, 1, 0, pgrid=pg),
-            "apply_biparam": lambda: apply_biparam(BiparamOperatorSpec("Bkl"), f, f),
+            "apply_biparam": lambda: apply_biparam((P, P, P), f, f, f),
             "to_bytes": f.to_bytes}[entry]
     with pytest.raises(ValueError, match="takes two variables, not 3"):
         call()
@@ -365,13 +387,13 @@ def test_spec_symbols_off_the_product_grid_raise(rng):
     a1 = random_function(pg.grids[0], rng)
     off = [random_function(GridSpec(2, 2), rng),
            random_function(GridSpec(1, 4, omega=((1,), (0,), (1,), (0,))), rng)]
-    specs = [BiparamOperatorSpec(kind, a1=a1, a2=a2) for kind in ("PP", "PP1") for a2 in off]
-    specs += [BiparamOperatorSpec("BPk", a2=a2) for a2 in off]
+    calls = [((p1, P), [a1, a2]) for p1 in (P, PSTAR) for a2 in off]
+    calls += [((BkOperator(pg.grids[0], 0), P), [None, a2]) for a2 in off]
     other = ProductGrid(GridSpec(1, 3, omega=((1,), (1,), (0,))), pg.grids[1])
-    specs.append(BiparamOperatorSpec("PP2", a=random_product_function(other, rng)))
-    for spec in specs:
+    calls.append(((P, PSTAR), random_product_function(other, rng)))
+    for atoms, syms in calls:
         with pytest.raises(GridMismatchError):
-            apply_biparam(spec, b, f)
+            apply_biparam(atoms, b, f, syms)
 
 
 def test_bkl_martingale_bound_exact(rng):
@@ -383,8 +405,8 @@ def test_bkl_martingale_bound_exact(rng):
         beta2 = tuple(np.sign(rng.standard_normal(G2.n_cubes(m)) + 0.3)
                       for m in range(G2.N))
         for (k, l) in [(0, 0), (1, 2)]:
-            spec = BiparamOperatorSpec("Bkl", k=k, l=l, beta1=beta1, beta2=beta2)
-            out = apply_biparam(spec, b, f)
+            atoms = (BkOperator(G1, k, beta=beta1), BkOperator(G2, l, beta=beta2))
+            out = apply_biparam(atoms, b, f)
             assert out.norm() <= (1 + 1e-12) * rect_bmo_norm(b) * f.norm()
 
 
@@ -393,9 +415,9 @@ def test_biparam_linear_in_f(rng):
     b = random_product_function(PG, rng)
     f = random_product_function(PG, rng)
     h = random_product_function(PG, rng)
-    spec = BiparamOperatorSpec("PP1", a=a)
-    lhs = apply_biparam(spec, b, ProductFunction(PG, 2.0 * f.samples + h.samples))
-    rhs = apply_biparam(spec, b, f) * 2.0 + apply_biparam(spec, b, h)
+    atoms = (PSTAR, P)
+    lhs = apply_biparam(atoms, b, ProductFunction(PG, 2.0 * f.samples + h.samples), a)
+    rhs = apply_biparam(atoms, b, f, a) * 2.0 + apply_biparam(atoms, b, h, a)
     assert (lhs - rhs).norm() < 1e-11 * max(1.0, lhs.norm())
 
 
@@ -437,12 +459,11 @@ def test_bk_atom_error_contract(name, rng):
         BkOperator(_G4, **fields)
     for var, pg in ((1, ProductGrid(_G4, GridSpec(1, 2))),
                     (2, ProductGrid(GridSpec(1, 2), _G4))):
-        depth = "k" if var == 1 else "l"
-        spec = BiparamOperatorSpec("Bkl", **{depth if key == "k" else f"{key}{var}": val
-                                             for key, val in fields.items()})
         b, f = random_product_function(pg, rng), random_product_function(pg, rng)
         with pytest.raises(error) as paired:
-            apply_biparam(spec, b, f)
+            atoms = [BkOperator(g, **fields) if v == var else BkOperator(g, 0)
+                     for v, g in enumerate(pg.grids, 1)]
+            apply_biparam(atoms, b, f)
         assert type(paired.value) is type(alone.value) is error
 
 
@@ -637,21 +658,13 @@ def _atoms_of_three(pg, rng):
     return out
 
 
-def test_three_atoms_are_the_product_of_the_one_variable_kernels(rng):
-    # with b a sum of two rank-one tensors, the tensor of three atoms is the
-    # sum over the ranks of the 1-D kernels (bk_stacked, p_stacked or
-    # pstar_stacked on the stacked rows) run along each variable in turn;
-    # every mix of B and P atoms, B axes apart (B, P, B) included
-    from itertools import product
-
+def _per_axis_product(grids, atoms, ranks, syms, Xe):
+    """The tensor of ``atoms`` on the extended stack ``Xe`` with b the sum
+    over ``ranks`` of the tensors of their stacked vectors: per rank, the
+    1-D kernels (bk_stacked, p_stacked or pstar_stacked on the stacked
+    rows, with ``syms[v]`` on a P axis) run along each variable in turn."""
     from dyadlab.haar import _along
     from dyadlab.paraproducts import bk_stacked, p_stacked, pstar_stacked
-    grids = PG3.grids
-    ranks = [[forward_stacked(g, rng.standard_normal(g.n_samples)) for g in grids]
-             for _ in range(2)]
-    bC = sum(np.einsum("i,j,k->ijk", *vecs) for vecs in ranks)
-    syms = [forward_stacked(g, rng.standard_normal(g.n_samples)) for g in grids]
-    Xe = extend_space(PG3, rng.standard_normal(PG3.shape + (2,)))
 
     def one_variable(v, atom, bv, y):
         g = grids[v]
@@ -665,13 +678,29 @@ def test_three_atoms_are_the_product_of_the_one_variable_kernels(rng):
             return res
         return _along(v, kernel, y)
 
+    want = np.zeros(Xe.shape)
+    for vecs in ranks:
+        y = Xe
+        for v, (atom, bv) in enumerate(zip(atoms, vecs)):
+            y = one_variable(v, atom, bv, y)
+        want += y
+    return want
+
+
+def test_three_atoms_are_the_product_of_the_one_variable_kernels(rng):
+    # with b a sum of two rank-one tensors, the tensor of three atoms is the
+    # sum over the ranks of the 1-D kernels run along each variable in turn;
+    # every mix of B and P atoms, B axes apart (B, P, B) included
+    from itertools import product
+
+    grids = PG3.grids
+    ranks = [[forward_stacked(g, rng.standard_normal(g.n_samples)) for g in grids]
+             for _ in range(2)]
+    bC = sum(np.einsum("i,j,k->ijk", *vecs) for vecs in ranks)
+    syms = [forward_stacked(g, rng.standard_normal(g.n_samples)) for g in grids]
+    Xe = extend_space(PG3, rng.standard_normal(PG3.shape + (2,)))
     for atoms in product(*_atoms_of_three(PG3, rng)):
-        want = np.zeros(Xe.shape)
-        for vecs in ranks:
-            y = Xe
-            for v, (atom, bv) in enumerate(zip(atoms, vecs)):
-                y = one_variable(v, atom, bv, y)
-            want += y
+        want = _per_axis_product(grids, atoms, ranks, syms, Xe)
         got = np.zeros(Xe.shape)
         pair_apply(PG3, bC, Xe, atoms,
                    [s if isinstance(a, PAtom) else None for a, s in zip(atoms, syms)],
@@ -679,6 +708,28 @@ def test_three_atoms_are_the_product_of_the_one_variable_kernels(rng):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), atoms
         assert np.array_equal(pair_apply(PG3, bC, Xe, atoms, syms),
                               contract_space(PG3, got)), atoms
+
+
+def test_apply_biparam_of_three_is_the_product_of_the_one_variable_kernels(rng):
+    # the public operator at t = 3, one DyadicFunction symbol per P atom,
+    # against the same per-axis oracle on b's and f's coefficients
+    from itertools import product
+
+    from dyadlab.paraproducts import symbol_stacked
+    grids = PG3.grids
+    vecs = [[rng.standard_normal(g.n_samples) for g in grids] for _ in range(2)]
+    b = ProductFunction(PG3, sum(np.einsum("i,j,k->ijk", *v) for v in vecs))
+    ranks = [[forward_stacked(g, x) for g, x in zip(grids, v)] for v in vecs]
+    f = random_product_function(PG3, rng)
+    a = [random_function(g, rng) for g in grids]
+    syms = [symbol_stacked(s) for s in a]
+    Xe = extend_space(PG3, forward_space(PG3, f.samples))
+    for atoms in product(*_atoms_of_three(PG3, rng)):
+        want = inverse_space(PG3, contract_space(
+            PG3, _per_axis_product(grids, atoms, ranks, syms, Xe)))
+        got = apply_biparam(atoms, b, f,
+                            [s if isinstance(at, PAtom) else None for at, s in zip(atoms, a)])
+        assert np.max(np.abs(got.samples - want)) <= 1e-13 * np.max(np.abs(want)), atoms
 
 
 def test_pair_apply_of_three_rejects_a_p_atom_without_its_symbol(rng):

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
-                     ProductGrid,
-                     decompose_cancellative, decompose_noncancellative,
-                     evaluate_terms, haar_function, iterated_commutator,
+                     ProductGrid, evaluate_terms, haar_function, iterated_commutator,
                      multiplication_commutator, random_function,
                      random_product_function, random_shift, tensor_function,
                      verify_identity)
@@ -25,17 +23,6 @@ from dyadlab.shifts import commutator_stacked, noncancellative_shift
 
 from conftest import (assert_columns_alone, evaluate_stacked_oracle,
                       iterated_commutator_oracle, verify_identity_oracle)
-
-
-def test_wrong_kind_errors(rng):
-    g = GridSpec(1, 3)
-    b = random_function(g, rng)
-    canc = random_shift(g, 1, 0, rng)
-    noncanc = random_shift(g, 0, 0, rng, kind="noncancellative")
-    with pytest.raises(WrongKindError):
-        decompose_noncancellative(b, canc)
-    with pytest.raises(WrongKindError):
-        decompose_cancellative(b, noncanc)
 
 
 def test_cancellative_identity_small(rng):
@@ -53,7 +40,7 @@ def test_cancellative_term_count_formula(rng):
     g = GridSpec(1, 6)
     b = random_function(g, rng)
     S = random_shift(g, 2, 3, rng)
-    tl = decompose_cancellative(b, S)
+    tl = decompose(b, S)
     assert tl.term_count == 4 + 2 + 3
     assert tl.meta["count_constant"] == 4
     assert tl.term_count <= tl.meta["count_bound"] == 4 * (1 + 3)
@@ -69,14 +56,14 @@ def test_count_law_full_range(rng):
         for j in range(5):
             if max(i, j) > g.N - 1:
                 continue
-            tl = decompose_cancellative(b, random_shift(g, i, j, rng))
+            tl = decompose(b, random_shift(g, i, j, rng))
             assert tl.term_count == 4 + i + j
             assert tl.term_count <= tl.meta["count_constant"] * (1 + max(i, j))
     g2 = GridSpec(2, 3)
     b2 = random_function(g2, rng)
     for i in range(3):
         for j in range(3):
-            tl = decompose_cancellative(b2, random_shift(g2, i, j, rng))
+            tl = decompose(b2, random_shift(g2, i, j, rng))
             nsig = g2.n_sig
             assert tl.term_count == 2 * (nsig + nsig ** 2) + (i + j) * nsig ** 2
             assert tl.term_count <= tl.meta["count_constant"] * (1 + max(i, j))
@@ -138,7 +125,7 @@ def test_constant_b_gives_zero_terms(rng):
     g = GridSpec(1, 4)
     const = DyadicFunction(g, np.full(g.n_samples, 2.0))
     S = random_shift(g, 1, 1, rng)
-    tl = decompose_cancellative(const, S)
+    tl = decompose(const, S)
     f = random_function(g, rng)
     assert evaluate_terms(tl, f).norm() < 1e-13
     assert multiplication_commutator(const, S, f).norm() < 1e-13
@@ -160,7 +147,7 @@ def test_noncancellative_identity_both_orientations(rng):
         S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
         rep = verify_identity(b, S, trials=10, rng_seed=3, tol=1e-10)
         assert rep["pass"], rep
-        tl = decompose_noncancellative(b, S)
+        tl = decompose(b, S)
         kinds = {t.kind for t in tl.terms}
         if ori == "analysis":
             assert "P_term" in kinds and "Pstar_term" not in kinds
@@ -174,7 +161,7 @@ def test_noncancellative_zero_symbol(rng):
     b = random_function(g, rng)
     f = random_function(g, rng)
     assert multiplication_commutator(b, S, f).norm() == 0.0
-    tl = decompose_noncancellative(b, S)
+    tl = decompose(b, S)
     assert evaluate_terms(tl, f).norm() < 1e-13
 
 
@@ -199,8 +186,8 @@ def test_mean_invariance_of_decomposition(rng):
     b = random_function(g, rng)
     S = random_shift(g, 2, 1, rng)
     shifted = b + DyadicFunction(g, np.full(g.n_samples, -1.7))
-    tl1 = decompose_cancellative(b, S)
-    tl2 = decompose_cancellative(shifted, S)
+    tl1 = decompose(b, S)
+    tl2 = decompose(shifted, S)
     for _ in range(3):
         f = random_function(g, rng)
         assert (evaluate_terms(tl1, f) - evaluate_terms(tl2, f)).norm() < 1e-12
@@ -210,7 +197,7 @@ def test_dropping_a_term_breaks_identity(rng):
     g = GridSpec(1, 5)
     b = random_function(g, rng)
     S = random_shift(g, 1, 1, rng)
-    tl = decompose_cancellative(b, S)
+    tl = decompose(b, S)
     f = random_function(g, rng)
     direct = multiplication_commutator(b, S, f)
     full = evaluate_terms(tl, f)
@@ -246,7 +233,7 @@ def test_empty_terms_zero_commutator():
     g = GridSpec(1, 3)
     zero_b = DyadicFunction(g, np.zeros(g.n_samples))
     S = random_shift(g, 0, 0, 0)
-    tl = decompose_cancellative(zero_b, S)
+    tl = decompose(zero_b, S)
     f = random_function(g, np.random.default_rng(1))
     assert evaluate_terms(tl, f).norm() == 0.0
     assert multiplication_commutator(zero_b, S, f).norm() == 0.0
@@ -347,7 +334,7 @@ def test_termlist_serialization_replay(rng):
     g = GridSpec(1, 4)
     b = random_function(g, rng)
     S = random_shift(g, 1, 2, rng)
-    tl = decompose_cancellative(b, S)
+    tl = decompose(b, S)
     obj = json.loads(tl.to_json())
     assert obj["case"] == "cancellative"
     assert len(obj["terms"]) == tl.term_count
@@ -365,12 +352,12 @@ def test_termlist_json_terms_are_pinned():
     # digests of the "terms" lists as first released; the atoms' integer
     # signatures, kinds, weights and order must not drift
     g2 = GridSpec(2, 3)
-    tl = decompose_cancellative(random_function(g2, np.random.default_rng(0)),
+    tl = decompose(random_function(g2, np.random.default_rng(0)),
                                 random_shift(g2, 1, 1, 1))
     assert tl.term_count == 42 and _terms_digest(tl) == \
         "5c579a7691f27006f2cf063c2f186517ad485e8c27b347d1aa5e918b9af80680"
     g1 = GridSpec(1, 4)
-    tl = decompose_noncancellative(random_function(g1, np.random.default_rng(0)),
+    tl = decompose(random_function(g1, np.random.default_rng(0)),
                                    random_shift(g1, 0, 0, 1, kind="noncancellative"))
     assert tl.term_count == 4 and _terms_digest(tl) == \
         "f2462025b8deb8b1cf439f412c5fa047f88f8cfb9c9fda92b6568568e87f59d1"
@@ -400,12 +387,12 @@ def test_both_halves_share_their_atoms(g, ij, rng, monkeypatch):
     grid_index.cache_clear()
     i, j = ij
     S = random_shift(g, i, j, rng)
-    tl = decompose_cancellative(random_function(g, rng), S)
+    tl = decompose(random_function(g, rng), S)
     n = g.n_sig
     assert len(calls) == n + n * n + max(i, j) * n * n
     assert tl.term_count == 2 * (n + n * n) + (i + j) * n * n
     calls.clear()
-    again = decompose_cancellative(random_function(g, rng), random_shift(g, i, j, rng))
+    again = decompose(random_function(g, rng), random_shift(g, i, j, rng))
     assert calls == []
     assert all(a.atoms[0] is b.atoms[0] for a, b in zip(tl.terms, again.terms))
     assert again.terms == tl.terms and again.terms is not tl.terms
@@ -424,7 +411,7 @@ def test_noncancellative_atoms_are_built_once(ori, rng):
     for d, n_terms, n_distinct in ((1, 3, 2), (2, 15, 12)):
         g = GridSpec(d, 3)
         S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
-        tl = decompose_noncancellative(random_function(g, rng), S)
+        tl = decompose(random_function(g, rng), S)
         atoms = [t.atoms[0] for t in tl.terms if isinstance(t.atoms[0], BkOperator)]
         assert len(atoms) == n_terms
         assert len({id(a) for a in atoms}) == n_distinct == len(set(atoms))
@@ -999,7 +986,7 @@ def _count_shift_calls(monkeypatch) -> list:
 def test_one_param_evaluation_applies_the_shift_at_most_twice(rng, monkeypatch):
     # one call for the inner terms, one for the summed outer terms
     g = GridSpec(1, 6)
-    tl = decompose_cancellative(random_function(g, rng), random_shift(g, 4, 4, rng))
+    tl = decompose(random_function(g, rng), random_shift(g, 4, 4, rng))
     assert sum(t.outer[0] for t in tl.terms) == 6
     calls = _count_shift_calls(monkeypatch)
     evaluate_terms(tl, random_function(g, rng))
@@ -1076,7 +1063,7 @@ def test_one_extend_and_one_contract_per_variable(rng, monkeypatch):
     levels = _count_calls(monkeypatch, "scaling_levels")
     folds = _count_calls(monkeypatch, "fold_noncancellative")
     g = GridSpec(2, 3)
-    tl = decompose_cancellative(random_function(g, rng), random_shift(g, 1, 1, rng))
+    tl = decompose(random_function(g, rng), random_shift(g, 1, 1, rng))
     evaluate_stacked(tl, rng.standard_normal((g.n_samples, 2)))
     assert len(levels) == len(folds) == 1
     levels.clear()
@@ -1209,7 +1196,7 @@ def test_noncancellative_symbol_is_transformed_once(rng, monkeypatch):
         S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=ori)
         sym = S.stacked_symbol()
         assert not sym.flags.writeable and np.array_equal(sym, symbol_stacked(S.symbol))
-        tl = decompose_noncancellative(random_function(g, rng), S)
+        tl = decompose(random_function(g, rng), S)
         calls = _count_calls(monkeypatch, "forward_stacked")
         evaluate_stacked(tl, rng.standard_normal((g.n_samples, 2)))
         assert calls and not any(samples is S.symbol.samples for _, samples in calls)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadlab import DyadicCube, GridSpec, HaarIndex, ancestor
+from dyadlab import DyadicCube, GridSpec, HaarIndex
 from dyadlab.grids import DepthError, InvalidIndexError, grid_index
 from conftest import ancestor_scan_oracle, subtree_scan_oracle
 
@@ -46,7 +46,7 @@ def test_ancestor_child_roundtrip():
 def test_ancestor_quarter_interval_example():
     # [1/4, 1/2) at level 2, k=2 -> [0, 1)
     g = GridSpec(1, 3)
-    assert ancestor(g, DyadicCube(2, (1,)), 2) == DyadicCube(0, (0,))
+    assert g.ancestor(DyadicCube(2, (1,)), 2) == DyadicCube(0, (0,))
 
 
 def test_ancestor_out_of_range():

@@ -7,7 +7,7 @@ from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      haar_forward, haar_function, haar_inverse, inner_product,
                      pointwise_multiply, random_function)
 from dyadlab.biparam import ProductFunction, ProductGrid
-from dyadlab.grids import GridMismatchError, InvalidIndexError
+from dyadlab.grids import DepthError, GridMismatchError, InvalidIndexError
 from dyadlab.haar import (HaarCoefficients, contract, extend, forward_stacked,
                           inverse_stacked, scaling_levels)
 from conftest import (all_cancellative_indices, forward_oracle, inverse_oracle,
@@ -56,6 +56,15 @@ def test_forward_two_cell_example():
     c = haar_forward(DyadicFunction(g, [1.0, 3.0]))
     assert abs(c.mean - 2.0) < 1e-14
     assert abs(c.level(0)[0, 0] + 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("level", [-1, 3, 4])
+def test_coefficient_level_outside_the_grid_raises(level, rng):
+    # levels 0..N-1 hold coefficients; N and beyond, or a negative level, are refused
+    c = haar_forward(random_function(GridSpec(1, 3), rng))
+    with pytest.raises(DepthError, match=f"level {level} outside the levels 0..2"):
+        c.level(level)
+    assert c.level(2).shape == (4, 1)
 
 
 def test_forward_constant_kills_cancellative():

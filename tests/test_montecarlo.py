@@ -3,33 +3,35 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyadlab import (DyadicFunction, GridSpec, OmegaSample, average_operator,
+from dyadlab import (DyadicFunction, GridSpec, average_operator,
                      commutator_bound_study, dense_matrix, hilbert_pattern_builder,
                      hilbert_pattern_shift, mc_representation_demo,
-                     random_function, random_shift, sample_omega, shifted_grid,
+                     random_function, random_shift, sample_omega,
                      toeplitz_deviation, zscore_verdict)
 from dyadlab import montecarlo
 from dyadlab.montecarlo import _bonferroni_z
 import conftest
 from conftest import (commutator_bound_study_oracle, dense_shift_matrix_oracle,
-                      grid_indices, omega_of_index, welford_average_oracle)
+                      grid_indices, grid_of_index, offsets_of_index,
+                      welford_average_oracle)
 
 
 BASE = GridSpec(1, 5)
 
 
 def distinct_grids(base, samples, rng_seed):
-    """Offsets and sample count of each distinct grid drawn, in index order."""
+    """Index and sample count of each distinct grid drawn, in index order."""
     indices, counts = np.unique(grid_indices(base, samples, rng_seed), return_counts=True)
-    return [omega_of_index(base, i).offsets for i in indices], counts.tolist()
+    return indices.tolist(), counts.tolist()
 
 
 def test_sample_omega_deterministic():
     a = sample_omega(BASE, 42)
     b = sample_omega(BASE, 42)
     assert a == b
-    assert len(a.offsets) == BASE.N
-    assert all(x in (0, 1) for lvl in a.offsets for x in lvl)
+    assert (a.d, a.N) == (BASE.d, BASE.N)
+    assert len(a.omega) == BASE.N
+    assert all(x in (0, 1) for lvl in a.omega for x in lvl)
 
 
 @pytest.mark.parametrize("d,N", [(1, 2), (1, 6), (2, 4), (3, 3), (1, 12)])
@@ -38,12 +40,11 @@ def test_sample_omega_is_the_per_level_draw(d, N):
     for seed in range(40):
         rng = np.random.default_rng(seed)
         want = tuple(tuple(int(x) for x in rng.integers(0, 2, size=d)) for _ in range(N))
-        assert sample_omega(base, seed) == OmegaSample(want)
+        assert sample_omega(base, seed) == GridSpec(d, N, want)
 
 
-def test_shifted_grid_identity_and_offsets():
-    zero = OmegaSample(tuple((0,) for _ in range(BASE.N)))
-    assert shifted_grid(BASE, zero) == BASE
+def test_zero_offsets_are_the_base_grid():
+    assert grid_of_index(BASE, 0) == GridSpec(BASE.d, BASE.N, ((0,),) * BASE.N) == BASE
 
 
 def test_pattern_coefficients_at_admissible_bound():
@@ -57,8 +58,7 @@ def test_pattern_coefficients_at_admissible_bound():
 
 def test_base_matrix_matches_oracle():
     # the unshifted sample's matrix is the base matrix itself
-    zero = OmegaSample(tuple((0,) for _ in range(BASE.N)))
-    M_base = hilbert_pattern_builder(BASE)(zero).matrix()
+    M_base = hilbert_pattern_builder(BASE)(BASE).matrix()
     assert np.max(np.abs(M_base - dense_shift_matrix_oracle(hilbert_pattern_shift(BASE)))) < 1e-13
 
 
@@ -76,7 +76,7 @@ def test_pattern_matrix_matches_generic_apply():
 def test_average_operator_trivial_cases():
     g = GridSpec(1, 2)
 
-    def zero_builder(om):
+    def zero_builder(grid):
         return np.zeros((4, 4))
     zero_builder.grid = g
     m, se, stats = average_operator(zero_builder, 10, 3)
@@ -84,7 +84,7 @@ def test_average_operator_trivial_cases():
 
     fixed = np.arange(16.0).reshape(4, 4)
 
-    def fixed_builder(om):
+    def fixed_builder(grid):
         return fixed
     fixed_builder.grid = g
     m, se, stats = average_operator(fixed_builder, 10, 3)
@@ -98,7 +98,7 @@ def test_average_operator_trivial_cases():
     builder = hilbert_pattern_builder(BASE)
     m, se, stats = average_operator(builder, 1, 3)
     (index,) = grid_indices(BASE, 1, 3)
-    assert np.array_equal(m, builder(omega_of_index(BASE, index)).matrix())
+    assert np.array_equal(m, builder(grid_of_index(BASE, index)).matrix())
     assert np.all(se == 0.0)
     assert stats == {"samples": 1, "used": 1, "seed": 3}
 
@@ -109,12 +109,13 @@ def test_average_operator_linearity():
     A = rng.standard_normal((4, 4))
     B = rng.standard_normal((4, 4))
 
-    def build_a(om):
-        return A * om.offsets[0][0]
-    def build_b(om):
-        return B * om.offsets[1][0]
-    def build_sum(om):
-        return 2.0 * A * om.offsets[0][0] + B * om.offsets[1][0]
+    # the offset of level j is bit N - j of the shift
+    def build_a(grid):
+        return A * (grid.shift[0] >> 1)
+    def build_b(grid):
+        return B * (grid.shift[0] & 1)
+    def build_sum(grid):
+        return 2.0 * A * (grid.shift[0] >> 1) + B * (grid.shift[0] & 1)
     for b in (build_a, build_b, build_sum):
         b.grid = g
     ma, _, _ = average_operator(build_a, 60, 5)
@@ -129,8 +130,8 @@ def test_average_operator_propagates_failures():
     assert len(grids) >= 3
     calls = []
 
-    def flaky(om):
-        calls.append(om.offsets)
+    def flaky(grid):
+        calls.append(grid)
         if len(calls) == 3:
             raise RuntimeError("boom")
         return np.eye(4)
@@ -138,8 +139,9 @@ def test_average_operator_propagates_failures():
     with pytest.raises(RuntimeError, match="boom") as info:
         average_operator(flaky, 9, 1)
     # one call per distinct grid, in index order
-    assert calls == grids[:3]
-    assert any(f"offsets {grids[2]}, drawn by {counts[2]} of 9 samples" in note
+    assert calls == [grid_of_index(g, i) for i in grids[:3]]
+    assert any(f"offsets {offsets_of_index(g, grids[2])}, drawn by {counts[2]} of 9 samples"
+               in note
                for note in info.value.__notes__)
 
     # a failing statistic is reported the same way
@@ -148,7 +150,9 @@ def test_average_operator_propagates_failures():
     with pytest.raises(FloatingPointError) as info:
         montecarlo._average_stats(hilbert_pattern_builder(g), (bad_statistic,), 5, 1)
     grids, counts = distinct_grids(g, 5, 1)
-    assert any(f"offsets {grids[0]}, drawn by {counts[0]} of 5 samples" in note
+    assert grids[0] == 0  # the all-zero grid, whose omega is None, names its offsets too
+    assert any(f"offsets {offsets_of_index(g, grids[0])}, drawn by {counts[0]} of 5 samples"
+               in note
                for note in info.value.__notes__)
 
 
@@ -156,15 +160,15 @@ def test_builder_called_once_per_distinct_grid_in_index_order():
     g = GridSpec(1, 3)
     calls = []
 
-    def build(om):
-        calls.append(om.offsets)
-        return np.eye(g.n_samples) * shifted_grid(g, om).shift[0]
+    def build(grid):
+        calls.append(grid)
+        return np.eye(g.n_samples) * grid.shift[0]
     build.grid = g
     mean, _, stats = average_operator(build, 100, 5)
-    assert calls == distinct_grids(g, 100, 5)[0]
+    assert calls == [grid_of_index(g, i) for i in distinct_grids(g, 100, 5)[0]]
     assert len(calls) == 8 and stats["used"] == 100
     # each grid weighs as many samples as drew it
-    shifts = [shifted_grid(g, omega_of_index(g, i)).shift[0] for i in grid_indices(g, 100, 5)]
+    shifts = [grid_of_index(g, i).shift[0] for i in grid_indices(g, 100, 5)]
     assert np.isclose(mean[0, 0], np.mean(shifts), rtol=1e-14)
 
 
@@ -175,8 +179,8 @@ def test_average_counts_the_samples_of_each_grid_index(samples, rng_seed):
     # histogram over the samples
     g = GridSpec(1, 3)
 
-    def one_hot(om):
-        index = sum(x << lvl for lvl, (x,) in enumerate(om.offsets))
+    def one_hot(grid):
+        index = sum(x << lvl for lvl, (x,) in enumerate(grid.omega or ()))
         return np.eye(g.n_samples)[index]
     one_hot.grid = g
     mean, _, stats = average_operator(one_hot, samples, rng_seed)
@@ -200,8 +204,8 @@ def _pattern_case(d, N):
                 (lambda M: M, toeplitz_deviation, lambda M: M + M.T))
     S = random_shift(base, 0, 1, 17)
 
-    def build(omega):
-        return dense_matrix(replace(S, grid=shifted_grid(base, omega)))
+    def build(grid):
+        return dense_matrix(replace(S, grid=grid))
     build.grid = base
     return build, (lambda M: M, lambda M: M + M.T)
 
@@ -265,8 +269,8 @@ def test_representation_demo_is_one_pass(monkeypatch):
     builder = hilbert_pattern_builder(base)
 
     def mapped(fn):
-        def build(omega):
-            return fn(builder(omega).matrix())
+        def build(grid):
+            return fn(builder(grid).matrix())
         build.grid = base
         return build
     want = [average_operator(builder, 50, 7)[:2],
@@ -277,9 +281,9 @@ def test_representation_demo_is_one_pass(monkeypatch):
     def counting_builder(grid):
         inner = hilbert_pattern_builder(grid)
 
-        def build(omega):
-            calls.append(omega.offsets)
-            return inner(omega)
+        def build(grid):
+            calls.append(grid)
+            return inner(grid)
         build.grid = grid
         return build
 
@@ -293,8 +297,8 @@ def test_representation_demo_is_one_pass(monkeypatch):
     monkeypatch.setattr(montecarlo, "zscore_verdict", recording_verdict)
     rep = mc_representation_demo(base, samples=50, rng_seed=7)
     # one call per distinct grid drawn, and one for the single-grid contrast
-    distinct = distinct_grids(base, 50, 7)[0]
-    assert calls == distinct + [sample_omega(base, 7 + 1).offsets]
+    distinct = [grid_of_index(base, i) for i in distinct_grids(base, 50, 7)[0]]
+    assert calls == distinct + [sample_omega(base, 7 + 1)]
     assert rep["counters"] == {"samples": 50, "distinct_grids": len(distinct)}
     got = [(rep["mean_matrix"], rep["stderr_matrix"])] + verdict_inputs
     assert len(got) == 3

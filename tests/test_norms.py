@@ -536,9 +536,11 @@ def test_jn_profile_gives_jn_check_for_every_p(rng):
 
 def test_uniformity_study_biparam_rows_match_apply_biparam():
     # transforming each trial once must not change any row
-    from dyadlab import BiparamOperatorSpec, apply_biparam
+    from dyadlab import BkOperator, apply_biparam
+    from dyadlab.biparam import PAtom
     from dyadlab.norms import _trial_rng
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    g1, g2 = pg.grids
 
     def unit(a):
         return a * (1.0 / dyadic_bmo_norm(a))
@@ -553,22 +555,22 @@ def test_uniformity_study_biparam_rows_match_apply_biparam():
             rng = _trial_rng(6, t)
             b = random_product_function(pg, rng)
             f = random_product_function(pg, rng)
+            beta1 = beta2 = syms = None
             if kind == "Bkl":
-                fields = {"beta1": random_signs_oracle(pg.grids[0], rng),
-                          "beta2": random_signs_oracle(pg.grids[1], rng)}
+                beta1, beta2 = random_signs_oracle(g1, rng), random_signs_oracle(g2, rng)
             elif kind == "BPk":
-                fields = {"a2": unit(random_function(pg.grids[1], rng))}
+                syms = [None, unit(random_function(g2, rng))]
             elif kind == "PBl":
-                fields = {"a1": unit(random_function(pg.grids[0], rng))}
+                syms = [unit(random_function(g1, rng)), None]
             else:
-                a1 = unit(random_function(pg.grids[0], rng))
-                fields = {"a1": a1, "a2": unit(random_function(pg.grids[1], rng))}
+                syms = [unit(random_function(g1, rng)), unit(random_function(g2, rng))]
             denom = rect_bmo_norm(b) * f.norm()
             for k in ks:
                 for l in ls:
-                    spec = BiparamOperatorSpec(kind, k=k or 0, l=l or 0, **fields)
+                    atoms = (PAtom(kind == "PP1") if k is None else BkOperator(g1, k, beta=beta1),
+                             PAtom() if l is None else BkOperator(g2, l, beta=beta2))
                     best[(k, l)] = max(best.get((k, l), 0.0),
-                                       apply_biparam(spec, b, f).norm() / denom)
+                                       apply_biparam(atoms, b, f, syms).norm() / denom)
         assert [(r.k, r.l, r.max_ratio) for r in reports] == \
             [(k, l, v) for (k, l), v in best.items()], kind
 

@@ -133,10 +133,10 @@ def test_bk_gather_is_bit_identical_to_the_level_loop(g, rng):
 
 
 def test_bk_tables_are_keyed_by_depth_alone(rng):
-    from dyadlab import decompose_cancellative, evaluate_terms, random_shift
+    from dyadlab import decompose, evaluate_terms, random_shift
     g = GridSpec(2, 4)
     b = random_function(g, rng)
-    tl = decompose_cancellative(b, random_shift(g, 2, 1, rng))
+    tl = decompose(b, random_shift(g, 2, 1, rng))
     assert len({(t.atoms[0].k, t.atoms[0].sb, t.atoms[0].si, t.atoms[0].so) for t in tl.terms}) \
         > len({t.atoms[0].k for t in tl.terms}) > 1
     evaluate_terms(tl, random_function(g, rng))
@@ -330,7 +330,7 @@ def test_p_linear_in_each_slot(rng):
 
 
 def test_bk_operator_equality_and_hash(rng):
-    from dyadlab import decompose_cancellative, random_shift
+    from dyadlab import decompose, random_shift
     g = GridSpec(1, 4)
     beta = tuple(np.where(np.arange(g.n_cubes(lvl)) % 2, -1.0, 1.0) for lvl in range(g.N))
     a, b = BkOperator(g, 1, beta=beta), BkOperator(g, 1, beta=beta)
@@ -345,7 +345,7 @@ def test_bk_operator_equality_and_hash(rng):
     # decomposition terms hold k >= 1 atoms with per-level sign betas
     f = random_function(g, rng)
     S = random_shift(g, 2, 2, rng)
-    t1, t2 = decompose_cancellative(f, S).terms, decompose_cancellative(f, S).terms
+    t1, t2 = decompose(f, S).terms, decompose(f, S).terms
     assert any(t.atoms[0].k >= 1 for t in t1)
     assert t1 == t2 and len(set(t1) | set(t2)) == len(t1)
     assert t1[0] != t1[-1]
