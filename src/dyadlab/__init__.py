@@ -15,10 +15,11 @@ from .haar import (DyadicFunction, HaarCoefficients, haar_forward,
 from .shifts import (LinearOperatorHandle, ShiftOperator, dense_matrix,
                      expected_coefficient_count, multiplication_commutator,
                      noncancellative_shift, operator_norm, random_shift)
-from .paraproducts import (BkOperator, apply_Bk, apply_P, apply_P_adjoint)
-from .biparam import (ProductFunction, ProductGrid, apply_biparam,
-                      apply_in_variable, iterated_commutator,
-                      random_product_function, tensor_function)
+from .paraproducts import BkOperator
+from .biparam import (ProductFunction, ProductGrid, apply_Bk, apply_P,
+                      apply_P_adjoint, apply_biparam, apply_in_variable,
+                      iterated_commutator, random_product_function,
+                      tensor_function)
 from .decomposition import (Term, TermList, decompose, evaluate_terms,
                             verify_identity)
 from .norms import (NormReport, dyadic_bmo_norm, fs_check, geometric_constant,

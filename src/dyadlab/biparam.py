@@ -1,10 +1,13 @@
-"""Tensor-product grids and bi-parameter operators.
+"""Tensor-product grids, and the paraproduct operators of any number of variables.
 
 Functions of t >= 2 variables are sample arrays, one axis per variable
 (variable 1 slowest), on a :class:`ProductGrid`, whose ``grids`` are the
 variables' grids. The tensor kernel :func:`pair_apply` and the operator
-:func:`apply_biparam` take any t >= 2; only a symbol given on the product
-grid takes two (:meth:`ProductGrid.two_grids` refuses other t).
+:func:`apply_biparam` take any t >= 1, a GridSpec at t = 1, where they run
+the 1-D kernels of :mod:`dyadlab.paraproducts` (``apply_Bk``, ``apply_P``
+and ``apply_P_adjoint`` are :func:`apply_biparam` of one atom); only a
+symbol given on the product grid takes two (:meth:`ProductGrid.two_grids`
+refuses other t).
 Per-variable Haar transforms act along one axis with the other axes
 passive, so the full transform (:func:`~dyadlab.haar.forward_space`) is
 their composition.
@@ -51,8 +54,9 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec
 from .haar import (DyadicFunction, SampledFunction, _along, contract_space,
                    extend_space, forward_space, inverse_space)
-from .paraproducts import (_trailing, bk_gather, strict_ancestor_sum,
-                           strict_subtree_sum, symbol_stacked)
+from .paraproducts import (BkOperator, _trailing, bk_gather, bk_stacked, p_stacked,
+                           pstar_stacked, strict_ancestor_sum, strict_subtree_sum,
+                           symbol_stacked)
 from .shifts import commutator_stacked
 
 _MAGIC_2P = b"DYF2"
@@ -178,12 +182,13 @@ def _take(a: np.ndarray, rows: tuple) -> np.ndarray:
     return a
 
 
-def pair_apply(space: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atoms: tuple,
+def pair_apply(space, bC: np.ndarray, Xe: np.ndarray, atoms: tuple,
                syms=None, out: np.ndarray = None, weight: float = 1.0) -> np.ndarray:
-    """Evaluate the tensor of t >= 2 one-variable atoms on extended stacks.
+    """Evaluate the tensor of t >= 1 one-variable atoms on extended stacks.
 
-    ``atoms`` holds one atom per variable of ``space``: a BkOperator on that
-    variable's grid or a PAtom. ``syms`` holds one stacked symbol per
+    ``space`` is a GridSpec (t = 1) or a ProductGrid, and ``atoms`` holds
+    one atom per variable: a BkOperator on that variable's grid or a PAtom.
+    ``syms`` holds one stacked symbol per
     variable, the symbol of a P atom and None on a B axis; without P atoms
     it may be None. ``Xe`` is the input in the extended layout of every
     variable (:func:`~dyadlab.haar.extend_space`), (m1, ..., mt, *passive,
@@ -193,7 +198,10 @@ def pair_apply(space: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atoms: tuple,
     column t with symbol t. ``weight`` is a float, or an array on the trial
     axes, e.g. (C, 1), one weight per column.
 
-    The tensor is one schedule over the t variable axes:
+    One variable is one 1-D kernel: ``bk_stacked`` on the extended rows,
+    or ``p_stacked``/``pstar_stacked`` on the stacked rows, its result
+    times ``weight`` added to the output. At t >= 2 the tensor is one
+    schedule over the t variable axes:
     1. gather the input rows of each B axis (:func:`~dyadlab.paraproducts.bk_gather`);
        a P axis takes the stacked rows as a slice;
     2. multiply by the product of the P* axes' symbols, then take the strict
@@ -217,10 +225,22 @@ def pair_apply(space: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atoms: tuple,
     for v in p_axes:
         if syms[v] is None:
             raise ValueError(f"P atom in variable {v + 1} needs its symbol")
-    bC = _lift(bC, Xe, t)
     result = out is None
     if result:
         out = np.zeros(Xe.shape)
+    if t == 1:
+        # one variable keeps the 1-D kernels: the pinned 1-D reports hold
+        # their order of operations (bk_stacked forms beta * b * scale
+        # before taking x), which the t-axis schedule would change
+        (atom,), (grid,) = atoms, grids
+        if p_axes:
+            n = grid.n_samples
+            p = pstar_stacked if atom.adjoint else p_stacked
+            out[:n] += weight * p(grid, bC, syms[0], Xe[:n])
+        else:
+            out += weight * bk_stacked(atom, bC, Xe)
+        return contract_space(space, out) if result else None
+    bC = _lift(bC, Xe, t)
     pstar = [v for v in p_axes if atoms[v].adjoint]
     plain = [v for v in p_axes if not atoms[v].adjoint]
     # the symbols of one orientation multiply together, then W once
@@ -265,13 +285,14 @@ def pair_apply(space: ProductGrid, bC: np.ndarray, Xe: np.ndarray, atoms: tuple,
 # -- public operator surface -------------------------------------------------
 
 
-def apply_biparam(atoms: tuple, b: ProductFunction, f: ProductFunction,
-                  syms=None) -> ProductFunction:
-    """Literal evaluation of the tensor of ``atoms`` on f, with symbol b.
+def apply_biparam(atoms: tuple, b: SampledFunction, f: SampledFunction,
+                  syms=None) -> SampledFunction:
+    """Literal evaluation of the tensor of ``atoms`` on f, with symbol b;
+    the result is of f's type.
 
-    ``atoms`` holds one atom per variable of f's product grid, as for
-    :func:`pair_apply`: a BkOperator on that variable's grid or a PAtom.
-    ``syms`` gives the P atoms their symbols: one DyadicFunction per
+    ``atoms`` holds one atom per variable of f's grid or product grid, as
+    for :func:`pair_apply`: a BkOperator on that variable's grid or a
+    PAtom. ``syms`` gives the P atoms their symbols: one DyadicFunction per
     variable, on that variable's grid, with None on a B axis. Or, for two P
     atoms, it is one ProductFunction ``a`` on f's product grid, the general
     PP-family symbol: with stacked coefficients A (mean rows zeroed) it is
@@ -280,7 +301,7 @@ def apply_biparam(atoms: tuple, b: ProductFunction, f: ProductFunction,
     per column of a trailing axis of one :func:`pair_apply` call, and the
     terms are summed at the end.
     """
-    pg = f.pgrid
+    pg = f.space
     b._check(f)
     if len(atoms) != len(pg.grids):
         raise ValueError(f"{len(pg.grids)} variables take one atom each, got {len(atoms)}")
@@ -297,8 +318,9 @@ def apply_biparam(atoms: tuple, b: ProductFunction, f: ProductFunction,
                 if sym is not None and sym.grid != grid:
                     raise GridMismatchError(f"symbol of variable {v} lives off its grid")
             syms = [None if sym is None else symbol_stacked(sym) for sym in syms]
-        return ProductFunction(pg, inverse_space(pg, pair_apply(pg, bC, Xe, atoms, syms)))
-    g1, _ = pg.two_grids("a product-grid symbol")
+        return type(f)(pg, inverse_space(pg, pair_apply(pg, bC, Xe, atoms, syms)))
+    # ProductGrid's two-variable rule, which refuses one variable by name too
+    g1, _ = ProductGrid.two_grids(pg, "a product-grid symbol")
     if not all(isinstance(atom, PAtom) for atom in atoms):
         raise ValueError("a product-grid symbol takes a P atom in both variables")
     if syms.pgrid != pg:
@@ -309,3 +331,17 @@ def apply_biparam(atoms: tuple, b: ProductFunction, f: ProductFunction,
     Xe = np.broadcast_to(Xe[..., None], Xe.shape + (g1.n_samples,))
     out = pair_apply(pg, bC, Xe, atoms, (np.eye(g1.n_samples), A.T))
     return ProductFunction(pg, inverse_space(pg, out.sum(axis=2)))
+
+
+def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunction:
+    """Evaluate B_k(b, f). Cubes shallower than k contribute nothing."""
+    return apply_biparam((op,), b, f)
+
+
+def apply_P(b: DyadicFunction, a: DyadicFunction, f: DyadicFunction) -> DyadicFunction:
+    return apply_biparam((PAtom(),), b, f, (a,))
+
+
+def apply_P_adjoint(b: DyadicFunction, a: DyadicFunction,
+                    f: DyadicFunction) -> DyadicFunction:
+    return apply_biparam((PAtom(adjoint=True),), b, f, (a,))

@@ -34,10 +34,9 @@ one call per variable before their shifts run. Each term carries the tuple
 of its entries' keys, one per variable, and within one family (the shift
 kinds and orientations) key order is list order. So the cases of a family
 share one sweep, the union of their terms sorted by key: a term is one
-``bk_stacked``, ``p_stacked`` or ``pstar_stacked`` call at t = 1 and one
-:func:`~dyadlab.biparam.pair_apply` with one atom and one symbol per
-variable at every t >= 2 (so a P-type pair is two tree scans), with b, the
-symbols and the weights
+:func:`~dyadlab.biparam.pair_apply` call with one atom and one symbol per
+variable at every t (the 1-D kernel at t = 1; at t >= 2 a P-type pair is
+two tree scans), with b, the symbols and the weights
 on the case axis, weight 0 for a case that lacks the term. A single list is
 a family of one on the same path. The atoms and term skeletons of a grid
 are built once (``grid_index(grid).memo``), so a decomposition only binds
@@ -65,7 +64,7 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec, WrongKindError, grid_index
 from .haar import (SampledFunction, contract_space, extend_space,
                    forward_space, inverse_space)
-from .paraproducts import BkOperator, bk_stacked, p_stacked, pstar_stacked
+from .paraproducts import BkOperator
 from .biparam import PAtom, pair_apply
 from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator, _each_case, commutator_stacked
 from .norms import _bmo_stacked, _column_norms, _require_trials, _trial_rng
@@ -388,10 +387,9 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
     sweep, the union of their terms in key order (see
     :func:`_family_weights`; a list whose keys do not ascend raises
     ``ValueError``), and a single list is a family of one: each term is one
-    ``bk_stacked``, ``p_stacked``/``pstar_stacked`` or ``pair_apply`` call
-    on the family's columns, its weight on the case axis, 0 for a case that
-    lacks it. ``pair_apply`` takes every t >= 2, one atom and one symbol per
-    variable. So each case keeps its own ``acc += w * term`` steps and their
+    ``pair_apply`` call on the family's columns, one atom and one symbol
+    per variable at every t, its weight on the case axis, 0 for a case that
+    lacks it. So each case keeps its own ``acc += w * term`` steps and their
     bits. A ``counters`` dict receives the kernel calls in ``term_calls``.
     """
     one = isinstance(tls, TermList)
@@ -402,7 +400,6 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
     if x.shape[t:t + 1] != (len(tls),):
         raise ValueError(f"{len(tls)} term lists for a case axis of shape {x.shape}")
     space = tls[0].space
-    grids = space.grids
     trial = (1,) * (x.ndim - t - 1)
     shifts = [[tl.shifts[v] for tl in tls] for v in range(t)]
 
@@ -452,19 +449,9 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
                 for v, S in enumerate(fam[0].shifts)]
         terms, weights = _family_weights(fam)
         for term, w in zip(terms, weights.reshape(weights.shape + trial)):
-            xin, out = fin[slot[term.inner]], acc[slot[term.outer]]
-            # t = 1 keeps the 1-D kernels: the pinned 1-D reports hold their
-            # order of operations (bk_stacked forms beta * b * scale before
-            # taking x); every t >= 2 is one pair_apply
-            if t >= 2:
-                pair_apply(space, fbc, xin, term.atoms, syms, out=out, weight=w)
-            elif isinstance(term.atoms[0], PAtom):
-                n = grids[0].n_samples
-                p = pstar_stacked if term.atoms[0].adjoint else p_stacked
-                out[:n] += w * p(grids[0], fbc, syms[0], xin[:n])
-            else:
-                out += w * bk_stacked(term.atoms[0], fbc, xin)
-            calls += 1
+            pair_apply(space, fbc, fin[slot[term.inner]], term.atoms, syms,
+                       out=acc[slot[term.outer]], weight=w)
+        calls += len(terms)
         if not isinstance(cut, slice):
             groups[(slice(None),) + at] = acc
     groups = list(np.moveaxis(contract_space(space, np.moveaxis(groups, 0, t)), t, 0))

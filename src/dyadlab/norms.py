@@ -34,10 +34,9 @@ from functools import partial, reduce
 import numpy as np
 
 from .grids import DepthError, DyadicCube, GridMismatchError, GridSpec, grid_index
-from .haar import (DyadicFunction, _along, broadcast_level, cell_sums, contract,
-                   extend, extend_space, forward_space, forward_stacked,
-                   inverse_space, inverse_stacked, pool_level)
-from .paraproducts import BkOperator, bk_stacked, p_stacked
+from .haar import (DyadicFunction, _along, broadcast_level, cell_sums, extend_space,
+                   forward_space, forward_stacked, inverse_space, pool_level)
+from .paraproducts import BkOperator
 from .biparam import PAtom, ProductFunction, ProductGrid, pair_apply
 
 
@@ -190,6 +189,8 @@ def _hybrid_max_square(f: ProductFunction, var: int) -> ProductFunction:
     """Maximal function in ``var`` of partial pairings, squares in the other."""
     pg = f.pgrid
     grids = pg.two_grids("hybrid_max_square")
+    if var not in (1, 2):
+        raise ValueError(f"hybrid_max_square takes var 1 or 2, got {var}")
     g_max, g_sq = grids if var == 1 else grids[::-1]
     samples = f.samples if var == 1 else f.samples.T
     pairings = forward_stacked(g_sq, samples.T)  # rows: var-sq stacked, cols: var-max cells
@@ -492,59 +493,63 @@ def _require_trials(trials: int) -> None:
 
 
 def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
-                     grid: GridSpec = None, pgrid: ProductGrid = None,
-                     counters: dict = None) -> list:
+                     space=None, counters: dict = None) -> list:
     """Max measured ratio ||op|| / (BMO factors * ||f||) per parameter value.
 
-    Kinds: ``Bk`` (k range), ``Sk`` (square-function variant), ``Bkl``
-    ((k,l) range), ``BPk``, ``PBl``, ``PP``, ``PP1``, ``P``; ``grid`` is for
-    Bk, Sk and P, ``pgrid`` for the others.
+    Kinds: ``Bk`` (k range), ``Sk`` (square-function variant) and ``P`` run
+    on one GridSpec; ``Bkl`` ((k,l) range), ``BPk``, ``PBl``, ``PP`` and
+    ``PP1`` on a ProductGrid. ``space`` is that grid or product grid (a
+    default one built from ``params`` when None); one of the other type
+    raises ``ValueError``.
 
     Trials run in blocks of max(1, 2**13 // samples per trial) trials, so
     no stack of a block holds more than 2**13 samples (64 KiB) and memory
     does not grow with ``trials``. Trial t draws b, f, then its P symbols
     or betas from ``_trial_rng(rng_seed, t)`` into column t of the block's
-    stacks. Each stack is transformed once per block, and each (k, l) is
-    one kernel call (the P symbols and the betas on the trailing axis) and
-    one inverse transform per block. Norms and BMO denominators are taken per
-    column and sum in each trial's own order, so no row depends on the
-    block size. A ``counters`` dict receives {"trials", "combos", "blocks"}.
-    ``trials`` must be at least 1.
+    stacks (the P kind draws b, a, f). Each stack is transformed once per
+    block, and each (k, l) of every kind but Sk is one
+    :func:`~dyadlab.biparam.pair_apply` call (the P symbols and the betas on
+    the trailing axis) and one inverse transform per block. Norms and BMO
+    denominators are taken per column and sum in each trial's own order, so
+    no row depends on the block size. A ``counters`` dict receives
+    {"trials", "combos", "blocks"}. ``trials`` must be at least 1.
     """
     _require_trials(trials)
     if kind in ("Bk", "Sk", "P"):
-        if pgrid is not None:
-            raise ValueError(f"study kind {kind} runs on one grid: give grid, not pgrid")
-        grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
-        # B_k and S_k need k <= N - 1, as in the bi-parameter kinds below
-        kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), grid.N - 1)
-        combos = [(None, None)] if kind == "P" else [(k, None) for k in range(kmax + 1)]
-        n = (grid.n_samples,)
-        draws = {"Sk": {"f": n}, "P": {"b": n, "a": n, "f": n},
-                 "Bk": {"b": n, "f": n, "beta": (grid.n_cubes_total,)}}[kind]
-        volume = grid.cell_volume
+        space = space or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
+        need = GridSpec
     elif kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
-        if grid is not None:
-            raise ValueError(f"study kind {kind} runs on a product grid: give pgrid, not grid")
-        pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
+        space = space or ProductGrid(GridSpec(1, params.get("N1", 4)),
                                      GridSpec(1, params.get("N2", 4)))
-        g1, g2 = pgrid.two_grids(f"study kind {kind}")
+        need = ProductGrid
+    else:
+        raise ValueError(f"unknown study kind {kind}")
+    if not isinstance(space, need):
+        raise ValueError(f"study kind {kind} runs on a {need.__name__}, "
+                         f"not a {type(space).__name__}")
+    if need is GridSpec:
+        # B_k and S_k need k <= N - 1, as in the bi-parameter kinds below
+        kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), space.N - 1)
+        combos = [(None, None)] if kind == "P" else [(k, None) for k in range(kmax + 1)]
+        n = (space.n_samples,)
+        draws = {"Sk": {"f": n}, "P": {"b": n, "a": n, "f": n},
+                 "Bk": {"b": n, "f": n, "beta1": (space.n_cubes_total,)}}[kind]
+    else:
+        g1, g2 = space.two_grids(f"study kind {kind}")
         # B_k needs k <= N - 1 in its variable
         kmax = min(params.get("kmax", 2), g1.N - 1)
         lmax = min(params.get("lmax", 2), g2.N - 1)
         ks = range(kmax + 1) if kind in ("Bkl", "BPk") else [None]
         ls = range(lmax + 1) if kind in ("Bkl", "PBl") else [None]
         combos = [(k, l) for k in ks for l in ls]
-        draws = {"b": pgrid.shape, "f": pgrid.shape}
+        draws = {"b": space.shape, "f": space.shape}
         if kind == "Bkl":
             draws.update(beta1=(g1.n_cubes_total,), beta2=(g2.n_cubes_total,))
         if kind in ("PBl", "PP", "PP1"):
             draws["a1"] = (g1.n_samples,)
         if kind in ("BPk", "PP", "PP1"):
             draws["a2"] = (g2.n_samples,)
-        volume = g1.cell_volume * g2.cell_volume
-    else:
-        raise ValueError(f"unknown study kind {kind}")
+    volume = math.prod(g.cell_volume for g in space.grids)
 
     def signs(x):
         """Betas from normal draws: +1 or -1, +1 with probability about 0.69."""
@@ -558,45 +563,33 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
         """(denominators, (k, l) -> output samples) of one block of trials,
         one column per trial."""
         if kind == "Sk":
-            masses = _masses(grid, forward_stacked(grid, s["f"]))
-            return _column_norms(s["f"], volume), lambda k, l: _square_Sk(grid, masses, k)
+            masses = _masses(space, forward_stacked(space, s["f"]))
+            return _column_norms(s["f"], volume), lambda k, l: _square_Sk(space, masses, k)
+        bC = forward_space(space, s["b"])
+        Xe = forward_space(space, s["f"])
+        if kind not in ("P", "PP", "PP1"):  # P atoms read no extended rows
+            Xe = extend_space(space, Xe)
+        denom = _bmo_stacked(space, bC)
+        # the P symbols, each mean row zeroed: the one-variable P divides by
+        # bmo(a), and a bi-parameter symbol is scaled to BMO norm one
         if kind == "P":
-            bc, ac, xc = (forward_stacked(grid, s[x]) for x in "baf")
-            denom = (_bmo_stacked(grid, bc) * _bmo_stacked(grid, ac)
-                     * _column_norms(s["f"], volume))
-            ac[0] = 0.0  # the symbol's mean row
-            return denom, lambda k, l: inverse_stacked(grid, p_stacked(grid, bc, ac, xc))
-        if kind == "Bk":
-            bc = forward_stacked(grid, s["b"])
-            xe = extend(grid, forward_stacked(grid, s["f"]))
-            beta = signs(s["beta"])
+            syms = [forward_stacked(space, s["a"])]
+            denom = denom * _bmo_stacked(space, syms[0])
+        else:
+            syms = [forward_stacked(g, unit(g, s[a])) if a in s else None
+                    for g, a in zip(space.grids, ("a1", "a2"))]
+        for sym in syms:
+            if sym is not None:
+                sym[0] = 0.0
+        denom = denom * _column_norms(s["f"], volume)
+        betas = [signs(s[x]) if x in s else None for x in ("beta1", "beta2")]
 
-            def bk(k, l):
-                return inverse_stacked(grid, contract(grid, bk_stacked(
-                    BkOperator(grid, k, beta=beta), bc, xe)))
-            return _bmo_stacked(grid, bc) * _column_norms(s["f"], volume), bk
-        bC = forward_space(pgrid, s["b"])
-        Xe = forward_space(pgrid, s["f"])
-        if kind not in ("PP", "PP1"):  # P x P reads no extended rows
-            Xe = extend_space(pgrid, Xe)
-        denom = _bmo_stacked(pgrid, bC) * _column_norms(s["f"], volume)
-        # the betas, or the P symbols: each of BMO norm one, its mean row zeroed
-        sym1 = sym2 = beta1 = beta2 = None
-        if kind == "Bkl":
-            beta1, beta2 = signs(s["beta1"]), signs(s["beta2"])
-        if "a1" in s:
-            sym1 = forward_stacked(g1, unit(g1, s["a1"]))
-            sym1[0] = 0.0
-        if "a2" in s:
-            sym2 = forward_stacked(g2, unit(g2, s["a2"]))
-            sym2[0] = 0.0
-
-        def pair(k, l):
-            atom1 = PAtom(adjoint=kind == "PP1") if k is None else BkOperator(g1, k, beta=beta1)
-            atom2 = PAtom() if l is None else BkOperator(g2, l, beta=beta2)
-            out = pair_apply(pgrid, bC, Xe, (atom1, atom2), (sym1, sym2))
-            return inverse_space(pgrid, out)
-        return denom, pair
+        def apply(k, l):
+            atoms = tuple(PAtom(adjoint=kind == "PP1" and v == 0) if kl is None
+                          else BkOperator(g, kl, beta=betas[v])
+                          for v, (g, kl) in enumerate(zip(space.grids, (k, l))))
+            return inverse_space(space, pair_apply(space, bC, Xe, atoms, syms))
+        return denom, apply
 
     best = dict.fromkeys(combos, 0.0)
 

@@ -12,9 +12,12 @@ at I is a bounded multiple of the input coefficient, so
 the noncancellative signature of a k = 0 term is one more set of rows, and
 reads all levels k..N-1 in one gather.
 ``BkOperator`` is the one B_k atom of the package: it checks the depth, the
-signatures and the betas once, at construction, and the bi-parameter
-operators and decomposition terms use one per variable. ``bk_gather`` lays
-an atom out on the rows that ``bk_stacked`` and :mod:`dyadlab.biparam` read.
+signatures and the betas once, at construction, and the operators of
+:mod:`dyadlab.biparam` and the decomposition terms use one per variable.
+``bk_gather`` lays an atom out on the rows that ``bk_stacked`` and
+:mod:`dyadlab.biparam` read. The function-level operators ``apply_Bk``,
+``apply_P`` and ``apply_P_adjoint`` live in :mod:`dyadlab.biparam`, where
+:func:`~dyadlab.biparam.pair_apply` runs this module's kernels at t = 1.
 
 P pairs b and f on a cube and a second symbol on its strict subcubes:
 
@@ -35,10 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import (DepthError, GridMismatchError, GridSpec, InvalidIndexError,
-                    grid_index)
-from .haar import (DyadicFunction, contract, extend, forward_stacked,
-                   inverse_stacked)
+from .grids import DepthError, GridSpec, InvalidIndexError, grid_index
+from .haar import DyadicFunction, forward_stacked
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,16 +176,6 @@ def bk_stacked(op: BkOperator, bc: np.ndarray, x: np.ndarray) -> np.ndarray:
     return res.take(inverse, axis=0)
 
 
-def apply_Bk(op: BkOperator, b: DyadicFunction, f: DyadicFunction) -> DyadicFunction:
-    """Evaluate B_k(b, f). Cubes shallower than k contribute nothing."""
-    g = op.grid
-    if b.grid != g or f.grid != g:
-        raise GridMismatchError("operands must live on the operator grid")
-    bc = forward_stacked(g, b.samples)
-    xe = extend(g, forward_stacked(g, f.samples))
-    return DyadicFunction(g, inverse_stacked(g, contract(g, bk_stacked(op, bc, xe))))
-
-
 # ---------------------------------------------------------------------------
 # Strict-subcube sums: the shared backbone of P-type operators.
 
@@ -240,21 +231,3 @@ def pstar_stacked(grid: GridSpec, bc: np.ndarray, avec: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
     """Adjoint of P in the f slot with b, a fixed; shapes as in :func:`p_stacked`."""
     return _trailing(bc, x) * strict_subtree_sum(grid, _trailing(avec, x) * x)
-
-
-def _apply_p(kernel, b: DyadicFunction, a: DyadicFunction, f: DyadicFunction) -> DyadicFunction:
-    g = b.grid
-    if a.grid != g or f.grid != g:
-        raise GridMismatchError("a and f must live on the grid of b")
-    bc = forward_stacked(g, b.samples)
-    xc = forward_stacked(g, f.samples)
-    return DyadicFunction(g, inverse_stacked(g, kernel(g, bc, symbol_stacked(a), xc)))
-
-
-def apply_P(b: DyadicFunction, a: DyadicFunction, f: DyadicFunction) -> DyadicFunction:
-    return _apply_p(p_stacked, b, a, f)
-
-
-def apply_P_adjoint(b: DyadicFunction, a: DyadicFunction,
-                    f: DyadicFunction) -> DyadicFunction:
-    return _apply_p(pstar_stacked, b, a, f)

@@ -280,6 +280,8 @@ def random_shift(grid: GridSpec, i: int, j: int, rng_seed, kind: str = CANCELLAT
         return ShiftOperator(grid, 0, 0, NONCANCELLATIVE, symbol=symbol,
                              orientation=orientation,
                              meta={"symbol_scale": 1.0 / b})
+    if kind != CANCELLATIVE:
+        raise WrongKindError(f"unknown shift kind {kind}")
     bound = 2.0 ** (-grid.d * (i + j) / 2.0)
     blocks = rng.uniform(-bound, bound, size=blocks_shape(grid, i, j))
     blocks /= np.maximum(np.sqrt((blocks ** 2).sum(axis=(1, 2, 3, 4), keepdims=True)), 1.0)

@@ -342,7 +342,7 @@ def random_signs_oracle(grid, rng):
     return np.sign(rng.standard_normal(grid.n_cubes_total) + 0.5)
 
 
-def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=None):
+def uniformity_study_oracle(kind, params, trials, rng_seed, space=None):
     """Per-trial reference of :func:`dyadlab.norms.uniformity_study`: trial t
     draws its functions (and betas) from ``_trial_rng(rng_seed, t)``, and
     every (k, l) is measured on them with the public operators."""
@@ -351,6 +351,7 @@ def uniformity_study_oracle(kind, params, trials, rng_seed, grid=None, pgrid=Non
                          random_product_function, rect_bmo_norm, square_function)
     from dyadlab.biparam import PAtom
     from dyadlab.norms import _trial_rng
+    grid = pgrid = space
     if kind in ("Bk", "Sk", "P"):
         grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
         kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), grid.N - 1)

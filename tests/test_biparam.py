@@ -374,7 +374,7 @@ def test_two_variable_entry_points_refuse_three_variables(entry, rng):
     f = random_product_function(pg, rng)
     call = {"open_set_bmo_norm": lambda: open_set_bmo_norm(f),
             "hybrid_max_square": lambda: square_function(f, "hybrid_max_square"),
-            "uniformity_study": lambda: uniformity_study("Bkl", {}, 1, 0, pgrid=pg),
+            "uniformity_study": lambda: uniformity_study("Bkl", {}, 1, 0, space=pg),
             "apply_biparam": lambda: apply_biparam((P, P, P), f, f, f),
             "to_bytes": f.to_bytes}[entry]
     with pytest.raises(ValueError, match="takes two variables, not 3"):
@@ -641,6 +641,81 @@ def test_pair_apply_rejects_a_p_atom_without_its_symbol(rng):
                 pair_apply(PG, bC, Xe, atoms, (sym1, None))
             with pytest.raises(ValueError, match="P atom in variable 1 needs its symbol"):
                 pair_apply(PG, bC, Xe, atoms, (None, sym2))
+
+
+def _atoms_of_one(g, rng, T):
+    """B_0 with a noncancellative input or output signature, B_1 with one
+    beta array, B_1 with one beta array per trial column (T columns), P, P*."""
+    non = (1,) * g.d
+    return [BkOperator(g, 0, sig_in=non), BkOperator(g, 0, sig_out=non),
+            BkOperator(g, 1, beta=rng.uniform(-1.0, 1.0, g.n_cubes_total)),
+            BkOperator(g, 1, beta=rng.uniform(-1.0, 1.0, (g.n_cubes_total, T))),
+            PAtom(False), PAtom(True)]
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 4), GridSpec(2, 2)], ids=repr)
+def test_one_atom_is_its_one_variable_kernel(g, rng):
+    # at t = 1 pair_apply runs the 1-D kernel itself, bit for bit: with out=
+    # and one weight per case column, as the block sweep of
+    # evaluate_stacked runs it, and without out
+    from dyadlab.haar import contract
+    from dyadlab.paraproducts import bk_stacked, p_stacked, pstar_stacked
+    n, C, T = g.n_samples, 3, 2
+    bc = forward_stacked(g, rng.standard_normal((n, C, 1)))
+    sym = forward_stacked(g, rng.standard_normal((n, C, 1)))
+    sym[0] = 0.0
+    X = forward_stacked(g, rng.standard_normal((n, C, T)))
+    Xe = extend_space(g, X)
+    w = rng.choice([-1.0, 0.0, 1.0, 0.5], (C, 1))
+    start = rng.standard_normal(Xe.shape)
+    for atom in _atoms_of_one(g, rng, T):
+        got, want = start.copy(), start.copy()
+        if isinstance(atom, PAtom):
+            alone = (pstar_stacked if atom.adjoint else p_stacked)(g, bc, sym, X)
+            want[:n] += w * alone
+            # P atoms read and write only the stacked rows
+            assert np.array_equal(pair_apply(g, bc, X, (atom,), (sym,)), alone), atom
+        else:
+            want += w * bk_stacked(atom, bc, Xe)
+            alone = contract(g, bk_stacked(atom, bc, Xe))
+        assert pair_apply(g, bc, Xe, (atom,), (sym,), out=got, weight=w) is None
+        assert np.array_equal(got, want), atom
+        assert np.array_equal(pair_apply(g, bc, Xe, (atom,), (sym,)), alone), atom
+
+
+def test_apply_biparam_of_one_is_the_one_variable_kernel(rng):
+    # the 1-D operators are apply_biparam at t = 1: a DyadicFunction, with
+    # the bits of the 1-D kernel between one transform in and one out
+    from dyadlab import apply_Bk, apply_P, apply_P_adjoint
+    from dyadlab.haar import contract, extend, inverse_stacked
+    from dyadlab.paraproducts import bk_stacked, p_stacked, pstar_stacked, symbol_stacked
+    g = GridSpec(2, 2)
+    b, a, f = (random_function(g, rng) for _ in range(3))
+    bc, x = forward_stacked(g, b.samples), forward_stacked(g, f.samples)
+    for atom in _atoms_of_one(g, rng, 1)[:3]:
+        want = inverse_stacked(g, contract(g, bk_stacked(atom, bc, extend(g, x))))
+        for got in (apply_biparam((atom,), b, f), apply_Bk(atom, b, f)):
+            assert type(got) is DyadicFunction and np.array_equal(got.samples, want), atom
+    for p, kernel, apply in ((P, p_stacked, apply_P), (PSTAR, pstar_stacked, apply_P_adjoint)):
+        want = inverse_stacked(g, kernel(g, bc, symbol_stacked(a), x))
+        for got in (apply_biparam((p,), b, f, [a]), apply(b, a, f)):
+            assert type(got) is DyadicFunction and np.array_equal(got.samples, want), p
+
+
+def test_one_atom_and_its_symbol_must_fit_the_variable(rng):
+    b, f, a = (random_function(G1, rng) for _ in range(3))
+    B = BkOperator(G1, 1)
+    for atoms in ((), (B, B), (P, PSTAR)):
+        with pytest.raises(ValueError, match=f"1 variables take one atom each, got {len(atoms)}"):
+            apply_biparam(atoms, b, f)
+    with pytest.raises(ValueError, match="the B atom in variable 1 takes no symbol"):
+        apply_biparam((B,), b, f, [a])
+    with pytest.raises(ValueError, match="P atom in variable 1 needs its symbol"):
+        apply_biparam((P,), b, f)
+    with pytest.raises(ValueError, match="a product-grid symbol takes two variables, not 1"):
+        apply_biparam((P,), b, f, random_product_function(PG, rng))
+    with pytest.raises(GridMismatchError, match="does not match variable 1"):
+        apply_biparam((BkOperator(GridSpec(1, 4), 1),), b, f)
 
 
 PG3 = ProductGrid(GridSpec(1, 2), GridSpec(1, 3), GridSpec(1, 2))

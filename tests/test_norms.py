@@ -238,6 +238,15 @@ def test_strong_maximal_and_hybrid(rng):
     assert H2.norm() <= 2.0 * f.norm() + 1e-12
 
 
+@pytest.mark.parametrize("var", [0, 3, 7, -1])
+def test_hybrid_max_square_refuses_a_variable_it_does_not_have(var, rng):
+    # every var other than 1 was taken for 2
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 2))
+    f = random_product_function(pg, rng)
+    with pytest.raises(ValueError, match=f"takes var 1 or 2, got {var}$"):
+        square_function(f, "hybrid_max_square", var=var)
+
+
 def maximal_oracle(space, samples):
     """Each cell's max, over every cube or rectangle R containing it, the
     cells included, of |the flat mean of ``samples`` over R's cells|."""
@@ -423,14 +432,13 @@ def test_uniformity_study_biparam_kinds():
 
 @pytest.mark.parametrize("kind", ["Bk", "Sk", "P", "Bkl", "BPk", "PBl", "PP", "PP1"])
 def test_uniformity_study_refuses_a_grid_of_the_other_arity(kind):
-    # the wrong one of grid and pgrid was ignored, and the study ran on the
-    # default grid
+    # a space of the other arity is refused, not swapped for the default grid
     g = GridSpec(1, 2)
     one = kind in ("Bk", "Sk", "P")
-    wrong = {"pgrid": ProductGrid(g, g)} if one else {"grid": g}
+    wrong = ProductGrid(g, g) if one else g
     with pytest.raises(ValueError, match=f"study kind {kind} runs on .*not "
-                                         f"{'pgrid' if one else 'grid'}$"):
-        uniformity_study(kind, {"kmax": 0, "lmax": 0}, 1, 0, **wrong)
+                                         f"a {'ProductGrid' if one else 'GridSpec'}$"):
+        uniformity_study(kind, {"kmax": 0, "lmax": 0}, 1, 0, space=wrong)
 
 
 def test_uniformity_study_biparam_ranges_stop_at_finest_level():
@@ -620,9 +628,9 @@ def test_uniformity_study_sk_and_p_rows_match_public_operators():
 
 
 def test_uniformity_study_bk_transforms_each_trial_once(monkeypatch):
-    from dyadlab import norms, paraproducts
+    from dyadlab import haar, norms
     calls = []
-    for mod in (norms, paraproducts):
+    for mod in (norms, haar):
         inner = mod.forward_stacked
 
         def counting(grid, x, _inner=inner):
@@ -657,29 +665,27 @@ def test_uniformity_study_sk_transforms_each_trial_once(monkeypatch):
 # Every kind on caller-free default grids with N1 != N2, and on d = 2 grids
 # passed in; the trials of each case fill three blocks or more.
 _STUDY_CASES = [
-    ("Sk", {"N": 9, "kmax": 8}, 40, None, None),
-    ("Bk", {"N": 9, "kmax": 8}, 40, None, None),
-    ("P", {"N": 9}, 40, None, None),
-    ("P", {}, 70, GridSpec(2, 4), None),
-    ("Sk", {"kmax": 3}, 70, GridSpec(2, 4), None),
-    ("Bk", {"kmax": 3}, 70, GridSpec(2, 4), None),
-] + [(kind, {"N1": 4, "N2": 5, "kmax": 2, "lmax": 2}, 40, None, None)
+    ("Sk", {"N": 9, "kmax": 8}, 40, None),
+    ("Bk", {"N": 9, "kmax": 8}, 40, None),
+    ("P", {"N": 9}, 40, None),
+    ("P", {}, 70, GridSpec(2, 4)),
+    ("Sk", {"kmax": 3}, 70, GridSpec(2, 4)),
+    ("Bk", {"kmax": 3}, 70, GridSpec(2, 4)),
+] + [(kind, {"N1": 4, "N2": 5, "kmax": 2, "lmax": 2}, 40, None)
      for kind in ("Bkl", "BPk", "PBl", "PP", "PP1")] + [
-    (kind, {"kmax": 1, "lmax": 2}, 20, None, ProductGrid(GridSpec(2, 2), GridSpec(2, 3)))
+    (kind, {"kmax": 1, "lmax": 2}, 20, ProductGrid(GridSpec(2, 2), GridSpec(2, 3)))
     for kind in ("Bkl", "BPk", "PBl", "PP", "PP1")]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 41])
-@pytest.mark.parametrize("kind, params, trials, grid, pgrid", _STUDY_CASES,
+@pytest.mark.parametrize("kind, params, trials, space", _STUDY_CASES,
                          ids=[f"{c[0]}-{i}" for i, c in enumerate(_STUDY_CASES)])
-def test_uniformity_study_matches_the_per_trial_oracle(kind, params, trials, grid,
-                                                        pgrid, seed):
+def test_uniformity_study_matches_the_per_trial_oracle(kind, params, trials, space, seed):
     counters = {}
-    got = uniformity_study(kind, params, trials, seed, grid=grid, pgrid=pgrid,
-                           counters=counters)
+    got = uniformity_study(kind, params, trials, seed, space=space, counters=counters)
     assert counters["blocks"] >= 3 and counters["trials"] == trials
     assert counters["combos"] == len(got)
-    assert got == uniformity_study_oracle(kind, params, trials, seed, grid=grid, pgrid=pgrid)
+    assert got == uniformity_study_oracle(kind, params, trials, seed, space=space)
 
 
 # ``block`` is the number of trials in one full block: 2**13 // 4096 for P at

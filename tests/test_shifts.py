@@ -113,6 +113,13 @@ def test_noncancellative_shift(rng):
         noncancellative_shift(g, S.symbol * 3.0)
 
 
+@pytest.mark.parametrize("kind", ["noncanc", "Cancellative", ""])
+def test_random_shift_refuses_an_unknown_kind(kind):
+    # a misspelt kind gave a cancellative shift; refuse it, as ShiftOperator does
+    with pytest.raises(WrongKindError, match=f"unknown shift kind {kind}$"):
+        random_shift(GridSpec(1, 3), 0, 0, 0, kind=kind)
+
+
 def test_grid_mismatch():
     S = random_shift(GridSpec(1, 3), 0, 0, 0)
     f = random_function(GridSpec(1, 4), np.random.default_rng(0))
