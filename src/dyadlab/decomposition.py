@@ -67,7 +67,7 @@ from .haar import (SampledFunction, contract_space, extend_space,
 from .paraproducts import BkOperator
 from .biparam import PAtom, pair_apply
 from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator, _each_case, commutator_stacked
-from .norms import _bmo_stacked, _column_norms, _require_trials, _trial_rng
+from .norms import _bmo_stacked, _column_norms, _require_at_least, _trial_rng
 
 
 @dataclass(frozen=True)
@@ -532,7 +532,7 @@ def verify_identity(b, shifts, trials: int, rng_seed: int, tol: float = 1e-9,
     must be at least 1. A ``counters`` dict receives the term-kernel calls
     of the sweep in ``term_calls``, added to any it holds.
     """
-    _require_trials(trials)
+    _require_at_least(1, trials=trials)
     one = isinstance(b, SampledFunction)
     symbols, cases = ([b], [shifts]) if one else (list(b), list(shifts))
     if not symbols or len(symbols) != len(cases):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .grids import GridSpec
 from .haar import forward_stacked, random_function
-from .norms import (NormReport, _bmo_stacked, _column_norms, _in_blocks, _require_trials,
-                    geometric_constant)
+from .norms import (NormReport, _bmo_stacked, _column_norms, _in_blocks, _require_at_least,
+                    _trial_rng, geometric_constant)
 from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_matrix,
                      max_k_level, commutator_stacked, random_shift)
 
@@ -221,10 +221,11 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
 
     For each (i, j) the sup over trials of ||[M_b, S] f|| with bmo(b) = 1 and
     ||f|| = 1 is recorded; the weighted total sums them against the geometric
-    schedule 2**(-max(i,j) delta/2). ``trials`` must be at least 1.
+    schedule 2**(-max(i,j) delta/2). ``trials`` must be at least 1, and
+    ``i_max`` and ``j_max`` at least 0.
 
     Trial (i, j, t) draws b, then f, then its shift from
-    ``SeedSequence(entropy=rng_seed, spawn_key=(i, j, t))``; a b of BMO norm
+    ``_trial_rng(rng_seed, i, j, t)``; a b of BMO norm
     0 is skipped before f is drawn. The trials run in loop order in blocks
     of max(1, 2**13 // n_samples) trials, over every (i, j), so memory does
     not grow with ``trials``. A block transforms its b stack once for the
@@ -233,7 +234,8 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
     trial keeps the bits it has when run alone. A ``counters`` dict receives
     {"pairs", "trials", "blocks"}, ``trials`` counted per pair.
     """
-    _require_trials(trials)
+    _require_at_least(1, trials=trials)
+    _require_at_least(0, i_max=i_max, j_max=j_max)
     grid = grid or GridSpec(1, 6)
     volume = grid.cell_volume
     pairs = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)
@@ -243,8 +245,7 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
     def run_block(keys: list) -> None:
         """Run the trials ``keys`` as one block and fold their norms into
         ``best``; the block's arrays are freed on return."""
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=key))
-                for key in keys]
+        rngs = [_trial_rng(rng_seed, *key) for key in keys]
         b = np.stack([random_function(grid, rng).samples for rng in rngs], axis=1)
         nb = _bmo_stacked(grid, forward_stacked(grid, b))
         live = np.flatnonzero(nb != 0.0)

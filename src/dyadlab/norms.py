@@ -227,6 +227,8 @@ def maximal_function(f, variant: str = "dyadic", p: float = 2.0):
     if variant == "vector_FS":
         if not (1.0 < p <= 2.0):
             raise ValueError("vector variant needs p in (1, 2]")
+        if not f:
+            raise ValueError("a vector_FS family needs at least one function, got none")
         for fi in f:
             _require_type(fi, variant)
             if fi.grid != f[0].grid:
@@ -328,7 +330,7 @@ def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = No
     the norms are taken per column. A ``counters`` dict receives
     {"trials", "blocks"}. ``trials`` must be at least 1.
     """
-    _require_trials(trials)
+    _require_at_least(1, trials=trials)
     ps = list(dict.fromkeys(ps))
     for p in ps:
         _check_exponent(p)
@@ -454,10 +456,10 @@ def reports_to_csv(reports: list) -> str:
     return buf.getvalue()
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Generator of trial ``trial`` under master ``seed``; one stream per trial."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(trial,)))
+def _trial_rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator of the trial named by ``key`` (its index, or its parameters
+    and index) under master ``seed``; one stream per key."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 # Samples in one stack of a trial block: 2**13 float64 values are 64 KiB,
@@ -486,108 +488,102 @@ def _column_norms(x: np.ndarray, cell_volume: float) -> np.ndarray:
     return np.sqrt((cols ** 2).sum(axis=1) * cell_volume)
 
 
-def _require_trials(trials: int) -> None:
-    """Refuse a study without trials: its sup would read 0 and pass vacuously."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+def _require_at_least(low: int, **counts: int) -> None:
+    """Refuse a count below ``low``: a study without trials, or with a
+    negative top parameter, runs over nothing and passes vacuously."""
+    for name, value in counts.items():
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+# The atoms of each study kind, one per variable: "B" is B_k with random
+# betas, "B+" B_k with every beta +1, "P" the paraproduct and "P*" its
+# adjoint. "S" is the square function S_k of the Sk kind, which is no atom.
+STUDY_ATOMS = {"Bk": ("B",), "Sk": ("S",), "P": ("P",), "Bkl": ("B", "B"),
+               "BPk": ("B+", "P"), "PBl": ("P", "B+"), "PP": ("P", "P"),
+               "PP1": ("P*", "P")}
 
 
 def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                      space=None, counters: dict = None) -> list:
-    """Max measured ratio ||op|| / (BMO factors * ||f||) per parameter value.
+    """Max measured ratio ||op f|| / (bmo(b) ||f||) per parameter value, or
+    ||S_k f|| / ||f|| for the Sk kind.
 
-    Kinds: ``Bk`` (k range), ``Sk`` (square-function variant) and ``P`` run
-    on one GridSpec; ``Bkl`` ((k,l) range), ``BPk``, ``PBl``, ``PP`` and
-    ``PP1`` on a ProductGrid. ``space`` is that grid or product grid (a
-    default one built from ``params`` when None); one of the other type
-    raises ``ValueError``.
+    ``STUDY_ATOMS[kind]`` holds one atom per variable, and the study follows
+    from it. One atom runs on a GridSpec and two on a ProductGrid; ``space``
+    is that grid or product grid (a default one built from ``params`` when
+    None), and one of the other type raises ``ValueError``. A B or S axis
+    runs k (variable 1) or l (variable 2) from 0 to ``params["kmax"]`` or
+    ``params["lmax"]``, at most N - 1 of its variable; a negative one raises
+    ``ValueError``. A P axis has the one value None.
 
     Trials run in blocks of max(1, 2**13 // samples per trial) trials, so
     no stack of a block holds more than 2**13 samples (64 KiB) and memory
-    does not grow with ``trials``. Trial t draws b, f, then its P symbols
-    or betas from ``_trial_rng(rng_seed, t)`` into column t of the block's
-    stacks (the P kind draws b, a, f). Each stack is transformed once per
-    block, and each (k, l) of every kind but Sk is one
-    :func:`~dyadlab.biparam.pair_apply` call (the P symbols and the betas on
+    does not grow with ``trials``. Trial t draws from ``_trial_rng(rng_seed,
+    t)`` into column t of the block's stacks: b, then f (Sk draws f alone),
+    then for each variable in turn its betas on a B axis or its symbol a on
+    a P axis. Every symbol is scaled to BMO norm one, a / bmo(a), and stays
+    out of the denominator. Each stack is transformed once per block, and
+    each (k, l) of every kind but Sk is one
+    :func:`~dyadlab.biparam.pair_apply` call (the symbols and the betas on
     the trailing axis) and one inverse transform per block. Norms and BMO
     denominators are taken per column and sum in each trial's own order, so
     no row depends on the block size. A ``counters`` dict receives
     {"trials", "combos", "blocks"}. ``trials`` must be at least 1.
     """
-    _require_trials(trials)
-    if kind in ("Bk", "Sk", "P"):
-        space = space or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
-        need = GridSpec
-    elif kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
-        space = space or ProductGrid(GridSpec(1, params.get("N1", 4)),
-                                     GridSpec(1, params.get("N2", 4)))
-        need = ProductGrid
-    else:
+    _require_at_least(1, trials=trials)
+    if kind not in STUDY_ATOMS:
         raise ValueError(f"unknown study kind {kind}")
+    codes = STUDY_ATOMS[kind]
+    one = len(codes) == 1
+    space = space or (GridSpec(1, params.get("N", 6 if codes == ("P",) else 8)) if one
+                      else ProductGrid(GridSpec(1, params.get("N1", 4)),
+                                       GridSpec(1, params.get("N2", 4))))
+    need = GridSpec if one else ProductGrid
     if not isinstance(space, need):
         raise ValueError(f"study kind {kind} runs on a {need.__name__}, "
                          f"not a {type(space).__name__}")
-    if need is GridSpec:
-        # B_k and S_k need k <= N - 1, as in the bi-parameter kinds below
-        kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), space.N - 1)
-        combos = [(None, None)] if kind == "P" else [(k, None) for k in range(kmax + 1)]
-        n = (space.n_samples,)
-        draws = {"Sk": {"f": n}, "P": {"b": n, "a": n, "f": n},
-                 "Bk": {"b": n, "f": n, "beta1": (space.n_cubes_total,)}}[kind]
-    else:
-        g1, g2 = space.two_grids(f"study kind {kind}")
-        # B_k needs k <= N - 1 in its variable
-        kmax = min(params.get("kmax", 2), g1.N - 1)
-        lmax = min(params.get("lmax", 2), g2.N - 1)
-        ks = range(kmax + 1) if kind in ("Bkl", "BPk") else [None]
-        ls = range(lmax + 1) if kind in ("Bkl", "PBl") else [None]
-        combos = [(k, l) for k in ks for l in ls]
-        draws = {"b": space.shape, "f": space.shape}
-        if kind == "Bkl":
-            draws.update(beta1=(g1.n_cubes_total,), beta2=(g2.n_cubes_total,))
-        if kind in ("PBl", "PP", "PP1"):
-            draws["a1"] = (g1.n_samples,)
-        if kind in ("BPk", "PP", "PP1"):
-            draws["a2"] = (g2.n_samples,)
-    volume = math.prod(g.cell_volume for g in space.grids)
+    grids = space.grids if one else space.two_grids(f"study kind {kind}")
+    ranges = [[None], [None]]  # of k and l; None on a P axis or a missing variable
+    for v, (g, code) in enumerate(zip(grids, codes)):
+        if code[0] != "P":
+            key = ("kmax", "lmax")[v]
+            top = params.get(key, (8 if code == "B" else 6) if one else 2)
+            _require_at_least(0, **{key: top})
+            ranges[v] = range(min(top, g.N - 1) + 1)  # B_k and S_k need k <= N - 1
+    combos = list(itertools.product(*ranges))
+    cells = tuple(g.n_samples for g in grids)
+    draws = {"f": cells} if codes == ("S",) else {"b": cells, "f": cells}
+    draws.update({v: (g.n_cubes_total,) if code == "B" else (g.n_samples,)
+                  for v, (g, code) in enumerate(zip(grids, codes)) if code in ("B", "P", "P*")})
+    volume = math.prod(g.cell_volume for g in grids)
 
-    def signs(x):
-        """Betas from normal draws: +1 or -1, +1 with probability about 0.69."""
-        return np.sign(x + 0.5)
-
-    def unit(g, a):
-        """The samples a / bmo(a), one trial per column."""
-        return a * (1.0 / _bmo_stacked(g, forward_stacked(g, a)))
+    def symbol(g, a):
+        """The coefficients of a / bmo(a) per trial column, mean row zeroed."""
+        c = forward_stacked(g, a * (1.0 / _bmo_stacked(g, forward_stacked(g, a))))
+        c[0] = 0.0
+        return c
 
     def measure(s: dict) -> tuple:
         """(denominators, (k, l) -> output samples) of one block of trials,
         one column per trial."""
-        if kind == "Sk":
+        if codes == ("S",):
             masses = _masses(space, forward_stacked(space, s["f"]))
             return _column_norms(s["f"], volume), lambda k, l: _square_Sk(space, masses, k)
         bC = forward_space(space, s["b"])
         Xe = forward_space(space, s["f"])
-        if kind not in ("P", "PP", "PP1"):  # P atoms read no extended rows
+        if any(code[0] == "B" for code in codes):  # P atoms read no extended rows
             Xe = extend_space(space, Xe)
-        denom = _bmo_stacked(space, bC)
-        # the P symbols, each mean row zeroed: the one-variable P divides by
-        # bmo(a), and a bi-parameter symbol is scaled to BMO norm one
-        if kind == "P":
-            syms = [forward_stacked(space, s["a"])]
-            denom = denom * _bmo_stacked(space, syms[0])
-        else:
-            syms = [forward_stacked(g, unit(g, s[a])) if a in s else None
-                    for g, a in zip(space.grids, ("a1", "a2"))]
-        for sym in syms:
-            if sym is not None:
-                sym[0] = 0.0
-        denom = denom * _column_norms(s["f"], volume)
-        betas = [signs(s[x]) if x in s else None for x in ("beta1", "beta2")]
+        denom = _bmo_stacked(space, bC) * _column_norms(s["f"], volume)
+        # betas from normal draws: +1 or -1, +1 with probability about 0.69
+        betas = [np.sign(s[v] + 0.5) if code == "B" else None for v, code in enumerate(codes)]
+        syms = [symbol(g, s[v]) if code[0] == "P" else None
+                for v, (g, code) in enumerate(zip(grids, codes))]
 
         def apply(k, l):
-            atoms = tuple(PAtom(adjoint=kind == "PP1" and v == 0) if kl is None
-                          else BkOperator(g, kl, beta=betas[v])
-                          for v, (g, kl) in enumerate(zip(space.grids, (k, l))))
+            atoms = tuple(PAtom(adjoint=code == "P*") if code[0] == "P"
+                          else BkOperator(g, kl, beta=beta)
+                          for g, code, kl, beta in zip(grids, codes, (k, l), betas))
             return inverse_space(space, pair_apply(space, bC, Xe, atoms, syms))
         return denom, apply
 
@@ -607,7 +603,7 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
                 if den > 0:
                     best[(k, l)] = max(best[(k, l)], float(num / den))
 
-    blocks = _in_blocks(range(trials), math.prod(draws["f"]), run_block)
+    blocks = _in_blocks(range(trials), math.prod(cells), run_block)
     if counters is not None:
         counters.update(trials=trials, combos=len(combos), blocks=blocks)
     return [NormReport(kind=kind, k=k, l=l, trials=trials, max_ratio=best[(k, l)],

@@ -374,9 +374,9 @@ def uniformity_study_oracle(kind, params, trials, rng_seed, space=None):
             f = random_function(grid, rng)
             return f.norm(), lambda k, l: square_function(f, "S_k", k=k).norm()
         if kind == "P":
-            b, a, f = (random_function(grid, rng) for _ in range(3))
-            return (dyadic_bmo_norm(b) * dyadic_bmo_norm(a) * f.norm(),
-                    lambda k, l: apply_P(b, a, f).norm())
+            b, f, a = (random_function(grid, rng) for _ in range(3))
+            return (dyadic_bmo_norm(b) * f.norm(),
+                    lambda k, l: apply_P(b, unit(a), f).norm())
         if kind == "Bk":
             b, f = random_function(grid, rng), random_function(grid, rng)
             beta = random_signs_oracle(grid, rng)

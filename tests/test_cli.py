@@ -367,7 +367,7 @@ PINNED_REPORTS = [
     (["norm-study", "--kind", "Sk", "--N", "6", "--kmax", "5", "--trials", "5"],
      "norm-study-Sk", "356cdb40b8db268bf69d33a74b312ad0f7f7d3c1d5d52140337632b1a3fcfd56"),
     (["norm-study", "--kind", "P", "--N", "6", "--trials", "5"],
-     "norm-study-P", "e7caaf070609d9ddbd78fa8316f93332eb04b482131ec414032ea3bfd33df85b"),
+     "norm-study-P", "3bb1b80a28f9f8b3812f1f8d12e1d33af092ca381c21720e801cda55569078bb"),
     (["norm-study", "--kind", "PP", "--N", "3", "--N2", "4", "--trials", "20"],
      "norm-study-PP", "56c858ef1e028a27e85e4a728aa43f0215ec9610dbbf3f56d4ce8e97c060a39e"),
     # 40 trials of 16 x 16 samples span two trial blocks

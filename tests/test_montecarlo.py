@@ -346,6 +346,13 @@ def test_bound_study_report(rng):
     assert multiplication_commutator(const, S, random_function(g, rng)).norm() < 1e-13
 
 
+@pytest.mark.parametrize("i_max, j_max, key", [(-1, 2, "i_max"), (2, -1, "j_max")])
+def test_bound_study_refuses_a_negative_range(i_max, j_max, key):
+    # no (i, j) pair left bound_ok True over nothing
+    with pytest.raises(ValueError, match=f"{key} must be at least 0, got -1$"):
+        commutator_bound_study(1.0, i_max, j_max, 2, 0, grid=GridSpec(1, 3))
+
+
 # (grid, i_max, j_max, trials): one block at N = 6 (100 trials of 64 samples)
 # and at d = 2 N = 3, 5 blocks of 8 trials at N = 10 and 2 at d = 2 N = 5
 _BOUND_CASES = [(GridSpec(1, 6), 4, 4, 4), (GridSpec(2, 3), 3, 2, 5),

@@ -346,8 +346,9 @@ def test_fs_check(rng):
 
 
 def test_a_vector_fs_family_shares_one_grid_of_dyadic_functions(rng):
-    # a member off the first member's grid was read on that grid, and a
-    # ProductFunction member had no grid to read
+    # a member off the first member's grid was read on that grid, a
+    # ProductFunction member had no grid to read, and an empty family raised
+    # IndexError on its first member
     g = GridSpec(1, 3)
     shifted = DyadicFunction(GridSpec(1, 3, omega=((0,), (1,), (0,))), np.arange(8.0))
     assert np.array_equal(maximal_function([shifted], "vector_FS").samples,
@@ -356,6 +357,8 @@ def test_a_vector_fs_family_shares_one_grid_of_dyadic_functions(rng):
     for op in (partial(maximal_function, variant="vector_FS"), partial(fs_check, p=1.5)):
         with pytest.raises(GridMismatchError):
             op([DyadicFunction(g, np.zeros(8)), shifted])
+        with pytest.raises(ValueError, match="vector_FS family needs at least one function"):
+            op([])
         for family in ([F], [random_function(g, rng), F]):
             with pytest.raises(ValueError, match="variant vector_FS needs a DyadicFunction, "
                                                  "got ProductFunction"):
@@ -439,6 +442,14 @@ def test_uniformity_study_refuses_a_grid_of_the_other_arity(kind):
     with pytest.raises(ValueError, match=f"study kind {kind} runs on .*not "
                                          f"a {'ProductGrid' if one else 'GridSpec'}$"):
         uniformity_study(kind, {"kmax": 0, "lmax": 0}, 1, 0, space=wrong)
+
+
+@pytest.mark.parametrize("kind, key", [("Bk", "kmax"), ("Sk", "kmax"), ("Bkl", "kmax"),
+                                       ("Bkl", "lmax"), ("BPk", "kmax"), ("PBl", "lmax")])
+def test_uniformity_study_refuses_a_negative_range(kind, key):
+    # an empty k or l range returned no rows: a study over nothing
+    with pytest.raises(ValueError, match=f"{key} must be at least 0, got -2$"):
+        uniformity_study(kind, {key: -2}, 1, 0)
 
 
 def test_uniformity_study_biparam_ranges_stop_at_finest_level():
@@ -620,10 +631,10 @@ def test_uniformity_study_sk_and_p_rows_match_public_operators():
     for t in range(3):
         rng = _trial_rng(8, t)
         b = random_function(g, rng)
-        a = random_function(g, rng)
         f = random_function(g, rng)
-        denom = dyadic_bmo_norm(b) * dyadic_bmo_norm(a) * f.norm()
-        best = max(best, apply_P(b, a, f).norm() / denom)
+        a = random_function(g, rng)
+        unit = a * (1.0 / dyadic_bmo_norm(a))
+        best = max(best, apply_P(b, unit, f).norm() / (dyadic_bmo_norm(b) * f.norm()))
     assert [(r.k, r.l, r.max_ratio) for r in reports] == [(None, None, best)]
 
 
