@@ -22,16 +22,16 @@ import numpy as np
 
 from .grids import (DepthError, DyadicCube, GridSizeError, GridSpec, HaarIndex,
                     InvalidIndexError, WrongKindError)
-from .haar import (haar_forward, haar_function, haar_inverse, inner_product,
-                   random_function)
-from .shifts import random_shift
+from .haar import (DyadicFunction, haar_forward, haar_function, haar_inverse,
+                   inner_product, random_function)
+from .shifts import ANALYSIS, NONCANCELLATIVE, SYNTHESIS, random_shift
 from .decomposition import verify_identity
 from .norms import (STUDY_ATOMS, _in_blocks, geometric_cap_for, geometric_constant,
                     geometric_constant_closed_form,
                     geometric_constant_tail_bound, jn_study, reports_to_csv,
                     reports_to_jsonl, uniformity_study)
 from .montecarlo import commutator_bound_study, mc_representation_demo
-from .biparam import ProductGrid
+from .biparam import ProductFunction, ProductGrid
 from . import __version__
 
 USAGE_ERROR = 2
@@ -128,36 +128,27 @@ def cmd_selftest(args) -> int:
 
 def cmd_verify_decomp(args) -> int:
     rng = np.random.default_rng(args.seed)
+    grids = (GridSpec(args.d, args.N),)
     if args.biparam:
-        pg = ProductGrid(GridSpec(args.d, args.N), GridSpec(args.d, args.N2 or args.N))
-        n_samples = math.prod(pg.shape)
-    else:
-        grid = GridSpec(args.d, args.N)
-        n_samples = grid.n_samples
+        grids += (GridSpec(args.d, args.N2 or args.N),)
+    space, function = (ProductGrid(*grids), ProductFunction) if args.biparam \
+        else (grids[0], DyadicFunction)
+    shape = tuple(g.n_samples for g in grids)
+    n_samples = math.prod(shape)
 
     def cases():
-        """(b, shift or shift pair) of every case, drawn from ``rng`` in turn."""
-        if not args.biparam:
-            for i in range(args.imax + 1):
-                for j in range(args.jmax + 1):
-                    if max(i, j) > grid.N - 1:
-                        continue
-                    b = random_function(grid, rng)
-                    yield b, random_shift(grid, i, j, rng)
-            for ori in ("analysis", "synthesis"):
-                b = random_function(grid, rng)
-                yield b, random_shift(grid, 0, 0, rng, kind="noncancellative",
-                                      orientation=ori)
-        else:
-            from .biparam import random_product_function
-            for i in range(args.imax + 1):
-                for j in range(args.jmax + 1):
-                    if max(i, j) > min(g.N for g in pg.grids) - 1:
-                        continue
-                    b = random_product_function(pg, rng)
-                    g1, g2 = pg.grids
-                    S1 = random_shift(g1, i, j, rng)
-                    yield b, (S1, random_shift(g2, j, i, rng))
+        """(b, one shift per variable) of every case, drawn from ``rng`` in
+        turn: b, then a shift of (i, j) at variable 1 and of (j, i) at
+        variable 2. The noncancellative pair is drawn at one variable only."""
+        draws = [(i, j, {}) for i in range(args.imax + 1) for j in range(args.jmax + 1)
+                 if max(i, j) <= min(g.N for g in grids) - 1]
+        if len(grids) == 1:
+            draws += [(0, 0, {"kind": NONCANCELLATIVE, "orientation": ori})
+                      for ori in (ANALYSIS, SYNTHESIS)]
+        for i, j, shift_kw in draws:
+            b = function(space, rng.standard_normal(shape))
+            yield b, tuple(random_shift(g, *ij, rng, **shift_kw)
+                           for g, ij in zip(grids, ((i, j), (j, i))))
 
     # the cases run in blocks of at most 2**13 samples per stack, each block
     # drawn from ``rng`` only when its turn comes

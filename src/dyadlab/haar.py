@@ -50,7 +50,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -432,22 +432,13 @@ def haar_function(grid: GridSpec, idx: HaarIndex) -> DyadicFunction:
     if idx.cancellative and lvl >= grid.N:
         raise InvalidIndexError("cancellative indices require level < N")
     step = 1 << (grid.N - lvl)
-    side = grid.n_side
     amp = 2.0 ** (lvl * grid.d / 2.0)
-    cells = None
-    signs = None
-    for a in range(grid.d):
-        axis_cells = (grid.shift[a] + idx.cube.pos[a] * step + np.arange(step)) % side
-        axis_signs = np.ones(step) if idx.sig[a] == 1 else np.where(
-            np.arange(step) < step // 2, 1.0, -1.0)
-        w = axis_cells * (side ** (grid.d - 1 - a))
-        if cells is None:
-            cells, signs = w, axis_signs
-        else:
-            cells = (cells[:, None] + w[None, :]).reshape(-1)
-            signs = (signs[:, None] * axis_signs[None, :]).reshape(-1)
+    cells = grid_index(grid).cells(lvl)[grid.flat_pos(idx.cube.pos, lvl)]
+    # per axis in the order of the cells: constant, or + on the lower half
+    half = np.where(np.arange(step) < step // 2, 1.0, -1.0)
+    signs = reduce(np.multiply.outer, [np.ones(step) if s == 1 else half for s in idx.sig])
     samples = np.zeros(grid.n_samples)
-    samples[cells] = amp * signs
+    samples[cells] = amp * signs.reshape(-1)
     return DyadicFunction(grid, samples)
 
 

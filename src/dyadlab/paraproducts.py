@@ -12,8 +12,10 @@ at I is a bounded multiple of the input coefficient, so
 the noncancellative signature of a k = 0 term is one more set of rows, and
 reads all levels k..N-1 in one gather.
 ``BkOperator`` is the one B_k atom of the package: it checks the depth, the
-signatures and the betas once, at construction, and the operators of
-:mod:`dyadlab.biparam` and the decomposition terms use one per variable.
+signatures and the betas (None, or one array along the cube axis) once, at
+construction. The operators of :mod:`dyadlab.biparam` and the decomposition
+terms use one per variable, and a noncancellative shift of
+:mod:`dyadlab.shifts` is the sum of its B_0 atoms.
 ``bk_gather`` lays an atom out on the rows that ``bk_stacked`` and
 :mod:`dyadlab.biparam` read. The function-level operators ``apply_Bk``,
 ``apply_P`` and ``apply_P_adjoint`` live in :mod:`dyadlab.biparam`, where
@@ -49,14 +51,12 @@ class BkOperator:
     Signatures are given as {0,1}^d tuples (None: all zero) and kept as the
     integers ``sb``/``si``/``so`` of the stacked layout; at most one of
     (sig_in, sig_out) may be noncancellative, and only when k = 0. The b-side
-    signature is always cancellative. ``beta`` may be None (all +1), a dict
-    DyadicCube -> float, an array along the cube axis, or a sequence of N
-    per-level arrays indexed by flat cube position; it is stored as None or
-    a private read-only float array along the cube axis, (n_cubes_total,),
-    whose entries have magnitude <= 1. An array may also end in trial axes,
-    (n_cubes_total, *trials), one beta per trial column of the input (see
-    :func:`bk_stacked`). Two atoms are equal when grid, k, signatures and
-    betas agree (betas compared value by value).
+    signature is always cancellative. ``beta`` is None (all +1) or one array
+    along the cube axis, (n_cubes_total, *trials), whose entries have
+    magnitude <= 1: with trial axes, one beta per trial column of the input
+    (see :func:`bk_stacked`). It is stored as a private read-only float
+    copy. Two atoms are equal when grid, k, signatures and betas agree
+    (betas compared value by value).
     """
 
     grid: GridSpec
@@ -88,25 +88,12 @@ class BkOperator:
         if n_noncanc and self.k != 0:
             raise InvalidIndexError("noncancellative signatures require k = 0")
         beta = self.beta
-        if isinstance(beta, dict):
-            axis = np.ones(g.n_cubes_total)
-            for cube, val in beta.items():
-                g.validate_cube(cube)
-                if cube.level == g.N:
-                    raise InvalidIndexError("finest cells carry no B_k coefficient")
-                axis[g.cube_range(cube.level).start + g.flat_pos(cube.pos, cube.level)] = val
-            beta = axis
-        elif beta is not None and not isinstance(beta, np.ndarray):
-            if len(beta) != g.N or any(np.shape(arr) != (g.n_cubes(lvl),)
-                                       for lvl, arr in enumerate(beta)):
-                raise ValueError(f"beta needs one array of n_cubes(level) entries "
-                                 f"per level 0..{g.N - 1}")
-            beta = np.concatenate(beta)
         if beta is not None:
+            got = getattr(beta, "shape", type(beta).__name__)
+            if not isinstance(beta, np.ndarray) or got[:1] != (g.n_cubes_total,):
+                raise ValueError(f"beta along the cube axis needs None or one array of "
+                                 f"shape ({g.n_cubes_total}, *trials), got {got}")
             beta = np.array(beta, dtype=float)
-            if beta.shape[:1] != (g.n_cubes_total,):
-                raise ValueError(f"beta along the cube axis needs shape "
-                                 f"({g.n_cubes_total}, *trials), got {beta.shape}")
             if not np.all(np.abs(beta) <= 1.0 + 1e-12):
                 raise ValueError("beta entries must have magnitude <= 1")
             beta.setflags(write=False)  # decomposition terms share atoms

@@ -6,8 +6,10 @@ by |I|**(1/2) |J|**(1/2) / |K|. The blocks are one dense array over
 (K, I-slot, I-signature, J-slot, J-signature), K running along the cube axis
 (:mod:`dyadlab.grids`) over the cubes of levels 0..kmax; application runs in
 coefficient space (transform in, one contraction, transform out).
-A noncancellative shift pairs each Haar row of a cube with the cube's row in
-the tail of the extended layout (:func:`~dyadlab.haar.extend`/``contract``).
+A noncancellative shift is the sum over signatures s of the B_0 atoms
+(:class:`~dyadlab.paraproducts.BkOperator`) of its symbol that pair the rows
+of signature s with the noncancellative rows of the extended layout
+(:func:`~dyadlab.haar.extend`/``contract``).
 
 Each K determines its own block, so after an additional per-block Frobenius
 normalization every cancellative shift is an exact L2 contraction.
@@ -26,6 +28,7 @@ from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec,
                     InvalidIndexError, WrongKindError, grid_index)
 from .haar import (DyadicFunction, _along, contract, extend, forward_stacked,
                    inverse_stacked)
+from .paraproducts import BkOperator, bk_stacked
 
 CANCELLATIVE = "cancellative"
 NONCANCELLATIVE = "noncancellative"
@@ -75,11 +78,12 @@ class ShiftOperator:
 
     Noncancellative (i = j = 0 only): built from a symbol ``a`` of dyadic BMO
     norm <= 1 via a_I = <a, h_I> |I|**(-1/2). Orientation ``analysis`` pairs
-    the input against noncancellative Haars (f -> sum a_I <f,h_I^1> h_I);
-    ``synthesis`` is its adjoint.
+    the input against noncancellative Haars (f -> sum a_I <f,h_I^1> h_I), the
+    sum over signatures s of B_0(a; s, 1, s); ``synthesis`` is its adjoint,
+    the sum of B_0(a; s, s, 1).
 
     Equality compares grid, i, j, kind, orientation and, value by value, the
-    blocks or symbol samples; ``meta`` is left out.
+    blocks or symbol samples.
     """
 
     grid: GridSpec
@@ -89,9 +93,8 @@ class ShiftOperator:
     blocks: np.ndarray = None
     symbol: DyadicFunction = None
     orientation: str = None
-    meta: dict = field(default_factory=dict)
-    _acoef: np.ndarray = field(init=False, compare=False, repr=False, default=None)
     _sym: np.ndarray = field(init=False, compare=False, repr=False, default=None)
+    _atoms: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind == CANCELLATIVE:
@@ -109,12 +112,13 @@ class ShiftOperator:
             g = self.grid
             sym = forward_stacked(g, self.symbol.samples)
             sym[0] = 0.0
-            # a_I along the cube axis, (n_cubes_total, n_sig)
-            acoef = g.cube_block(sym) * np.sqrt(grid_index(g).cube_weight)[:, None]
-            for arr in (sym, acoef):
-                arr.setflags(write=False)
+            sym.setflags(write=False)
+            non = (1,) * g.d
+            sigs = [g.int_sig(s) for s in range(g.n_sig)]
+            atoms = tuple(BkOperator(g, 0, s, non, s) if self.orientation == ANALYSIS
+                          else BkOperator(g, 0, s, s, non) for s in sigs)
             object.__setattr__(self, "_sym", sym)
-            object.__setattr__(self, "_acoef", acoef)
+            object.__setattr__(self, "_atoms", atoms)
         else:
             raise WrongKindError(f"unknown shift kind {self.kind}")
 
@@ -138,11 +142,6 @@ class ShiftOperator:
     def cancellative(self) -> bool:
         return self.kind == CANCELLATIVE
 
-    def symbol_coefficients(self) -> np.ndarray:
-        """a_I = <a,h_I^sig> |I|**(-1/2) along the cube axis, (n_cubes_total,
-        n_sig); computed once, when the shift is built, and read-only."""
-        return self._acoef
-
     def stacked_symbol(self) -> np.ndarray:
         """The symbol's stacked Haar coefficients with the mean row zeroed
         (``paraproducts.symbol_stacked(self.symbol)``); computed once, when
@@ -165,14 +164,10 @@ class ShiftOperator:
             res[-1] = 0.0
             _contract(self.blocks, fin, res[:-1].reshape(shape))
             return res.take(idx.descendant_inverse(self.j, n_k), axis=0)
-        # a cube's rows pair with its row in the tail of the extended layout
-        out = np.zeros_like(x)
-        a = self._acoef.reshape(self._acoef.shape + (1,) * (x.ndim - 1))
+        # the B_0 atoms; only analysis reads the noncancellative rows
         if self.orientation == ANALYSIS:
-            g.cube_block(out)[...] += a * extend(g, x)[g.n_samples:, None]
-            return out
-        tail = (a * g.cube_block(x)).sum(axis=1)
-        return contract(g, np.concatenate([out, tail]))
+            x = extend(g, x)
+        return contract(g, sum(bk_stacked(B, self._sym, x) for B in self._atoms))
 
     def apply_samples(self, samples: np.ndarray) -> np.ndarray:
         """Apply to sample columns (n_samples, *passive): transform, apply, invert."""
@@ -187,14 +182,15 @@ class ShiftOperator:
     def adjoint(self) -> "ShiftOperator":
         if self.cancellative:
             blocks = np.ascontiguousarray(self.blocks.transpose(0, 3, 4, 1, 2))
-            return ShiftOperator(self.grid, self.j, self.i, CANCELLATIVE,
-                                 blocks=blocks, meta=dict(self.meta))
+            return ShiftOperator(self.grid, self.j, self.i, CANCELLATIVE, blocks=blocks)
         flip = SYNTHESIS if self.orientation == ANALYSIS else ANALYSIS
         return ShiftOperator(self.grid, 0, 0, NONCANCELLATIVE, symbol=self.symbol,
-                             orientation=flip, meta=dict(self.meta))
+                             orientation=flip)
 
     def coefficient_count(self) -> int:
-        return self.blocks.size if self.cancellative else self._acoef.size - 1
+        """Stored blocks entries, or the n_samples - 1 Haar coefficients of
+        the symbol."""
+        return self.blocks.size if self.cancellative else self.grid.n_samples - 1
 
     # -- serialization -----------------------------------------------------
 
@@ -278,8 +274,7 @@ def random_shift(grid: GridSpec, i: int, j: int, rng_seed, kind: str = CANCELLAT
         b = dyadic_bmo_norm(raw)
         symbol = raw * (1.0 / b)
         return ShiftOperator(grid, 0, 0, NONCANCELLATIVE, symbol=symbol,
-                             orientation=orientation,
-                             meta={"symbol_scale": 1.0 / b})
+                             orientation=orientation)
     if kind != CANCELLATIVE:
         raise WrongKindError(f"unknown shift kind {kind}")
     bound = 2.0 ** (-grid.d * (i + j) / 2.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dyadlab import (DyadicCube, DyadicFunction, HaarIndex, haar_function, random_function)
+from dyadlab import (DyadicCube, DyadicFunction, HaarIndex, haar_function, inner_product,
+                     random_function)
 from dyadlab.grids import grid_index
 from dyadlab.shifts import max_k_level
 
@@ -93,7 +94,6 @@ def dense_shift_matrix_oracle(S):
                     g.int_sig(int(bsig))))
                 M += a * np.outer(hJ.samples, hI.samples) * g.cell_volume
     else:
-        acoef = S.symbol_coefficients()
         non = (1,) * g.d
         for lvl in range(g.N):
             for m in range(g.n_cubes(lvl)):
@@ -101,7 +101,8 @@ def dense_shift_matrix_oracle(S):
                 h1 = haar_function(g, HaarIndex(cube, non))
                 for e in range(g.n_sig):
                     h = haar_function(g, HaarIndex(cube, g.int_sig(e)))
-                    a = acoef[g.cube_range(lvl).start + m, e]
+                    # a_I = <a, h_I> |I|**(-1/2), by quadrature
+                    a = inner_product(S.symbol, h) * 2.0 ** (lvl * g.d / 2.0)
                     if S.orientation == "analysis":
                         M += a * np.outer(h.samples, h1.samples) * g.cell_volume
                     else:

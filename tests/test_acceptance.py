@@ -182,8 +182,8 @@ def test_criterion_5_uniform_bk_bound():
                                                                spawn_key=(5, k, t)))
             b = random_function(grid, rng)
             f = random_function(grid, rng)
-            beta = tuple(np.sign(rng.standard_normal(grid.n_cubes(l)) + 0.1)
-                         for l in range(grid.N))
+            beta = np.concatenate([np.sign(rng.standard_normal(grid.n_cubes(l)) + 0.1)
+                                   for l in range(grid.N)])
             out = apply_Bk(BkOperator(grid, k, beta=beta), b, f)
             worst = max(worst, out.norm() / (dyadic_bmo_norm(b) * f.norm()))
     ok = worst <= 1 + 1e-12

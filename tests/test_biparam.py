@@ -400,10 +400,10 @@ def test_bkl_martingale_bound_exact(rng):
     for _ in range(5):
         b = random_product_function(PG, rng)
         f = random_product_function(PG, rng)
-        beta1 = tuple(np.sign(rng.standard_normal(G1.n_cubes(m)) + 0.3)
-                      for m in range(G1.N))
-        beta2 = tuple(np.sign(rng.standard_normal(G2.n_cubes(m)) + 0.3)
-                      for m in range(G2.N))
+        beta1 = np.concatenate([np.sign(rng.standard_normal(G1.n_cubes(m)) + 0.3)
+                                for m in range(G1.N)])
+        beta2 = np.concatenate([np.sign(rng.standard_normal(G2.n_cubes(m)) + 0.3)
+                                for m in range(G2.N)])
         for (k, l) in [(0, 0), (1, 2)]:
             atoms = (BkOperator(G1, k, beta=beta1), BkOperator(G2, l, beta=beta2))
             out = apply_biparam(atoms, b, f)
@@ -442,13 +442,13 @@ _BAD_ATOMS = {
     "noncancellative-at-k1": (dict(k=1, sig_out=(1,)), InvalidIndexError),
     "k-below-finest": (dict(k=4), DepthError),
     "k-negative": (dict(k=-1), DepthError),
-    "beta-tuple-above-1": (dict(k=0, beta=tuple(np.full(_G4.n_cubes(m), 5.0)
-                                                for m in range(4))), ValueError),
-    "beta-dict-above-1": (dict(k=1, beta={DyadicCube(2, (1,)): 3.0}), ValueError),
-    "beta-nan": (dict(k=0, beta={DyadicCube(0, (0,)): np.nan}), ValueError),
-    "beta-length-1-arrays": (dict(k=0, beta=tuple(np.ones(1) for _ in range(4))),
-                             ValueError),
-    "beta-too-few-levels": (dict(k=2, beta=(np.ones(1), np.ones(2))), ValueError),
+    "beta-above-1": (dict(k=0, beta=np.full(_G4.n_cubes_total, 5.0)), ValueError),
+    "beta-one-above-1": (dict(k=1, beta=np.where(np.arange(_G4.n_cubes_total) == 4, 3.0, 1.0)),
+                         ValueError),
+    "beta-nan": (dict(k=0, beta=np.where(np.arange(_G4.n_cubes_total) == 0, np.nan, 1.0)),
+                 ValueError),
+    "beta-length-1": (dict(k=0, beta=np.ones(1)), ValueError),
+    "beta-too-few-levels": (dict(k=2, beta=np.ones(3)), ValueError),
 }
 
 
@@ -489,9 +489,9 @@ def test_contract_space_is_the_adjoint_of_extend_space(pg, passive, rng):
 
 def _all_b_atoms(g, k, rng):
     """Every admissible signature triple at depth k, with betas None and
-    per-level arrays."""
+    drawn level by level."""
     sigs = [g.int_sig(e) for e in range(1 << g.d)]
-    beta = tuple(rng.uniform(-1.0, 1.0, g.n_cubes(lvl)) for lvl in range(g.N))
+    beta = np.concatenate([rng.uniform(-1.0, 1.0, g.n_cubes(lvl)) for lvl in range(g.N)])
     atoms = []
     for sb in sigs[:-1]:
         for si in sigs:

@@ -73,8 +73,8 @@ def test_bk_matches_dense_oracle(rng):
     for k in range(5):
         b = random_function(g, rng)
         f = random_function(g, rng)
-        beta = tuple(np.sign(rng.standard_normal(g.n_cubes(l)) + 0.1)
-                     for l in range(g.N))
+        beta = np.concatenate([np.sign(rng.standard_normal(g.n_cubes(l)) + 0.1)
+                               for l in range(g.N)])
         op = BkOperator(g, k, beta=beta)
         got = apply_Bk(op, b, f).samples
         assert np.max(np.abs(got - bk_oracle(op, b, f))) < 1e-11
@@ -117,8 +117,8 @@ def test_bk_gather_is_bit_identical_to_the_level_loop(g, rng):
     for passive in ((), (3,)):
         x = extend(g, rng.standard_normal((g.n_samples,) + passive))
         for k in range(g.N):
-            signed = tuple(np.where(rng.standard_normal(g.n_cubes(l)) < 0, -1.0, 0.5)
-                           for l in range(g.N))
+            signed = np.concatenate([np.where(rng.standard_normal(g.n_cubes(l)) < 0, -1.0, 0.5)
+                                     for l in range(g.N)])
             for beta in (None, signed):
                 for sb in sigs[:-1]:
                     for si in sigs:
@@ -158,7 +158,7 @@ def test_bk_signature_rules():
     with pytest.raises(InvalidIndexError):
         BkOperator(g, 1, sig_in=(1,))
     with pytest.raises(ValueError):
-        beta = tuple(np.full(g.n_cubes(l), 2.0) for l in range(g.N))
+        beta = np.full(g.n_cubes_total, 2.0)
         apply_Bk(BkOperator(g, 0, beta=beta),
                  random_function(g, np.random.default_rng(0)),
                  random_function(g, np.random.default_rng(1)))
@@ -178,24 +178,17 @@ def test_operands_off_the_operator_grid_raise(rng):
                 apply_Bk(BkOperator(g, 1), *operands)
 
 
-def test_bk_beta_dict_is_stored_on_the_cube_axis(rng):
+def test_bk_beta_is_one_array_on_the_cube_axis():
     g = GridSpec(2, 2)
-    cube = DyadicCube(1, (1, 0))
-    op = BkOperator(g, 1, beta={cube: -0.5})
     levels = [np.ones(g.n_cubes(l)) for l in range(g.N)]
-    levels[1][g.flat_pos(cube.pos, 1)] = -0.5
-    # cube (1, (1, 0)) is flat 2 of level 1, entry 1 + 2 of the cube axis
-    assert op.beta.shape == (g.n_cubes_total,) and op.beta[3] == -0.5
-    assert np.array_equal(op.beta, np.concatenate(levels))
+    # a dict of cubes and a tuple of per-level arrays are not betas
+    for bad, got in (({DyadicCube(1, (1, 0)): -0.5}, "dict"), (tuple(levels), "tuple"),
+                     (levels, "list"), (np.ones(g.n_cubes_total + 1), r"\(6,\)")):
+        with pytest.raises(ValueError, match=rf"shape \(5, \*trials\), got {got}"):
+            BkOperator(g, 1, beta=bad)
+    levels[1][2] = -0.5
+    op = BkOperator(g, 1, beta=np.concatenate(levels))
     assert all(np.array_equal(op.beta_level(l), levels[l]) for l in range(g.N))
-    b, f = random_function(g, rng), random_function(g, rng)
-    same = BkOperator(g, 1, beta=tuple(levels))
-    assert same == op == BkOperator(g, 1, beta=np.concatenate(levels))
-    assert np.array_equal(apply_Bk(op, b, f).samples, apply_Bk(same, b, f).samples)
-    with pytest.raises(ValueError, match="per level"):
-        BkOperator(g, 1, beta=levels[:1])
-    with pytest.raises(ValueError, match="cube axis"):
-        BkOperator(g, 1, beta=np.ones(g.n_cubes_total + 1))
 
 
 @pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3),
@@ -232,15 +225,15 @@ def test_bk_stacked_with_trial_betas_gives_a_column_its_bits_alone(g, rng):
 def test_bk_betas_are_read_only():
     # decomposition terms share atoms, so no caller may rewrite their betas
     g = GridSpec(1, 3)
-    for given in ([np.ones(g.n_cubes(l)) for l in range(g.N)], np.ones(g.n_cubes_total)):
-        op = BkOperator(g, 1, beta=given)
-        with pytest.raises(ValueError):
-            op.beta[1] = 0.5
-        with pytest.raises(ValueError):
-            bk_gather(op)[3][0] = 0.5
-        # the atom holds its own copy
-        (given[1] if isinstance(given, list) else given)[0] = -1.0
-        assert op.beta[1] == 1.0
+    given = np.ones(g.n_cubes_total)
+    op = BkOperator(g, 1, beta=given)
+    with pytest.raises(ValueError):
+        op.beta[1] = 0.5
+    with pytest.raises(ValueError):
+        bk_gather(op)[3][0] = 0.5
+    # the atom holds its own copy
+    given[1] = -1.0
+    assert op.beta[1] == 1.0
 
 
 def test_bk_martingale_bound_exact(rng):
@@ -250,8 +243,8 @@ def test_bk_martingale_bound_exact(rng):
         for _ in range(5):
             b = random_function(g, rng)
             f = random_function(g, rng)
-            beta = tuple(np.sign(rng.standard_normal(g.n_cubes(l)) + 0.1)
-                         for l in range(g.N))
+            beta = np.concatenate([np.sign(rng.standard_normal(g.n_cubes(l)) + 0.1)
+                                   for l in range(g.N)])
             out = apply_Bk(BkOperator(g, k, beta=beta), b, f)
             assert out.norm() <= (1 + 1e-12) * dyadic_bmo_norm(b) * f.norm()
 
@@ -332,10 +325,11 @@ def test_p_linear_in_each_slot(rng):
 def test_bk_operator_equality_and_hash(rng):
     from dyadlab import decompose, random_shift
     g = GridSpec(1, 4)
-    beta = tuple(np.where(np.arange(g.n_cubes(lvl)) % 2, -1.0, 1.0) for lvl in range(g.N))
+    levels = [np.where(np.arange(g.n_cubes(lvl)) % 2, -1.0, 1.0) for lvl in range(g.N)]
+    beta = np.concatenate(levels)
     a, b = BkOperator(g, 1, beta=beta), BkOperator(g, 1, beta=beta)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    flipped = (beta[0], -beta[1]) + beta[2:]
+    flipped = np.concatenate([levels[0], -levels[1]] + levels[2:])
     assert a != BkOperator(g, 1, beta=flipped)
     assert a != BkOperator(g, 1) and BkOperator(g, 1) == BkOperator(g, 1)
     assert a != BkOperator(g, 2, beta=beta)

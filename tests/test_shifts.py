@@ -29,6 +29,11 @@ def test_coefficient_count_formula():
     S2 = random_shift(g2, 1, 0, 1)
     assert S2.coefficient_count() == expected_coefficient_count(g2, 1, 0) \
         == (1 + 4) * 4 * 3 * 1 * 3
+    # a noncancellative shift counts the n_samples - 1 Haar coefficients of its symbol
+    for g, count in ((GridSpec(1, 4), 15), (GridSpec(2, 3), 63)):
+        for orientation in ("analysis", "synthesis"):
+            S = random_shift(g, 0, 0, 0, kind="noncancellative", orientation=orientation)
+            assert S.coefficient_count() == g.n_samples - 1 == count, (g, orientation)
 
 
 def test_depth_error():
@@ -97,7 +102,6 @@ def test_noncancellative_shift(rng):
     g = GridSpec(1, 4)
     S = random_shift(g, 0, 0, rng, kind="noncancellative")
     assert abs(dyadic_bmo_norm(S.symbol) - 1.0) < 1e-10
-    assert "symbol_scale" in S.meta
     M = dense_shift_matrix_oracle(S)
     f = random_function(g, rng)
     assert np.max(np.abs(S.apply(f).samples - M @ f.samples)) < 1e-12
@@ -105,8 +109,7 @@ def test_noncancellative_shift(rng):
     zero = noncancellative_shift(g, DyadicFunction(g, np.zeros(g.n_samples)))
     assert zero.apply(f).norm() == 0.0
     # coefficient bound |a_I| <= 1 follows from the BMO normalization
-    assert S.symbol_coefficients().shape == (g.n_cubes_total, g.n_sig)
-    assert np.max(np.abs(S.symbol_coefficients())) <= 1.0 + 1e-10
+    assert max(np.max(np.abs(a)) for a in symbol_levels(S)) <= 1.0 + 1e-10
     with pytest.raises(WrongKindError):
         random_shift(g, 1, 0, rng, kind="noncancellative")
     with pytest.raises(ValueError):
@@ -364,7 +367,15 @@ def test_symbol_transformed_once(rng, monkeypatch):
     assert np.max(np.abs(outs[-1].samples - dense_shift_matrix_oracle(S) @ f.samples)) < 1e-12
     # the cached coefficients cannot be changed behind the operator's back
     with pytest.raises(ValueError):
-        S.symbol_coefficients()[0, 0] = 5.0
+        S.stacked_symbol()[1] = 5.0
+
+
+def symbol_levels(S):
+    """a_I = <a, h_I^sig> |I|**(-1/2) of the symbol of S, from its samples:
+    one (n_cubes(level), n_sig) array per level."""
+    g = S.grid
+    sym = forward_stacked(g, S.symbol.samples)
+    return [g.level_block(sym, lvl) * np.sqrt(2.0 ** (lvl * g.d)) for lvl in range(g.N)]
 
 
 def noncancellative_apply_loop(S, x):
@@ -372,9 +383,7 @@ def noncancellative_apply_loop(S, x):
     pairings, synthesis folds each level's signature sums."""
     g = S.grid
     out = np.zeros_like(x)
-    a = S.symbol_coefficients()
-    a = a.reshape(a.shape + (1,) * (x.ndim - 1))
-    acoef = [a[g.cube_range(lvl)] for lvl in range(g.N)]
+    acoef = [a.reshape(a.shape + (1,) * (x.ndim - 1)) for a in symbol_levels(S)]
     if S.orientation == "analysis":
         scal = scaling_levels(g, x)
         for lvl in range(g.N):
@@ -446,8 +455,8 @@ def test_shift_equality_and_hash(rng):
     assert hash(S) == hash(same) and len({S, same, S.adjoint().adjoint()}) == 1
     assert S != S.adjoint() and S != random_shift(g, 1, 0, 5)
     assert S != random_shift(GridSpec(2, 3, omega=((1, 0), (0, 0), (0, 0))), 1, 0, 4)
-    # meta is left out; one changed coefficient is not
-    assert S == ShiftOperator(g, 1, 0, "cancellative", blocks=S.blocks.copy(), meta={"x": 1})
+    # equal blocks give an equal shift; one changed coefficient does not
+    assert S == ShiftOperator(g, 1, 0, "cancellative", blocks=S.blocks.copy())
     changed = S.blocks.copy()
     changed[2, 1, 0, 0, 2] += 1e-3
     assert S != ShiftOperator(g, 1, 0, "cancellative", blocks=changed)
