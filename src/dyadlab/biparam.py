@@ -137,6 +137,8 @@ def random_product_function(pg: ProductGrid, rng) -> ProductFunction:
 
 
 def _check_var(pg: ProductGrid, S, var: int) -> None:
+    if not 1 <= var <= len(pg.grids):
+        raise ValueError(f"variable {var} outside 1..{len(pg.grids)}")
     if S.grid != pg.grids[var - 1]:
         raise GridMismatchError(f"operator grid does not match variable {var}")
 
@@ -325,9 +327,7 @@ def apply_biparam(atoms: tuple, b: SampledFunction, f: SampledFunction,
         raise ValueError("a product-grid symbol takes a P atom in both variables")
     if syms.pgrid != pg:
         raise GridMismatchError("symbol a lives off the operands' product grid")
-    A = forward_space(pg, syms.samples)
-    A[0, :] = 0.0
-    A[:, 0] = 0.0
+    A = symbol_stacked(syms)
     Xe = np.broadcast_to(Xe[..., None], Xe.shape + (g1.n_samples,))
     out = pair_apply(pg, bC, Xe, atoms, (np.eye(g1.n_samples), A.T))
     return ProductFunction(pg, inverse_space(pg, out.sum(axis=2)))

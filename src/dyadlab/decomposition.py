@@ -38,9 +38,10 @@ share one sweep, the union of their terms sorted by key: a term is one
 variable at every t (the 1-D kernel at t = 1; at t >= 2 a P-type pair is
 two tree scans), with b, the symbols and the weights
 on the case axis, weight 0 for a case that lacks the term. A single list is
-a family of one on the same path. The atoms and term skeletons of a grid
-are built once (``grid_index(grid).memo``), so a decomposition only binds
-b; its list transforms b on first use. Each case's shifts run once per
+a family of one on the same path. The term skeletons of a grid are built
+once (``grid_index(grid).memo``) from the B atom groups of
+:mod:`dyadlab.paraproducts`, so a decomposition only binds b; its list
+transforms b on first use. Each case's shifts run once per
 variable and stage of a sweep, on every key that takes them at once (twice
 per variable at t >= 2).
 ``verify_identity`` passes all trials of a block of cases once through the
@@ -64,7 +65,7 @@ import numpy as np
 from .grids import GridMismatchError, GridSpec, WrongKindError, grid_index
 from .haar import (SampledFunction, contract_space, extend_space,
                    forward_space, inverse_space)
-from .paraproducts import BkOperator
+from .paraproducts import BkOperator, _atom_group
 from .biparam import PAtom, pair_apply
 from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator, _each_case, commutator_stacked
 from .norms import _bmo_stacked, _column_norms, _require_at_least, _trial_rng
@@ -158,50 +159,6 @@ class TermList:
 # Per-variable atom lists.
 
 
-def _beta_from_sig(grid: GridSpec, k: int, sig_b: int):
-    """+-1 betas along the cube axis: the sign of h^sig_b of the k-th ancestor
-    inside each cube of levels k..N-1, +1 above level k."""
-    if k == 0:
-        return None
-    idx = grid_index(grid)
-    lower = [a for a, s in enumerate(grid.int_sig(sig_b)) if s == 0]
-    beta = np.ones(grid.n_cubes_total)
-    for lvl in range(k, grid.N):
-        # h^sig_b is - on the ancestor's upper half (bit k-1 of the position)
-        # along an odd number of its cancellative axes
-        upper = (idx.coords(lvl)[lower] >> (k - 1)) & 1
-        beta[grid.cube_range(lvl)] = 1.0 - 2.0 * (upper.sum(axis=0) % 2)
-    return beta
-
-
-def _bk(grid: GridSpec, k: int, sb: int, si: int, so: int, beta=None) -> BkOperator:
-    """B_k atom from integer signatures."""
-    return BkOperator(grid, k, grid.int_sig(sb), grid.int_sig(si), grid.int_sig(so), beta)
-
-
-def _atom_group(grid: GridSpec, name) -> tuple:
-    """One group of B_k atoms, built once per grid (``grid_index(grid).memo``):
-    "tail" (eps, non, eps) and "same_cube" (eps, eps2, non ^ eps ^ eps2) at
-    k = 0, "swapped" (eps, non ^ eps ^ eps2, eps2) with the tail atom on its
-    diagonal, and, for an integer k >= 1, (eps, eps2, eps2) with the betas
-    of eps; eps-major throughout."""
-    def build():
-        non, cancs = grid.noncanc_int, range(grid.n_sig)
-        if name == "tail":
-            return tuple(_bk(grid, 0, eps, non, eps) for eps in cancs)
-        if name == "same_cube":
-            return tuple(_bk(grid, 0, eps, eps2, non ^ (eps ^ eps2))
-                         for eps in cancs for eps2 in cancs)
-        if name == "swapped":
-            tail = _atom_group(grid, "tail")
-            return tuple(tail[eps] if eps2 == eps else _bk(grid, 0, eps, non ^ (eps ^ eps2), eps2)
-                         for eps in cancs for eps2 in cancs)
-        betas = [_beta_from_sig(grid, name, eps) for eps in cancs]
-        return tuple(_bk(grid, name, eps, eps2, eps2, betas[eps])
-                     for eps in cancs for eps2 in cancs)
-    return grid_index(grid).memo(("atoms", name), build)
-
-
 def _cancellative_var_atoms(grid: GridSpec, i: int, j: int) -> list:
     """(key, weight, atom, inner, outer, provenance) for one cancellative
     variable; the b_mul (k <= j) and mul_S (k <= i) halves share their
@@ -222,22 +179,19 @@ def _noncancellative_var_atoms(grid: GridSpec, orientation: str) -> list:
     """(key, weight, atom, inner, outer, provenance) for one noncancellative
     variable, the key an entry's index in its orientation's one list; an
     atom that two terms share is one object."""
-    n = grid.n_sig
-    cancs = range(n)
-    tail, same = _atom_group(grid, "tail"), _atom_group(grid, "same_cube")
+    tail, diagonal = _atom_group(grid, "tail"), _atom_group(grid, "diagonal")
     out = []
     if orientation == ANALYSIS:
-        out += [(1.0, atom, True, False, "b_mul:same_cube") for atom in same]
+        out += [(1.0, atom, True, False, "b_mul:same_cube")
+                for atom in _atom_group(grid, "same_cube")]
         out += [(1.0, atom, True, False, "b_mul:tail") for atom in tail]
-        # (eps, eps, non) is the b_mul:same_cube atom at eps2 = eps
-        out += [(-1.0, same[eps * n + eps], False, True, "mul_S:same_cube") for eps in cancs]
+        out += [(-1.0, atom, False, True, "mul_S:same_cube") for atom in diagonal]
         out.append((1.0, PAtom(adjoint=False), False, False, "b_mul:diagonal"))
     else:
         out += [(1.0, atom, True, False, "b_mul:tail") for atom in tail]
         out += [(-1.0, atom, False, True, "mul_S:same_cube")
                 for atom in _atom_group(grid, "swapped")]
-        # (eps, eps, non) is the same-cube atom at eps2 = eps
-        out += [(-1.0, same[eps * n + eps], False, True, "mul_S:tail") for eps in cancs]
+        out += [(-1.0, atom, False, True, "mul_S:tail") for atom in diagonal]
         out.append((-1.0, PAtom(adjoint=True), False, False, "b_mul:diagonal"))
     return [(n,) + entry for n, entry in enumerate(out)]
 

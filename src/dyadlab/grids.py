@@ -256,20 +256,12 @@ class HaarIndex:
 
 def _memoized(method):
     """A method of :class:`_GridIndex` whose value is built once per grid
-    and arguments, and kept in the grid's memo table under (name, *args)."""
+    and arguments, and kept by ``memo`` under (name, *args)."""
     name = method.__name__
 
     @functools.wraps(method)
     def cached(self, *args):
-        key = (name, *args)
-        try:
-            return self._memo[key]
-        except KeyError:
-            pass
-        # built outside the handler, so that a build error (DepthError) is
-        # not chained to the KeyError
-        value = self._memo[key] = method(self, *args)
-        return value
+        return self.memo((name, *args), lambda: method(self, *args))
     return cached
 
 
@@ -288,12 +280,15 @@ class _GridIndex:
         w.setflags(write=False)
         return w
 
+    @_memoized
     def cube_ancestors(self, k: int) -> np.ndarray:
-        """Cube-axis entry of the k-th ancestor of every cube of levels k..N-1,
-        i.e. of the axis from ``cube_range(k).start`` on."""
+        """Read-only cube-axis entry of the k-th ancestor of every cube of
+        levels k..N-1, i.e. of the axis from ``cube_range(k).start`` on."""
         g = self.grid
-        return np.concatenate([g.cube_range(lvl - k).start + self.ancestor_flat(lvl, k)
-                               for lvl in range(k, g.N)])
+        table = np.concatenate([g.cube_range(lvl - k).start + self.ancestor_flat(lvl, k)
+                                for lvl in range(k, g.N)])
+        table.setflags(write=False)
+        return table
 
     @_memoized
     def cube_descendants(self, depth: int) -> np.ndarray:
@@ -331,9 +326,9 @@ class _GridIndex:
 
     def memo(self, key, build):
         """``build()``, called once per ``key`` on this grid: the immutable
-        per-grid values of the modules above, such as the decomposition's
-        B_k atoms and term lists. The tables of this class share the same
-        memo, under (method name, *args)."""
+        per-grid values of the modules above, such as the B_k atom groups
+        and the decomposition's term lists. The tables of this class share
+        the same memo, under (method name, *args)."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]

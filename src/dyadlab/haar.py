@@ -34,8 +34,8 @@ axis to share one pass: the decomposition extends all of its inner-shift
 inputs, and contracts all of its outer-shift groups, in one call per
 variable, and the direct commutator transforms f and b f together. What
 depends on the grid alone is cached per grid on ``grid_index``: the index
-tables, the B_k rows and the decomposition's atoms and term lists, so an
-identity check transforms b once and builds no atom of its own.
+tables, the B_k rows and atom groups and the decomposition's term lists,
+so an identity check transforms b once and builds no atom of its own.
 
 Kernels that pair against the noncancellative Haar function h_I^1 (the
 cube's normalized indicator) work on the *extended* layout: the stacked
@@ -454,6 +454,6 @@ def pointwise_multiply(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:
     return DyadicFunction(f.grid, f.samples * g.samples)
 
 
-def random_function(grid: GridSpec, rng, scale: float = 1.0) -> DyadicFunction:
+def random_function(grid: GridSpec, rng) -> DyadicFunction:
     """Gaussian samples; the workhorse input generator for studies and tests."""
-    return DyadicFunction(grid, rng.standard_normal(grid.n_samples) * scale)
+    return DyadicFunction(grid, rng.standard_normal(grid.n_samples))

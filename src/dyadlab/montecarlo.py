@@ -221,8 +221,9 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
 
     For each (i, j) the sup over trials of ||[M_b, S] f|| with bmo(b) = 1 and
     ||f|| = 1 is recorded; the weighted total sums them against the geometric
-    schedule 2**(-max(i,j) delta/2). ``trials`` must be at least 1, and
-    ``i_max`` and ``j_max`` at least 0.
+    schedule 2**(-max(i,j) delta/2). ``trials`` must be at least 1,
+    ``i_max`` and ``j_max`` at least 0, and ``delta`` in (0, 2], all checked
+    before any trial runs.
 
     Trial (i, j, t) draws b, then f, then its shift from
     ``_trial_rng(rng_seed, i, j, t)``; a b of BMO norm
@@ -236,6 +237,7 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
     """
     _require_at_least(1, trials=trials)
     _require_at_least(0, i_max=i_max, j_max=j_max)
+    geo = geometric_constant(delta, max(i_max, j_max))  # checks delta before any draw
     grid = grid or GridSpec(1, 6)
     volume = grid.cell_volume
     pairs = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)
@@ -274,8 +276,6 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
         reports.append(NormReport(kind="commutator", i=i, j=j, trials=trials,
                                   max_ratio=ratio, seed=rng_seed,
                                   extra={"sup_norm": sup}))
-    cap = max(i_max, j_max)
-    geo = geometric_constant(delta, cap)
     return {"reports": reports, "weighted_total": weighted_total,
             "max_ratio": max_ratio, "geometric_constant": geo,
             "delta": delta, "bound_ok": bool(weighted_total <= geo * max_ratio + 1e-12),

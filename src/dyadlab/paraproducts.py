@@ -13,9 +13,11 @@ the noncancellative signature of a k = 0 term is one more set of rows, and
 reads all levels k..N-1 in one gather.
 ``BkOperator`` is the one B_k atom of the package: it checks the depth, the
 signatures and the betas (None, or one array along the cube axis) once, at
-construction. The operators of :mod:`dyadlab.biparam` and the decomposition
-terms use one per variable, and a noncancellative shift of
-:mod:`dyadlab.shifts` is the sum of its B_0 atoms.
+construction. The operators of :mod:`dyadlab.biparam` use one per variable.
+The atoms of the decomposition terms and of a noncancellative shift of
+:mod:`dyadlab.shifts` are the groups of ``_atom_group``, built once per
+grid, so a shift applies the B_0 objects that its term list holds, to the
+``symbol_stacked`` coefficients of its symbol.
 ``bk_gather`` lays an atom out on the rows that ``bk_stacked`` and
 :mod:`dyadlab.biparam` read. The function-level operators ``apply_Bk``,
 ``apply_P`` and ``apply_P_adjoint`` live in :mod:`dyadlab.biparam`, where
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import DepthError, GridSpec, InvalidIndexError, grid_index
-from .haar import DyadicFunction, forward_stacked
+from .haar import SampledFunction, forward_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +124,53 @@ class BkOperator:
                           self.beta)
 
 
+def _beta_from_sig(grid: GridSpec, k: int, sig_b: int):
+    """+-1 betas along the cube axis: the sign of h^sig_b of the k-th ancestor
+    inside each cube of levels k..N-1, +1 above level k."""
+    if k == 0:
+        return None
+    idx = grid_index(grid)
+    lower = [a for a, s in enumerate(grid.int_sig(sig_b)) if s == 0]
+    beta = np.ones(grid.n_cubes_total)
+    for lvl in range(k, grid.N):
+        # h^sig_b is - on the ancestor's upper half (bit k-1 of the position)
+        # along an odd number of its cancellative axes
+        upper = (idx.coords(lvl)[lower] >> (k - 1)) & 1
+        beta[grid.cube_range(lvl)] = 1.0 - 2.0 * (upper.sum(axis=0) % 2)
+    return beta
+
+
+def _bk(grid: GridSpec, k: int, sb: int, si: int, so: int, beta=None) -> BkOperator:
+    """B_k atom from integer signatures."""
+    return BkOperator(grid, k, grid.int_sig(sb), grid.int_sig(si), grid.int_sig(so), beta)
+
+
+def _atom_group(grid: GridSpec, name) -> tuple:
+    """One group of B_k atoms, built once per grid (``grid_index(grid).memo``):
+    "tail" (eps, non, eps) and "same_cube" (eps, eps2, non ^ eps ^ eps2) at
+    k = 0, "diagonal" (eps, eps, non), the same-cube atoms at eps2 = eps,
+    "swapped" (eps, non ^ eps ^ eps2, eps2) with the tail atom on its
+    diagonal, and, for an integer k >= 1, (eps, eps2, eps2) with the betas
+    of eps; eps-major throughout."""
+    def build():
+        non, cancs = grid.noncanc_int, range(grid.n_sig)
+        if name == "tail":
+            return tuple(_bk(grid, 0, eps, non, eps) for eps in cancs)
+        if name == "same_cube":
+            return tuple(_bk(grid, 0, eps, eps2, non ^ (eps ^ eps2))
+                         for eps in cancs for eps2 in cancs)
+        if name == "diagonal":
+            return _atom_group(grid, "same_cube")[::grid.n_sig + 1]
+        if name == "swapped":
+            tail = _atom_group(grid, "tail")
+            return tuple(tail[eps] if eps2 == eps else _bk(grid, 0, eps, non ^ (eps ^ eps2), eps2)
+                         for eps in cancs for eps2 in cancs)
+        betas = [_beta_from_sig(grid, name, eps) for eps in cancs]
+        return tuple(_bk(grid, name, eps, eps2, eps2, betas[eps])
+                     for eps in cancs for eps2 in cancs)
+    return grid_index(grid).memo(("atoms", name), build)
+
+
 def _gathered(op: BkOperator) -> tuple:
     """:func:`bk_gather` followed by the inverse of the output rows, looked
     up on the atom's first use and kept on it."""
@@ -192,9 +241,12 @@ def strict_subtree_sum(grid: GridSpec, w: np.ndarray) -> np.ndarray:
     return _spread(grid, _trailing(idx.cube_weight, below) * below)
 
 
-def symbol_stacked(a: DyadicFunction) -> np.ndarray:
-    coeffs = forward_stacked(a.grid, a.samples)
-    coeffs[0] = 0.0
+def symbol_stacked(a: SampledFunction) -> np.ndarray:
+    """Stacked coefficients of a symbol on its grid or product grid, with
+    the mean row along every variable zeroed."""
+    coeffs = forward_space(a.space, a.samples)
+    for v in range(len(a.space.grids)):
+        coeffs[(slice(None),) * v + (0,)] = 0.0
     return coeffs
 
 

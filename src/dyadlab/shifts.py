@@ -6,10 +6,10 @@ by |I|**(1/2) |J|**(1/2) / |K|. The blocks are one dense array over
 (K, I-slot, I-signature, J-slot, J-signature), K running along the cube axis
 (:mod:`dyadlab.grids`) over the cubes of levels 0..kmax; application runs in
 coefficient space (transform in, one contraction, transform out).
-A noncancellative shift is the sum over signatures s of the B_0 atoms
-(:class:`~dyadlab.paraproducts.BkOperator`) of its symbol that pair the rows
-of signature s with the noncancellative rows of the extended layout
-(:func:`~dyadlab.haar.extend`/``contract``).
+A noncancellative shift is the sum over signatures s of the grid's B_0
+atoms (``paraproducts._atom_group``: "tail" in analysis, "diagonal" in
+synthesis) that pair the rows of signature s with the noncancellative rows
+of the extended layout (:func:`~dyadlab.haar.extend`/``contract``).
 
 Each K determines its own block, so after an additional per-block Frobenius
 normalization every cancellative shift is an exact L2 contraction.
@@ -28,7 +28,7 @@ from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec,
                     InvalidIndexError, WrongKindError, grid_index)
 from .haar import (DyadicFunction, _along, contract, extend, forward_stacked,
                    inverse_stacked)
-from .paraproducts import BkOperator, bk_stacked
+from .paraproducts import _atom_group, bk_stacked, symbol_stacked
 
 CANCELLATIVE = "cancellative"
 NONCANCELLATIVE = "noncancellative"
@@ -94,7 +94,6 @@ class ShiftOperator:
     symbol: DyadicFunction = None
     orientation: str = None
     _sym: np.ndarray = field(init=False, compare=False, repr=False, default=None)
-    _atoms: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind == CANCELLATIVE:
@@ -107,18 +106,11 @@ class ShiftOperator:
                 raise WrongKindError("noncancellative shifts require i = j = 0")
             if self.orientation not in (ANALYSIS, SYNTHESIS):
                 raise WrongKindError(f"bad orientation {self.orientation}")
-            if self.symbol is None or self.symbol.grid != self.grid:
+            if self.symbol is None or self.symbol.space != self.grid:
                 raise GridMismatchError("symbol must live on the operator grid")
-            g = self.grid
-            sym = forward_stacked(g, self.symbol.samples)
-            sym[0] = 0.0
+            sym = symbol_stacked(self.symbol)
             sym.setflags(write=False)
-            non = (1,) * g.d
-            sigs = [g.int_sig(s) for s in range(g.n_sig)]
-            atoms = tuple(BkOperator(g, 0, s, non, s) if self.orientation == ANALYSIS
-                          else BkOperator(g, 0, s, s, non) for s in sigs)
             object.__setattr__(self, "_sym", sym)
-            object.__setattr__(self, "_atoms", atoms)
         else:
             raise WrongKindError(f"unknown shift kind {self.kind}")
 
@@ -143,9 +135,9 @@ class ShiftOperator:
         return self.kind == CANCELLATIVE
 
     def stacked_symbol(self) -> np.ndarray:
-        """The symbol's stacked Haar coefficients with the mean row zeroed
-        (``paraproducts.symbol_stacked(self.symbol)``); computed once, when
-        the shift is built, and read-only."""
+        """``paraproducts.symbol_stacked(self.symbol)``, the coefficients
+        that the grid's B_0 atoms read; computed once, when the shift is
+        built, and read-only."""
         return self._sym
 
     # -- application -------------------------------------------------------
@@ -164,10 +156,16 @@ class ShiftOperator:
             res[-1] = 0.0
             _contract(self.blocks, fin, res[:-1].reshape(shape))
             return res.take(idx.descendant_inverse(self.j, n_k), axis=0)
-        # the B_0 atoms; only analysis reads the noncancellative rows
-        if self.orientation == ANALYSIS:
+        # the grid's B_0 atoms; only analysis reads the noncancellative rows
+        analysis = self.orientation == ANALYSIS
+        if analysis:
             x = extend(g, x)
-        return contract(g, sum(bk_stacked(B, self._sym, x) for B in self._atoms))
+        first, *rest = _atom_group(g, "tail" if analysis else "diagonal")
+        total = bk_stacked(first, self._sym, x)
+        for B in rest:
+            total += bk_stacked(B, self._sym, x)
+        # a copy of the stacked rows; + 0.0 gives a lone atom's -0.0 the sign of a sum
+        return total[:g.n_samples] + 0.0 if analysis else contract(g, total)
 
     def apply_samples(self, samples: np.ndarray) -> np.ndarray:
         """Apply to sample columns (n_samples, *passive): transform, apply, invert."""

@@ -66,6 +66,10 @@ def test_apply_in_variable_trivial(rng):
     with pytest.raises(ValueError):
         apply_in_variable(random_shift(GridSpec(1, 2), 0, 0, rng), 1,
                           random_product_function(PG, rng))
+    # var = 0 read variable 2 through index -1, and var = 3 raised IndexError
+    for var in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"variable {var} outside 1..2$"):
+            apply_in_variable(S1, var, zero)
 
 
 def test_iterated_commutator_trivial_cases(rng):

@@ -375,15 +375,15 @@ def test_termlist_json_terms_are_pinned():
 def test_both_halves_share_their_atoms(g, ij, rng, monkeypatch):
     # b_mul and mul_S use the same B_k atoms: each is built once per grid, so
     # a second decomposition on the grid builds none and shares its atoms
-    from dyadlab import decomposition
+    from dyadlab import paraproducts
     calls = []
-    bk = decomposition._bk
+    bk = paraproducts._bk
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return bk(*args, **kwargs)
 
-    monkeypatch.setattr(decomposition, "_bk", counting)
+    monkeypatch.setattr(paraproducts, "_bk", counting)
     grid_index.cache_clear()
     i, j = ij
     S = random_shift(g, i, j, rng)

@@ -138,6 +138,13 @@ def test_cube_axis_descendants_and_cubes():
                 assert np.array_equal(rows, idx.desc_groups(kappa, depth))
         assert idx.cube_descendants(1) is idx.cube_descendants(1)
         assert not idx.cube_descendants(1).flags.writeable
+        for k in range(N):
+            # the k-th ancestors of levels k..N-1, one memoized read-only table
+            anc = idx.cube_ancestors(k)
+            assert anc is idx.cube_ancestors(k) and not anc.flags.writeable
+            assert [g.ancestor(g.cube_at(c), k) for c in range(g.cube_range(k).start,
+                                                               g.n_cubes_total)] \
+                == [g.cube_at(int(c)) for c in anc]
 
 
 def test_level_offset_is_the_running_sum():

@@ -353,6 +353,16 @@ def test_bound_study_refuses_a_negative_range(i_max, j_max, key):
         commutator_bound_study(1.0, i_max, j_max, 2, 0, grid=GridSpec(1, 3))
 
 
+@pytest.mark.parametrize("delta", [3.0, 0.0])
+def test_bound_study_checks_delta_before_any_trial(delta, monkeypatch):
+    # delta was checked only after every trial had run
+    def refuse(*args):
+        raise AssertionError("a commutator ran before delta was checked")
+    monkeypatch.setattr(montecarlo, "commutator_stacked", refuse)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 2\]$"):
+        commutator_bound_study(delta, 1, 1, 2, 0, grid=GridSpec(1, 3))
+
+
 # (grid, i_max, j_max, trials): one block at N = 6 (100 trials of 64 samples)
 # and at d = 2 N = 3, 5 blocks of 8 trials at N = 10 and 2 at d = 2 N = 5
 _BOUND_CASES = [(GridSpec(1, 6), 4, 4, 4), (GridSpec(2, 3), 3, 2, 5),

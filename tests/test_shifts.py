@@ -128,6 +128,12 @@ def test_grid_mismatch():
     f = random_function(GridSpec(1, 4), np.random.default_rng(0))
     with pytest.raises(ValueError):
         S.apply(f)
+    # a ProductFunction symbol raised AttributeError on its missing grid
+    from dyadlab.biparam import ProductGrid, random_product_function
+    from dyadlab.grids import GridMismatchError
+    a = random_product_function(ProductGrid(S.grid, S.grid), np.random.default_rng(0))
+    with pytest.raises(GridMismatchError):
+        ShiftOperator(S.grid, 0, 0, "noncancellative", symbol=a, orientation="analysis")
 
 
 def test_commutator_basics(rng):
@@ -368,6 +374,53 @@ def test_symbol_transformed_once(rng, monkeypatch):
     # the cached coefficients cannot be changed behind the operator's back
     with pytest.raises(ValueError):
         S.stacked_symbol()[1] = 5.0
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 4), GridSpec(2, 3)], ids=repr)
+@pytest.mark.parametrize("orientation", ["analysis", "synthesis"])
+def test_a_noncancellative_shift_applies_its_decompositions_atoms(g, orientation, rng,
+                                                                 monkeypatch):
+    # a shift builds no B_0 atom: it applies the grid's memoized ones, the
+    # objects that its decomposition holds, and a second shift builds none
+    from dyadlab import decompose
+    from dyadlab.grids import grid_index
+    from dyadlab.paraproducts import BkOperator
+    built, applied = [], []
+    init, bk = BkOperator.__post_init__, shifts.bk_stacked
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    def recording(op, bc, x):
+        applied.append(op)
+        return bk(op, bc, x)
+    monkeypatch.setattr(BkOperator, "__post_init__", counting)
+    monkeypatch.setattr(shifts, "bk_stacked", recording)
+    grid_index.cache_clear()
+    S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=orientation)
+    assert built == []
+    half = "b_mul:tail" if orientation == "analysis" else "mul_S:tail"
+    want = [t.atoms[0] for t in decompose(random_function(g, rng), S).terms
+            if t.provenance == half]
+    x = rng.standard_normal((g.n_samples, 3))
+    for shift in (S, random_shift(g, 0, 0, rng, kind="noncancellative",
+                                  orientation=orientation)):
+        built.clear()
+        applied.clear()
+        shift.apply_stacked(x)
+        assert built == [] and len(applied) == len(want) == g.n_sig
+        assert all(got is atom for got, atom in zip(applied, want))
+
+
+@pytest.mark.parametrize("orientation", ["analysis", "synthesis"])
+def test_a_noncancellative_apply_owns_its_rows(orientation, rng):
+    # analysis returned a view of the first n rows of its extended atom sum,
+    # which kept the whole sum alive
+    g = GridSpec(2, 3)
+    S = random_shift(g, 0, 0, rng, kind="noncancellative", orientation=orientation)
+    y = S.apply_stacked(rng.standard_normal((g.n_samples, 4)))
+    assert y.shape == (g.n_samples, 4) and y.base is None and y.flags.owndata
 
 
 def symbol_levels(S):
