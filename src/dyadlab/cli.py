@@ -79,6 +79,12 @@ def _resolved_config(args) -> dict:
             if k not in ("func", "config") and v is not None}
 
 
+def _usage(args, message: str) -> int:
+    """Bad usage that parsing lets through: a one-line message, exit 2."""
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _fail(seed, message: str) -> int:
     print(f"FAIL: {message}")
     print(f"replay seed: {seed}")
@@ -127,6 +133,8 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_verify_decomp(args) -> int:
+    if args.N2 is not None and not args.biparam:
+        return _usage(args, "--N2 needs --biparam")
     rng = np.random.default_rng(args.seed)
     grids = (GridSpec(args.d, args.N),)
     if args.biparam:
@@ -176,6 +184,8 @@ def cmd_verify_decomp(args) -> int:
 
 
 def cmd_norm_study(args) -> int:
+    if args.N2 is not None and len(STUDY_ATOMS[args.kind]) == 1:
+        return _usage(args, f"--N2 needs a two-variable --kind, not {args.kind}")
     params = {"N": args.N, "N1": args.N, "N2": args.N2 or args.N,
               "kmax": args.kmax, "lmax": args.lmax}
     counters = {}
@@ -220,8 +230,7 @@ def cmd_jn_check(args) -> int:
 
 def cmd_mc_demo(args) -> int:
     if args.samples < 1:
-        print(f"mc-demo: --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage(args, f"--samples must be at least 1, got {args.samples}")
     base = GridSpec(1, args.N)
     rep = mc_representation_demo(base, args.samples, args.seed)
     results = {k: v for k, v in rep.items()

@@ -38,10 +38,11 @@ share one sweep, the union of their terms sorted by key: a term is one
 variable at every t (the 1-D kernel at t = 1; at t >= 2 a P-type pair is
 two tree scans), with b, the symbols and the weights
 on the case axis, weight 0 for a case that lacks the term. A single list is
-a family of one on the same path. The term skeletons of a grid are built
-once (``grid_index(grid).memo``) from the B atom groups of
-:mod:`dyadlab.paraproducts`, so a decomposition only binds b; its list
-transforms b on first use. Each case's shifts run once per
+a family of one on the same path. ``decompose`` assembles each list from
+the B atom groups of :mod:`dyadlab.paraproducts` and its family's term
+pool, both built once per grid (``grid_index(grid).memo``), so a term is
+one object in every list of its family; the list binds b and transforms
+it on first use. Each case's shifts run once per
 variable and stage of a sweep, on every key that takes them at once (twice
 per variable at t >= 2).
 ``verify_identity`` passes all trials of a block of cases once through the
@@ -67,7 +68,7 @@ from .haar import (SampledFunction, contract_space, extend_space,
                    forward_space, inverse_space)
 from .paraproducts import BkOperator, _atom_group
 from .biparam import PAtom, pair_apply
-from .shifts import ANALYSIS, CANCELLATIVE, ShiftOperator, _each_case, commutator_stacked
+from .shifts import ANALYSIS, ShiftOperator, _each_case, commutator_stacked
 from .norms import _bmo_stacked, _column_norms, _require_at_least, _trial_rng
 
 
@@ -196,30 +197,28 @@ def _noncancellative_var_atoms(grid: GridSpec, orientation: str) -> list:
     return [(n,) + entry for n, entry in enumerate(out)]
 
 
-def _spec(S: ShiftOperator) -> tuple:
-    """What a shift's term list depends on: (kind, orientation, i, j), with
-    no orientation for a cancellative shift."""
-    return (S.kind, None if S.cancellative else S.orientation, S.i, S.j)
+def _family(S: ShiftOperator) -> tuple:
+    """A shift's family, (kind, orientation) with no orientation for a
+    cancellative shift: the key of its term pool and of a sweep."""
+    return (S.kind, None if S.cancellative else S.orientation)
 
 
-def _var_atoms(grid: GridSpec, spec: tuple) -> tuple:
-    """(key, weight, atom, inner, outer, provenance) per entry of one
-    variable's list, memoized per grid; the key names an entry in every
-    list of its family (a noncancellative list is one list), and the keys
-    of a list ascend in list order."""
-    def build():
-        kind, orientation, i, j = spec
-        return tuple(_cancellative_var_atoms(grid, i, j) if kind == CANCELLATIVE
-                     else _noncancellative_var_atoms(grid, orientation))
-    return grid_index(grid).memo(("entries",) + spec, build)
+def _var_atoms(S: ShiftOperator) -> list:
+    """(key, weight, atom, inner, outer, provenance) per entry of the list
+    of one variable, on S's grid; the key names an entry in every list of
+    S's family (a noncancellative list is one list), and the keys of a list
+    ascend in list order."""
+    if S.cancellative:
+        return _cancellative_var_atoms(S.grid, S.i, S.j)
+    return _noncancellative_var_atoms(S.grid, S.orientation)
 
 
-def _term_kind(specs: tuple, atoms: tuple, inner: tuple, outer: tuple) -> str:
+def _term_kind(shifts: tuple, atoms: tuple, inner: tuple, outer: tuple) -> str:
     """A term's kind in the released names: by its atoms, their P
     orientations and, for B_k atoms, where the shifts go."""
     is_bk = tuple(isinstance(atom, BkOperator) for atom in atoms)
     if len(atoms) == 1 and is_bk[0]:
-        names = (("Bk_of_Sf", "S_of_Bk") if specs[0][0] == CANCELLATIVE
+        names = (("Bk_of_Sf", "S_of_Bk") if shifts[0].cancellative
                  else ("B0_of_S00f", "S00_of_B0"))
         return names[outer[0] and not inner[0]]
     if all(is_bk):
@@ -232,26 +231,23 @@ def _term_kind(specs: tuple, atoms: tuple, inner: tuple, outer: tuple) -> str:
     return "P" * len(atoms) + tag + "_term"
 
 
-def _skeleton(grids: tuple, specs: tuple) -> tuple:
-    """The terms of shifts of ``specs`` (one :func:`_spec` per variable) on
-    ``grids``: the product of the per-variable lists, memoized per grid
-    (``grid_index(grids[0]).memo``), the weights multiplied and the
-    provenances joined by "|". A term is built once per grid (grid pair)
-    and key, so the lists of one family at every (i, j) hold the same
-    objects."""
-    memo = grid_index(grids[0]).memo
-
-    def build():
-        pool = memo(("term_pool",) + grids[1:] + tuple(spec[:2] for spec in specs), dict)
-        terms = []
-        for entries in itertools.product(*map(_var_atoms, grids, specs)):
-            key, weights, atoms, inner, outer, provs = zip(*entries)
-            if key not in pool:
-                pool[key] = Term(math.prod(weights), _term_kind(specs, atoms, inner, outer),
-                                 "|".join(provs), atoms, inner, outer, key=key)
-            terms.append(pool[key])
-        return tuple(terms)
-    return memo(("terms",) + grids[1:] + specs, build)
+def _assemble(shifts: tuple) -> list:
+    """The terms of one shift per variable: the product of the per-variable
+    lists, the weights multiplied and the provenances joined by "|". Each
+    term comes from its family's pool (``grid_index(grid).memo`` of the
+    first grid), which builds it once per grid (grid pair) and key, so the
+    lists of one family at every (i, j) hold the same objects."""
+    grids = tuple(S.grid for S in shifts)
+    pool = grid_index(grids[0]).memo(("term_pool",) + grids[1:] + tuple(map(_family, shifts)),
+                                     dict)
+    terms = []
+    for entries in itertools.product(*map(_var_atoms, shifts)):
+        key, weights, atoms, inner, outer, provs = zip(*entries)
+        if key not in pool:
+            pool[key] = Term(math.prod(weights), _term_kind(shifts, atoms, inner, outer),
+                             "|".join(provs), atoms, inner, outer, key=key)
+        terms.append(pool[key])
+    return terms
 
 
 def _count_constant(grid: GridSpec, S: ShiftOperator) -> int:
@@ -277,7 +273,6 @@ def decompose(b: SampledFunction, *shifts: ShiftOperator) -> TermList:
     for v, (S, g) in enumerate(zip(shifts, grids), 1):
         if S.grid != g:
             raise WrongKindError(f"shift {v} must act on the grid of variable {v} of b")
-    terms = _skeleton(grids, tuple(map(_spec, shifts)))
     C = math.prod(map(_count_constant, grids, shifts))
     meta = {"count_constant": C,
             "count_bound": C * math.prod(1 + max(S.i, S.j) for S in shifts)}
@@ -289,7 +284,7 @@ def decompose(b: SampledFunction, *shifts: ShiftOperator) -> TermList:
         case = "-".join(["biparam"] + [S.kind for S in shifts])
         meta.update({f"{x}{v}": getattr(S, x) for v, S in enumerate(shifts, 1) for x in "ij"})
         meta.update({f"N{v}": g.N for v, g in enumerate(grids, 1)})
-    return TermList(b, shifts, list(terms), case, meta)
+    return TermList(b, shifts, _assemble(shifts), case, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +383,7 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
     groups = np.zeros(inputs.shape)
     families = {}
     for c, tl in enumerate(tls):
-        families.setdefault(tuple(_spec(S)[:2] for S in tl.shifts), []).append(c)
+        families.setdefault(tuple(map(_family, tl.shifts)), []).append(c)
     calls = 0
     for cols in families.values():
         # the family's columns: a view where they are contiguous, else a copy

@@ -325,10 +325,11 @@ class _GridIndex:
         return rows, anc, scale
 
     def memo(self, key, build):
-        """``build()``, called once per ``key`` on this grid: the immutable
-        per-grid values of the modules above, such as the B_k atom groups
-        and the decomposition's term lists. The tables of this class share
-        the same memo, under (method name, *args)."""
+        """``build()``, called once per ``key`` on this grid: the per-grid
+        values of the modules above, such as the B_k atom groups and the
+        decomposition's term pools, one per family, which fill as lists of
+        the family are assembled. The tables of this class share the same
+        memo, under (method name, *args)."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]

@@ -34,7 +34,7 @@ axis to share one pass: the decomposition extends all of its inner-shift
 inputs, and contracts all of its outer-shift groups, in one call per
 variable, and the direct commutator transforms f and b f together. What
 depends on the grid alone is cached per grid on ``grid_index``: the index
-tables, the B_k rows and atom groups and the decomposition's term lists,
+tables, the B_k rows and atom groups and the decomposition's term pools,
 so an identity check transforms b once and builds no atom of its own.
 
 Kernels that pair against the noncancellative Haar function h_I^1 (the

@@ -44,6 +44,8 @@ def max_k_level(grid: GridSpec, i: int, j: int) -> int:
 def blocks_shape(grid: GridSpec, i: int, j: int) -> tuple:
     """Blocks shape of a cancellative (i, j) shift: (K on the cube axis over
     levels 0..kmax, I-slot, I-signature, J-slot, J-signature)."""
+    if min(i, j) < 0:
+        raise DepthError(f"shift parameters ({i},{j}) must be nonnegative")
     kmax = max_k_level(grid, i, j)
     if kmax < 0:
         raise DepthError(f"shift parameters ({i},{j}) too deep for N={grid.N}")
@@ -80,7 +82,8 @@ class ShiftOperator:
     norm <= 1 via a_I = <a, h_I> |I|**(-1/2). Orientation ``analysis`` pairs
     the input against noncancellative Haars (f -> sum a_I <f,h_I^1> h_I), the
     sum over signatures s of B_0(a; s, 1, s); ``synthesis`` is its adjoint,
-    the sum of B_0(a; s, s, 1).
+    the sum of B_0(a; s, s, 1). Every check of a valid shift is made here,
+    the symbol's BMO norm <= 1 + 1e-9 included (``ValueError``).
 
     Equality compares grid, i, j, kind, orientation and, value by value, the
     blocks or symbol samples.
@@ -110,6 +113,10 @@ class ShiftOperator:
                 raise GridMismatchError("symbol must live on the operator grid")
             sym = symbol_stacked(self.symbol)
             sym.setflags(write=False)
+            from .norms import _bmo_stacked
+            bmo = float(_bmo_stacked(self.grid, sym))
+            if bmo > 1.0 + 1e-9:
+                raise ValueError(f"symbol BMO norm {bmo} exceeds 1")
             object.__setattr__(self, "_sym", sym)
         else:
             raise WrongKindError(f"unknown shift kind {self.kind}")
@@ -219,37 +226,57 @@ class ShiftOperator:
         obj = json.loads(text)
         gspec = obj["grid"]
         grid = GridSpec(int(gspec["d"]), int(gspec["N"]), gspec.get("omega"))
-        i, j = int(obj["i"]), int(obj["j"])
-        if obj["kind"] == NONCANCELLATIVE:
-            symbol = DyadicFunction.from_json(json.dumps(obj["symbol"]))
-            return cls(grid, i, j, NONCANCELLATIVE, symbol=symbol,
-                       orientation=obj["orientation"])
-        blocks = np.zeros(blocks_shape(grid, i, j))
-        kmax = max_k_level(grid, i, j)
-        idx = grid_index(grid)
-        for n, e in enumerate(obj["entries"]):
-            kappa = int(e["K"]["level"])
-            if not 0 <= kappa <= kmax:
-                raise ValueError(f"entry {n}: K level {kappa} outside 0..{kmax}")
-            cubes = []
-            for key, depth in (("K", 0), ("I", i), ("J", j)):
-                level = int(e[key].get("level", kappa + depth))
-                if level != kappa + depth:
-                    raise ValueError(f"entry {n}: {key} level {level} is not {kappa + depth}")
-                cube = DyadicCube(level, e[key]["pos"])
-                try:
-                    grid.validate_cube(cube)
-                except InvalidIndexError as exc:
-                    raise ValueError(f"entry {n}: {key}: {exc}") from None
-                cubes.append(grid.cube_range(level).start + grid.flat_pos(cube.pos, level))
-            kk, ci, cj = cubes
-            a_slot = np.flatnonzero(idx.cube_descendants(i)[kk] == ci)
-            b_slot = np.flatnonzero(idx.cube_descendants(j)[kk] == cj)
-            if a_slot.size == 0 or b_slot.size == 0:
-                raise ValueError(f"entry {n}: I and J must lie inside K")
-            blocks[kk, a_slot[0], grid.sig_int(e["I"]["sig"]),
-                   b_slot[0], grid.sig_int(e["J"]["sig"])] = float(e["a"])
-        return cls(grid, i, j, CANCELLATIVE, blocks=blocks)
+        i, j, kind = int(obj["i"]), int(obj["j"]), obj["kind"]
+        parts = {}
+        if kind == NONCANCELLATIVE:
+            parts = {"symbol": DyadicFunction.from_json(json.dumps(obj["symbol"])),
+                     "orientation": obj["orientation"]}
+        elif kind == CANCELLATIVE:
+            parts = {"blocks": _blocks_from_entries(grid, i, j, obj["entries"])}
+        return cls(grid, i, j, kind, **parts)
+
+
+def _blocks_from_entries(grid: GridSpec, i: int, j: int, entries: list) -> np.ndarray:
+    """The blocks of a cancellative (i, j) shift from its JSON entries. An
+    entry that lacks a field, lies off its K, holds a non-finite ``a`` or
+    fills a slot a former entry filled raises ``ValueError`` naming it."""
+    blocks = np.zeros(blocks_shape(grid, i, j))
+    kmax = max_k_level(grid, i, j)
+    idx = grid_index(grid)
+    filled = {}
+    for n, e in enumerate(entries):
+        try:
+            kappa, a = int(e["K"]["level"]), float(e["a"])
+            sigs = grid.sig_int(e["I"]["sig"]), grid.sig_int(e["J"]["sig"])
+            places = [(key, depth, int(e[key].get("level", kappa + depth)), e[key]["pos"])
+                      for key, depth in (("K", 0), ("I", i), ("J", j))]
+        except KeyError as exc:
+            raise ValueError(f"entry {n}: missing field {exc}") from None
+        if not 0 <= kappa <= kmax:
+            raise ValueError(f"entry {n}: K level {kappa} outside 0..{kmax}")
+        if not math.isfinite(a):
+            raise ValueError(f"entry {n}: a = {a} is not finite")
+        cubes = []
+        for key, depth, level, pos in places:
+            if level != kappa + depth:
+                raise ValueError(f"entry {n}: {key} level {level} is not {kappa + depth}")
+            cube = DyadicCube(level, pos)
+            try:
+                grid.validate_cube(cube)
+            except InvalidIndexError as exc:
+                raise ValueError(f"entry {n}: {key}: {exc}") from None
+            cubes.append(grid.cube_range(level).start + grid.flat_pos(cube.pos, level))
+        kk, ci, cj = cubes
+        a_slot = np.flatnonzero(idx.cube_descendants(i)[kk] == ci)
+        b_slot = np.flatnonzero(idx.cube_descendants(j)[kk] == cj)
+        if a_slot.size == 0 or b_slot.size == 0:
+            raise ValueError(f"entry {n}: I and J must lie inside K")
+        slot = (kk, a_slot[0], sigs[0], b_slot[0], sigs[1])
+        if slot in filled:
+            raise ValueError(f"entry {n}: fills the slot of entry {filled[slot]}")
+        filled[slot] = n
+        blocks[slot] = a
+    return blocks
 
 
 def random_shift(grid: GridSpec, i: int, j: int, rng_seed, kind: str = CANCELLATIVE,
@@ -264,21 +291,16 @@ def random_shift(grid: GridSpec, i: int, j: int, rng_seed, kind: str = CANCELLAT
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else \
         np.random.default_rng(rng_seed)
-    if kind == NONCANCELLATIVE:
-        if i != 0 or j != 0:
-            raise WrongKindError("noncancellative shifts require i = j = 0")
-        from .norms import dyadic_bmo_norm
-        raw = DyadicFunction(grid, rng.standard_normal(grid.n_samples))
-        b = dyadic_bmo_norm(raw)
-        symbol = raw * (1.0 / b)
-        return ShiftOperator(grid, 0, 0, NONCANCELLATIVE, symbol=symbol,
-                             orientation=orientation)
-    if kind != CANCELLATIVE:
-        raise WrongKindError(f"unknown shift kind {kind}")
-    bound = 2.0 ** (-grid.d * (i + j) / 2.0)
-    blocks = rng.uniform(-bound, bound, size=blocks_shape(grid, i, j))
-    blocks /= np.maximum(np.sqrt((blocks ** 2).sum(axis=(1, 2, 3, 4), keepdims=True)), 1.0)
-    return ShiftOperator(grid, i, j, CANCELLATIVE, blocks=blocks)
+    if kind == CANCELLATIVE:
+        bound = 2.0 ** (-grid.d * (i + j) / 2.0)
+        blocks = rng.uniform(-bound, bound, size=blocks_shape(grid, i, j))
+        blocks /= np.maximum(np.sqrt((blocks ** 2).sum(axis=(1, 2, 3, 4), keepdims=True)), 1.0)
+        return ShiftOperator(grid, i, j, kind, blocks=blocks)
+    # the constructor checks every other kind
+    from .norms import dyadic_bmo_norm
+    raw = DyadicFunction(grid, rng.standard_normal(grid.n_samples))
+    return ShiftOperator(grid, i, j, kind, symbol=raw * (1.0 / dyadic_bmo_norm(raw)),
+                         orientation=orientation)
 
 
 def expected_coefficient_count(grid: GridSpec, i: int, j: int) -> int:
@@ -289,12 +311,7 @@ def expected_coefficient_count(grid: GridSpec, i: int, j: int) -> int:
 def noncancellative_shift(grid: GridSpec, symbol: DyadicFunction,
                           orientation: str = ANALYSIS) -> ShiftOperator:
     """Paraproduct shift with an explicit symbol (dyadic BMO norm <= 1)."""
-    from .norms import dyadic_bmo_norm
-    b = dyadic_bmo_norm(symbol)
-    if b > 1.0 + 1e-9:
-        raise ValueError(f"symbol BMO norm {b} exceeds 1")
-    return ShiftOperator(grid, 0, 0, NONCANCELLATIVE, symbol=symbol,
-                         orientation=orientation)
+    return ShiftOperator(grid, 0, 0, NONCANCELLATIVE, symbol=symbol, orientation=orientation)
 
 
 # ---------------------------------------------------------------------------

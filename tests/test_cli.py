@@ -183,6 +183,17 @@ def test_mc_demo_zero_samples_exits_2(tmp_path, capsys):
     assert err.startswith("mc-demo: --samples") and "\n" not in err
 
 
+@pytest.mark.parametrize("argv", [["verify-decomp", "--N", "3", "--N2", "5"],
+                                  ["norm-study", "--kind", "Bk", "--N", "4", "--N2", "7"]])
+def test_n2_on_a_run_of_one_variable_exits_2(argv, tmp_path, capsys):
+    # --N2 sizes variable 2: a one-variable run ignored it and wrote it into
+    # its report's config
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"{argv[0]}: --N2 ") and "\n" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mc_demo_fails_its_familywise_z_test_on_some_seeds(tmp_path, capsys):
     # the test holds each z-score to a Bonferroni threshold, so about 0.5 %
     # of seeds fail it by design; seed 60 is one, and its exit names it

@@ -758,6 +758,40 @@ def test_the_lists_of_a_family_share_their_term_objects(rng, monkeypatch):
     assert all(all(map(operator.is_, a.terms, o.terms)) for a, o in zip(again, ones))
 
 
+def test_decomposing_every_shift_parameter_leaves_the_deepest_shifts_memo(rng):
+    # a list is assembled from its grid's atom groups and its family's term
+    # pool: decomposing every admissible (i, j) of every family leaves the
+    # grids' memos with the keys that the deepest shift of each family leaves
+    g = GridSpec(1, 4)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(2, 2))
+    kinds = [{}, {"kind": "noncancellative", "orientation": "analysis"},
+             {"kind": "noncancellative", "orientation": "synthesis"}]
+
+    def params(grid, kind, deepest):
+        if kind:
+            return [(0, 0)]
+        ij = [(i, j) for i in range(grid.N) for j in range(grid.N)]
+        return ij[-1:] if deepest else ij
+
+    def memo_keys(deepest):
+        grid_index.cache_clear()
+        for space, grids in ((g, (g,)), (pg, pg.grids)):
+            b = random_function(g, rng) if space is g else random_product_function(pg, rng)
+            for family in itertools.product(kinds, repeat=len(grids)):
+                for ijs in itertools.product(*(params(grid, kind, deepest)
+                                               for grid, kind in zip(grids, family))):
+                    decompose(b, *(random_shift(grid, *ij, rng, **kind)
+                                   for grid, ij, kind in zip(grids, ijs, family)))
+        return {grid: set(grid_index(grid)._memo) for grid in (g, *pg.grids)}
+
+    assert memo_keys(deepest=False) == memo_keys(deepest=True)
+    # and one shift's two lists hold the same term objects
+    S, b = random_shift(g, 2, 1, rng), random_function(g, rng)
+    first, second = decompose(b, S).terms, decompose(b, S).terms
+    assert first is not second and len(first) == len(second)
+    assert all(map(operator.is_, first, second))
+
+
 def test_a_single_list_and_a_block_of_one_are_placed_alike(rng, monkeypatch):
     # one placement path: a single TermList and a block of one case each
     # place their terms with exactly one _family_weights call

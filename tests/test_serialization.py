@@ -9,6 +9,7 @@ import pytest
 from dyadlab import (DyadicFunction, GridSpec, ProductFunction, ProductGrid,
                      ShiftOperator, random_function, random_product_function,
                      random_shift)
+from dyadlab.grids import DepthError, WrongKindError
 
 
 def test_function_json_roundtrip(rng):
@@ -139,6 +140,24 @@ def test_shift_json_rejects_bad_entries(rng):
         e[key][name] = value
         with pytest.raises(ValueError, match="entry 0"):
             ShiftOperator.from_json(json.dumps({**obj, "entries": [e]}))
+    # a missing field, a non-finite a (json reads NaN and Infinity), and a
+    # second entry for one (K, I, J, signatures) slot
+    without = [{k: v for k, v in entry.items() if k != "a"},
+               {**entry, "I": {k: v for k, v in entry["I"].items() if k != "sig"}},
+               {k: v for k, v in entry.items() if k != "J"}]
+    for entries, n in ([([e], 0) for e in without]
+                       + [([{**entry, "a": a}], 0) for a in (np.nan, np.inf, -np.inf)]
+                       + [([entry, {**entry, "a": 0.5}], 1)]):
+        with pytest.raises(ValueError, match=f"entry {n}: "):
+            ShiftOperator.from_json(json.dumps({**obj, "entries": entries}))
+
+
+def test_shift_json_refuses_an_unknown_kind_and_a_negative_count(rng):
+    obj = json.loads(random_shift(GridSpec(1, 3), 1, 0, rng).to_json())
+    with pytest.raises(WrongKindError, match="^unknown shift kind weird$"):
+        ShiftOperator.from_json(json.dumps({**obj, "kind": "weird"}))
+    with pytest.raises(DepthError, match=r"\(-1,0\)"):
+        ShiftOperator.from_json(json.dumps({**obj, "i": -1, "entries": []}))
 
 
 def test_noncancellative_shift_json(rng):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ def test_noncancellative_shift(rng):
         random_shift(g, 1, 0, rng, kind="noncancellative")
     with pytest.raises(ValueError):
         noncancellative_shift(g, S.symbol * 3.0)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (-2, -3)])
+def test_a_negative_shift_count_is_a_depth_error(i, j):
+    # 1 << (d * i) raised "negative shift count"; refuse (i, j) by name
+    g = GridSpec(1, 3)
+    for build in (lambda: random_shift(g, i, j, 1),
+                  lambda: ShiftOperator(g, i, j, "cancellative", blocks=np.zeros(1))):
+        with pytest.raises(DepthError, match=rf"\({i},{j}\) must be nonnegative"):
+            build()
+
+
+def test_a_symbol_of_bmo_norm_above_one_is_refused(rng):
+    # the constructor checks the BMO bound, so direct construction and a
+    # JSON round trip refuse what noncancellative_shift refuses
+    g = GridSpec(1, 4)
+    S = random_shift(g, 0, 0, rng, kind="noncancellative")
+    with pytest.raises(ValueError, match="symbol BMO norm .* exceeds 1"):
+        ShiftOperator(g, 0, 0, "noncancellative", symbol=S.symbol * 3.0,
+                      orientation="analysis")
+    obj = json.loads(S.to_json())
+    obj["symbol"]["samples"] = [3.0 * x for x in obj["symbol"]["samples"]]
+    with pytest.raises(ValueError, match="exceeds 1"):
+        ShiftOperator.from_json(json.dumps(obj))
 
 
 @pytest.mark.parametrize("kind", ["noncanc", "Cancellative", ""])
