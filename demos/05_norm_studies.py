@@ -32,7 +32,7 @@ print("\n||Sf||^2 + mean^2 - ||f||^2 =",
       S.norm() ** 2 + f.mean() ** 2 - f.norm() ** 2)
 
 # --- uniformity of B_k across k -------------------------------------------------
-reports = uniformity_study("Bk", {"N": 8, "kmax": 6}, trials=20, rng_seed=9)
+reports = uniformity_study("Bk", GridSpec(1, 8), trials=20, rng_seed=9, kmax=6)
 print("\nmartingale bound, measured sup ratios per k (exact bound is 1):")
 for r in reports:
     print(f"  k={r.k}: {r.max_ratio:.6f}")

@@ -186,11 +186,12 @@ def cmd_verify_decomp(args) -> int:
 def cmd_norm_study(args) -> int:
     if args.N2 is not None and len(STUDY_ATOMS[args.kind]) == 1:
         return _usage(args, f"--N2 needs a two-variable --kind, not {args.kind}")
-    params = {"N": args.N, "N1": args.N, "N2": args.N2 or args.N,
-              "kmax": args.kmax, "lmax": args.lmax}
+    space = GridSpec(1, args.N)
+    if len(STUDY_ATOMS[args.kind]) == 2:
+        space = ProductGrid(space, GridSpec(1, args.N2 or args.N))
     counters = {}
-    reports = uniformity_study(args.kind, params, trials=args.trials,
-                               rng_seed=args.seed, counters=counters)
+    reports = uniformity_study(args.kind, space, trials=args.trials, rng_seed=args.seed,
+                               kmax=args.kmax, lmax=args.lmax, counters=counters)
     out = _outdir(args)
     base = os.path.join(out, f"norm-study-{args.kind}")
     with open(base + ".jsonl", "w") as fh:
@@ -287,11 +288,12 @@ def cmd_bound_study(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, formats: tuple = ("json",)):
+    """The flags of every command; ``formats`` are the report formats it writes."""
     p.add_argument("--seed", type=_COUNT, default=7)
     p.add_argument("--out", type=str, default=None,
                    help="output directory (default: $DYADLAB_OUTDIR or .)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file; command-line flags override it")
 
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=_COUNT, default=2)
     p.add_argument("--trials", type=_POSITIVE, default=50)
     p.add_argument("--tol", type=_TOL, default=1e-12)
-    _add_common(p)
+    _add_common(p, formats=("json", "csv"))
     p.set_defaults(func=cmd_norm_study)
 
     p = sub.add_parser("jn-check", help="localized square-function ratios")
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc-demo", help="random-grid averaging demonstration")
     p.add_argument("--N", type=_POSITIVE, default=6)
     p.add_argument("--samples", type=int, default=10000)
-    _add_common(p)
+    _add_common(p, formats=("json", "csv"))
     p.set_defaults(func=cmd_mc_demo)
 
     p = sub.add_parser("bound-study", help="commutator norms vs geometric schedule")

@@ -417,7 +417,9 @@ def evaluate_stacked(tls, x: np.ndarray, sx: np.ndarray = None,
 
 
 def evaluate_terms(tl: TermList, f):
-    """Sum of all terms applied to ``f`` (coefficient-space, one inverse at the end)."""
+    """Sum of all terms applied to ``f`` (coefficient-space, one inverse at
+    the end); an ``f`` off ``tl``'s grid raises ``GridMismatchError``."""
+    tl.b._check(f)
     y = evaluate_stacked(tl, forward_space(tl.space, f.samples))
     return type(tl.b)(tl.space, inverse_space(tl.space, y))
 

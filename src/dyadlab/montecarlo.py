@@ -215,8 +215,7 @@ def mc_representation_demo(base: GridSpec, samples: int, rng_seed: int) -> dict:
 
 
 def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
-                           rng_seed: int, grid: GridSpec = None,
-                           counters: dict = None) -> dict:
+                           rng_seed: int, grid: GridSpec, counters: dict = None) -> dict:
     """Per-(i,j) commutator norms against (1 + max(i,j)) and the weighted sum.
 
     For each (i, j) the sup over trials of ||[M_b, S] f|| with bmo(b) = 1 and
@@ -238,7 +237,6 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
     _require_at_least(1, trials=trials)
     _require_at_least(0, i_max=i_max, j_max=j_max)
     geo = geometric_constant(delta, max(i_max, j_max))  # checks delta before any draw
-    grid = grid or GridSpec(1, 6)
     volume = grid.cell_volume
     pairs = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)
              if max_k_level(grid, i, j) >= 0]

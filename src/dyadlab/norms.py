@@ -19,6 +19,12 @@ J, so its inner sum is the 1-D subtree sum along each cube axis in turn.
 It lower-bounds the open-set product norm
 sup_Omega |Omega|**(-1) sum_{R inside Omega} mu_b(R) (Chang-Fefferman),
 which is computed here by exhaustive enumeration only at toy sizes.
+
+The John-Nirenberg ratio of a function a and a region Q,
+||S_Q a||_p / (bmo(a) |Q|**(1/p)) with S_Q the square function localized
+to Q, comes from one kernel (``_jn_ratios``) on a stack of columns:
+:func:`jn_check` runs it on one column, :func:`jn_study` on each block of
+trials. Every study takes its grid or product grid from its caller.
 """
 
 from __future__ import annotations
@@ -238,10 +244,6 @@ def maximal_function(f, variant: str = "dyadic", p: float = 2.0):
     raise ValueError(f"unknown maximal function variant {variant}")
 
 
-def _lp_norm(samples: np.ndarray, cell_volume: float, p: float) -> float:
-    return _lp_norms(samples.reshape(1, -1), cell_volume, p)[0]
-
-
 def _lp_norms(rows: np.ndarray, cell_volume: float, p: float) -> list:
     """L^p norm of every row of ``rows`` (columns, values), each summed as a
     lone array is. Only the nonzero entries are raised to the power (the
@@ -256,27 +258,8 @@ def fs_check(family: list, p: float) -> float:
     """Vector-valued maximal inequality ratio for a family of functions."""
     num = maximal_function(family, variant="vector_FS", p=min(p, 2.0))
     den = np.sqrt(sum(fi.samples ** 2 for fi in family))
-    dn = _lp_norm(den, num.cell_volume, p)
-    if dn == 0.0:
-        return 0.0
-    return _lp_norm(num.samples, num.cell_volume, p) / dn
-
-
-def jn_profile(a, region) -> tuple:
-    """The p-independent part of :func:`jn_check`: (localized square
-    function samples, cell volume, bmo(a), |region|).
-
-    ``jn_ratio(jn_profile(a, region), p)`` is ``jn_check(a, region, p)``;
-    for several p the transform, region masks and BMO norm run once.
-    """
-    space = a.space
-    cubes = (region,) if isinstance(region, DyadicCube) else tuple(region)
-    masses = _masses(space, forward_space(space, a.samples))
-    inside = reduce(np.multiply.outer, [
-        _inside(g, cube) for g, cube in zip(space.grids, cubes, strict=True)])
-    return (_region_square(space, masses, inside), a.cell_volume,
-            float(_bmo_of_masses(space, masses)),
-            math.prod(g.volume(cube.level) for g, cube in zip(space.grids, cubes)))
+    nn, dn = _lp_norms(np.stack([num.samples, den]), num.cell_volume, p)
+    return 0.0 if dn == 0.0 else nn / dn
 
 
 def _region_square(space, masses: np.ndarray, inside) -> np.ndarray:
@@ -297,13 +280,23 @@ def _check_exponent(p: float) -> None:
         raise ValueError("p must lie in (1, inf)")
 
 
-def jn_ratio(profile: tuple, p: float) -> float:
-    """The :func:`jn_check` ratio at exponent ``p`` from a :func:`jn_profile`."""
-    _check_exponent(p)
-    square, cell_volume, bmo, volume = profile
-    if bmo == 0.0:
-        return 0.0
-    return _lp_norm(square, cell_volume, p) / (bmo * volume ** (1.0 / p))
+def _jn_ratios(space, samples: np.ndarray, inside: np.ndarray, volumes: list,
+               ps: list) -> list:
+    """The :func:`jn_check` ratios of a stack of functions: for each p in
+    ``ps``, the list of the ratios at p of the columns of ``samples``
+    (*shape, columns) on ``space``. Column c's region has the indicator
+    ``inside[..., c]`` on the cube axes (:func:`_inside` per variable) and
+    the volume ``volumes[c]``. One transform and one table of masses serve
+    the square functions and the BMO norms; the norms are taken per column,
+    so every column gets the bits it has alone."""
+    masses = _masses(space, forward_space(space, samples))
+    square = _region_square(space, masses, inside)
+    bmo = _bmo_of_masses(space, masses)
+    rows = np.ascontiguousarray(square.reshape(-1, square.shape[-1]).T)
+    cell_volume = math.prod(g.cell_volume for g in space.grids)
+    return [[norm / (float(b) * volume ** (1.0 / p)) if b != 0.0 else 0.0
+             for norm, b, volume in zip(_lp_norms(rows, cell_volume, p), bmo, volumes)]
+            for p in ps]
 
 
 def jn_check(a, region, p: float) -> float:
@@ -311,10 +304,16 @@ def jn_check(a, region, p: float) -> float:
 
     ``region`` is a DyadicCube (one-parameter) or a pair of cubes (rectangle).
     Returns ||(sum_{J in region} <a,h_J>^2 chi_J/|J|)^(1/2)||_p divided by
-    bmo(a) |region|^(1/p); at p = 2 the ratio is at most 1 exactly. For
-    several p, take :func:`jn_profile` once and pass it to :func:`jn_ratio`.
+    bmo(a) |region|^(1/p); at p = 2 the ratio is at most 1 exactly.
     """
-    return jn_ratio(jn_profile(a, region), p)
+    space = a.space
+    cubes = (region,) if isinstance(region, DyadicCube) else tuple(region)
+    inside = reduce(np.multiply.outer, [
+        _inside(g, cube) for g, cube in zip(space.grids, cubes, strict=True)])
+    volume = math.prod(g.volume(cube.level) for g, cube in zip(space.grids, cubes))
+    _check_exponent(p)
+    ((ratio,),) = _jn_ratios(space, a.samples[..., None], inside[..., None], [volume], [p])
+    return ratio
 
 
 def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = None) -> dict:
@@ -324,14 +323,15 @@ def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = No
     Trial t draws a's samples, a level, then a cube of that level from
     ``_trial_rng(rng_seed, t)``; its ratio at every p is ``jn_check(a, cube,
     p)`` bit for bit. The trials run in blocks of max(1, 2**13 // n_samples),
-    so memory does not grow with ``trials``. Each block takes one transform
-    of its a stack, one table of masses for both the square function and the
-    BMO norm, one ancestor scan of the region marks and one ``cell_sums``;
-    the norms are taken per column. A ``counters`` dict receives
-    {"trials", "blocks"}. ``trials`` must be at least 1.
+    so memory does not grow with ``trials``. Each block is one
+    :func:`_jn_ratios` call on its a stack, with one ancestor scan of the
+    region marks. A ``counters`` dict receives {"trials", "blocks"}.
+    ``trials`` must be at least 1, and ``ps`` must hold an exponent.
     """
     _require_at_least(1, trials=trials)
     ps = list(dict.fromkeys(ps))
+    if not ps:
+        raise ValueError("ps must hold at least one exponent, got none")
     for p in ps:
         _check_exponent(p)
     idx, n = grid_index(grid), grid.n_samples
@@ -349,14 +349,9 @@ def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = No
             lvl = int(rng.integers(0, grid.N))
             mark[grid.cube_range(lvl).start + int(rng.integers(0, grid.n_cubes(lvl))), col] = 1.0
             volumes.append(grid.volume(lvl))
-        masses = _masses(grid, forward_stacked(grid, a))
-        square = _region_square(grid, masses, mark + idx.ancestor_scan(mark))
-        bmo = _bmo_of_masses(grid, masses)
-        rows = np.ascontiguousarray(square.T)
-        for p in ps:
-            for norm, b, volume in zip(_lp_norms(rows, grid.cell_volume, p), bmo, volumes):
-                if b != 0.0:
-                    worst[p] = max(worst[p], norm / (float(b) * volume ** (1.0 / p)))
+        ratios = _jn_ratios(grid, a, mark + idx.ancestor_scan(mark), volumes, ps)
+        for p, block_ratios in zip(ps, ratios):
+            worst[p] = max(worst[p], *block_ratios)
 
     blocks = _in_blocks(range(trials), n, run_block)
     if counters is not None:
@@ -504,18 +499,18 @@ STUDY_ATOMS = {"Bk": ("B",), "Sk": ("S",), "P": ("P",), "Bkl": ("B", "B"),
                "PP1": ("P*", "P")}
 
 
-def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
-                     space=None, counters: dict = None) -> list:
+def uniformity_study(kind: str, space, trials: int, rng_seed: int, kmax: int = None,
+                     lmax: int = None, counters: dict = None) -> list:
     """Max measured ratio ||op f|| / (bmo(b) ||f||) per parameter value, or
     ||S_k f|| / ||f|| for the Sk kind.
 
     ``STUDY_ATOMS[kind]`` holds one atom per variable, and the study follows
     from it. One atom runs on a GridSpec and two on a ProductGrid; ``space``
-    is that grid or product grid (a default one built from ``params`` when
-    None), and one of the other type raises ``ValueError``. A B or S axis
-    runs k (variable 1) or l (variable 2) from 0 to ``params["kmax"]`` or
-    ``params["lmax"]``, at most N - 1 of its variable; a negative one raises
-    ``ValueError``. A P axis has the one value None.
+    is that grid or product grid, and one of the other type raises
+    ``ValueError``. A B or S axis runs k (variable 1) or l (variable 2) from
+    0 to ``kmax`` or ``lmax``, at most N - 1 of its variable, and to N - 1
+    when None; a negative one raises ``ValueError``. A P axis has the one
+    value None, whatever its top.
 
     Trials run in blocks of max(1, 2**13 // samples per trial) trials, so
     no stack of a block holds more than 2**13 samples (64 KiB) and memory
@@ -536,20 +531,16 @@ def uniformity_study(kind: str, params: dict, trials: int, rng_seed: int,
         raise ValueError(f"unknown study kind {kind}")
     codes = STUDY_ATOMS[kind]
     one = len(codes) == 1
-    space = space or (GridSpec(1, params.get("N", 6 if codes == ("P",) else 8)) if one
-                      else ProductGrid(GridSpec(1, params.get("N1", 4)),
-                                       GridSpec(1, params.get("N2", 4))))
     need = GridSpec if one else ProductGrid
     if not isinstance(space, need):
         raise ValueError(f"study kind {kind} runs on a {need.__name__}, "
                          f"not a {type(space).__name__}")
     grids = space.grids if one else space.two_grids(f"study kind {kind}")
     ranges = [[None], [None]]  # of k and l; None on a P axis or a missing variable
-    for v, (g, code) in enumerate(zip(grids, codes)):
+    for v, (g, code, top) in enumerate(zip(grids, codes, (kmax, lmax))):
         if code[0] != "P":
-            key = ("kmax", "lmax")[v]
-            top = params.get(key, (8 if code == "B" else 6) if one else 2)
-            _require_at_least(0, **{key: top})
+            top = g.N - 1 if top is None else top
+            _require_at_least(0, **{("kmax", "lmax")[v]: top})
             ranges[v] = range(min(top, g.N - 1) + 1)  # B_k and S_k need k <= N - 1
     combos = list(itertools.product(*ranges))
     cells = tuple(g.n_samples for g in grids)

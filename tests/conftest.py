@@ -343,25 +343,25 @@ def random_signs_oracle(grid, rng):
     return np.sign(rng.standard_normal(grid.n_cubes_total) + 0.5)
 
 
-def uniformity_study_oracle(kind, params, trials, rng_seed, space=None):
+def uniformity_study_oracle(kind, space, trials, rng_seed, kmax=None, lmax=None):
     """Per-trial reference of :func:`dyadlab.norms.uniformity_study`: trial t
     draws its functions (and betas) from ``_trial_rng(rng_seed, t)``, and
     every (k, l) is measured on them with the public operators."""
-    from dyadlab import (BkOperator, GridSpec, NormReport, ProductGrid, apply_Bk,
-                         apply_P, apply_biparam, dyadic_bmo_norm, random_function,
-                         random_product_function, rect_bmo_norm, square_function)
+    from dyadlab import (BkOperator, NormReport, apply_Bk, apply_P, apply_biparam,
+                         dyadic_bmo_norm, random_function, random_product_function,
+                         rect_bmo_norm, square_function)
     from dyadlab.biparam import PAtom
     from dyadlab.norms import _trial_rng
+
+    def top(value, g):
+        return g.N - 1 if value is None else min(value, g.N - 1)
+
     grid = pgrid = space
     if kind in ("Bk", "Sk", "P"):
-        grid = grid or GridSpec(1, params.get("N", 6 if kind == "P" else 8))
-        kmax = min(params.get("kmax", 8 if kind == "Bk" else 6), grid.N - 1)
+        kmax = top(kmax, grid)
         combos = [(None, None)] if kind == "P" else [(k, None) for k in range(kmax + 1)]
     else:
-        pgrid = pgrid or ProductGrid(GridSpec(1, params.get("N1", 4)),
-                                     GridSpec(1, params.get("N2", 4)))
-        kmax = min(params.get("kmax", 2), pgrid.grids[0].N - 1)
-        lmax = min(params.get("lmax", 2), pgrid.grids[1].N - 1)
+        kmax, lmax = top(kmax, pgrid.grids[0]), top(lmax, pgrid.grids[1])
         ks = range(kmax + 1) if kind in ("Bkl", "BPk") else [None]
         ls = range(lmax + 1) if kind in ("Bkl", "PBl") else [None]
         combos = [(k, l) for k in ks for l in ls]
@@ -563,15 +563,14 @@ def iterated_commutator_oracle(b, S1, S2, samples):
     return bracket1(_apply_var(S2, 2, samples)) - _apply_var(S2, 2, bracket1(samples))
 
 
-def commutator_bound_study_oracle(delta, i_max, j_max, trials, rng_seed, grid=None):
+def commutator_bound_study_oracle(delta, i_max, j_max, trials, rng_seed, grid):
     """Per-trial reference of :func:`dyadlab.montecarlo.commutator_bound_study`:
     trial (i, j, t) draws b, f and its shift from its own seed stream and
     runs one single-column commutator; a b of BMO norm 0 is skipped before
     f is drawn."""
-    from dyadlab import GridSpec, NormReport, dyadic_bmo_norm, multiplication_commutator
+    from dyadlab import NormReport, dyadic_bmo_norm, multiplication_commutator
     from dyadlab.norms import geometric_constant
     from dyadlab.shifts import random_shift
-    grid = grid or GridSpec(1, 6)
     reports = []
     weighted_total = 0.0
     max_ratio = 0.0
@@ -657,20 +656,33 @@ def verify_identity_oracle(b, shifts, trials, rng_seed, tol=1e-9):
 
 def jn_study_oracle(grid, ps, trials, rng_seed):
     """Per-trial reference of :func:`dyadlab.norms.jn_study`: trial t draws
-    a, a level and a cube from its own stream, takes its ``jn_profile`` and
-    raises every sample to the power p."""
-    from dyadlab.norms import _trial_rng, jn_profile
+    a, a level and a cube from its own stream, and its ratio at every p is
+    ``jn_check(a, cube, p)``."""
+    from dyadlab.norms import _trial_rng, jn_check
     worst = {}
     for t in range(trials):
         rng = _trial_rng(rng_seed, t)
         a = random_function(grid, rng)
         lvl = int(rng.integers(0, grid.N))
         cube = DyadicCube(lvl, grid.pos_from_flat(int(rng.integers(0, grid.n_cubes(lvl))), lvl))
-        square, cell_volume, bmo, volume = jn_profile(a, cube)
         for p in ps:
-            ratio = 0.0
-            if bmo != 0.0:
-                norm = float((np.sum(np.abs(square) ** p) * cell_volume) ** (1.0 / p))
-                ratio = norm / (bmo * volume ** (1.0 / p))
-            worst[p] = max(worst.get(p, 0.0), ratio)
+            worst[p] = max(worst.get(p, 0.0), jn_check(a, cube, p))
     return worst
+
+
+def localized_square_oracle(a, cubes):
+    """Samples of the square function of ``a`` localized to the region
+    ``cubes`` (one cube per variable): (sum_R <a, h_R>**2 chi_R / |R|)**(1/2)
+    over the Haar functions h_R, tensors of one per variable, whose cube or
+    rectangle R lies in the region, one h_R at a time; chi_R / |R| = h_R**2."""
+    import itertools
+    from functools import reduce
+    per_var = [[haar_function(g, idx).samples for idx in all_cancellative_indices(g)
+                if idx.cube.level >= cube.level
+                and g.ancestor(idx.cube, idx.cube.level - cube.level) == cube]
+               for g, cube in zip(a.space.grids, cubes, strict=True)]
+    total = np.zeros(a.samples.shape)
+    for hs in itertools.product(*per_var):
+        h = reduce(np.multiply.outer, hs)
+        total += (np.sum(a.samples * h) * a.cell_volume * h) ** 2
+    return np.sqrt(total)

@@ -378,7 +378,7 @@ def test_two_variable_entry_points_refuse_three_variables(entry, rng):
     f = random_product_function(pg, rng)
     call = {"open_set_bmo_norm": lambda: open_set_bmo_norm(f),
             "hybrid_max_square": lambda: square_function(f, "hybrid_max_square"),
-            "uniformity_study": lambda: uniformity_study("Bkl", {}, 1, 0, space=pg),
+            "uniformity_study": lambda: uniformity_study("Bkl", pg, 1, 0),
             "apply_biparam": lambda: apply_biparam((P, P, P), f, f, f),
             "to_bytes": f.to_bytes}[entry]
     with pytest.raises(ValueError, match="takes two variables, not 3"):

@@ -194,6 +194,36 @@ def test_n2_on_a_run_of_one_variable_exits_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["selftest", "verify-decomp", "jn-check", "bound-study"])
+def test_format_csv_on_a_command_that_writes_no_csv_exits_2(command, tmp_path, capsys):
+    # each accepted --format csv, exited 0 and wrote no CSV
+    assert main([command, "--format", "csv", "--out", str(tmp_path)]) == 2
+    assert "--format: invalid choice: 'csv'" in capsys.readouterr().err.strip().splitlines()[-1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("bad config file: format: 'csv' is not one of json") and "\n" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_every_readme_command_line_parses():
+    # parsing only: a flag change cannot leave a stale example in the README
+    import os
+    import shlex
+    from dyadlab.cli import build_parser
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("dyadlab ") for line in lines)
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
+
+
 def test_mc_demo_fails_its_familywise_z_test_on_some_seeds(tmp_path, capsys):
     # the test holds each z-score to a Bonferroni threshold, so about 0.5 %
     # of seeds fail it by design; seed 60 is one, and its exit names it

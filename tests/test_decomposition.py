@@ -121,6 +121,22 @@ def test_decompose_takes_one_shift_per_variable_on_its_grid(rng):
             decompose(*bad)
 
 
+def test_evaluate_terms_refuses_a_function_off_its_grid(rng):
+    # an f of another grid was evaluated as if it lived on tl's grid, and the
+    # result returned as a function on tl's grid
+    g = GridSpec(1, 4)
+    pg = ProductGrid(g, g)
+    tl = decompose(random_function(g, rng), random_shift(g, 1, 1, rng))
+    tl2 = decompose(random_product_function(pg, rng), random_shift(g, 1, 0, rng),
+                    random_shift(g, 0, 1, rng))
+    for terms, f in ((tl, random_function(GridSpec(2, 2), rng)),
+                     (tl, random_function(GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))), rng)),
+                     (tl, random_product_function(pg, rng)),
+                     (tl2, random_product_function(ProductGrid(g, GridSpec(2, 2)), rng))):
+        with pytest.raises(GridMismatchError, match="different grids"):
+            evaluate_terms(terms, f)
+
+
 def test_constant_b_gives_zero_terms(rng):
     g = GridSpec(1, 4)
     const = DyadicFunction(g, np.full(g.n_samples, 2.0))
@@ -999,9 +1015,9 @@ def test_studies_refuse_fewer_than_one_trial(trials):
                         random_shift(g, 1, 1, 0), trials=trials, rng_seed=9)
     with pytest.raises(ValueError, match="trials must be at least 1"):
         commutator_bound_study(0.5, 1, 1, trials, 3, grid=g)
-    for kind in ("Bk", "PP"):
+    for kind, space in (("Bk", g), ("PP", ProductGrid(g, g))):
         with pytest.raises(ValueError, match="trials must be at least 1"):
-            uniformity_study(kind, {"N": 4}, trials, 3)
+            uniformity_study(kind, space, trials, 3)
 
 
 def _count_shift_calls(monkeypatch) -> list:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,8 @@ from dyadlab.haar import haar_forward
 from dyadlab.norms import (NormReport, geometric_cap_for, geometric_constant_tail_bound,
                            jn_study)
 from conftest import (all_cubes, assert_columns_alone, column_norms_oracle, jn_study_oracle,
-                      random_signs_oracle, strictly_inside, uniformity_study_oracle)
+                      localized_square_oracle, random_signs_oracle, strictly_inside,
+                      uniformity_study_oracle)
 
 
 def test_bmo_trivial_cases(rng):
@@ -293,16 +295,17 @@ def test_a_variant_refuses_the_other_function_type(op, variant, need, rng):
 
 
 def test_square_functions_are_the_localized_squares_at_the_root(rng):
-    from dyadlab.norms import jn_profile
     g = GridSpec(2, 3)
     f = random_function(g, rng)
     S = square_function(f, "S").samples
     assert np.array_equal(S, square_function(f, "S_k", k=0).samples)
-    assert np.array_equal(S, jn_profile(f, DyadicCube(0, (0, 0)))[0])
+    assert np.allclose(S, localized_square_oracle(f, (DyadicCube(0, (0, 0)),)),
+                       rtol=1e-12, atol=0)
     pg = ProductGrid(GridSpec(2, 2), GridSpec(1, 3))
     F = random_product_function(pg, rng)
     root = (DyadicCube(0, (0, 0)), DyadicCube(0, (0,)))
-    assert np.array_equal(square_function(F, "SS").samples, jn_profile(F, root)[0])
+    assert np.allclose(square_function(F, "SS").samples, localized_square_oracle(F, root),
+                       rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("space", [ProductGrid(GridSpec(2, 1), GridSpec(1, 2)),
@@ -393,6 +396,25 @@ def test_jn_check_validates_its_region(rng):
     assert jn_check(A, (DyadicCube(3, (7,)), DyadicCube(1, (1, 1))), 2.0) == 0.0
 
 
+@pytest.mark.parametrize("space, region", [
+    (GridSpec(1, 5), (DyadicCube(2, (1,)),)),
+    (GridSpec(2, 3), (DyadicCube(1, (1, 0)),)),
+    (GridSpec(1, 4, omega=((1,), (0,), (1,), (1,))), (DyadicCube(0, (0,)),)),
+    (ProductGrid(GridSpec(1, 3), GridSpec(2, 2)), (DyadicCube(1, (1,)), DyadicCube(0, (0, 0)))),
+], ids=repr)
+def test_jn_check_is_the_localized_square_oracle(space, region, rng):
+    # the square function built one Haar function at a time, and the BMO
+    # norm of the public norm functions
+    a = (random_function if isinstance(space, GridSpec) else random_product_function)(space, rng)
+    square = localized_square_oracle(a, region)
+    bmo = (dyadic_bmo_norm if isinstance(space, GridSpec) else rect_bmo_norm)(a)
+    volume = math.prod(g.volume(cube.level) for g, cube in zip(space.grids, region))
+    for p in (1.25, 1.5, 2.0, 3.0, 7.5):
+        want = (np.sum(square ** p) * a.cell_volume / volume) ** (1.0 / p) / bmo
+        got = jn_check(a, region[0] if len(region) == 1 else region, p)
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_jn_check_rectangle(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     a = random_product_function(pg, rng)
@@ -415,19 +437,19 @@ def test_geometric_constant_closed_form():
 
 
 def test_uniformity_study_bk_exact_bound():
-    reports = uniformity_study("Bk", {"N": 7, "kmax": 4}, trials=5, rng_seed=11)
+    reports = uniformity_study("Bk", GridSpec(1, 7), trials=5, rng_seed=11, kmax=4)
     assert len(reports) == 5
     for r in reports:
         assert r.max_ratio <= 1.0 + 1e-12
     # reproducible from seeds
-    again = uniformity_study("Bk", {"N": 7, "kmax": 4}, trials=5, rng_seed=11)
+    again = uniformity_study("Bk", GridSpec(1, 7), trials=5, rng_seed=11, kmax=4)
     assert [r.max_ratio for r in again] == [r.max_ratio for r in reports]
 
 
 def test_uniformity_study_biparam_kinds():
     for kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
-        reports = uniformity_study(kind, {"N1": 3, "N2": 3, "kmax": 1, "lmax": 1},
-                                   trials=2, rng_seed=4)
+        reports = uniformity_study(kind, ProductGrid(GridSpec(1, 3), GridSpec(1, 3)),
+                                   trials=2, rng_seed=4, kmax=1, lmax=1)
         assert all(np.isfinite(r.max_ratio) for r in reports)
         if kind == "Bkl":
             assert all(r.max_ratio <= 1 + 1e-12 for r in reports)
@@ -441,25 +463,28 @@ def test_uniformity_study_refuses_a_grid_of_the_other_arity(kind):
     wrong = ProductGrid(g, g) if one else g
     with pytest.raises(ValueError, match=f"study kind {kind} runs on .*not "
                                          f"a {'ProductGrid' if one else 'GridSpec'}$"):
-        uniformity_study(kind, {"kmax": 0, "lmax": 0}, 1, 0, space=wrong)
+        uniformity_study(kind, wrong, 1, 0, kmax=0, lmax=0)
 
 
 @pytest.mark.parametrize("kind, key", [("Bk", "kmax"), ("Sk", "kmax"), ("Bkl", "kmax"),
                                        ("Bkl", "lmax"), ("BPk", "kmax"), ("PBl", "lmax")])
 def test_uniformity_study_refuses_a_negative_range(kind, key):
     # an empty k or l range returned no rows: a study over nothing
+    g = GridSpec(1, 3)
+    space = g if kind in ("Bk", "Sk") else ProductGrid(g, g)
     with pytest.raises(ValueError, match=f"{key} must be at least 0, got -2$"):
-        uniformity_study(kind, {key: -2}, 1, 0)
+        uniformity_study(kind, space, 1, 0, **{key: -2})
 
 
 def test_uniformity_study_biparam_ranges_stop_at_finest_level():
     # k = 3..5 and l = 3..5 do not exist on N = 3 grids; the study skips them
-    reports = uniformity_study("Bkl", {"N1": 3, "N2": 3, "kmax": 5, "lmax": 5},
-                               trials=1, rng_seed=4)
+    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
+    reports = uniformity_study("Bkl", pg, trials=1, rng_seed=4, kmax=5, lmax=5)
     assert [(r.k, r.l) for r in reports] == [(k, l) for k in range(3) for l in range(3)]
+    # a top of None is the finest level
+    assert uniformity_study("Bkl", pg, trials=1, rng_seed=4) == reports
     for kind, field in (("BPk", "k"), ("PBl", "l")):
-        reports = uniformity_study(kind, {"N1": 3, "N2": 3, "kmax": 5, "lmax": 5},
-                                   trials=1, rng_seed=4)
+        reports = uniformity_study(kind, pg, trials=1, rng_seed=4, kmax=5, lmax=5)
         assert [getattr(r, field) for r in reports] == [0, 1, 2]
 
 
@@ -499,6 +524,8 @@ def test_jn_study_refuses_bad_input():
         jn_study(g, [1.5, 1.0], 3, 1)
     with pytest.raises(ValueError, match="trials must be at least 1"):
         jn_study(g, [2.0], 0, 1)
+    with pytest.raises(ValueError, match="ps must hold at least one exponent"):
+        jn_study(g, [], 3, 1)
 
 
 def test_jn_study_memory_does_not_grow_with_trials():
@@ -528,29 +555,15 @@ def test_column_norms_is_the_per_column_oracle(rng):
 
 
 def test_lp_norm_powers_only_the_nonzero_samples(rng):
-    from dyadlab.norms import _lp_norm
+    # each row of a stack gets the norm it has alone
+    from dyadlab.norms import _lp_norms
     for p in (1.1, 1.5, 2.0, 3.0, 7.5):
         for _ in range(20):
-            x = rng.standard_normal(int(rng.integers(1, 300)))
-            x[rng.random(x.size) < 0.6] = 0.0
-            want = float((np.sum(np.abs(x) ** p) * 0.125) ** (1.0 / p))
-            assert _lp_norm(x, 0.125, p) == want
-        assert _lp_norm(np.zeros(8), 0.125, p) == 0.0
-
-
-def test_jn_profile_gives_jn_check_for_every_p(rng):
-    from dyadlab.norms import jn_profile, jn_ratio
-    g = GridSpec(2, 3)
-    a = random_function(g, rng)
-    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
-    a2 = random_product_function(pg, rng)
-    for fn, region in ((a, DyadicCube(1, (1, 0))),
-                       (a2, (DyadicCube(1, (0,)), DyadicCube(0, (0,))))):
-        profile = jn_profile(fn, region)
-        for p in (1.25, 1.5, 2.0, 3.0):
-            assert jn_ratio(profile, p) == jn_check(fn, region, p)
-        with pytest.raises(ValueError):
-            jn_ratio(profile, 1.0)
+            rows = rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(1, 300))))
+            rows[rng.random(rows.shape) < 0.6] = 0.0
+            want = [float((np.sum(np.abs(x) ** p) * 0.125) ** (1.0 / p)) for x in rows]
+            assert _lp_norms(rows, 0.125, p) == want
+        assert _lp_norms(np.zeros((1, 8)), 0.125, p) == [0.0]
 
 
 def test_uniformity_study_biparam_rows_match_apply_biparam():
@@ -565,8 +578,7 @@ def test_uniformity_study_biparam_rows_match_apply_biparam():
         return a * (1.0 / dyadic_bmo_norm(a))
 
     for kind in ("Bkl", "BPk", "PBl", "PP", "PP1"):
-        reports = uniformity_study(kind, {"N1": 3, "N2": 3, "kmax": 2, "lmax": 1},
-                                   trials=3, rng_seed=6)
+        reports = uniformity_study(kind, pg, trials=3, rng_seed=6, kmax=2, lmax=1)
         ks = range(3) if kind in ("Bkl", "BPk") else [None]
         ls = range(2) if kind in ("Bkl", "PBl") else [None]
         best = {}
@@ -599,7 +611,7 @@ def test_uniformity_study_bk_rows_match_apply_bk():
     from dyadlab import BkOperator, apply_Bk
     from dyadlab.norms import _trial_rng
     g = GridSpec(1, 6)
-    reports = uniformity_study("Bk", {"N": 6, "kmax": 5}, trials=4, rng_seed=3)
+    reports = uniformity_study("Bk", g, trials=4, rng_seed=3)
     best = [0.0] * 6
     for t in range(4):
         rng = _trial_rng(3, t)
@@ -618,7 +630,7 @@ def test_uniformity_study_sk_and_p_rows_match_public_operators():
     from dyadlab import apply_P
     from dyadlab.norms import _trial_rng
     g = GridSpec(1, 5)
-    reports = uniformity_study("Sk", {"N": 5, "kmax": 4}, trials=3, rng_seed=8)
+    reports = uniformity_study("Sk", g, trials=3, rng_seed=8, kmax=4)
     best = [0.0] * 5
     for t in range(3):
         for k in range(5):
@@ -626,7 +638,7 @@ def test_uniformity_study_sk_and_p_rows_match_public_operators():
             best[k] = max(best[k], square_function(f, "S_k", k=k).norm() / f.norm())
     assert [(r.k, r.l, r.max_ratio) for r in reports] == \
         [(k, None, v) for k, v in enumerate(best)]
-    reports = uniformity_study("P", {"N": 5}, trials=3, rng_seed=8)
+    reports = uniformity_study("P", g, trials=3, rng_seed=8)
     best = 0.0
     for t in range(3):
         rng = _trial_rng(8, t)
@@ -649,7 +661,7 @@ def test_uniformity_study_bk_transforms_each_trial_once(monkeypatch):
             return _inner(grid, x)
         monkeypatch.setattr(mod, "forward_stacked", counting)
     counters = {}
-    reports = uniformity_study("Bk", {"N": 9, "kmax": 8}, trials=20, rng_seed=7,
+    reports = uniformity_study("Bk", GridSpec(1, 9), trials=20, rng_seed=7, kmax=8,
                                counters=counters)
     assert len(reports) == 9
     # 20 trials of 512 samples fill two blocks of 16 columns; the b and f
@@ -667,50 +679,51 @@ def test_uniformity_study_sk_transforms_each_trial_once(monkeypatch):
         calls.append(1)
         return inner(grid, x)
     monkeypatch.setattr(norms, "forward_stacked", counting)
-    reports = uniformity_study("Sk", {"N": 8, "kmax": 6}, trials=5, rng_seed=7)
+    reports = uniformity_study("Sk", GridSpec(1, 8), trials=5, rng_seed=7, kmax=6)
     assert len(reports) == 7
     # the f stack of the one block of 5 trials, whatever the number of k values
     assert len(calls) == 1
 
 
-# Every kind on caller-free default grids with N1 != N2, and on d = 2 grids
-# passed in; the trials of each case fill three blocks or more.
+# Every kind on d = 1 grids with N1 != N2 and on d = 2 grids, with tops
+# given and left to the finest level; the trials of each case fill three
+# blocks or more.
 _STUDY_CASES = [
-    ("Sk", {"N": 9, "kmax": 8}, 40, None),
-    ("Bk", {"N": 9, "kmax": 8}, 40, None),
-    ("P", {"N": 9}, 40, None),
-    ("P", {}, 70, GridSpec(2, 4)),
-    ("Sk", {"kmax": 3}, 70, GridSpec(2, 4)),
-    ("Bk", {"kmax": 3}, 70, GridSpec(2, 4)),
-] + [(kind, {"N1": 4, "N2": 5, "kmax": 2, "lmax": 2}, 40, None)
+    ("Sk", GridSpec(1, 9), {}, 40),
+    ("Bk", GridSpec(1, 9), {"kmax": 8}, 40),
+    ("P", GridSpec(1, 9), {}, 40),
+    ("P", GridSpec(2, 4), {}, 70),
+    ("Sk", GridSpec(2, 4), {"kmax": 3}, 70),
+    ("Bk", GridSpec(2, 4), {"kmax": 3}, 70),
+] + [(kind, ProductGrid(GridSpec(1, 4), GridSpec(1, 5)), {"kmax": 2, "lmax": 2}, 40)
      for kind in ("Bkl", "BPk", "PBl", "PP", "PP1")] + [
-    (kind, {"kmax": 1, "lmax": 2}, 20, ProductGrid(GridSpec(2, 2), GridSpec(2, 3)))
+    (kind, ProductGrid(GridSpec(2, 2), GridSpec(2, 3)), {"kmax": 1}, 20)
     for kind in ("Bkl", "BPk", "PBl", "PP", "PP1")]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 41])
-@pytest.mark.parametrize("kind, params, trials, space", _STUDY_CASES,
+@pytest.mark.parametrize("kind, space, tops, trials", _STUDY_CASES,
                          ids=[f"{c[0]}-{i}" for i, c in enumerate(_STUDY_CASES)])
-def test_uniformity_study_matches_the_per_trial_oracle(kind, params, trials, space, seed):
+def test_uniformity_study_matches_the_per_trial_oracle(kind, space, tops, trials, seed):
     counters = {}
-    got = uniformity_study(kind, params, trials, seed, space=space, counters=counters)
+    got = uniformity_study(kind, space, trials, seed, counters=counters, **tops)
     assert counters["blocks"] >= 3 and counters["trials"] == trials
     assert counters["combos"] == len(got)
-    assert got == uniformity_study_oracle(kind, params, trials, seed, space=space)
+    assert got == uniformity_study_oracle(kind, space, trials, seed, **tops)
 
 
 # ``block`` is the number of trials in one full block: 2**13 // 4096 for P at
 # N = 12, 2**13 // 1024 for PP1 at 32 x 32.
-@pytest.mark.parametrize("kind, params, block", [("P", {"N": 12}, 2),
-                                                 ("PP1", {"N1": 5, "N2": 5}, 8)])
-def test_uniformity_study_memory_does_not_grow_with_trials(kind, params, block):
+@pytest.mark.parametrize("kind, space, block", [
+    ("P", GridSpec(1, 12), 2), ("PP1", ProductGrid(GridSpec(1, 5), GridSpec(1, 5)), 8)])
+def test_uniformity_study_memory_does_not_grow_with_trials(kind, space, block):
     import tracemalloc
-    uniformity_study(kind, params, trials=2, rng_seed=1)  # fill the grid caches
+    uniformity_study(kind, space, trials=2, rng_seed=1)  # fill the grid caches
 
     def peak(trials):
         tracemalloc.start()
         try:
-            uniformity_study(kind, params, trials=trials, rng_seed=1)
+            uniformity_study(kind, space, trials=trials, rng_seed=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -307,7 +307,7 @@ def test_p_beyond_dense_matrix_size(rng):
     assert peak < 16 * 2 ** 20
     assert pf.norm() > 0.0 and ph.norm() > 0.0
     assert abs(inner_product(pf, h) - inner_product(f, ph)) < 1e-10
-    (report,) = uniformity_study("P", {"N": 13}, trials=2, rng_seed=5)
+    (report,) = uniformity_study("P", GridSpec(1, 13), trials=2, rng_seed=5)
     assert report.kind == "P" and np.isfinite(report.max_ratio) and report.max_ratio > 0
 
 
