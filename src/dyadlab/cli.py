@@ -184,10 +184,19 @@ def cmd_verify_decomp(args) -> int:
 
 
 def cmd_norm_study(args) -> int:
-    if args.N2 is not None and len(STUDY_ATOMS[args.kind]) == 1:
+    codes = STUDY_ATOMS[args.kind]
+    if args.N2 is not None and len(codes) == 1:
         return _usage(args, f"--N2 needs a two-variable --kind, not {args.kind}")
+    # a top is given only for a B or S axis; the report config holds the
+    # default tops of every kind
+    for v, (top, default) in enumerate((("kmax", 8), ("lmax", 2))):
+        if getattr(args, top) is None:
+            setattr(args, top, default)
+        elif v >= len(codes) or codes[v][0] == "P":
+            return _usage(args, f"--{top} needs a B or S axis on variable {v + 1}, "
+                                f"and --kind {args.kind} has none")
     space = GridSpec(1, args.N)
-    if len(STUDY_ATOMS[args.kind]) == 2:
+    if len(codes) == 2:
         space = ProductGrid(space, GridSpec(1, args.N2 or args.N))
     counters = {}
     reports = uniformity_study(args.kind, space, trials=args.trials, rng_seed=args.seed,
@@ -205,7 +214,7 @@ def cmd_norm_study(args) -> int:
                   counters=counters)
     print(f"norm-study {args.kind}: max ratio {results['max_ratio']:.6f} -> {base}.jsonl")
     # the martingale bound ||op f|| <= bmo(b) ||f|| holds when every atom is a B_k
-    if (all(atom[0] == "B" for atom in STUDY_ATOMS[args.kind])
+    if (all(atom[0] == "B" for atom in codes)
             and results["max_ratio"] > 1.0 + args.tol):
         return _fail(args.seed, "martingale bound exceeded")
     return 0
@@ -331,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="Bk", choices=tuple(STUDY_ATOMS))
     p.add_argument("--N", type=_POSITIVE, default=9)
     p.add_argument("--N2", type=_POSITIVE, default=None)
-    p.add_argument("--kmax", type=_COUNT, default=8)
-    p.add_argument("--lmax", type=_COUNT, default=2)
+    p.add_argument("--kmax", type=_COUNT, default=None,
+                   help="top k of a B or S axis on variable 1 (default 8)")
+    p.add_argument("--lmax", type=_COUNT, default=None,
+                   help="top l of a B axis on variable 2 (default 2)")
     p.add_argument("--trials", type=_POSITIVE, default=50)
     p.add_argument("--tol", type=_TOL, default=1e-12)
     _add_common(p, formats=("json", "csv"))

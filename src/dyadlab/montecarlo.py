@@ -11,12 +11,13 @@ growth and the geometrically weighted total.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from .grids import GridSpec
-from .haar import forward_stacked, random_function
+from .haar import forward_stacked
 from .norms import (NormReport, _bmo_stacked, _column_norms, _in_blocks, _require_at_least,
                     _trial_rng, geometric_constant)
 from .shifts import (LinearOperatorHandle, ShiftOperator, blocks_shape, dense_matrix,
@@ -48,15 +49,17 @@ def hilbert_pattern_builder(base: GridSpec):
     """Shifted grid -> handle of the fixed pattern on it.
 
     The pattern's blocks and dense matrix are built once on ``base``; a
-    shifted grid is a translation, so each grid reuses the blocks and rolls
-    the matrix by the grid's shift along both axes.
+    shifted grid is a translation, so each grid rolls the matrix by the
+    grid's shift along both axes. The shift on the shifted grid, which
+    reuses the blocks, is built only when the handle's ``apply_samples`` is
+    called: the average reads ``matrix()`` alone.
     """
     pattern = hilbert_pattern_shift(base)
     M_base = dense_matrix(pattern)
 
     def build(g: GridSpec) -> LinearOperatorHandle:
         s = g.shift[0]
-        return LinearOperatorHandle(g, replace(pattern, grid=g).apply_samples,
+        return LinearOperatorHandle(g, lambda x: replace(pattern, grid=g).apply_samples(x),
                                     matrix_fn=lambda: np.roll(M_base, (s, s), axis=(0, 1)))
 
     build.grid = base
@@ -147,10 +150,54 @@ def toeplitz_deviation(M: np.ndarray) -> np.ndarray:
     return M - class_mean[cls]
 
 
+# Wichura's AS241 rational approximations, (numerator, denominator) of each
+# branch, highest degree first: the central one in r = 0.180625 - q**2,
+# q = p - 0.5, then the two tails in s - 1.6 (s <= 5) or s - 5, where
+# s = sqrt(-log(min(p, 1 - p))).
+_AS241 = (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+      4.63033784615654529590e+0, 1.42343711074968357734e+0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+      2.05319162663775882187e+0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+      5.46378491116411436990e+0, 6.65790464350110377720e+0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)),
+)
+
+
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile of p in (0, 1), by AS241 (Wichura,
+    *Appl. Statist.* 37, 1988) evaluated as ``statistics.NormalDist().inv_cdf``
+    evaluates it, so the two agree bit for bit."""
+    def poly(coefs, r):
+        return functools.reduce(lambda acc, c: acc * r + c, coefs)
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num, den = _AS241[0]
+        return poly(num, r) * q / poly(den, r)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    (num, den), r = (_AS241[1], r - 1.6) if r <= 5.0 else (_AS241[2], r - 5.0)
+    x = poly(num, r) / poly(den, r)
+    return -x if q < 0.0 else x
+
+
 def _bonferroni_z(n_tests: int, alpha: float = 0.01) -> float:
-    """Two-sided familywise z threshold for ``n_tests`` simultaneous tests."""
-    from statistics import NormalDist  # imported on use: it loads decimal and fractions
-    return -NormalDist().inv_cdf(alpha / (2 * max(n_tests, 1)))
+    """Two-sided familywise z threshold for ``n_tests`` simultaneous tests:
+    the normal quantile of 1 - alpha / (2 n_tests), computed in-house by
+    AS241 (Wichura, *Appl. Statist.* 1988; see :func:`_normal_quantile`)."""
+    return -_normal_quantile(alpha / (2 * max(n_tests, 1)))
 
 
 def zscore_verdict(mean: np.ndarray, stderr: np.ndarray, z: float = 3.0,
@@ -224,8 +271,8 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
     ``i_max`` and ``j_max`` at least 0, and ``delta`` in (0, 2], all checked
     before any trial runs.
 
-    Trial (i, j, t) draws b, then f, then its shift from
-    ``_trial_rng(rng_seed, i, j, t)``; a b of BMO norm
+    Trial (i, j, t) draws b, then f (``standard_normal(n_samples)`` each),
+    then its shift from ``_trial_rng(rng_seed, i, j, t)``; a b of BMO norm
     0 is skipped before f is drawn. The trials run in loop order in blocks
     of max(1, 2**13 // n_samples) trials, over every (i, j), so memory does
     not grow with ``trials``. A block transforms its b stack once for the
@@ -237,7 +284,7 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
     _require_at_least(1, trials=trials)
     _require_at_least(0, i_max=i_max, j_max=j_max)
     geo = geometric_constant(delta, max(i_max, j_max))  # checks delta before any draw
-    volume = grid.cell_volume
+    n, volume = grid.n_samples, grid.cell_volume
     pairs = [(i, j) for i in range(i_max + 1) for j in range(j_max + 1)
              if max_k_level(grid, i, j) >= 0]
     best = dict.fromkeys(pairs, 0.0)
@@ -246,13 +293,13 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
         """Run the trials ``keys`` as one block and fold their norms into
         ``best``; the block's arrays are freed on return."""
         rngs = [_trial_rng(rng_seed, *key) for key in keys]
-        b = np.stack([random_function(grid, rng).samples for rng in rngs], axis=1)
+        b = np.stack([rng.standard_normal(n) for rng in rngs], axis=1)
         nb = _bmo_stacked(grid, forward_stacked(grid, b))
         live = np.flatnonzero(nb != 0.0)
         if live.size == 0:
             return
         b = b[:, live] * (1.0 / nb[live])
-        f = np.stack([random_function(grid, rngs[c]).samples for c in live], axis=1)
+        f = np.stack([rngs[c].standard_normal(n) for c in live], axis=1)
         f = f * (1.0 / _column_norms(f, volume))
         shifts = [random_shift(grid, *keys[c][:2], rngs[c]) for c in live]
         out = commutator_stacked(b, (shifts,), f)
@@ -261,7 +308,7 @@ def commutator_bound_study(delta: float, i_max: int, j_max: int, trials: int,
             best[pair] = max(best[pair], float(norm))
 
     blocks = _in_blocks((pair + (t,) for pair in pairs for t in range(trials)),
-                        grid.n_samples, run_block)
+                        n, run_block)
     if counters is not None:
         counters.update(pairs=len(pairs), trials=trials, blocks=blocks)
     reports = []

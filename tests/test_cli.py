@@ -194,6 +194,26 @@ def test_n2_on_a_run_of_one_variable_exits_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind, top", [("P", "kmax"), ("P", "lmax"), ("Bk", "lmax"),
+                                       ("Sk", "lmax"), ("PP", "kmax"), ("PP1", "lmax"),
+                                       ("BPk", "lmax"), ("PBl", "kmax")])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_norm_study_top_of_a_missing_axis_exits_2(kind, top, where, tmp_path, capsys):
+    # a kind with no B or S axis on a variable ignored its top and wrote it
+    # into its report's config
+    argv = ["norm-study", "--kind", kind, "--N", "3", "--trials", "1", "--out", str(tmp_path)]
+    if where == "flag":
+        argv += [f"--{top}", "1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({top: 1}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"norm-study: --{top} ") and "\n" not in err
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if where == "config" else [])
+
+
 @pytest.mark.parametrize("command", ["selftest", "verify-decomp", "jn-check", "bound-study"])
 def test_format_csv_on_a_command_that_writes_no_csv_exits_2(command, tmp_path, capsys):
     # each accepted --format csv, exited 0 and wrote no CSV

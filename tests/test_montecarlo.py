@@ -1,4 +1,8 @@
+import statistics
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,22 @@ def test_pattern_matrix_matches_generic_apply():
         assert np.max(np.abs(M - dense_matrix(handle))) < 1e-12
         oracle = dense_shift_matrix_oracle(replace(pattern, grid=handle.grid))
         assert np.max(np.abs(M - oracle)) < 1e-12
+
+
+def test_pattern_handle_builds_its_shift_on_apply(monkeypatch):
+    # the average reads matrix() alone, so no grid builds its shifted shift
+    built = []
+
+    def counting_replace(op, **changes):
+        built.append(changes["grid"])
+        return replace(op, **changes)
+    monkeypatch.setattr(montecarlo, "replace", counting_replace)
+    mc_representation_demo(BASE, samples=50, rng_seed=3)
+    assert built == []
+    handle = hilbert_pattern_builder(BASE)(sample_omega(BASE, 4))
+    M = dense_matrix(handle)
+    assert built == [handle.grid]
+    assert np.max(np.abs(M - handle.matrix())) < 1e-12
 
 
 def test_average_operator_trivial_cases():
@@ -247,11 +267,32 @@ def test_bonferroni_threshold_monotone():
     assert _bonferroni_z(1) < _bonferroni_z(100) < _bonferroni_z(10000) < 6.0
 
 
-@pytest.mark.parametrize("n_tests", [1, 100, 2016, 4032, 10 ** 4, 10 ** 6])
+# p = alpha / (2 n) reaches every AS241 branch: the central one (p >= 0.075)
+# at alpha 0.2 and 0.9 with n = 1, the far tail (p < exp(-25)) at alpha 1e-4
+# with n = 10**8, the near tail at the rest
+@pytest.mark.parametrize("n_tests", [1, 100, 2016, 4032, 10 ** 4, 10 ** 6, 10 ** 8])
 def test_bonferroni_threshold_is_the_normal_quantile(n_tests):
+    for alpha in (1e-4, 0.01, 0.2, 0.9):
+        want = -statistics.NormalDist().inv_cdf(alpha / (2 * n_tests))
+        assert _bonferroni_z(n_tests, alpha) == want
     norm = pytest.importorskip("scipy.stats").norm
     want = norm.isf(0.01 / (2 * n_tests))
     assert abs(_bonferroni_z(n_tests) - want) <= 1e-14
+
+
+def test_mc_demo_imports_no_statistics(tmp_path):
+    # the Bonferroni quantile is computed in-house: a fresh interpreter that
+    # runs mc-demo never loads statistics, nor the fractions and decimal
+    # modules it pulls in
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import dyadlab.cli as cli; "
+              "code = cli.main(['mc-demo', '--N', '3', '--samples', '50', '--seed', '2', "
+              "'--out', sys.argv[2]]); "
+              "print(code, *sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 def test_representation_demo_small():
@@ -384,16 +425,30 @@ def test_bound_study_is_the_per_trial_oracle(grid, i_max, j_max, trials, seed):
 
 def test_bound_study_skips_a_constant_symbol(monkeypatch):
     # trial (1, 0, 2) draws a constant b: it is skipped and draws no f and
-    # no shift, in the study as in the per-trial loop
-    inner = conftest.random_function
+    # no shift, in the study as in the per-trial loop. The study draws its
+    # samples from its trial generators, the oracle through random_function.
     draws = []
 
-    def constant_once(grid, rng):
-        key = rng.bit_generator.seed_seq.spawn_key
+    def constant_once(key, samples):
         draws.append(key)
         if key == (1, 0, 2) and draws.count(key) == 1:
-            return DyadicFunction(grid, np.full(grid.n_samples, 2.5))
-        return inner(grid, rng)
+            return np.full_like(samples, 2.5)
+        return samples
+
+    class Injecting(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            return constant_once(self.bit_generator.seed_seq.spawn_key,
+                                 super().standard_normal(*args, **kwargs))
+
+    inner_rng = montecarlo._trial_rng
+    inner = conftest.random_function
+
+    def trial_rng(seed, *key):
+        return Injecting(inner_rng(seed, *key).bit_generator)
+
+    def oracle_function(grid, rng):
+        key = rng.bit_generator.seed_seq.spawn_key
+        return DyadicFunction(grid, constant_once(key, inner(grid, rng).samples))
 
     shifts = []
     inner_shift = montecarlo.random_shift
@@ -402,8 +457,8 @@ def test_bound_study_skips_a_constant_symbol(monkeypatch):
         shifts.append((i, j))
         return inner_shift(grid, i, j, rng)
 
-    for module in (montecarlo, conftest):
-        monkeypatch.setattr(module, "random_function", constant_once)
+    monkeypatch.setattr(montecarlo, "_trial_rng", trial_rng)
+    monkeypatch.setattr(conftest, "random_function", oracle_function)
     monkeypatch.setattr(montecarlo, "random_shift", counting)
     grid = GridSpec(1, 4)
     got = commutator_bound_study(1.0, 1, 1, 3, 5, grid=grid)
