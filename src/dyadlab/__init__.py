@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 from .grids import (DepthError, DyadicCube, GridMismatchError, GridSizeError,
                     GridSpec, HaarIndex, InvalidIndexError, WrongKindError)
 from .haar import (DyadicFunction, HaarCoefficients, haar_forward,
-                   haar_function, haar_inverse, inner_product,
-                   pointwise_multiply, random_function)
+                   haar_function, haar_inverse, inner_product, random_function)
 from .shifts import (LinearOperatorHandle, ShiftOperator, dense_matrix,
-                     expected_coefficient_count, multiplication_commutator,
-                     noncancellative_shift, operator_norm, random_shift)
+                     multiplication_commutator, operator_norm, random_shift)
 from .paraproducts import BkOperator
 from .biparam import (ProductFunction, ProductGrid, apply_Bk, apply_P,
                       apply_P_adjoint, apply_biparam, apply_in_variable,

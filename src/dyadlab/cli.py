@@ -272,7 +272,7 @@ def cmd_bound_study(args) -> int:
     rep = commutator_bound_study(args.delta, args.imax, args.jmax, trials=args.trials,
                                  rng_seed=args.seed, grid=grid, counters=counters)
     geo_closed = geometric_constant_closed_form(args.delta)
-    cap = geometric_cap_for(args.delta, tol=1e-11)
+    cap = geometric_cap_for(args.delta)
     geo_trunc = geometric_constant(args.delta, cap)
     rep["geometric_constant_cap"] = cap
     rep["geometric_constant_truncated"] = geo_trunc

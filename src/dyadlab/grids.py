@@ -146,17 +146,6 @@ class GridSpec:
             raise DepthError(f"ancestor depth {k} exceeds cube level {cube.level}")
         return DyadicCube(cube.level - k, tuple(p >> k for p in cube.pos))
 
-    def children(self, cube: "DyadicCube") -> list["DyadicCube"]:
-        self.validate_cube(cube)
-        if cube.level >= self.N:
-            raise DepthError("finest cubes have no children")
-        out = []
-        for bits in range(1 << self.d):
-            side = [(bits >> (self.d - 1 - a)) & 1 for a in range(self.d)]
-            pos = tuple(2 * p + s for p, s in zip(cube.pos, side))
-            out.append(DyadicCube(cube.level + 1, pos))
-        return out
-
     # -- signatures -------------------------------------------------------
 
     def sig_int(self, sig) -> int:

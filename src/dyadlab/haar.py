@@ -54,8 +54,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .grids import (DepthError, DyadicCube, GridMismatchError, GridSpec, HaarIndex,
-                    InvalidIndexError, grid_index)
+from .grids import (DepthError, GridMismatchError, GridSpec, HaarIndex, InvalidIndexError,
+                    grid_index)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -320,11 +320,16 @@ class SampledFunction:
 
     @classmethod
     def from_json(cls, text: str):
+        """Inverse of :meth:`to_json`; a missing field raises ValueError naming it."""
         obj = json.loads(text)
         count = next(v for v in itertools.count(1) if f"d{v}" not in obj) - 1
-        grids = [GridSpec(int(obj["d" + v]), int(obj["N" + v]), obj.get("omega" + v))
-                 for v in cls._json_suffixes(count)]
-        return cls(cls._make_space(*grids), np.asarray(obj["samples"], dtype=float))
+        try:
+            grids = [GridSpec(int(obj["d" + v]), int(obj["N" + v]), obj.get("omega" + v))
+                     for v in cls._json_suffixes(count)]
+            samples = obj["samples"]
+        except KeyError as exc:
+            raise ValueError(f"{cls.__name__} JSON: missing field {exc}") from None
+        return cls(cls._make_space(*grids), np.asarray(samples, dtype=float))
 
     def _encode(self, magic: bytes, fmt: str, *fields) -> bytes:
         """The binary format: ``magic``, the header ``fields`` packed by the
@@ -402,16 +407,6 @@ class HaarCoefficients:
     def coefficient(self, idx: HaarIndex) -> float:
         return float(self.stacked[self.grid.stacked_index(idx)])
 
-    def items(self):
-        """Iterate (HaarIndex, coefficient) over all cancellative indices."""
-        g = self.grid
-        for lvl in range(g.N):
-            blk = self.level(lvl)
-            for flat in range(g.n_cubes(lvl)):
-                cube = DyadicCube(lvl, g.pos_from_flat(flat, lvl))
-                for e in range(g.n_sig):
-                    yield HaarIndex(cube, g.int_sig(e)), float(blk[flat, e])
-
     def l2_norm_sq(self) -> float:
         return float(np.sum(self.stacked ** 2))
 
@@ -447,11 +442,6 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> float:
     one grid or one product grid."""
     f._check(g)
     return float(np.sum(f.samples * g.samples) * f.cell_volume)
-
-
-def pointwise_multiply(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:
-    f._check(g)
-    return DyadicFunction(f.grid, f.samples * g.samples)
 
 
 def random_function(grid: GridSpec, rng) -> DyadicFunction:

@@ -200,24 +200,22 @@ def _bonferroni_z(n_tests: int, alpha: float = 0.01) -> float:
     return -_normal_quantile(alpha / (2 * max(n_tests, 1)))
 
 
-def zscore_verdict(mean: np.ndarray, stderr: np.ndarray, z: float = 3.0,
-                   mask: np.ndarray = None) -> dict:
-    """Is an averaged statistic consistent with zero given its standard errors?
+def zscore_verdict(mean: np.ndarray, stderr: np.ndarray, mask: np.ndarray) -> dict:
+    """Is an averaged statistic consistent with zero, on the entries that the
+    boolean ``mask`` selects, given its standard errors?
 
-    Reports the per-entry picture (fraction beyond ``z`` sigma, which for pure
+    Reports the per-entry picture (fraction beyond 3 sigma, which for pure
     noise stays near 0.3%) and a familywise verdict at the Bonferroni-corrected
     threshold: with thousands of simultaneous entries a few ~3 sigma
     excursions are expected, so per-entry 3 sigma is a note, not a hard
     tolerance.
     """
-    if mask is None:
-        mask = np.ones(mean.shape, dtype=bool)
     se = np.maximum(stderr, 1e-300)
     zs = (np.abs(mean) / se)[mask]
     zcrit = _bonferroni_z(zs.size)
     return {"max_z": float(np.max(zs)) if zs.size else 0.0,
-            "frac_beyond_z": float(np.mean(zs > z)) if zs.size else 0.0,
-            "per_entry_z": z,
+            "frac_beyond_z": float(np.mean(zs > 3.0)) if zs.size else 0.0,
+            "per_entry_z": 3.0,
             "bonferroni_z": zcrit,
             "pass": bool(zs.size == 0 or np.max(zs) <= zcrit),
             "max_abs": float(np.max(np.abs(mean[mask]))) if zs.size else 0.0,

@@ -140,7 +140,7 @@ def open_set_bmo_norm(b: ProductFunction) -> float:
 # takes, for every member of a vector_FS family.
 _NEEDS = {"S": DyadicFunction, "S_k": DyadicFunction, "dyadic": DyadicFunction,
           "vector_FS": DyadicFunction, "SS": ProductFunction,
-          "hybrid_max_square": ProductFunction, "strong_rect": ProductFunction}
+          "strong_rect": ProductFunction}
 
 
 def _require_type(f, variant: str) -> None:
@@ -150,18 +150,16 @@ def _require_type(f, variant: str) -> None:
                          f"got {type(f).__name__}")
 
 
-def square_function(f, variant: str = "S", k: int = 0, var: int = 1):
+def square_function(f, variant: str = "S", k: int = 0):
     """Pointwise l2 aggregation of Haar coefficients.
 
-    Variants: ``S`` (per cube), ``S_k`` (grouped by the k-th ancestor),
-    ``SS`` (bi-parameter, per rectangle), ``hybrid_max_square`` (maximal in
-    one variable of the partial pairings, square-aggregated in the other).
+    Variants: ``S`` (per cube) and ``S_k`` (grouped by the k-th ancestor,
+    0 <= k <= N-1) of a DyadicFunction, ``SS`` (per rectangle) of a
+    ProductFunction.
     """
-    if variant not in ("S", "S_k", "SS", "hybrid_max_square"):
+    if variant not in ("S", "S_k", "SS"):
         raise ValueError(f"unknown square function variant {variant}")
     _require_type(f, variant)
-    if variant == "hybrid_max_square":
-        return _hybrid_max_square(f, var)
     masses = _masses(f.space, forward_space(f.space, f.samples))
     if variant == "S_k":
         return DyadicFunction(f.grid, _square_Sk(f.grid, masses, k))
@@ -183,29 +181,12 @@ def _square_Sk(grid: GridSpec, masses: np.ndarray, k: int) -> np.ndarray:
     """Samples (n_samples, *passive) of S_k(f) from the :func:`_masses`
     of f: each cube's mass is added to its k-th ancestor, weighted by the
     ancestor's |I|**(-1)."""
-    if k >= grid.N:
+    if not 0 <= k < grid.N:
         raise DepthError(f"k={k} outside the levels 0..{grid.N - 1} below the root")
     idx = grid_index(grid)
     grouped = np.zeros(masses.shape)
     np.add.at(grouped, idx.cube_ancestors(k), masses[grid.cube_range(k).start:])
     return np.sqrt(cell_sums(grid, _weighted(grid, grouped)))
-
-
-def _hybrid_max_square(f: ProductFunction, var: int) -> ProductFunction:
-    """Maximal function in ``var`` of partial pairings, squares in the other."""
-    pg = f.pgrid
-    grids = pg.two_grids("hybrid_max_square")
-    if var not in (1, 2):
-        raise ValueError(f"hybrid_max_square takes var 1 or 2, got {var}")
-    g_max, g_sq = grids if var == 1 else grids[::-1]
-    samples = f.samples if var == 1 else f.samples.T
-    pairings = forward_stacked(g_sq, samples.T)  # rows: var-sq stacked, cols: var-max cells
-    mass = np.empty((g_sq.n_cubes_total, g_max.n_samples))
-    for lvl in range(g_sq.N):  # per level: batched, numpy sums the cell means in another order
-        m = _max_samples(g_max, g_sq.level_block(pairings, lvl).T).T
-        mass[g_sq.cube_range(lvl)] = (m ** 2).sum(axis=1)
-    out = np.sqrt(cell_sums(g_sq, mass * grid_index(g_sq).cube_weight[:, None]))
-    return ProductFunction(pg, out.T if var == 1 else out)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +345,11 @@ def jn_study(grid: GridSpec, ps, trials: int, rng_seed: int, counters: dict = No
 
 
 def geometric_constant(delta: float, cap: int) -> float:
-    """sum_{i,j=0..cap} 2**(-max(i,j) delta/2) (1 + max(i,j)), cap-truncated."""
+    """sum_{i,j=0..cap} 2**(-max(i,j) delta/2) (1 + max(i,j)), cap-truncated;
+    a negative ``cap`` raises ValueError."""
     if not (0.0 < delta <= 2.0 + 1e-12):
         raise ValueError("delta must lie in (0, 2]")
+    _require_at_least(0, cap=cap)
     m = np.arange(cap + 1)
     return float(np.sum((2 * m + 1) * (1 + m) * 2.0 ** (-m * delta / 2.0)))
 
@@ -388,7 +371,9 @@ def geometric_constant_tail_bound(delta: float, cap: int) -> float:
     ratio of consecutive terms, (2n+3)(n+2) / ((2n+1)(n+1)) * x, is at most
     (1 + 2/m)**2 x for every n >= m. The bound returned is therefore
     first / (1 - (1 + 2/m)**2 x) while that ratio is below 1, else ``inf``.
+    A negative ``cap`` raises ValueError.
     """
+    _require_at_least(0, cap=cap)
     x = 2.0 ** (-delta / 2.0)
     m = cap + 1
     first = (2 * m + 1) * (m + 1) * x ** m
@@ -398,14 +383,14 @@ def geometric_constant_tail_bound(delta: float, cap: int) -> float:
     return float("inf")
 
 
-def geometric_cap_for(delta: float, tol: float = 1e-11, max_cap: int = 100000) -> int:
-    """Smallest cap whose truncation error bound is below ``tol``."""
+def geometric_cap_for(delta: float) -> int:
+    """Smallest cap of 8, 16, 32, ... below 100000 whose tail bound is below 1e-11."""
     cap = 8
-    while cap < max_cap:
-        if geometric_constant_tail_bound(delta, cap) < tol:
+    while cap < 100000:
+        if geometric_constant_tail_bound(delta, cap) < 1e-11:
             return cap
         cap *= 2
-    raise ValueError(f"no admissible cap below {max_cap} for delta={delta}")
+    raise ValueError(f"no admissible cap below 100000 for delta={delta}")
 
 
 # ---------------------------------------------------------------------------

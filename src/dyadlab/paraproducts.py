@@ -115,10 +115,6 @@ class BkOperator:
         # betas are left out: equal atoms still hash equal
         return hash((self.grid, self.k, self.sb, self.si, self.so))
 
-    def beta_level(self, level: int):
-        """Beta values for all cubes at ``level`` (array or scalar 1.0)."""
-        return 1.0 if self.beta is None else self.beta[self.grid.cube_range(level)]
-
     def adjoint(self) -> "BkOperator":
         return BkOperator(self.grid, self.k, self.sig_b, self.sig_out, self.sig_in,
                           self.beta)

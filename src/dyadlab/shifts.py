@@ -223,16 +223,20 @@ class ShiftOperator:
 
     @classmethod
     def from_json(cls, text: str) -> "ShiftOperator":
+        """Inverse of :meth:`to_json`; a missing field raises ValueError naming it."""
         obj = json.loads(text)
-        gspec = obj["grid"]
-        grid = GridSpec(int(gspec["d"]), int(gspec["N"]), gspec.get("omega"))
-        i, j, kind = int(obj["i"]), int(obj["j"]), obj["kind"]
-        parts = {}
-        if kind == NONCANCELLATIVE:
-            parts = {"symbol": DyadicFunction.from_json(json.dumps(obj["symbol"])),
-                     "orientation": obj["orientation"]}
-        elif kind == CANCELLATIVE:
-            parts = {"blocks": _blocks_from_entries(grid, i, j, obj["entries"])}
+        try:
+            gspec = obj["grid"]
+            grid = GridSpec(int(gspec["d"]), int(gspec["N"]), gspec.get("omega"))
+            i, j, kind = int(obj["i"]), int(obj["j"]), obj["kind"]
+            parts = {}
+            if kind == NONCANCELLATIVE:
+                parts = {"symbol": DyadicFunction.from_json(json.dumps(obj["symbol"])),
+                         "orientation": obj["orientation"]}
+            elif kind == CANCELLATIVE:
+                parts = {"blocks": _blocks_from_entries(grid, i, j, obj["entries"])}
+        except KeyError as exc:
+            raise ValueError(f"ShiftOperator JSON: missing field {exc}") from None
         return cls(grid, i, j, kind, **parts)
 
 
@@ -301,17 +305,6 @@ def random_shift(grid: GridSpec, i: int, j: int, rng_seed, kind: str = CANCELLAT
     raw = DyadicFunction(grid, rng.standard_normal(grid.n_samples))
     return ShiftOperator(grid, i, j, kind, symbol=raw * (1.0 / dyadic_bmo_norm(raw)),
                          orientation=orientation)
-
-
-def expected_coefficient_count(grid: GridSpec, i: int, j: int) -> int:
-    """Entry count of a fully populated cancellative shift."""
-    return math.prod(blocks_shape(grid, i, j))
-
-
-def noncancellative_shift(grid: GridSpec, symbol: DyadicFunction,
-                          orientation: str = ANALYSIS) -> ShiftOperator:
-    """Paraproduct shift with an explicit symbol (dyadic BMO norm <= 1)."""
-    return ShiftOperator(grid, 0, 0, NONCANCELLATIVE, symbol=symbol, orientation=orientation)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,12 @@ def assert_columns_alone(kernel, draw, widths=(1, 2, 5)):
             assert np.array_equal(got[..., t], alone), (T, t)
 
 
+def beta_level(op, level: int):
+    """Beta values of the B atom ``op`` for all cubes at ``level`` (array or
+    scalar 1.0)."""
+    return 1.0 if op.beta is None else op.beta[op.grid.cube_range(level)]
+
+
 def all_cubes(grid):
     for lvl in range(grid.N):
         for flat in range(grid.n_cubes(lvl)):
@@ -226,9 +232,9 @@ def bb_pair_oracle(pg, bC, Xe, a1, a2, out, weight):
     g1, g2 = pg.grids
     pad = (1,) * (Xe.ndim - 2)
     for l1 in range(a1.k, g1.N):
-        c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
+        c1 = beta_level(a1, l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
         for l2 in range(a2.k, g2.N):
-            c2 = a2.beta_level(l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
+            c2 = beta_level(a2, l2) * 2.0 ** ((l2 - a2.k) * g2.d / 2.0)
             c2 = np.reshape(c2, np.shape(c2) + pad)
             Bg = bC[np.ix_(_b_rows_oracle(g1, a1, l1), _b_rows_oracle(g2, a2, l2))]
             Xin = Xe[np.ix_(sig_rows(g1, l1, a1.si), sig_rows(g2, l2, a2.si))]
@@ -244,7 +250,7 @@ def bp_pair_oracle(pg, bC, Xe, a1, p2, sym2, out, weight):
     n2 = g2.n_samples
     for l1 in range(a1.k, g1.N):
         Bg = bC[_b_rows_oracle(g1, a1, l1), :]
-        c1 = a1.beta_level(l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
+        c1 = beta_level(a1, l1) * (weight * 2.0 ** ((l1 - a1.k) * g1.d / 2.0))
         Xin = Xe[sig_rows(g1, l1, a1.si), :n2]
         if not p2.adjoint:
             C = np.swapaxes(strict_ancestor_sum(g2, np.swapaxes(Bg * Xin, 0, 1)), 0, 1) \

@@ -369,15 +369,14 @@ def test_a_b_atom_off_its_variable_grid_raises(rng):
         apply_biparam((BkOperator(pg.grids[0], 0), BkOperator(pg.grids[0], 0)), b, f)
 
 
-@pytest.mark.parametrize("entry", ["open_set_bmo_norm", "hybrid_max_square",
-                                   "uniformity_study", "apply_biparam", "to_bytes"])
+@pytest.mark.parametrize("entry", ["open_set_bmo_norm", "uniformity_study", "apply_biparam",
+                                   "to_bytes"])
 def test_two_variable_entry_points_refuse_three_variables(entry, rng):
     # one shared check names the arity, where unpacking two grids would not
-    from dyadlab import open_set_bmo_norm, square_function, uniformity_study
+    from dyadlab import open_set_bmo_norm, uniformity_study
     pg = ProductGrid(GridSpec(1, 2), GridSpec(1, 2), GridSpec(1, 2))
     f = random_product_function(pg, rng)
     call = {"open_set_bmo_norm": lambda: open_set_bmo_norm(f),
-            "hybrid_max_square": lambda: square_function(f, "hybrid_max_square"),
             "uniformity_study": lambda: uniformity_study("Bkl", pg, 1, 0),
             "apply_biparam": lambda: apply_biparam((P, P, P), f, f, f),
             "to_bytes": f.to_bytes}[entry]

@@ -19,7 +19,7 @@ from dyadlab.decomposition import TermList, decompose, _trial_samples, evaluate_
 from dyadlab.grids import GridMismatchError, WrongKindError, grid_index
 from dyadlab.haar import forward_space, forward_stacked, inverse_space, inverse_stacked
 from dyadlab.norms import _trial_rng
-from dyadlab.shifts import commutator_stacked, noncancellative_shift
+from dyadlab.shifts import commutator_stacked
 
 from conftest import (assert_columns_alone, evaluate_stacked_oracle,
                       iterated_commutator_oracle, verify_identity_oracle)
@@ -173,7 +173,8 @@ def test_noncancellative_identity_both_orientations(rng):
 
 def test_noncancellative_zero_symbol(rng):
     g = GridSpec(1, 4)
-    S = noncancellative_shift(g, DyadicFunction(g, np.zeros(g.n_samples)))
+    a = DyadicFunction(g, np.zeros(g.n_samples))
+    S = ShiftOperator(g, 0, 0, "noncancellative", symbol=a, orientation="analysis")
     b = random_function(g, rng)
     f = random_function(g, rng)
     assert multiplication_commutator(b, S, f).norm() == 0.0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      haar_forward, haar_function, haar_inverse, inner_product,
-                     pointwise_multiply, random_function)
+                     random_function)
 from dyadlab.biparam import ProductFunction, ProductGrid
 from dyadlab.grids import DepthError, GridMismatchError, InvalidIndexError
 from dyadlab.haar import (HaarCoefficients, contract, extend, forward_stacked,
@@ -176,7 +176,7 @@ def test_ancestor_constancy_and_product_identity(rng):
         sig = g.int_sig(int(rng.integers(0, g.n_sig)))
         hanc = haar_function(g, HaarIndex(anc, sig))
         hI = haar_function(g, HaarIndex(cube, g.int_sig(int(rng.integers(0, g.n_sig)))))
-        prod = pointwise_multiply(hanc, hI)
+        prod = DyadicFunction(g, hanc.samples * hI.samples)
         scale = g.volume(lvl - k) ** -0.5
         plus = (prod - scale * hI).norm()
         minus = (prod + scale * hI).norm()
@@ -192,7 +192,7 @@ def test_same_cube_product_is_signature_xnor(rng):
             h2 = haar_function(g, HaarIndex(cube, g.int_sig(e2)))
             out_sig = g.int_sig(g.noncanc_int ^ (e1 ^ e2))
             expect = haar_function(g, HaarIndex(cube, out_sig)) * (g.volume(1) ** -0.5)
-            assert (pointwise_multiply(h1, h2) - expect).norm() < 1e-12
+            assert (DyadicFunction(g, h1.samples * h2.samples) - expect).norm() < 1e-12
 
 
 def test_scaling_levels_are_cell_averages(rng):
@@ -210,20 +210,6 @@ def test_inner_product_quadrature():
     g = GridSpec(1, 2)
     f = DyadicFunction(g, [1, 2, 3, 4])
     assert abs(inner_product(f, f) - (1 + 4 + 9 + 16) / 4) < 1e-14
-
-
-def test_coefficient_items_view(rng):
-    g = GridSpec(2, 2)
-    f = random_function(g, rng)
-    c = haar_forward(f)
-    items = list(c.items())
-    # one entry per cancellative index; the mean mode is separate
-    assert len(items) == g.n_samples - 1
-    for idx, val in items:
-        assert idx.cancellative
-        assert val == c.coefficient(idx)
-    assert abs(sum(v ** 2 for _, v in items) + c.mean ** 2
-               - f.norm() ** 2) < 1e-12
 
 
 LAYOUT_GRIDS = [GridSpec(1, 4), GridSpec(1, 3, omega=((1,), (0,), (1,))),

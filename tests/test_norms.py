@@ -205,8 +205,9 @@ def test_square_function_sk_uniform_in_k(rng):
     assert all(abs(v - 1.0) < 1e-10 for v in measured.values())
     spread = max(measured.values()) - min(measured.values())
     assert spread < 0.05 * max(measured.values())
-    with pytest.raises(ValueError):
-        square_function(random_function(g, rng), "S_k", k=8)
+    for k in (-1, 8):
+        with pytest.raises(ValueError, match=rf"^k={k} outside the levels 0\.\.7 below the root$"):
+            square_function(random_function(g, rng), "S_k", k=k)
 
 
 def test_maximal_function_half_indicator_example():
@@ -227,26 +228,11 @@ def test_maximal_function_l2_ratio(rng):
     assert worst < 4.0  # dyadic maximal L2 constant is 2; logged headroom
 
 
-def test_strong_maximal_and_hybrid(rng):
+def test_strong_maximal_dominates_the_samples(rng):
     pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 3))
     f = random_product_function(pg, rng)
     M = maximal_function(f, variant="strong_rect")
     assert np.all(M.samples >= np.abs(f.samples) - 1e-12)
-    H1 = square_function(f, "hybrid_max_square", var=1)
-    H2 = square_function(f, "hybrid_max_square", var=2)
-    assert np.all(H1.samples >= 0) and np.all(H2.samples >= 0)
-    # L2 bound: per-slice maximal constant is at most 2 for the dyadic M
-    assert H1.norm() <= 2.0 * f.norm() + 1e-12
-    assert H2.norm() <= 2.0 * f.norm() + 1e-12
-
-
-@pytest.mark.parametrize("var", [0, 3, 7, -1])
-def test_hybrid_max_square_refuses_a_variable_it_does_not_have(var, rng):
-    # every var other than 1 was taken for 2
-    pg = ProductGrid(GridSpec(1, 3), GridSpec(1, 2))
-    f = random_product_function(pg, rng)
-    with pytest.raises(ValueError, match=f"takes var 1 or 2, got {var}$"):
-        square_function(f, "hybrid_max_square", var=var)
 
 
 def maximal_oracle(space, samples):
@@ -282,7 +268,6 @@ def test_maximal_functions_match_the_brute_force_oracle(space, rng):
 @pytest.mark.parametrize("op, variant, need", [
     (square_function, "S", DyadicFunction), (square_function, "S_k", DyadicFunction),
     (maximal_function, "dyadic", DyadicFunction), (square_function, "SS", ProductFunction),
-    (square_function, "hybrid_max_square", ProductFunction),
     (maximal_function, "strong_rect", ProductFunction)], ids=lambda x: getattr(x, "__name__", x))
 def test_a_variant_refuses_the_other_function_type(op, variant, need, rng):
     f = random_function(GridSpec(1, 3), rng)
@@ -434,6 +419,16 @@ def test_geometric_constant_closed_form():
         assert geometric_constant_tail_bound(delta, cap) < 1e-11
     with pytest.raises(ValueError):
         geometric_constant(0.0, 10)
+
+
+@pytest.mark.parametrize("cap", [-1, -2, -10])
+def test_geometric_constant_refuses_a_negative_cap(cap):
+    # a negative cap summed nothing (0.0), divided by zero at -1 and gave a
+    # zero bound on an infinite tail below -1
+    for fn in (geometric_constant, geometric_constant_tail_bound):
+        with pytest.raises(ValueError, match=f"^cap must be at least 0, got {cap}$"):
+            fn(1.0, cap)
+    assert geometric_constant_tail_bound(1.0, 0) > 0.0
 
 
 def test_uniformity_study_bk_exact_bound():

@@ -10,7 +10,7 @@ from dyadlab.grids import GridMismatchError, InvalidIndexError, grid_index
 from dyadlab.haar import extend, forward_stacked
 from dyadlab.norms import dyadic_bmo_norm, uniformity_study
 from dyadlab.paraproducts import bk_gather, bk_stacked
-from conftest import assert_columns_alone, all_cubes, sig_rows, strictly_inside
+from conftest import assert_columns_alone, all_cubes, beta_level, sig_rows, strictly_inside
 
 
 def bk_oracle(op, b, f):
@@ -20,7 +20,7 @@ def bk_oracle(op, b, f):
     for cube in all_cubes(g):
         if cube.level < op.k:
             continue
-        beta = op.beta_level(cube.level)
+        beta = beta_level(op, cube.level)
         bval = beta if np.isscalar(beta) else beta[g.flat_pos(cube.pos, cube.level)]
         anc = g.ancestor(cube, op.k)
         hb = haar_function(g, HaarIndex(anc, op.sig_b))
@@ -103,7 +103,7 @@ def bk_stacked_loop(op, bc, x):
     for lvl in range(op.k, g.N):
         banc = g.level_block(bc, lvl - op.k)[:, op.sb][idx.ancestor_flat(lvl, op.k)]
         scale = 2.0 ** ((lvl - op.k) * g.d / 2.0)
-        coef = (op.beta_level(lvl) * banc * scale).reshape(banc.shape + pshape)
+        coef = (beta_level(op, lvl) * banc * scale).reshape(banc.shape + pshape)
         out[sig_rows(g, lvl, op.so)] += coef * x[sig_rows(g, lvl, op.si)]
     return out
 
@@ -188,7 +188,7 @@ def test_bk_beta_is_one_array_on_the_cube_axis():
             BkOperator(g, 1, beta=bad)
     levels[1][2] = -0.5
     op = BkOperator(g, 1, beta=np.concatenate(levels))
-    assert all(np.array_equal(op.beta_level(l), levels[l]) for l in range(g.N))
+    assert all(np.array_equal(beta_level(op, l), levels[l]) for l in range(g.N))
 
 
 @pytest.mark.parametrize("g", [GridSpec(1, 5), GridSpec(2, 3),

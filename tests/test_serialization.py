@@ -22,6 +22,20 @@ def test_function_json_roundtrip(rng):
     assert set(obj) == {"d", "N", "samples"}
 
 
+@pytest.mark.parametrize("source, field", [("product", "d"), ("dyadic", "samples"),
+                                           ("dyadic", "N")])
+def test_function_json_names_a_missing_field(source, field, rng):
+    # a product function's JSON keys its variables d1, N1, ... and has no d
+    if source == "product":
+        pf = random_product_function(ProductGrid(GridSpec(1, 2), GridSpec(1, 2)), rng)
+        text = pf.to_json()
+    else:
+        obj = json.loads(random_function(GridSpec(1, 3), rng).to_json())
+        text = json.dumps({k: v for k, v in obj.items() if k != field})
+    with pytest.raises(ValueError, match=f"^DyadicFunction JSON: missing field '{field}'$"):
+        DyadicFunction.from_json(text)
+
+
 def test_function_json_row_major_order():
     # axis 1 slowest: samples[x1 * n2 + x2]
     g = GridSpec(2, 1)
@@ -158,6 +172,17 @@ def test_shift_json_refuses_an_unknown_kind_and_a_negative_count(rng):
         ShiftOperator.from_json(json.dumps({**obj, "kind": "weird"}))
     with pytest.raises(DepthError, match=r"\(-1,0\)"):
         ShiftOperator.from_json(json.dumps({**obj, "i": -1, "entries": []}))
+
+
+@pytest.mark.parametrize("kind, field", [
+    *(("cancellative", f) for f in ("grid", "i", "j", "kind", "entries")),
+    *(("noncancellative", f) for f in ("symbol", "orientation"))])
+def test_shift_json_names_a_missing_field(kind, field, rng):
+    i = 1 if kind == "cancellative" else 0
+    obj = json.loads(random_shift(GridSpec(1, 3), i, 0, rng, kind=kind).to_json())
+    text = json.dumps({k: v for k, v in obj.items() if k != field})
+    with pytest.raises(ValueError, match=f"^ShiftOperator JSON: missing field '{field}'$"):
+        ShiftOperator.from_json(text)
 
 
 def test_noncancellative_shift_json(rng):

@@ -1,19 +1,19 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dyadlab import (DyadicCube, DyadicFunction, GridSpec, HaarIndex,
                      LinearOperatorHandle, ShiftOperator, haar_function,
-                     inner_product, multiplication_commutator,
-                     noncancellative_shift, operator_norm,
+                     inner_product, multiplication_commutator, operator_norm,
                      random_function, random_shift)
 from dyadlab import shifts
 from dyadlab.grids import DepthError, WrongKindError
 from dyadlab.haar import fold_noncancellative, forward_stacked, scaling_levels
 from dyadlab.norms import dyadic_bmo_norm
-from dyadlab.shifts import expected_coefficient_count, max_k_level
+from dyadlab.shifts import blocks_shape, max_k_level
 from conftest import (assert_columns_alone, dense_matrix, dense_shift_matrix_oracle,
                       shift_apply_oracle)
 
@@ -23,12 +23,12 @@ def test_coefficient_count_formula():
     g = GridSpec(1, 3)
     S = random_shift(g, 1, 1, 0)
     # K at levels 0..N-1-max(i,j): (1 + 2) cubes x 2 I-slots x 2 J-slots
-    assert S.coefficient_count() == expected_coefficient_count(g, 1, 1) == 12
+    assert S.coefficient_count() == math.prod(blocks_shape(g, 1, 1)) == 12
     g6 = GridSpec(1, 6)
-    assert expected_coefficient_count(g6, 0, 0) == 63
+    assert math.prod(blocks_shape(g6, 0, 0)) == 63
     g2 = GridSpec(2, 3)
     S2 = random_shift(g2, 1, 0, 1)
-    assert S2.coefficient_count() == expected_coefficient_count(g2, 1, 0) \
+    assert S2.coefficient_count() == math.prod(blocks_shape(g2, 1, 0)) \
         == (1 + 4) * 4 * 3 * 1 * 3
     # a noncancellative shift counts the n_samples - 1 Haar coefficients of its symbol
     for g, count in ((GridSpec(1, 4), 15), (GridSpec(2, 3), 63)):
@@ -107,14 +107,16 @@ def test_noncancellative_shift(rng):
     f = random_function(g, rng)
     assert np.max(np.abs(S.apply(f).samples - M @ f.samples)) < 1e-12
     # zero symbol -> zero operator
-    zero = noncancellative_shift(g, DyadicFunction(g, np.zeros(g.n_samples)))
+    a = DyadicFunction(g, np.zeros(g.n_samples))
+    zero = ShiftOperator(g, 0, 0, "noncancellative", symbol=a, orientation="analysis")
     assert zero.apply(f).norm() == 0.0
     # coefficient bound |a_I| <= 1 follows from the BMO normalization
     assert max(np.max(np.abs(a)) for a in symbol_levels(S)) <= 1.0 + 1e-10
     with pytest.raises(WrongKindError):
         random_shift(g, 1, 0, rng, kind="noncancellative")
     with pytest.raises(ValueError):
-        noncancellative_shift(g, S.symbol * 3.0)
+        ShiftOperator(g, 0, 0, "noncancellative", symbol=S.symbol * 3.0,
+                      orientation="analysis")
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (-2, -3)])
@@ -129,7 +131,7 @@ def test_a_negative_shift_count_is_a_depth_error(i, j):
 
 def test_a_symbol_of_bmo_norm_above_one_is_refused(rng):
     # the constructor checks the BMO bound, so direct construction and a
-    # JSON round trip refuse what noncancellative_shift refuses
+    # JSON round trip refuse a symbol of BMO norm above one
     g = GridSpec(1, 4)
     S = random_shift(g, 0, 0, rng, kind="noncancellative")
     with pytest.raises(ValueError, match="symbol BMO norm .* exceeds 1"):
